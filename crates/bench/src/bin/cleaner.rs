@@ -201,7 +201,16 @@ fn checkerboard(store: &SharedLogStore, config: &StoreConfig, payload: &[u8]) ->
         store.put(mix(i) % pages, payload).unwrap();
     }
     store.flush().unwrap();
+    seal_preload(store);
     pages
+}
+
+/// A flush persists open segments without sealing them; a checkpoint seals. Every
+/// phase below starts from a device of sealed segments only (open segments are not
+/// victims), whatever the preload left half-filled — the start state
+/// BENCH_cleaner.json was recorded from.
+fn seal_preload(store: &SharedLogStore) {
+    store.checkpoint_json().unwrap();
 }
 
 /// Phase 1: how fast `threads` concurrent cycles chew through reclaimable segments.
@@ -320,6 +329,7 @@ fn measure_skew(kind: &str, tuning: &GcTuning, scale: Scale, seed: u64) -> SkewP
         store.put(p, &payload).unwrap();
     }
     store.flush().unwrap();
+    seal_preload(&store);
     store.with_store(|s| s.reset_stats());
 
     let ops = skew_ops_per_thread(scale);

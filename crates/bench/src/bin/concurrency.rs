@@ -86,6 +86,10 @@ fn measure(threads: usize, scale: Scale) -> ScalingPoint {
         store.put(p, &payload).unwrap();
     }
     store.flush().unwrap();
+    // A flush persists open segments without sealing them; a checkpoint seals. The
+    // window starts from a device of sealed segments only, whatever the preload left
+    // half-filled — the start state BENCH_concurrency.json was recorded from.
+    store.checkpoint_json().unwrap();
     store.with_store(|s| s.reset_stats());
 
     let run_phase = |phase: &str| -> f64 {

@@ -189,6 +189,8 @@ pub fn from_json(json: &str) -> Result<Checkpoint> {
 /// (i.e. the previous process called `flush()`, then `checkpoint_to()`, then wrote
 /// nothing more). Use [`crate::LogStore::recover_with_device`] — or the journal form,
 /// [`crate::LogStore::recover_with_checkpoint`], which tolerates a log tail — otherwise.
+/// The only thing read from the device is the first header of every recorded segment,
+/// to refuse a device of another format version ([`Error::FormatVersion`]).
 pub fn open_from_checkpoint(
     config: StoreConfig,
     device: Box<dyn SegmentDevice>,
@@ -223,6 +225,7 @@ pub fn open_from_checkpoint(
                 s.id, config.num_segments
             )));
         }
+        crate::recovery::probe_slot(store.device(), SegmentId(s.id))?;
         let mut meta =
             SegmentMeta::new_open(SegmentId(s.id), s.capacity_bytes, s.log_id, config.up2_mode);
         meta.live_bytes = s.live_bytes;

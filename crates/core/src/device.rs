@@ -1,10 +1,14 @@
 //! Segment devices: where segment images physically live.
 //!
-//! The store talks to storage exclusively in whole segments (one large write per sealed
-//! segment — the defining property of a log-structured store) plus small ranged reads for
-//! serving individual pages. All methods take `&self`: devices are internally
-//! synchronised so the concurrent store can serve page reads without funnelling them
-//! through the write path's lock. Two implementations are provided:
+//! The store writes to storage in two shapes: one large write per segment sealed in one
+//! go ([`SegmentDevice::write_segment`] — the defining property of a log-structured
+//! store), and, for a segment made durable while still open, a couple of small
+//! sector-aligned ranges per persist point ([`SegmentDevice::write_ranges`] — the bytes
+//! appended since the previous one; see [`crate::layout`]). Reads are small ranged reads
+//! for serving individual pages plus whole-segment reads for cleaning and recovery. All
+//! methods take `&self`: devices are internally synchronised so the concurrent store can
+//! serve page reads without funnelling them through the write path's lock. Two
+//! implementations are provided:
 //!
 //! * [`MemDevice`] — segments held in memory (one `RwLock` per slot); used by tests, the
 //!   examples, and anywhere a volatile store is acceptable.
@@ -18,6 +22,7 @@ use crate::error::{Error, Result};
 use crate::types::SegmentId;
 use parking_lot::{Mutex, RwLock};
 use std::fs::{File, OpenOptions};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,10 +45,11 @@ impl DeviceGeometry {
 /// Abstraction over the storage medium holding segment images.
 ///
 /// Implementations must be internally synchronised (`&self` methods, `Send + Sync`):
-/// the store issues concurrent ranged reads from many threads while one thread writes
-/// sealed segments. Concurrent operations on *different* segment slots must not block
-/// each other more than necessary; the store guarantees it never reads a slot that is
-/// concurrently being written (its segment-pinning protocol, see `store::read_path`).
+/// the store issues concurrent ranged reads from many threads while others write
+/// segments. Concurrent operations on *different* segment slots must not block each
+/// other more than necessary; the store guarantees it never reads a slot that is
+/// concurrently being written (its segment-pinning protocol, see `store::read_path`;
+/// pages of a segment that is still open are served from memory, never from the slot).
 pub trait SegmentDevice: Send + Sync {
     /// The device geometry.
     fn geometry(&self) -> DeviceGeometry;
@@ -57,6 +63,21 @@ pub trait SegmentDevice: Send + Sync {
     /// Write one whole segment image (must be exactly `segment_bytes` long).
     fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()>;
 
+    /// Write only the `dirty` byte ranges of a segment. `image` is the segment's whole
+    /// current image (exactly `segment_bytes` long); for every `r` in `dirty` the device
+    /// writes `image[r]` at offset `r.start` of the slot, **in the order given** — the
+    /// store lists a persist point's payloads before the extent that references them
+    /// (see [`crate::layout`]). Bytes outside the ranges keep whatever the slot holds.
+    ///
+    /// The default writes the whole image instead, which is always correct (the store
+    /// only ever appends to an open segment's image, so the rest of `image` is what
+    /// the slot already holds, or bytes nothing references yet): a wrapper that does
+    /// not override this turns every persist point into a full segment write.
+    fn write_ranges(&self, seg: SegmentId, image: &[u8], dirty: &[Range<u32>]) -> Result<()> {
+        let _ = dirty;
+        self.write_segment(seg, image)
+    }
+
     /// Erase a segment (mark its slot blank). Optional: the default clears nothing, since
     /// a later `write_segment` will overwrite the slot anyway; `MemDevice` drops the
     /// allocation to return memory.
@@ -67,7 +88,8 @@ pub trait SegmentDevice: Send + Sync {
     /// Flush any buffered writes to stable storage.
     fn sync(&self) -> Result<()>;
 
-    /// Number of segment writes performed (used by tests and the stats report).
+    /// Number of write calls performed, whole-segment and ranged alike (used by tests
+    /// and the stats report).
     fn segment_writes(&self) -> u64;
 }
 
@@ -89,6 +111,36 @@ fn check_bounds(geom: DeviceGeometry, seg: SegmentId, offset: u32, len: u32) -> 
                 geom.segment_bytes
             ),
         )));
+    }
+    Ok(())
+}
+
+/// Validate the arguments of a segment or ranged write against the geometry.
+fn check_write(
+    geom: DeviceGeometry,
+    seg: SegmentId,
+    image: &[u8],
+    dirty: &[Range<u32>],
+) -> Result<()> {
+    check_bounds(geom, seg, 0, 0)?;
+    if image.len() != geom.segment_bytes {
+        return Err(Error::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "segment image is {} bytes, expected {}",
+                image.len(),
+                geom.segment_bytes
+            ),
+        )));
+    }
+    for r in dirty {
+        if r.start > r.end {
+            return Err(Error::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("inverted range [{}, {})", r.start, r.end),
+            )));
+        }
+        check_bounds(geom, seg, r.start, r.end - r.start)?;
     }
     Ok(())
 }
@@ -147,18 +199,21 @@ impl SegmentDevice for MemDevice {
     }
 
     fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()> {
-        check_bounds(self.geometry, seg, 0, 0)?;
-        if image.len() != self.geometry.segment_bytes {
-            return Err(Error::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "segment image is {} bytes, expected {}",
-                    image.len(),
-                    self.geometry.segment_bytes
-                ),
-            )));
-        }
+        check_write(self.geometry, seg, image, &[])?;
         *self.slots[seg.index()].write() = Some(image.to_vec().into_boxed_slice());
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn write_ranges(&self, seg: SegmentId, image: &[u8], dirty: &[Range<u32>]) -> Result<()> {
+        check_write(self.geometry, seg, image, dirty)?;
+        let mut slot = self.slots[seg.index()].write();
+        let data =
+            slot.get_or_insert_with(|| vec![0u8; self.geometry.segment_bytes].into_boxed_slice());
+        for r in dirty {
+            let r = r.start as usize..r.end as usize;
+            data[r.clone()].copy_from_slice(&image[r]);
+        }
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -304,19 +359,19 @@ impl SegmentDevice for FileDevice {
     }
 
     fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()> {
-        check_bounds(self.geometry, seg, 0, 0)?;
-        if image.len() != self.geometry.segment_bytes {
-            return Err(Error::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "segment image is {} bytes, expected {}",
-                    image.len(),
-                    self.geometry.segment_bytes
-                ),
-            )));
-        }
+        check_write(self.geometry, seg, image, &[])?;
         let pos = self.offset_of(seg, 0);
         self.write_at(pos, image)?;
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn write_ranges(&self, seg: SegmentId, image: &[u8], dirty: &[Range<u32>]) -> Result<()> {
+        check_write(self.geometry, seg, image, dirty)?;
+        for r in dirty {
+            let pos = self.offset_of(seg, r.start);
+            self.write_at(pos, &image[r.start as usize..r.end as usize])?;
+        }
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -342,8 +397,9 @@ pub struct FlakyDevice<D: SegmentDevice> {
 }
 
 impl<D: SegmentDevice> FlakyDevice<D> {
-    /// Wrap a device; the `fail_after_writes`-th subsequent segment write (0-based) and
-    /// every write after it will fail with an I/O error until the budget is reset.
+    /// Wrap a device; the `fail_after_writes`-th subsequent write (0-based; a segment
+    /// write or a ranged write each count once) and every write after it will fail with
+    /// an I/O error until the budget is reset.
     pub fn new(inner: D, fail_after_writes: Option<u64>) -> Self {
         Self {
             inner,
@@ -359,6 +415,19 @@ impl<D: SegmentDevice> FlakyDevice<D> {
     /// Access the wrapped device.
     pub fn inner(&self) -> &D {
         &self.inner
+    }
+
+    /// Spend one write (a segment write or one ranged write) of the failure budget.
+    fn charge(&self, seg: SegmentId) -> Result<()> {
+        if let Some(budget) = self.fail_after_writes.lock().as_mut() {
+            if *budget == 0 {
+                return Err(Error::Io(std::io::Error::other(format!(
+                    "injected write failure on segment {seg}"
+                ))));
+            }
+            *budget -= 1;
+        }
+        Ok(())
     }
 }
 
@@ -376,15 +445,13 @@ impl<D: SegmentDevice> SegmentDevice for FlakyDevice<D> {
     }
 
     fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()> {
-        if let Some(budget) = self.fail_after_writes.lock().as_mut() {
-            if *budget == 0 {
-                return Err(Error::Io(std::io::Error::other(format!(
-                    "injected write failure on segment {seg}"
-                ))));
-            }
-            *budget -= 1;
-        }
+        self.charge(seg)?;
         self.inner.write_segment(seg, image)
+    }
+
+    fn write_ranges(&self, seg: SegmentId, image: &[u8], dirty: &[Range<u32>]) -> Result<()> {
+        self.charge(seg)?;
+        self.inner.write_ranges(seg, image, dirty)
     }
 
     fn erase_segment(&self, seg: SegmentId) -> Result<()> {
@@ -419,6 +486,71 @@ mod tests {
         assert_eq!(dev.read_segment(SegmentId(2)).unwrap(), image);
         assert_eq!(dev.read_range(SegmentId(2), 10, 4).unwrap(), vec![7u8; 4]);
         assert_eq!(dev.segment_writes(), 1);
+    }
+
+    /// Ranged writes land exactly the dirty ranges — on a blank slot and over an
+    /// existing image — on both devices.
+    #[test]
+    fn write_ranges_touches_only_the_dirty_bytes() {
+        let path = temp_path("ranges");
+        let file = FileDevice::create(&path, 1024, 2).unwrap();
+        let mem = MemDevice::new(1024, 2);
+        let devices: [&dyn SegmentDevice; 2] = [&mem, &file];
+        for dev in devices {
+            let image: Vec<u8> = (0..1024u32).map(|i| (i % 251) as u8 + 1).collect();
+            dev.write_ranges(SegmentId(1), &image, &[900..1024, 0..100, 500..500])
+                .unwrap();
+            let got = dev.read_segment(SegmentId(1)).unwrap();
+            assert_eq!(got[..100], image[..100]);
+            assert_eq!(got[900..], image[900..]);
+            assert!(got[100..900].iter().all(|&b| b == 0));
+            // Over an existing image: bytes outside the ranges keep their old value.
+            let newer = vec![0xEEu8; 1024];
+            dev.write_ranges(SegmentId(1), &newer, &[100..150, 150..200])
+                .unwrap();
+            let got = dev.read_segment(SegmentId(1)).unwrap();
+            assert_eq!(got[..100], image[..100]);
+            assert!(got[100..200].iter().all(|&b| b == 0xEE));
+            assert_eq!(dev.segment_writes(), 2);
+            assert!(dev
+                .write_ranges(SegmentId(1), &newer, &[0..4, 1000..1025])
+                .is_err());
+            assert!(dev
+                .write_ranges(SegmentId(1), &newer[..10], &[0..4, 4..8])
+                .is_err());
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A device that implements only `write_segment` gets whole-image persist points.
+    #[test]
+    fn write_ranges_defaults_to_a_whole_segment_write() {
+        struct WholeOnly(MemDevice);
+        impl SegmentDevice for WholeOnly {
+            fn geometry(&self) -> DeviceGeometry {
+                self.0.geometry()
+            }
+            fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
+                self.0.read_segment(seg)
+            }
+            fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
+                self.0.read_range(seg, offset, len)
+            }
+            fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()> {
+                self.0.write_segment(seg, image)
+            }
+            fn sync(&self) -> Result<()> {
+                Ok(())
+            }
+            fn segment_writes(&self) -> u64 {
+                self.0.segment_writes()
+            }
+        }
+        let dev = WholeOnly(MemDevice::new(256, 1));
+        let image = vec![5u8; 256];
+        dev.write_ranges(SegmentId(0), &image, &[0..8, 8..16])
+            .unwrap();
+        assert_eq!(dev.read_segment(SegmentId(0)).unwrap(), image);
     }
 
     #[test]

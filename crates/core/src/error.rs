@@ -38,6 +38,15 @@ pub enum Error {
         /// Human-readable description of what went wrong.
         detail: String,
     },
+    /// The device holds segments of another on-device format version (see
+    /// [`crate::layout::VERSION`]). Fatal at open: replaying such a device as if its
+    /// segments were merely corrupt would silently recover an (almost) empty store.
+    FormatVersion {
+        /// The version stamped on the device.
+        found: u16,
+        /// The version this build reads and writes.
+        expected: u16,
+    },
     /// The checkpoint file could not be parsed.
     CorruptCheckpoint(String),
     /// A page-id partition ran out of ids: an allocator's next id reached the end of
@@ -83,6 +92,11 @@ impl fmt::Display for Error {
             Error::CorruptSegment { segment, detail } => {
                 write!(f, "corrupt segment {segment}: {detail}")
             }
+            Error::FormatVersion { found, expected } => write!(
+                f,
+                "unsupported on-device format: the device was written with segment format \
+                 version {found}, this build reads and writes version {expected}"
+            ),
             Error::CorruptCheckpoint(detail) => write!(f, "corrupt checkpoint: {detail}"),
             Error::PageRangeExhausted { next, limit } => write!(
                 f,
@@ -144,6 +158,13 @@ mod tests {
         };
         assert!(e.to_string().contains("seg#5"));
         assert!(e.to_string().contains("bad magic"));
+
+        let e = Error::FormatVersion {
+            found: 1,
+            expected: 2,
+        };
+        assert!(e.to_string().contains("version 1"));
+        assert!(e.to_string().contains("version 2"));
 
         let e = Error::PageRangeExhausted {
             next: 1 << 62,

@@ -1,44 +1,90 @@
-//! On-device segment format.
+//! On-device segment format (version 2): a chain of self-checksummed *extents*.
 //!
 //! A segment image is self-describing so that the page table can be rebuilt by scanning
-//! the device (see [`crate::recovery`]). The layout inside one `segment_bytes` block is:
+//! the device (see [`crate::recovery`]), and — since format v2 — *append-safe*: an open
+//! segment can be made durable incrementally, one extent per persist point, without ever
+//! overwriting a byte that an earlier device sync covered. The layout inside one
+//! `segment_bytes` block is:
 //!
 //! ```text
 //! +--------------------+  offset 0
-//! | SegmentHeader      |  fixed 48 bytes, CRC-protected
-//! +--------------------+  offset HEADER_SIZE
-//! | entry[0]           |  24 bytes each, CRC-protected as a block
-//! | entry[1]           |
-//! | ...                |
-//! +--------------------+
+//! | extent 0 header    |  fixed 48 bytes, CRC-protected
+//! | extent 0 entries   |  24 bytes each, CRC-protected as a block
+//! | (pad to SECTOR)    |
+//! +--------------------+  <- extents grow upward, each starting on a sector boundary
+//! | extent 1 header    |
+//! | extent 1 entries   |
+//! | (pad to SECTOR)    |
+//! +--------------------+  front cursor
 //! |     (unused)       |
-//! +--------------------+
-//! | page payloads,     |  payloads grow downward from the end of the segment so their
-//! | newest at lowest   |  offsets are final the moment a page is appended, regardless of
-//! | offset             |  how many more entries follow
+//! +--------------------+  back cursor
+//! | (pad to SECTOR)    |
+//! | extent 1 payloads  |  payloads grow downward from the end of the segment so their
+//! +--------------------+  offsets are final the moment a page is appended, regardless of
+//! | (pad to SECTOR)    |  how many more entries or extents follow; each extent's payloads
+//! | extent 0 payloads  |  end on a sector boundary
 //! +--------------------+  offset segment_bytes
 //! ```
 //!
+//! One **persist point** ([`SegmentBuilder::render_extent`]) lays down the entries and
+//! payloads appended since the previous one as a new extent. It dirties exactly two
+//! contiguous, sector-aligned ranges — the new payloads at the back cursor and the new
+//! extent at the front cursor — which the write path hands to
+//! [`crate::device::SegmentDevice::write_ranges`], payloads first. Both cursors are then
+//! rounded to the next [`SECTOR`] boundary, so the following persist point never shares
+//! a sector with bytes an earlier sync made durable — and, from a segment's first
+//! persist point on, [`SegmentBuilder::fits`] keeps every extent and its payloads in
+//! disjoint sectors, so a torn write of the payload range cannot land bytes of the
+//! extent that references it. A segment that is sealed without ever having been
+//! persisted is a single extent with no padding: the same capacity (509 pages of 4 KiB
+//! in 2 MiB) and the same one-write-per-segment I/O as format v1. (A segment filled to
+//! within a sector of full *before* its first persist point is the one case whose two
+//! ranges would touch — [`ranges_share_a_sector`] — and is written whole.)
+//!
+//! Every extent header carries the segment's **seal sequence** (reserved at the first
+//! persist point, or assigned at the seal for a never-persisted segment). It is unique
+//! per incarnation of a slot, so it doubles as the on-device allocation generation: an
+//! extent belongs to the chain only if its sequence equals the first extent's. The
+//! header CRC of every extent after the first additionally covers its predecessor's
+//! header CRC, so an extent validates only as the successor of exactly that chain
+//! prefix. [`decode_segment`] walks the chain from offset 0 and stops — silently — at
+//! the first extent that fails its magic, CRC, sequence or bounds check: that is a
+//! persist point whose device write never completed ("the flush that never returned"),
+//! or stale bytes of the slot's previous incarnation. A first extent that looks like
+//! data but fails validation is reported as [`Error::CorruptSegment`]; one that
+//! validates but carries another [`VERSION`] is [`Error::FormatVersion`].
+//!
+//! The `sealed_at` tick and carried `up2` of a decoded segment are those of its last
+//! valid extent (each extent records the cumulative values at its persist point).
+//!
 //! Entries record `(page_id, offset, len, write_seq)`. A tombstone (deletion record) is an
-//! entry with `len == TOMBSTONE_LEN`; it has no payload.
+//! entry with `len == TOMBSTONE_LEN`; it has no payload. Payload bytes are not
+//! checksummed by this format; the write order (payloads before the extent that
+//! references them) is what keeps a torn persist point from exposing them.
 
 use crate::error::{Error, Result};
 use crate::types::{PageId, SealSeq, SegmentId, UpdateTick, WriteSeq};
 use crate::util::crc32c;
+use std::ops::Range;
 
-/// Magic number identifying a sealed segment image ("LSSG").
+/// Magic number identifying a segment extent ("LSSG").
 pub const MAGIC: u32 = 0x4C53_5347;
 /// Current on-device format version.
-pub const VERSION: u16 = 1;
-/// Size of the fixed segment header in bytes.
+pub const VERSION: u16 = 2;
+/// Size of the fixed extent header in bytes.
 pub const HEADER_SIZE: usize = 48;
 /// Size of one entry in bytes.
 pub const ENTRY_SIZE: usize = 24;
 /// Sentinel length marking a tombstone entry.
 pub const TOMBSTONE_LEN: u32 = u32::MAX;
+/// Alignment of persist points: every extent starts, and every extent's payload block
+/// ends, on a multiple of this, so a later persist point never rewrites a device sector
+/// an earlier one made durable. A property of the format, not a tuning knob.
+pub const SECTOR: usize = 512;
 
 /// Number of whole `page_bytes`-sized pages a segment can hold once header and one entry
-/// per page are accounted for. This is the paper's `S`.
+/// per page are accounted for. This is the paper's `S`. (A segment persisted while open
+/// holds slightly fewer: each persist point costs one extent header plus padding.)
 pub fn pages_per_segment(segment_bytes: usize, page_bytes: usize) -> usize {
     segment_bytes.saturating_sub(HEADER_SIZE) / (page_bytes + ENTRY_SIZE)
 }
@@ -54,24 +100,27 @@ pub fn max_single_payload(segment_bytes: usize) -> usize {
     segment_bytes.saturating_sub(HEADER_SIZE + ENTRY_SIZE)
 }
 
-/// Decoded segment header.
+/// Summary of a decoded segment: the identity fields of its extent chain plus totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentHeader {
-    /// Monotone sequence assigned when the segment was sealed.
+    /// The segment's seal sequence (identical in every extent of the chain).
     pub seal_seq: SealSeq,
-    /// Update tick at which the segment was sealed.
+    /// Update tick of the last valid extent's persist point (the seal, for a segment
+    /// whose final extent landed).
     pub sealed_at: UpdateTick,
-    /// Penultimate-update estimate carried by the segment at seal time.
+    /// Penultimate-update estimate carried by the segment as of its last valid extent.
     pub up2: UpdateTick,
-    /// Number of entries in the entry table.
+    /// Number of entries across all valid extents.
     pub entry_count: u32,
-    /// Total payload bytes stored (grows downward from the segment end).
+    /// Total payload bytes stored across all valid extents.
     pub data_len: u32,
     /// Output log the segment was written by (multi-log policies).
     pub log_id: u16,
+    /// Number of valid extents in the chain (1 for a segment sealed in one write).
+    pub extents: u32,
 }
 
-/// One entry of the entry table.
+/// One entry of an extent's entry table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentEntry {
     /// Logical page recorded by this entry.
@@ -121,99 +170,180 @@ fn get_u64(buf: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
 }
 
-fn encode_header(h: &SegmentHeader, entries_crc: u32) -> [u8; HEADER_SIZE] {
-    let mut buf = [0u8; HEADER_SIZE];
-    put_u32(&mut buf, 0, MAGIC);
-    put_u16(&mut buf, 4, VERSION);
-    put_u16(&mut buf, 6, h.log_id);
-    put_u64(&mut buf, 8, h.seal_seq);
-    put_u64(&mut buf, 16, h.sealed_at);
-    put_u64(&mut buf, 24, h.up2);
-    put_u32(&mut buf, 32, h.entry_count);
-    put_u32(&mut buf, 36, h.data_len);
-    put_u32(&mut buf, 40, entries_crc);
-    let crc = crc32c(&buf[..44]);
-    put_u32(&mut buf, 44, crc);
-    buf
+fn align_up(n: usize) -> usize {
+    n.div_ceil(SECTOR) * SECTOR
+}
+fn align_down(n: usize) -> usize {
+    n / SECTOR * SECTOR
 }
 
-/// Decode and validate a segment header from the first [`HEADER_SIZE`] bytes of an image.
+/// Byte offset of the header CRC inside an extent header; it covers everything before.
+const HEADER_CRC_AT: usize = HEADER_SIZE - 4;
+
+/// CRC of an extent header's first [`HEADER_CRC_AT`] bytes, chained to its predecessor:
+/// the first extent's is the plain CRC (as in format v1, so a v1 image is recognised
+/// and refused by version rather than mistaken for corruption); every later extent's
+/// also covers the previous extent's header CRC.
+fn header_crc(fields: &[u8], prev: Option<u32>) -> u32 {
+    match prev {
+        None => crc32c(fields),
+        Some(prev) => {
+            let mut linked = [0u8; HEADER_CRC_AT + 4];
+            linked[..HEADER_CRC_AT].copy_from_slice(fields);
+            put_u32(&mut linked, HEADER_CRC_AT, prev);
+            crc32c(&linked)
+        }
+    }
+}
+
+/// The decoded fixed header of one extent.
+#[derive(Debug, Clone, Copy)]
+struct ExtentHeader {
+    log_id: u16,
+    seal_seq: SealSeq,
+    sealed_at: UpdateTick,
+    up2: UpdateTick,
+    entry_count: u32,
+    payload_len: u32,
+    entries_crc: u32,
+    crc: u32,
+}
+
+impl ExtentHeader {
+    fn encode(&self, prev: Option<u32>) -> [u8; HEADER_SIZE] {
+        let mut buf = [0u8; HEADER_SIZE];
+        put_u32(&mut buf, 0, MAGIC);
+        put_u16(&mut buf, 4, VERSION);
+        put_u16(&mut buf, 6, self.log_id);
+        put_u64(&mut buf, 8, self.seal_seq);
+        put_u64(&mut buf, 16, self.sealed_at);
+        put_u64(&mut buf, 24, self.up2);
+        put_u32(&mut buf, 32, self.entry_count);
+        put_u32(&mut buf, 36, self.payload_len);
+        put_u32(&mut buf, 40, self.entries_crc);
+        let crc = header_crc(&buf[..HEADER_CRC_AT], prev);
+        put_u32(&mut buf, HEADER_CRC_AT, crc);
+        buf
+    }
+
+    /// Decode the extent header at the start of `buf`, validating magic, CRC (chained
+    /// to `prev`) and version. `Ok(None)` means "no extent here" (blank or foreign
+    /// bytes).
+    fn decode(seg: SegmentId, buf: &[u8], prev: Option<u32>) -> Result<Option<Self>> {
+        if buf.len() < HEADER_SIZE {
+            return Err(Error::CorruptSegment {
+                segment: seg,
+                detail: format!("header buffer too small: {} bytes", buf.len()),
+            });
+        }
+        if get_u32(buf, 0) != MAGIC {
+            return Ok(None);
+        }
+        let stored_crc = get_u32(buf, HEADER_CRC_AT);
+        let computed = header_crc(&buf[..HEADER_CRC_AT], prev);
+        if stored_crc != computed {
+            return Err(Error::CorruptSegment {
+                segment: seg,
+                detail: format!(
+                    "header CRC mismatch: stored {stored_crc:#x}, computed {computed:#x}"
+                ),
+            });
+        }
+        // Checked after the CRC: a bit flip in the version field is corruption of one
+        // segment, a self-consistent header of another version is a different format.
+        let version = get_u16(buf, 4);
+        if version != VERSION {
+            return Err(Error::FormatVersion {
+                found: version,
+                expected: VERSION,
+            });
+        }
+        Ok(Some(Self {
+            log_id: get_u16(buf, 6),
+            seal_seq: get_u64(buf, 8),
+            sealed_at: get_u64(buf, 16),
+            up2: get_u64(buf, 24),
+            entry_count: get_u32(buf, 32),
+            payload_len: get_u32(buf, 36),
+            entries_crc: get_u32(buf, 40),
+            crc: stored_crc,
+        }))
+    }
+}
+
+/// Decode and validate the *first* extent header of a segment from the first
+/// [`HEADER_SIZE`] bytes of its image: enough to learn the segment's seal sequence
+/// without reading the rest (checkpoint-anchored recovery sweeps every slot this way).
+/// The totals in the returned summary cover that first extent only.
 ///
-/// Returns `Ok(None)` if the block does not look like a sealed segment at all (e.g. it is
+/// Returns `Ok(None)` if the block does not look like a segment at all (e.g. it is
 /// blank), and an error if it looks like one but fails validation.
-pub fn decode_header(seg: SegmentId, buf: &[u8]) -> Result<Option<(SegmentHeader, u32)>> {
-    if buf.len() < HEADER_SIZE {
-        return Err(Error::CorruptSegment {
-            segment: seg,
-            detail: format!("header buffer too small: {} bytes", buf.len()),
-        });
-    }
-    let magic = get_u32(buf, 0);
-    if magic != MAGIC {
-        // Not a sealed segment (blank or reused space) — not an error.
-        return Ok(None);
-    }
-    let version = get_u16(buf, 4);
-    if version != VERSION {
-        return Err(Error::CorruptSegment {
-            segment: seg,
-            detail: format!("unsupported format version {version}"),
-        });
-    }
-    let stored_crc = get_u32(buf, 44);
-    let computed = crc32c(&buf[..44]);
-    if stored_crc != computed {
-        return Err(Error::CorruptSegment {
-            segment: seg,
-            detail: format!("header CRC mismatch: stored {stored_crc:#x}, computed {computed:#x}"),
-        });
-    }
-    let header = SegmentHeader {
-        seal_seq: get_u64(buf, 8),
-        sealed_at: get_u64(buf, 16),
-        up2: get_u64(buf, 24),
-        entry_count: get_u32(buf, 32),
-        data_len: get_u32(buf, 36),
-        log_id: get_u16(buf, 6),
-    };
-    Ok(Some((header, get_u32(buf, 40))))
+pub fn decode_header(seg: SegmentId, buf: &[u8]) -> Result<Option<SegmentHeader>> {
+    Ok(
+        ExtentHeader::decode(seg, buf, None)?.map(|h| SegmentHeader {
+            seal_seq: h.seal_seq,
+            sealed_at: h.sealed_at,
+            up2: h.up2,
+            entry_count: h.entry_count,
+            data_len: h.payload_len,
+            log_id: h.log_id,
+            extents: 1,
+        }),
+    )
 }
 
-/// A fully decoded segment image: header plus entry table.
+/// A fully decoded segment image: chain summary plus the entries of every valid extent.
 #[derive(Debug, Clone)]
 pub struct ParsedSegment {
-    /// The decoded header.
+    /// Summary of the extent chain.
     pub header: SegmentHeader,
-    /// The decoded entry table, in append order.
+    /// The decoded entries of all valid extents, in append order.
     pub entries: Vec<SegmentEntry>,
 }
 
-/// Decode a full segment image (header + entries), validating checksums and bounds.
-///
-/// Returns `Ok(None)` for blank (never sealed) images.
-pub fn decode_segment(seg: SegmentId, image: &[u8]) -> Result<Option<ParsedSegment>> {
-    let Some((header, entries_crc)) = decode_header(seg, image)? else {
+/// Decode the extent at `offset`, whose payloads must lie in `[.., payload_top)`, and
+/// append its entries to `entries`. Returns the header plus the offset the *next*
+/// extent would start at and its `payload_top`.
+fn decode_extent(
+    seg: SegmentId,
+    image: &[u8],
+    offset: usize,
+    payload_top: usize,
+    prev: Option<u32>,
+    entries: &mut Vec<SegmentEntry>,
+) -> Result<Option<(ExtentHeader, usize, usize)>> {
+    if offset + HEADER_SIZE > image.len() {
+        return Ok(None);
+    }
+    let Some(header) = ExtentHeader::decode(seg, &image[offset..], prev)? else {
         return Ok(None);
     };
     let count = header.entry_count as usize;
-    let table_end = HEADER_SIZE + count * ENTRY_SIZE;
-    if table_end > image.len() {
-        return Err(Error::CorruptSegment {
-            segment: seg,
-            detail: format!("entry table ({count} entries) exceeds segment size"),
-        });
-    }
-    let table = &image[HEADER_SIZE..table_end];
-    let computed = crc32c(table);
-    if computed != entries_crc {
+    let table_start = offset + HEADER_SIZE;
+    let table_end = table_start + count * ENTRY_SIZE;
+    let payload_len = header.payload_len as usize;
+    if table_end > payload_top || payload_len > payload_top - table_end {
         return Err(Error::CorruptSegment {
             segment: seg,
             detail: format!(
-                "entry table CRC mismatch: stored {entries_crc:#x}, computed {computed:#x}"
+                "extent at {offset} ({count} entries, {payload_len} payload bytes) exceeds \
+                 the space below {payload_top}"
             ),
         });
     }
-    let mut entries = Vec::with_capacity(count);
+    let table = &image[table_start..table_end];
+    let computed = crc32c(table);
+    if computed != header.entries_crc {
+        return Err(Error::CorruptSegment {
+            segment: seg,
+            detail: format!(
+                "entry table CRC mismatch: stored {:#x}, computed {computed:#x}",
+                header.entries_crc
+            ),
+        });
+    }
+    let payload_floor = payload_top - payload_len;
+    entries.reserve(count);
     for i in 0..count {
         let off = i * ENTRY_SIZE;
         let e = SegmentEntry {
@@ -224,7 +354,7 @@ pub fn decode_segment(seg: SegmentId, image: &[u8]) -> Result<Option<ParsedSegme
         };
         if !e.is_tombstone() {
             let end = e.offset as usize + e.len as usize;
-            if (e.offset as usize) < table_end || end > image.len() {
+            if (e.offset as usize) < payload_floor || end > payload_top {
                 return Err(Error::CorruptSegment {
                     segment: seg,
                     detail: format!(
@@ -236,22 +366,115 @@ pub fn decode_segment(seg: SegmentId, image: &[u8]) -> Result<Option<ParsedSegme
         }
         entries.push(e);
     }
+    Ok(Some((
+        header,
+        align_up(table_end),
+        align_down(payload_floor),
+    )))
+}
+
+/// Decode a full segment image by walking its extent chain, validating checksums and
+/// bounds.
+///
+/// Returns `Ok(None)` for blank (never written) images and an error if the *first*
+/// extent is invalid. Any later extent that fails validation — a torn persist point,
+/// or stale bytes of the slot's previous incarnation — ends the chain: the segment
+/// decodes to the valid prefix.
+pub fn decode_segment(seg: SegmentId, image: &[u8]) -> Result<Option<ParsedSegment>> {
+    let mut entries = Vec::new();
+    let Some((first, mut offset, mut payload_top)) =
+        decode_extent(seg, image, 0, image.len(), None, &mut entries)?
+    else {
+        return Ok(None);
+    };
+    let mut header = SegmentHeader {
+        seal_seq: first.seal_seq,
+        sealed_at: first.sealed_at,
+        up2: first.up2,
+        entry_count: first.entry_count,
+        data_len: first.payload_len,
+        log_id: first.log_id,
+        extents: 1,
+    };
+    let mut prev_crc = first.crc;
+    loop {
+        let valid_entries = entries.len();
+        match decode_extent(
+            seg,
+            image,
+            offset,
+            payload_top,
+            Some(prev_crc),
+            &mut entries,
+        ) {
+            Ok(Some((ext, next_offset, next_top))) if ext.seal_seq == header.seal_seq => {
+                header.sealed_at = ext.sealed_at;
+                header.up2 = ext.up2;
+                header.entry_count += ext.entry_count;
+                header.data_len += ext.payload_len;
+                header.extents += 1;
+                prev_crc = ext.crc;
+                offset = next_offset;
+                payload_top = next_top;
+            }
+            _ => {
+                entries.truncate(valid_entries);
+                break;
+            }
+        }
+    }
     Ok(Some(ParsedSegment { header, entries }))
+}
+
+/// True if the two dirty ranges of a persist point (as returned by
+/// [`SegmentBuilder::render_extent`]: payloads, then extent) share a sector. Only the
+/// *first* persist point of a segment already within a sector of full can produce
+/// that (see [`SegmentBuilder::fits`]); written as two ranges, a torn write of the
+/// payload range could then land the extent without its payloads, so the write path
+/// sends such a segment out as one whole-image write instead.
+pub fn ranges_share_a_sector(dirty: &[Range<u32>; 2]) -> bool {
+    let [payloads, extent] = dirty;
+    !payloads.is_empty() && extent.end > payloads.start
+}
+
+/// The pending extent as laid down by [`SegmentBuilder::render_extent`], remembered
+/// until [`SegmentBuilder::commit_extent`] confirms it reached the device.
+#[derive(Debug, Clone, Copy)]
+struct RenderedExtent {
+    /// End of the extent's entry table (unaligned).
+    end: usize,
+    crc: u32,
 }
 
 /// Incrementally builds the image of one segment.
 ///
-/// Payloads grow downward from the end of the image; the entry table grows upward after
-/// the header. [`SegmentBuilder::finish`] lays the header down and returns the complete
-/// image, exactly `segment_bytes` long.
+/// Payloads grow downward from the end of the image; extents (header + entry table)
+/// grow upward from the start. Entries appended since the last persist point are
+/// *pending*: [`SegmentBuilder::render_extent`] lays them down as the next extent and
+/// reports the byte ranges it dirtied, and [`SegmentBuilder::commit_extent`] — called
+/// once those ranges reached the device — advances both cursors past it.
+/// [`SegmentBuilder::image`] is the whole image, exactly `segment_bytes` long, at any
+/// point.
 #[derive(Debug)]
 pub struct SegmentBuilder {
     segment_bytes: usize,
+    /// Every entry appended so far, persisted extents first.
     entries: Vec<SegmentEntry>,
-    /// Payload bytes in *reverse placement order*; `payload_tail` is the offset of the
-    /// most recently placed payload.
     image: Vec<u8>,
+    /// Offset of the most recently placed payload (the back cursor).
     payload_tail: usize,
+    /// How many of `entries` belong to extents already on the device.
+    persisted_entries: usize,
+    /// Number of extents already on the device.
+    extents: u32,
+    /// Where the pending extent's header goes (the front cursor; sector-aligned).
+    front: usize,
+    /// Upper end of the pending extent's payload block (`segment_bytes`, or the
+    /// sector-aligned back cursor of the last persist point).
+    payload_top: usize,
+    /// Header CRC of the last persisted extent (the pending extent chains to it).
+    prev_crc: Option<u32>,
+    rendered: Option<RenderedExtent>,
 }
 
 impl SegmentBuilder {
@@ -266,19 +489,46 @@ impl SegmentBuilder {
             entries: Vec::new(),
             image: vec![0u8; segment_bytes],
             payload_tail: segment_bytes,
+            persisted_entries: 0,
+            extents: 0,
+            front: 0,
+            payload_top: segment_bytes,
+            prev_crc: None,
+            rendered: None,
         }
     }
 
-    /// Bytes still available for one more entry plus a payload of the given length.
+    /// End of the pending extent's entry table if it held `extra` more entries.
+    fn pending_table_end(&self, extra: usize) -> usize {
+        let pending = self.entries.len() - self.persisted_entries + extra;
+        self.front + HEADER_SIZE + pending * ENTRY_SIZE
+    }
+
+    /// Where the pending extent's entry table may grow to. A never-persisted segment
+    /// packs table and payloads back to back (format v1's capacity); once a segment
+    /// has a persist point, the extent and the payloads of every later one must not
+    /// share a sector — their two dirty ranges are written one after the other, and a
+    /// torn write of the first must not be able to land the second's bytes.
+    fn table_limit(&self, extra_entries: usize) -> usize {
+        let table_end = self.pending_table_end(extra_entries);
+        if self.extents == 0 {
+            table_end
+        } else {
+            align_up(table_end)
+        }
+    }
+
+    /// True if one more entry plus a payload of the given length still fits. The
+    /// pending extent's header is always accounted for, so whatever has been appended
+    /// can always be rendered.
     pub fn fits(&self, payload_len: usize) -> bool {
-        let table_end = HEADER_SIZE + (self.entries.len() + 1) * ENTRY_SIZE;
-        table_end + payload_len <= self.payload_tail
+        self.table_limit(1) + payload_len <= self.payload_tail
     }
 
     /// Remaining payload capacity assuming one more entry is added.
-    pub fn remaining_payload(&self) -> usize {
-        let table_end = HEADER_SIZE + (self.entries.len() + 1) * ENTRY_SIZE;
-        self.payload_tail.saturating_sub(table_end)
+    #[cfg(test)]
+    pub(crate) fn remaining_payload(&self) -> usize {
+        self.payload_tail.saturating_sub(self.table_limit(1))
     }
 
     /// Number of entries appended so far.
@@ -292,8 +542,25 @@ impl SegmentBuilder {
     }
 
     /// Total payload bytes appended so far.
-    pub fn payload_bytes(&self) -> usize {
-        self.segment_bytes - self.payload_tail
+    #[cfg(test)]
+    pub(crate) fn payload_bytes(&self) -> usize {
+        self.entries.iter().map(|e| e.payload_len() as usize).sum()
+    }
+
+    /// Number of extents already committed to the device.
+    pub fn extents(&self) -> u32 {
+        self.extents
+    }
+
+    /// True if entries were appended since the last committed extent.
+    pub fn has_unpersisted(&self) -> bool {
+        self.entries.len() > self.persisted_entries
+    }
+
+    /// The in-memory image (what [`crate::device::SegmentDevice::write_ranges`] and
+    /// `write_segment` are handed).
+    pub fn image(&self) -> &[u8] {
+        &self.image
     }
 
     /// Append a page payload; returns the absolute offset the payload was placed at.
@@ -308,19 +575,20 @@ impl SegmentBuilder {
         let start = self.payload_tail - data.len();
         self.image[start..self.payload_tail].copy_from_slice(data);
         self.payload_tail = start;
-        let entry = SegmentEntry {
+        self.rendered = None;
+        self.entries.push(SegmentEntry {
             page_id,
             offset: start as u32,
             len: data.len() as u32,
             write_seq,
-        };
-        self.entries.push(entry);
+        });
         start as u32
     }
 
     /// Append a tombstone (deletion record) for a page.
     pub fn push_tombstone(&mut self, page_id: PageId, write_seq: WriteSeq) {
         assert!(self.fits(0), "no room for a tombstone entry");
+        self.rendered = None;
         self.entries.push(SegmentEntry {
             page_id,
             offset: 0,
@@ -334,73 +602,81 @@ impl SegmentBuilder {
         &self.image[offset as usize..(offset + len) as usize]
     }
 
-    /// Finalise the image: writes the entry table and header and returns the full
-    /// `segment_bytes`-long image together with the entry list.
-    pub fn finish(
-        self,
-        seal_seq: SealSeq,
-        sealed_at: UpdateTick,
-        up2: UpdateTick,
-    ) -> (Vec<u8>, Vec<SegmentEntry>) {
-        self.finish_with_log(seal_seq, sealed_at, up2, 0)
-    }
-
-    /// [`SegmentBuilder::finish`] with an explicit log id recorded in the header.
-    pub fn finish_with_log(
-        mut self,
-        seal_seq: SealSeq,
-        sealed_at: UpdateTick,
-        up2: UpdateTick,
-        log_id: u16,
-    ) -> (Vec<u8>, Vec<SegmentEntry>) {
-        self.write_metadata(seal_seq, sealed_at, up2, log_id);
-        (self.image, self.entries)
-    }
-
-    /// Finalise the image *without consuming the builder*: writes the entry table and
-    /// header into the in-place image and returns a copy of it.
+    /// Lay the pending entries down as the next extent of the chain and return the two
+    /// sector-aligned byte ranges this dirtied, **payloads first**: writing them to the
+    /// device in that order means a crash between the two leaves payload bytes nothing
+    /// references, never an extent whose payloads are missing. The payload area itself
+    /// is untouched, so concurrent readers holding page locations into this (shared)
+    /// builder keep reading correct bytes.
     ///
-    /// The payload area is left untouched, so concurrent readers that still hold page
-    /// locations into this (shared) builder keep reading correct bytes while the sealed
-    /// image is being written to the device.
-    pub fn finish_image(
+    /// Rendering is idempotent until the next append; it does not advance the cursors —
+    /// call [`SegmentBuilder::commit_extent`] once the ranges reached the device.
+    pub fn render_extent(
         &mut self,
         seal_seq: SealSeq,
         sealed_at: UpdateTick,
         up2: UpdateTick,
         log_id: u16,
-    ) -> Vec<u8> {
-        self.write_metadata(seal_seq, sealed_at, up2, log_id);
-        self.image.clone()
-    }
-
-    fn write_metadata(
-        &mut self,
-        seal_seq: SealSeq,
-        sealed_at: UpdateTick,
-        up2: UpdateTick,
-        log_id: u16,
-    ) {
-        let count = self.entries.len();
-        for (i, e) in self.entries.iter().enumerate() {
-            let off = HEADER_SIZE + i * ENTRY_SIZE;
+    ) -> [Range<u32>; 2] {
+        let pending = &self.entries[self.persisted_entries..];
+        let table_start = self.front + HEADER_SIZE;
+        for (i, e) in pending.iter().enumerate() {
+            let off = table_start + i * ENTRY_SIZE;
             put_u64(&mut self.image, off, e.page_id);
             put_u32(&mut self.image, off + 8, e.offset);
             put_u32(&mut self.image, off + 12, e.len);
             put_u64(&mut self.image, off + 16, e.write_seq);
         }
-        let table = &self.image[HEADER_SIZE..HEADER_SIZE + count * ENTRY_SIZE];
-        let entries_crc = crc32c(table);
-        let header = SegmentHeader {
+        let table_end = table_start + pending.len() * ENTRY_SIZE;
+        let header = ExtentHeader {
+            log_id,
             seal_seq,
             sealed_at,
             up2,
-            entry_count: count as u32,
-            data_len: (self.segment_bytes - self.payload_tail) as u32,
-            log_id,
-        };
-        let hdr = encode_header(&header, entries_crc);
-        self.image[..HEADER_SIZE].copy_from_slice(&hdr);
+            entry_count: pending.len() as u32,
+            payload_len: (self.payload_top - self.payload_tail) as u32,
+            entries_crc: crc32c(&self.image[table_start..table_end]),
+            crc: 0, // computed by `encode`
+        }
+        .encode(self.prev_crc);
+        self.image[self.front..table_start].copy_from_slice(&header);
+        self.rendered = Some(RenderedExtent {
+            end: table_end,
+            crc: get_u32(&header, HEADER_CRC_AT),
+        });
+        let payloads = align_down(self.payload_tail)..self.payload_top;
+        let extent = self.front..align_up(table_end).min(self.segment_bytes);
+        [payloads, extent].map(|r| r.start as u32..r.end as u32)
+    }
+
+    /// Record that the extent last rendered is on the device: its entries become part
+    /// of the persisted chain and both cursors move to the next sector boundary.
+    ///
+    /// Panics if nothing is rendered or something was appended since.
+    pub fn commit_extent(&mut self) {
+        let rendered = self
+            .rendered
+            .take()
+            .expect("commit_extent without a rendered extent");
+        self.persisted_entries = self.entries.len();
+        self.extents += 1;
+        self.front = align_up(rendered.end);
+        self.payload_tail = align_down(self.payload_tail);
+        self.payload_top = self.payload_tail;
+        self.prev_crc = Some(rendered.crc);
+    }
+
+    /// Render the pending entries as the last extent (log 0) and hand back the complete
+    /// image with the entry list: what a seal leaves on the device.
+    #[cfg(test)]
+    pub(crate) fn finish(
+        mut self,
+        seal_seq: SealSeq,
+        sealed_at: UpdateTick,
+        up2: UpdateTick,
+    ) -> (Vec<u8>, Vec<SegmentEntry>) {
+        self.render_extent(seal_seq, sealed_at, up2, 0);
+        (self.image, self.entries)
     }
 }
 
@@ -416,6 +692,23 @@ mod tests {
         assert_eq!(pps, 509);
         assert_eq!(payload_capacity(2 * 1024 * 1024, 4096), 509 * 4096);
         assert!(max_single_payload(4096) < 4096);
+    }
+
+    #[test]
+    fn never_persisted_builder_holds_the_full_single_extent_capacity() {
+        // The single-extent path must keep format v1's capacity exactly.
+        let mut b = SegmentBuilder::new(2 * 1024 * 1024);
+        let page = vec![7u8; 4096];
+        let mut n = 0;
+        while b.fits(page.len()) {
+            b.push_page(n, n + 1, &page);
+            n += 1;
+        }
+        assert_eq!(n, 509);
+        let (image, _) = b.finish(1, 1, 1);
+        let parsed = decode_segment(SegmentId(0), &image).unwrap().unwrap();
+        assert_eq!(parsed.header.extents, 1);
+        assert_eq!(parsed.entries.len(), 509);
     }
 
     #[test]
@@ -438,6 +731,8 @@ mod tests {
         assert_eq!(parsed.header.sealed_at, 1000);
         assert_eq!(parsed.header.up2, 500);
         assert_eq!(parsed.header.entry_count, 3);
+        assert_eq!(parsed.header.data_len, 11);
+        assert_eq!(parsed.header.extents, 1);
         assert_eq!(parsed.entries[0].page_id, 10);
         assert_eq!(parsed.entries[1].page_id, 20);
         assert!(parsed.entries[2].is_tombstone());
@@ -448,6 +743,211 @@ mod tests {
             &image[e.offset as usize..(e.offset + e.len) as usize],
             b"world!"
         );
+    }
+
+    /// Three persist points, then a final extent: what the write path does to a segment
+    /// that two flushes and a seal pass over.
+    fn three_extent_builder() -> SegmentBuilder {
+        let mut b = SegmentBuilder::new(8192);
+        b.push_page(1, 1, b"first");
+        b.push_tombstone(9, 2);
+        b.render_extent(7, 100, 50, 3);
+        b.commit_extent();
+        b.push_page(2, 3, &[0xAB; 300]);
+        b.render_extent(7, 110, 60, 3);
+        b.commit_extent();
+        b.push_page(3, 4, b"third");
+        b
+    }
+
+    #[test]
+    fn multi_extent_build_and_decode_roundtrip() {
+        let mut b = three_extent_builder();
+        assert_eq!(b.extents(), 2);
+        assert!(b.has_unpersisted());
+        b.render_extent(7, 120, 70, 3);
+        let image = b.image();
+        let parsed = decode_segment(SegmentId(4), image).unwrap().unwrap();
+        assert_eq!(parsed.entries, b.entries);
+        assert_eq!(parsed.header.extents, 3);
+        assert_eq!(parsed.header.seal_seq, 7);
+        assert_eq!(parsed.header.log_id, 3);
+        // Cumulative fields come from the last extent, totals from all of them.
+        assert_eq!(parsed.header.sealed_at, 120);
+        assert_eq!(parsed.header.up2, 70);
+        assert_eq!(parsed.header.entry_count, 4);
+        assert_eq!(parsed.header.data_len, 5 + 300 + 5);
+        let e = parsed.entries[2];
+        assert_eq!(
+            &image[e.offset as usize..(e.offset + e.len) as usize],
+            &[0xAB; 300]
+        );
+        // decode_header sees the first extent only — enough for the seal sequence.
+        let first = decode_header(SegmentId(4), image).unwrap().unwrap();
+        assert_eq!((first.seal_seq, first.entry_count), (7, 2));
+    }
+
+    #[test]
+    fn persist_points_dirty_two_sector_aligned_ranges_that_never_overlap_earlier_ones() {
+        let mut b = SegmentBuilder::new(8192);
+        b.push_page(1, 1, b"first");
+        let [payloads0, extent0] = b.render_extent(7, 100, 50, 0);
+        assert_eq!(extent0, 0..SECTOR as u32);
+        assert_eq!(payloads0, (8192 - SECTOR as u32)..8192);
+        // Rendering again without an append dirties the same bytes.
+        assert_eq!(
+            b.render_extent(7, 100, 50, 0),
+            [payloads0.clone(), extent0.clone()]
+        );
+        b.commit_extent();
+        assert!(!b.has_unpersisted());
+
+        b.push_page(2, 2, &[1u8; 700]);
+        let [payloads1, extent1] = b.render_extent(7, 101, 50, 0);
+        assert_eq!(extent1.start, extent0.end);
+        assert_eq!(payloads1.end, payloads0.start);
+        assert_eq!(payloads1.start as usize % SECTOR, 0);
+        assert_eq!(payloads1.len(), 2 * SECTOR);
+    }
+
+    #[test]
+    fn fits_charges_every_persist_point_its_header_and_padding() {
+        let mut b = SegmentBuilder::new(4096);
+        let before = b.remaining_payload();
+        assert_eq!(before, 4096 - HEADER_SIZE - ENTRY_SIZE);
+        b.push_page(1, 1, &[0u8; 100]);
+        b.render_extent(1, 1, 1, 0);
+        b.commit_extent();
+        // Front cursor at 512, back cursor rounded down from 3996 to 3584; the next
+        // extent (header + one entry) owns the sector it starts in.
+        assert_eq!(b.remaining_payload(), 3584 - 2 * SECTOR);
+        assert!(b.fits(b.remaining_payload()));
+        assert!(!b.fits(b.remaining_payload() + 1));
+        // Whatever fits can always be rendered and decoded.
+        let room = b.remaining_payload();
+        b.push_page(2, 2, &vec![9u8; room]);
+        assert!(!b.fits(1)); // (the extent's own sector still has room for tombstones)
+        let (image, _) = b.finish(1, 2, 1);
+        let parsed = decode_segment(SegmentId(0), &image).unwrap().unwrap();
+        assert_eq!(parsed.header.extents, 2);
+        assert_eq!(parsed.entries.len(), 2);
+    }
+
+    /// After a segment's first persist point, the two ranges of every later one lie in
+    /// disjoint sectors however the appends fall, so a torn write of the payload range
+    /// can never land bytes of the extent that references it.
+    #[test]
+    fn later_persist_points_never_share_a_sector_between_extent_and_payloads() {
+        for step in [1usize, 37, 150, 700] {
+            let mut b = SegmentBuilder::new(16 * 1024);
+            b.push_page(0, 1, b"first");
+            b.render_extent(1, 1, 1, 0);
+            b.commit_extent();
+            let mut n = 1u64;
+            loop {
+                let mut pushed = false;
+                for len in [step, 0, step * 2 % 900] {
+                    if b.fits(len) {
+                        b.push_page(n, n + 1, &vec![n as u8; len]);
+                        n += 1;
+                        pushed = true;
+                    }
+                }
+                if !pushed {
+                    break;
+                }
+                let dirty = b.render_extent(1, n, 1, 0);
+                assert!(!ranges_share_a_sector(&dirty), "step {step}: {dirty:?}");
+                assert!(dirty[1].end <= dirty[0].start || dirty[0].is_empty());
+                b.commit_extent();
+            }
+            let (image, entries) = b.finish(1, n, 1);
+            let parsed = decode_segment(SegmentId(0), &image).unwrap().unwrap();
+            assert_eq!(parsed.entries, entries);
+        }
+    }
+
+    /// The one case the rule above cannot cover: a segment filled to within a sector
+    /// of full *before* its first persist point.
+    #[test]
+    fn a_first_persist_point_of_a_nearly_full_segment_reports_the_shared_sector() {
+        let mut b = SegmentBuilder::new(4096);
+        b.push_page(1, 1, &[7u8; 3900]);
+        let dirty = b.render_extent(1, 1, 1, 0);
+        assert!(ranges_share_a_sector(&dirty), "{dirty:?}");
+        b.commit_extent();
+        assert!(!b.fits(0), "nothing more fits behind it");
+
+        let mut roomy = SegmentBuilder::new(4096);
+        roomy.push_page(1, 1, &[7u8; 100]);
+        assert!(!ranges_share_a_sector(&roomy.render_extent(1, 1, 1, 0)));
+    }
+
+    #[test]
+    fn torn_last_extent_is_dropped_whole() {
+        let (image, _) = three_extent_builder().finish(7, 120, 70);
+        // The third extent starts at the third sector; tear it anywhere.
+        for flip in [2 * SECTOR + 9, 2 * SECTOR + HEADER_SIZE + 3] {
+            let mut torn = image.clone();
+            torn[flip] ^= 0xFF;
+            let parsed = decode_segment(SegmentId(0), &torn).unwrap().unwrap();
+            assert_eq!(parsed.header.extents, 2);
+            assert_eq!(parsed.entries.len(), 3);
+            assert_eq!(parsed.header.sealed_at, 110);
+        }
+        // An extent that never landed at all (zeros) ends the chain the same way.
+        let mut missing = image.clone();
+        missing[2 * SECTOR..3 * SECTOR].fill(0);
+        let parsed = decode_segment(SegmentId(0), &missing).unwrap().unwrap();
+        assert_eq!(parsed.header.extents, 2);
+    }
+
+    #[test]
+    fn corrupt_middle_extent_truncates_the_chain_there() {
+        let (mut image, _) = three_extent_builder().finish(7, 120, 70);
+        image[SECTOR + HEADER_SIZE + 1] ^= 0xFF; // entry table of the second extent
+        let parsed = decode_segment(SegmentId(0), &image).unwrap().unwrap();
+        // The intact third extent is unreachable: it only validates as the successor
+        // of the second.
+        assert_eq!(parsed.header.extents, 1);
+        assert_eq!(parsed.entries.len(), 2);
+        assert_eq!(parsed.entries[0].page_id, 1);
+    }
+
+    #[test]
+    fn stale_extents_of_a_previous_incarnation_are_not_part_of_the_chain() {
+        // The slot held a three-extent segment (seal seq 7)...
+        let (old, _) = three_extent_builder().finish(7, 120, 70);
+        // ...was recycled, and its new incarnation (seal seq 9) has persisted one
+        // extent of the same shape: only the two dirty ranges hit the device.
+        let mut b = SegmentBuilder::new(8192);
+        b.push_page(100, 50, b"fresh");
+        b.push_tombstone(101, 51);
+        let ranges = b.render_extent(9, 200, 150, 3);
+        let mut device = old.clone();
+        for r in ranges {
+            let r = r.start as usize..r.end as usize;
+            device[r.clone()].copy_from_slice(&b.image()[r]);
+        }
+        let parsed = decode_segment(SegmentId(0), &device).unwrap().unwrap();
+        assert_eq!(parsed.header.seal_seq, 9);
+        assert_eq!(parsed.header.extents, 1);
+        let pages: Vec<_> = parsed.entries.iter().map(|e| e.page_id).collect();
+        assert_eq!(pages, [100, 101]);
+
+        // Even an old extent carrying the *same* sequence does not chain: its header
+        // CRC covers a different predecessor.
+        let mut same_seq = SegmentBuilder::new(8192);
+        same_seq.push_page(100, 50, b"fresh");
+        same_seq.push_tombstone(101, 51);
+        let ranges = same_seq.render_extent(7, 200, 150, 3);
+        let mut device = old;
+        for r in ranges {
+            let r = r.start as usize..r.end as usize;
+            device[r.clone()].copy_from_slice(&same_seq.image()[r]);
+        }
+        let parsed = decode_segment(SegmentId(0), &device).unwrap().unwrap();
+        assert_eq!(parsed.header.extents, 1);
     }
 
     #[test]
@@ -503,17 +1003,38 @@ mod tests {
         assert!(decode_header(SegmentId(0), &buf).is_err());
     }
 
+    /// Re-stamp a first extent header's version and fix up its CRC.
+    fn restamp_version(image: &mut [u8], version: u16) {
+        put_u16(image, 4, version);
+        let crc = crc32c(&image[..HEADER_CRC_AT]);
+        put_u32(image, HEADER_CRC_AT, crc);
+    }
+
     #[test]
-    fn version_mismatch_is_detected() {
+    fn other_format_version_is_a_typed_error_not_corruption() {
         let b = SegmentBuilder::new(1024);
         let (mut image, _) = b.finish(1, 1, 1);
-        // Overwrite version with 9 and recompute nothing: CRC check fires first, so patch
-        // the CRC too to reach the version check.
+        restamp_version(&mut image, 1);
+        for err in [
+            decode_segment(SegmentId(1), &image).unwrap_err(),
+            decode_header(SegmentId(1), &image).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    Error::FormatVersion {
+                        found: 1,
+                        expected: VERSION
+                    }
+                ),
+                "unexpected error: {err}"
+            );
+        }
+        // A bit flip in the version field alone is corruption of this one segment.
+        let (mut image, _) = SegmentBuilder::new(1024).finish(1, 1, 1);
         put_u16(&mut image, 4, 9);
-        let crc = crc32c(&image[..44]);
-        put_u32(&mut image, 44, crc);
         let err = decode_segment(SegmentId(1), &image).unwrap_err();
-        assert!(err.to_string().contains("version"));
+        assert!(matches!(err, Error::CorruptSegment { .. }), "{err}");
     }
 
     #[test]
@@ -527,8 +1048,8 @@ mod tests {
         let table = &image[HEADER_SIZE..HEADER_SIZE + ENTRY_SIZE];
         let entries_crc = crc32c(table);
         put_u32(&mut image, 40, entries_crc);
-        let crc = crc32c(&image[..44]);
-        put_u32(&mut image, 44, crc);
+        let crc = crc32c(&image[..HEADER_CRC_AT]);
+        put_u32(&mut image, HEADER_CRC_AT, crc);
         let err = decode_segment(SegmentId(1), &image).unwrap_err();
         assert!(err.to_string().contains("out of bounds"));
     }

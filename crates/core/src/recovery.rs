@@ -1,10 +1,17 @@
 //! Crash recovery: full-device scan, or checkpoint-anchored bounded log-tail replay.
 //!
-//! Because every segment is self-describing (header + entry table, see [`crate::layout`]),
-//! the page table can always be rebuilt from the device alone: replay segments in seal
-//! order, keep the newest version of each page (largest `(write_seq, seal_seq)` pair) and
-//! honour tombstones. Segment metadata (`A`, `C`, `up2`) is then derived from the final
-//! page table plus the headers.
+//! Because every segment is self-describing (a chain of checksummed extents, each a
+//! header + entry table, see [`crate::layout`]), the page table can always be rebuilt
+//! from the device alone: replay segments in seal order, keep the newest version of each
+//! page (largest `(write_seq, seal_seq)` pair) and honour tombstones. Segment metadata
+//! (`A`, `C`, `up2`) is then derived from the final page table plus the headers.
+//!
+//! A slot's extent chain is replayed up to the first extent that fails validation: a
+//! persist point whose write never completed was never acknowledged, so dropping it —
+//! whole — is exactly "the flush that never returned". A segment that was still open
+//! when the process died is installed as *sealed* with whatever prefix of its chain is
+//! valid; it is never reopened for appends. A device written in another format version
+//! is refused with [`Error::FormatVersion`] rather than scanned as if corrupt.
 //!
 //! Deletions are durable under this rule because the cleaner never drops a delete fact
 //! without proof of redundancy: when a victim holding a tombstone is cleaned, the
@@ -60,6 +67,27 @@ struct PageVersion {
     tombstone: bool,
 }
 
+/// What the first extent header of a slot says about it.
+pub(crate) enum Slot {
+    /// Never written (or erased).
+    Blank,
+    /// The header does not decode: skipped, never fatal.
+    Corrupt,
+    Written(layout::SegmentHeader),
+}
+
+/// Read and decode the first extent header of a slot. A header of another on-device
+/// format version is an error ([`Error::FormatVersion`]), not a corrupt slot.
+pub(crate) fn probe_slot(device: &dyn SegmentDevice, seg: SegmentId) -> Result<Slot> {
+    let head = device.read_range(seg, 0, layout::HEADER_SIZE as u32)?;
+    match layout::decode_header(seg, &head) {
+        Ok(Some(first)) => Ok(Slot::Written(first)),
+        Ok(None) => Ok(Slot::Blank),
+        Err(e @ Error::FormatVersion { .. }) => Err(e),
+        Err(_) => Ok(Slot::Corrupt),
+    }
+}
+
 /// Rebuild a [`LogStore`] from an existing device by scanning all segment images.
 pub fn recover(config: StoreConfig, device: Box<dyn SegmentDevice>) -> Result<LogStore> {
     let (store, _report) = recover_with_report(config, device)?;
@@ -94,6 +122,7 @@ pub fn recover_with_report(
                 });
             }
             Ok(None) => report.blank_segments += 1,
+            Err(e @ Error::FormatVersion { .. }) => return Err(e),
             Err(_) => report.corrupt_segments.push(id),
         }
     }
@@ -211,11 +240,12 @@ pub fn recover_from_checkpoint_with_report(
 
     let mut report = ScanReport::default();
 
-    // Pass 1: sweep only the fixed-size header of every slot; fully decode just the
-    // segments sealed after the checkpoint frontier. A recorded slot whose on-device
-    // header still predates the frontier keeps its checkpoint metadata without any
-    // further I/O; a post-frontier header means the slot was sealed (or reused and
-    // resealed) after the checkpoint and its entries must be replayed.
+    // Pass 1: sweep only the fixed-size first header of every slot; fully decode just
+    // the segments sealed (or first persisted) after the checkpoint frontier. A
+    // recorded slot whose on-device header still predates the frontier keeps its
+    // checkpoint metadata without any further I/O; a post-frontier header means the
+    // slot was written (or reused and rewritten) after the checkpoint and its entries
+    // must be replayed.
     struct Parsed {
         id: SegmentId,
         header: layout::SegmentHeader,
@@ -224,12 +254,13 @@ pub fn recover_from_checkpoint_with_report(
     let mut tail: Vec<Parsed> = Vec::new();
     for i in 0..config.num_segments {
         let id = SegmentId(i as u32);
-        let head = device.read_range(id, 0, layout::HEADER_SIZE as u32)?;
-        match layout::decode_header(id, &head) {
-            Ok(None) => report.blank_segments += 1,
-            Err(_) => report.corrupt_segments.push(id),
-            Ok(Some((header, _))) => {
-                if header.seal_seq > cp.frontier {
+        match probe_slot(device.as_ref(), id)? {
+            Slot::Blank => report.blank_segments += 1,
+            Slot::Corrupt => report.corrupt_segments.push(id),
+            Slot::Written(first) => {
+                // Every extent of a chain carries the same sequence, so the first
+                // extent's header decides whether the slot belongs to the tail.
+                if first.seal_seq > cp.frontier {
                     let image = device.read_segment(id)?;
                     match decode_segment(id, &image) {
                         Ok(Some(p)) => tail.push(Parsed {
@@ -237,9 +268,9 @@ pub fn recover_from_checkpoint_with_report(
                             header: p.header,
                             entries: p.entries,
                         }),
-                        // The header round-tripped but the full image does not decode:
-                        // torn write of a post-checkpoint segment. Its contents were
-                        // never acknowledged durable, so skipping it is correct.
+                        // The header round-tripped but its entry table does not decode:
+                        // torn first write of a post-checkpoint segment. Its contents
+                        // were never acknowledged durable, so skipping it is correct.
                         Ok(None) | Err(_) => report.corrupt_segments.push(id),
                     }
                 }
@@ -659,6 +690,55 @@ mod tests {
         let mut wrong = cfg.clone();
         wrong.num_segments += 1;
         assert!(recover_from_checkpoint(wrong, device, &path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// What format v1 wrote for a sealed segment with no entries: the same 48-byte
+    /// field layout, version 1, plain header CRC.
+    fn v1_image(segment_bytes: usize) -> Vec<u8> {
+        let (mut image, _) = layout::SegmentBuilder::new(segment_bytes).finish(1, 1, 1);
+        image[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let crc = crate::util::crc32c(&image[..44]);
+        image[44..48].copy_from_slice(&crc.to_le_bytes());
+        image
+    }
+
+    /// A device written by format v1 is refused — by the full scan, by the journal
+    /// path and by the monolithic checkpoint — instead of recovering as an (almost)
+    /// empty store with its segments counted as corrupt.
+    #[test]
+    fn a_v1_device_is_refused_with_a_typed_error() {
+        let cfg = config();
+        let refused = |r: Result<LogStore>| match r {
+            Err(Error::FormatVersion { found, expected }) => {
+                assert_eq!((found, expected), (1, layout::VERSION));
+            }
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a v1 device was opened"),
+        };
+        let v1_device = || {
+            let dev = MemDevice::new(cfg.segment_bytes, cfg.num_segments);
+            dev.write_segment(SegmentId(3), &v1_image(cfg.segment_bytes))
+                .unwrap();
+            Box::new(dev)
+        };
+        refused(recover(cfg.clone(), v1_device()));
+
+        // Checkpoints of a (v2) store, pointed at the v1 device.
+        let path = temp_journal_path("v1");
+        let store = LogStore::open_in_memory(cfg.clone()).unwrap();
+        for i in 0..100u64 {
+            store.put(i, &[7u8; 200]).unwrap();
+        }
+        store.checkpoint_log_to(&path).unwrap();
+        let monolithic = crate::checkpoint::from_json(&store.checkpoint_json().unwrap()).unwrap();
+        assert!(monolithic.segments.iter().any(|s| s.id == 3));
+        refused(recover_from_checkpoint(cfg.clone(), v1_device(), &path));
+        refused(crate::checkpoint::open_from_checkpoint(
+            cfg.clone(),
+            v1_device(),
+            &monolithic,
+        ));
         std::fs::remove_file(&path).ok();
     }
 

@@ -19,7 +19,8 @@ pub struct SegmentMeta {
     pub live_pages: u64,
     /// Update-recency tracker providing `up2`.
     pub freq: SegmentFreq,
-    /// Seal sequence (0 while still open; assigned at seal time).
+    /// Seal sequence (0 while still open; assigned at seal time, from a reservation made
+    /// at the segment's first persist point if it had one).
     pub seal_seq: SealSeq,
     /// Update tick at which the segment was sealed (0 while open).
     pub sealed_at: UpdateTick,
@@ -458,6 +459,16 @@ impl SegmentTable {
         freed
     }
 
+    /// Take the next seal sequence without sealing anything: an open segment reserves
+    /// its sequence at its first persist point (every extent it writes carries it, see
+    /// [`crate::layout`]) and is later sealed under it with
+    /// [`SegmentTable::seal_reserved`].
+    pub fn reserve_seal_seq(&mut self) -> SealSeq {
+        let seq = self.next_seal_seq;
+        self.next_seal_seq += 1;
+        seq
+    }
+
     /// Seal an open segment. Returns the assigned seal sequence.
     pub fn seal(
         &mut self,
@@ -466,8 +477,21 @@ impl SegmentTable {
         carried_up2: UpdateTick,
         up2_mode: Up2Mode,
     ) -> SealSeq {
-        let seq = self.next_seal_seq;
-        self.next_seal_seq += 1;
+        let seq = self.reserve_seal_seq();
+        self.seal_reserved(id, seq, sealed_at, carried_up2, up2_mode);
+        seq
+    }
+
+    /// Seal an open segment under a sequence taken earlier with
+    /// [`SegmentTable::reserve_seal_seq`].
+    pub fn seal_reserved(
+        &mut self,
+        id: SegmentId,
+        seq: SealSeq,
+        sealed_at: UpdateTick,
+        carried_up2: UpdateTick,
+        up2_mode: Up2Mode,
+    ) {
         let state = &mut self.states[id.index()];
         match state {
             SegmentState::Open(meta) => {
@@ -477,7 +501,6 @@ impl SegmentTable {
             }
             other => panic!("seal() on segment {id} in state {other:?}"),
         }
-        seq
     }
 
     /// Install a sealed segment directly (used by recovery).
@@ -722,6 +745,21 @@ mod tests {
         assert_eq!(stats.sealed_at, 500);
         assert_eq!(stats.up2, 200);
         assert!(t.state(id).is_sealed());
+    }
+
+    #[test]
+    fn a_reserved_sequence_is_never_handed_out_again() {
+        let mut t = SegmentTable::new(4);
+        let early = t.allocate(CAP, 0, Up2Mode::OnOverwrite).unwrap();
+        let late = t.allocate(CAP, 0, Up2Mode::OnOverwrite).unwrap();
+        // `early` persists first (reserving 1), `late` is sealed in one go (takes 2),
+        // then `early` is sealed under its reservation.
+        let reserved = t.reserve_seal_seq();
+        assert_eq!(t.seal(late, 10, 5, Up2Mode::OnOverwrite), reserved + 1);
+        t.seal_reserved(early, reserved, 20, 6, Up2Mode::OnOverwrite);
+        assert_eq!(t.meta(early).unwrap().seal_seq, reserved);
+        assert_eq!(t.meta(early).unwrap().sealed_at, 20);
+        assert_eq!(t.next_seal_seq(), reserved + 2);
     }
 
     #[test]

@@ -24,8 +24,18 @@ pub struct StoreStats {
     pub gc_pages_written: u64,
     /// Bytes relocated by the cleaner.
     pub gc_bytes_written: u64,
-    /// Segments sealed and written to the device.
+    /// Segments sealed: closed for appends and handed to the cleaner's bookkeeping.
+    /// Since `flush` persists open segments without sealing them this is no longer a
+    /// measure of bytes written — that is [`StoreStats::device_bytes_written`].
     pub segments_sealed: u64,
+    /// Bytes the store asked the device to write: a whole `segment_bytes` image for a
+    /// segment sealed in one go, the dirty ranges for a persist point or for the final
+    /// tail of a segment that had one. Counted where the store calls the device (a
+    /// device wrapper that falls back to whole-image writes moves more).
+    pub device_bytes_written: u64,
+    /// Persist points: times `flush` wrote the unpersisted tail of an open segment as a
+    /// new extent and left the segment open (see [`crate::layout`]).
+    pub persist_points: u64,
     /// Segments read back by the cleaner.
     pub segments_cleaned: u64,
     /// Cleaning cycles executed.
@@ -51,8 +61,9 @@ pub struct StoreStats {
     /// [`StoreStats::emptiness_histogram`]).
     pub sealed_segments: u64,
     /// Total live payload bytes accounted to sealed segments at snapshot time (gauge).
-    /// After a `flush` — when no data sits in buffers or open segments — this equals
-    /// the page table's total live bytes, which tests use as a ledger cross-check.
+    /// Right after a checkpoint — which seals every open segment, so no data sits in
+    /// buffers or open segments — this equals the page table's total live bytes, which
+    /// tests use as a ledger cross-check.
     pub sealed_live_bytes: u64,
     /// Times a writer hit the hard reserve floor and lent its own thread to a
     /// synchronous cleaning cycle (the strongest allocation-pressure signal the
@@ -162,6 +173,8 @@ impl StoreStats {
         self.gc_pages_written += other.gc_pages_written;
         self.gc_bytes_written += other.gc_bytes_written;
         self.segments_sealed += other.segments_sealed;
+        self.device_bytes_written += other.device_bytes_written;
+        self.persist_points += other.persist_points;
         self.segments_cleaned += other.segments_cleaned;
         self.cleaning_cycles += other.cleaning_cycles;
         self.emptiness_sum_at_clean += other.emptiness_sum_at_clean;
@@ -250,6 +263,10 @@ pub struct AtomicStats {
     pub gc_bytes_written: AtomicU64,
     /// See [`StoreStats::segments_sealed`].
     pub segments_sealed: AtomicU64,
+    /// See [`StoreStats::device_bytes_written`].
+    pub device_bytes_written: AtomicU64,
+    /// See [`StoreStats::persist_points`].
+    pub persist_points: AtomicU64,
     /// See [`StoreStats::segments_cleaned`].
     pub segments_cleaned: AtomicU64,
     /// See [`StoreStats::cleaning_cycles`].
@@ -343,6 +360,8 @@ impl AtomicStats {
             gc_pages_written: self.gc_pages_written.load(Ordering::Relaxed),
             gc_bytes_written: self.gc_bytes_written.load(Ordering::Relaxed),
             segments_sealed: self.segments_sealed.load(Ordering::Relaxed),
+            device_bytes_written: self.device_bytes_written.load(Ordering::Relaxed),
+            persist_points: self.persist_points.load(Ordering::Relaxed),
             segments_cleaned: self.segments_cleaned.load(Ordering::Relaxed),
             cleaning_cycles: self.cleaning_cycles.load(Ordering::Relaxed),
             emptiness_sum_at_clean: f64::from_bits(self.emptiness_sum_bits.load(Ordering::Relaxed)),
@@ -393,6 +412,8 @@ impl AtomicStats {
         self.gc_pages_written.store(0, Ordering::Relaxed);
         self.gc_bytes_written.store(0, Ordering::Relaxed);
         self.segments_sealed.store(0, Ordering::Relaxed);
+        self.device_bytes_written.store(0, Ordering::Relaxed);
+        self.persist_points.store(0, Ordering::Relaxed);
         self.segments_cleaned.store(0, Ordering::Relaxed);
         self.cleaning_cycles.store(0, Ordering::Relaxed);
         self.emptiness_sum_bits.store(0, Ordering::Relaxed);

@@ -1210,6 +1210,7 @@ fn ensure_gc_open(
             log,
             gen,
             last_used: 0,
+            seq: None,
         },
     );
     store.note_open_delta(1);

@@ -50,15 +50,20 @@
 //!
 //! ### Durability model
 //!
-//! Pages buffered in a sort-buffer shard or in a still-open segment are volatile; they
-//! become durable when their segment is sealed (written to the device) and the device is
-//! synced. [`LogStore::flush`] drains and seals every stream and syncs the device, so it
-//! is the durability point. After a crash, [`LogStore::recover_with_device`] rebuilds
-//! the page table by scanning segment images; anything not flushed is lost (standard LFS
-//! semantics). Cleaning never shrinks the durable window: a victim's slot is not reused
-//! until the relocated copies of its live pages have been synced, and a relocated copy
-//! keeps its original per-page write sequence so it can never shadow a newer user write
-//! during recovery.
+//! Pages buffered in a sort-buffer shard, or appended to an open segment since its last
+//! persist point, are volatile; they become durable when the extent holding them is
+//! written to the device and the device is synced. [`LogStore::flush`] is the durability
+//! point: it drains every stream, writes each open segment's unpersisted tail as a new
+//! extent (kilobytes, not a segment image — see [`crate::layout`]) and syncs the device.
+//! It does **not** seal: a segment keeps filling across flushes and is sealed only when
+//! it is full, when its stream needs the open-log slot, or when a checkpoint asks. After
+//! a crash, [`LogStore::recover_with_device`] rebuilds the page table by scanning segment
+//! images — each slot's extent chain up to the first extent that does not validate;
+//! anything not flushed is lost (standard LFS semantics), and a segment that was open
+//! comes back sealed. Cleaning never shrinks the durable window: a victim's slot is not
+//! reused until the relocated copies of its live pages have been synced, and a relocated
+//! copy keeps its original per-page write sequence so it can never shadow a newer user
+//! write during recovery.
 
 mod gc_driver;
 mod read_path;
@@ -84,6 +89,7 @@ use crate::util::{mix64, FxHashMap};
 use crate::write_buffer::{PendingPage, WriteBuffer};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -102,6 +108,21 @@ pub(crate) struct OpenSegment {
     pub(crate) gen: u64,
     /// Stream-local LRU tick, used to bound how many logs a stream keeps open at once.
     pub(crate) last_used: u64,
+    /// Seal sequence reserved at the segment's first persist point (`None` until then);
+    /// every extent written for the segment carries it and the seal happens under it.
+    pub(crate) seq: Option<SealSeq>,
+}
+
+/// What the device still lacks of a sealed segment's image: the shared builder — still
+/// registered in `open_reads`, final extent rendered — plus the ranges to write. Built
+/// by `write_path::seal_open`; if the write fails it is parked in the store's
+/// `wounded_seals` until a later sync point lands it.
+pub(crate) struct SealTail {
+    pub(crate) id: SegmentId,
+    pub(crate) builder: Arc<RwLock<SegmentBuilder>>,
+    /// The unwritten tail of a segment that had persist points; `None` for a
+    /// never-persisted segment, which goes out as its whole image.
+    pub(crate) dirty: Option<[Range<u32>; 2]>,
 }
 
 impl std::fmt::Debug for OpenSegment {
@@ -209,12 +230,12 @@ pub struct LogStore {
     /// entries to [`crate::segment::ORPHAN_CYCLE`], under this same lock) so the next
     /// flush or emergency reclaim can seal them and free the victims they relocated.
     gc_orphans: Mutex<Vec<OpenSegment>>,
-    /// Sealed segments whose finished image failed to reach the device (an I/O error
-    /// during the seal's device write). The rendered image is parked here and retried
-    /// before every sync point; until it lands, the segment stays image-pending (never
-    /// a cleaning victim), its builder stays in `open_reads` (pages stay readable), and
+    /// Sealed segments whose final device write failed (an I/O error during the seal).
+    /// The builder and the ranges still to write are parked here and retried before
+    /// every sync point; until they land, the segment stays image-pending (never a
+    /// cleaning victim), its builder stays in `open_reads` (pages stay readable), and
     /// `flush` keeps failing rather than falsely reporting durability.
-    wounded_seals: Mutex<Vec<(SegmentId, Vec<u8>)>>,
+    wounded_seals: Mutex<Vec<SealTail>>,
     /// Builders of currently open segments, readable without any write-side lock.
     open_reads: RwLock<FxHashMap<SegmentId, Arc<RwLock<SegmentBuilder>>>>,
     /// Per-segment reader pin counts (see `read_path`); quarantined victims are only
@@ -411,8 +432,20 @@ impl LogStore {
         read_path::contains(self, page)
     }
 
-    /// Drain every stream's sort buffer, seal every open segment and sync the device.
-    /// This is the durability point.
+    /// The durability point: drain every stream's sort buffer, write what each open
+    /// segment gained since its last persist point, and sync the device. When it
+    /// returns, every `put`/`delete` that returned before the call survives a crash.
+    ///
+    /// A flush is a *persist point*, not a seal. Each open segment with unpersisted
+    /// entries appends one extent to its on-device chain — two small sector-aligned
+    /// writes (new payloads, then the extent that references them; see
+    /// [`crate::layout`]) — and **stays open**, so a commit costs the bytes it added,
+    /// not one `segment_bytes` image per open segment, and segments reach the cleaner
+    /// full. Segments are sealed by the write path when full (or when a stream runs
+    /// over its open-log cap) and by checkpoints
+    /// ([`LogStore::checkpoint_log_to`]), never here. Orphaned GC output builders of
+    /// aborted cleaning cycles are still sealed on the way, and the quarantine is
+    /// reaped after the sync.
     pub fn flush(&self) -> Result<()> {
         write_path::flush(self)
     }
@@ -669,6 +702,29 @@ impl LogStore {
         self.device.as_ref()
     }
 
+    /// Write a segment's image to the device — whole, or only its `dirty` ranges — and
+    /// account the bytes asked for in [`StoreStats::device_bytes_written`]. Every
+    /// segment write of the store goes through here.
+    pub(crate) fn write_image(
+        &self,
+        id: SegmentId,
+        image: &[u8],
+        dirty: Option<&[Range<u32>; 2]>,
+    ) -> Result<()> {
+        let bytes = match dirty {
+            Some(dirty) => {
+                self.device.write_ranges(id, image, dirty)?;
+                dirty.iter().map(|r| r.len() as u64).sum()
+            }
+            None => {
+                self.device.write_segment(id, image)?;
+                image.len() as u64
+            }
+        };
+        AtomicStats::add(&self.stats.device_bytes_written, bytes);
+        Ok(())
+    }
+
     pub(crate) fn mapping(&self) -> &ShardedPageTable {
         &self.mapping
     }
@@ -697,7 +753,7 @@ impl LogStore {
         self.gc_phase_hook.read().clone()
     }
 
-    pub(crate) fn wounded_seals(&self) -> &Mutex<Vec<(SegmentId, Vec<u8>)>> {
+    pub(crate) fn wounded_seals(&self) -> &Mutex<Vec<SealTail>> {
         &self.wounded_seals
     }
 
@@ -1000,7 +1056,165 @@ mod tests {
         assert_eq!(s.user_pages_written, 10);
         assert_eq!(s.user_bytes_written, 80);
         assert_eq!(s.pages_read, 10);
-        assert!(s.segments_sealed >= 1);
+        // The flush persisted the open segments; it sealed nothing.
+        assert_eq!(s.segments_sealed, 0);
+        assert!(s.persist_points >= 1);
+        assert!(s.device_bytes_written > 0);
+    }
+
+    /// `flush` is a persist point: the open segment stays open, keeps filling across
+    /// flushes, costs the bytes each flush added, and is sealed once — when full.
+    #[test]
+    fn flush_persists_open_segments_without_sealing_them() {
+        let config = StoreConfig::small_for_tests()
+            .with_policy(PolicyKind::Greedy)
+            .with_write_streams(1);
+        let store = LogStore::open_in_memory(config.clone()).unwrap();
+        let free_before = store.free_segments();
+        store.put(1, b"one").unwrap();
+        store.flush().unwrap();
+        store.put(2, b"two").unwrap();
+        store.delete(1).unwrap();
+        store.flush().unwrap();
+        store.flush().unwrap(); // nothing new: no extent, no bytes
+        let s = store.stats();
+        assert_eq!(s.segments_sealed, 0);
+        assert_eq!(s.persist_points, 2);
+        assert_eq!(store.free_segments(), free_before - 1);
+        // Each persist point wrote one payload sector (none for the tombstone-only
+        // part) and one extent sector — not a 4 KiB image.
+        assert_eq!(s.device_bytes_written, 2 * 2 * crate::layout::SECTOR as u64);
+        assert!(store.get(1).unwrap().is_none());
+        assert_eq!(store.get(2).unwrap().unwrap().as_ref(), b"two");
+
+        // Keep filling: the segment is sealed exactly once, when it runs out of room.
+        let payload = vec![7u8; config.page_bytes];
+        let mut page = 10;
+        while store.stats().segments_sealed == 0 {
+            store.put(page, &payload).unwrap();
+            store.flush().unwrap();
+            page += 1;
+        }
+        assert_eq!(store.stats().segments_sealed, 1);
+
+        // Everything flushed is on the device: a restart finds it, byte-exact, with the
+        // segment that was still open installed as sealed.
+        let device = store.into_device();
+        let recovered = LogStore::recover_with_device(config, device).unwrap();
+        assert!(recovered.get(1).unwrap().is_none());
+        assert_eq!(recovered.get(2).unwrap().unwrap().as_ref(), b"two");
+        for p in 10..page {
+            assert_eq!(recovered.get(p).unwrap().unwrap().as_ref(), &payload[..]);
+        }
+        assert_eq!(recovered.live_pages() as u64, 1 + page - 10);
+    }
+
+    /// Device errors around persist points: a failed persist point leaves its extent
+    /// pending (the next flush lays it down again), and a failed seal of a persisted
+    /// segment parks only its unwritten tail, which the next sync point lands.
+    #[test]
+    fn failed_persist_points_and_wounded_tails_are_retried() {
+        use crate::device::FlakyDevice;
+        let config = StoreConfig::small_for_tests()
+            .with_policy(PolicyKind::Greedy)
+            .with_write_streams(1);
+        let device = std::sync::Arc::new(FlakyDevice::new(
+            MemDevice::new(config.segment_bytes, config.num_segments),
+            None,
+        ));
+        struct Shared(std::sync::Arc<FlakyDevice<MemDevice>>);
+        impl SegmentDevice for Shared {
+            fn geometry(&self) -> crate::device::DeviceGeometry {
+                self.0.geometry()
+            }
+            fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
+                self.0.read_segment(seg)
+            }
+            fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
+                self.0.read_range(seg, offset, len)
+            }
+            fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()> {
+                self.0.write_segment(seg, image)
+            }
+            fn write_ranges(
+                &self,
+                seg: SegmentId,
+                image: &[u8],
+                dirty: &[Range<u32>],
+            ) -> Result<()> {
+                self.0.write_ranges(seg, image, dirty)
+            }
+            fn sync(&self) -> Result<()> {
+                self.0.sync()
+            }
+            fn segment_writes(&self) -> u64 {
+                self.0.segment_writes()
+            }
+        }
+        let store =
+            LogStore::open_with_device(config.clone(), Box::new(Shared(device.clone()))).unwrap();
+        let payload = vec![5u8; config.page_bytes];
+
+        // A persist point that fails: the flush reports it, nothing is committed.
+        store.put(0, &payload).unwrap();
+        device.set_fail_after_writes(Some(0));
+        assert!(matches!(store.flush(), Err(Error::Io(_))));
+        assert_eq!(store.stats().persist_points, 0);
+        // Healed: the same extent (plus what came since) goes out.
+        device.set_fail_after_writes(None);
+        store.put(1, &payload).unwrap();
+        store.flush().unwrap();
+        assert_eq!(store.stats().persist_points, 1);
+
+        // Fill the persisted segment; the write that seals it fails on the device.
+        device.set_fail_after_writes(Some(0));
+        let mut page = 2;
+        let err = loop {
+            match store.put(page, &payload) {
+                Ok(()) => page += 1,
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, Error::Io(_)), "unexpected error: {err}");
+        assert_eq!(store.stats().segments_sealed, 0);
+        // Every page stays readable from the parked builder, and a flush keeps
+        // failing rather than vouching for a tail that is not on the device.
+        assert_eq!(store.get(2).unwrap().unwrap().as_ref(), &payload[..]);
+        assert!(store.flush().is_err());
+        device.set_fail_after_writes(None);
+        store.flush().unwrap();
+        // The wounded seal landed (and the drain it interrupted went on sealing).
+        assert!(store.stats().segments_sealed >= 1);
+
+        // The image the retries produced is a valid chain: everything recovers.
+        let expected = store.live_pages();
+        drop(store);
+        let recovered = LogStore::recover_with_device(config, Box::new(Shared(device))).unwrap();
+        assert_eq!(recovered.live_pages(), expected);
+        for p in 0..expected as u64 {
+            assert_eq!(recovered.get(p).unwrap().unwrap().as_ref(), &payload[..]);
+        }
+    }
+
+    /// A never-persisted segment still goes out as one whole-image write.
+    #[test]
+    fn a_segment_sealed_without_persist_points_is_one_whole_image_write() {
+        let config = StoreConfig::small_for_tests()
+            .with_policy(PolicyKind::Greedy)
+            .with_write_streams(1);
+        let store = LogStore::open_in_memory(config.clone()).unwrap();
+        let payload = vec![3u8; config.page_bytes];
+        let mut page = 0;
+        while store.stats().segments_sealed < 2 {
+            store.put(page, &payload).unwrap();
+            page += 1;
+        }
+        let s = store.stats();
+        assert_eq!(s.persist_points, 0);
+        assert_eq!(
+            s.device_bytes_written,
+            s.segments_sealed * config.segment_bytes as u64
+        );
     }
 
     #[test]

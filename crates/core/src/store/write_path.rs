@@ -12,9 +12,10 @@
 //!
 //! * **allocation** — taking a segment off the shared free list (and bumping its
 //!   allocation generation);
-//! * **seal bookkeeping** — assigning the seal sequence and transitioning metadata; the
-//!   (large) device write of the image happens *outside* the central lock, with the
-//!   segment hidden from victim selection until the image lands (see
+//! * **seal bookkeeping** — assigning the seal sequence (or reserving it, at an open
+//!   segment's first persist point) and transitioning metadata; the device write of
+//!   the image happens *outside* the central lock, with the segment hidden from victim
+//!   selection until the image lands (see
 //!   [`crate::segment::SegmentTable::set_image_pending`]);
 //! * **batched accounting** — per-page `live_bytes`/`live_pages`/`up2` bookkeeping is
 //!   recorded into a [`MetaLedger`] while appending and applied in order under one lock
@@ -30,7 +31,9 @@
 //! cleaning cycle run, and retries. Out-of-space is reported only when a full cycle
 //! frees nothing.
 
-use super::{gc_driver, CentralState, GcStreams, LogStore, OpenSegment, StreamState, WriteStream};
+use super::{
+    gc_driver, CentralState, GcStreams, LogStore, OpenSegment, SealTail, StreamState, WriteStream,
+};
 use crate::error::{Error, Result};
 use crate::freq::{carry_forward_rewrite, first_write_up2, Up2Average};
 use crate::layout::{self, SegmentBuilder};
@@ -208,8 +211,10 @@ pub(crate) fn submit(store: &LogStore, pending: PendingPage) -> Result<()> {
     }
 }
 
-/// Drain every stream, seal every open segment, sync the device and reap the
-/// quarantine: the durability point.
+/// Drain every stream, persist every open segment's unpersisted tail, sync the device
+/// and reap the quarantine: the durability point. Nothing is sealed here — a user
+/// segment is sealed only when [`ensure_open`] finds it full or over the open-log cap,
+/// or when a checkpoint asks (`LogStore::checkpoint_snapshot`).
 pub(crate) fn flush(store: &LogStore) -> Result<()> {
     let mut stalled = 0;
     'retry: for attempt in 0..MAX_CLEAN_RETRIES {
@@ -217,14 +222,9 @@ pub(crate) fn flush(store: &LogStore) -> Result<()> {
             let mut ss = stream.state.lock();
             match drain_stream(store, stream, &mut ss)? {
                 DrainOutcome::Done => {
-                    let mut ledger = MetaLedger::default();
-                    let logs: Vec<u16> = ss.open.keys().copied().collect();
-                    for log in logs {
-                        if let Some(open) = ss.open.remove(&log) {
-                            seal_open(store, open, &mut ledger)?;
-                        }
+                    for open in ss.open.values_mut() {
+                        persist_open(store, open)?;
                     }
-                    ledger.flush_to_central(store);
                 }
                 DrainOutcome::NeedsCleaning => {
                     drop(ss);
@@ -252,7 +252,7 @@ pub(crate) fn flush(store: &LogStore) -> Result<()> {
                 }
             }
         }
-        // Every stream is drained and sealed. The tail seals any orphaned GC output
+        // Every stream is drained and persisted. The tail seals any orphaned GC output
         // builders (left behind by aborted cycles) and syncs: quarantine entries whose
         // owning cycle has not yet sealed its outputs stay *parked* — the per-entry
         // sealed/synced state machine, not a lock, is what keeps this sync from
@@ -783,21 +783,61 @@ fn ensure_open(
             log,
             gen,
             last_used: tick,
+            seq: None,
         },
     );
     store.note_open_delta(1);
     Ok(true)
 }
 
-/// Seal an open segment: finalise its image, write it to the device and transition its
-/// metadata to `Sealed`. Empty builders just release the segment. Shared by the user
-/// streams (caller holds the stream lock) and the GC streams (caller holds the cycle
-/// lock).
+/// A persist point for one open segment: lay the entries appended since the last one
+/// down as a new extent, write the (at most two, sector-aligned) byte ranges that
+/// dirtied, and leave the segment open. The caller holds the lock that owns the segment
+/// (its stream lock), so nothing is appended in between; the device sync that makes the
+/// extent durable is the caller's.
+///
+/// The segment's seal sequence is reserved at its first persist point — every extent
+/// carries it, and the eventual seal happens under it. On a device error the extent
+/// stays pending: the next persist point (or the seal) lays it down again, over bytes
+/// no completed flush ever vouched for.
+fn persist_open(store: &LogStore, open: &mut OpenSegment) -> Result<()> {
+    if !open.builder.read().has_unpersisted() {
+        return Ok(());
+    }
+    let seq = *open
+        .seq
+        .get_or_insert_with(|| store.central().lock().segments.reserve_seal_seq());
+    let unow = store.unow();
+    let dirty = open
+        .builder
+        .write()
+        .render_extent(seq, unow, open.up2_avg.mean_or(unow), open.log);
+    // Two ranges — unless this is the first persist point of a segment already within
+    // a sector of full, whose ranges would share that sector: it goes out whole.
+    let ranged = !layout::ranges_share_a_sector(&dirty);
+    store.write_image(
+        open.id,
+        open.builder.read().image(),
+        ranged.then_some(&dirty),
+    )?;
+    open.builder.write().commit_extent();
+    AtomicStats::bump(&store.atomic_stats().persist_points);
+    Ok(())
+}
+
+/// Seal an open segment: lay down its final extent, write what the device does not
+/// have yet and transition its metadata to `Sealed`. Empty builders just release the
+/// segment. The single seal routine for user streams (caller holds the stream lock), GC
+/// streams (caller holds the cycle lock) and orphaned GC builders.
+///
+/// A segment that was never persisted goes out as one `write_segment` of its whole
+/// image; one that was writes only the unpersisted tail (nothing at all if every entry
+/// is already in a persisted extent).
 ///
 /// The central lock is held only for the bookkeeping on either side of the device
-/// write; while the image write is in flight the segment is flagged *image-pending* so
-/// victim selection cannot pick a segment whose on-device image does not exist yet.
-/// Ordering matters for the lock-free read path: the image is written to the device
+/// write; while the write is in flight the segment is flagged *image-pending* so
+/// victim selection cannot pick a segment whose on-device image is incomplete.
+/// Ordering matters for the lock-free read path: the image is complete on the device
 /// *before* the builder is removed from the open-segment read index, so a reader that
 /// misses the index is guaranteed to find the image on the device.
 pub(crate) fn seal_open(
@@ -823,32 +863,54 @@ pub(crate) fn seal_open(
         let mut central = store.central().lock();
         // Accounting recorded for this segment must land before its stats freeze.
         ledger.apply(store, &mut central);
-        let seq = central
-            .segments
-            .seal(open.id, unow, carried_up2, store.config().up2_mode);
-        central.segments.set_image_pending(open.id, true);
+        let segments = &mut central.segments;
+        let seq = open.seq.unwrap_or_else(|| segments.reserve_seal_seq());
+        segments.seal_reserved(open.id, seq, unow, carried_up2, store.config().up2_mode);
+        segments.set_image_pending(open.id, true);
         seq
     };
-    let image = open
-        .builder
-        .write()
-        .finish_image(seal_seq, unow, carried_up2, open.log);
-    if let Err(e) = store.device().write_segment(open.id, &image) {
-        // Park the finished image as a *wounded seal*: the builder stays registered in
-        // `open_reads` (pages remain readable), the segment stays image-pending (never
-        // a victim), and every sync point retries the write via
-        // [`retry_wounded_seals`] — so a later flush either lands this image or keeps
-        // failing, instead of silently reporting durability for data that never
-        // reached the device.
-        store.wounded_seals().lock().push((open.id, image));
-        return Err(e);
+    let tail = {
+        let mut builder = open.builder.write();
+        let whole = builder.extents() == 0;
+        (whole || builder.has_unpersisted()).then(|| {
+            let dirty = builder.render_extent(seal_seq, unow, carried_up2, open.log);
+            SealTail {
+                id: open.id,
+                builder: Arc::clone(&open.builder),
+                dirty: (!whole).then_some(dirty),
+            }
+        })
+    };
+    if let Some(tail) = tail {
+        if let Err(e) = tail.write(store) {
+            // Park the unwritten tail as a *wounded seal*: the builder stays registered
+            // in `open_reads` (pages remain readable), the segment stays image-pending
+            // (never a victim), and every sync point retries the write via
+            // [`retry_wounded_seals`] — so a later flush either lands this image or
+            // keeps failing, instead of silently reporting durability for data that
+            // never reached the device.
+            store.wounded_seals().lock().push(tail);
+            return Err(e);
+        }
     }
-    AtomicStats::bump(&store.atomic_stats().segments_sealed);
-    store.open_reads().write().remove(&open.id);
-    let mut central = store.central().lock();
-    central.segments.set_image_pending(open.id, false);
-    store.publish_free(&central.segments);
+    finish_seal(store, open.id);
     Ok(())
+}
+
+impl SealTail {
+    /// Write what the device still lacks of this sealed segment's image.
+    fn write(&self, store: &LogStore) -> Result<()> {
+        store.write_image(self.id, self.builder.read().image(), self.dirty.as_ref())
+    }
+}
+
+/// The tail of a seal once the segment's image is complete on the device.
+fn finish_seal(store: &LogStore, id: SegmentId) {
+    AtomicStats::bump(&store.atomic_stats().segments_sealed);
+    store.open_reads().write().remove(&id);
+    let mut central = store.central().lock();
+    central.segments.set_image_pending(id, false);
+    store.publish_free(&central.segments);
 }
 
 /// Retry the device writes of any wounded seals (see [`seal_open`]). Called before
@@ -857,16 +919,9 @@ pub(crate) fn seal_open(
 /// on failure the error propagates and the image stays parked for the next attempt.
 fn retry_wounded_seals(store: &LogStore) -> Result<()> {
     let mut wounded = store.wounded_seals().lock();
-    while let Some((id, image)) = wounded.last() {
-        let id = *id;
-        store.device().write_segment(id, image)?;
-        AtomicStats::bump(&store.atomic_stats().segments_sealed);
-        store.open_reads().write().remove(&id);
-        {
-            let mut central = store.central().lock();
-            central.segments.set_image_pending(id, false);
-            store.publish_free(&central.segments);
-        }
+    while let Some(seal) = wounded.last() {
+        seal.write(store)?;
+        finish_seal(store, seal.id);
         wounded.pop();
     }
     Ok(())

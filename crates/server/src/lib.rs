@@ -30,23 +30,22 @@
 //! ).unwrap());
 //! let server = Server::start(Arc::clone(&kv), "127.0.0.1:0", ServerConfig::default()).unwrap();
 //!
-//! // One durable PUT and one GET, framed by hand per docs/PROTOCOL.md §3.
+//! // One durable PUT, then one GET, framed by hand per docs/PROTOCOL.md §3. (The GET
+//! // waits for the PUT's reply: pipelined requests run concurrently and may complete
+//! // — and reply — in any order.)
 //! let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-//! for (corr, req) in [
-//!     (1, Request::Put { key: b"k".to_vec(), value: b"v".to_vec(), durable: true }),
-//!     (2, Request::Get { key: b"k".to_vec() }),
-//! ] {
+//! let mut round_trip = |corr, req: Request| {
 //!     let mut payload = Vec::new();
 //!     req.encode_payload(&mut payload);
 //!     protocol::write_frame(&mut sock, req.opcode(), corr, &payload).unwrap();
-//! }
-//! let put = protocol::read_frame(&mut sock, protocol::MAX_FRAME_BYTES).unwrap().unwrap();
-//! let get = protocol::read_frame(&mut sock, protocol::MAX_FRAME_BYTES).unwrap().unwrap();
-//! assert_eq!(Response::decode(put.opcode, &put.payload).unwrap(), Response::Put);
-//! assert_eq!(
-//!     Response::decode(get.opcode, &get.payload).unwrap(),
-//!     Response::Get(Some(b"v".to_vec())),
-//! );
+//!     let reply = protocol::read_frame(&mut sock, protocol::MAX_FRAME_BYTES).unwrap().unwrap();
+//!     assert_eq!(reply.corr_id, corr);
+//!     Response::decode(reply.opcode, &reply.payload).unwrap()
+//! };
+//! let put = Request::Put { key: b"k".to_vec(), value: b"v".to_vec(), durable: true };
+//! assert_eq!(round_trip(1, put), Response::Put);
+//! let get = Request::Get { key: b"k".to_vec() };
+//! assert_eq!(round_trip(2, get), Response::Get(Some(b"v".to_vec())));
 //! server.shutdown();
 //! ```
 

@@ -532,6 +532,8 @@ struct StoreSection {
     user_pages_written: u64,
     gc_pages_written: u64,
     segments_sealed: u64,
+    device_bytes_written: u64,
+    persist_points: u64,
     segments_cleaned: u64,
     cleaning_cycles: u64,
     pages_read: u64,
@@ -586,6 +588,8 @@ fn stats_json(shared: &Shared) -> String {
             user_pages_written: store_stats.user_pages_written,
             gc_pages_written: store_stats.gc_pages_written,
             segments_sealed: store_stats.segments_sealed,
+            device_bytes_written: store_stats.device_bytes_written,
+            persist_points: store_stats.persist_points,
             segments_cleaned: store_stats.segments_cleaned,
             cleaning_cycles: store_stats.cleaning_cycles,
             pages_read: store_stats.pages_read,

@@ -4,6 +4,7 @@
 use lss::core::device::{DeviceGeometry, MemDevice, SegmentDevice};
 use lss::core::{Error, GcPhase, GcPhaseHook, Result, SegmentId, StoreConfig};
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -184,17 +185,29 @@ impl PhaseGate {
 }
 
 /// A cloneable in-memory device that "dies" at a chosen write boundary: after a budget
-/// of further segment writes, every write and sync fails — while the durable contents
+/// of further device writes, every write and sync fails — while the durable contents
 /// survive for recovery, which only needs reads. Generalises the crash devices of
 /// `tests/concurrency.rs` / `tests/cleaner_races.rs`: `fail_after(n)` sweeps a crash
 /// across every device-write boundary of a protocol (n = 0 kills it immediately), and
 /// `heal` restores the device so the "restarted process" can write again.
+///
+/// The unit of the budget is one contiguous write: a whole-segment write, or **each
+/// range** of a ranged write (`write_ranges` — what a persist point of an open segment
+/// issues: its new payloads, then its new extent). So a sweep crashes before a persist
+/// point, between its two ranges, and — with [`CrashPointDevice::fail_after_torn`] —
+/// inside a range: only a prefix of the dying range's bytes reaches the medium.
+/// Whole-segment writes stay all-or-nothing, as in every crash suite so far: a
+/// whole-image write lays the header down first, and (payloads carrying no checksum)
+/// the format relies on such a write not being torn between its entry table and its
+/// payloads — the assumption format v1 made for every write.
 #[derive(Clone)]
 #[allow(dead_code)] // not every test binary uses it
 pub struct CrashPointDevice {
     inner: Arc<MemDevice>,
     /// Remaining writes before the device dies; `u64::MAX` means healthy.
     budget: Arc<AtomicU64>,
+    /// Bytes of the write the device dies in that still land (consumed by that write).
+    torn_prefix: Arc<AtomicU64>,
 }
 
 #[allow(dead_code)] // not every test binary uses every helper
@@ -203,11 +216,20 @@ impl CrashPointDevice {
         Self {
             inner: Arc::new(MemDevice::new(segment_bytes, num_segments)),
             budget: Arc::new(AtomicU64::new(u64::MAX)),
+            torn_prefix: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// Allow `n` more segment writes, then fail every subsequent write and sync.
+    /// Allow `n` more writes, then fail every subsequent write and sync.
     pub fn fail_after(&self, n: u64) {
+        self.fail_after_torn(n, 0);
+    }
+
+    /// [`CrashPointDevice::fail_after`], but if the first failing write is a range of
+    /// a ranged write it is *torn*: its first `prefix_bytes` bytes land before the
+    /// device dies.
+    pub fn fail_after_torn(&self, n: u64, prefix_bytes: u64) {
+        self.torn_prefix.store(prefix_bytes, Ordering::SeqCst);
         self.budget.store(n, Ordering::SeqCst);
     }
 
@@ -221,7 +243,8 @@ impl CrashPointDevice {
         self.budget.store(u64::MAX, Ordering::SeqCst);
     }
 
-    /// Total segment writes that reached the in-memory medium.
+    /// Total writes (whole segments and single ranges) that reached the in-memory
+    /// medium in full.
     pub fn writes(&self) -> u64 {
         self.inner.segment_writes()
     }
@@ -249,6 +272,23 @@ impl CrashPointDevice {
             }
         }
     }
+
+    /// One range of a ranged write: all of `image[range]`, or — in the write the
+    /// device dies in — at most the configured torn prefix.
+    fn write_range(&self, seg: SegmentId, image: &[u8], range: Range<u32>) -> Result<()> {
+        if let Err(dead) = self.charge() {
+            let keep = self.torn_prefix.swap(0, Ordering::SeqCst);
+            let keep = keep.min(range.len() as u64) as u32;
+            if keep > 0 {
+                let landed = range.start..range.start + keep;
+                self.inner
+                    .write_ranges(seg, image, std::slice::from_ref(&landed))?;
+            }
+            return Err(dead);
+        }
+        self.inner
+            .write_ranges(seg, image, std::slice::from_ref(&range))
+    }
 }
 
 impl SegmentDevice for CrashPointDevice {
@@ -264,6 +304,12 @@ impl SegmentDevice for CrashPointDevice {
     fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()> {
         self.charge()?;
         self.inner.write_segment(seg, image)
+    }
+    fn write_ranges(&self, seg: SegmentId, image: &[u8], dirty: &[Range<u32>]) -> Result<()> {
+        for range in dirty.iter().filter(|r| !r.is_empty()) {
+            self.write_range(seg, image, range.clone())?;
+        }
+        Ok(())
     }
     fn sync(&self) -> Result<()> {
         if self.budget.load(Ordering::SeqCst) == 0 {

@@ -10,15 +10,23 @@
 //! `LSS_STRESS_SEED` (default 7700), so the CI stress loop explores a fresh
 //! interleaving per iteration and any hit replays with
 //! `LSS_STRESS_SEED=<seed> cargo test --release --test durability_property`.
+//!
+//! Two companions cover `flush` as a *persist point* (open segments written
+//! incrementally, extent by extent, instead of sealed): a seeded sweep that kills the
+//! device before, between and inside the ranged writes of random flush-heavy traces and
+//! checks every flush that returned against a full-scan recovery, and a deterministic
+//! scenario in which a recycled slot still holds stale extents of its previous
+//! incarnation beyond the new chain.
 
 mod common;
 
 use common::{apply_env_concurrency, stress_seed_or, CrashPointDevice};
+use lss::core::device::SegmentDevice;
 use lss::core::policy::PolicyKind;
-use lss::core::{LogStore, SharedLogStore, StoreConfig};
+use lss::core::{LogStore, SegmentId, SharedLogStore, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 fn temp_journal(tag: u64) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("lss-durability-{tag}-{}.ckpt", std::process::id()))
@@ -128,4 +136,237 @@ fn random_interleavings_recover_exactly_at_every_crash() {
     for &cleaner_threads in &[1usize, 2, 4] {
         run_crash_generations(base + cleaner_threads as u64, cleaner_threads);
     }
+}
+
+/// One step of a flush-heavy trace.
+enum Op {
+    Put(u64, Vec<u8>),
+    Delete(u64),
+    Flush,
+}
+
+/// A seeded trace over a small page range: overwrites and deletes so the cleaner
+/// recycles slots (leaving stale extents behind the new chains), and a flush every few
+/// operations so most segments are persisted in many small extents before they fill.
+fn flush_heavy_trace(seed: u64, pages: u64, max_len: usize) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ops = Vec::new();
+    for i in 0..700u64 {
+        let page = rng.gen_range(0..pages);
+        match rng.gen_range(0..100u32) {
+            0..=19 => ops.push(Op::Delete(page)),
+            20..=84 => ops.push(Op::Put(page, payload(page, i, rng.gen_range(16..=max_len)))),
+            _ => ops.push(Op::Flush),
+        }
+    }
+    ops.push(Op::Flush);
+    ops
+}
+
+/// Apply `ops` until the first error (the crash). Returns, per page, every state the
+/// page may legitimately be in after recovery: the state the last flush that returned
+/// vouched for, or any later one (an unacknowledged write may or may not survive).
+fn run_until_crash(store: &LogStore, ops: &[Op], pages: u64) -> Vec<HashSet<Option<Vec<u8>>>> {
+    let mut current: Vec<Option<Vec<u8>>> = vec![None; pages as usize];
+    let mut allowed: Vec<HashSet<Option<Vec<u8>>>> = vec![HashSet::from([None]); pages as usize];
+    for op in ops {
+        let done = match op {
+            Op::Put(page, data) => {
+                current[*page as usize] = Some(data.clone());
+                allowed[*page as usize].insert(Some(data.clone()));
+                store.put(*page, data)
+            }
+            Op::Delete(page) => {
+                current[*page as usize] = None;
+                allowed[*page as usize].insert(None);
+                store.delete(*page)
+            }
+            Op::Flush => store.flush().map(|()| {
+                // Acknowledged: nothing older than the current state may come back.
+                for (states, now) in allowed.iter_mut().zip(&current) {
+                    *states = HashSet::from([now.clone()]);
+                }
+            }),
+        };
+        if done.is_err() {
+            break;
+        }
+    }
+    allowed
+}
+
+/// Every flush that returned survives a crash at every ranged-write boundary — before
+/// a persist point, between its payload and extent writes, and inside either (a torn
+/// last extent is dropped whole) — and recovery is byte-exact: each page holds the
+/// state its last acknowledged flush vouched for or a later one, never an older
+/// version, never a resurrected delete, never bytes of a stale extent.
+#[test]
+fn every_returned_flush_survives_a_crash_at_every_ranged_write_boundary() {
+    let seed = stress_seed_or(7700) + 50;
+    let mut config = apply_env_concurrency(
+        StoreConfig::small_for_tests()
+            .with_policy(PolicyKind::Greedy)
+            .with_cleaner_threads(1),
+    );
+    config.num_segments = 24;
+    let pages = config.logical_pages_for_fill_factor(0.3) as u64;
+    let ops = flush_heavy_trace(seed, pages, config.page_bytes);
+    println!(
+        "persist-point crash sweep: seed={seed} write_streams={} pages={pages}",
+        config.write_streams
+    );
+
+    // Healthy dry run: how many device writes the trace issues, and proof that it
+    // exercises what the sweep is about.
+    let total_writes = {
+        let device = CrashPointDevice::new(config.segment_bytes, config.num_segments);
+        let store = LogStore::open_with_device(config.clone(), Box::new(device.clone())).unwrap();
+        run_until_crash(&store, &ops, pages);
+        let stats = store.stats();
+        assert!(
+            stats.persist_points > 50,
+            "trace must persist open segments"
+        );
+        assert!(stats.segments_cleaned > 0, "trace must recycle slots");
+        device.writes()
+    };
+
+    // Every boundary near the start, a stride further in (seeded offset, so the CI
+    // stress loop walks different boundaries each iteration), each with four tears.
+    let stride = 7;
+    let crash_points = (0..total_writes).filter(|n| *n < 40 || (n + seed).is_multiple_of(stride));
+    for n in crash_points {
+        for torn in [0u64, 30, 130, 600] {
+            let ctx =
+                format!("seed {seed}: crash after {n}/{total_writes} writes + {torn} torn bytes");
+            let device = CrashPointDevice::new(config.segment_bytes, config.num_segments);
+            let store =
+                LogStore::open_with_device(config.clone(), Box::new(device.clone())).unwrap();
+            device.fail_after_torn(n, torn);
+            let allowed = run_until_crash(&store, &ops, pages);
+            device.kill();
+            drop(store);
+
+            device.heal();
+            let recovered = LogStore::recover_with_device(config.clone(), Box::new(device.clone()))
+                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+            for page in 0..pages {
+                let got = recovered.get(page).unwrap().map(|b| b.to_vec());
+                assert!(
+                    allowed[page as usize].contains(&got),
+                    "{ctx}: page {page} recovered as {:?}, which no flush vouched for and nothing later wrote",
+                    got.as_ref().map(|v| &v[..16])
+                );
+            }
+            // Life goes on: the recovered store accepts writes and persists them.
+            recovered.put(0, b"after the crash!").unwrap();
+            recovered.flush().unwrap();
+            let again =
+                LogStore::recover_with_device(config.clone(), recovered.into_device()).unwrap();
+            assert_eq!(
+                again.get(0).unwrap().as_deref(),
+                Some(&b"after the crash!"[..]),
+                "{ctx}: post-recovery flush lost"
+            );
+        }
+    }
+}
+
+/// A recycled slot keeps the bytes of its previous incarnation wherever the new one
+/// has not written yet — including whole, individually valid extents beyond the new
+/// chain. They must never be replayed: here the stale extent holds the only surviving
+/// copy of a page whose delete was dropped as checkpoint-covered, so replaying it
+/// would resurrect the page.
+#[test]
+fn stale_extents_beyond_a_recycled_slots_chain_are_never_replayed() {
+    let config = StoreConfig::small_for_tests()
+        .with_policy(PolicyKind::Greedy)
+        .with_write_streams(1)
+        .with_cleaner_threads(1);
+    let device = CrashPointDevice::new(config.segment_bytes, config.num_segments);
+    let store = LogStore::open_with_device(config.clone(), Box::new(device.clone())).unwrap();
+    let path = temp_journal(0x57a1e);
+    std::fs::remove_file(&path).ok();
+    let filler = |version: u64| payload(0, version, config.page_bytes);
+
+    // Incarnation A of the first slot: three persist points, the doomed page in the
+    // second extent, then filler until the segment is full and sealed.
+    store.put(1, &filler(1)).unwrap();
+    store.flush().unwrap();
+    store.put(666, b"must stay deleted").unwrap();
+    store.flush().unwrap();
+    store.put(2, &filler(2)).unwrap();
+    store.flush().unwrap();
+    let mut version = 3;
+    while store.stats().segments_sealed == 0 {
+        store.put(version, &filler(version)).unwrap();
+        version += 1;
+    }
+    // Kill everything in it: the delete, and overwrites of every other page.
+    store.delete(666).unwrap();
+    for page in 1..version {
+        store.put(page, &filler(100 + page)).unwrap();
+    }
+    // The checkpoint covers the tombstone (so cleaning may drop it) and seals the
+    // rest; cleaning then frees the fully dead first slot, and the sync point of the
+    // next flush makes it allocatable again.
+    store.checkpoint_log_to(&path).unwrap();
+    let free_before = store.free_segments();
+    while store.free_segments() <= free_before {
+        assert!(
+            !store.clean_now().unwrap().victims.is_empty(),
+            "nothing left to clean"
+        );
+        store.flush().unwrap();
+    }
+
+    // Keep writing small persist points until the first slot is handed out again:
+    // incarnation B. Only the two ranges of its first extent reach the device; behind
+    // them the slot still holds A's second and third extents, intact.
+    let old_image = device.read_segment(SegmentId(0)).unwrap();
+    let mut fresh_pages = Vec::new();
+    loop {
+        let page = 7000 + fresh_pages.len() as u64;
+        store.put(page, b"fresh").unwrap();
+        store.flush().unwrap();
+        fresh_pages.push(page);
+        let image = device.read_segment(SegmentId(0)).unwrap();
+        if image[..512] != old_image[..512] {
+            assert_eq!(
+                image[512..2048],
+                old_image[512..2048],
+                "A's later extents are gone"
+            );
+            break;
+        }
+        assert!(fresh_pages.len() < 500, "the freed slot was never reused");
+    }
+    device.kill();
+    drop(store);
+
+    device.heal();
+    let recovered =
+        LogStore::recover_with_checkpoint(config.clone(), Box::new(device.clone()), &path).unwrap();
+    assert!(
+        recovered.get(666).unwrap().is_none(),
+        "a stale extent of the slot's previous incarnation was replayed"
+    );
+    for page in &fresh_pages {
+        assert_eq!(
+            recovered.get(*page).unwrap().as_deref(),
+            Some(&b"fresh"[..])
+        );
+    }
+    for page in 1..version {
+        assert_eq!(
+            recovered.get(page).unwrap().as_deref(),
+            Some(&filler(100 + page)[..]),
+            "page {page}"
+        );
+    }
+    assert_eq!(
+        recovered.live_pages(),
+        version as usize - 1 + fresh_pages.len()
+    );
+    std::fs::remove_file(&path).ok();
 }

@@ -5,11 +5,16 @@
 //! committed value, deleted keys stay deleted, and no partial tree page is reachable.
 //! The same sweep is run across the legacy-JSON → paged-index migration.
 //!
-//! The sweep works by counting segment writes with the shared
+//! The sweep works by counting device writes with the shared
 //! [`common::CrashPointDevice`]: each iteration rebuilds the same deterministic store,
 //! allows `n` more writes, and kills the device; `n` ranges over one more than the
 //! healthy protocol needs, so every boundary (including "never started" and "fully
-//! finished") is hit.
+//! finished") is hit. A commit persists open segments incrementally — per barrier and
+//! segment, the new payloads and then the extent that references them — and every one
+//! of those ranged writes is a boundary of its own; each is additionally crashed
+//! *inside* (only a prefix of its bytes lands: a torn payload block, a torn extent
+//! header, a torn entry table), which recovery must treat as "that persist point never
+//! happened".
 
 mod common;
 
@@ -95,10 +100,15 @@ fn assert_matches(kv: &KvStore, model: &Model, ctx: &str) {
     );
 }
 
+/// How much of the write the device dies in still lands: nothing, part of an extent
+/// header, a header plus part of its entry table, and more than a whole sector.
+const TORN_PREFIXES: [u64; 4] = [0, 20, 100, 700];
+
 /// One crash-matrix iteration: commit phase 1, run phase 2, let the committing flush
-/// die after `budget` more device writes, and reopen from the surviving image.
-/// Returns whether the flush reported success, the reopened store, and both models.
-fn run_with_crash_at(budget: u64) -> (bool, KvStore, Model, Model) {
+/// die after `budget` more device writes — the first `torn` bytes of the next one still
+/// land — and reopen from the surviving image. Returns whether the flush reported
+/// success, the reopened store, and both models.
+fn run_with_crash_at(budget: u64, torn: u64) -> (bool, KvStore, Model, Model) {
     let config = config();
     let device = CrashPointDevice::new(config.segment_bytes, config.num_segments);
     let store = LogStore::open_with_device(config.clone(), Box::new(device.clone())).unwrap();
@@ -111,7 +121,7 @@ fn run_with_crash_at(budget: u64) -> (bool, KvStore, Model, Model) {
     let mut model2 = model1.clone();
     phase2(&kv, &mut model2);
 
-    device.fail_after(budget);
+    device.fail_after_torn(budget, torn);
     let flushed = kv.flush();
     device.kill();
     drop(kv.into_inner()); // the "process" dies; only the device image survives
@@ -148,9 +158,10 @@ fn superblock_flip_crash_matrix_recovers_a_committed_index() {
 
     let mut old_epoch_outcomes = 0u32;
     let mut new_epoch_outcomes = 0u32;
-    for budget in 0..=healthy_writes {
-        let (flush_ok, kv, model1, model2) = run_with_crash_at(budget);
-        let ctx = format!("crash after {budget}/{healthy_writes} writes");
+    let crash_points = (0..=healthy_writes).flat_map(|b| TORN_PREFIXES.map(|t| (b, t)));
+    for (budget, torn) in crash_points {
+        let (flush_ok, kv, model1, model2) = run_with_crash_at(budget, torn);
+        let ctx = format!("crash after {budget}/{healthy_writes} writes + {torn} torn bytes");
         if flush_ok {
             // The flush returned success, so the new epoch must be fully there.
             assert_matches(&kv, &model2, &ctx);

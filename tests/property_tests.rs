@@ -175,9 +175,10 @@ fn segment_layout_roundtrips() {
                 pushed.push((page, Some(payload)));
             }
         }
-        let (image, _) = builder.finish(7, 100, 50);
+        builder.render_extent(7, 100, 50, 0);
+        let image = builder.image();
         assert_eq!(image.len(), segment_bytes);
-        let parsed = decode_segment(SegmentId(0), &image).unwrap().unwrap();
+        let parsed = decode_segment(SegmentId(0), image).unwrap().unwrap();
         assert_eq!(parsed.entries.len(), pushed.len(), "seed {seed}");
         for (entry, (page, payload)) in parsed.entries.iter().zip(&pushed) {
             assert_eq!(entry.page_id, *page, "seed {seed}");
@@ -501,8 +502,9 @@ fn replay_concurrent_cleaner_model() {
 }
 
 /// The live emptiness histogram exported through `StoreStats` must agree with the
-/// accounting ledger: bins sum to the sealed-segment count, and after a flush (nothing
-/// buffered, nothing open) the sealed live bytes equal the page table's live bytes.
+/// accounting ledger: bins sum to the sealed-segment count, and once everything is
+/// sealed — a flush drains the buffers but leaves segments open; a checkpoint capture
+/// seals them — the sealed live bytes equal the page table's live bytes.
 #[test]
 fn emptiness_histogram_sums_to_the_ledger_totals() {
     let config = StoreConfig::small_for_tests().with_policy(PolicyKind::Greedy);
@@ -515,6 +517,7 @@ fn emptiness_histogram_sums_to_the_ledger_totals() {
             .unwrap();
     }
     store.flush().unwrap();
+    store.checkpoint_json().unwrap();
 
     let stats = store.stats();
     assert!(stats.cleaning_cycles > 0, "cleaning never participated");
@@ -528,8 +531,8 @@ fn emptiness_histogram_sums_to_the_ledger_totals() {
         "histogram bins must sum to the sealed-segment count"
     );
     assert!(stats.sealed_segments > 0);
-    // After a flush every live page sits in a sealed segment, so the ledger's sealed
-    // live bytes must equal the page table's aggregate exactly.
+    // Every live page now sits in a sealed segment, so the ledger's sealed live bytes
+    // must equal the page table's aggregate exactly.
     assert_eq!(stats.sealed_live_bytes, store.live_bytes());
 
     // The histogram is a gauge: overwriting everything shifts mass toward emptier
@@ -538,6 +541,7 @@ fn emptiness_histogram_sums_to_the_ledger_totals() {
         store.put(i, &payload).unwrap();
     }
     store.flush().unwrap();
+    store.checkpoint_json().unwrap();
     let stats = store.stats();
     assert_eq!(
         stats.emptiness_histogram.iter().sum::<u64>(),
