@@ -483,6 +483,9 @@ impl SegmentDevice for SharedDevice {
     fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
         self.0.read_segment(seg)
     }
+    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+        self.0.read_segment_into(seg, buf)
+    }
     fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
         self.0.read_range(seg, offset, len)
     }

@@ -3,16 +3,12 @@
 //!
 //! The actual cleaning *driver* lives in `store::gc_driver` (it needs the device, the
 //! sharded page table, the open segments and the quarantine, and runs concurrently with
-//! foreground traffic); the pure parts — deciding which of a victim's entries are still
-//! current and building a GC write batch — live here so they can be tested in isolation.
+//! foreground traffic); the pure part — deciding which of a victim's entries are still
+//! current — lives here so it can be tested in isolation.
 
 use crate::freq::carry_forward_gc;
 use crate::layout::ParsedSegment;
-use crate::types::{
-    PageId, PageLocation, PageWriteInfo, SegmentId, UpdateTick, WriteOrigin, WriteSeq,
-};
-use crate::write_buffer::PendingPage;
-use bytes::Bytes;
+use crate::types::{PageId, PageLocation, SegmentId, UpdateTick, WriteSeq};
 use serde::{Deserialize, Serialize};
 
 /// Summary of one cleaning cycle.
@@ -35,21 +31,26 @@ impl CleaningReport {
     }
 }
 
-/// One still-live page of a victim: the pending GC write plus the victim location the
-/// page must still occupy when the relocation is committed (the cleaner's conflict
-/// check re-tests `is_current` against this location under the write lock).
+/// One still-live page of a victim: *where* it lives in the victim image, not a copy of
+/// it. The driver appends `image[loc.offset..][..loc.len]` straight into a GC output
+/// builder, and `loc` doubles as the location the page must still occupy when the
+/// relocation is committed (the cleaner's conflict check is a page-table
+/// compare-and-swap against it).
 ///
 /// `loc.write_seq` is the per-page write sequence of the copy being relocated. A GC
 /// relocation *keeps* this sequence (it moves an existing version, it does not create a
 /// new one), so that after a crash, recovery — which keeps the copy with the largest
 /// `(write_seq, seal_seq)` — can never prefer a relocated stale copy over a user write
 /// that raced the relocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LivePage {
-    /// The relocation write, carrying the victim's `up2` and the payload copy.
-    pub pending: PendingPage,
-    /// Where the page lived in the victim when it was collected.
+    /// The logical page.
+    pub page: PageId,
+    /// Where the page lives in the victim (and in the victim's image).
     pub loc: PageLocation,
+    /// The victim's `up2`, carried forward onto the relocated copy (paper §5.2.2,
+    /// "Garbage Collection Writes").
+    pub up2: UpdateTick,
 }
 
 /// The live pages of one victim segment, ready to be relocated.
@@ -57,10 +58,8 @@ pub struct LivePage {
 pub struct VictimLivePages {
     /// The victim segment.
     pub victim: SegmentId,
-    /// GC write batch entries, with their conflict-check locations.
+    /// The still-current pages, in entry-table order.
     pub pages: Vec<LivePage>,
-    /// Bytes of live payload found.
-    pub live_bytes: u64,
     /// Tombstones recorded in the victim, deduplicated per page (largest write seq
     /// kept), in ascending page order. The driver must re-emit each one into a GC output
     /// stream unless the page has since been recreated: dropping a tombstone while an
@@ -69,17 +68,16 @@ pub struct VictimLivePages {
     pub tombstones: Vec<(PageId, WriteSeq)>,
 }
 
-/// Walk a victim segment's entry table and copy out every page that is *still current*
+/// Walk a victim segment's entry table and list every page that is *still current*
 /// according to the supplied page-table check (a [`crate::mapping::PageTable`], the
 /// store's sharded table, or anything else answering "is this page still at this
-/// location?").
+/// location?"). No payload is touched: the result points into the image `parsed` was
+/// decoded from.
 ///
 /// An entry is stale (skipped) if the page has since been overwritten, deleted, or the
-/// entry is a tombstone. The `victim_up2` estimate is carried forward onto every
-/// relocated page (paper §5.2.2, "Garbage Collection Writes").
+/// entry is a tombstone.
 pub fn collect_live_pages<F>(
     victim: SegmentId,
-    image: &[u8],
     parsed: &ParsedSegment,
     is_current: F,
     victim_up2: UpdateTick,
@@ -88,7 +86,6 @@ where
     F: Fn(PageId, &PageLocation) -> bool,
 {
     let mut pages = Vec::new();
-    let mut live_bytes = 0u64;
     let mut tombstones: crate::util::FxHashMap<PageId, WriteSeq> = Default::default();
     for e in &parsed.entries {
         if e.is_tombstone() {
@@ -104,31 +101,19 @@ where
             len: e.len,
             write_seq: e.write_seq,
         };
-        if !is_current(e.page_id, &loc) {
-            continue;
+        if is_current(e.page_id, &loc) {
+            pages.push(LivePage {
+                page: e.page_id,
+                loc,
+                up2: carry_forward_gc(victim_up2),
+            });
         }
-        let payload = &image[e.offset as usize..(e.offset + e.len) as usize];
-        live_bytes += e.len as u64;
-        pages.push(LivePage {
-            pending: PendingPage {
-                info: PageWriteInfo {
-                    page: e.page_id,
-                    size: e.len,
-                    up2: carry_forward_gc(victim_up2),
-                    exact_freq: None,
-                    origin: WriteOrigin::Gc,
-                },
-                data: Some(Bytes::copy_from_slice(payload)),
-            },
-            loc,
-        });
     }
     let mut tombstones: Vec<(PageId, WriteSeq)> = tombstones.into_iter().collect();
     tombstones.sort_unstable_by_key(|&(p, _)| p);
     VictimLivePages {
         victim,
         pages,
-        live_bytes,
         tombstones,
     }
 }
@@ -140,8 +125,14 @@ mod tests {
     use crate::mapping::PageTable;
     use crate::types::PageLocation;
 
+    /// The bytes a collected page points at in the victim image.
+    fn payload<'a>(image: &'a [u8], live: &LivePage) -> &'a [u8] {
+        &image[live.loc.offset as usize..][..live.loc.len as usize]
+    }
+
     /// Build a small segment image holding three pages and a tombstone, then check that
-    /// only the pages the mapping still points at are collected.
+    /// only the pages the mapping still points at are collected — as locations into
+    /// that image, not copies.
     #[test]
     fn collects_only_current_pages() {
         let mut b = SegmentBuilder::new(4096);
@@ -152,74 +143,43 @@ mod tests {
         let (image, _) = b.finish(5, 100, 40);
         let parsed = decode_segment(SegmentId(7), &image).unwrap().unwrap();
 
+        let at = |segment, offset, len, write_seq| PageLocation {
+            segment: SegmentId(segment),
+            offset,
+            len,
+            write_seq,
+        };
         let mut mapping = PageTable::new();
         // Page 1 still lives here; page 2 was overwritten elsewhere; page 3 lives here.
-        mapping.insert(
-            1,
-            PageLocation {
-                segment: SegmentId(7),
-                offset: off_a,
-                len: 4,
-                write_seq: 10,
-            },
-        );
-        mapping.insert(
-            2,
-            PageLocation {
-                segment: SegmentId(9),
-                offset: 0,
-                len: 4,
-                write_seq: 20,
-            },
-        );
-        mapping.insert(
-            3,
-            PageLocation {
-                segment: SegmentId(7),
-                offset: off_c,
-                len: 6,
-                write_seq: 12,
-            },
-        );
+        mapping.insert(1, at(7, off_a, 4, 10));
+        mapping.insert(2, at(9, 0, 4, 20));
+        mapping.insert(3, at(7, off_c, 6, 12));
 
-        let live = collect_live_pages(
-            SegmentId(7),
-            &image,
-            &parsed,
-            |p, l| mapping.is_current(p, l),
-            40,
-        );
+        let live = collect_live_pages(SegmentId(7), &parsed, |p, l| mapping.is_current(p, l), 40);
         assert_eq!(live.victim, SegmentId(7));
-        assert_eq!(live.pages.len(), 2);
-        assert_eq!(live.live_bytes, 10);
-        let ids: Vec<u64> = live.pages.iter().map(|p| p.pending.info.page).collect();
-        assert_eq!(ids, vec![1, 3]);
-        // Payloads were copied out correctly, conflict-check locations point into the
-        // victim, and the victim's up2 was carried forward.
+        // Exactly the mapping's own locations come back (so the commit-time
+        // compare-and-swap can use them as its expected value), carrying the original
+        // write sequences — not fresh ones — and the victim's up2.
         assert_eq!(
-            live.pages[0].pending.data.as_ref().unwrap().as_ref(),
-            b"aaaa"
+            live.pages,
+            [
+                LivePage {
+                    page: 1,
+                    loc: at(7, off_a, 4, 10),
+                    up2: 40
+                },
+                LivePage {
+                    page: 3,
+                    loc: at(7, off_c, 6, 12),
+                    up2: 40
+                },
+            ]
         );
-        assert_eq!(
-            live.pages[1].pending.data.as_ref().unwrap().as_ref(),
-            b"cccccc"
-        );
-        assert!(live.pages.iter().all(|p| p.loc.segment == SegmentId(7)));
-        // Relocations carry the original write sequences, not fresh ones.
-        assert_eq!(
-            live.pages
-                .iter()
-                .map(|p| p.loc.write_seq)
-                .collect::<Vec<_>>(),
-            vec![10, 12]
-        );
+        // ...and they address the payloads in the image the table was decoded from.
+        assert_eq!(payload(&image, &live.pages[0]), b"aaaa");
+        assert_eq!(payload(&image, &live.pages[1]), b"cccccc");
         // The victim's tombstone surfaces so the driver can preserve the delete fact.
         assert_eq!(live.tombstones, vec![(4, 13)]);
-        assert!(live.pages.iter().all(|p| p.pending.info.up2 == 40));
-        assert!(live
-            .pages
-            .iter()
-            .all(|p| p.pending.info.origin == WriteOrigin::Gc));
     }
 
     #[test]
@@ -230,15 +190,8 @@ mod tests {
         let (image, _) = b.finish(1, 10, 5);
         let parsed = decode_segment(SegmentId(0), &image).unwrap().unwrap();
         let mapping = PageTable::new(); // nothing is live
-        let live = collect_live_pages(
-            SegmentId(0),
-            &image,
-            &parsed,
-            |p, l| mapping.is_current(p, l),
-            5,
-        );
+        let live = collect_live_pages(SegmentId(0), &parsed, |p, l| mapping.is_current(p, l), 5);
         assert!(live.pages.is_empty());
-        assert_eq!(live.live_bytes, 0);
         assert!(live.tombstones.is_empty());
     }
 
@@ -255,13 +208,7 @@ mod tests {
         let (image, _) = b.finish(2, 50, 10);
         let parsed = decode_segment(SegmentId(1), &image).unwrap().unwrap();
         let mapping = PageTable::new();
-        let live = collect_live_pages(
-            SegmentId(1),
-            &image,
-            &parsed,
-            |p, l| mapping.is_current(p, l),
-            10,
-        );
+        let live = collect_live_pages(SegmentId(1), &parsed, |p, l| mapping.is_current(p, l), 10);
         assert!(live.pages.is_empty());
         assert_eq!(live.tombstones, vec![(5, 6), (9, 3)]);
     }
@@ -283,18 +230,9 @@ mod tests {
                 write_seq: 2,
             },
         );
-        let live = collect_live_pages(
-            SegmentId(3),
-            &image,
-            &parsed,
-            |p, l| mapping.is_current(p, l),
-            5,
-        );
+        let live = collect_live_pages(SegmentId(3), &parsed, |p, l| mapping.is_current(p, l), 5);
         assert_eq!(live.pages.len(), 1);
-        assert_eq!(
-            live.pages[0].pending.data.as_ref().unwrap().as_ref(),
-            b"new!"
-        );
+        assert_eq!(payload(&image, &live.pages[0]), b"new!");
     }
 
     #[test]

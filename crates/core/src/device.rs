@@ -5,10 +5,13 @@
 //! store), and, for a segment made durable while still open, a couple of small
 //! sector-aligned ranges per persist point ([`SegmentDevice::write_ranges`] — the bytes
 //! appended since the previous one; see [`crate::layout`]). Reads are small ranged reads
-//! for serving individual pages plus whole-segment reads for cleaning and recovery. All
-//! methods take `&self`: devices are internally synchronised so the concurrent store can
-//! serve page reads without funnelling them through the write path's lock. Two
-//! implementations are provided:
+//! for serving individual pages plus whole-segment reads for cleaning and recovery; the
+//! latter go through [`SegmentDevice::read_segment_into`], which fills a buffer the
+//! caller owns, so the cleaner and recovery reuse a few segment-sized allocations instead
+//! of taking (and page-faulting) a fresh one per segment. All methods take `&self`:
+//! devices are internally synchronised so the concurrent store can serve page reads
+//! without funnelling them through the write path's lock. Two implementations are
+//! provided:
 //!
 //! * [`MemDevice`] — segments held in memory (one `RwLock` per slot); used by tests, the
 //!   examples, and anywhere a volatile store is acceptable.
@@ -17,6 +20,16 @@
 //!
 //! Implement [`SegmentDevice`] to plug in anything else (an SSD partition, an object
 //! store, a simulated flash device with erase counters, ...).
+//!
+//! ### Write-behind
+//!
+//! Only [`SegmentDevice::sync`] vouches for durability. [`FileDevice::write_segment`]
+//! nevertheless asks the kernel to *start* writing the image back as soon as it is in
+//! the page cache (Linux `sync_file_range(SYNC_FILE_RANGE_WRITE)`; advisory, result
+//! ignored), so the dirty pages of the segments sealed between two syncs are already in
+//! flight when the sync is issued and it waits for a tail instead of for all of them.
+//! Ranged writes are not written behind: their callers sync at once. On other platforms
+//! the call is a no-op and a sync pays for everything written since the previous one.
 
 use crate::error::{Error, Result};
 use crate::types::SegmentId;
@@ -57,10 +70,26 @@ pub trait SegmentDevice: Send + Sync {
     /// Read one whole segment image.
     fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>>;
 
+    /// Read one whole segment image into `buf`, which afterwards holds exactly the
+    /// image (`segment_bytes` long) whatever it held before. Implementations reuse
+    /// `buf`'s allocation when it is large enough — the cleaner and recovery hand the
+    /// same few buffers back again and again — and leave `buf` a valid (if unspecified)
+    /// vector on error.
+    ///
+    /// The default replaces `buf` with the result of [`SegmentDevice::read_segment`],
+    /// which is always correct and allocates per call: a wrapper that forwards reads
+    /// should forward this method too.
+    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+        *buf = self.read_segment(seg)?;
+        Ok(())
+    }
+
     /// Read `len` bytes starting at `offset` within a segment.
     fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>>;
 
-    /// Write one whole segment image (must be exactly `segment_bytes` long).
+    /// Write one whole segment image (must be exactly `segment_bytes` long). Like every
+    /// write, it is durable only after the next [`SegmentDevice::sync`]; a device may
+    /// start writing it back earlier (see the module docs on write-behind).
     fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()>;
 
     /// Write only the `dirty` byte ranges of a segment. `image` is the segment's whole
@@ -183,11 +212,19 @@ impl SegmentDevice for MemDevice {
     }
 
     fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        self.read_segment_into(seg, &mut buf)?;
+        Ok(buf)
+    }
+
+    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
         check_bounds(self.geometry, seg, 0, 0)?;
-        Ok(match &*self.slots[seg.index()].read() {
-            Some(data) => data.to_vec(),
-            None => vec![0u8; self.geometry.segment_bytes],
-        })
+        buf.clear();
+        match &*self.slots[seg.index()].read() {
+            Some(data) => buf.extend_from_slice(data),
+            None => buf.resize(self.geometry.segment_bytes, 0),
+        }
+        Ok(())
     }
 
     fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
@@ -337,17 +374,59 @@ impl FileDevice {
     }
 }
 
+/// Ask the kernel to start writing `len` bytes at `pos` of `file` back to the medium
+/// now, without waiting for them: the write-behind of [`FileDevice::write_segment`] (see
+/// the module docs). Purely a hint — durability is [`SegmentDevice::sync`]'s business
+/// alone — so the result is ignored.
+#[cfg(target_os = "linux")]
+fn start_writeback(file: &File, pos: u64, len: usize) {
+    use std::ffi::{c_int, c_uint};
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn sync_file_range(fd: c_int, offset: i64, nbytes: i64, flags: c_uint) -> c_int;
+    }
+    const SYNC_FILE_RANGE_WRITE: c_uint = 2;
+    // SAFETY: `sync_file_range(2)` as declared by the C library every Linux target of
+    // std links (`off64_t` is `i64` on all of them). It takes no pointers and touches no
+    // memory of this process; `fd` is open for the whole call because `file` is
+    // borrowed; any offset, length or flag value the kernel dislikes is an error
+    // return, which is ignored.
+    let _ = unsafe {
+        sync_file_range(
+            file.as_raw_fd(),
+            pos as i64,
+            len as i64,
+            SYNC_FILE_RANGE_WRITE,
+        )
+    };
+}
+
+/// No write-behind off Linux: the next sync pays for the whole image.
+#[cfg(not(target_os = "linux"))]
+fn start_writeback(_file: &File, _pos: u64, _len: usize) {}
+
 impl SegmentDevice for FileDevice {
     fn geometry(&self) -> DeviceGeometry {
         self.geometry
     }
 
     fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
-        check_bounds(self.geometry, seg, 0, 0)?;
-        let mut buf = vec![0u8; self.geometry.segment_bytes];
-        let pos = self.offset_of(seg, 0);
-        self.read_at(pos, &mut buf)?;
+        let mut buf = Vec::new();
+        self.read_segment_into(seg, &mut buf)?;
         Ok(buf)
+    }
+
+    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+        check_bounds(self.geometry, seg, 0, 0)?;
+        let len = self.geometry.segment_bytes;
+        if buf.capacity() < len {
+            // A zeroed allocation comes straight from the OS; growing `buf` would
+            // fill it by hand only for the read to overwrite every byte.
+            *buf = vec![0u8; len];
+        } else {
+            buf.resize(len, 0);
+        }
+        self.read_at(self.offset_of(seg, 0), buf)
     }
 
     fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
@@ -362,6 +441,7 @@ impl SegmentDevice for FileDevice {
         check_write(self.geometry, seg, image, &[])?;
         let pos = self.offset_of(seg, 0);
         self.write_at(pos, image)?;
+        start_writeback(&self.file, pos, image.len());
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -438,6 +518,10 @@ impl<D: SegmentDevice> SegmentDevice for FlakyDevice<D> {
 
     fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
         self.inner.read_segment(seg)
+    }
+
+    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+        self.inner.read_segment_into(seg, buf)
     }
 
     fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
@@ -522,35 +606,83 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A wrapper implementing only the required methods: it takes the trait's defaults
+    /// for `write_ranges` and `read_segment_into`.
+    struct RequiredOnly(MemDevice);
+    impl SegmentDevice for RequiredOnly {
+        fn geometry(&self) -> DeviceGeometry {
+            self.0.geometry()
+        }
+        fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
+            self.0.read_segment(seg)
+        }
+        fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
+            self.0.read_range(seg, offset, len)
+        }
+        fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()> {
+            self.0.write_segment(seg, image)
+        }
+        fn sync(&self) -> Result<()> {
+            Ok(())
+        }
+        fn segment_writes(&self) -> u64 {
+            self.0.segment_writes()
+        }
+    }
+
     /// A device that implements only `write_segment` gets whole-image persist points.
     #[test]
     fn write_ranges_defaults_to_a_whole_segment_write() {
-        struct WholeOnly(MemDevice);
-        impl SegmentDevice for WholeOnly {
-            fn geometry(&self) -> DeviceGeometry {
-                self.0.geometry()
-            }
-            fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
-                self.0.read_segment(seg)
-            }
-            fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
-                self.0.read_range(seg, offset, len)
-            }
-            fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()> {
-                self.0.write_segment(seg, image)
-            }
-            fn sync(&self) -> Result<()> {
-                Ok(())
-            }
-            fn segment_writes(&self) -> u64 {
-                self.0.segment_writes()
-            }
-        }
-        let dev = WholeOnly(MemDevice::new(256, 1));
+        let dev = RequiredOnly(MemDevice::new(256, 1));
         let image = vec![5u8; 256];
         dev.write_ranges(SegmentId(0), &image, &[0..8, 8..16])
             .unwrap();
         assert_eq!(dev.read_segment(SegmentId(0)).unwrap(), image);
+    }
+
+    /// `read_segment_into` is `read_segment` into the caller's buffer, on every device:
+    /// same bytes for written and blank slots whatever the buffer held, no reallocation
+    /// once the buffer is segment-sized (native implementations), and a bounds error
+    /// that leaves the buffer usable.
+    #[test]
+    fn read_segment_into_matches_read_segment_and_reuses_the_buffer() {
+        let path = temp_path("read-into");
+        let file = FileDevice::create(&path, 1024, 3).unwrap();
+        let mem = MemDevice::new(1024, 3);
+        let flaky = FlakyDevice::new(MemDevice::new(1024, 3), None);
+        let default = RequiredOnly(MemDevice::new(1024, 3));
+        let devices: [(&dyn SegmentDevice, bool); 4] = [
+            (&mem, true),
+            (&file, true),
+            (&flaky, true),
+            (&default, false),
+        ];
+        for (dev, native) in devices {
+            let image: Vec<u8> = (0..1024u32).map(|i| (i % 251) as u8 + 1).collect();
+            dev.write_segment(SegmentId(1), &image).unwrap();
+            let mut buf = Vec::new();
+            dev.read_segment_into(SegmentId(1), &mut buf).unwrap();
+            assert_eq!(buf, image);
+            assert_eq!(buf, dev.read_segment(SegmentId(1)).unwrap());
+            // Second call, stale contents: a blank slot reads as zeros, in place.
+            let (ptr, capacity) = (buf.as_ptr(), buf.capacity());
+            dev.read_segment_into(SegmentId(2), &mut buf).unwrap();
+            assert_eq!(buf, dev.read_segment(SegmentId(2)).unwrap());
+            assert_eq!(buf, vec![0u8; 1024]);
+            if native {
+                assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, capacity));
+            }
+            // A shorter or longer buffer ends up exactly one image long too.
+            for mut odd in [vec![9u8; 10], vec![9u8; 3000]] {
+                dev.read_segment_into(SegmentId(1), &mut odd).unwrap();
+                assert_eq!(odd, image);
+            }
+            // Out of range: an error, and the buffer still serves the next read.
+            assert!(dev.read_segment_into(SegmentId(3), &mut buf).is_err());
+            dev.read_segment_into(SegmentId(1), &mut buf).unwrap();
+            assert_eq!(buf, image);
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -604,21 +736,29 @@ mod tests {
     #[test]
     fn file_device_roundtrip_and_reopen() {
         let path = temp_path("roundtrip");
+        let image = |seg: u32| -> Vec<u8> { (0..1024u32).map(|i| (i % 251 + seg) as u8).collect() };
         {
             let dev = FileDevice::create(&path, 1024, 8).unwrap();
-            let image: Vec<u8> = (0..1024u32).map(|i| (i % 251) as u8).collect();
-            dev.write_segment(SegmentId(3), &image).unwrap();
+            // Whole-image writes start their own writeback (write-behind); the sync
+            // after them still succeeds and is still what makes them durable.
+            for seg in [3, 0, 7] {
+                dev.write_segment(SegmentId(seg), &image(seg)).unwrap();
+            }
             dev.sync().unwrap();
-            assert_eq!(dev.read_segment(SegmentId(3)).unwrap(), image);
+            assert_eq!(dev.read_segment(SegmentId(3)).unwrap(), image(3));
             assert_eq!(
                 dev.read_range(SegmentId(3), 5, 3).unwrap(),
-                image[5..8].to_vec()
+                image(3)[5..8].to_vec()
             );
         }
         {
             let dev = FileDevice::open(&path, 1024, 8).unwrap();
-            let seg = dev.read_segment(SegmentId(3)).unwrap();
-            assert_eq!(seg[5..8], [5, 6, 7]);
+            let mut buf = Vec::new();
+            for seg in [0, 3, 7] {
+                dev.read_segment_into(SegmentId(seg), &mut buf).unwrap();
+                assert_eq!(buf, image(seg), "segment {seg} after reopen");
+            }
+            assert_eq!(dev.read_segment(SegmentId(1)).unwrap(), vec![0u8; 1024]);
         }
         std::fs::remove_file(&path).ok();
     }

@@ -480,14 +480,23 @@ pub struct SegmentBuilder {
 impl SegmentBuilder {
     /// Start building a segment image of `segment_bytes` bytes.
     pub fn new(segment_bytes: usize) -> Self {
+        Self::with_image(vec![0u8; segment_bytes])
+    }
+
+    /// Start building in a recycled buffer: `image` must be all zeros — a fresh
+    /// allocation, or what [`SegmentBuilder::into_image`] handed back — and its length
+    /// is the segment size.
+    pub fn with_image(image: Vec<u8>) -> Self {
+        let segment_bytes = image.len();
         assert!(
             segment_bytes > HEADER_SIZE + ENTRY_SIZE,
             "segment too small: {segment_bytes}"
         );
+        debug_assert!(image.iter().all(|&b| b == 0), "recycled image not blank");
         Self {
             segment_bytes,
             entries: Vec::new(),
-            image: vec![0u8; segment_bytes],
+            image,
             payload_tail: segment_bytes,
             persisted_entries: 0,
             extents: 0,
@@ -664,6 +673,19 @@ impl SegmentBuilder {
         self.payload_tail = align_down(self.payload_tail);
         self.payload_top = self.payload_tail;
         self.prev_crc = Some(rendered.crc);
+    }
+
+    /// Give the image buffer back for the next builder, all zeros again. Only the two
+    /// spans this builder wrote are cleared — extents below the front cursor (plus the
+    /// pending one, rendered or not) and payloads above the back cursor — so recycling
+    /// a sparsely filled segment costs what it held, not `segment_bytes`; and because
+    /// nothing else was ever written, no stale extent or payload of this segment can
+    /// reach the device through the next one.
+    pub fn into_image(mut self) -> Vec<u8> {
+        let front_end = self.pending_table_end(0).min(self.segment_bytes);
+        self.image[..front_end].fill(0);
+        self.image[self.payload_tail..].fill(0);
+        self.image
     }
 
     /// Render the pending entries as the last extent (log 0) and hand back the complete
@@ -948,6 +970,52 @@ mod tests {
         }
         let parsed = decode_segment(SegmentId(0), &device).unwrap().unwrap();
         assert_eq!(parsed.header.extents, 1);
+    }
+
+    /// The in-memory counterpart of the test above: a builder's image buffer goes on to
+    /// back the next builder (`into_image` → `with_image`, what the store's image pool
+    /// does), and nothing the first one wrote — extents of several persist points, a
+    /// rendered-but-uncommitted one, `0xFF` payloads — may survive into the second.
+    #[test]
+    fn a_recycled_image_carries_nothing_of_its_previous_builder() {
+        let mut old = SegmentBuilder::new(8192);
+        let mut n = 0;
+        for round in 0..3 {
+            for _ in 0..4 {
+                old.push_page(n, n + 1, &[0xFF; 200]);
+                n += 1;
+            }
+            old.push_tombstone(1000 + round, n);
+            old.render_extent(7, 100 + round, 50, 3);
+            if round < 2 {
+                old.commit_extent();
+            }
+        }
+        assert_eq!(old.extents(), 2);
+        assert!(old.image().iter().filter(|&&b| b == 0xFF).count() >= 12 * 200);
+        let recycled = old.into_image();
+        assert_eq!(recycled.len(), 8192);
+        assert!(
+            recycled.iter().all(|&b| b == 0),
+            "into_image left bytes behind"
+        );
+
+        // A sparse successor: one small page, one tombstone, one persist point.
+        let mut new = SegmentBuilder::with_image(recycled);
+        let off = new.push_page(5, 90, b"sparse") as usize;
+        new.push_tombstone(6, 91);
+        let [payloads, extent] = new.render_extent(9, 200, 150, 0);
+        let written = HEADER_SIZE + 2 * ENTRY_SIZE;
+        assert!(extent.start == 0 && extent.end as usize >= written);
+        assert!((payloads.start as usize..payloads.end as usize).contains(&off));
+        let image = new.image();
+        assert_eq!(&image[off..off + 6], b"sparse");
+        assert!(image[written..off].iter().all(|&b| b == 0));
+        assert!(image[off + 6..].iter().all(|&b| b == 0));
+        let parsed = decode_segment(SegmentId(0), image).unwrap().unwrap();
+        assert_eq!(parsed.header.seal_seq, 9);
+        assert_eq!(parsed.header.extents, 1);
+        assert_eq!(parsed.entries, new.entries);
     }
 
     #[test]

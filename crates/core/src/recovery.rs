@@ -109,9 +109,10 @@ pub fn recover_with_report(
         entries: Vec<layout::SegmentEntry>,
     }
     let mut parsed_segments: Vec<Parsed> = Vec::new();
+    let mut image = Vec::new(); // one buffer for the whole scan; decoding only borrows it
     for i in 0..config.num_segments {
         let id = SegmentId(i as u32);
-        let image = device.read_segment(id)?;
+        device.read_segment_into(id, &mut image)?;
         match decode_segment(id, &image) {
             Ok(Some(p)) => {
                 report.sealed_segments += 1;
@@ -252,6 +253,7 @@ pub fn recover_from_checkpoint_with_report(
         entries: Vec<layout::SegmentEntry>,
     }
     let mut tail: Vec<Parsed> = Vec::new();
+    let mut image = Vec::new(); // one buffer for every tail segment read
     for i in 0..config.num_segments {
         let id = SegmentId(i as u32);
         match probe_slot(device.as_ref(), id)? {
@@ -261,7 +263,7 @@ pub fn recover_from_checkpoint_with_report(
                 // Every extent of a chain carries the same sequence, so the first
                 // extent's header decides whether the slot belongs to the tail.
                 if first.seal_seq > cp.frontier {
-                    let image = device.read_segment(id)?;
+                    device.read_segment_into(id, &mut image)?;
                     match decode_segment(id, &image) {
                         Ok(Some(p)) => tail.push(Parsed {
                             id,

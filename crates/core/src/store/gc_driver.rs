@@ -6,22 +6,26 @@
 //!
 //! A cycle is structured so that the expensive work — reading and parsing whole victim
 //! segment images from the device, and copying live payloads into GC output builders —
-//! happens with **no store lock** held:
+//! happens with **no store lock** held, and so that a live byte is copied exactly once
+//! between the device read and the device write (victim image → output builder image):
 //!
 //! 1. **Claim** (short central lock): the policy picks up to `segments_per_cycle`
 //!    victims from the sealed-segment snapshots and the cycle *claims* them in the same
 //!    critical section ([`crate::segment::SegmentTable::claim_for_cleaning`]). Claimed
 //!    victims are hidden from selection, so two concurrent cycles can never pick the
 //!    same slot; their emptiness/`up2` are recorded.
-//! 2. **Read** (no locks): each victim's image is read from the device and its entry
-//!    table decoded; entries that are no longer current are pre-filtered against the
-//!    sharded page table. Reads are **pipelined across a small I/O pool**
+//! 2. **Read** (no locks): each victim's image is read from the device — into a
+//!    recycled buffer from the store's image pool — and its entry table decoded;
+//!    entries that are no longer current are pre-filtered against the sharded page
+//!    table, leaving a list of *locations* into the image (no payload is copied out).
+//!    Reads are **pipelined across a small I/O pool**
 //!    ([`StoreConfig::gc_read_pool`](crate::StoreConfig::gc_read_pool)): workers
 //!    prefetch the next images (bounded lookahead) while the cycle relocates the
 //!    current victim's pages.
-//! 3. **Relocate & commit** (per victim): still-current pages are appended to the
-//!    cycle's *own* GC output segments (no store lock; allocation and seals touch the
-//!    central lock briefly), *keeping their original per-page write sequences*. Then,
+//! 3. **Relocate & commit** (per victim): still-current pages are appended, straight
+//!    from the victim image, to the cycle's *own* GC output segments (no store lock;
+//!    allocation and seals touch the central lock briefly), *keeping their original
+//!    per-page write sequences*; the victim image then goes back to the pool. Then,
 //!    under one short central section, each staged page is committed with an atomic
 //!    *compare-and-swap* on the page table
 //!    ([`crate::mapping::ShardedPageTable::replace_if_current`]): a page the user
@@ -89,7 +93,9 @@ use crate::layout::{self, decode_segment, SegmentBuilder};
 use crate::policy::{PolicyContext, SegmentStats, MULTILOG_MAX_LOGS};
 use crate::segment::ORPHAN_CYCLE;
 use crate::stats::AtomicStats;
-use crate::types::{PageId, PageLocation, SealSeq, SegmentId, UpdateTick, WriteSeq};
+use crate::types::{
+    PageId, PageLocation, PageWriteInfo, SealSeq, SegmentId, UpdateTick, WriteOrigin, WriteSeq,
+};
 use crate::write_buffer::sort_by_separation_key;
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -438,6 +444,9 @@ struct CycleCtx {
 /// read pipeline).
 struct PreparedVictim {
     victim: SegmentId,
+    /// The victim's whole image, in a buffer from the store's image pool (returned
+    /// there once the victim is relocated); `candidates` point into it.
+    image: Vec<u8>,
     emptiness: f64,
     /// The victim's temperature tag at claim time ([`TEMPERATURE_UNCLASSIFIED`] for
     /// user-filled segments), compared against each survivor's fresh class to count
@@ -815,7 +824,7 @@ fn relocate_victim(
         let heats: Vec<u64> = prepared
             .candidates
             .iter()
-            .map(|live| store.heat().heat(live.pending.info.page))
+            .map(|live| store.heat().heat(live.page))
             .collect();
         classify_heat(&heats, classes)
     } else {
@@ -833,10 +842,17 @@ fn relocate_victim(
             .candidates
             .iter()
             .zip(&class_of)
-            .map(|(live, &class)| {
-                let (log, key) = write_path::route_page(policy, unow, separate, &live.pending.info);
+            .map(|(&live, &class)| {
+                let info = PageWriteInfo {
+                    page: live.page,
+                    size: live.loc.len,
+                    up2: live.up2,
+                    exact_freq: None,
+                    origin: WriteOrigin::Gc,
+                };
+                let (log, key) = write_path::route_page(policy, unow, separate, &info);
                 GcItem {
-                    live: live.clone(),
+                    live,
                     log,
                     class,
                     key,
@@ -862,18 +878,14 @@ fn relocate_victim(
     let mut staged: Vec<StagedRelocation> = Vec::with_capacity(items.len());
     let mut ledger = MetaLedger::default();
     for item in items {
-        let info = &item.live.pending.info;
-        if !store.mapping().is_current(info.page, &item.live.loc) {
+        let LivePage { page, loc, up2 } = item.live;
+        if !store.mapping().is_current(page, &loc) {
             // Rewritten or deleted since collection; skip before wasting output
             // space. The commit-time compare-and-swap below remains authoritative.
             continue;
         }
-        let data = item
-            .live
-            .pending
-            .data
-            .as_ref()
-            .expect("GC relocation always carries a payload");
+        // The one copy of the payload on the GC path: victim image → output builder.
+        let data = &prepared.image[loc.offset as usize..][..loc.len as usize];
         if classes > 1 && prepared.temperature != TEMPERATURE_UNCLASSIFIED {
             // Misprediction accounting: this survivor's fresh class disagrees with
             // the class its segment was filled as.
@@ -906,19 +918,15 @@ fn relocate_victim(
         // The relocated copy keeps the original write sequence: it is the same
         // version of the page, just at a new address (see
         // [`crate::cleaner::LivePage`]).
-        let offset = open
-            .builder
-            .write()
-            .push_page(info.page, item.live.loc.write_seq, data);
-        open.up2_avg.add(info.up2);
+        let offset = open.builder.write().push_page(page, loc.write_seq, data);
+        open.up2_avg.add(up2);
         staged.push(StagedRelocation {
-            page: info.page,
-            old: item.live.loc,
+            page,
+            old: loc,
             new: PageLocation {
                 segment: open.id,
                 offset,
-                len: data.len() as u32,
-                write_seq: item.live.loc.write_seq,
+                ..loc
             },
             class: item.class,
         });
@@ -1022,6 +1030,19 @@ fn relocate_victim(
     Ok(true)
 }
 
+/// Read a victim's image into `image` and decode its extent chain.
+fn read_and_decode(
+    store: &LogStore,
+    victim: SegmentId,
+    image: &mut Vec<u8>,
+) -> Result<layout::ParsedSegment> {
+    store.device().read_segment_into(victim, image)?;
+    decode_segment(victim, image)?.ok_or_else(|| Error::CorruptSegment {
+        segment: victim,
+        detail: "sealed segment has a blank image".into(),
+    })
+}
+
 /// Read one victim's image, decode it and pre-filter its live pages (the unit of work
 /// of the phase-2 read pipeline; touches only the device and the lock-free page table).
 fn prepare_victim(
@@ -1031,22 +1052,25 @@ fn prepare_victim(
     up2: UpdateTick,
     temperature: u16,
 ) -> Result<PreparedVictim> {
-    let image = store.device().read_segment(victim)?;
-    let parsed = decode_segment(victim, &image)?.ok_or_else(|| Error::CorruptSegment {
-        segment: victim,
-        detail: "sealed segment has a blank image".into(),
-    })?;
+    let mut image = store.take_read_image();
+    let parsed = match read_and_decode(store, victim, &mut image) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            store.recycle_image(image);
+            return Err(e);
+        }
+    };
     // Lock-free pre-filter against the sharded page table; the authoritative
     // conflict check is the compare-and-swap at commit time.
     let collected = collect_live_pages(
         victim,
-        &image,
         &parsed,
         |p, l| store.mapping().is_current(p, l),
         up2,
     );
     Ok(PreparedVictim {
         victim,
+        image,
         emptiness,
         temperature,
         candidates: collected.pages,
@@ -1068,17 +1092,22 @@ struct ReadPipeline {
 /// pre-filtered by up to `gc_read_pool` I/O workers running ahead of the consumer
 /// (bounded lookahead, so at most `2 × pool` images are in memory at once). With a pool
 /// of 1 (or a single victim) this degrades to the plain sequential read-then-process
-/// loop of the pre-concurrent design.
+/// loop of the pre-concurrent design. Every image goes back to the store's image pool
+/// as soon as its victim is processed — or, if the cycle stops early, unprocessed.
 fn for_each_prepared_victim(
     store: &LogStore,
     victims: &[ClaimedVictim],
     mut process: impl FnMut(&PreparedVictim) -> Result<()>,
 ) -> Result<()> {
+    let mut consume = |prepared: PreparedVictim| {
+        let result = process(&prepared);
+        store.recycle_image(prepared.image);
+        result
+    };
     let pool = store.config().gc_read_pool.min(victims.len()).max(1);
     if pool <= 1 {
         for &(victim, emptiness, up2, temperature) in victims {
-            let prepared = prepare_victim(store, victim, emptiness, up2, temperature)?;
-            process(&prepared)?;
+            consume(prepare_victim(store, victim, emptiness, up2, temperature)?)?;
         }
         return Ok(());
     }
@@ -1093,7 +1122,7 @@ fn for_each_prepared_victim(
     let space_cond = Condvar::new(); // workers wait here for window space
     let ready_cond = Condvar::new(); // the consumer waits here for its next slot
 
-    std::thread::scope(|scope| -> Result<()> {
+    let result = std::thread::scope(|scope| -> Result<()> {
         for _ in 0..pool {
             scope.spawn(|| loop {
                 let i = {
@@ -1136,11 +1165,15 @@ fn for_each_prepared_victim(
                 space_cond.notify_all();
                 p
             };
-            let prepared = prepared.map_err(&cancel)?;
-            process(&prepared).map_err(&cancel)?;
+            consume(prepared.map_err(&cancel)?).map_err(&cancel)?;
         }
         Ok(())
-    })
+    });
+    // Workers are joined: whatever they prefetched for a cancelled cycle is still here.
+    for prepared in state.into_inner().slots.into_iter().flatten().flatten() {
+        store.recycle_image(prepared.image);
+    }
+    result
 }
 
 /// Make sure the cycle has a GC output segment with room for `len` bytes, preferably
@@ -1197,8 +1230,8 @@ fn ensure_gc_open(
     let Some((id, gen)) = allocated else {
         return Ok(None);
     };
-    let builder = Arc::new(RwLock::new(SegmentBuilder::new(
-        store.config().segment_bytes,
+    let builder = Arc::new(RwLock::new(SegmentBuilder::with_image(
+        store.take_blank_image(),
     )));
     store.open_reads().write().insert(id, Arc::clone(&builder));
     cycle.gcs.open.insert(
@@ -1256,6 +1289,127 @@ fn try_allocate_gc(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn page_body(config: &StoreConfig, page: PageId, version: u8) -> Vec<u8> {
+        vec![version.wrapping_mul(31) ^ page as u8; config.page_bytes]
+    }
+
+    /// A one-stream store holding `pages` pages (version 1), all in sealed segments.
+    fn sealed_store(pages: u64) -> LogStore {
+        let config = StoreConfig::small_for_tests()
+            .with_write_streams(1)
+            .with_gc_read_pool(1);
+        let store = LogStore::open_in_memory(config.clone()).unwrap();
+        for page in 0..pages {
+            store.put(page, &page_body(&config, page, 1)).unwrap();
+        }
+        store.checkpoint_json().unwrap(); // a checkpoint seals every open segment
+        store
+    }
+
+    /// Collection hands out *locations* into the victim image; the payload is copied
+    /// only when the relocation is staged. A user overwrite landing in between must
+    /// still win: its page is left where the user put it, every other survivor is
+    /// copied out of the image byte-exactly.
+    #[test]
+    fn user_overwrite_between_collect_and_commit_beats_the_uncopied_relocation() {
+        let store = sealed_store(64);
+        let config = store.config().clone();
+        // Phases 1 and 2 by hand: claim the segment holding page 0, read and collect.
+        let victim = store.mapping().get(0).unwrap().segment;
+        let (emptiness, up2, temperature) = {
+            let mut central = store.central().lock();
+            let m = central.segments.meta(victim).unwrap();
+            let claim = (m.emptiness(), m.freq.up2(), m.temperature);
+            assert!(central.segments.claim_for_cleaning(victim));
+            claim
+        };
+        let prepared = prepare_victim(&store, victim, emptiness, up2, temperature).unwrap();
+        let survivors: Vec<PageId> = prepared.candidates.iter().map(|l| l.page).collect();
+        assert!(survivors.len() > 1, "victim holds {survivors:?}");
+
+        // The user rewrites one collected page before the cycle gets to it.
+        let raced = survivors[0];
+        store.put(raced, &page_body(&config, raced, 2)).unwrap();
+        store.flush().unwrap(); // drained: the page table has moved on
+        let user_copy = store.mapping().get(raced).unwrap();
+        assert_ne!(user_copy.segment, victim);
+
+        // Phase 3 on the stale collection, then the cycle's own phase 4.
+        let permit = store.gc.begin_cycle();
+        let mut cycle = CycleCtx {
+            token: permit.token,
+            gcs: GcStreams::default(),
+            claimed: vec![victim],
+        };
+        let (mut report, mut emptiness_sum) = (CleaningReport::default(), 0.0);
+        let unow = store.unow();
+        assert!(relocate_victim(
+            &store,
+            &mut cycle,
+            &prepared,
+            unow,
+            &mut report,
+            &mut emptiness_sum
+        )
+        .unwrap());
+        assert_eq!(report.pages_moved as usize, survivors.len() - 1);
+        assert_eq!(store.mapping().get(raced), Some(user_copy));
+        let output = cycle.gcs.open.values().next().unwrap().id;
+        for &page in &survivors[1..] {
+            assert_eq!(store.mapping().get(page).unwrap().segment, output);
+        }
+        write_path::seal_streams(&store, &mut cycle.gcs).unwrap();
+        store
+            .central()
+            .lock()
+            .segments
+            .quarantine_mark_sealed(cycle.token);
+        write_path::sync_and_reap(&store).unwrap();
+        drop(permit);
+
+        for page in 0..64 {
+            let version = if page == raced { 2 } else { 1 };
+            assert_eq!(
+                store.get(page).unwrap().unwrap().as_ref(),
+                &page_body(&config, page, version)[..],
+                "page {page}"
+            );
+        }
+    }
+
+    /// Once the pool holds the buffers a cycle needs, a cycle allocates no segment-sized
+    /// buffer: the very same allocations are parked before and after it.
+    #[test]
+    fn a_steady_state_cycle_takes_its_images_from_the_pool_and_puts_them_back() {
+        let store = sealed_store(400);
+        let config = store.config().clone();
+        // Checkerboard the sealed segments so cycles have survivors to move.
+        for page in (0..400).step_by(2) {
+            store.put(page, &page_body(&config, page, 2)).unwrap();
+        }
+        store.checkpoint_json().unwrap();
+        let parked = |store: &LogStore| {
+            let pool = store.images.lock();
+            let mut ptrs: Vec<_> = pool
+                .blank
+                .iter()
+                .chain(&pool.stale)
+                .map(|i| i.as_ptr())
+                .collect();
+            ptrs.sort_unstable();
+            ptrs
+        };
+        // The first cycle may still allocate (a victim image, a GC output image)...
+        assert!(run_cleaning_cycle(&store).unwrap().pages_moved > 0);
+        let before = parked(&store);
+        assert!((2..=3).contains(&before.len()), "{} parked", before.len());
+        // ...the next ones find everything they need parked, and leave it parked.
+        for _ in 0..3 {
+            assert!(run_cleaning_cycle(&store).unwrap().pages_moved > 0);
+            assert_eq!(parked(&store), before);
+        }
+    }
 
     fn signals(free: usize, trigger: usize, reserve: usize) -> ControlSignals {
         ControlSignals {

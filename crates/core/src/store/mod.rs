@@ -169,6 +169,21 @@ pub(crate) struct GcStreams {
     pub(crate) open: FxHashMap<u16, OpenSegment>,
 }
 
+/// Segment-sized buffers waiting for their next use, so that steady-state cleaning and
+/// sealing allocate (and page-fault) none: victim images go round between the cleaner's
+/// reads, builder images between open segments. Bounded by what a cycle and the streams
+/// can have in flight (`2 × gc_read_pool + write_streams`, see
+/// [`LogStore::park_image`]); a buffer returned beyond that is simply freed.
+#[derive(Default)]
+struct ImagePool {
+    /// All-zero images, as a [`SegmentBuilder`] needs them
+    /// ([`SegmentBuilder::into_image`] hands them back that way).
+    blank: Vec<Vec<u8>>,
+    /// Images still holding a victim's bytes: a segment read overwrites every byte, so
+    /// the cleaner's reads take these as they are.
+    stale: Vec<Vec<u8>>,
+}
+
 /// Everything a checkpoint records, captured in one coherent critical section (see
 /// [`LogStore::checkpoint_snapshot`]).
 pub(crate) struct CheckpointSnapshot {
@@ -238,6 +253,8 @@ pub struct LogStore {
     wounded_seals: Mutex<Vec<SealTail>>,
     /// Builders of currently open segments, readable without any write-side lock.
     open_reads: RwLock<FxHashMap<SegmentId, Arc<RwLock<SegmentBuilder>>>>,
+    /// Recycled segment images (see [`ImagePool`]). A leaf lock, held for a push or pop.
+    images: Mutex<ImagePool>,
     /// Per-segment reader pin counts (see `read_path`); quarantined victims are only
     /// reused once their pin count is zero.
     pins: Box<[AtomicU32]>,
@@ -335,6 +352,7 @@ impl LogStore {
             gc_orphans: Mutex::new(Vec::new()),
             wounded_seals: Mutex::new(Vec::new()),
             open_reads: RwLock::new(FxHashMap::default()),
+            images: Mutex::new(ImagePool::default()),
             pins: (0..num_segments).map(|_| AtomicU32::new(0)).collect(),
             seg_gen: (0..num_segments).map(|_| AtomicU64::new(0)).collect(),
             stats: AtomicStats::default(),
@@ -582,6 +600,16 @@ impl LogStore {
         self.central.lock().segments.free_count()
     }
 
+    /// Segment-sized buffers currently parked for reuse by the cleaner's victim reads
+    /// and by new open segments (diagnostic). Never more than `2 × gc_read_pool +
+    /// write_streams` — what one cycle's read pipeline and the streams' open segments
+    /// can have in flight; a steady-state cleaning cycle takes its buffers from here
+    /// and puts every one back, so the figure is the same before and after.
+    pub fn pooled_images(&self) -> usize {
+        let pool = self.images.lock();
+        pool.blank.len() + pool.stale.len()
+    }
+
     /// Current fill factor: live payload bytes over total device payload capacity.
     pub fn fill_factor(&self) -> f64 {
         let capacity = self.config.num_segments as f64
@@ -723,6 +751,68 @@ impl LogStore {
         };
         AtomicStats::add(&self.stats.device_bytes_written, bytes);
         Ok(())
+    }
+
+    /// An all-zero segment image for a new [`SegmentBuilder`]: a recycled one if the
+    /// pool has any (a stale one is cleared in full first), else a fresh allocation.
+    pub(crate) fn take_blank_image(&self) -> Vec<u8> {
+        let mut pool = self.images.lock();
+        if let Some(image) = pool.blank.pop() {
+            return image;
+        }
+        let stale = pool.stale.pop();
+        drop(pool);
+        match stale {
+            Some(mut image) => {
+                image.fill(0);
+                image
+            }
+            None => vec![0u8; self.config.segment_bytes],
+        }
+    }
+
+    /// A buffer to read a victim image into (contents irrelevant; empty if the pool is,
+    /// in which case the device allocates).
+    pub(crate) fn take_read_image(&self) -> Vec<u8> {
+        let mut pool = self.images.lock();
+        pool.stale
+            .pop()
+            .or_else(|| pool.blank.pop())
+            .unwrap_or_default()
+    }
+
+    /// Park a segment image for reuse, on the `blank` (all zeros) or the stale list.
+    /// Dropped instead if the pool is at its bound, or if the buffer is not a whole
+    /// image (the unfilled read buffer of a failed victim read).
+    fn park_image(&self, image: Vec<u8>, blank: bool) {
+        if image.len() != self.config.segment_bytes {
+            return;
+        }
+        let bound = 2 * self.config.gc_read_pool + self.config.write_streams;
+        let mut pool = self.images.lock();
+        if pool.blank.len() + pool.stale.len() < bound {
+            if blank {
+                pool.blank.push(image);
+            } else {
+                pool.stale.push(image);
+            }
+        }
+    }
+
+    /// Give back a buffer a victim image was read into (see [`LogStore::park_image`]).
+    pub(crate) fn recycle_image(&self, image: Vec<u8>) {
+        self.park_image(image, false);
+    }
+
+    /// Recycle a sealed (or released) segment's builder image. Call once the builder is
+    /// out of `open_reads`: readers reach a builder only through that index, under its
+    /// lock, and keep no clone, so from then on the caller's `Arc` is normally the last.
+    /// If it is not — a wounded-seal retry still parks a clone — the image is freed by
+    /// whoever drops the last one, never reused while someone can still read it.
+    pub(crate) fn recycle_builder(&self, builder: Arc<RwLock<SegmentBuilder>>) {
+        if let Ok(builder) = Arc::try_unwrap(builder) {
+            self.park_image(builder.into_inner().into_image(), true);
+        }
     }
 
     pub(crate) fn mapping(&self) -> &ShardedPageTable {
@@ -1129,6 +1219,9 @@ mod tests {
             }
             fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
                 self.0.read_segment(seg)
+            }
+            fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+                self.0.read_segment_into(seg, buf)
             }
             fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
                 self.0.read_range(seg, offset, len)

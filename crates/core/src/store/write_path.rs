@@ -768,8 +768,8 @@ fn ensure_open(
     let Some((id, gen)) = allocate_user_segment(store, ledger, log)? else {
         return Ok(false);
     };
-    let builder = Arc::new(RwLock::new(SegmentBuilder::new(
-        store.config().segment_bytes,
+    let builder = Arc::new(RwLock::new(SegmentBuilder::with_image(
+        store.take_blank_image(),
     )));
     store.open_reads().write().insert(id, Arc::clone(&builder));
     ss.use_tick += 1;
@@ -831,8 +831,9 @@ fn persist_open(store: &LogStore, open: &mut OpenSegment) -> Result<()> {
 /// streams (caller holds the cycle lock) and orphaned GC builders.
 ///
 /// A segment that was never persisted goes out as one `write_segment` of its whole
-/// image; one that was writes only the unpersisted tail (nothing at all if every entry
-/// is already in a persisted extent).
+/// image (which a [`crate::device::FileDevice`] starts writing back at once, so the next
+/// sync finds it in flight); one that was writes only the unpersisted tail (nothing at
+/// all if every entry is already in a persisted extent).
 ///
 /// The central lock is held only for the bookkeeping on either side of the device
 /// write; while the write is in flight the segment is flagged *image-pending* so
@@ -851,6 +852,7 @@ pub(crate) fn seal_open(
         // is back on the free list another stream may allocate it and register a new
         // builder under the same id, which a late removal would clobber.
         store.open_reads().write().remove(&open.id);
+        store.recycle_builder(open.builder);
         let mut central = store.central().lock();
         ledger.apply(store, &mut central);
         central.segments.release(open.id);
@@ -893,7 +895,7 @@ pub(crate) fn seal_open(
             return Err(e);
         }
     }
-    finish_seal(store, open.id);
+    finish_seal(store, open.id, open.builder);
     Ok(())
 }
 
@@ -904,10 +906,13 @@ impl SealTail {
     }
 }
 
-/// The tail of a seal once the segment's image is complete on the device.
-fn finish_seal(store: &LogStore, id: SegmentId) {
+/// The tail of a seal once the segment's image is complete on the device: readers are
+/// sent to the device from here on, and the builder's image — `builder` is the last
+/// handle on it once the read index lets go — is recycled for the next open segment.
+fn finish_seal(store: &LogStore, id: SegmentId, builder: Arc<RwLock<SegmentBuilder>>) {
     AtomicStats::bump(&store.atomic_stats().segments_sealed);
     store.open_reads().write().remove(&id);
+    store.recycle_builder(builder);
     let mut central = store.central().lock();
     central.segments.set_image_pending(id, false);
     store.publish_free(&central.segments);
@@ -921,8 +926,8 @@ fn retry_wounded_seals(store: &LogStore) -> Result<()> {
     let mut wounded = store.wounded_seals().lock();
     while let Some(seal) = wounded.last() {
         seal.write(store)?;
-        finish_seal(store, seal.id);
-        wounded.pop();
+        let seal = wounded.pop().expect("just observed");
+        finish_seal(store, seal.id, seal.builder);
     }
     Ok(())
 }

@@ -16,7 +16,7 @@ use lss::core::device::{DeviceGeometry, MemDevice, SegmentDevice};
 use lss::core::policy::PolicyKind;
 use lss::core::{Error, GcPhase, LogStore, Result, SegmentId, SharedLogStore, StoreConfig};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 mod common;
@@ -39,11 +39,16 @@ fn decode(bytes: &[u8]) -> (u64, u64) {
 
 /// A cloneable device with a kill switch: once killed, every write and sync fails (the
 /// process "dies" mid-cycle) while the durable contents survive for recovery, which
-/// only needs reads.
+/// only needs reads. A second switch fails whole-image reads of one chosen segment (a
+/// victim read going bad mid-cycle) and nothing else.
 #[derive(Clone)]
 struct KillSwitchDevice {
     inner: Arc<MemDevice>,
     dead: Arc<AtomicBool>,
+    /// Segment whose whole-image reads fail; `u32::MAX` = none.
+    unreadable: Arc<AtomicU32>,
+    /// Whole-image reads attempted so far.
+    image_reads: Arc<AtomicU32>,
 }
 
 impl KillSwitchDevice {
@@ -51,7 +56,23 @@ impl KillSwitchDevice {
         Self {
             inner: Arc::new(MemDevice::new(segment_bytes, num_segments)),
             dead: Arc::new(AtomicBool::new(false)),
+            unreadable: Arc::new(AtomicU32::new(u32::MAX)),
+            image_reads: Arc::new(AtomicU32::new(0)),
         }
+    }
+
+    /// Fail every whole-image read of `seg` (`None` heals).
+    fn fail_reads_of(&self, seg: Option<SegmentId>) {
+        self.unreadable
+            .store(seg.map_or(u32::MAX, |s| s.0), Ordering::SeqCst);
+    }
+
+    fn check_readable(&self, seg: SegmentId) -> Result<()> {
+        self.image_reads.fetch_add(1, Ordering::SeqCst);
+        if self.unreadable.load(Ordering::SeqCst) == seg.0 {
+            return Err(Error::Io(std::io::Error::other("injected read failure")));
+        }
+        Ok(())
     }
 
     fn kill(&self) {
@@ -68,7 +89,12 @@ impl SegmentDevice for KillSwitchDevice {
         self.inner.geometry()
     }
     fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
+        self.check_readable(seg)?;
         self.inner.read_segment(seg)
+    }
+    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+        self.check_readable(seg)?;
+        self.inner.read_segment_into(seg, buf)
     }
     fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
         self.inner.read_range(seg, offset, len)
@@ -421,6 +447,104 @@ fn delete_heavy_crash_matrix_never_resurrects_a_deleted_page() {
         recovered.flush().unwrap();
         assert_matches_model(&recovered, &model, pages, &format!("{ctx}, after clean"));
     }
+}
+
+/// A victim read that fails mid-cycle — after an earlier victim of the same cycle was
+/// relocated — must orphan the cycle cleanly: the error surfaces, no claim survives,
+/// every segment image the cycle had in flight (read, prefetched or backing its GC
+/// output) finds its way back to the store's image pool, which never exceeds its
+/// bound, and once the device heals a later cycle on the same store cleans the same
+/// victims byte-exactly.
+#[test]
+fn failed_victim_read_orphans_the_cycle_and_returns_every_image_to_the_pool() {
+    let config = race_config(1);
+    let bound = 2 * config.gc_read_pool + config.write_streams;
+    let device = KillSwitchDevice::new(config.segment_bytes, config.num_segments);
+    let store =
+        Arc::new(LogStore::open_with_device(config.clone(), Box::new(device.clone())).unwrap());
+    let pages = 512u64;
+    let model = prime_store(&store, &config, pages);
+
+    // One healthy cycle first, held at its first `Relocated` until the read pipeline
+    // has prefetched every other victim: with all of a cycle's victim images in flight
+    // at once and its GC output open, the pool ends up holding as many buffers as any
+    // later cycle can need — the steady state, whatever the thread timing.
+    let gate = PhaseGate::new(&[GcPhase::Relocated], 1);
+    store.set_gc_phase_hook(Some(gate.hook()));
+    let warm_up = {
+        let store = Arc::clone(&store);
+        std::thread::spawn(move || store.clean_now().unwrap())
+    };
+    let token = gate.wait_paused_at(GcPhase::Relocated, 1)[0];
+    let claimed = gate.victims_of(token).len();
+    assert!(
+        claimed >= 2,
+        "need two victims per cycle, claimed {claimed}"
+    );
+    while (device.image_reads.load(Ordering::SeqCst) as usize) < claimed {
+        std::thread::yield_now();
+    }
+    gate.open_wide();
+    assert!(warm_up.join().unwrap().pages_moved > 0);
+    store.set_gc_phase_hook(None);
+    store.flush().unwrap();
+    let parked = store.pooled_images();
+    assert!(
+        (claimed + 1..=bound).contains(&parked),
+        "{parked} images pooled after {claimed} victims, bound {bound}"
+    );
+
+    // Make the next cycle's *second* victim unreadable the moment it is claimed (every
+    // claim is announced before the first image read starts), and watch the pool at
+    // every phase boundary.
+    let gate = PhaseGate::new(&[], 0); // records the events, pauses nowhere
+    let watched = {
+        let (record, store, device) = (gate.hook(), Arc::clone(&store), device.clone());
+        let claims = AtomicU32::new(0);
+        Arc::new(move |cycle, phase, victim| {
+            assert!(store.pooled_images() <= bound, "pool over its bound");
+            if phase == GcPhase::Claimed && claims.fetch_add(1, Ordering::SeqCst) == 1 {
+                device.fail_reads_of(victim);
+            }
+            record(cycle, phase, victim);
+        })
+    };
+    store.set_gc_phase_hook(Some(watched));
+    let err = store.clean_now().unwrap_err();
+    assert!(matches!(err, Error::Io(_)), "unexpected error: {err}");
+    store.set_gc_phase_hook(None);
+    let events = gate.events();
+    let token = events[0].0;
+    let victims = gate.victims_of(token);
+    assert!(victims.len() >= 2, "need two victims, claimed {victims:?}");
+
+    // The first victim was relocated before the read failed; the failure itself left
+    // nothing claimed and nothing lost.
+    let relocated: Vec<_> = events
+        .into_iter()
+        .filter(|&(_, p, _)| p == GcPhase::Relocated)
+        .filter_map(|(_, _, v)| v)
+        .collect();
+    assert_eq!(relocated, [victims[0]], "the cycle did not fail mid-way");
+    assert_eq!(store.stats().claimed_victims, 0);
+    assert!(store.pooled_images() <= bound);
+    assert_matches_model(&store, &model, pages, "after the failed cycle");
+
+    // Heal. The flush seals the dead cycle's orphaned GC output, whose image is the
+    // last one still out: the pool is back where it was.
+    device.fail_reads_of(None);
+    store.flush().unwrap();
+    assert_eq!(store.pooled_images(), parked, "an image never came back");
+
+    // The victims the dead cycle dropped are claimable again and relocate intact.
+    let report = store.clean_now().unwrap();
+    assert!(report.segments_freed() > 0 && report.pages_moved > 0);
+    assert_eq!(store.pooled_images(), parked);
+    assert_matches_model(&store, &model, pages, "after the retry cycle");
+    store.flush().unwrap();
+    drop(store);
+    let recovered = LogStore::recover_with_device(config, Box::new(device)).unwrap();
+    assert_matches_model(&recovered, &model, pages, "recovered after the retry cycle");
 }
 
 /// Flake-catcher: a background cleaner pool (LSS_CLEANER_THREADS, default 2) races

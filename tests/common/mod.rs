@@ -298,6 +298,9 @@ impl SegmentDevice for CrashPointDevice {
     fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
         self.inner.read_segment(seg)
     }
+    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+        self.inner.read_segment_into(seg, buf)
+    }
     fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
         self.inner.read_range(seg, offset, len)
     }

@@ -237,6 +237,23 @@ impl GatedDevice {
         }
     }
 
+    /// The gate itself: the first whole-segment read after `arm` parks here until
+    /// `release_cleaner`.
+    fn park_if_armed(&self) {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            {
+                let (lock, cv) = &self.cleaner_blocked;
+                *lock.lock().unwrap() = true;
+                cv.notify_all();
+            }
+            let (lock, cv) = &self.release;
+            let mut released = lock.lock().unwrap();
+            while !*released {
+                released = cv.wait(released).unwrap();
+            }
+        }
+    }
+
     /// Let the blocked cleaner continue.
     fn release_cleaner(&self) {
         let (lock, cv) = &self.release;
@@ -251,19 +268,13 @@ impl SegmentDevice for GatedDevice {
     }
 
     fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
-        if self.armed.swap(false, Ordering::SeqCst) {
-            {
-                let (lock, cv) = &self.cleaner_blocked;
-                *lock.lock().unwrap() = true;
-                cv.notify_all();
-            }
-            let (lock, cv) = &self.release;
-            let mut released = lock.lock().unwrap();
-            while !*released {
-                released = cv.wait(released).unwrap();
-            }
-        }
+        self.park_if_armed();
         self.inner.read_segment(seg)
+    }
+
+    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+        self.park_if_armed();
+        self.inner.read_segment_into(seg, buf)
     }
 
     fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
@@ -305,6 +316,9 @@ fn reads_and_writes_complete_while_cleaning_is_in_flight() {
         }
         fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
             self.0.read_segment(seg)
+        }
+        fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+            self.0.read_segment_into(seg, buf)
         }
         fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
             self.0.read_range(seg, offset, len)
@@ -409,6 +423,9 @@ impl SegmentDevice for CrashDevice {
     }
     fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
         self.inner.read_segment(seg)
+    }
+    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+        self.inner.read_segment_into(seg, buf)
     }
     fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
         self.inner.read_range(seg, offset, len)
