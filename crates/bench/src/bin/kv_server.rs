@@ -9,9 +9,7 @@
 //! for this benchmark is durable-PUT throughput at 4 connections × depth 8 being
 //! at least 2× the depth-1 figure.
 //!
-//! Environment:
-//! * `LSS_KV_GROUP_COMMIT_US` — group-commit window (default 200 µs here);
-//! * `LSS_SERVER_THREADS` — executor workers (default: auto).
+//! Environment: `LSS_KV_GROUP_COMMIT_US` — group-commit window (default 200 µs here).
 //!
 //! Emits `BENCH_server.json`. Run with:
 //! `cargo run --release -p lss-bench --bin kv_server [--quick|--full]`
@@ -57,7 +55,6 @@ struct ServerReport {
     benchmark: String,
     policy: String,
     group_commit_window_us: u64,
-    server_threads: usize,
     value_bytes: usize,
     ops_per_connection: u64,
     results: Vec<ServerPoint>,
@@ -165,16 +162,7 @@ fn measure(
         )
         .unwrap(),
     );
-    // Size the executor to the offered concurrency (connections × depth): group
-    // commit can only batch PUTs that are *in* their flush window simultaneously,
-    // so fewer workers than in-flight requests caps ops/flip at the worker count.
-    // LSS_SERVER_THREADS still overrides (applied last).
-    let server_config = ServerConfig {
-        server_threads: (connections * depth).clamp(2, 32),
-        ..ServerConfig::default()
-    }
-    .with_env_overrides();
-    let server = Server::start(Arc::clone(&kv), "127.0.0.1:0", server_config).unwrap();
+    let server = Server::start(Arc::clone(&kv), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr().to_string();
 
     let ops = ops_per_connection(scale);
@@ -236,13 +224,9 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(200);
-    let server_threads = ServerConfig::default()
-        .with_env_overrides()
-        .effective_threads();
     let (conn_grid, depth_grid) = grid(scale);
     println!(
-        "kv_server: {} worker threads, group-commit window {} us, {} B values, {} ops/connection",
-        server_threads,
+        "kv_server: group-commit window {} us, {} B values, {} ops/connection",
         group_commit_us,
         VALUE_BYTES,
         ops_per_connection(scale)
@@ -292,7 +276,6 @@ fn main() {
         benchmark: "kv_server".to_string(),
         policy: "MDC".to_string(),
         group_commit_window_us: group_commit_us,
-        server_threads,
         value_bytes: VALUE_BYTES,
         ops_per_connection: ops_per_connection(scale),
         results,

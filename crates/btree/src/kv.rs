@@ -70,6 +70,18 @@
 //! generation that will never report. `group_commit_window_us = 0` (the default)
 //! short-circuits straight into the flip — byte-for-byte today's per-call
 //! behaviour.
+//!
+//! [`KvStore::flush_with`] is `flush` for a caller that acknowledges mutations *other*
+//! threads made — `lss-server`'s committer, which keeps a list of applied-but-unacked
+//! requests and must decide which of them a flip covers. Its hook runs at the one
+//! point where that is known: when the caller's generation closes (on joining, for a
+//! rider; at once with no window), which is after the window and strictly before
+//! `begin_checkpoint`. Everything listed before the hook ran had returned from its
+//! `put`/`delete`, so the checkpoint contains it; anything listed later may have
+//! missed the checkpoint and must wait for the next flip. Cutting the list after
+//! `flush` returned instead would acknowledge exactly those late arrivals with an
+//! epoch that does not hold them. The window stays owned here, in one place: a
+//! caller batches by calling `flush_with` once, not by sleeping itself.
 
 use crate::buffer_pool::{BufferPool, BufferPoolStats};
 use crate::kv_legacy::{classify_slot, read_legacy_index, LegacyChunk, SlotState, Superblock};
@@ -695,8 +707,25 @@ impl KvStore {
     /// flip (see the module's *Group commit* section); every caller returns only once
     /// a superblock covering its mutations is durable.
     pub fn flush(&self) -> Result<()> {
+        self.flush_with(|| ())
+    }
+
+    /// [`KvStore::flush`] with a hook that runs exactly once, at the last moment a
+    /// mutation is still guaranteed to be covered by the flip this call returns from:
+    /// everything that completed before `at_close` ran is in the committed epoch.
+    ///
+    /// The hook runs when this call's generation closes if the call leads it (after
+    /// the group-commit window, strictly before the flip's checkpoint begins), on
+    /// joining if it rides another caller's generation (which closes later), and at
+    /// once when the window is 0. It runs on the calling thread, outside every lock
+    /// of this layer. A caller that acknowledges work *others* did — the server's
+    /// committer — cuts its list of waiters here: cut any later and a waiter whose
+    /// mutation missed the checkpoint would be acknowledged by a flip that does not
+    /// contain it.
+    pub fn flush_with(&self, at_close: impl FnOnce()) -> Result<()> {
         self.counters.flush_calls.fetch_add(1, Ordering::Relaxed);
         if self.group_commit_window_us == 0 {
+            at_close();
             return self.flip();
         }
         let (generation, leader) = {
@@ -717,6 +746,7 @@ impl KvStore {
         if !leader {
             // Rider: the leader's flip covers our mutations (they completed before
             // this call; the generation closes before the flip's checkpoint).
+            at_close();
             self.counters
                 .group_commit_riders
                 .fetch_add(1, Ordering::Relaxed);
@@ -751,6 +781,7 @@ impl KvStore {
             .open
             .lock()
             .unwrap_or_else(|e| e.into_inner()) = None;
+        at_close();
         match self.flip() {
             Ok(()) => {
                 publish.outcome = None;

@@ -11,7 +11,8 @@
 //!   full-value write, so at-least-once delivery is safe; a retried DELETE may
 //!   report `existed = false` for a key its first attempt already removed).
 //! * **Pipelining** — [`Client::send`] queues any number of requests without
-//!   waiting; [`Client::recv`] returns completions in whatever order the server
+//!   waiting (they leave in one write when [`Client::recv`] has to wait for the
+//!   server); [`Client::recv`] returns completions in whatever order the server
 //!   replies (PROTOCOL.md §7), matched by correlation id; [`Client::drain`]
 //!   collects everything outstanding. Deep pipelines are how durable PUTs share
 //!   one superblock flip (PROTOCOL.md §5.2) — see the `kv_server` bench.
@@ -53,9 +54,11 @@
 //! server.shutdown();
 //! ```
 
-use lss_server::protocol::{read_frame, FrameError, Request, Response, RESPONSE_BIT};
+use lss_server::protocol::{
+    holds_whole_frame, read_frame, write_frame, FrameError, Request, Response, RESPONSE_BIT,
+};
 use std::collections::HashMap;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -147,7 +150,9 @@ pub type ScanItems = Vec<(Vec<u8>, Vec<u8>)>;
 pub struct Client {
     addr: String,
     opts: ClientOptions,
-    stream: TcpStream,
+    /// Requests queued by [`Client::send`] wait here until [`Client::recv`] would
+    /// block (or the buffer fills).
+    writer: BufWriter<TcpStream>,
     reader: BufReader<TcpStream>,
     next_corr: u64,
     /// Correlation id → request opcode for every in-flight pipelined request, so
@@ -168,7 +173,7 @@ impl Client {
         Ok(Client {
             addr: addr.to_string(),
             opts,
-            stream,
+            writer: BufWriter::new(stream),
             reader,
             next_corr: 1,
             pending: HashMap::new(),
@@ -191,20 +196,23 @@ impl Client {
         self.pending.clear();
         let stream = dial(&self.addr, &self.opts)?;
         self.reader = BufReader::new(stream.try_clone()?);
-        self.stream = stream;
+        // Requests still queued for the old connection are abandoned with it.
+        let _ = std::mem::replace(&mut self.writer, BufWriter::new(stream)).into_parts();
         Ok(())
     }
 
     /// Queue one request without waiting for its reply; returns the correlation id
-    /// its reply will echo. This is the pipelining primitive (PROTOCOL.md §7).
+    /// its reply will echo. This is the pipelining primitive (PROTOCOL.md §7). The
+    /// request goes to the socket with everything else queued, in one write, when
+    /// [`Client::recv`] would otherwise block — the server's own rule (§7), so a
+    /// burst of replies turns into one burst of requests, not one packet and one
+    /// server wake-up apiece — or earlier if the write buffer fills.
     pub fn send(&mut self, request: &Request) -> Result<u64> {
         let corr_id = self.next_corr;
         self.next_corr += 1;
         let mut payload = Vec::new();
         request.encode_payload(&mut payload);
-        let mut frame = Vec::with_capacity(20 + payload.len());
-        lss_server::protocol::encode_frame(&mut frame, request.opcode(), corr_id, &payload);
-        self.stream.write_all(&frame)?;
+        write_frame(&mut self.writer, request.opcode(), corr_id, &payload)?;
         self.pending.insert(corr_id, request.opcode());
         Ok(corr_id)
     }
@@ -214,6 +222,9 @@ impl Client {
     /// response — including error responses ([`Response::Err`]); one-shot callers
     /// turn those into [`ClientError::Server`], pipelining callers see them inline.
     pub fn recv(&mut self) -> Result<(u64, Response)> {
+        if !holds_whole_frame(self.reader.buffer()) {
+            self.writer.flush()?; // about to wait for the server: send what is queued
+        }
         let frame = read_frame(&mut self.reader, self.opts.max_frame_bytes)?
             .ok_or_else(|| ClientError::Io(io::ErrorKind::UnexpectedEof.into()))?;
         if frame.opcode & RESPONSE_BIT == 0 {
@@ -407,5 +418,57 @@ fn dial(addr: &str, opts: &ClientOptions) -> Result<TcpStream> {
     match last_err {
         Some(e) => Err(ClientError::Io(e)),
         None => Err(ClientError::Disconnected),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lss_server::protocol::MAX_FRAME_BYTES;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    /// Queued requests leave together when `recv` has to wait for the server, not
+    /// one by one as they are queued; replies already in hand are returned first.
+    #[test]
+    fn queued_requests_are_sent_when_recv_would_block() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let get = |key: &[u8]| Request::Get { key: key.to_vec() };
+        let corrs: Vec<u64> = (0..3)
+            .map(|i| client.send(&get(&[b'k', i])).unwrap())
+            .collect();
+
+        // Nothing has been written to the socket yet.
+        peer.set_nonblocking(true).unwrap();
+        let nothing = peer.read(&mut [0u8; 1]).unwrap_err();
+        assert_eq!(nothing.kind(), io::ErrorKind::WouldBlock);
+        peer.set_nonblocking(false).unwrap();
+
+        let server = std::thread::spawn(move || {
+            // All three requests arrive once the client waits; answer them in one go.
+            let mut replies = Vec::new();
+            for _ in 0..3 {
+                let frame = read_frame(&mut peer, MAX_FRAME_BYTES).unwrap().unwrap();
+                let mut payload = Vec::new();
+                Response::Get(None).encode_payload(&mut payload);
+                let opcode = frame.opcode | RESPONSE_BIT;
+                lss_server::protocol::encode_frame(&mut replies, opcode, frame.corr_id, &payload);
+            }
+            peer.write_all(&replies).unwrap();
+            // The fourth request comes only after the client has used up the replies.
+            read_frame(&mut peer, MAX_FRAME_BYTES)
+                .unwrap()
+                .unwrap()
+                .corr_id
+        });
+        assert_eq!(client.recv().unwrap(), (corrs[0], Response::Get(None)));
+        let fourth = client.send(&get(b"late")).unwrap();
+        assert_eq!(client.recv().unwrap(), (corrs[1], Response::Get(None)));
+        assert_eq!(client.recv().unwrap(), (corrs[2], Response::Get(None)));
+        assert_eq!(client.pending(), 1);
+        drop(client); // a dropped client still sends what it queued
+        assert_eq!(server.join().unwrap(), fourth);
     }
 }

@@ -71,10 +71,14 @@ pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 /// CRC-32C (Castagnoli) over a byte slice, used to checksum segment headers and entry
 /// tables on the device.
 pub fn crc32c(data: &[u8]) -> u32 {
-    crc32c_append(!0u32, data) ^ !0u32
+    crc32c_append(0, data)
 }
 
-fn crc32c_append(mut crc: u32, data: &[u8]) -> u32 {
+/// Continue a CRC-32C: `crc32c_append(crc32c(a), b)` is `crc32c` of `a` followed by
+/// `b`, so a checksum over parts that are not contiguous in memory (a frame's header
+/// and its payload) needs no copy to join them.
+pub fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
+    let mut crc = !crc;
     // Table-driven byte-at-a-time CRC-32C. The table is built once lazily.
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {
@@ -92,7 +96,7 @@ fn crc32c_append(mut crc: u32, data: &[u8]) -> u32 {
     for &b in data {
         crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    crc
+    !crc
 }
 
 /// Deterministic 64-bit mix, used where a cheap pseudo-random permutation of an id is
@@ -136,6 +140,11 @@ mod tests {
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
         // Empty input.
         assert_eq!(crc32c(b""), 0);
+        // Continued over any split, including empty parts.
+        for cut in 0..=9 {
+            let (a, b) = b"123456789".split_at(cut);
+            assert_eq!(crc32c_append(crc32c(a), b), 0xE306_9283, "cut {cut}");
+        }
     }
 
     #[test]

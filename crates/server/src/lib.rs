@@ -2,11 +2,15 @@
 //!
 //! Serves an [`lss_btree::kv::KvStore`] over TCP with the length-prefixed binary
 //! protocol specified normatively in **docs/PROTOCOL.md**: CRC32C-checked frames,
-//! out-of-order-safe correlation ids, pipelined requests executed on a pluggable
-//! [`executor::Executor`] (the default is the shared-queue thread pool sized by
-//! [`ServerConfig::server_threads`]), and group-batched replies — concurrent durable
-//! PUTs share one superblock flip through the store's group-commit window, and
-//! replies completing together share one socket flush.
+//! out-of-order-safe correlation ids, and pipelined requests. One thread per
+//! connection reads, executes and answers that connection's requests in order; a
+//! durable PUT / DELETE or FLUSH is applied at once and *parked*, and one committer
+//! thread runs a superblock flip ([`KvStore::flush_with`](lss_btree::kv::KvStore::flush_with))
+//! and acknowledges every request that was parked before the flip began — so durable
+//! writes in flight together, from any mix of connections, share one flip, and
+//! replies to requests that arrived together share one socket flush. The committer
+//! starts at most one flip per [`COMMIT_INTERVAL`]. There is no thread pool and no
+//! knob to size one.
 //!
 //! Most clients should use the `lss-client` crate rather than this crate's
 //! [`protocol`] module directly; operators run the `lss-server` binary (see
@@ -30,9 +34,10 @@
 //! ).unwrap());
 //! let server = Server::start(Arc::clone(&kv), "127.0.0.1:0", ServerConfig::default()).unwrap();
 //!
-//! // One durable PUT, then one GET, framed by hand per docs/PROTOCOL.md §3. (The GET
-//! // waits for the PUT's reply: pipelined requests run concurrently and may complete
-//! // — and reply — in any order.)
+//! // One durable PUT, then one GET, framed by hand per docs/PROTOCOL.md §3. (Each
+//! // request awaits its reply here; pipelined, the GET would still see the PUT — one
+//! // connection's requests are applied in order — but its reply would overtake the
+//! // PUT's ack, which waits for a commit.)
 //! let mut sock = TcpStream::connect(server.local_addr()).unwrap();
 //! let mut round_trip = |corr, req: Request| {
 //!     let mut payload = Vec::new();
@@ -49,8 +54,7 @@
 //! server.shutdown();
 //! ```
 
-pub mod executor;
 pub mod protocol;
 mod server;
 
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, COMMIT_INTERVAL};

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! lss-server [--addr HOST:PORT] [--device PATH | --mem] [--segments N]
-//!            [--segment-bytes N] [--threads N] [--group-commit-us N]
+//!            [--segment-bytes N] [--group-commit-us N]
 //! ```
 //!
 //! Durability contract: every write the server has OK-acked as durable is covered
@@ -25,7 +25,6 @@ struct Args {
     device: Option<String>,
     segments: usize,
     segment_bytes: usize,
-    threads: usize,
     group_commit_us: u64,
 }
 
@@ -35,7 +34,6 @@ fn parse_args() -> Result<Args, String> {
         device: None,
         segments: 1024,
         segment_bytes: 2 << 20,
-        threads: 0,
         group_commit_us: 200,
     };
     let mut it = std::env::args().skip(1);
@@ -53,9 +51,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
-            "--threads" => {
-                args.threads = value("--threads")?.parse().map_err(|e| format!("{e}"))?
-            }
             "--group-commit-us" => {
                 args.group_commit_us = value("--group-commit-us")?
                     .parse()
@@ -64,7 +59,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: lss-server [--addr HOST:PORT] [--device PATH | --mem] \
-                     [--segments N] [--segment-bytes N] [--threads N] [--group-commit-us N]"
+                     [--segments N] [--segment-bytes N] [--group-commit-us N]"
                         .into(),
                 )
             }
@@ -138,13 +133,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let server_config = ServerConfig {
-        server_threads: args.threads,
-        ..ServerConfig::default()
-    }
-    .with_env_overrides();
-    let threads = server_config.effective_threads();
-    let server = match Server::start(kv, args.addr.as_str(), server_config) {
+    let server = match Server::start(kv, args.addr.as_str(), ServerConfig::default()) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("lss-server: cannot bind {}: {e}", args.addr);
@@ -152,9 +141,8 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "lss-server listening on {} ({} worker threads, group-commit window {} us, {})",
+        "lss-server listening on {} (group-commit window {} us, {})",
         server.local_addr(),
-        threads,
         args.group_commit_us,
         match &args.device {
             Some(path) => format!("device {path}"),

@@ -9,8 +9,8 @@
 //! [`std::io::Read`] / [`std::io::Write`], and is shared by the server's connection
 //! loop and by `lss-client` (which depends on this crate for exactly this module).
 
-use lss_core::util::crc32c;
-use std::io::{self, Read, Write};
+use lss_core::util::{crc32c, crc32c_append};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Frame magic, `0x534C` — wire bytes `4C 53`, ASCII `"LS"` (PROTOCOL.md §3.2).
 pub const MAGIC: u16 = 0x534C;
@@ -119,11 +119,33 @@ pub fn encode_frame(buf: &mut Vec<u8>, opcode: u8, corr_id: u64, payload: &[u8])
     buf.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Encode and write one frame. The caller owns buffering/flushing policy.
+/// Encode one frame straight into `w` as a single vectored write of header, payload
+/// and CRC — no intermediate buffer, and one packet on an unbuffered `TCP_NODELAY`
+/// socket. The caller owns buffering/flushing policy. Same bytes as [`encode_frame`].
 pub fn write_frame(w: &mut impl Write, opcode: u8, corr_id: u64, payload: &[u8]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(4 + MIN_FRAME_LEN as usize + payload.len());
-    encode_frame(&mut buf, opcode, corr_id, payload);
-    w.write_all(&buf)
+    let mut head = [0u8; 4 + BODY_HEADER_BYTES];
+    let length = (MIN_FRAME_LEN as usize + payload.len()) as u32;
+    head[0..4].copy_from_slice(&length.to_le_bytes());
+    head[4..6].copy_from_slice(&MAGIC.to_le_bytes());
+    head[6] = VERSION;
+    head[7] = opcode;
+    head[8..16].copy_from_slice(&corr_id.to_le_bytes());
+    let crc = crc32c_append(crc32c(&head[4..]), payload).to_le_bytes();
+    let mut parts = [
+        IoSlice::new(&head),
+        IoSlice::new(payload),
+        IoSlice::new(&crc),
+    ];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read exactly `buf.len()` bytes, mapping EOF to a *torn frame* if any bytes of the
@@ -200,8 +222,16 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Frame>, Fr
     }))
 }
 
-/// A decoded request (PROTOCOL.md §5). Owned buffers: requests are handed across
-/// threads to the executor.
+/// Whether `buffered` begins with one complete frame (PROTOCOL.md §3.1), i.e. the
+/// next [`read_frame`] from a reader holding these bytes cannot block. Both ends use
+/// it for the same rule: push what you have written before you would wait for input.
+pub fn holds_whole_frame(buffered: &[u8]) -> bool {
+    buffered
+        .split_first_chunk::<4>()
+        .is_some_and(|(length, rest)| rest.len() >= u32::from_le_bytes(*length) as usize)
+}
+
+/// A decoded request (PROTOCOL.md §5).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// §5.1.
@@ -532,6 +562,18 @@ impl std::fmt::Display for RequestError {
 mod tests {
     use super::*;
 
+    #[test]
+    fn whole_frame_detection_follows_the_length_prefix() {
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, OP_FLUSH, 1, &[]);
+        for cut in 0..frame.len() {
+            assert!(!holds_whole_frame(&frame[..cut]), "cut {cut}");
+        }
+        assert!(holds_whole_frame(&frame));
+        frame.extend_from_slice(&[0x11, 0x00]); // the start of a next frame
+        assert!(holds_whole_frame(&frame));
+    }
+
     /// PROTOCOL.md §10: the spec's worked PUT/reply exchange, byte for byte.
     #[test]
     fn worked_example_hex() {
@@ -572,6 +614,35 @@ mod tests {
             resp, expect_resp,
             "response drifted from PROTOCOL.md \u{a7}10"
         );
+    }
+
+    /// `write_frame` puts [`encode_frame`]'s bytes on the wire whatever the writer
+    /// accepts per call: everything at once, or a few bytes at a time.
+    #[test]
+    fn write_frame_matches_encode_frame_under_short_writes() {
+        struct Dribble(Vec<u8>, usize);
+        impl Write for Dribble {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(self.1);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for payload in [&b""[..], b"x", &[0xA5u8; 300]] {
+            let mut want = Vec::new();
+            encode_frame(&mut want, OP_SCAN, 0x0102_0304_0506_0708, payload);
+            let mut whole = Vec::new();
+            write_frame(&mut whole, OP_SCAN, 0x0102_0304_0506_0708, payload).unwrap();
+            assert_eq!(whole, want);
+            for step in [1, 3, 17] {
+                let mut w = Dribble(Vec::new(), step);
+                write_frame(&mut w, OP_SCAN, 0x0102_0304_0506_0708, payload).unwrap();
+                assert_eq!(w.0, want, "step {step}");
+            }
+        }
     }
 
     #[test]

@@ -1,45 +1,69 @@
-//! The TCP front-end: listener, per-connection reader threads, and the reply path.
+//! The TCP front-end: listener, one thread per connection, one committer.
 //!
-//! Data flow (docs/ARCHITECTURE.md, "The network front-end"):
+//! Data flow (docs/ARCHITECTURE.md, "The network front-end") — a request crosses no
+//! queue:
 //!
 //! ```text
-//! accept thread ──► reader thread (one per connection)
+//! accept thread ──► connection thread (one per connection: reader = executor)
 //!                     │  read_frame → CRC/magic/version verify → Request::decode
-//!                     ▼
-//!                 Executor (shared-queue pool, `server_threads` workers)
-//!                     │  execute against Arc<KvStore>  (puts ride group commit)
-//!                     ▼
-//!                 per-connection writer mutex ──► socket (group-flushed replies)
+//!                     │  execute inline against Arc<KvStore>
+//!                     ├─ GET / SCAN / STATS / NO_FLUSH write ──► reply into the
+//!                     │     connection's BufWriter; socket flushed before the
+//!                     │     thread would block in `read`
+//!                     └─ durable PUT / DELETE, FLUSH: applied, then *parked* ──┐
+//!                                                                             ▼
+//! committer thread ◄── rider list (server-wide) ── sleeps until a rider exists
+//!     and the commit interval since its last flip's start has passed, cuts the
+//!     list as its group-commit generation closes, runs one two-barrier flip, acks
+//!     every rider it cut: all acks of a connection, then one flush
 //! ```
 //!
-//! Two batching effects stack here: concurrent durable PUTs share one superblock
-//! flip through the KV layer's `group_commit_window_us` (PROTOCOL.md §5.2), and
-//! replies completing while more requests are in flight share one socket flush
-//! (PROTOCOL.md §7) — the writer mutex holder only flushes when it is the last
-//! reply in flight for that connection.
+//! Two batching effects stack here: every durable write parked before the cut shares
+//! one superblock flip, whichever socket it came from (PROTOCOL.md §5.2), and the
+//! replies to requests that arrived together share one socket flush (PROTOCOL.md §7).
+//!
+//! Each connection's `BufWriter` sits behind a mutex with two users: the
+//! connection's own thread (a reply, or the flush before it blocks) and the
+//! committer (that connection's acks plus their flush). Neither holds it while
+//! touching the store. A peer that stops reading its replies blocks only its own
+//! thread; it can hold the committer for at most one `write_timeout`, after which
+//! the connection is dropped.
 
-use crate::executor::{Executor, SharedQueueExecutor};
 use crate::protocol::{
-    self, read_frame, FrameError, Request, RequestError, Response, ERR_SERVER, ERR_SHUTTING_DOWN,
-    ERR_STORE_FULL, ERR_VALUE_TOO_LARGE, RESPONSE_BIT, STATUS_OK,
+    self, holds_whole_frame, read_frame, FrameError, Request, Response, ERR_SERVER,
+    ERR_SHUTTING_DOWN, ERR_STORE_FULL, ERR_VALUE_TOO_LARGE, RESPONSE_BIT, STATUS_OK,
 };
 use lss_btree::kv::KvStore;
 use lss_core::error::{Error, Result};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
-use std::io::{BufReader, BufWriter, Write};
+use std::collections::HashMap;
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Durable requests one connection may have parked for the committer. At the cap
+/// the connection's thread stops reading until a flip acknowledges some, so a peer
+/// cannot grow the rider list without bound by never waiting for its acks.
+const MAX_PARKED_PER_CONN: usize = 1024;
+
+/// Least time from the start of one flip to the start of the next; an idle server
+/// flips at once. A flip holds the tree's epoch latch, so every mutation waits while
+/// one runs: flips started back to back would leave writers only the gaps between
+/// them, and would tie every durable writer's throughput to what `fdatasync` costs
+/// that minute. With the interval a busy server commits 250 times a second and
+/// everything that arrived within an interval shares its flip — durable throughput
+/// is requests in flight per interval for as long as a flip fits one. The price: a
+/// connection sending durable writes strictly one at a time gets 250 a second
+/// (docs/OPERATIONS.md). A constant, not a knob.
+pub const COMMIT_INTERVAL: Duration = Duration::from_millis(4);
 
 /// Server tuning knobs. All knobs are also documented in docs/OPERATIONS.md.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads in the request executor (`0` = auto: the machine's available
-    /// parallelism, clamped to `[2, 8]`). Overridable with `LSS_SERVER_THREADS`.
-    pub server_threads: usize,
     /// Upper bound accepted for a frame's `length` field (PROTOCOL.md §3.1) and the
     /// budget a SCAN reply is packed against (PROTOCOL.md §5.4).
     pub max_frame_bytes: u32,
@@ -47,45 +71,17 @@ pub struct ServerConfig {
     /// cap independently of the client's `max_items`).
     pub max_scan_items: u32,
     /// Socket write timeout; a connection whose peer stops draining replies is
-    /// dropped rather than wedging a worker forever.
+    /// dropped rather than wedging its thread (or the committer) forever.
     pub write_timeout: Option<Duration>,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            server_threads: 0,
             max_frame_bytes: protocol::MAX_FRAME_BYTES,
             max_scan_items: 65_536,
             write_timeout: Some(Duration::from_secs(30)),
         }
-    }
-}
-
-impl ServerConfig {
-    /// Apply environment overrides (`LSS_SERVER_THREADS`), mirroring
-    /// [`lss_core::StoreConfig::with_env_overrides`]'s pattern for the store knobs.
-    pub fn with_env_overrides(self) -> Self {
-        self.with_overrides_from(|name| std::env::var(name).ok())
-    }
-
-    /// The injectable core of [`ServerConfig::with_env_overrides`].
-    pub fn with_overrides_from(mut self, lookup: impl Fn(&str) -> Option<String>) -> Self {
-        if let Some(n) = lookup("LSS_SERVER_THREADS").and_then(|v| v.parse::<usize>().ok()) {
-            self.server_threads = n.clamp(1, 64);
-        }
-        self
-    }
-
-    /// The worker count [`Server::start`] actually spawns (resolves `0` = auto).
-    pub fn effective_threads(&self) -> usize {
-        if self.server_threads > 0 {
-            return self.server_threads;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .clamp(2, 8)
     }
 }
 
@@ -114,50 +110,111 @@ struct Counters {
     write_errors: AtomicU64,
 }
 
-/// One live connection: the reader thread owns decode, workers share the writer.
+/// One live connection.
 struct Conn {
     /// Owned handle used by [`Server::shutdown`] to unblock the reader.
     stream: TcpStream,
-    writer: Mutex<BufWriter<TcpStream>>,
-    /// Requests decoded but not yet replied to. The reply that drops this to zero
-    /// flushes the socket; earlier replies just append to the buffered writer —
-    /// that is the reply group-flush of PROTOCOL.md §7.
-    in_flight: AtomicUsize,
+    /// Shared by the connection's thread and the committer (see the module docs).
+    writer: Mutex<ReplyWriter>,
+    /// Riders of this connection not yet acknowledged; only changed under
+    /// `Shared::riders`, which is what the cap wait sleeps on.
+    parked: AtomicUsize,
+}
+
+struct ReplyWriter {
+    out: BufWriter<TcpStream>,
+    /// Set by the first failed write; nothing is written afterwards.
+    broken: bool,
 }
 
 impl Conn {
-    /// Encode and send one reply, flushing only when this reply is the last in
-    /// flight. `req_opcode` is echoed with [`RESPONSE_BIT`] set (PROTOCOL.md §3.4).
-    fn send_reply(&self, shared: &Shared, req_opcode: u8, corr_id: u64, payload: &[u8]) {
-        let mut frame = Vec::with_capacity(4 + protocol::MIN_FRAME_LEN as usize + payload.len());
-        protocol::encode_frame(&mut frame, req_opcode | RESPONSE_BIT, corr_id, payload);
-        let mut w = self.writer.lock();
-        let mut res = w.write_all(&frame);
-        shared.counters.replies.fetch_add(1, Ordering::Relaxed);
-        let remaining = self.in_flight.fetch_sub(1, Ordering::AcqRel) - 1;
-        if res.is_ok() && remaining == 0 {
-            shared
-                .counters
-                .socket_flushes
-                .fetch_add(1, Ordering::Relaxed);
-            res = w.flush();
+    /// Run `write` on the connection's buffered writer. The first failed write (peer
+    /// gone, or stalled past `write_timeout`) drops the connection; `false` tells
+    /// the connection's thread to stop — requests the peer already queued can still
+    /// be read after the socket is shut down.
+    fn with_writer(
+        &self,
+        shared: &Shared,
+        write: impl FnOnce(&Counters, &mut BufWriter<TcpStream>) -> io::Result<()>,
+    ) -> bool {
+        let mut writer = self.writer.lock();
+        if writer.broken {
+            return false;
         }
-        drop(w);
-        if res.is_err() {
+        writer.broken = write(&shared.counters, &mut writer.out).is_err();
+        if writer.broken {
             shared.counters.write_errors.fetch_add(1, Ordering::Relaxed);
-            // The reader will observe the shutdown and close its half too.
             let _ = self.stream.shutdown(Shutdown::Both);
         }
+        !writer.broken
     }
+
+    /// Encode one reply into the buffered writer; the socket is not touched unless
+    /// the buffer fills. `req_opcode` is echoed with [`RESPONSE_BIT`] (PROTOCOL.md §3.4).
+    fn reply(&self, shared: &Shared, req_opcode: u8, corr_id: u64, payload: &[u8]) -> bool {
+        self.with_writer(shared, |c, w| put_reply(c, w, req_opcode, corr_id, payload))
+    }
+
+    /// Push buffered replies to the socket (the group flush of PROTOCOL.md §7).
+    fn flush(&self, shared: &Shared) -> bool {
+        self.with_writer(shared, flush_replies)
+    }
+}
+
+fn put_reply(
+    c: &Counters,
+    w: &mut BufWriter<TcpStream>,
+    req_opcode: u8,
+    corr_id: u64,
+    payload: &[u8],
+) -> io::Result<()> {
+    c.replies.fetch_add(1, Ordering::Relaxed);
+    protocol::write_frame(w, req_opcode | RESPONSE_BIT, corr_id, payload)
+}
+
+fn flush_replies(c: &Counters, w: &mut BufWriter<TcpStream>) -> io::Result<()> {
+    if w.buffer().is_empty() {
+        return Ok(());
+    }
+    c.socket_flushes.fetch_add(1, Ordering::Relaxed);
+    w.flush()
+}
+
+/// A durable request that has been applied and waits for the flip that covers it.
+struct Rider {
+    conn: Arc<Conn>,
+    opcode: u8,
+    corr_id: u64,
+    /// The reply if the flip succeeds: `[OK]`, or DELETE's `[OK, existed]`.
+    ok: [u8; 2],
+    ok_len: usize,
+}
+
+/// Registry of connection threads. A thread moves its own entry from `open` to
+/// `finished` as it exits, which releases the connection's descriptors at once; the
+/// handle is joined by the next accept or by shutdown.
+#[derive(Default)]
+struct Conns {
+    next_id: u64,
+    open: HashMap<u64, (Arc<Conn>, JoinHandle<()>)>,
+    finished: Vec<JoinHandle<()>>,
 }
 
 struct Shared {
     kv: Arc<KvStore>,
     config: ServerConfig,
-    executor: Box<dyn Executor>,
     shutting_down: AtomicBool,
     counters: Counters,
-    conns: Mutex<Vec<(Arc<Conn>, JoinHandle<()>)>>,
+    conns: Mutex<Conns>,
+    /// Parked riders in arrival order: pushed by connection threads after their
+    /// mutation returned, cut by the committer as its generation closes.
+    riders: Mutex<Vec<Rider>>,
+    /// Signalled (with `riders`) when a rider is parked on an empty list: wakes the
+    /// committer.
+    rider_parked: Condvar,
+    /// Signalled (with `riders`) when riders were acknowledged: wakes threads at
+    /// [`MAX_PARKED_PER_CONN`].
+    riders_acked: Condvar,
 }
 
 /// A running KV server. Start with [`Server::start`], stop with
@@ -166,46 +223,47 @@ struct Shared {
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
+    /// The accept thread and the committer, in that order.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port — see [`Server::local_addr`])
-    /// and serve `kv` with the default shared-queue executor sized by
-    /// [`ServerConfig::effective_threads`].
+    /// and serve `kv`: one thread per accepted connection plus one committer.
     pub fn start(kv: Arc<KvStore>, addr: impl ToSocketAddrs, config: ServerConfig) -> Result<Self> {
-        let executor: Box<dyn Executor> =
-            Box::new(SharedQueueExecutor::new(config.effective_threads()));
-        Self::start_with_executor(kv, addr, config, executor)
-    }
-
-    /// The pluggable-executor seam: serve with any [`Executor`] implementation.
-    pub fn start_with_executor(
-        kv: Arc<KvStore>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-        executor: Box<dyn Executor>,
-    ) -> Result<Self> {
         let listener = TcpListener::bind(addr).map_err(Error::Io)?;
         let local_addr = listener.local_addr().map_err(Error::Io)?;
         let shared = Arc::new(Shared {
             kv,
             config,
-            executor,
             shutting_down: AtomicBool::new(false),
             counters: Counters::default(),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(Conns::default()),
+            riders: Mutex::new(Vec::new()),
+            rider_parked: Condvar::new(),
+            riders_acked: Condvar::new(),
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::Builder::new()
-            .name("lss-server-accept".into())
-            .spawn(move || accept_loop(&accept_shared, &listener))
-            .map_err(Error::Io)?;
-        Ok(Self {
+        // Built before the threads so that a failed spawn drops it, and the drop
+        // stops whatever did start.
+        let server = Self {
             shared,
             local_addr,
-            accept_thread: Mutex::new(Some(accept_thread)),
-        })
+            threads: Mutex::new(Vec::new()),
+        };
+        let shared = Arc::clone(&server.shared);
+        server.spawn("lss-server-accept", move || accept_loop(&shared, &listener))?;
+        let shared = Arc::clone(&server.shared);
+        server.spawn("lss-server-commit", move || commit_loop(&shared))?;
+        Ok(server)
+    }
+
+    fn spawn(&self, name: &str, body: impl FnOnce() + Send + 'static) -> Result<()> {
+        let handle = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(body)
+            .map_err(Error::Io)?;
+        self.threads.lock().push(handle);
+        Ok(())
     }
 
     /// The bound address — with port 0 this is where the ephemeral port lands.
@@ -218,28 +276,36 @@ impl Server {
         &self.shared.kv
     }
 
-    /// Stop accepting, close every connection, abandon queued requests
-    /// (PROTOCOL.md §8: unacked fates are unknown), finish running ones, and join
-    /// all threads. Idempotent and callable from any thread.
+    /// Stop accepting, close every connection, and join all threads: sockets first,
+    /// then the connection threads, then the committer. Riders still parked are
+    /// never acknowledged (PROTOCOL.md §8: unacked fates are unknown); a flip
+    /// already running finishes. Idempotent and callable from any thread.
     pub fn shutdown(&self) {
         if self.shared.shutting_down.swap(true, Ordering::AcqRel) {
             return;
         }
+        let mut threads = std::mem::take(&mut *self.threads.lock()).into_iter();
         // Unblock the accept loop, then join it so no new connection can register.
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.accept_thread.lock().take() {
-            let _ = handle.join();
+        if let Some(accept) = threads.next() {
+            let _ = accept.join();
         }
-        // Close every socket: readers unblock with EOF/error, workers' pending
-        // writes fail fast instead of wedging on a dead peer.
+        // Close every socket: readers unblock with EOF/error, and a write the
+        // committer has pending fails fast instead of wedging on a dead peer.
         let conns = std::mem::take(&mut *self.shared.conns.lock());
-        for (conn, _) in &conns {
+        for (conn, _) in conns.open.values() {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
-        self.shared.executor.shutdown();
-        for (_, reader) in conns {
-            let _ = reader.join();
+        // Wake the committer and any thread waiting at the rider cap; taking the
+        // lock orders the flag before their next check of it.
+        drop(self.shared.riders.lock());
+        self.shared.rider_parked.notify_all();
+        self.shared.riders_acked.notify_all();
+        let readers = conns.open.into_values().map(|(_, handle)| handle);
+        for handle in readers.chain(conns.finished).chain(threads) {
+            let _ = handle.join();
         }
+        self.shared.riders.lock().clear();
     }
 }
 
@@ -254,53 +320,70 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         if shared.shutting_down.load(Ordering::Acquire) {
             return;
         }
-        let Ok(stream) = stream else { continue };
-        if let Err(e) = register_connection(shared, stream) {
-            // Socket died between accept and setup — nothing to clean up.
-            let _ = e;
+        let finished = std::mem::take(&mut shared.conns.lock().finished);
+        for handle in finished {
+            let _ = handle.join();
+        }
+        // A socket that died between accept and set-up needs no clean-up. When
+        // `accept` itself fails (EMFILE: out of descriptors) the pending connection
+        // stays queued, so pause instead of spinning on the same error.
+        if stream.and_then(|s| register_connection(shared, s)).is_err() {
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
 }
 
-fn register_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<()> {
+fn register_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?; // PROTOCOL.md §1
     stream.set_write_timeout(shared.config.write_timeout)?;
-    let writer = BufWriter::new(stream.try_clone()?);
+    let reader = BufReader::new(stream.try_clone()?);
+    let writer = ReplyWriter {
+        out: BufWriter::new(stream.try_clone()?),
+        broken: false,
+    };
     let conn = Arc::new(Conn {
         stream,
         writer: Mutex::new(writer),
-        in_flight: AtomicUsize::new(0),
+        parked: AtomicUsize::new(0),
     });
-    shared
-        .counters
-        .connections_accepted
-        .fetch_add(1, Ordering::Relaxed);
-    let reader_shared = Arc::clone(shared);
-    let reader_conn = Arc::clone(&conn);
+    // The registry stays locked across the spawn, so the thread cannot look for its
+    // entry before it is there.
+    let mut conns = shared.conns.lock();
+    let id = conns.next_id;
+    conns.next_id += 1;
     let handle = std::thread::Builder::new()
         .name("lss-server-conn".into())
-        .spawn(move || {
-            connection_loop(&reader_shared, &reader_conn);
-            reader_shared
-                .counters
-                .connections_closed
-                .fetch_add(1, Ordering::Relaxed);
-            let _ = reader_conn.stream.shutdown(Shutdown::Both);
-        })
-        .map_err(std::io::Error::other)?;
-    shared.conns.lock().push((conn, handle));
+        .spawn({
+            let (shared, conn) = (Arc::clone(shared), Arc::clone(&conn));
+            move || {
+                connection_loop(&shared, &conn, reader);
+                conn.flush(&shared);
+                let _ = conn.stream.shutdown(Shutdown::Both);
+                let c = &shared.counters;
+                c.connections_closed.fetch_add(1, Ordering::Relaxed);
+                let mut conns = shared.conns.lock();
+                if let Some((_, handle)) = conns.open.remove(&id) {
+                    conns.finished.push(handle);
+                }
+            }
+        })?;
+    let c = &shared.counters;
+    c.connections_accepted.fetch_add(1, Ordering::Relaxed);
+    conns.open.insert(id, (conn, handle));
     Ok(())
 }
 
-/// Per-connection read loop: frame → decode → dispatch, per PROTOCOL.md §8's two
-/// failure classes (fatal framing errors close the connection here; per-request
-/// errors are answered inline and the loop continues).
-fn connection_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
-    let Ok(raw) = conn.stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(raw);
+/// The connection's thread: frame → decode → execute → reply, per PROTOCOL.md §8's
+/// two failure classes (fatal framing errors close the connection here; per-request
+/// errors are answered and the loop continues). Replies accumulate in the writer
+/// while whole requests are already buffered and go out before the thread would
+/// block for more input.
+fn connection_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, mut reader: BufReader<TcpStream>) {
+    let mut payload = Vec::new(); // the one reply buffer of this connection
     loop {
+        if !holds_whole_frame(reader.buffer()) && !conn.flush(shared) {
+            return;
+        }
         let frame = match read_frame(&mut reader, shared.config.max_frame_bytes) {
             Ok(Some(frame)) => frame,
             Ok(None) => return, // clean EOF at a frame boundary
@@ -310,54 +393,143 @@ fn connection_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
                 return;
             }
         };
-        conn.in_flight.fetch_add(1, Ordering::AcqRel);
-        let request = match Request::decode(frame.opcode, &frame.payload) {
-            Ok(request) => request,
+        if shared.shutting_down.load(Ordering::Acquire) {
+            conn.reply(shared, frame.opcode, frame.corr_id, &[ERR_SHUTTING_DOWN]);
+            return;
+        }
+        payload.clear();
+        let park = match Request::decode(frame.opcode, &frame.payload) {
+            Ok(request) => execute_into(shared, request, &mut payload),
             Err(e) => {
                 // Recoverable per-request error (PROTOCOL.md §8): reply, keep going.
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                conn.send_reply(shared, frame.opcode, frame.corr_id, &[status_of_decode(&e)]);
-                continue;
+                let c = &shared.counters;
+                c.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                payload.push(e.status());
+                false
             }
         };
-        let job_shared = Arc::clone(shared);
-        let job_conn = Arc::clone(conn);
-        let opcode = frame.opcode;
-        let corr_id = frame.corr_id;
-        let accepted = shared.executor.submit(Box::new(move || {
-            let mut payload = Vec::new();
-            execute_into(&job_shared, request, &mut payload);
-            job_conn.send_reply(&job_shared, opcode, corr_id, &payload);
-        }));
-        if !accepted {
-            conn.send_reply(shared, opcode, corr_id, &[ERR_SHUTTING_DOWN]);
+        if park {
+            park_rider(shared, conn, frame.opcode, frame.corr_id, &payload);
+        } else if !conn.reply(shared, frame.opcode, frame.corr_id, &payload) {
             return;
         }
     }
 }
 
-fn status_of_decode(e: &RequestError) -> u8 {
-    e.status()
+/// Park an applied durable request for the committer; `ok` is its success reply.
+/// Called only after the request's mutation returned, so whichever flip cuts the
+/// rider from the list checkpoints a tree that already contains it.
+fn park_rider(shared: &Shared, conn: &Arc<Conn>, opcode: u8, corr_id: u64, ok: &[u8]) {
+    if conn.parked.load(Ordering::Relaxed) >= MAX_PARKED_PER_CONN {
+        conn.flush(shared); // about to block: same rule as before a read
+    }
+    let mut rider = Rider {
+        conn: Arc::clone(conn),
+        opcode,
+        corr_id,
+        ok: [0; 2],
+        ok_len: ok.len(),
+    };
+    rider.ok[..ok.len()].copy_from_slice(ok);
+    let mut riders = shared.riders.lock();
+    while conn.parked.load(Ordering::Relaxed) >= MAX_PARKED_PER_CONN
+        && !shared.shutting_down.load(Ordering::Acquire)
+    {
+        shared.riders_acked.wait(&mut riders);
+    }
+    conn.parked.fetch_add(1, Ordering::Relaxed);
+    riders.push(rider);
+    let first = riders.len() == 1;
+    drop(riders);
+    if first {
+        // Only an empty list has the committer waiting for a rider; with one on it,
+        // it is flipping or sleeping out the commit interval.
+        shared.rider_parked.notify_one();
+    }
 }
 
-/// Map a store error to a PROTOCOL.md §6 status code.
+/// The committer: the only caller of `KvStore::flush*` in the server. One flip per
+/// iteration, at most one per [`COMMIT_INTERVAL`], acknowledges every rider parked
+/// before the flip's generation closed; riders parked later wait for the next
+/// iteration.
+fn commit_loop(shared: &Shared) {
+    let mut batch = Vec::new();
+    let mut next_flip = Instant::now();
+    loop {
+        {
+            // Sleep until a rider exists, then out the rest of the commit interval.
+            let mut riders = shared.riders.lock();
+            while !shared.shutting_down.load(Ordering::Acquire) {
+                let early = next_flip.saturating_duration_since(Instant::now());
+                if riders.is_empty() {
+                    shared.rider_parked.wait(&mut riders);
+                } else if early.is_zero() {
+                    break;
+                } else {
+                    shared.rider_parked.wait_for(&mut riders, early);
+                }
+            }
+        }
+        if shared.shutting_down.load(Ordering::Acquire) {
+            return;
+        }
+        next_flip = Instant::now() + COMMIT_INTERVAL;
+        // The cut runs strictly before the flip's checkpoint begins (see
+        // `KvStore::flush_with`): every rider cut here was applied before it.
+        let flipped = shared
+            .kv
+            .flush_with(|| std::mem::swap(&mut batch, &mut *shared.riders.lock()));
+        let failure = flipped.err().map(|e| [status_of_store(&e)]);
+        if failure.is_some() {
+            let c = &shared.counters;
+            c.store_errors
+                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        }
+        // All acks of a connection, then one flush of it. The sort is stable, so a
+        // connection's acks keep their request order.
+        batch.sort_by_key(|rider| Arc::as_ptr(&rider.conn) as usize);
+        for acks in batch.chunk_by(|a, b| Arc::ptr_eq(&a.conn, &b.conn)) {
+            acks[0].conn.with_writer(shared, |c, w| {
+                for rider in acks {
+                    let payload = failure.as_ref().map_or(&rider.ok[..rider.ok_len], |f| f);
+                    put_reply(c, w, rider.opcode, rider.corr_id, payload)?;
+                }
+                flush_replies(c, w)
+            });
+        }
+        let riders = shared.riders.lock();
+        for rider in batch.drain(..) {
+            rider.conn.parked.fetch_sub(1, Ordering::Relaxed);
+        }
+        drop(riders);
+        shared.riders_acked.notify_all();
+    }
+}
+
+/// Map a store error to a PROTOCOL.md §6 status code. A failed group commit reports
+/// what made the flip fail, not that it was batched.
 fn status_of_store(e: &Error) -> u8 {
     match e {
+        Error::GroupCommitFailed(source) => status_of_store(source),
         Error::PageTooLarge { .. } => ERR_VALUE_TOO_LARGE,
         Error::OutOfSpace { .. } => ERR_STORE_FULL,
         _ => ERR_SERVER,
     }
 }
 
-/// Execute a request against the store, encoding the response payload directly into
+/// Execute a request against the store, encoding its response payload directly into
 /// `payload` — GET and SCAN copy value bytes exactly once, store buffer → reply
-/// frame, with no intermediate `Vec` per value.
-fn execute_into(shared: &Shared, request: Request, payload: &mut Vec<u8>) {
+/// frame, with no intermediate `Vec` per value. Returns `true` when the request is a
+/// durable write that succeeded so far: `payload` then holds its success reply,
+/// which must wait for the committer (PROTOCOL.md §5.2) instead of being sent.
+fn execute_into(shared: &Shared, request: Request, payload: &mut Vec<u8>) -> bool {
     let kv = &shared.kv;
     let c = &shared.counters;
+    let failed = |payload: &mut Vec<u8>, e: Error| {
+        c.store_errors.fetch_add(1, Ordering::Relaxed);
+        payload.push(status_of_store(&e));
+        false
+    };
     match request {
         Request::Get { key } => {
             c.gets.fetch_add(1, Ordering::Relaxed);
@@ -368,15 +540,10 @@ fn execute_into(shared: &Shared, request: Request, payload: &mut Vec<u8>) {
                     payload.extend_from_slice(&(value.len() as u32).to_le_bytes());
                     payload.extend_from_slice(&value);
                 }
-                Ok(None) => {
-                    payload.push(STATUS_OK);
-                    payload.push(0);
-                }
-                Err(e) => {
-                    c.store_errors.fetch_add(1, Ordering::Relaxed);
-                    payload.push(status_of_store(&e));
-                }
+                Ok(None) => payload.extend_from_slice(&[STATUS_OK, 0]),
+                Err(e) => return failed(payload, e),
             }
+            false
         }
         Request::Put {
             key,
@@ -384,39 +551,19 @@ fn execute_into(shared: &Shared, request: Request, payload: &mut Vec<u8>) {
             durable,
         } => {
             c.puts.fetch_add(1, Ordering::Relaxed);
-            // PROTOCOL.md §5.2: a durable PUT acks only after the commit covering
-            // it; concurrent callers batch into one superblock flip through the KV
-            // layer's group-commit window.
-            let res = kv
-                .put(&key, &value)
-                .and_then(|()| if durable { kv.flush() } else { Ok(()) });
-            match res {
+            match kv.put(&key, &value) {
                 Ok(()) => payload.push(STATUS_OK),
-                Err(e) => {
-                    c.store_errors.fetch_add(1, Ordering::Relaxed);
-                    payload.push(status_of_store(&e));
-                }
+                Err(e) => return failed(payload, e),
             }
+            durable
         }
         Request::Delete { key, durable } => {
             c.deletes.fetch_add(1, Ordering::Relaxed);
-            let res = kv.delete(&key).and_then(|existed| {
-                if durable {
-                    kv.flush().map(|()| existed)
-                } else {
-                    Ok(existed)
-                }
-            });
-            match res {
-                Ok(existed) => {
-                    payload.push(STATUS_OK);
-                    payload.push(u8::from(existed));
-                }
-                Err(e) => {
-                    c.store_errors.fetch_add(1, Ordering::Relaxed);
-                    payload.push(status_of_store(&e));
-                }
+            match kv.delete(&key) {
+                Ok(existed) => payload.extend_from_slice(&[STATUS_OK, u8::from(existed)]),
+                Err(e) => return failed(payload, e),
             }
+            durable
         }
         Request::Scan {
             start,
@@ -424,61 +571,49 @@ fn execute_into(shared: &Shared, request: Request, payload: &mut Vec<u8>) {
             max_items,
         } => {
             c.scans.fetch_add(1, Ordering::Relaxed);
-            match kv.range(&start, &end) {
-                Ok(items) => {
-                    // Cap by the client's max_items, the server's max_scan_items,
-                    // and the frame-size budget (PROTOCOL.md §5.4).
-                    let cap = if max_items == 0 {
-                        shared.config.max_scan_items
-                    } else {
-                        max_items.min(shared.config.max_scan_items)
-                    } as usize;
-                    let byte_budget = shared.config.max_frame_bytes as usize
-                        - protocol::MIN_FRAME_LEN as usize
-                        - 64;
-                    payload.push(STATUS_OK);
-                    let count_at = payload.len();
-                    payload.extend_from_slice(&0u32.to_le_bytes());
-                    let mut emitted = 0u32;
-                    let mut truncated = false;
-                    for (k, v) in &items {
-                        if emitted as usize >= cap {
-                            truncated = true;
-                            break;
-                        }
-                        if payload.len() + k.len() + v.len() + 8 > byte_budget {
-                            truncated = true;
-                            break;
-                        }
-                        payload.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                        payload.extend_from_slice(k);
-                        payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                        payload.extend_from_slice(v);
-                        emitted += 1;
-                    }
-                    payload[count_at..count_at + 4].copy_from_slice(&emitted.to_le_bytes());
-                    payload.push(u8::from(truncated));
+            let items = match kv.range(&start, &end) {
+                Ok(items) => items,
+                Err(e) => return failed(payload, e),
+            };
+            // Cap by the client's max_items, the server's max_scan_items,
+            // and the frame-size budget (PROTOCOL.md §5.4).
+            let cap = if max_items == 0 {
+                shared.config.max_scan_items
+            } else {
+                max_items.min(shared.config.max_scan_items)
+            } as usize;
+            let byte_budget =
+                shared.config.max_frame_bytes as usize - protocol::MIN_FRAME_LEN as usize - 64;
+            payload.push(STATUS_OK);
+            let count_at = payload.len();
+            payload.extend_from_slice(&0u32.to_le_bytes());
+            let mut emitted = 0u32;
+            let mut truncated = false;
+            for (k, v) in &items {
+                if emitted as usize >= cap || payload.len() + k.len() + v.len() + 8 > byte_budget {
+                    truncated = true;
+                    break;
                 }
-                Err(e) => {
-                    c.store_errors.fetch_add(1, Ordering::Relaxed);
-                    payload.push(status_of_store(&e));
-                }
+                payload.extend_from_slice(&(k.len() as u32).to_le_bytes());
+                payload.extend_from_slice(k);
+                payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                payload.extend_from_slice(v);
+                emitted += 1;
             }
+            payload[count_at..count_at + 4].copy_from_slice(&emitted.to_le_bytes());
+            payload.push(u8::from(truncated));
+            false
         }
         Request::Flush => {
+            // Rides the next flip like a durable write with nothing to apply.
             c.flushes.fetch_add(1, Ordering::Relaxed);
-            match kv.flush() {
-                Ok(()) => payload.push(STATUS_OK),
-                Err(e) => {
-                    c.store_errors.fetch_add(1, Ordering::Relaxed);
-                    payload.push(status_of_store(&e));
-                }
-            }
+            payload.push(STATUS_OK);
+            true
         }
         Request::Stats => {
             c.stats_calls.fetch_add(1, Ordering::Relaxed);
-            let json = stats_json(shared);
-            Response::Stats(json).encode_payload(payload);
+            Response::Stats(stats_json(shared)).encode_payload(payload);
+            false
         }
     }
 }
@@ -494,7 +629,7 @@ struct StatsDoc {
 
 #[derive(Serialize)]
 struct ServerSection {
-    threads: usize,
+    connections_open: usize,
     connections_accepted: u64,
     connections_closed: u64,
     gets: u64,
@@ -550,7 +685,7 @@ fn stats_json(shared: &Shared) -> String {
     let flushes = c.socket_flushes.load(Ordering::Relaxed);
     let doc = StatsDoc {
         server: ServerSection {
-            threads: shared.executor.threads(),
+            connections_open: shared.conns.lock().open.len(),
             connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
             connections_closed: c.connections_closed.load(Ordering::Relaxed),
             gets: c.gets.load(Ordering::Relaxed),
@@ -599,4 +734,34 @@ fn stats_json(shared: &Shared) -> String {
         },
     };
     serde_json::to_string(&doc).unwrap_or_else(|_| "{}".into())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// With a group-commit window every failed flip arrives wrapped; the status must
+    /// be that of the source, wrapped or bare.
+    #[test]
+    fn store_errors_map_through_the_group_commit_wrapper() {
+        let full = || Error::OutOfSpace {
+            free_segments: 0,
+            needed: 1,
+        };
+        let too_large = || Error::PageTooLarge {
+            page: 1,
+            size: 2,
+            max: 1,
+        };
+        let io = || Error::Io(io::Error::other("device gone"));
+        for (source, status) in [
+            (full as fn() -> Error, ERR_STORE_FULL),
+            (too_large, ERR_VALUE_TOO_LARGE),
+            (io, ERR_SERVER),
+        ] {
+            assert_eq!(status_of_store(&source()), status);
+            let wrapped = Error::GroupCommitFailed(Arc::new(source()));
+            assert_eq!(status_of_store(&wrapped), status);
+        }
+    }
 }

@@ -217,3 +217,45 @@ fn riders_observe_the_leaders_failure() {
     );
     assert!(reopened.get(b"u0000").unwrap().is_none());
 }
+
+/// `flush_with` runs its hook exactly once and strictly before the flip that the call
+/// returns from — with no window, as leader (at generation close) and as rider (on
+/// joining): in every role the hook still sees the pre-flip commit count.
+#[test]
+fn flush_with_runs_its_hook_once_before_the_flip() {
+    for window_us in [0, 1_000] {
+        let kv = open_with_window(window_us);
+        kv.put(b"k", b"v").unwrap();
+        let before = kv.stats().superblock_commits;
+        let mut seen = Vec::new();
+        kv.flush_with(|| seen.push(kv.stats().superblock_commits))
+            .unwrap();
+        assert_eq!(seen, [before], "window {window_us}");
+        assert_eq!(kv.stats().superblock_commits, before + 1);
+    }
+
+    // Two callers inside one wide window: one leads, one rides, one flip.
+    let kv = open_with_window(300_000);
+    kv.put(b"k", b"v").unwrap();
+    let base = kv.stats();
+    let seen = std::sync::Mutex::new(Vec::new());
+    let call = || {
+        kv.flush_with(|| seen.lock().unwrap().push(kv.stats().superblock_commits))
+            .unwrap()
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(call);
+        while kv.stats().flush_calls == base.flush_calls {
+            std::thread::yield_now();
+        }
+        call();
+    });
+    let stats = kv.stats();
+    assert_eq!(stats.superblock_commits, base.superblock_commits + 1);
+    assert_eq!(stats.group_commit_riders, base.group_commit_riders + 1);
+    assert_eq!(
+        *seen.lock().unwrap(),
+        [base.superblock_commits; 2],
+        "a hook ran after the flip it was supposed to precede"
+    );
+}

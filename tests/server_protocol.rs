@@ -5,39 +5,57 @@
 //! connection (§3.4 unknown opcode, §5 malformed payloads), pipelined replies
 //! correlate by id (§7), and a seeded frame-mutation fuzz pass (honouring
 //! `LSS_STRESS_SEED`) checks the server survives arbitrary corruption.
+//!
+//! The second half pins the committer (§5.2, §5.5, §7): which flip may acknowledge a
+//! durable write, what a failed flip tells its riders, when buffered replies reach
+//! the socket, and what a connection costs the process once it is gone. Interleavings
+//! are forced with [`SyncControl`], a device whose `sync` can be held and failed.
 
 mod common;
 
 use common::stress_seed_or;
 use lss::btree::kv::{KvOptions, KvStore};
 use lss::client::{Client, ClientError, ClientOptions};
-use lss::core::{LogStore, StoreConfig};
+use lss::core::device::{DeviceGeometry, MemDevice, SegmentDevice};
+use lss::core::{Error, LogStore, SegmentId, StoreConfig};
 use lss::server::protocol::{
-    self, encode_frame, read_frame, write_frame, Request, Response, ERR_BAD_REQUEST,
+    self, encode_frame, read_frame, write_frame, Request, Response, ERR_BAD_REQUEST, ERR_SERVER,
     ERR_UNSUPPORTED_OPCODE, MIN_FRAME_LEN, OP_PUT, RESPONSE_BIT, STATUS_OK, VERSION,
 };
-use lss::server::{Server, ServerConfig};
+use lss::server::{Server, ServerConfig, COMMIT_INTERVAL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// An in-process server on an ephemeral port plus the shared store handle.
 fn start_server() -> (Server, Arc<KvStore>) {
-    let store = LogStore::open_in_memory(StoreConfig::small_for_tests()).unwrap();
+    let config = StoreConfig::small_for_tests();
+    let device = MemDevice::new(config.segment_bytes, config.num_segments);
+    start_server_on(Box::new(device), config, 100, ServerConfig::default())
+}
+
+fn start_server_on(
+    device: Box<dyn SegmentDevice>,
+    config: StoreConfig,
+    group_commit_window_us: u64,
+    server_config: ServerConfig,
+) -> (Server, Arc<KvStore>) {
+    let store = LogStore::open_with_device(config, device).unwrap();
     let kv = Arc::new(
         KvStore::open_with(
             store,
             KvOptions {
-                group_commit_window_us: 100,
+                group_commit_window_us,
                 ..KvOptions::default()
             },
         )
         .unwrap(),
     );
-    let server = Server::start(Arc::clone(&kv), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server = Server::start(Arc::clone(&kv), "127.0.0.1:0", server_config).unwrap();
     (server, kv)
 }
 
@@ -199,8 +217,9 @@ fn malformed_payload_replies_and_connection_survives() {
 fn pipelined_replies_correlate_by_id() {
     let (server, kv) = start_server();
     let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
-    // §7: replies come back in *completion* order (the executor runs requests on
-    // several workers), so the only valid way to pair them is the correlation id.
+    // §7: replies come back in *completion* order (a durable ack waits for its flip
+    // while later requests are answered at once), so the only valid way to pair them
+    // is the correlation id.
     // Batch 1: a pipelined window of PUTs.
     let mut put_corrs = std::collections::HashSet::new();
     for i in 0..64u32 {
@@ -345,4 +364,461 @@ fn shutdown_mid_request_unblocks_clients() {
             "acked write lost across shutdown"
         );
     }
+}
+
+// ---------------------------------------------------------------------------------
+// The committer.
+// ---------------------------------------------------------------------------------
+
+#[derive(Default)]
+struct SyncState {
+    holding: bool,
+    failing: bool,
+    /// Syncs that have reached the gate since the device was created.
+    arrived: usize,
+}
+
+/// A `MemDevice` whose `sync` — the barrier of a flip — can be held at a gate and
+/// made to fail after it. Writes always land.
+#[derive(Clone)]
+struct SyncControl {
+    inner: Arc<MemDevice>,
+    state: Arc<(Mutex<SyncState>, Condvar)>,
+}
+
+impl SyncControl {
+    fn new(config: &StoreConfig) -> Self {
+        Self {
+            inner: Arc::new(MemDevice::new(config.segment_bytes, config.num_segments)),
+            state: Arc::default(),
+        }
+    }
+
+    fn set(&self, change: impl FnOnce(&mut SyncState)) {
+        change(&mut self.state.0.lock().unwrap());
+        self.state.1.notify_all();
+    }
+
+    /// Block until the `nth` sync (1-based, counted from creation) is at the gate.
+    fn wait_for_sync(&self, nth: usize) {
+        let mut state = self.state.0.lock().unwrap();
+        while state.arrived < nth {
+            state = self.state.1.wait(state).unwrap();
+        }
+    }
+}
+
+/// A test that fails while the gate is closed must not hang in the server's drop,
+/// which joins a committer waiting at the gate.
+impl Drop for SyncControl {
+    fn drop(&mut self) {
+        self.set(|s| s.holding = false);
+    }
+}
+
+impl SegmentDevice for SyncControl {
+    fn geometry(&self) -> DeviceGeometry {
+        self.inner.geometry()
+    }
+    fn read_segment(&self, seg: SegmentId) -> lss::core::Result<Vec<u8>> {
+        self.inner.read_segment(seg)
+    }
+    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> lss::core::Result<()> {
+        self.inner.read_segment_into(seg, buf)
+    }
+    fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> lss::core::Result<Vec<u8>> {
+        self.inner.read_range(seg, offset, len)
+    }
+    fn write_segment(&self, seg: SegmentId, image: &[u8]) -> lss::core::Result<()> {
+        self.inner.write_segment(seg, image)
+    }
+    fn write_ranges(
+        &self,
+        seg: SegmentId,
+        image: &[u8],
+        dirty: &[Range<u32>],
+    ) -> lss::core::Result<()> {
+        self.inner.write_ranges(seg, image, dirty)
+    }
+    fn sync(&self) -> lss::core::Result<()> {
+        let mut state = self.state.0.lock().unwrap();
+        state.arrived += 1;
+        self.state.1.notify_all();
+        while state.holding {
+            state = self.state.1.wait(state).unwrap();
+        }
+        if state.failing {
+            return Err(Error::Io(std::io::Error::other("injected sync failure")));
+        }
+        drop(state);
+        self.inner.sync()
+    }
+    fn segment_writes(&self) -> u64 {
+        self.inner.segment_writes()
+    }
+}
+
+/// A server on a [`SyncControl`] device with the shipped 200 µs window.
+fn start_gated_server() -> (Server, Arc<KvStore>, SyncControl) {
+    let config = StoreConfig::small_for_tests();
+    let device = SyncControl::new(&config);
+    let (server, kv) = start_server_on(
+        Box::new(device.clone()),
+        config,
+        200,
+        ServerConfig::default(),
+    );
+    (server, kv, device)
+}
+
+fn send(stream: &mut TcpStream, corr_id: u64, request: &Request) {
+    let mut payload = Vec::new();
+    request.encode_payload(&mut payload);
+    write_frame(stream, request.opcode(), corr_id, &payload).unwrap();
+}
+
+fn recv(stream: &mut TcpStream) -> (u64, Response) {
+    let frame = read_frame(stream, protocol::MAX_FRAME_BYTES)
+        .unwrap()
+        .expect("reply expected");
+    let response = Response::decode(frame.opcode, &frame.payload).unwrap();
+    (frame.corr_id, response)
+}
+
+fn durable_put(key: &str) -> Request {
+    Request::Put {
+        key: key.as_bytes().to_vec(),
+        value: b"v".to_vec(),
+        durable: true,
+    }
+}
+
+/// A GET pipelined behind the connection's earlier requests and awaited: requests of
+/// one connection are applied in order (§7), so once it is answered every durable
+/// request sent before it has been applied and parked.
+fn fence(stream: &mut TcpStream, corr_id: u64) {
+    send(
+        stream,
+        corr_id,
+        &Request::Get {
+            key: b"absent".to_vec(),
+        },
+    );
+    assert_eq!(recv(stream), (corr_id, Response::Get(None)));
+}
+
+/// One numeric field of the STATS document, by its (unique) name.
+fn stat(json: &str, name: &str) -> u64 {
+    let at = json.find(&format!("\"{name}\":")).expect(name) + name.len() + 3;
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect(name)
+}
+
+/// §5.2: durable writes in flight together share flips — counted, not timed.
+#[test]
+fn concurrent_durable_puts_share_flips() {
+    const CONNS: u32 = 4;
+    const DEPTH: u32 = 8;
+    const ROUNDS: u32 = 8;
+    let config = StoreConfig::small_for_tests();
+    let device = MemDevice::new(config.segment_bytes, config.num_segments);
+    // A window wide enough that a whole pipelined batch is parked inside it.
+    let (server, kv) = start_server_on(Box::new(device), config, 2_000, ServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let before = kv.stats().superblock_commits;
+    std::thread::scope(|scope| {
+        for conn in 0..CONNS {
+            let addr = &addr;
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for round in 0..ROUNDS {
+                    for i in 0..DEPTH {
+                        client
+                            .send(&durable_put(&format!("c{conn}:{round}:{i}")))
+                            .unwrap();
+                    }
+                    for (corr, reply) in client.drain().unwrap() {
+                        assert_eq!(reply, Response::Put, "corr {corr}");
+                    }
+                }
+            });
+        }
+    });
+    let ops = u64::from(CONNS * DEPTH * ROUNDS);
+    let flips = kv.stats().superblock_commits - before;
+    assert!(
+        flips <= ops / 4,
+        "{ops} durable PUTs at {CONNS} x depth {DEPTH} took {flips} flips"
+    );
+    assert_eq!(kv.len() as u64, ops);
+    server.shutdown();
+}
+
+/// §5.2: flips start at least one commit interval apart, however fast the device,
+/// and never less often than the requests need — a lower bound on time and a count,
+/// no upper bound on either clock.
+#[test]
+fn flips_are_spaced_by_the_commit_interval() {
+    const PUTS: u32 = 8;
+    let (server, kv) = start_server();
+    let mut stream = raw_conn(&server);
+    let before = kv.stats().superblock_commits;
+    let start = std::time::Instant::now();
+    for i in 0..PUTS {
+        send(&mut stream, u64::from(i), &durable_put(&format!("k{i}")));
+        assert_eq!(recv(&mut stream), (u64::from(i), Response::Put));
+    }
+    // One at a time, each PUT needs a flip of its own; the first may start at once.
+    assert_eq!(kv.stats().superblock_commits - before, u64::from(PUTS));
+    let least = COMMIT_INTERVAL * (PUTS - 1);
+    assert!(
+        start.elapsed() >= least,
+        "{PUTS} flips in {:?}, less than {least:?}",
+        start.elapsed()
+    );
+    server.shutdown();
+}
+
+/// §5.2 / §5.5: a request parked while a flip is under way is not covered by that
+/// flip — its ack waits for a second superblock commit. (A mutation sent during a
+/// flip is not even applied until the flip ends: the checkpoint holds the tree.)
+#[test]
+fn a_request_parked_during_a_flip_waits_for_the_next_one() {
+    let (server, kv, device) = start_gated_server();
+    let mut stream = raw_conn(&server);
+    let before = kv.stats().superblock_commits;
+    device.set(|s| s.holding = true);
+    send(&mut stream, 1, &durable_put("first"));
+    device.wait_for_sync(1); // flip 1 is at its first barrier: its riders are cut
+    send(&mut stream, 2, &Request::Flush);
+    fence(&mut stream, 3); // answered at once, ahead of both acks (§7)
+    send(&mut stream, 4, &durable_put("second"));
+    assert_eq!(kv.stats().superblock_commits, before);
+    device.set(|s| s.holding = false);
+    assert_eq!(recv(&mut stream), (1, Response::Put));
+    assert_eq!(recv(&mut stream), (2, Response::Flush));
+    let flips = kv.stats().superblock_commits - before;
+    assert!(
+        flips >= 2,
+        "a FLUSH parked during flip 1 was acknowledged by it ({flips} flips)"
+    );
+    assert_eq!(recv(&mut stream), (4, Response::Put));
+    let flips = kv.stats().superblock_commits - before;
+    assert!((2..=3).contains(&flips), "{flips} flips for three riders");
+    assert_eq!(kv.get(b"second").unwrap().as_deref(), Some(&b"v"[..]));
+    server.shutdown();
+}
+
+/// §5.2 / §6: a failed flip fails every rider of its generation with the mapped
+/// status, exactly once each, and the generation after the device heals succeeds.
+#[test]
+fn a_failed_flip_fails_every_rider_and_the_next_generation_recovers() {
+    let (server, _kv, device) = start_gated_server();
+    let mut a = raw_conn(&server);
+    let mut b = raw_conn(&server);
+    device.set(|s| s.failing = true);
+    // Seven riders from two connections and all three durable opcodes.
+    for corr in [1, 2] {
+        send(&mut a, corr, &durable_put(&format!("a{corr}")));
+    }
+    send(&mut a, 3, &Request::Flush);
+    send(&mut a, 4, &durable_put("a4"));
+    send(&mut b, 11, &durable_put("b1"));
+    let delete = Request::Delete {
+        key: b"b1".to_vec(),
+        durable: true,
+    };
+    send(&mut b, 12, &delete);
+    send(&mut b, 13, &Request::Flush);
+    let failed = Response::Err { status: ERR_SERVER };
+    for corr in [1, 2, 3, 4] {
+        assert_eq!(recv(&mut a), (corr, failed.clone()));
+    }
+    for corr in [11, 12, 13] {
+        assert_eq!(recv(&mut b), (corr, failed.clone()));
+    }
+    device.set(|s| s.failing = false);
+    // Nothing is stranded or acknowledged twice: the next frame on each connection
+    // is the reply to the next request.
+    send(&mut a, 5, &durable_put("healed"));
+    assert_eq!(recv(&mut a), (5, Response::Put));
+    send(&mut b, 14, &Request::Flush);
+    assert_eq!(recv(&mut b), (14, Response::Flush));
+    let stats = Client::connect(&server.local_addr().to_string())
+        .unwrap()
+        .stats()
+        .unwrap();
+    assert_eq!(stat(&stats, "store_errors"), 7, "{stats}");
+    server.shutdown();
+}
+
+/// §8: shutdown does not run a flip on behalf of parked riders, sends them no `OK`,
+/// and joins the committer.
+#[test]
+fn shutdown_abandons_parked_riders() {
+    let (server, kv, device) = start_gated_server();
+    let mut stream = raw_conn(&server);
+    let before = kv.stats().superblock_commits;
+    device.set(|s| s.holding = true);
+    send(&mut stream, 1, &durable_put("in-flip"));
+    device.wait_for_sync(1);
+    for corr in 2..6 {
+        send(&mut stream, corr, &Request::Flush);
+    }
+    fence(&mut stream, 6); // the four FLUSHes are parked behind the held flip
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        server
+    });
+    // Shutdown closes the socket before it waits for the committer, which is still
+    // held inside flip 1: the connection ends with no further frame.
+    match read_frame(&mut stream, protocol::MAX_FRAME_BYTES) {
+        Ok(None) | Err(_) => {}
+        Ok(Some(frame)) => panic!("corr {} acknowledged across shutdown", frame.corr_id),
+    }
+    device.set(|s| s.holding = false);
+    drop(stopper.join().unwrap());
+    assert_eq!(
+        kv.stats().superblock_commits,
+        before + 1,
+        "shutdown ran a flip for riders it was abandoning"
+    );
+}
+
+/// §7: replies are pushed to the socket before the connection's thread blocks for
+/// more input, even mid-frame; and requests of one connection are applied in order.
+#[test]
+fn replies_are_flushed_before_the_reader_blocks() {
+    let (server, _kv) = start_server();
+    let mut stream = raw_conn(&server);
+    let frame_of = |corr_id: u64, request: &Request| {
+        let (mut frame, mut payload) = (Vec::new(), Vec::new());
+        request.encode_payload(&mut payload);
+        encode_frame(&mut frame, request.opcode(), corr_id, &payload);
+        frame
+    };
+    let put = |value: &[u8]| Request::Put {
+        key: b"k".to_vec(),
+        value: value.to_vec(),
+        durable: false,
+    };
+    let get = Request::Get { key: b"k".to_vec() };
+    // One whole request plus half of the next, then silence.
+    let second = frame_of(2, &get);
+    let mut bytes = frame_of(1, &put(b"old"));
+    bytes.extend_from_slice(&second[..second.len() / 2]);
+    stream.write_all(&bytes).unwrap();
+    assert_eq!(recv(&mut stream), (1, Response::Put));
+    stream.write_all(&second[second.len() / 2..]).unwrap();
+    assert_eq!(recv(&mut stream), (2, Response::Get(Some(b"old".to_vec()))));
+    // A NO_FLUSH PUT and a GET of its key in one segment: the GET sees the PUT.
+    let mut bytes = frame_of(3, &put(b"new"));
+    bytes.extend_from_slice(&frame_of(4, &get));
+    stream.write_all(&bytes).unwrap();
+    assert_eq!(recv(&mut stream), (3, Response::Put));
+    assert_eq!(recv(&mut stream), (4, Response::Get(Some(b"new".to_vec()))));
+    server.shutdown();
+}
+
+/// A peer that pipelines GETs and never reads a reply stalls only its own thread —
+/// the server stops reading from it once the socket buffers are full, so nothing
+/// queues in memory — and is dropped after `write_timeout`. Other connections are
+/// served throughout.
+#[test]
+fn a_peer_that_never_reads_blocks_only_itself() {
+    let mut config = StoreConfig::small_for_tests();
+    config.segment_bytes = 64 << 10;
+    let device = MemDevice::new(config.segment_bytes, config.num_segments);
+    let server_config = ServerConfig {
+        write_timeout: Some(Duration::from_millis(300)),
+        ..ServerConfig::default()
+    };
+    let (server, kv) = start_server_on(Box::new(device), config, 100, server_config);
+    kv.put(b"big", &[0xABu8; 8 << 10]).unwrap();
+    let addr = server.local_addr().to_string();
+
+    let stalled = TcpStream::connect(&addr).unwrap();
+    stalled
+        .set_write_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let peer = std::thread::spawn(move || {
+        let mut stalled = stalled;
+        let mut burst = Vec::new();
+        let mut payload = Vec::new();
+        Request::Get {
+            key: b"big".to_vec(),
+        }
+        .encode_payload(&mut payload);
+        for corr in 0..64 {
+            encode_frame(&mut burst, protocol::OP_GET, corr, &payload);
+        }
+        // Send until the server drops the connection (or the safety timeout).
+        let mut sent = 0u64;
+        while stalled.write_all(&burst).is_ok() {
+            sent += 64;
+        }
+        sent
+    });
+    let mut observer = Client::connect(&addr).unwrap();
+    let mut served = 0u64;
+    while !peer.is_finished() {
+        assert_eq!(
+            observer.get(b"big").unwrap().map(|v| v.len()),
+            Some(8 << 10)
+        );
+        served += 1;
+    }
+    let sent = peer.join().unwrap();
+    assert!(served > 0);
+    let stats = observer.stats().unwrap();
+    assert_eq!(stat(&stats, "write_errors"), 1, "{stats}"); // dropped, once
+    assert_eq!(stat(&stats, "connections_open"), 1, "{stats}");
+    // The stalled peer's requests beyond what the socket buffers hold were never
+    // read, let alone executed.
+    let executed = kv.stats().gets - served;
+    assert!(
+        executed < sent,
+        "the server read all {sent} requests of a peer that was not reading"
+    );
+    server.shutdown();
+}
+
+/// A closed connection gives its descriptors and its thread back at once; at the
+/// parent commit every connection ever accepted kept two descriptors until shutdown.
+#[test]
+fn closed_connections_release_their_descriptors() {
+    const CYCLES: u64 = 300;
+    let open_fds = || std::fs::read_dir("/proc/self/fd").map(|dir| dir.count());
+    let (server, _kv) = start_server();
+    let addr = server.local_addr().to_string();
+    let mut observer = Client::connect(&addr).unwrap();
+    let before = open_fds();
+    for i in 0..CYCLES {
+        let mut stream = raw_conn(&server);
+        roundtrip_put(&mut stream, i);
+    }
+    // A connection is reaped by its own thread, a moment after the peer's close.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let stats = observer.stats().unwrap();
+        if stat(&stats, "connections_open") == 1 || std::time::Instant::now() > deadline {
+            break stats;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(stat(&stats, "connections_open"), 1, "{stats}");
+    assert_eq!(stat(&stats, "connections_accepted"), CYCLES + 1);
+    assert_eq!(stat(&stats, "connections_closed"), CYCLES);
+    // Other tests of this binary open sockets of their own meanwhile, hence the
+    // slack; the leak was two descriptors per cycle.
+    if let (Ok(before), Ok(after)) = (before, open_fds()) {
+        assert!(
+            after < before + CYCLES as usize / 2,
+            "{before} descriptors before {CYCLES} connections, {after} after"
+        );
+    }
+    server.shutdown();
 }
