@@ -18,7 +18,7 @@
 //!   tripping on scheduler noise.
 //!
 //! The two JSON trees are walked in parallel: identity fields (`threads`,
-//! `cleaner_threads`, `format`, `mode`, `phase`, `benchmark`, `policy`) must match so
+//! `cleaner_threads`, `mode`, `phase`, `benchmark`, `policy`) must match so
 //! metrics are never compared across misaligned rows, result arrays must keep their
 //! length, and a metric present in the baseline may not disappear. Fields *added* by
 //! a newer bench schema pass freely — the gate compares against what the baseline
@@ -36,7 +36,6 @@ use serde::Value;
 const IDENTITY_KEYS: &[&str] = &[
     "benchmark",
     "policy",
-    "format",
     "mode",
     "phase",
     "threads",

@@ -1,6 +1,5 @@
 //! Cleaner scaling benchmark: reclaim throughput and foreground interference at
-//! 1/2/4 concurrent cleaning cycles (`cleaner_threads`), plus an adaptive-vs-fixed
-//! A/B under a ramping load.
+//! 1/2/4 concurrent cleaning cycles (`cleaner_threads`).
 //!
 //! Two phases per thread count:
 //!
@@ -14,14 +13,7 @@
 //!   must hold up (compare BENCH_concurrency.json's put scaling) while the pool keeps
 //!   up with the garbage.
 //!
-//! Then the **ramp** scenario drives write pressure up and down
-//! (burst → idle → burst → idle) against three cleaner configurations — static 1,
-//! static 4, and `CleanerMode::Adaptive` between those bounds — recording foreground
-//! throughput, cycles started and the controller's concurrency-vs-time per phase: the
-//! adaptive pool should match the best static setting during bursts while starting
-//! measurably fewer cycles than static-max when idle.
-//!
-//! Finally the **skew** phases replay Zipfian-0.99 and hot-cold 90:10 overwrite
+//! Then the **skew** phases replay Zipfian-0.99 and hot-cold 90:10 overwrite
 //! workloads with the GC output split into temperature classes
 //! (`gc_temperature_classes` 1 vs 2 vs 4), reporting write amplification and the
 //! per-class relocation/misprediction counters. An autotune recommendation
@@ -39,12 +31,12 @@
 use lss_bench::{load_autotune_recommendation, stress_seed_or, GcTuning, Scale};
 use lss_core::device::{DeviceGeometry, MemDevice, SegmentDevice};
 use lss_core::policy::PolicyKind;
-use lss_core::{CleanerMode, LogStore, Result, SegmentId, SharedLogStore, StoreConfig};
+use lss_core::{LogStore, Result, SegmentId, SharedLogStore, StoreConfig};
 use lss_workload::{HotColdWorkload, PageWorkload, ZipfianWorkload};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One measured point: cleaner behaviour at a given pool size.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -62,35 +54,6 @@ struct CleanerPoint {
     interference_write_amplification: f64,
     /// Cleaning cycles the pool ran during the interference phase.
     interference_cleaning_cycles: u64,
-}
-
-/// One phase of the ramp scenario, for one cleaner configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct RampPhase {
-    /// `burst-1` / `idle-1` / `burst-2` / `idle-2`.
-    phase: String,
-    seconds: f64,
-    /// Foreground throughput during burst phases; 0 for idle phases.
-    puts_per_sec: f64,
-    /// Cleaning cycles *started* during the phase (empty cycles included — this is
-    /// the idle-CPU metric: a parked adaptive pool starts almost none).
-    cycles_started: u64,
-    /// Victims processed during the phase (reclaim throughput context).
-    segments_cleaned: u64,
-    /// Mean of the concurrency target sampled every few ms over the phase
-    /// (constant `cleaner_threads` for the fixed configurations).
-    mean_target: f64,
-    /// Largest sampled target.
-    max_target: u64,
-}
-
-/// The ramp scenario for one cleaner configuration (concurrency-vs-time under a
-/// square-wave load).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct RampPoint {
-    /// `fixed-1`, `fixed-4` or `adaptive-1-4`.
-    mode: String,
-    phases: Vec<RampPhase>,
 }
 
 /// One skewed-workload measurement at a given temperature-class configuration.
@@ -145,8 +108,6 @@ struct CleanerReport {
     foreground_threads: usize,
     ops_per_thread: u64,
     results: Vec<CleanerPoint>,
-    /// Adaptive-vs-fixed A/B under the ramping (burst/idle) load.
-    ramp: Vec<RampPoint>,
     /// Skewed-workload W_amp at 1/2/4 temperature classes (plus autotuned, if given).
     skew: Vec<SkewPoint>,
     /// Reopen latency: checkpoint-journal replay vs raw full-device scan.
@@ -367,110 +328,6 @@ fn measure_skew(kind: &str, tuning: &GcTuning, scale: Scale, seed: u64) -> SkewP
     }
 }
 
-/// Sample the store's published cycle target every few milliseconds while `f` runs,
-/// returning `(result of f, mean target, max target)`.
-fn with_target_sampler<R>(store: &SharedLogStore, f: impl FnOnce() -> R) -> (R, f64, u64) {
-    let stop = Arc::new(AtomicBool::new(false));
-    let sampler = {
-        let store = store.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let (mut sum, mut n, mut max) = (0u64, 0u64, 0u64);
-            while !stop.load(Ordering::Relaxed) {
-                let t = store.with_store(|s| s.gc_target_cycles()) as u64;
-                sum += t;
-                n += 1;
-                max = max.max(t);
-                std::thread::sleep(Duration::from_millis(3));
-            }
-            (sum, n, max)
-        })
-    };
-    let out = f();
-    stop.store(true, Ordering::Relaxed);
-    let (sum, n, max) = sampler.join().unwrap();
-    (out, sum as f64 / n.max(1) as f64, max)
-}
-
-/// The ramp scenario: burst → idle → burst → idle against one cleaner
-/// configuration, recording per-phase foreground throughput, cycles started and the
-/// sampled concurrency target.
-fn measure_ramp(label: &str, mode: CleanerMode, threads: usize, scale: Scale) -> RampPoint {
-    let mut config = store_config(scale, threads);
-    config.cleaner_mode = mode;
-    let payload = vec![0xA5u8; config.page_bytes];
-    let store = SharedLogStore::new(LogStore::open_in_memory(config.clone()).unwrap());
-    let pages = checkerboard(&store, &config, &payload);
-    store.with_store(|s| s.reset_stats());
-
-    let burst_ops = ops_per_thread(scale) / 2;
-    // The "idle" phase is a single-writer trickle that dips the free pool *just*
-    // below the cleaning trigger a few times and then backs off: the lightest load
-    // that still kicks the pools. A static-max pool answers every kick by waking all
-    // of its threads (each starting a cycle); a narrowed adaptive pool answers with
-    // one or two — the *cycles started while nearly idle* are the idle-CPU metric.
-    let trickle_dips = 6u32;
-    let mut phases = Vec::new();
-    for round in 1..=2u32 {
-        for (name, burst) in [
-            (format!("burst-{round}"), true),
-            (format!("idle-{round}"), false),
-        ] {
-            let before = store.stats();
-            let start = Instant::now();
-            let (puts, mean_target, max_target) = with_target_sampler(&store, || {
-                if !burst {
-                    let trigger = config.cleaning.trigger_free_segments;
-                    let mut i = 0u64;
-                    for _ in 0..trickle_dips {
-                        while store.with_store(|s| s.free_segments()) >= trigger {
-                            let page = mix(0xFEED_0000 + i) % pages;
-                            store.put(page, &payload).unwrap();
-                            i += 1;
-                            if i.is_multiple_of(16) {
-                                std::thread::sleep(Duration::from_micros(100));
-                            }
-                        }
-                        std::thread::sleep(Duration::from_millis(40));
-                    }
-                    return 0u64;
-                }
-                let total = Arc::new(AtomicU64::new(0));
-                std::thread::scope(|scope| {
-                    for t in 0..FOREGROUND_THREADS {
-                        let store = store.clone();
-                        let payload = &payload;
-                        let total = Arc::clone(&total);
-                        scope.spawn(move || {
-                            for i in 0..burst_ops {
-                                let page = mix(t as u64 * burst_ops + i) % pages;
-                                store.put(page, payload).unwrap();
-                            }
-                            total.fetch_add(burst_ops, Ordering::Relaxed);
-                        });
-                    }
-                });
-                total.load(Ordering::Relaxed)
-            });
-            let seconds = start.elapsed().as_secs_f64();
-            let after = store.stats();
-            phases.push(RampPhase {
-                phase: name,
-                seconds,
-                puts_per_sec: if burst { puts as f64 / seconds } else { 0.0 },
-                cycles_started: after.cleaning_cycles - before.cleaning_cycles,
-                segments_cleaned: after.segments_cleaned - before.segments_cleaned,
-                mean_target,
-                max_target,
-            });
-        }
-    }
-    RampPoint {
-        mode: label.to_string(),
-        phases,
-    }
-}
-
 /// Cloneable handle over one `MemDevice`, so the same churned image can be
 /// reopened twice (journal replay, then raw scan) after the store is dropped.
 #[derive(Clone)]
@@ -609,36 +466,6 @@ fn main() {
         });
     }
 
-    println!(
-        "\nramp scenario (burst/idle square wave, {} ops/thread per burst):",
-        ops_per_thread(scale) / 2
-    );
-    println!(
-        "{:>14} {:>8} {:>14} {:>10} {:>10} {:>12} {:>10}",
-        "mode", "phase", "fg puts/s", "cycles", "segments", "mean tgt", "max tgt"
-    );
-    let mut ramp = Vec::new();
-    for (label, mode, threads) in [
-        ("fixed-1", CleanerMode::Fixed, 1usize),
-        ("fixed-4", CleanerMode::Fixed, 4),
-        ("adaptive-1-4", CleanerMode::adaptive(1, 4), 4),
-    ] {
-        let point = measure_ramp(label, mode, threads, scale);
-        for p in &point.phases {
-            println!(
-                "{:>14} {:>8} {:>14.0} {:>10} {:>10} {:>12.2} {:>10}",
-                point.mode,
-                p.phase,
-                p.puts_per_sec,
-                p.cycles_started,
-                p.segments_cleaned,
-                p.mean_target,
-                p.max_target
-            );
-        }
-        ramp.push(point);
-    }
-
     let seed = stress_seed_or(0x5EED_C0DE);
     println!("\nskew phases (8 writers, fill {SKEW_FILL}, seed {seed:#x}):");
     println!(
@@ -711,7 +538,6 @@ fn main() {
         foreground_threads: FOREGROUND_THREADS,
         ops_per_thread: ops_per_thread(scale),
         results,
-        ramp,
         skew,
         recovery,
     };

@@ -1,15 +1,13 @@
-//! KV-layer benchmark: multi-threaded ops/s and **index write amplification** for the
-//! paged B+-tree index vs the legacy JSON index, at 1/2/4/8 threads.
+//! KV-layer benchmark: multi-threaded ops/s and **index write amplification** of the
+//! paged B+-tree index at 1/2/4/8 threads.
 //!
 //! Each measured point preloads a key population, then runs a mixed workload
 //! (50% get / 40% put / 10% delete+reinsert) from N threads on disjoint key ranges,
 //! committing the index every `ops/8` operations per thread 0 — the checkpoint cadence
-//! is what exposes the index formats' very different persistence costs: the paged
-//! index writes only dirty tree pages (plus their root path), the JSON format rewrites
-//! every chunk on every flush.
+//! is what exposes the index's persistence cost: a commit writes only the dirty tree
+//! pages (plus their root path).
 //!
 //! Environment:
-//! * `LSS_KV_INDEX=paged|json` restricts the run to one format (default: both);
 //! * `LSS_WRITE_STREAMS` overrides the store's write-stream count (default 8);
 //! * `LSS_KV_GROUP_COMMIT_US` sets the paged store's group-commit window in
 //!   microseconds (default 0 = per-call commit).
@@ -18,8 +16,7 @@
 //! `cargo run --release -p lss-bench --bin kv [--quick|--full]`
 
 use lss_bench::Scale;
-use lss_btree::kv::{KvOptions, KvStats, KvStore};
-use lss_btree::LegacyJsonKvStore;
+use lss_btree::kv::{KvOptions, KvStore};
 use lss_core::policy::PolicyKind;
 use lss_core::util::mix64 as mix;
 use lss_core::{LogStore, StoreConfig};
@@ -27,11 +24,9 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// One measured point: a format at a thread count.
+/// One measured point: a thread count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct KvPoint {
-    /// `"paged"` or `"json"`.
-    format: String,
     threads: usize,
     /// Mixed workload (50% get / 40% put / 10% delete+reinsert, with periodic
     /// commits) throughput.
@@ -44,22 +39,22 @@ struct KvPoint {
     index_pages_written: u64,
     index_bytes_written: u64,
     value_bytes_written: u64,
-    /// Index commits (superblock flips / JSON index flushes) during the run.
+    /// Index commits (superblock flips) during the run.
     index_commits: u64,
-    /// Buffer-pool hit ratio for the paged index (0 for JSON — it has no pool).
+    /// Buffer-pool hit ratio of the index pages.
     pool_hit_ratio: f64,
     /// Store-level write amplification (GC pages per user page) during the run.
     store_write_amplification: f64,
-    /// Optimistic-read restarts in the index tree during the run (0 for JSON).
+    /// Optimistic-read restarts in the index tree during the run.
     index_read_restarts: u64,
-    /// Writer restarts (failed validations/locks) in the index tree (0 for JSON).
+    /// Writer restarts (failed validations/locks) in the index tree.
     index_write_restarts: u64,
-    /// Mean version locks per index mutation (crab depth; 0 for JSON).
+    /// Mean version locks per index mutation (crab depth).
     index_avg_crab_depth: f64,
     /// Mean flush calls absorbed per superblock flip (group-commit batch size;
-    /// 1.0 = no batching, 0 for JSON).
+    /// 1.0 = no batching).
     commit_batch: f64,
-    /// Flush calls that rode another caller's group-commit flip (0 for JSON).
+    /// Flush calls that rode another caller's group-commit flip.
     group_commit_riders: u64,
 }
 
@@ -76,57 +71,6 @@ struct KvReport {
     value_bytes: usize,
     ops_per_thread: u64,
     results: Vec<KvPoint>,
-}
-
-/// Either index format behind one face, so the workload driver is shared.
-enum AnyKv {
-    Paged(Box<KvStore>),
-    Json(LegacyJsonKvStore),
-}
-
-impl AnyKv {
-    fn put(&self, k: &[u8], v: &[u8]) -> lss_core::Result<()> {
-        match self {
-            AnyKv::Paged(kv) => kv.put(k, v),
-            AnyKv::Json(kv) => kv.put(k, v),
-        }
-    }
-    fn get(&self, k: &[u8]) -> lss_core::Result<Option<bytes::Bytes>> {
-        match self {
-            AnyKv::Paged(kv) => kv.get(k),
-            AnyKv::Json(kv) => kv.get(k),
-        }
-    }
-    fn delete(&self, k: &[u8]) -> lss_core::Result<bool> {
-        match self {
-            AnyKv::Paged(kv) => kv.delete(k),
-            AnyKv::Json(kv) => kv.delete(k),
-        }
-    }
-    fn flush(&self) -> lss_core::Result<()> {
-        match self {
-            AnyKv::Paged(kv) => kv.flush(),
-            AnyKv::Json(kv) => kv.flush(),
-        }
-    }
-    fn stats(&self) -> KvStats {
-        match self {
-            AnyKv::Paged(kv) => kv.stats(),
-            AnyKv::Json(kv) => kv.stats(),
-        }
-    }
-    fn store_stats(&self) -> lss_core::StoreStats {
-        match self {
-            AnyKv::Paged(kv) => kv.store().stats(),
-            AnyKv::Json(kv) => kv.store().stats(),
-        }
-    }
-    fn reset_store_stats(&self) {
-        match self {
-            AnyKv::Paged(kv) => kv.store().reset_stats(),
-            AnyKv::Json(kv) => kv.store().reset_stats(),
-        }
-    }
 }
 
 fn store_config(scale: Scale) -> StoreConfig {
@@ -154,8 +98,7 @@ fn ops_per_thread(scale: Scale) -> u64 {
     }
 }
 
-/// Keys per thread: sized so the index is big enough that persisting it matters (the
-/// legacy JSON format rewrites all of it on every commit).
+/// Keys per thread: sized so the index is big enough that persisting it matters.
 fn keys_per_thread(scale: Scale) -> u64 {
     match scale {
         Scale::Quick => 5_000,
@@ -170,30 +113,24 @@ fn key(t: usize, i: u64) -> Vec<u8> {
     format!("bench:t{t}:k{i:08}").into_bytes()
 }
 
-fn open(format: &str, scale: Scale) -> AnyKv {
-    let config = store_config(scale);
-    let store = LogStore::open_in_memory(config).unwrap();
-    match format {
-        "paged" => AnyKv::Paged(Box::new(
-            KvStore::open_with(
-                store,
-                KvOptions {
-                    pool_pages: 2048,
-                    tree_page_bytes: None,
-                    group_commit_window_us: std::env::var("LSS_KV_GROUP_COMMIT_US")
-                        .ok()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(0),
-                },
-            )
-            .unwrap(),
-        )),
-        _ => AnyKv::Json(LegacyJsonKvStore::new(store)),
-    }
+fn open(scale: Scale) -> KvStore {
+    let store = LogStore::open_in_memory(store_config(scale)).unwrap();
+    KvStore::open_with(
+        store,
+        KvOptions {
+            pool_pages: 2048,
+            tree_page_bytes: None,
+            group_commit_window_us: std::env::var("LSS_KV_GROUP_COMMIT_US")
+                .ok()
+                .and_then(|s| s.parse().ok())
+                .unwrap_or(0),
+        },
+    )
+    .unwrap()
 }
 
-fn measure(format: &str, threads: usize, scale: Scale) -> KvPoint {
-    let kv = open(format, scale);
+fn measure(threads: usize, scale: Scale) -> KvPoint {
+    let kv = open(scale);
     let value = vec![0xABu8; VALUE_BYTES];
     let keys = keys_per_thread(scale);
 
@@ -205,7 +142,7 @@ fn measure(format: &str, threads: usize, scale: Scale) -> KvPoint {
         }
     }
     kv.flush().unwrap();
-    kv.reset_store_stats();
+    kv.store().reset_stats();
     let base = kv.stats();
 
     let ops = ops_per_thread(scale);
@@ -220,9 +157,8 @@ fn measure(format: &str, threads: usize, scale: Scale) -> KvPoint {
             scope.spawn(move || {
                 for n in 0..ops {
                     // Hot/cold skew (the paper's workload shape): 80% of operations
-                    // hit the hottest 10% of each thread's keys. This is exactly
-                    // where a dirty-page index commit beats rewriting the index:
-                    // most tree pages stay clean across an epoch.
+                    // hit the hottest 10% of each thread's keys, so most tree
+                    // pages stay clean across an epoch.
                     let r = mix(t as u64 * ops + n);
                     let i = if r % 10 < 8 {
                         (r >> 8) % (keys / 10).max(1)
@@ -241,7 +177,7 @@ fn measure(format: &str, threads: usize, scale: Scale) -> KvPoint {
                         }
                     }
                     // Thread 0 is the checkpointer: periodic index commits are part
-                    // of the measured workload for both formats.
+                    // of the measured workload.
                     if t == 0 && n % flush_every == flush_every - 1 {
                         kv.flush().unwrap();
                     }
@@ -254,7 +190,7 @@ fn measure(format: &str, threads: usize, scale: Scale) -> KvPoint {
     kv.flush().unwrap();
 
     let stats = kv.stats();
-    let store = kv.store_stats();
+    let store = kv.store().stats();
     let index_bytes = stats.index_bytes_written - base.index_bytes_written;
     let value_bytes = stats.value_bytes_written - base.value_bytes_written;
 
@@ -277,7 +213,6 @@ fn measure(format: &str, threads: usize, scale: Scale) -> KvPoint {
     let get_elapsed = get_start.elapsed().as_secs_f64();
 
     KvPoint {
-        format: format.to_string(),
         threads,
         ops_per_sec: total.load(Ordering::Relaxed) as f64 / elapsed,
         get_ops_per_sec: get_total.load(Ordering::Relaxed) as f64 / get_elapsed,
@@ -320,11 +255,6 @@ fn measure(format: &str, threads: usize, scale: Scale) -> KvPoint {
 fn main() {
     let scale = Scale::from_args();
     let config = store_config(scale);
-    let formats: Vec<&str> = match std::env::var("LSS_KV_INDEX").as_deref() {
-        Ok("paged") => vec!["paged"],
-        Ok("json") => vec!["json"],
-        _ => vec!["paged", "json"],
-    };
     println!(
         "kv scaling: MDC, {} x {} KiB segments, {} write streams, {} keys/thread, {} ops/thread",
         config.num_segments,
@@ -334,8 +264,7 @@ fn main() {
         ops_per_thread(scale)
     );
     println!(
-        "{:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10} {:>9} {:>9} {:>6} {:>7}",
-        "format",
+        "{:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10} {:>9} {:>9} {:>6} {:>7}",
         "threads",
         "mixed ops/s",
         "gets/s",
@@ -350,26 +279,23 @@ fn main() {
     );
 
     let mut results = Vec::new();
-    for format in &formats {
-        for threads in [1usize, 2, 4, 8] {
-            let point = measure(format, threads, scale);
-            println!(
-                "{:>6} {:>8} {:>12.0} {:>12.0} {:>12.5} {:>12} {:>10} {:>10.3} {:>9} {:>9} {:>6.2} {:>7.2}",
-                point.format,
-                point.threads,
-                point.ops_per_sec,
-                point.get_ops_per_sec,
-                point.index_write_amplification,
-                point.index_pages_written,
-                point.index_commits,
-                point.pool_hit_ratio,
-                point.index_read_restarts,
-                point.index_write_restarts,
-                point.index_avg_crab_depth,
-                point.commit_batch
-            );
-            results.push(point);
-        }
+    for threads in [1usize, 2, 4, 8] {
+        let point = measure(threads, scale);
+        println!(
+            "{:>8} {:>12.0} {:>12.0} {:>12.5} {:>12} {:>10} {:>10.3} {:>9} {:>9} {:>6.2} {:>7.2}",
+            point.threads,
+            point.ops_per_sec,
+            point.get_ops_per_sec,
+            point.index_write_amplification,
+            point.index_pages_written,
+            point.index_commits,
+            point.pool_hit_ratio,
+            point.index_read_restarts,
+            point.index_write_restarts,
+            point.index_avg_crab_depth,
+            point.commit_batch
+        );
+        results.push(point);
     }
 
     let report = KvReport {

@@ -10,7 +10,7 @@
 //! ```text
 //! [0, META_BASE)                   user value pages, one value per page
 //! [META_BASE, META_BASE + 2)       the two alternating superblock slots
-//! [META_BASE + 2, TREE_BASE)       legacy JSON chunk remnants only (swept on open)
+//! [META_BASE + 2, TREE_BASE)       unused
 //! [TREE_BASE, ...)                 B+-tree index pages (tree-local id + TREE_BASE)
 //! ```
 //!
@@ -84,7 +84,7 @@
 //! caller batches by calling `flush_with` once, not by sleeping itself.
 
 use crate::buffer_pool::{BufferPool, BufferPoolStats};
-use crate::kv_legacy::{classify_slot, read_legacy_index, LegacyChunk, SlotState, Superblock};
+use crate::kv_legacy::{classify_slot, SlotState, Superblock};
 use crate::node::Node;
 use crate::page_store::PageStore;
 use crate::tree::{BTree, TreeStats};
@@ -92,7 +92,7 @@ use bytes::Bytes;
 use lss_core::error::{Error, Result};
 use lss_core::{LogStore, PageId};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -101,12 +101,8 @@ pub const META_BASE: PageId = 1 << 62;
 /// Exclusive upper bound of the user value page range (== [`META_BASE`]: the capacity
 /// guard that keeps user values out of the reserved range).
 pub const USER_PAGE_LIMIT: PageId = META_BASE;
-/// First page id of legacy JSON chunk remnants (chunk 1 coincides with superblock
-/// slot B and is overwritten by the migration commit; chunks ≥ 2 start here).
-const LEGACY_REMNANT_BASE: PageId = META_BASE + 2;
 /// Base of the B+-tree index page range: tree-local page id `t` lives at
-/// `TREE_BASE + t`. Far above any plausible legacy chunk count, so the ranges never
-/// collide.
+/// `TREE_BASE + t`.
 const TREE_BASE: PageId = META_BASE + (1 << 32);
 
 /// The superblock slot an epoch commits into (alternating shadow-meta flip).
@@ -150,8 +146,7 @@ impl Default for KvOptions {
     }
 }
 
-/// Lock-free operation counters of the KV layer (`StoreStats`-style; shared shape with
-/// the legacy JSON store so the bench can A/B the two formats).
+/// Lock-free operation counters of the KV layer (`StoreStats`-style).
 #[derive(Debug, Default)]
 pub(crate) struct KvCounters {
     pub(crate) puts: AtomicU64,
@@ -206,7 +201,7 @@ pub struct KvStats {
     pub deletes: u64,
     /// `range` scans.
     pub range_scans: u64,
-    /// Index (B+-tree or legacy JSON chunk) pages written into the log store.
+    /// Index (B+-tree) pages written into the log store.
     pub index_pages_written: u64,
     /// Bytes of index pages written into the log store.
     pub index_bytes_written: u64,
@@ -214,7 +209,7 @@ pub struct KvStats {
     pub value_pages_written: u64,
     /// Bytes of user values written into the log store.
     pub value_bytes_written: u64,
-    /// Committed epochs (superblock flips; legacy: JSON index flushes).
+    /// Committed epochs (superblock flips).
     pub superblock_commits: u64,
     /// [`KvStore::flush`] calls. With group commit, several calls can share one
     /// superblock flip, so this can exceed [`KvStats::superblock_commits`].
@@ -222,22 +217,21 @@ pub struct KvStats {
     /// Flush calls that rode another caller's commit generation instead of leading
     /// their own flip (0 when `group_commit_window_us = 0`).
     pub group_commit_riders: u64,
-    /// Current committed epoch (0 = nothing committed yet; legacy stores report 0).
+    /// Current committed epoch (0 = nothing committed yet).
     pub epoch: u64,
     /// Number of live keys at snapshot time.
     pub keys: u64,
-    /// Buffer-pool gauges for the index pages (hit ratio, evictions; zeroed for the
-    /// legacy JSON store, which has no pool).
+    /// Buffer-pool gauges for the index pages (hit ratio, evictions).
     pub pool: BufferPoolStats,
     /// Index-tree concurrency gauges: optimistic-read restarts, writer crab depth,
-    /// quiesced fallbacks (zeroed for the legacy JSON store, which has no tree).
+    /// quiesced fallbacks.
     pub tree: TreeStats,
 }
 
 impl KvStats {
     /// Index write amplification: bytes of index metadata written to the store per
     /// byte of user value written. The paged index pays only for dirty tree pages and
-    /// their root path; the legacy JSON format rewrote the entire index every flush.
+    /// their root path.
     pub fn index_write_amplification(&self) -> f64 {
         if self.value_bytes_written == 0 {
             0.0
@@ -374,16 +368,19 @@ pub struct KvStore {
 
 impl KvStore {
     /// Open a key-value store on a [`LogStore`] with default options: load the last
-    /// committed paged index, **migrate** a legacy JSON index in place, or start
-    /// empty on a fresh store. Corrupt metadata is an explicit error — never silently
-    /// treated as empty.
+    /// committed paged index, or start empty on a fresh store. Corrupt metadata and a
+    /// retired-format JSON index ([`Error::LegacyKvIndex`]) are explicit errors —
+    /// never silently treated as empty.
     pub fn open(store: LogStore) -> Result<Self> {
         Self::open_with(store, KvOptions::default())
     }
 
     /// [`KvStore::open`] with explicit options.
     pub fn open_with(store: LogStore, opts: KvOptions) -> Result<Self> {
-        let store = Arc::new(store);
+        Self::open_shared(Arc::new(store), opts)
+    }
+
+    fn open_shared(store: Arc<LogStore>, opts: KvOptions) -> Result<Self> {
         let slot_a = store.get(META_BASE)?;
         let slot_b = store.get(META_BASE + 1)?;
         let a = classify_slot(slot_a.as_ref());
@@ -401,12 +398,10 @@ impl KvStore {
             _ => None,
         };
         if let Some(sb) = newest {
-            let kv = Self::load_committed(store, sb, &opts)?;
-            kv.sweep_legacy_remnants()?;
-            return Ok(kv);
+            return Self::load_committed(store, sb, &opts);
         }
         match (a, b) {
-            (SlotState::Legacy(root), _) => Self::migrate_legacy(store, root, &opts),
+            (SlotState::Legacy, _) => Err(Error::LegacyKvIndex { slot: META_BASE }),
             (SlotState::Absent, SlotState::Absent) => Self::fresh(store, &opts),
             (SlotState::Corrupt(detail), _) => Err(Error::CorruptCheckpoint(format!(
                 "kv metadata slot A is corrupt and no valid superblock exists: {detail}"
@@ -414,9 +409,9 @@ impl KvStore {
             (SlotState::Absent, SlotState::Corrupt(detail)) => Err(Error::CorruptCheckpoint(
                 format!("kv metadata slot B is corrupt and no valid superblock exists: {detail}"),
             )),
-            (SlotState::Absent, SlotState::Legacy(_)) => Err(Error::CorruptCheckpoint(
-                "kv metadata slot B holds a legacy chunk but the legacy root is missing".into(),
-            )),
+            (SlotState::Absent, SlotState::Legacy) => Err(Error::LegacyKvIndex {
+                slot: META_BASE + 1,
+            }),
             (SlotState::Valid(_), _) | (_, SlotState::Valid(_)) => {
                 unreachable!("valid superblocks handled above")
             }
@@ -542,52 +537,6 @@ impl KvStore {
             group_commit_window_us: opts.group_commit_window_us,
             group_commit: GroupCommit::default(),
         })
-    }
-
-    /// Import a legacy JSON index into a paged tree and commit it as epoch 1.
-    ///
-    /// Restart-safe: nothing the import writes is reachable until the superblock flip
-    /// (tree pages land in their own range, and epoch 1's superblock slot B coincides
-    /// with legacy chunk 1, so even that overwrite is part of the atomic flip). The
-    /// import is deterministic — sorted key order, fresh allocator — so a re-run after
-    /// a mid-migration crash rewrites exactly the same pages.
-    fn migrate_legacy(store: Arc<LogStore>, root: LegacyChunk, opts: &KvOptions) -> Result<Self> {
-        let legacy_chunks = root.chunks;
-        let (index, user_next) = read_legacy_index(&store, root)?;
-        let referenced: HashSet<PageId> = index.values().copied().collect();
-
-        let kv = Self::fresh(store, opts)?;
-        for (key, page) in &index {
-            kv.tree.insert(key, &page.to_le_bytes())?;
-        }
-        {
-            let mut alloc = kv.alloc.lock();
-            alloc.next = user_next;
-            alloc.free = (0..user_next)
-                .filter(|id| !referenced.contains(id))
-                .collect();
-        }
-        // Commit epoch 1: after this superblock flip the JSON index is dead.
-        kv.flush()?;
-        // Release the legacy chunks the flip did not overwrite (chunk 0 — the root
-        // slot — is overwritten by epoch 2; harmless either way, since any valid
-        // superblock outranks a legacy root on open).
-        for c in 2..legacy_chunks {
-            kv.store.delete(META_BASE + c as u64)?;
-        }
-        for id in &kv.alloc.lock().free {
-            kv.store.delete(*id)?;
-        }
-        Ok(kv)
-    }
-
-    /// Delete any legacy JSON chunk remnants left between the superblock slots and the
-    /// tree range (possible if a crash interrupted a migration's post-commit cleanup).
-    fn sweep_legacy_remnants(&self) -> Result<()> {
-        for page in self.store.live_page_ids_in(LEGACY_REMNANT_BASE, TREE_BASE) {
-            self.store.delete(page)?;
-        }
-        Ok(())
     }
 
     /// Number of keys.
@@ -882,22 +831,11 @@ impl KvStore {
     pub fn set_next_user_page_for_tests(&self, next: PageId) {
         self.alloc.lock().next = next;
     }
-
-    /// Build the key → user-page map the committed tree describes (test helper for
-    /// migration equivalence checks).
-    #[doc(hidden)]
-    pub fn index_snapshot_for_tests(&self) -> Result<BTreeMap<Vec<u8>, PageId>> {
-        let pairs = self.tree.scan_map(b"", &[0xFFu8; 64], |k, v| {
-            Ok(Some((k.to_vec(), decode_user_page(v)?)))
-        })?;
-        Ok(pairs.into_iter().collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv_legacy::LegacyJsonKvStore;
     use lss_core::policy::PolicyKind;
     use lss_core::StoreConfig;
 
@@ -1002,7 +940,7 @@ mod tests {
 
     #[test]
     fn persistence_path_is_binary_not_json() {
-        // The superblock a flush writes must be the binary format — not serde_json —
+        // The superblock a flush writes must be the binary format — not JSON —
         // and must decode as such.
         let kv = kv();
         kv.put(b"k", b"v").unwrap();
@@ -1062,39 +1000,24 @@ mod tests {
     }
 
     #[test]
-    fn migrates_a_legacy_json_store_on_first_open() {
-        let legacy = LegacyJsonKvStore::new(LogStore::open_in_memory(config()).unwrap());
-        for i in 0..250u32 {
-            legacy
-                .put(
-                    format!("user:{i:05}").as_bytes(),
-                    format!("profile-{i}").as_bytes(),
-                )
+    fn a_legacy_json_slot_is_refused_and_nothing_is_written() {
+        for slot in [META_BASE, META_BASE + 1] {
+            let store = LogStore::open_in_memory(config()).unwrap();
+            store
+                .put(slot, b"{\"chunks\":1,\"entries\":[],\"next_page\":0}")
                 .unwrap();
+            store.flush().unwrap();
+            let written = store.stats().user_pages_written;
+            // A failed `open` drops the store it was given; keep a second handle to
+            // read the counters afterwards.
+            let store = Arc::new(store);
+            let err = KvStore::open_shared(Arc::clone(&store), KvOptions::default()).unwrap_err();
+            assert!(
+                matches!(err, Error::LegacyKvIndex { slot: s } if s == slot),
+                "slot {slot}: got {err}"
+            );
+            assert_eq!(store.stats().user_pages_written, written);
         }
-        legacy.delete(b"user:00013").unwrap();
-        legacy.flush().unwrap();
-        let store = legacy.into_inner();
-
-        let kv = KvStore::open(store).unwrap();
-        assert_eq!(kv.len(), 249);
-        assert!(kv.get(b"user:00013").unwrap().is_none());
-        assert_eq!(
-            kv.get(b"user:00100").unwrap().unwrap().as_ref(),
-            b"profile-100"
-        );
-        assert!(kv.stats().epoch >= 1, "migration must commit an epoch");
-
-        // The migrated store restarts through the superblock path (no legacy JSON).
-        let kv = restart(kv);
-        assert_eq!(kv.len(), 249);
-        let out = kv.range(b"user:00200", b"user:00205").unwrap();
-        assert_eq!(out.len(), 5);
-        // And keeps working.
-        kv.put(b"user:new", b"post-migration").unwrap();
-        kv.flush().unwrap();
-        let kv = restart(kv);
-        assert_eq!(kv.len(), 250);
     }
 
     #[test]

@@ -1,34 +1,21 @@
-//! On-store KV metadata formats: the versioned binary **superblock** of the paged index
-//! and the **legacy JSON chunk format** it replaced — plus the classification logic
-//! that tells them (and corruption, and absence) apart.
+//! The on-store KV metadata format — the versioned binary **superblock** of the paged
+//! index — plus the classification logic that tells it apart from corruption, from
+//! absence, and from the **retired JSON chunk format** it replaced.
 //!
 //! The reserved slot at [`crate::kv::META_BASE`] historically held the root chunk of a
-//! serde_json-encoded index; today it holds one of the two superblock slots. A single
+//! JSON-encoded index; today it holds one of the two superblock slots. A single
 //! classifier (`classify_slot`, crate-internal) decides what a slot's bytes are:
 //!
 //! * **absent** — the page was never written (a fresh store);
 //! * **a valid superblock** — magic + version + checksum all check out;
-//! * **a legacy JSON root** — parses as the old chunk format, triggering migration;
+//! * **a legacy JSON root** — starts with `{`. The format is recognised, never parsed:
+//!   [`crate::kv::KvStore::open`] refuses it with [`Error::LegacyKvIndex`];
 //! * **corrupt** — none of the above. Corruption is reported as an explicit
-//!   [`Error::CorruptCheckpoint`] instead of being silently treated as an empty store
-//!   (the legacy `reopen` conflated the two in some paths).
-//!
-//! [`LegacyJsonKvStore`] keeps the old flush-only JSON store alive as a *writer* so the
-//! migration tests can fabricate legacy stores and the `kv` bench can A/B the two index
-//! formats; the paged [`crate::kv::KvStore`] itself has no serde_json anywhere in its
-//! persistence path.
+//!   [`Error::CorruptCheckpoint`] instead of being silently treated as an empty store.
 
-use crate::kv::{KvCounters, KvStats, META_BASE, USER_PAGE_LIMIT};
 use bytes::Bytes;
 use lss_core::error::{Error, Result};
 use lss_core::util::crc32c;
-use lss_core::{LogStore, PageId};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::ops::Bound;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// Magic prefix of a KV superblock page.
 const SB_MAGIC: &[u8; 8] = b"LSSKVSB\x01";
@@ -112,17 +99,6 @@ impl Superblock {
     }
 }
 
-/// One chunk of the legacy JSON index format (the root chunk carries the chunk count).
-#[derive(Debug, Serialize, Deserialize)]
-pub(crate) struct LegacyChunk {
-    /// Total number of chunks the index was split into.
-    pub(crate) chunks: u32,
-    /// Key/page-id pairs in this chunk.
-    pub(crate) entries: Vec<(Vec<u8>, PageId)>,
-    /// Next page id to allocate for user values.
-    pub(crate) next_page: PageId,
-}
-
 /// What a metadata slot's bytes turned out to be.
 #[derive(Debug)]
 pub(crate) enum SlotState {
@@ -130,15 +106,13 @@ pub(crate) enum SlotState {
     Absent,
     /// A valid superblock.
     Valid(Superblock),
-    /// The root chunk of a legacy JSON index (migration needed).
-    Legacy(LegacyChunk),
+    /// A chunk of the retired JSON index format (recognised by its first byte only).
+    Legacy,
     /// Unreadable as either format; carries the reason.
     Corrupt(String),
 }
 
-/// Classify a metadata slot: absent / valid superblock / legacy JSON root / corrupt.
-/// This single decision point serves superblock version detection *and* the legacy
-/// corrupt-vs-absent distinction.
+/// Classify a metadata slot: absent / valid superblock / legacy JSON chunk / corrupt.
 pub(crate) fn classify_slot(bytes: Option<&Bytes>) -> SlotState {
     let Some(bytes) = bytes else {
         return SlotState::Absent;
@@ -152,10 +126,7 @@ pub(crate) fn classify_slot(bytes: Option<&Bytes>) -> SlotState {
         };
     }
     if bytes.first() == Some(&b'{') {
-        return match serde_json::from_slice::<LegacyChunk>(bytes) {
-            Ok(chunk) => SlotState::Legacy(chunk),
-            Err(e) => SlotState::Corrupt(format!("looks like a legacy JSON chunk but: {e}")),
-        };
+        return SlotState::Legacy;
     }
     SlotState::Corrupt(format!(
         "{} bytes that are neither a superblock nor legacy JSON",
@@ -163,263 +134,9 @@ pub(crate) fn classify_slot(bytes: Option<&Bytes>) -> SlotState {
     ))
 }
 
-/// Read a complete legacy index given its already-parsed root chunk: the in-memory
-/// key → user-page map plus the user page-id watermark. Missing and corrupt chunks
-/// produce distinct, explicit errors.
-pub(crate) fn read_legacy_index(
-    store: &LogStore,
-    root: LegacyChunk,
-) -> Result<(BTreeMap<Vec<u8>, PageId>, PageId)> {
-    let mut index = BTreeMap::new();
-    let mut next_page = root.next_page;
-    let chunks = root.chunks;
-    for (k, v) in root.entries {
-        index.insert(k, v);
-    }
-    for c in 1..chunks {
-        let Some(bytes) = store.get(META_BASE + c as u64)? else {
-            return Err(Error::CorruptCheckpoint(format!(
-                "legacy kv index chunk {c} of {chunks} is missing"
-            )));
-        };
-        let chunk: LegacyChunk = serde_json::from_slice(&bytes).map_err(|e| {
-            Error::CorruptCheckpoint(format!(
-                "legacy kv index chunk {c} of {chunks} corrupt: {e}"
-            ))
-        })?;
-        next_page = next_page.max(chunk.next_page);
-        for (k, v) in chunk.entries {
-            index.insert(k, v);
-        }
-    }
-    Ok((index, next_page))
-}
-
-/// The mutable state of a [`LegacyJsonKvStore`], behind one mutex (the legacy format
-/// was never meant to scale; the lock just makes the A/B bench able to share it).
-#[derive(Debug)]
-struct LegacyInner {
-    index: BTreeMap<Vec<u8>, PageId>,
-    next_page: PageId,
-}
-
-/// The pre-paged-index KV store: an in-memory `BTreeMap` index persisted as serde_json
-/// chunks sprayed across the reserved page range on [`LegacyJsonKvStore::flush`].
-///
-/// Kept as a legacy-format *writer* for migration tests and the `kv` bench's
-/// JSON-vs-paged A/B; new code should use [`crate::kv::KvStore`], which migrates
-/// stores written by this type on first open.
-#[derive(Debug)]
-pub struct LegacyJsonKvStore {
-    store: Arc<LogStore>,
-    inner: Mutex<LegacyInner>,
-    counters: KvCounters,
-}
-
-impl LegacyJsonKvStore {
-    /// Wrap a freshly opened [`LogStore`].
-    pub fn new(store: LogStore) -> Self {
-        Self {
-            store: Arc::new(store),
-            inner: Mutex::new(LegacyInner {
-                index: BTreeMap::new(),
-                next_page: 0,
-            }),
-            counters: KvCounters::default(),
-        }
-    }
-
-    /// Re-open a store whose index was persisted by [`LegacyJsonKvStore::flush`].
-    /// Absent metadata means an empty store; corrupt metadata and already-migrated
-    /// (superblock-bearing) stores are explicit errors.
-    pub fn reopen(store: LogStore) -> Result<Self> {
-        let root = store.get(META_BASE)?;
-        match classify_slot(root.as_ref()) {
-            SlotState::Absent => Ok(Self::new(store)),
-            SlotState::Legacy(chunk) => {
-                let (index, next_page) = read_legacy_index(&store, chunk)?;
-                Ok(Self {
-                    store: Arc::new(store),
-                    inner: Mutex::new(LegacyInner { index, next_page }),
-                    counters: KvCounters::default(),
-                })
-            }
-            SlotState::Valid(sb) => Err(Error::InvalidConfig(format!(
-                "store holds a paged KV index (superblock epoch {}); open it with KvStore",
-                sb.epoch
-            ))),
-            SlotState::Corrupt(detail) => Err(Error::CorruptCheckpoint(format!(
-                "legacy kv index root: {detail}"
-            ))),
-        }
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.inner.lock().index.len()
-    }
-
-    /// True if the store holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Insert or overwrite a key.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.counters.puts.fetch_add(1, Ordering::Relaxed);
-        let page = {
-            let mut inner = self.inner.lock();
-            match inner.index.get(key) {
-                Some(&p) => p,
-                None => {
-                    let p = inner.next_page;
-                    if p >= USER_PAGE_LIMIT {
-                        return Err(Error::PageRangeExhausted {
-                            next: p,
-                            limit: USER_PAGE_LIMIT,
-                        });
-                    }
-                    inner.next_page += 1;
-                    inner.index.insert(key.to_vec(), p);
-                    p
-                }
-            }
-        };
-        self.store.put(page, value)?;
-        self.counters
-            .value_pages_written
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .value_bytes_written
-            .fetch_add(value.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Read a key.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        self.counters.gets.fetch_add(1, Ordering::Relaxed);
-        let page = self.inner.lock().index.get(key).copied();
-        match page {
-            Some(page) => self.store.get(page),
-            None => Ok(None),
-        }
-    }
-
-    /// Delete a key. Returns true if it existed.
-    pub fn delete(&self, key: &[u8]) -> Result<bool> {
-        self.counters.deletes.fetch_add(1, Ordering::Relaxed);
-        let page = self.inner.lock().index.remove(key);
-        match page {
-            Some(page) => {
-                self.store.delete(page)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Iterate keys in `[start, end)` in order, reading each value.
-    pub fn range(&self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Bytes)>> {
-        self.counters.range_scans.fetch_add(1, Ordering::Relaxed);
-        let keys: Vec<(Vec<u8>, PageId)> = self
-            .inner
-            .lock()
-            .index
-            .range::<[u8], _>((Bound::Included(start), Bound::Excluded(end)))
-            .map(|(k, &p)| (k.clone(), p))
-            .collect();
-        let mut out = Vec::with_capacity(keys.len());
-        for (k, p) in keys {
-            if let Some(v) = self.store.get(p)? {
-                out.push((k, v));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Persist the index as JSON chunks and flush the underlying store (one barrier —
-    /// the legacy durability point, with the crash window the paged format closed).
-    pub fn flush(&self) -> Result<()> {
-        let inner = self.inner.lock();
-        // Split the index into chunks that comfortably fit in a page.
-        let max_chunk_bytes =
-            lss_core::layout::max_single_payload(self.store.config().segment_bytes)
-                .min(self.store.config().page_bytes.max(1024))
-                / 2;
-        let mut chunks: Vec<LegacyChunk> = Vec::new();
-        let mut current = LegacyChunk {
-            chunks: 0,
-            entries: Vec::new(),
-            next_page: inner.next_page,
-        };
-        let mut current_bytes = 0usize;
-        for (k, &p) in &inner.index {
-            let entry_bytes = k.len() + 24;
-            if current_bytes + entry_bytes > max_chunk_bytes && !current.entries.is_empty() {
-                chunks.push(std::mem::replace(
-                    &mut current,
-                    LegacyChunk {
-                        chunks: 0,
-                        entries: Vec::new(),
-                        next_page: inner.next_page,
-                    },
-                ));
-                current_bytes = 0;
-            }
-            current.entries.push((k.clone(), p));
-            current_bytes += entry_bytes;
-        }
-        chunks.push(current);
-        let n = chunks.len() as u32;
-        for (i, mut chunk) in chunks.into_iter().enumerate() {
-            chunk.chunks = n;
-            let bytes = serde_json::to_vec(&chunk)
-                .map_err(|e| Error::CorruptCheckpoint(format!("kv index encode: {e}")))?;
-            self.counters
-                .index_pages_written
-                .fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .index_bytes_written
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            self.store.put(META_BASE + i as u64, &bytes)?;
-        }
-        self.counters
-            .superblock_commits
-            .fetch_add(1, Ordering::Relaxed);
-        self.store.flush()
-    }
-
-    /// Operation counters (same shape as the paged store's, pool gauges zeroed).
-    pub fn stats(&self) -> KvStats {
-        self.counters
-            .snapshot(Default::default(), 0, self.len() as u64, Default::default())
-    }
-
-    /// Access the underlying page store (e.g. for statistics).
-    pub fn store(&self) -> &LogStore {
-        &self.store
-    }
-
-    /// Consume the wrapper and return the underlying page store.
-    pub fn into_inner(self) -> LogStore {
-        let LegacyJsonKvStore { store, .. } = self;
-        Arc::try_unwrap(store)
-            .unwrap_or_else(|_| unreachable!("LegacyJsonKvStore never leaks store handles"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lss_core::policy::PolicyKind;
-    use lss_core::StoreConfig;
-
-    fn kv() -> LegacyJsonKvStore {
-        let store =
-            LogStore::open_in_memory(StoreConfig::small_for_tests().with_policy(PolicyKind::Mdc))
-                .unwrap();
-        LegacyJsonKvStore::new(store)
-    }
 
     #[test]
     fn superblock_roundtrip_and_corruption_detection() {
@@ -466,88 +183,17 @@ mod tests {
             SlotState::Valid(got) if got == sb
         ));
 
-        let legacy = Bytes::from(
-            serde_json::to_vec(&LegacyChunk {
-                chunks: 1,
-                entries: vec![(b"k".to_vec(), 0)],
-                next_page: 1,
-            })
-            .unwrap(),
-        );
-        assert!(matches!(classify_slot(Some(&legacy)), SlotState::Legacy(_)));
+        let legacy = Bytes::from_static(b"{\"chunks\":1,\"entries\":[],\"next_page\":1}");
+        assert!(matches!(classify_slot(Some(&legacy)), SlotState::Legacy));
 
         // A torn superblock is corrupt, not absent.
         let torn = Bytes::from(sb.encode()[..SB_BYTES - 2].to_vec());
         assert!(matches!(classify_slot(Some(&torn)), SlotState::Corrupt(_)));
-        // JSON that is not a chunk is corrupt.
-        let bad_json = Bytes::from_static(b"{\"nope\": true}");
-        assert!(matches!(
-            classify_slot(Some(&bad_json)),
-            SlotState::Corrupt(_)
-        ));
         // Arbitrary bytes are corrupt.
         let garbage = Bytes::from_static(b"\x07\x07\x07\x07");
         assert!(matches!(
             classify_slot(Some(&garbage)),
             SlotState::Corrupt(_)
         ));
-    }
-
-    #[test]
-    fn legacy_put_get_delete_range_roundtrip() {
-        let kv = kv();
-        assert!(kv.is_empty());
-        kv.put(b"alpha", b"1").unwrap();
-        kv.put(b"beta", b"2").unwrap();
-        kv.put(b"gamma", b"3").unwrap();
-        assert_eq!(kv.len(), 3);
-        assert_eq!(kv.get(b"alpha").unwrap().unwrap().as_ref(), b"1");
-        assert!(kv.get(b"delta").unwrap().is_none());
-        assert!(kv.delete(b"alpha").unwrap());
-        assert!(!kv.delete(b"alpha").unwrap());
-        let out = kv.range(b"a", b"z").unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, b"beta".to_vec());
-    }
-
-    #[test]
-    fn legacy_flush_and_reopen_preserves_contents() {
-        let kv = kv();
-        for i in 0..300u32 {
-            kv.put(
-                format!("key-{i:04}").as_bytes(),
-                format!("value-{i}").as_bytes(),
-            )
-            .unwrap();
-        }
-        kv.delete(b"key-0007").unwrap();
-        kv.flush().unwrap();
-        assert!(kv.stats().index_pages_written > 0);
-
-        let store = kv.into_inner();
-        let cfg = store.config().clone();
-        let device = store.into_device();
-        let recovered = LogStore::recover_with_device(cfg, device).unwrap();
-        let kv2 = LegacyJsonKvStore::reopen(recovered).unwrap();
-        assert_eq!(kv2.len(), 299);
-        assert!(kv2.get(b"key-0007").unwrap().is_none());
-        assert_eq!(
-            kv2.get(b"key-0123").unwrap().unwrap().as_ref(),
-            b"value-123"
-        );
-    }
-
-    #[test]
-    fn legacy_reopen_distinguishes_corrupt_from_absent() {
-        // Absent → empty store.
-        let store = LogStore::open_in_memory(StoreConfig::small_for_tests()).unwrap();
-        assert!(LegacyJsonKvStore::reopen(store).unwrap().is_empty());
-
-        // Corrupt (non-JSON, non-superblock bytes in the root slot) → explicit error.
-        let store = LogStore::open_in_memory(StoreConfig::small_for_tests()).unwrap();
-        store.put(META_BASE, b"\x99garbage-not-json").unwrap();
-        store.flush().unwrap();
-        let err = LegacyJsonKvStore::reopen(store).unwrap_err();
-        assert!(matches!(err, Error::CorruptCheckpoint(_)), "got {err}");
     }
 }

@@ -17,8 +17,8 @@
 //!   an optional shadow (copy-on-write) mode for crash-consistent checkpoints;
 //! * [`kv`] — [`kv::KvStore`]: an ordered key-value store whose paged index *and*
 //!   values live in one log-structured store, committed by an atomic superblock flip;
-//! * [`kv_legacy`] — the retired JSON index format: detection, migration support and
-//!   a legacy writer for A/B benchmarks.
+//! * [`kv_legacy`] — the superblock format, and detection (only) of the retired JSON
+//!   index format so that [`kv::KvStore::open`] can refuse it by name.
 //!
 //! See `examples/btree_on_lss.rs` and `examples/kv_on_lss.rs` at the workspace root.
 //!
@@ -44,6 +44,5 @@ pub mod tree;
 
 pub use buffer_pool::{BufferPool, BufferPoolStats};
 pub use kv::{KvOptions, KvStats, KvStore};
-pub use kv_legacy::LegacyJsonKvStore;
 pub use page_store::{LssPageStore, MemPageStore, PageStore, TracingPageStore};
 pub use tree::{BTree, TreeCheckpoint, TreeStats};

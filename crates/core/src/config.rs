@@ -4,7 +4,7 @@
 use crate::error::{Error, Result};
 use crate::freq::MAX_TEMPERATURE_CLASSES;
 use crate::policy::PolicyKind;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// How the per-segment `up2` (penultimate update time) estimate is maintained.
 ///
@@ -107,135 +107,6 @@ impl Default for CleaningConfig {
     }
 }
 
-/// Thresholds the adaptive GC controller scales against (see
-/// [`CleanerMode::Adaptive`]). All of them are read once per controller tick; none are
-/// touched on the foreground read/write paths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveTargets {
-    /// Fraction of sealed capacity that is dead space below which fragmentation exerts
-    /// no widening pressure (extra cycles would mostly shuffle live pages).
-    pub dead_space_low: f64,
-    /// Fraction of sealed capacity that is dead space at which fragmentation pressure
-    /// saturates (cheap, productive victims everywhere — clean as wide as allowed).
-    pub dead_space_high: f64,
-    /// Consecutive low-pressure controller ticks required before the target shrinks by
-    /// one cycle. Scale-*up* is immediate; scale-*down* is damped by this streak so a
-    /// bursty (square-wave) load cannot thrash the pool between ticks.
-    pub scale_down_ticks: u32,
-}
-
-impl Default for AdaptiveTargets {
-    fn default() -> Self {
-        Self {
-            dead_space_low: 0.2,
-            dead_space_high: 0.6,
-            scale_down_ticks: 3,
-        }
-    }
-}
-
-impl AdaptiveTargets {
-    fn validate(&self) -> Result<()> {
-        if !(0.0..=1.0).contains(&self.dead_space_low)
-            || !(0.0..=1.0).contains(&self.dead_space_high)
-            || self.dead_space_low >= self.dead_space_high
-        {
-            return Err(Error::InvalidConfig(format!(
-                "adaptive dead-space thresholds must satisfy 0 <= low < high <= 1, \
-                 got low={} high={}",
-                self.dead_space_low, self.dead_space_high
-            )));
-        }
-        if self.scale_down_ticks == 0 {
-            return Err(Error::InvalidConfig(
-                "adaptive scale_down_ticks must be at least 1".into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// How the number of concurrent cleaning cycles is chosen.
-///
-/// * [`CleanerMode::Fixed`] — exactly [`StoreConfig::cleaner_threads`] cycle slots, as
-///   in the pre-adaptive design. Bit-for-bit identical behaviour: the controller never
-///   runs and the per-cycle victim budget divides by the static pool size.
-/// * [`CleanerMode::Adaptive`] — a feedback controller scales the number of *active*
-///   cycles (and with it the per-cycle victim budget) between `min_cycles` and
-///   `max_cycles` from live pressure signals: free-segment headroom vs the cleaning
-///   trigger, the dead fraction of sealed space (the [`crate::StoreStats`] emptiness
-///   picture), and writer stall / straggler-reclaim events. The background pool spawns
-///   `max_cycles` threads and parks the ones above the current target.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CleanerMode {
-    /// Static concurrency: always [`StoreConfig::cleaner_threads`] cycle slots.
-    Fixed,
-    /// Pressure-driven concurrency between the given bounds.
-    Adaptive {
-        /// Lower bound on the cycle target (the idle-phase pool width). At least 1.
-        min_cycles: usize,
-        /// Upper bound on the cycle target (and the pool size / hard slot cap). At
-        /// most 8, like `cleaner_threads`.
-        max_cycles: usize,
-        /// Scaling thresholds.
-        targets: AdaptiveTargets,
-    },
-}
-
-impl CleanerMode {
-    /// Adaptive mode with the default thresholds.
-    pub fn adaptive(min_cycles: usize, max_cycles: usize) -> Self {
-        CleanerMode::Adaptive {
-            min_cycles,
-            max_cycles,
-            targets: AdaptiveTargets::default(),
-        }
-    }
-
-    /// True for [`CleanerMode::Adaptive`].
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, CleanerMode::Adaptive { .. })
-    }
-}
-
-// The vendored serde derive does not support data-carrying enum variants, so the
-// (externally-tagged-object) representation is written by hand:
-// `{"mode":"fixed"}` / `{"mode":"adaptive","min_cycles":..,"max_cycles":..,"targets":..}`.
-impl Serialize for CleanerMode {
-    fn serialize(&self) -> Value {
-        let mut obj = Value::new_object();
-        match self {
-            CleanerMode::Fixed => obj.push_field("mode", Value::Str("fixed".into())),
-            CleanerMode::Adaptive {
-                min_cycles,
-                max_cycles,
-                targets,
-            } => {
-                obj.push_field("mode", Value::Str("adaptive".into()));
-                obj.push_field("min_cycles", min_cycles.serialize());
-                obj.push_field("max_cycles", max_cycles.serialize());
-                obj.push_field("targets", targets.serialize());
-            }
-        }
-        obj
-    }
-}
-
-impl Deserialize for CleanerMode {
-    fn deserialize(value: &Value) -> std::result::Result<Self, DeError> {
-        let mode: String = serde::field(value, "mode")?;
-        match mode.as_str() {
-            "fixed" => Ok(CleanerMode::Fixed),
-            "adaptive" => Ok(CleanerMode::Adaptive {
-                min_cycles: serde::field(value, "min_cycles")?,
-                max_cycles: serde::field(value, "max_cycles")?,
-                targets: serde::field(value, "targets")?,
-            }),
-            other => Err(DeError::new(format!("unknown cleaner mode `{other}`"))),
-        }
-    }
-}
-
 /// Checkpoint-journal behaviour (see [`crate::LogStore::checkpoint_log_to`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointConfig {
@@ -308,17 +179,7 @@ pub struct StoreConfig {
     /// `1` reproduces the strictly serialised single-cycle behaviour of earlier
     /// versions. Writers that lend their own thread to a synchronous cycle count
     /// against the same limit.
-    ///
-    /// With [`CleanerMode::Adaptive`] this knob is superseded: the pool size and slot
-    /// cap come from the mode's `max_cycles` (see
-    /// [`StoreConfig::max_cleaner_cycles`]).
     pub cleaner_threads: usize,
-    /// How cleaning concurrency is chosen: static ([`CleanerMode::Fixed`], the
-    /// default — exactly `cleaner_threads` cycles) or pressure-driven
-    /// ([`CleanerMode::Adaptive`] — a controller scales the active cycle count between
-    /// its bounds from free-segment headroom, sealed-space fragmentation and writer
-    /// stall events).
-    pub cleaner_mode: CleanerMode,
     /// Number of I/O workers a cleaning cycle pipelines its phase-2 victim-image reads
     /// across. The reads (the dominant cost of cleaning) are prefetched with a bounded
     /// lookahead window while earlier victims are being relocated; `1` reads images one
@@ -365,7 +226,6 @@ impl StoreConfig {
             up2_mode: Up2Mode::default(),
             write_streams: 4,
             cleaner_threads: 2,
-            cleaner_mode: CleanerMode::Fixed,
             gc_read_pool: 4,
             gc_temperature_classes: 1,
             absorb_updates_in_buffer: true,
@@ -395,7 +255,6 @@ impl StoreConfig {
             // Serialised cycles by default so existing tests stay deterministic; the
             // concurrency suites opt into 2 or 4 explicitly.
             cleaner_threads: 1,
-            cleaner_mode: CleanerMode::Fixed,
             gc_read_pool: 2,
             gc_temperature_classes: 1,
             absorb_updates_in_buffer: false,
@@ -453,12 +312,6 @@ impl StoreConfig {
         self
     }
 
-    /// Builder-style: set the cleaner-concurrency mode (see [`CleanerMode`]).
-    pub fn with_cleaner_mode(mut self, mode: CleanerMode) -> Self {
-        self.cleaner_mode = mode;
-        self
-    }
-
     /// Builder-style: set the per-cycle victim-read I/O pool size.
     pub fn with_gc_read_pool(mut self, n: usize) -> Self {
         self.gc_read_pool = n;
@@ -485,36 +338,11 @@ impl StoreConfig {
         self
     }
 
-    /// The hard upper bound on concurrent cleaning cycles this configuration allows:
-    /// `cleaner_threads` in [`CleanerMode::Fixed`], the mode's `max_cycles` in
-    /// [`CleanerMode::Adaptive`]. This is the background-pool size and the cycle-slot
-    /// cap.
-    pub fn max_cleaner_cycles(&self) -> usize {
-        match self.cleaner_mode {
-            CleanerMode::Fixed => self.cleaner_threads.max(1),
-            CleanerMode::Adaptive { max_cycles, .. } => max_cycles.max(1),
-        }
-    }
-
-    /// The lower bound on concurrent cleaning cycles: `cleaner_threads` in
-    /// [`CleanerMode::Fixed`] (the target never moves), the mode's `min_cycles` in
-    /// [`CleanerMode::Adaptive`].
-    pub fn min_cleaner_cycles(&self) -> usize {
-        match self.cleaner_mode {
-            CleanerMode::Fixed => self.cleaner_threads.max(1),
-            CleanerMode::Adaptive { min_cycles, .. } => min_cycles.max(1),
-        }
-    }
-
     /// Apply the environment overrides honoured across the benches and the CI stress
     /// job, clamped to the ranges validation accepts:
     ///
     /// * `LSS_WRITE_STREAMS` — number of independent write streams (1..=16);
-    /// * `LSS_CLEANER_THREADS` — fixed-mode pool size (1..=8);
-    /// * `LSS_CLEANER_MODE` — `fixed` or `adaptive` (adaptive defaults to bounds
-    ///   `1..=max_cleaner_cycles()` of the base config);
-    /// * `LSS_CLEANER_MIN_CYCLES` / `LSS_CLEANER_MAX_CYCLES` — adaptive bounds
-    ///   (imply `LSS_CLEANER_MODE=adaptive` when either is set);
+    /// * `LSS_CLEANER_THREADS` — maximum concurrent cleaning cycles (1..=8);
     /// * `LSS_GC_TEMPERATURE_CLASSES` — GC output temperature classes (1..=8);
     /// * `LSS_CHECKPOINT_INCREMENTAL` — `1`/`0` to enable/disable incremental
     ///   checkpoint journalling ([`CheckpointConfig::incremental`]);
@@ -544,24 +372,6 @@ impl StoreConfig {
         }
         if let Some(n) = lookup("LSS_CHECKPOINT_CADENCE").and_then(|v| v.parse::<u64>().ok()) {
             self.checkpoint.cadence_updates = n;
-        }
-        let min = get_usize("LSS_CLEANER_MIN_CYCLES");
-        let max = get_usize("LSS_CLEANER_MAX_CYCLES");
-        let mode = lookup("LSS_CLEANER_MODE");
-        let wants_adaptive = min.is_some()
-            || max.is_some()
-            || mode
-                .as_deref()
-                .is_some_and(|m| m.eq_ignore_ascii_case("adaptive"));
-        if mode
-            .as_deref()
-            .is_some_and(|m| m.eq_ignore_ascii_case("fixed"))
-        {
-            self.cleaner_mode = CleanerMode::Fixed;
-        } else if wants_adaptive {
-            let hi = max.unwrap_or(self.max_cleaner_cycles()).clamp(1, 8);
-            let lo = min.unwrap_or(1).clamp(1, hi);
-            self.cleaner_mode = CleanerMode::adaptive(lo, hi);
         }
         self
     }
@@ -636,22 +446,6 @@ impl StoreConfig {
                 "cleaner_threads must be in 1..=8, got {}",
                 self.cleaner_threads
             )));
-        }
-        if let CleanerMode::Adaptive {
-            min_cycles,
-            max_cycles,
-            targets,
-        } = self.cleaner_mode
-        {
-            // Same bound as `cleaner_threads`, for the same reason: the adaptive max is
-            // the pool size and the claimed-victim budget.
-            if min_cycles == 0 || max_cycles > 8 || min_cycles > max_cycles {
-                return Err(Error::InvalidConfig(format!(
-                    "adaptive cleaner bounds must satisfy 1 <= min <= max <= 8, \
-                     got {min_cycles}..={max_cycles}"
-                )));
-            }
-            targets.validate()?;
         }
         if self.gc_read_pool == 0 || self.gc_read_pool > 16 {
             return Err(Error::InvalidConfig(format!(
@@ -854,54 +648,5 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: StoreConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, c);
-
-        // Including the hand-written CleanerMode representation, both variants.
-        let c = StoreConfig::paper_default().with_cleaner_mode(CleanerMode::adaptive(1, 4));
-        let json = serde_json::to_string(&c).unwrap();
-        let back: StoreConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn adaptive_mode_bounds_are_validated() {
-        for (min, max) in [(0usize, 4usize), (5, 4), (1, 9)] {
-            let c =
-                StoreConfig::small_for_tests().with_cleaner_mode(CleanerMode::adaptive(min, max));
-            assert!(c.validate().is_err(), "bounds {min}..={max} accepted");
-        }
-        let c = StoreConfig::small_for_tests().with_cleaner_mode(CleanerMode::adaptive(1, 4));
-        c.validate().unwrap();
-        assert_eq!(c.max_cleaner_cycles(), 4);
-        assert_eq!(c.min_cleaner_cycles(), 1);
-
-        let bad = AdaptiveTargets {
-            dead_space_low: 0.8, // >= high
-            ..Default::default()
-        };
-        let c = StoreConfig::small_for_tests().with_cleaner_mode(CleanerMode::Adaptive {
-            min_cycles: 1,
-            max_cycles: 2,
-            targets: bad,
-        });
-        assert!(c.validate().is_err());
-
-        let bad = AdaptiveTargets {
-            scale_down_ticks: 0,
-            ..Default::default()
-        };
-        let c = StoreConfig::small_for_tests().with_cleaner_mode(CleanerMode::Adaptive {
-            min_cycles: 1,
-            max_cycles: 2,
-            targets: bad,
-        });
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn fixed_mode_cycle_bounds_follow_cleaner_threads() {
-        let c = StoreConfig::small_for_tests().with_cleaner_threads(3);
-        assert_eq!(c.max_cleaner_cycles(), 3);
-        assert_eq!(c.min_cleaner_cycles(), 3);
-        assert!(!c.cleaner_mode.is_adaptive());
     }
 }

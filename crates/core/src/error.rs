@@ -58,6 +58,13 @@ pub enum Error {
         /// Exclusive upper bound of the partition.
         limit: PageId,
     },
+    /// A KV metadata slot holds the retired JSON index format. Only builds that wrote
+    /// format-v1 segments ever wrote it; it is detected so that such a store is never
+    /// mistaken for an empty or a corrupt one, but it is neither read nor migrated.
+    LegacyKvIndex {
+        /// The metadata page that holds the legacy chunk.
+        slot: PageId,
+    },
     /// Configuration rejected at store-open time.
     InvalidConfig(String),
     /// The store was opened against a device whose geometry does not match the config.
@@ -102,6 +109,11 @@ impl fmt::Display for Error {
                 f,
                 "page-id partition exhausted: next id {next} has reached the partition \
                  limit {limit}; the store cannot allocate into a reserved range"
+            ),
+            Error::LegacyKvIndex { slot } => write!(
+                f,
+                "unsupported KV index format: metadata page {slot} holds the retired JSON \
+                 index, which this build neither reads nor migrates"
             ),
             Error::InvalidConfig(detail) => write!(f, "invalid configuration: {detail}"),
             Error::GeometryMismatch { expected, actual } => {

@@ -78,10 +78,7 @@ pub mod types;
 pub mod util;
 pub mod write_buffer;
 
-pub use config::{
-    AdaptiveTargets, CheckpointConfig, CleanerMode, CleaningConfig, SeparationConfig, StoreConfig,
-    Up2Mode,
-};
+pub use config::{CheckpointConfig, CleaningConfig, SeparationConfig, StoreConfig, Up2Mode};
 pub use error::{Error, Result};
 pub use policy::{CleaningPolicy, PolicyKind};
 pub use shared::SharedLogStore;

@@ -223,38 +223,6 @@ struct QuarantineEntry {
     synced: bool,
 }
 
-/// The signals the adaptive GC controller reads in one segment-table pass (see
-/// [`SegmentTable::pressure`]). The *dead fraction* of sealed space —
-/// `1 − sealed_live_bytes / sealed_capacity_bytes` — is the store-wide emptiness the
-/// controller treats as "how productive would extra cleaning cycles be".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PressureSnapshot {
-    /// Free segments (excluding quarantined victims awaiting reuse).
-    pub free: usize,
-    /// Sealed segments on the device.
-    pub sealed_segments: u64,
-    /// Live payload bytes accounted to sealed segments.
-    pub sealed_live_bytes: u64,
-    /// Payload capacity of the sealed segments.
-    pub sealed_capacity_bytes: u64,
-    /// Victims parked in the reclamation quarantine.
-    pub quarantined: usize,
-    /// Victims claimed by in-flight cleaning cycles.
-    pub claimed: usize,
-}
-
-impl PressureSnapshot {
-    /// Fraction of sealed capacity that is dead (reclaimable) space, in `[0, 1]`;
-    /// 0 when nothing is sealed.
-    pub fn dead_fraction(&self) -> f64 {
-        if self.sealed_capacity_bytes == 0 {
-            0.0
-        } else {
-            1.0 - self.sealed_live_bytes as f64 / self.sealed_capacity_bytes as f64
-        }
-    }
-}
-
 /// Table of all physical segments plus the free list, the reclamation quarantine and
 /// the seal-sequence counter.
 #[derive(Debug)]
@@ -653,30 +621,6 @@ impl SegmentTable {
         counts
     }
 
-    /// One cheap snapshot of everything the adaptive GC controller scales against
-    /// (one pass over the state vector, no allocation). Taken under the central lock
-    /// at controller-tick cadence; never on the foreground read/write paths.
-    pub fn pressure(&self) -> PressureSnapshot {
-        let mut sealed_segments = 0u64;
-        let mut sealed_live_bytes = 0u64;
-        let mut sealed_capacity_bytes = 0u64;
-        for s in &self.states {
-            if let SegmentState::Sealed(m) = s {
-                sealed_segments += 1;
-                sealed_live_bytes += m.live_bytes;
-                sealed_capacity_bytes += m.capacity_bytes;
-            }
-        }
-        PressureSnapshot {
-            free: self.free.len(),
-            sealed_segments,
-            sealed_live_bytes,
-            sealed_capacity_bytes,
-            quarantined: self.quarantine.len(),
-            claimed: self.cleaning.len(),
-        }
-    }
-
     /// Iterate over metadata of all non-free segments.
     pub fn iter_meta(&self) -> impl Iterator<Item = &SegmentMeta> {
         self.states.iter().filter_map(|s| s.meta())
@@ -923,40 +867,6 @@ mod tests {
         t.set_image_pending(b, false);
         assert!(!t.is_image_pending(b));
         assert_eq!(t.sealed_stats().len(), 2);
-    }
-
-    #[test]
-    fn pressure_snapshot_reflects_sealed_claimed_and_quarantined_state() {
-        let mut t = SegmentTable::new(6);
-        let a = t.allocate(CAP, 0, Up2Mode::OnOverwrite).unwrap();
-        let b = t.allocate(CAP, 0, Up2Mode::OnOverwrite).unwrap();
-        let _open = t.allocate(CAP, 0, Up2Mode::OnOverwrite).unwrap();
-        t.meta_mut(a).unwrap().on_page_added(250, None); // E = 0.75
-        t.meta_mut(b).unwrap().on_page_added(750, None); // E = 0.25
-        t.seal(a, 10, 5, Up2Mode::OnOverwrite);
-        t.seal(b, 11, 6, Up2Mode::OnOverwrite);
-        let p = t.pressure();
-        assert_eq!(p.free, 3);
-        assert_eq!(p.sealed_segments, 2);
-        assert_eq!(p.sealed_live_bytes, 1000);
-        assert_eq!(p.sealed_capacity_bytes, 2 * CAP);
-        assert!((p.dead_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(p.quarantined, 0);
-        assert_eq!(p.claimed, 0);
-
-        // Claims and quarantine entries show up; a quarantined victim is neither free
-        // nor sealed.
-        assert!(t.claim_for_cleaning(a));
-        assert_eq!(t.pressure().claimed, 1);
-        t.release_quarantined(a, 1);
-        let p = t.pressure();
-        assert_eq!(p.claimed, 0);
-        assert_eq!(p.quarantined, 1);
-        assert_eq!(p.sealed_segments, 1);
-        assert_eq!(p.free, 3);
-
-        // An empty table reports zero dead fraction, not NaN.
-        assert_eq!(SegmentTable::new(4).pressure().dead_fraction(), 0.0);
     }
 
     #[test]

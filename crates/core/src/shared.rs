@@ -77,7 +77,8 @@ impl SharedLogStore {
         self.store.contains(page)
     }
 
-    /// Drain buffers, seal open segments and sync the device (the durability point).
+    /// Drain buffers, persist what each open segment gained (they stay open) and sync
+    /// the device (the durability point; see [`LogStore::flush`]).
     pub fn flush(&self) -> Result<()> {
         self.store.flush()
     }
@@ -128,12 +129,10 @@ impl SharedLogStore {
 }
 
 /// The background cleaning pool:
-/// [`StoreConfig::max_cleaner_cycles`](crate::StoreConfig::max_cleaner_cycles) threads
+/// [`StoreConfig::cleaner_threads`](crate::StoreConfig::cleaner_threads) threads
 /// that wake on writer pressure signals (or a periodic poll), then run cleaning
 /// cycles — concurrently, on disjoint victim sets — until the free pool is back above
-/// the trigger. Under [`CleanerMode::Adaptive`](crate::config::CleanerMode) only the
-/// first *target* workers (the adaptive controller's current decision) run cycles;
-/// the rest park on the wake-up condvar until a scale-up kicks them.
+/// the trigger.
 ///
 /// Owns nothing but `Weak` references to the store; the threads exit when the store is
 /// dropped or a shutdown is signalled. Dropping the `BackgroundCleaner` signals shutdown
@@ -160,17 +159,12 @@ impl BackgroundCleaner {
     fn spawn(store: &Arc<LogStore>) -> Self {
         store.gc.set_background_attached(true);
         let weak = Arc::downgrade(store);
-        // The pool is sized for the *maximum* the configuration allows
-        // (`cleaner_threads` in fixed mode, the adaptive upper bound otherwise); under
-        // `CleanerMode::Adaptive` the controller decides how many of them actually run
-        // cycles at any moment, and the rest park on the kick condvar (see
-        // `cleaner_loop`).
-        let threads = (0..store.config().max_cleaner_cycles())
+        let threads = (0..store.config().cleaner_threads.max(1))
             .map(|i| {
                 let thread_weak = weak.clone();
                 std::thread::Builder::new()
                     .name(format!("lss-cleaner-{i}"))
-                    .spawn(move || cleaner_loop(thread_weak, i))
+                    .spawn(move || cleaner_loop(thread_weak))
                     .expect("spawning a background cleaner thread")
             })
             .collect();
@@ -193,7 +187,7 @@ impl Drop for BackgroundCleaner {
     }
 }
 
-fn cleaner_loop(weak: Weak<LogStore>, index: usize) {
+fn cleaner_loop(weak: Weak<LogStore>) {
     loop {
         // Wait without holding a strong reference so the store can be unwrapped.
         let shutdown = {
@@ -204,25 +198,8 @@ fn cleaner_loop(weak: Weak<LogStore>, index: usize) {
             return;
         }
         let Some(store) = weak.upgrade() else { return };
-        // Every wake-up is a (rate-limited) controller tick, then the adaptive
-        // decision gates this thread: workers above the current cycle target park —
-        // they go straight back to the condvar without starting a cycle, which is
-        // what keeps idle-phase cleaner CPU at the configured minimum. A later
-        // scale-up kicks the condvar, so parked workers un-park promptly. In
-        // `CleanerMode::Fixed` the target is pinned at the pool size and every
-        // worker always passes.
-        store.gc_controller_tick_rate_limited();
-        if index >= store.gc_target_cycles() {
-            continue;
-        }
         let trigger = store.effective_clean_trigger();
         while store.approx_free_segments() <= trigger {
-            if index >= store.gc_target_cycles() {
-                // Scaled down mid-drain: stop after the cycle in flight, never
-                // mid-cycle (the permit protocol already guarantees a cycle that
-                // started runs to completion or orphans cleanly).
-                break;
-            }
             let free_before = store.approx_free_segments();
             match store.clean_now() {
                 // No victims (nothing reclaimable yet): stop until the next kick.

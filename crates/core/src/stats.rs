@@ -66,22 +66,11 @@ pub struct StoreStats {
     /// tests use as a ledger cross-check.
     pub sealed_live_bytes: u64,
     /// Times a writer hit the hard reserve floor and lent its own thread to a
-    /// synchronous cleaning cycle (the strongest allocation-pressure signal the
-    /// adaptive controller consumes).
+    /// synchronous cleaning cycle.
     pub writer_stall_events: u64,
     /// Times the last-resort straggler reclaim ran (a writer quiesced the cycle gate
     /// and forced a quarantine sweep before it would declare out-of-space).
     pub straggler_reclaims: u64,
-    /// Adaptive-controller ticks evaluated (0 in [`crate::config::CleanerMode::Fixed`]).
-    pub gc_controller_decisions: u64,
-    /// Controller decisions that raised the concurrent-cycle target.
-    pub gc_scale_ups: u64,
-    /// Controller decisions that lowered the concurrent-cycle target.
-    pub gc_scale_downs: u64,
-    /// Current concurrent-cycle target (gauge): the number of cleaning cycles the store
-    /// will run at once right now. Constant `cleaner_threads` in fixed mode; moves
-    /// between the adaptive bounds otherwise.
-    pub gc_target_cycles: u64,
     /// Victims currently claimed by in-flight cleaning cycles (gauge).
     pub claimed_victims: u64,
     /// Victims currently parked in the reclamation quarantine (gauge).
@@ -192,12 +181,6 @@ impl StoreStats {
         self.sealed_live_bytes += other.sealed_live_bytes;
         self.writer_stall_events += other.writer_stall_events;
         self.straggler_reclaims += other.straggler_reclaims;
-        self.gc_controller_decisions += other.gc_controller_decisions;
-        self.gc_scale_ups += other.gc_scale_ups;
-        self.gc_scale_downs += other.gc_scale_downs;
-        // Gauges describe one store at one instant; when aggregating, keep the widest
-        // target and sum the in-flight victim counts like the other gauges above.
-        self.gc_target_cycles = self.gc_target_cycles.max(other.gc_target_cycles);
         self.claimed_victims += other.claimed_victims;
         self.quarantined_segments += other.quarantined_segments;
         merge_class_vec(
@@ -283,12 +266,6 @@ pub struct AtomicStats {
     pub writer_stall_events: AtomicU64,
     /// See [`StoreStats::straggler_reclaims`].
     pub straggler_reclaims: AtomicU64,
-    /// See [`StoreStats::gc_controller_decisions`].
-    pub gc_controller_decisions: AtomicU64,
-    /// See [`StoreStats::gc_scale_ups`].
-    pub gc_scale_ups: AtomicU64,
-    /// See [`StoreStats::gc_scale_downs`].
-    pub gc_scale_downs: AtomicU64,
     /// See [`StoreStats::gc_class_pages_written`] (fixed-width; classes beyond the
     /// configured count simply stay zero and are trimmed at snapshot time).
     pub gc_class_pages_written: [AtomicU64; MAX_TEMPERATURE_CLASSES],
@@ -370,9 +347,6 @@ impl AtomicStats {
             absorbed_in_buffer: self.absorbed_in_buffer.load(Ordering::Relaxed),
             writer_stall_events: self.writer_stall_events.load(Ordering::Relaxed),
             straggler_reclaims: self.straggler_reclaims.load(Ordering::Relaxed),
-            gc_controller_decisions: self.gc_controller_decisions.load(Ordering::Relaxed),
-            gc_scale_ups: self.gc_scale_ups.load(Ordering::Relaxed),
-            gc_scale_downs: self.gc_scale_downs.load(Ordering::Relaxed),
             gc_class_pages_written: trim_trailing_zeros(
                 self.gc_class_pages_written
                     .iter()
@@ -398,7 +372,6 @@ impl AtomicStats {
             emptiness_histogram: Vec::new(),
             sealed_segments: 0,
             sealed_live_bytes: 0,
-            gc_target_cycles: 0,
             claimed_victims: 0,
             quarantined_segments: 0,
             gc_class_segments: Vec::new(),
@@ -422,9 +395,6 @@ impl AtomicStats {
         self.absorbed_in_buffer.store(0, Ordering::Relaxed);
         self.writer_stall_events.store(0, Ordering::Relaxed);
         self.straggler_reclaims.store(0, Ordering::Relaxed);
-        self.gc_controller_decisions.store(0, Ordering::Relaxed);
-        self.gc_scale_ups.store(0, Ordering::Relaxed);
-        self.gc_scale_downs.store(0, Ordering::Relaxed);
         for c in &self.gc_class_pages_written {
             c.store(0, Ordering::Relaxed);
         }

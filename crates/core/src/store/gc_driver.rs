@@ -67,26 +67,13 @@
 //! Cycles are started by the [`crate::shared::BackgroundCleaner`] pool, by writers at
 //! the free-segment watermark, or explicitly via [`crate::LogStore::clean_now`]; all of
 //! them acquire a cycle slot from [`GcControl`], which caps concurrency at
-//! [`StoreConfig::max_cleaner_cycles`] (with a cap of 1 cycles serialise exactly as in
-//! the pre-concurrent design).
-//!
-//! ### Adaptive concurrency
-//!
-//! With [`CleanerMode::Adaptive`] a feedback controller decides, tick by tick, how
-//! many of those slots should actually be used: the published *cycle target* (between
-//! the mode's `min_cycles` and `max_cycles`) gates the background pool's workers and
-//! sets the divisor of the per-cycle victim budget. Ticks run on background wake-ups
-//! and at cycle starts (rate-limited), and writer stalls escalate the target to its
-//! maximum immediately; see [`controller_tick`] for the signals and
-//! [`desired_cycles`]/[`apply_damping`] for the decision rule and its
-//! scale-down damping. Scaling is always *advisory to new work*: a decision never
-//! cancels an in-flight cycle, so claims, quarantine entries and GC output builders
-//! are handed through the exact same completion/orphan paths as in fixed mode.
+//! [`StoreConfig::cleaner_threads`](crate::StoreConfig::cleaner_threads) (with a cap of
+//! 1 cycles serialise exactly as in the pre-concurrent design).
 
 use super::write_path::{self, MetaLedger};
 use super::{CentralState, GcStreams, LogStore, OpenSegment};
 use crate::cleaner::{collect_live_pages, CleaningReport, LivePage};
-use crate::config::{AdaptiveTargets, CleanerMode, StoreConfig};
+use crate::config::StoreConfig;
 use crate::error::{Error, Result};
 use crate::freq::{classify_heat, Up2Average, TEMPERATURE_UNCLASSIFIED};
 use crate::layout::{self, decode_segment, SegmentBuilder};
@@ -98,9 +85,9 @@ use crate::types::{
 };
 use crate::write_buffer::sort_by_separation_key;
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Externally observable phase boundaries of one cleaning cycle, in the order they are
 /// crossed: `Claimed* → (VictimRead → Relocated)* → Sealed → Synced`.
@@ -122,20 +109,14 @@ pub enum GcPhase {
     Sealed,
     /// The cycle's device sync landed; its victims are reusable once unpinned.
     Synced,
-    /// The adaptive GC controller evaluated a tick (never fired in
-    /// [`CleanerMode::Fixed`]). For this event the hook's first parameter carries the
-    /// *decided concurrent-cycle target*, not a cycle token, and the victim is absent —
-    /// which is what lets the deterministic harness script pressure transitions and
-    /// observe every scale-up/scale-down decision.
-    ControllerDecision,
 }
 
 /// Test/diagnostic instrumentation callback: `(cycle token, phase, victim)`.
 /// The victim is present for the per-victim phases, absent for `Sealed`/`Synced`.
 pub type GcPhaseHook = Arc<dyn Fn(u64, GcPhase, Option<SegmentId>) + Send + Sync>;
 
-/// Coordination state for cleaning: the concurrent-cycle gate and slots, cycle tokens,
-/// background-cleaner wakeup, and the adaptive concurrency controller.
+/// Coordination state for cleaning: the concurrent-cycle gate and slots, cycle tokens
+/// and the background-cleaner wakeup.
 pub(crate) struct GcControl {
     /// Running cycles hold this shared; checkpoint snapshots and the straggler reclaim
     /// hold it exclusive to wait out every in-flight cycle. Never acquired while
@@ -145,23 +126,9 @@ pub(crate) struct GcControl {
     /// Number of cycles currently running, bounded by `max_cycles`.
     active_cycles: Mutex<usize>,
     slot_cond: Condvar,
-    /// Hard concurrency cap ([`StoreConfig::max_cleaner_cycles`]): the slot count and
-    /// the background-pool size. The adaptive target never exceeds it, and `clean_now`
-    /// callers may always run up to it, so scaling down can never wedge a writer that
-    /// lends its thread to a synchronous cycle.
+    /// Concurrency cap ([`StoreConfig::cleaner_threads`]): the slot count, the
+    /// background-pool size and the divisor of the per-cycle victim budget.
     max_cycles: usize,
-    /// Lower bound of the adaptive target ([`StoreConfig::min_cleaner_cycles`]).
-    min_cycles: usize,
-    /// Adaptive thresholds; `None` in [`CleanerMode::Fixed`] (the controller is inert
-    /// and `target` stays pinned at `max_cycles` forever).
-    adaptive: Option<AdaptiveTargets>,
-    /// The published concurrent-cycle target, in `min_cycles..=max_cycles`. Background
-    /// pool threads with index `>= target` park between cycles; the per-cycle victim
-    /// budget divides by it.
-    target: AtomicUsize,
-    /// Tick bookkeeping of the controller (damping streak, rate limiting, stall
-    /// deltas). `try_lock` discipline: a contended tick is simply skipped.
-    controller: Mutex<ControllerState>,
     /// Next cycle token; starts above [`ORPHAN_CYCLE`], which is reserved for the
     /// quarantine entries of aborted cycles.
     next_token: AtomicU64,
@@ -177,92 +144,6 @@ pub(crate) struct GcControl {
 struct KickState {
     pending: bool,
     shutdown: bool,
-}
-
-/// Mutable bookkeeping of the adaptive controller.
-struct ControllerState {
-    /// Consecutive ticks whose desired target was below the published one; a
-    /// scale-down only happens once this reaches
-    /// [`AdaptiveTargets::scale_down_ticks`] (the damping that stops square-wave
-    /// loads from thrashing the pool).
-    low_streak: u32,
-    /// When the last (rate-limited) tick ran; `None` before the first.
-    last_tick: Option<Instant>,
-    /// Stall counter total (`writer_stall_events + straggler_reclaims`) observed at
-    /// the last tick, so a tick can detect *new* stalls since the previous one.
-    last_stall_count: u64,
-}
-
-/// Live inputs of one controller decision (see [`desired_cycles`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ControlSignals {
-    /// Free segments right now.
-    pub free: usize,
-    /// The effective cleaning trigger (free-segment watermark).
-    pub trigger: usize,
-    /// The hard reserve floor user allocations stop at.
-    pub reserve: usize,
-    /// Fraction of sealed capacity that is dead space
-    /// ([`crate::segment::PressureSnapshot::dead_fraction`]).
-    pub dead_fraction: f64,
-    /// Writer stall / straggler-reclaim events happened since the last tick.
-    pub stalled: bool,
-}
-
-/// The controller's decision rule, a pure function of the signals:
-///
-/// * a writer stall since the last tick, or a free pool at the hard reserve floor,
-///   demands everything: `max`;
-/// * a free pool above the trigger means cleaning is idle: `min` (idle-phase CPU is
-///   why the pool narrows — extra cycles with nothing to do still burn selection work
-///   and wake-ups);
-/// * in between, the target scales with the worse of two urgencies: *allocation
-///   depth* — how far below the trigger the pool has sunk, normalised over the
-///   trigger→reserve band — and *fragmentation* — how much of the sealed space is
-///   dead, normalised over the configured `dead_space_low..high` band. Depth says how
-///   badly segments are needed; dead fraction says how productive (cheap per freed
-///   segment) extra concurrent cycles will be. Either justifies widening.
-fn desired_cycles(min: usize, max: usize, targets: &AdaptiveTargets, s: &ControlSignals) -> usize {
-    if s.stalled || s.free <= s.reserve + 1 {
-        return max;
-    }
-    if s.free > s.trigger {
-        return min;
-    }
-    let span = s.trigger.saturating_sub(s.reserve).max(1) as f64;
-    let depth = ((s.trigger - s.free) as f64 / span).clamp(0.0, 1.0);
-    let frag = ((s.dead_fraction - targets.dead_space_low)
-        / (targets.dead_space_high - targets.dead_space_low))
-        .clamp(0.0, 1.0);
-    let urgency = depth.max(frag);
-    (min + (urgency * (max - min) as f64).round() as usize).min(max)
-}
-
-/// Asymmetric damping around the published target: scale-*up* jumps straight to the
-/// desired value (pressure must be answered now); scale-*down* shrinks by one cycle
-/// only after `scale_down_ticks` consecutive ticks wanted less (so alternating
-/// pressure cannot thrash the pool between ticks). Returns the new target.
-fn apply_damping(
-    current: usize,
-    desired: usize,
-    low_streak: &mut u32,
-    scale_down_ticks: u32,
-) -> usize {
-    if desired > current {
-        *low_streak = 0;
-        desired
-    } else if desired < current {
-        *low_streak += 1;
-        if *low_streak >= scale_down_ticks {
-            *low_streak = 0;
-            current - 1
-        } else {
-            current
-        }
-    } else {
-        *low_streak = 0;
-        current
-    }
 }
 
 /// Permission to run one cleaning cycle: holds the shared cycle gate plus one of the
@@ -284,41 +165,16 @@ impl Drop for CyclePermit<'_> {
 
 impl GcControl {
     pub(crate) fn new(config: &StoreConfig) -> Self {
-        let max_cycles = config.max_cleaner_cycles();
-        let min_cycles = config.min_cleaner_cycles().min(max_cycles);
-        let adaptive = match config.cleaner_mode {
-            CleanerMode::Fixed => None,
-            CleanerMode::Adaptive { targets, .. } => Some(targets),
-        };
         Self {
             cycle_gate: RwLock::new(()),
             active_cycles: Mutex::new(0),
             slot_cond: Condvar::new(),
-            max_cycles: max_cycles.max(1),
-            min_cycles: min_cycles.max(1),
-            adaptive,
-            // Adaptive stores wake up assuming idle (the controller widens on the
-            // first pressured tick); fixed stores are pinned at the configured width.
-            target: AtomicUsize::new(if adaptive.is_some() {
-                min_cycles.max(1)
-            } else {
-                max_cycles.max(1)
-            }),
-            controller: Mutex::new(ControllerState {
-                low_streak: 0,
-                last_tick: None,
-                last_stall_count: 0,
-            }),
+            max_cycles: config.cleaner_threads.max(1),
             next_token: AtomicU64::new(ORPHAN_CYCLE + 1),
             kick: Mutex::new(KickState::default()),
             kick_cond: Condvar::new(),
             background_attached: AtomicBool::new(false),
         }
-    }
-
-    /// The current concurrent-cycle target (always `cleaner_threads` in fixed mode).
-    pub(crate) fn current_target(&self) -> usize {
-        self.target.load(Ordering::Relaxed)
     }
 
     /// Acquire a cycle slot (blocks while `cleaner_threads` cycles are already in
@@ -477,108 +333,6 @@ fn fire_phase_hook(store: &LogStore, token: u64, phase: GcPhase, victim: Option<
     }
 }
 
-/// Minimum interval between rate-limited controller ticks. Background wake-ups and
-/// cycle starts tick through this limiter; the public
-/// [`LogStore::gc_controller_tick`] forces a tick regardless (deterministic tests
-/// drive pressure transitions through it).
-const CONTROLLER_TICK_INTERVAL: Duration = Duration::from_millis(5);
-
-/// Evaluate one adaptive-controller tick: sample the pressure signals, run the
-/// decision rule, damp, publish the new target and fire the
-/// [`GcPhase::ControllerDecision`] hook event. Returns the (possibly unchanged)
-/// target; a no-op returning the current target in [`CleanerMode::Fixed`], when the
-/// rate limiter says it is too soon, or when another tick is in progress.
-///
-/// Sampling cost: one short central-lock acquisition for the segment-table pressure
-/// snapshot; everything else reads atomics. Never called on the foreground read path;
-/// writers only reach it through stall escalation.
-pub(crate) fn controller_tick(store: &LogStore, forced: bool) -> usize {
-    let gc = &store.gc;
-    let Some(targets) = gc.adaptive else {
-        return gc.current_target();
-    };
-    let Some(mut state) = gc.controller.try_lock() else {
-        return gc.current_target();
-    };
-    if !forced {
-        if let Some(last) = state.last_tick {
-            if last.elapsed() < CONTROLLER_TICK_INTERVAL {
-                return gc.current_target();
-            }
-        }
-    }
-    state.last_tick = Some(Instant::now());
-    let stats = store.atomic_stats();
-    let stall_count = stats.writer_stall_events.load(Ordering::Relaxed)
-        + stats.straggler_reclaims.load(Ordering::Relaxed);
-    let stalled = stall_count > state.last_stall_count;
-    state.last_stall_count = stall_count;
-    let dead_fraction = store.central().lock().segments.pressure().dead_fraction();
-    let signals = ControlSignals {
-        free: store.approx_free_segments(),
-        trigger: store.effective_clean_trigger(),
-        reserve: store.config().cleaning.reserved_free_segments,
-        dead_fraction,
-        stalled,
-    };
-    let desired = desired_cycles(gc.min_cycles, gc.max_cycles, &targets, &signals);
-    let before = gc.current_target();
-    let next = apply_damping(
-        before,
-        desired,
-        &mut state.low_streak,
-        targets.scale_down_ticks,
-    );
-    gc.target.store(next, Ordering::Relaxed);
-    drop(state);
-    AtomicStats::bump(&stats.gc_controller_decisions);
-    if next > before {
-        AtomicStats::bump(&stats.gc_scale_ups);
-        // A widened pool only helps if the parked threads hear about it.
-        if gc.background_attached() {
-            gc.kick();
-        }
-    } else if next < before {
-        AtomicStats::bump(&stats.gc_scale_downs);
-    }
-    fire_phase_hook(store, next as u64, GcPhase::ControllerDecision, None);
-    next
-}
-
-/// Record a writer-pressure event — a writer lending its thread at the hard reserve
-/// floor (`straggler = false`) or a last-resort straggler reclaim
-/// (`straggler = true`) — and, in adaptive mode, escalate the cycle target straight
-/// to its maximum: a stalled writer is the one signal that must not wait for the next
-/// rate-limited tick. Called with no stream lock held.
-pub(crate) fn note_writer_stall(store: &LogStore, straggler: bool) {
-    let stats = store.atomic_stats();
-    if straggler {
-        AtomicStats::bump(&stats.straggler_reclaims);
-    } else {
-        AtomicStats::bump(&stats.writer_stall_events);
-    }
-    let gc = &store.gc;
-    if gc.adaptive.is_none() || gc.current_target() >= gc.max_cycles {
-        return;
-    }
-    {
-        let mut state = gc.controller.lock();
-        state.low_streak = 0;
-        gc.target.store(gc.max_cycles, Ordering::Relaxed);
-    }
-    AtomicStats::bump(&stats.gc_controller_decisions);
-    AtomicStats::bump(&stats.gc_scale_ups);
-    if gc.background_attached() {
-        gc.kick();
-    }
-    fire_phase_hook(
-        store,
-        gc.max_cycles as u64,
-        GcPhase::ControllerDecision,
-        None,
-    );
-}
-
 /// Run one full cleaning cycle with the configured policy. Takes one of the
 /// `cleaner_threads` cycle slots; safe to call from any thread, with no store locks
 /// held.
@@ -591,9 +345,6 @@ pub(crate) fn run_cleaning_cycle_with(
     store: &LogStore,
     mode: SelectionMode,
 ) -> Result<CleaningReport> {
-    // Every cycle start is a natural controller tick: synchronous writer-driven
-    // cycles keep the target fresh even when no background pool is attached.
-    controller_tick(store, false);
     let permit = store.gc.begin_cycle();
     let token = permit.token;
     let stats = store.atomic_stats();
@@ -608,12 +359,8 @@ pub(crate) fn run_cleaning_cycle_with(
         // The configured batch is an *aggregate* in-flight budget: divide it across
         // the concurrent cycles, or K cycles would claim K × segments_per_cycle
         // victims at once and could park most of a small device in claims +
-        // quarantine while writers starve. The divisor is the *current* cycle target,
-        // so an adaptive pool that narrows to 1 recovers the paper's full serialised
-        // batch and a widened pool shrinks each cycle's bite; in fixed mode the
-        // target is pinned at `cleaner_threads` and this is exactly the old division.
-        let share =
-            (store.config().cleaning.segments_per_cycle / store.gc.current_target().max(1)).max(1);
+        // quarantine while writers starve.
+        let share = (store.config().cleaning.segments_per_cycle / store.gc.max_cycles).max(1);
         let batch = policy.preferred_batch().unwrap_or(share).max(1);
         let sealed = segments.sealed_stats();
         let ctx = PolicyContext {
@@ -1408,131 +1155,6 @@ mod tests {
         for _ in 0..3 {
             assert!(run_cleaning_cycle(&store).unwrap().pages_moved > 0);
             assert_eq!(parked(&store), before);
-        }
-    }
-
-    fn signals(free: usize, trigger: usize, reserve: usize) -> ControlSignals {
-        ControlSignals {
-            free,
-            trigger,
-            reserve,
-            dead_fraction: 0.0,
-            stalled: false,
-        }
-    }
-
-    #[test]
-    fn desired_cycles_clamps_to_the_configured_bounds() {
-        let t = AdaptiveTargets::default();
-        // Idle → min; reserve floor → max; never outside [min, max].
-        assert_eq!(desired_cycles(2, 5, &t, &signals(100, 32, 4)), 2);
-        assert_eq!(desired_cycles(2, 5, &t, &signals(5, 32, 4)), 5);
-        for free in 0..200 {
-            let d = desired_cycles(2, 5, &t, &signals(free, 32, 4));
-            assert!((2..=5).contains(&d), "free={free} gave target {d}");
-        }
-        // Degenerate bounds collapse to a constant.
-        for free in 0..100 {
-            assert_eq!(desired_cycles(3, 3, &t, &signals(free, 32, 4)), 3);
-        }
-    }
-
-    #[test]
-    fn desired_cycles_scales_with_allocation_depth() {
-        let t = AdaptiveTargets::default();
-        // Deeper below the trigger (free decreasing) never wants fewer cycles.
-        let mut prev = 0usize;
-        for free in (4..=32).rev() {
-            let d = desired_cycles(1, 4, &t, &signals(free, 32, 4));
-            assert!(
-                d >= prev,
-                "non-monotone: free={free} wants {d}, shallower wanted {prev}"
-            );
-            prev = d;
-        }
-        assert_eq!(desired_cycles(1, 4, &t, &signals(32, 32, 4)), 1);
-        assert_eq!(desired_cycles(1, 4, &t, &signals(4, 32, 4)), 4);
-    }
-
-    #[test]
-    fn desired_cycles_widens_on_fragmentation_but_only_under_the_trigger() {
-        let t = AdaptiveTargets::default();
-        let mut hot = signals(31, 32, 4); // just under the trigger: depth ~0
-        hot.dead_fraction = 0.9; // saturated fragmentation
-        assert_eq!(desired_cycles(1, 4, &t, &hot), 4);
-        let mut idle = signals(100, 32, 4); // above the trigger
-        idle.dead_fraction = 0.9;
-        assert_eq!(
-            desired_cycles(1, 4, &t, &idle),
-            1,
-            "fragmentation alone must not spin cleaners on an idle store"
-        );
-        let mut mild = signals(31, 32, 4);
-        mild.dead_fraction = t.dead_space_low; // at the low threshold: no boost yet
-        assert_eq!(desired_cycles(1, 4, &t, &mild), 1);
-    }
-
-    #[test]
-    fn stall_signal_demands_the_maximum() {
-        let t = AdaptiveTargets::default();
-        let mut s = signals(100, 32, 4); // otherwise idle
-        s.stalled = true;
-        assert_eq!(desired_cycles(1, 4, &t, &s), 4);
-    }
-
-    #[test]
-    fn damping_scales_up_immediately_and_down_one_step_per_streak() {
-        let mut streak = 0;
-        // Up: straight jump.
-        assert_eq!(apply_damping(1, 4, &mut streak, 3), 4);
-        assert_eq!(streak, 0);
-        // Down: needs 3 consecutive low ticks per single step.
-        assert_eq!(apply_damping(4, 1, &mut streak, 3), 4);
-        assert_eq!(apply_damping(4, 1, &mut streak, 3), 4);
-        assert_eq!(apply_damping(4, 1, &mut streak, 3), 3);
-        assert_eq!(streak, 0);
-        // An equal tick resets the streak.
-        assert_eq!(apply_damping(3, 1, &mut streak, 3), 3);
-        assert_eq!(apply_damping(3, 3, &mut streak, 3), 3);
-        assert_eq!(streak, 0);
-    }
-
-    #[test]
-    fn square_wave_pressure_does_not_thrash_the_target() {
-        // Alternate desired = max / min every tick (a square-wave load faster than
-        // the damping window): the target must rise to max once and then *stay* there
-        // — zero downward transitions, not down-up flapping.
-        let t = AdaptiveTargets::default();
-        let mut streak = 0;
-        let mut target = 1usize;
-        let mut transitions = 0;
-        for tick in 0..100 {
-            let desired = if tick % 2 == 0 { 4 } else { 1 };
-            let next = apply_damping(target, desired, &mut streak, t.scale_down_ticks);
-            if next != target {
-                transitions += 1;
-            }
-            target = next;
-        }
-        assert_eq!(target, 4);
-        assert_eq!(
-            transitions, 1,
-            "square-wave load caused {transitions} target moves (expected the single initial rise)"
-        );
-
-        // A slower square wave (period longer than the damping window) may follow the
-        // load, but each low phase sheds at most phase_len / scale_down_ticks steps.
-        let mut streak = 0;
-        let mut target = 4usize;
-        for _ in 0..4 {
-            for _ in 0..6 {
-                target = apply_damping(target, 1, &mut streak, 3);
-            }
-            assert!(target >= 2, "low phase shed too fast: {target}");
-            for _ in 0..6 {
-                target = apply_damping(target, 4, &mut streak, 3);
-            }
-            assert_eq!(target, 4);
         }
     }
 }

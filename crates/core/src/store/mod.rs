@@ -486,31 +486,6 @@ impl LogStore {
         *self.gc_phase_hook.write() = hook;
     }
 
-    /// Force one adaptive-controller decision right now (bypassing the internal rate
-    /// limiter) and return the resulting concurrent-cycle target. A no-op returning
-    /// `cleaner_threads` in [`crate::config::CleanerMode::Fixed`].
-    ///
-    /// The controller normally ticks by itself — on background-cleaner wake-ups, at
-    /// cycle starts and on writer stalls — so production code never needs this;
-    /// deterministic tests and embedders that schedule cleaning themselves use it to
-    /// drive decisions at exact points.
-    pub fn gc_controller_tick(&self) -> usize {
-        gc_driver::controller_tick(self, true)
-    }
-
-    /// The current concurrent-cycle target: how many cleaning cycles the store will
-    /// run at once right now. Constant `cleaner_threads` in fixed mode; moves between
-    /// the configured bounds under [`crate::config::CleanerMode::Adaptive`].
-    pub fn gc_target_cycles(&self) -> usize {
-        self.gc.current_target()
-    }
-
-    /// Rate-limited controller tick for the internal periodic callers (the background
-    /// pool's wake-ups); see [`LogStore::gc_controller_tick`] for the forced form.
-    pub(crate) fn gc_controller_tick_rate_limited(&self) {
-        gc_driver::controller_tick(self, false);
-    }
-
     /// Snapshot of the operational statistics accumulated so far, including the live
     /// per-segment emptiness histogram (see
     /// [`StoreStats::emptiness_histogram`](crate::StoreStats::emptiness_histogram)).
@@ -530,8 +505,6 @@ impl LogStore {
                 .segments
                 .sealed_counts_by_temperature(self.config.gc_temperature_classes);
         }
-        drop(central);
-        stats.gc_target_cycles = self.gc.current_target() as u64;
         stats
     }
 

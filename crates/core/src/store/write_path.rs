@@ -371,10 +371,9 @@ pub(crate) fn ensure_headroom(store: &LogStore) -> Result<()> {
     if store.gc.background_attached() {
         store.gc.kick();
         if store.approx_free_segments() <= store.config().cleaning.reserved_free_segments + 1 {
-            // The writer outran the pool all the way to the reserve floor: the
-            // strongest pressure signal there is. Record it (and escalate the
-            // adaptive target to its maximum) before lending this thread to a cycle.
-            gc_driver::note_writer_stall(store, false);
+            // The writer outran the pool all the way to the reserve floor: record
+            // it before lending this thread to a cycle.
+            AtomicStats::bump(&store.atomic_stats().writer_stall_events);
             gc_driver::run_cleaning_cycle(store)?;
         }
         return Ok(());
@@ -406,9 +405,7 @@ pub(crate) fn ensure_headroom(store: &LogStore) -> Result<()> {
 /// the concurrent cycles' own reaps or from ours — meaning the caller should retry
 /// instead of erroring.
 fn reclaim_stragglers(store: &LogStore) -> Result<bool> {
-    // Straggler sweeps are the adaptive controller's second stall signal: a writer got
-    // desperate enough to quiesce the cycle gate.
-    gc_driver::note_writer_stall(store, true);
+    AtomicStats::bump(&store.atomic_stats().straggler_reclaims);
     let before = store.approx_free_segments();
     drop(store.gc.quiesce());
     emergency_reclaim(store, true)?;

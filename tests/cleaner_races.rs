@@ -5,7 +5,7 @@
 //!
 //! The store exposes a test hook ([`LogStore::set_gc_phase_hook`]) invoked at every
 //! phase boundary of every cleaning cycle with no store lock held; the
-//! [`common::PhaseGate`] harness (shared with `tests/gc_controller.rs`) turns it into
+//! [`common::PhaseGate`] harness turns it into
 //! a controllable barrier — tests pause any cycle at any boundary
 //! (`Claimed → VictimRead → Relocated → Sealed → Synced`), run foreground writers or
 //! a second cycle while it is parked, and then release it. This is the `GatedDevice`

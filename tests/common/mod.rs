@@ -10,9 +10,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Apply the concurrency knobs the CI stress job cranks via the environment
-/// (`LSS_WRITE_STREAMS`, `LSS_CLEANER_THREADS`, and the adaptive-cleaner knobs
-/// `LSS_CLEANER_MODE` / `LSS_CLEANER_MIN_CYCLES` / `LSS_CLEANER_MAX_CYCLES`) on top of
-/// a test's base config, clamped to the ranges config validation accepts.
+/// (`LSS_WRITE_STREAMS`, `LSS_CLEANER_THREADS`) on top of a test's base config,
+/// clamped to the ranges config validation accepts.
 #[allow(dead_code)] // not every test binary uses it
 pub fn apply_env_concurrency(config: StoreConfig) -> StoreConfig {
     config.with_env_overrides()
@@ -54,9 +53,8 @@ struct GateInner {
 /// A controllable barrier over the cleaning-cycle state machine: the store's
 /// [`lss::core::LogStore::set_gc_phase_hook`] fires at every phase boundary with no
 /// lock held, and this harness turns it into a pause/release gate — tests park any
-/// cycle at any boundary (including [`GcPhase::ControllerDecision`] ticks), run
-/// foreground traffic or other cycles while it is parked, then release it. Shared by
-/// `tests/cleaner_races.rs` and `tests/gc_controller.rs`.
+/// cycle at any boundary, run foreground traffic or other cycles while it is parked,
+/// then release it. Used by `tests/cleaner_races.rs`.
 #[derive(Default)]
 pub struct PhaseGate {
     inner: Mutex<GateInner>,
@@ -168,19 +166,6 @@ impl PhaseGate {
     /// Every hook event recorded so far, in arrival order.
     pub fn events(&self) -> Vec<(u64, GcPhase, Option<SegmentId>)> {
         self.inner.lock().unwrap().events.clone()
-    }
-
-    /// The [`GcPhase::ControllerDecision`] targets recorded so far, in arrival order
-    /// (the hook's first parameter carries the decided target for these events).
-    pub fn decisions(&self) -> Vec<u64> {
-        self.inner
-            .lock()
-            .unwrap()
-            .events
-            .iter()
-            .filter(|(_, p, _)| *p == GcPhase::ControllerDecision)
-            .map(|&(t, _, _)| t)
-            .collect()
     }
 }
 

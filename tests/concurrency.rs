@@ -574,3 +574,24 @@ fn crash_mid_clean_recovers_all_flushed_data() {
         assert_eq!(decode_payload(&recovered.get(0).unwrap().unwrap()), (0, 5));
     }
 }
+
+/// Genuine exhaustion forces the writer escalation ladder: the last-resort straggler
+/// reclaim must run (and be counted) before the store declares out-of-space.
+#[test]
+fn out_of_space_path_records_stalls() {
+    let config = StoreConfig::small_for_tests().with_policy(PolicyKind::Greedy);
+    let store = LogStore::open_in_memory(config.clone()).unwrap();
+    let payload = vec![0u8; config.page_bytes];
+    let mut result = Ok(());
+    for i in 0..(config.physical_pages() as u64 * 2) {
+        result = store.put(i, &payload); // pure growth: eventually truly full
+        if result.is_err() {
+            break;
+        }
+    }
+    assert!(matches!(result, Err(Error::OutOfSpace { .. })));
+    assert!(
+        store.stats().straggler_reclaims >= 1,
+        "the escalation ladder never ran a straggler reclaim"
+    );
+}

@@ -3,7 +3,6 @@
 //! index pages), between the barriers, during the superblock flip itself and after it —
 //! and reopen must always recover exactly a committed index: every key maps to its
 //! committed value, deleted keys stay deleted, and no partial tree page is reachable.
-//! The same sweep is run across the legacy-JSON → paged-index migration.
 //!
 //! The sweep works by counting device writes with the shared
 //! [`common::CrashPointDevice`]: each iteration rebuilds the same deterministic store,
@@ -20,7 +19,6 @@ mod common;
 
 use common::{apply_env_concurrency, CrashPointDevice};
 use lss::btree::kv::KvStore;
-use lss::btree::LegacyJsonKvStore;
 use lss::core::policy::PolicyKind;
 use lss::core::{LogStore, StoreConfig};
 use std::collections::BTreeMap;
@@ -210,88 +208,6 @@ fn superblock_flip_crash_matrix_recovers_a_committed_index() {
         new_epoch_outcomes > 0,
         "no crash point recovered the new epoch — the sweep missed the post-flip window"
     );
-}
-
-/// The same write-boundary sweep across the legacy-JSON migration: killing the device
-/// anywhere inside the migrating `KvStore::open` must leave the legacy image intact,
-/// and a retry after "restart" must complete the migration with identical contents.
-#[test]
-fn migration_crash_matrix_never_loses_the_legacy_index() {
-    let config = config();
-
-    // Deterministic legacy store builder.
-    let build_legacy = |device: &CrashPointDevice| -> Model {
-        let store = LogStore::open_with_device(config.clone(), Box::new(device.clone())).unwrap();
-        let legacy = LegacyJsonKvStore::new(store);
-        let mut model = Model::new();
-        for i in 0..180u32 {
-            let v = format!("legacy-{i}").into_bytes();
-            legacy.put(&key(i), &v).unwrap();
-            model.insert(key(i), v);
-        }
-        for i in (0..180u32).step_by(13) {
-            legacy.delete(&key(i)).unwrap();
-            model.remove(&key(i));
-        }
-        legacy.flush().unwrap();
-        drop(legacy.into_inner());
-        model
-    };
-
-    // Dry run: writes a healthy migration needs.
-    let healthy_writes = {
-        let device = CrashPointDevice::new(config.segment_bytes, config.num_segments);
-        let model = build_legacy(&device);
-        let before = device.writes();
-        let store =
-            LogStore::recover_with_device(config.clone(), Box::new(device.clone())).unwrap();
-        let kv = KvStore::open(store).unwrap();
-        assert_matches(&kv, &model, "healthy migration");
-        device.writes() - before
-    };
-    assert!(
-        healthy_writes >= 2,
-        "migration must hit the device, saw {healthy_writes}"
-    );
-
-    for budget in 0..=healthy_writes {
-        let device = CrashPointDevice::new(config.segment_bytes, config.num_segments);
-        let model = build_legacy(&device);
-        device.fail_after(budget);
-        let ctx = format!("migration crash after {budget}/{healthy_writes} writes");
-
-        let store =
-            LogStore::recover_with_device(config.clone(), Box::new(device.clone())).unwrap();
-        match KvStore::open(store) {
-            Ok(kv) => {
-                // Migration completed within the budget: contents must be exact.
-                assert_matches(&kv, &model, &ctx);
-                drop(kv.into_inner());
-            }
-            Err(_) => {
-                // Migration died mid-flight. Retry from the surviving image.
-                device.heal();
-                let store = LogStore::recover_with_device(config.clone(), Box::new(device.clone()))
-                    .unwrap();
-                let kv =
-                    KvStore::open(store).unwrap_or_else(|e| panic!("{ctx}: retry failed: {e}"));
-                assert_matches(&kv, &model, &format!("{ctx} (after retry)"));
-                // The retried migration committed a real superblock: restart once
-                // more and make sure we come back through the paged path.
-                kv.put(b"post-migration", b"alive").unwrap();
-                kv.flush().unwrap();
-                let store = kv.into_inner();
-                let cfg = store.config().clone();
-                let kv =
-                    KvStore::open(LogStore::recover_with_device(cfg, store.into_device()).unwrap())
-                        .unwrap();
-                assert_eq!(
-                    kv.get(b"post-migration").unwrap().unwrap().as_ref(),
-                    b"alive"
-                );
-            }
-        }
-    }
 }
 
 /// Concurrent writers racing the committing flush, then a crash: the committed index
