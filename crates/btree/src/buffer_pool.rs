@@ -23,19 +23,20 @@
 //! (barrier 2).
 
 use crate::page_store::PageStore;
+use bytes::Bytes;
 use lss_core::util::mix64;
 use lss_core::Result;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 #[derive(Debug)]
 struct Frame {
     page_id: u64,
-    /// Shared with readers: a pool hit hands out a clone of the `Arc`, so the page
-    /// bytes are never copied under the shard latch (the latch hold is O(1)).
-    data: Arc<Vec<u8>>,
+    /// Shared with readers: a pool hit hands out a clone of the handle, so the page
+    /// bytes are never copied under the shard latch (the latch hold is O(1)). A miss
+    /// installs the store's buffer as it came — no copy on the way in either.
+    data: Bytes,
     dirty: bool,
     referenced: bool,
 }
@@ -158,14 +159,14 @@ impl<S: PageStore> BufferPool<S> {
     }
 
     /// Read a page through the pool. Returns `None` if the page does not exist. A hit
-    /// clones only the frame's `Arc`, so concurrent readers of hot pages (every
+    /// clones only the frame's handle, so concurrent readers of hot pages (every
     /// descent touches the root) do not serialise on a byte copy.
-    pub fn read(&self, page_id: u64) -> Result<Option<Arc<Vec<u8>>>> {
+    pub fn read(&self, page_id: u64) -> Result<Option<Bytes>> {
         let mut shard = self.shard(page_id).lock();
         if let Some(&idx) = shard.index.get(&page_id) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             shard.frames[idx].referenced = true;
-            return Ok(Some(Arc::clone(&shard.frames[idx].data)));
+            return Ok(Some(shard.frames[idx].data.clone()));
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         // The store read happens under the shard latch: this serialises misses within a
@@ -173,8 +174,7 @@ impl<S: PageStore> BufferPool<S> {
         // observe the store image of a page another thread is concurrently evicting.
         match self.store.read_page(page_id)? {
             Some(data) => {
-                let data = Arc::new(data);
-                self.install(&mut shard, page_id, Arc::clone(&data), false)?;
+                self.install(&mut shard, page_id, data.clone(), false)?;
                 Ok(Some(data))
             }
             None => Ok(None),
@@ -188,7 +188,7 @@ impl<S: PageStore> BufferPool<S> {
             self.store.page_size(),
             "page {page_id} has the wrong size"
         );
-        let data = Arc::new(data);
+        let data = Bytes::from(data);
         let mut shard = self.shard(page_id).lock();
         if let Some(&idx) = shard.index.get(&page_id) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -214,11 +214,11 @@ impl<S: PageStore> BufferPool<S> {
     ///
     /// Returns the page ids written, in write order.
     pub fn write_back(&self) -> Result<Vec<u64>> {
-        let mut dirty: Vec<(u64, Arc<Vec<u8>>)> = Vec::new();
+        let mut dirty: Vec<(u64, Bytes)> = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.lock();
             for f in shard.frames.iter().filter(|f| f.dirty) {
-                dirty.push((f.page_id, Arc::clone(&f.data)));
+                dirty.push((f.page_id, f.data.clone()));
             }
         }
         dirty.sort_by_key(|(id, _)| *id);
@@ -232,7 +232,7 @@ impl<S: PageStore> BufferPool<S> {
                 // Only clear the flag if the frame still holds what we wrote (a
                 // concurrent writer may have re-dirtied it; its data is newer).
                 let f = &mut shard.frames[idx];
-                if Arc::ptr_eq(&f.data, &data) {
+                if std::ptr::eq(f.data.as_ptr(), data.as_ptr()) {
                     f.dirty = false;
                 }
             }
@@ -257,13 +257,7 @@ impl<S: PageStore> BufferPool<S> {
         &self.store
     }
 
-    fn install(
-        &self,
-        shard: &mut Shard,
-        page_id: u64,
-        data: Arc<Vec<u8>>,
-        dirty: bool,
-    ) -> Result<()> {
+    fn install(&self, shard: &mut Shard, page_id: u64, data: Bytes, dirty: bool) -> Result<()> {
         if shard.frames.len() < self.shard_capacity {
             let idx = shard.frames.len();
             shard.frames.push(Frame {
@@ -301,11 +295,8 @@ impl<S: PageStore> BufferPool<S> {
                 continue;
             }
             if shard.frames[idx].dirty {
-                let (pid, data) = (
-                    shard.frames[idx].page_id,
-                    Arc::clone(&shard.frames[idx].data),
-                );
-                self.store.write_page(pid, &data)?;
+                let frame = &shard.frames[idx];
+                self.store.write_page(frame.page_id, &frame.data)?;
                 self.stats.dirty_evictions.fetch_add(1, Ordering::Relaxed);
             } else {
                 self.stats.clean_evictions.fetch_add(1, Ordering::Relaxed);
@@ -331,7 +322,7 @@ mod tests {
         let pool = BufferPool::new(MemPageStore::new(PS), 4);
         assert!(pool.read(1).unwrap().is_none());
         pool.write(1, page(1)).unwrap();
-        assert_eq!(*pool.read(1).unwrap().unwrap(), page(1));
+        assert_eq!(pool.read(1).unwrap().unwrap(), page(1));
         let s = pool.stats();
         assert_eq!(s.hits, 1); // the read-after-write
         assert!(s.misses >= 2); // the initial missing read and the write install
@@ -386,7 +377,7 @@ mod tests {
         }
         for i in 0..32u64 {
             assert_eq!(
-                *pool.read(i).unwrap().unwrap(),
+                pool.read(i).unwrap().unwrap(),
                 page(i as u8),
                 "page {i} lost"
             );
@@ -434,7 +425,7 @@ mod tests {
                     for round in 0..500u64 {
                         let i = (t * 97 + round) % 256;
                         let got = pool.read(i).unwrap().unwrap();
-                        assert_eq!(*got, page((i % 250) as u8), "page {i} corrupted");
+                        assert_eq!(got, page((i % 250) as u8), "page {i} corrupted");
                     }
                 });
             }

@@ -265,8 +265,8 @@ impl PageStore for KvTreeStore {
         self.page_size
     }
 
-    fn read_page(&self, id: u64) -> Result<Option<Vec<u8>>> {
-        Ok(self.store.get(TREE_BASE + id)?.map(|b| b.to_vec()))
+    fn read_page(&self, id: u64) -> Result<Option<Bytes>> {
+        self.store.get(TREE_BASE + id)
     }
 
     fn write_page(&self, id: u64, data: &[u8]) -> Result<()> {

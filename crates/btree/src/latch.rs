@@ -97,33 +97,6 @@ impl VersionTable {
             .is_ok()
     }
 
-    /// Lock a slot unconditionally, spinning until the CAS lands. For quiesced
-    /// writers (the tree's epoch latch held exclusively): no optimistic writer can
-    /// hold a slot then, so the spin succeeds immediately in practice — it exists
-    /// so the version word is odd across the quiesced writer's pool writes, making
-    /// concurrent optimistic readers (who take no epoch latch) restart instead of
-    /// validating post-write bytes against a pre-write version.
-    #[inline]
-    pub fn lock_slot_spin(&self, slot: usize) {
-        let mut spins = 0u32;
-        loop {
-            let v = self.slots[slot].load(Ordering::Acquire);
-            if v & 1 == 0
-                && self.slots[slot]
-                    .compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return;
-            }
-            spins += 1;
-            if spins > 64 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
     /// Release a slot locked by [`VersionTable::try_lock_slot`]: the version advances
     /// past every value optimistic readers could have observed before the lock.
     #[inline]

@@ -12,6 +12,17 @@
 //! keys has `nkeys + 1` children; separator `keys[i]` is the smallest key reachable via
 //! `children[i + 1]`.
 //!
+//! The tree works on these images directly. Reads search them in place
+//! ([`raw_internal_search`], [`raw_leaf_search`], [`raw_leaf_entries`]); writes edit
+//! them in place too — [`leaf_upsert`] / [`leaf_remove`] splice one entry in or out of a
+//! leaf image, [`internal_repoint`] patches one child pointer, [`internal_insert`]
+//! splices in the separator and right sibling of a child that split, and both inserts
+//! split the page when the result overflows. Every editor is one pass over the page plus
+//! one page-sized copy, rejects a malformed page with an error, and writes exactly the
+//! bytes `Node::decode` → edit → [`Node::encode`] would (the tests hold them to that,
+//! byte for byte). The owned [`Node`] form remains for walks, the reopen sweep and as
+//! that reference.
+//!
 //! Leaves carry **no sibling links**: range scans walk the tree by successor descent
 //! (see `tree`). This is what lets the shadow (copy-on-write) mode relocate any single
 //! page without rewriting its left neighbour — with persistent `next` pointers, moving
@@ -120,14 +131,7 @@ impl Node {
                 }
             }
         }
-        if buf.len() > page_size {
-            return Err(corrupt(&format!(
-                "node needs {} bytes but the page holds {page_size}",
-                buf.len()
-            )));
-        }
-        buf.resize(page_size, 0);
-        Ok(buf)
+        finish_page(buf, page_size)
     }
 
     /// Decode a node from a page image.
@@ -295,6 +299,270 @@ impl<'a> Iterator for RawLeafEntries<'a> {
     }
 }
 
+/// What a raw page edit produced: the rewritten page image, or — when the result
+/// outgrows one page — its two halves and the separator that moves up to the parent.
+#[derive(Debug, PartialEq, Eq)]
+pub enum PageEdit {
+    /// The edited node still fits one page.
+    Fits(Vec<u8>),
+    /// The edited node overflowed and was split.
+    Split {
+        /// The lower half; stays at the node's page id.
+        left: Vec<u8>,
+        /// Smallest key reachable through `right`.
+        sep: Vec<u8>,
+        /// The upper half; goes to a newly allocated sibling.
+        right: Vec<u8>,
+    },
+}
+
+fn u16_at(data: &[u8], pos: usize) -> Result<usize> {
+    match data.get(pos..pos + 2) {
+        Some(b) => Ok(u16::from_le_bytes([b[0], b[1]]) as usize),
+        None => Err(corrupt("truncated length")),
+    }
+}
+
+/// Tag and entry count of a page under construction.
+fn start_page(tag: u8, nkeys: usize, capacity: usize) -> Result<Vec<u8>> {
+    let nkeys = u16::try_from(nkeys).map_err(|_| corrupt("entry count exceeds u16"))?;
+    let mut page = Vec::with_capacity(capacity);
+    page.push(tag);
+    page.extend_from_slice(&nkeys.to_le_bytes());
+    Ok(page)
+}
+
+/// Zero-fill a constructed node to the page size; an error if it does not fit.
+fn finish_page(mut page: Vec<u8>, page_size: usize) -> Result<Vec<u8>> {
+    if page.len() > page_size {
+        return Err(corrupt(&format!(
+            "node needs {} bytes but the page holds {page_size}",
+            page.len()
+        )));
+    }
+    page.resize(page_size, 0);
+    Ok(page)
+}
+
+fn push_len(page: &mut Vec<u8>, len: usize) -> Result<()> {
+    let len = u16::try_from(len).map_err(|_| corrupt("byte string longer than u16"))?;
+    page.extend_from_slice(&len.to_le_bytes());
+    Ok(())
+}
+
+/// Where `key` sits, or would go, in an encoded leaf — from one pass over the page.
+struct LeafSlot<'a> {
+    nkeys: usize,
+    /// Byte offset of the first entry whose key is `>= key` (`used` if none).
+    at: usize,
+    /// The entry for `key` itself: its value and the offset just past it.
+    hit: Option<(&'a [u8], usize)>,
+    /// Offset just past the last entry.
+    used: usize,
+}
+
+fn leaf_locate<'a>(data: &'a [u8], key: &[u8]) -> Result<LeafSlot<'a>> {
+    let mut it = raw_leaf_entries(data)?;
+    let nkeys = it.remaining;
+    let mut found = None;
+    loop {
+        let start = it.pos;
+        let Some(entry) = it.next() else { break };
+        let (k, v) = entry?;
+        if found.is_none() && k >= key {
+            found = Some((start, (k == key).then_some((v, it.pos))));
+        }
+    }
+    let (at, hit) = found.unwrap_or((it.pos, None));
+    Ok(LeafSlot {
+        nkeys,
+        at,
+        hit,
+        used: it.pos,
+    })
+}
+
+/// Insert or overwrite `key` in an encoded leaf by splicing the page image: returns
+/// the edit and the previous value. The output is byte for byte what decoding the
+/// leaf, editing the entry list and re-encoding produces — including, on overflow,
+/// the split point (the first entry boundary past half a page, else the middle) and
+/// the separator (the right half's first key).
+pub fn leaf_upsert(
+    data: &[u8],
+    key: &[u8],
+    value: &[u8],
+    page_size: usize,
+) -> Result<(PageEdit, Option<Vec<u8>>)> {
+    let slot = leaf_locate(data, key)?;
+    let (nkeys, tail) = match slot.hit {
+        Some((_, end)) => (slot.nkeys, end),
+        None => (slot.nkeys + 1, slot.at),
+    };
+    let len = slot.at + 4 + key.len() + value.len() + (slot.used - tail);
+    let mut page = start_page(TAG_LEAF, nkeys, len.max(page_size))?;
+    page.extend_from_slice(&data[LEAF_HEADER_BYTES..slot.at]);
+    push_len(&mut page, key.len())?;
+    push_len(&mut page, value.len())?;
+    page.extend_from_slice(key);
+    page.extend_from_slice(value);
+    page.extend_from_slice(&data[tail..slot.used]);
+    let old = slot.hit.map(|(v, _)| v.to_vec());
+    if page.len() <= page_size {
+        page.resize(page_size, 0);
+        return Ok((PageEdit::Fits(page), old));
+    }
+
+    // Overflow. `pos` after entry i is exactly the accumulated encoded size.
+    let mut it = RawLeafEntries {
+        data: &page,
+        pos: LEAF_HEADER_BYTES,
+        remaining: nkeys,
+    };
+    let middle = (nkeys / 2).max(1);
+    let (mut count, mut cut) = (middle, 0);
+    for i in 0..nkeys {
+        it.next().transpose()?;
+        if i + 1 == middle {
+            cut = it.pos;
+        }
+        if it.pos > page_size / 2 && i + 1 < nkeys {
+            (count, cut) = (i + 1, it.pos);
+            break;
+        }
+    }
+    if count >= nkeys {
+        return Err(corrupt("a single leaf entry overflows the page"));
+    }
+    let sep_len = u16_at(&page, cut)?;
+    let sep = page[cut + 4..cut + 4 + sep_len].to_vec();
+    let mut left = start_page(TAG_LEAF, count, page_size)?;
+    left.extend_from_slice(&page[LEAF_HEADER_BYTES..cut]);
+    let mut right = start_page(TAG_LEAF, nkeys - count, page_size)?;
+    right.extend_from_slice(&page[cut..]);
+    let edit = PageEdit::Split {
+        left: finish_page(left, page_size)?,
+        sep,
+        right: finish_page(right, page_size)?,
+    };
+    Ok((edit, old))
+}
+
+/// Remove `key` from an encoded leaf by splicing the page image: the new page and
+/// the removed value, or `None` if the key is absent. Byte-identical to
+/// decode → remove → encode.
+pub fn leaf_remove(
+    data: &[u8],
+    key: &[u8],
+    page_size: usize,
+) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+    let slot = leaf_locate(data, key)?;
+    let Some((old, end)) = slot.hit else {
+        return Ok(None);
+    };
+    let mut page = start_page(TAG_LEAF, slot.nkeys - 1, page_size)?;
+    page.extend_from_slice(&data[LEAF_HEADER_BYTES..slot.at]);
+    page.extend_from_slice(&data[end..slot.used]);
+    Ok(Some((finish_page(page, page_size)?, old.to_vec())))
+}
+
+/// Bytes of the fixed internal header (tag + key count + child 0).
+const INTERNAL_HEADER_BYTES: usize = 1 + 2 + 8;
+
+/// One pass over an encoded internal page: its key count, the byte offset of
+/// `children[idx]` and the offset just past the last entry.
+fn internal_locate(data: &[u8], idx: usize) -> Result<(usize, usize, usize)> {
+    if data.len() < INTERNAL_HEADER_BYTES || data[0] != TAG_INTERNAL {
+        return Err(corrupt("not an internal page"));
+    }
+    let nkeys = u16_at(data, 1)?;
+    if idx > nkeys {
+        return Err(corrupt("child slot out of range"));
+    }
+    let mut child_at = 3;
+    let mut pos = INTERNAL_HEADER_BYTES;
+    for i in 0..nkeys {
+        pos += 2 + u16_at(data, pos)?;
+        if pos + 8 > data.len() {
+            return Err(corrupt("truncated internal entry"));
+        }
+        if i + 1 == idx {
+            child_at = pos;
+        }
+        pos += 8;
+    }
+    Ok((nkeys, child_at, pos))
+}
+
+/// Point `children[idx]` of an encoded internal page at `child` (the child was
+/// relocated). Byte-identical to decode → assign → encode.
+pub fn internal_repoint(data: &[u8], idx: usize, child: u64, page_size: usize) -> Result<Vec<u8>> {
+    let (_, child_at, used) = internal_locate(data, idx)?;
+    let mut page = Vec::with_capacity(used.max(page_size));
+    page.extend_from_slice(&data[..used]);
+    page[child_at..child_at + 8].copy_from_slice(&child.to_le_bytes());
+    finish_page(page, page_size)
+}
+
+/// Record a split of `children[idx]` in an encoded internal page: the slot is pointed
+/// at `child` (the left half) and `(sep, right)` is spliced in just after it.
+/// Byte-identical to decode → insert → encode, including — on overflow — the split
+/// rule: with `n` keys after the insert, key `n / 2` moves up, the keys below it stay
+/// and the keys above it go right.
+pub fn internal_insert(
+    data: &[u8],
+    idx: usize,
+    child: u64,
+    sep: &[u8],
+    right: u64,
+    page_size: usize,
+) -> Result<PageEdit> {
+    let (nkeys, child_at, used) = internal_locate(data, idx)?;
+    let nkeys = nkeys + 1;
+    let len = used + 2 + sep.len() + 8;
+    let mut page = start_page(TAG_INTERNAL, nkeys, len.max(page_size))?;
+    page.extend_from_slice(&data[3..child_at]);
+    page.extend_from_slice(&child.to_le_bytes());
+    push_len(&mut page, sep.len())?;
+    page.extend_from_slice(sep);
+    page.extend_from_slice(&right.to_le_bytes());
+    page.extend_from_slice(&data[child_at + 8..used]);
+    if page.len() <= page_size {
+        page.resize(page_size, 0);
+        return Ok(PageEdit::Fits(page));
+    }
+
+    let mid = nkeys / 2;
+    let mut pos = INTERNAL_HEADER_BYTES;
+    for _ in 0..mid {
+        pos += 2 + u16_at(&page, pos)? + 8;
+    }
+    let up_len = u16_at(&page, pos)?;
+    let up_end = pos + 2 + up_len;
+    if up_end + 8 > page.len() {
+        return Err(corrupt("truncated internal entry"));
+    }
+    let mut left = start_page(TAG_INTERNAL, mid, page_size)?;
+    left.extend_from_slice(&page[3..pos]);
+    // The right half starts at the child that followed the key moving up.
+    let mut right = start_page(TAG_INTERNAL, nkeys - mid - 1, page_size)?;
+    right.extend_from_slice(&page[up_end..]);
+    Ok(PageEdit::Split {
+        left: finish_page(left, page_size)?,
+        sep: page[pos + 2..up_end].to_vec(),
+        right: finish_page(right, page_size)?,
+    })
+}
+
+/// The page of a new root above the two halves of a split root.
+pub fn internal_root(left: u64, sep: &[u8], right: u64, page_size: usize) -> Result<Vec<u8>> {
+    let mut page = start_page(TAG_INTERNAL, 1, page_size)?;
+    page.extend_from_slice(&left.to_le_bytes());
+    push_len(&mut page, sep.len())?;
+    page.extend_from_slice(sep);
+    page.extend_from_slice(&right.to_le_bytes());
+    finish_page(page, page_size)
+}
+
 impl MetaPage {
     /// Encode the meta page.
     pub fn encode(&self, page_size: usize) -> Vec<u8> {
@@ -457,6 +725,392 @@ mod tests {
         let mut bad = vec![TAG_LEAF];
         bad.extend_from_slice(&1u16.to_le_bytes());
         assert!(raw_leaf_entries(&bad).unwrap().next().unwrap().is_err());
+    }
+
+    // ------------------------------------------------------------------
+    // Raw page editors: differential against decode → edit → encode
+    // ------------------------------------------------------------------
+
+    /// Deterministic splitmix64, so every run explores the same edit sequences.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A byte string of `len` bytes over a two-letter alphabet: short keys collide
+        /// (overwrites and removals hit), long ones share prefixes.
+        fn bytes(&mut self, len: usize) -> Vec<u8> {
+            (0..len).map(|_| b'a' + self.below(2) as u8).collect()
+        }
+    }
+
+    /// The tree's leaf split rule as the decoded write path had it: the first index
+    /// where the accumulated encoded size exceeds half the page, else the middle.
+    fn split_point(entries: &[(Vec<u8>, Vec<u8>)], page_size: usize) -> usize {
+        let mut acc = LEAF_HEADER_BYTES;
+        for (i, (k, v)) in entries.iter().enumerate() {
+            acc += 4 + k.len() + v.len();
+            if acc > page_size / 2 && i + 1 < entries.len() {
+                return (i + 1).max(1);
+            }
+        }
+        (entries.len() / 2).max(1)
+    }
+
+    fn leaf_entries(data: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        match Node::decode(data).unwrap() {
+            Node::Leaf { entries } => entries,
+            Node::Internal { .. } => panic!("expected a leaf"),
+        }
+    }
+
+    fn internal_parts(data: &[u8]) -> (Vec<Vec<u8>>, Vec<u64>) {
+        match Node::decode(data).unwrap() {
+            Node::Internal { keys, children } => (keys, children),
+            Node::Leaf { .. } => panic!("expected an internal node"),
+        }
+    }
+
+    fn reference_leaf_upsert(
+        data: &[u8],
+        key: &[u8],
+        value: &[u8],
+        page_size: usize,
+    ) -> (PageEdit, Option<Vec<u8>>) {
+        let mut entries = leaf_entries(data);
+        let old = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
+            Ok(i) => Some(std::mem::replace(&mut entries[i].1, value.to_vec())),
+            Err(i) => {
+                entries.insert(i, (key.to_vec(), value.to_vec()));
+                None
+            }
+        };
+        let node = Node::Leaf { entries };
+        if node.encoded_size() <= page_size {
+            return (PageEdit::Fits(node.encode(page_size).unwrap()), old);
+        }
+        let Node::Leaf { mut entries } = node else {
+            unreachable!()
+        };
+        let right = entries.split_off(split_point(&entries, page_size));
+        let edit = PageEdit::Split {
+            sep: right[0].0.clone(),
+            left: Node::Leaf { entries }.encode(page_size).unwrap(),
+            right: Node::Leaf { entries: right }.encode(page_size).unwrap(),
+        };
+        (edit, old)
+    }
+
+    fn reference_leaf_remove(
+        data: &[u8],
+        key: &[u8],
+        page_size: usize,
+    ) -> Option<(Vec<u8>, Vec<u8>)> {
+        let mut entries = leaf_entries(data);
+        let i = entries
+            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
+            .ok()?;
+        let old = entries.remove(i).1;
+        Some((Node::Leaf { entries }.encode(page_size).unwrap(), old))
+    }
+
+    fn reference_internal_insert(
+        data: &[u8],
+        idx: usize,
+        child: u64,
+        sep: &[u8],
+        right: u64,
+        page_size: usize,
+    ) -> PageEdit {
+        let (mut keys, mut children) = internal_parts(data);
+        children[idx] = child;
+        keys.insert(idx, sep.to_vec());
+        children.insert(idx + 1, right);
+        let node = Node::Internal { keys, children };
+        if node.encoded_size() <= page_size {
+            return PageEdit::Fits(node.encode(page_size).unwrap());
+        }
+        let Node::Internal { keys, children } = node else {
+            unreachable!()
+        };
+        // The middle key moves up.
+        let mid = keys.len() / 2;
+        let encode = |keys: &[Vec<u8>], children: &[u64]| {
+            Node::Internal {
+                keys: keys.to_vec(),
+                children: children.to_vec(),
+            }
+            .encode(page_size)
+            .unwrap()
+        };
+        PageEdit::Split {
+            left: encode(&keys[..mid], &children[..mid + 1]),
+            sep: keys[mid].clone(),
+            right: encode(&keys[mid + 1..], &children[mid + 1..]),
+        }
+    }
+
+    const EDITS_PER_PAGE_SIZE: usize = 10_000;
+
+    #[test]
+    fn leaf_editors_match_decode_edit_encode_byte_for_byte() {
+        for page_size in [64usize, 256, 4096] {
+            let max_entry = page_size / 4;
+            let mut rng = Rng(page_size as u64);
+            let mut page = Node::empty_leaf().encode(page_size).unwrap();
+            let (mut splits, mut overwrites, mut removals) = (0, 0, 0);
+            for _ in 0..EDITS_PER_PAGE_SIZE {
+                let entries = leaf_entries(&page);
+                // Half the time aim at a key that is there.
+                let key = if !entries.is_empty() && rng.below(2) == 0 {
+                    entries[rng.below(entries.len())].0.clone()
+                } else {
+                    let len = 1 + rng.below(max_entry);
+                    rng.bytes(len)
+                };
+                if rng.below(4) == 0 {
+                    let got = leaf_remove(&page, &key, page_size).unwrap();
+                    assert_eq!(got, reference_leaf_remove(&page, &key, page_size));
+                    if let Some((next, _)) = got {
+                        removals += 1;
+                        page = next;
+                    }
+                    continue;
+                }
+                let value = {
+                    let len = rng.below(max_entry - key.len() + 1);
+                    rng.bytes(len)
+                };
+                let (edit, old) = leaf_upsert(&page, &key, &value, page_size).unwrap();
+                let (want, want_old) = reference_leaf_upsert(&page, &key, &value, page_size);
+                assert_eq!(edit, want, "page size {page_size}");
+                assert_eq!(old, want_old);
+                overwrites += old.is_some() as usize;
+                page = match edit {
+                    PageEdit::Fits(page) => page,
+                    PageEdit::Split { left, sep, right } => {
+                        splits += 1;
+                        assert_eq!(leaf_entries(&right)[0].0, sep);
+                        if rng.below(2) == 0 {
+                            left
+                        } else {
+                            right
+                        }
+                    }
+                };
+                assert_eq!(page.len(), page_size);
+            }
+            // The sequence must have exercised every arm, not only appends.
+            assert!(splits > 50, "page size {page_size}: {splits} splits");
+            assert!(
+                overwrites > 500,
+                "page size {page_size}: {overwrites} overwrites"
+            );
+            assert!(removals > 500, "page size {page_size}: {removals} removals");
+        }
+    }
+
+    #[test]
+    fn internal_editors_match_decode_edit_encode_byte_for_byte() {
+        for page_size in [64usize, 256, 4096] {
+            let max_entry = page_size / 4;
+            let mut rng = Rng(page_size as u64 ^ 0xABCD);
+            let mut page = Node::Internal {
+                keys: vec![],
+                children: vec![rng.next()],
+            }
+            .encode(page_size)
+            .unwrap();
+            let mut splits = 0;
+            for _ in 0..EDITS_PER_PAGE_SIZE {
+                let (keys, mut children) = internal_parts(&page);
+                let idx = rng.below(children.len());
+                let child = rng.next();
+                if rng.below(3) == 0 {
+                    let got = internal_repoint(&page, idx, child, page_size).unwrap();
+                    children[idx] = child;
+                    let want = Node::Internal { keys, children }.encode(page_size);
+                    assert_eq!(got, want.unwrap());
+                    page = got;
+                    continue;
+                }
+                let sep = {
+                    let len = 1 + rng.below(max_entry);
+                    rng.bytes(len)
+                };
+                let right = rng.next();
+                let edit = internal_insert(&page, idx, child, &sep, right, page_size).unwrap();
+                let want = reference_internal_insert(&page, idx, child, &sep, right, page_size);
+                assert_eq!(edit, want, "page size {page_size}");
+                page = match edit {
+                    PageEdit::Fits(page) => page,
+                    PageEdit::Split { left, right, .. } => {
+                        splits += 1;
+                        if rng.below(2) == 0 {
+                            left
+                        } else {
+                            right
+                        }
+                    }
+                };
+                assert_eq!(page.len(), page_size);
+            }
+            assert!(splits > 50, "page size {page_size}: {splits} splits");
+            // A root above a split root is the one-key internal node.
+            let sep = rng.bytes(max_entry);
+            assert_eq!(
+                internal_root(7, &sep, 9, page_size).unwrap(),
+                Node::Internal {
+                    keys: vec![sep],
+                    children: vec![7, 9]
+                }
+                .encode(page_size)
+                .unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn editors_ignore_a_dirty_tail_and_rewrite_it_as_zeros() {
+        let leaf = Node::Leaf {
+            entries: vec![
+                (b"b".to_vec(), b"1".to_vec()),
+                (b"d".to_vec(), b"2".to_vec()),
+            ],
+        };
+        let clean = leaf.encode(64).unwrap();
+        let mut dirty = clean.clone();
+        dirty[leaf.encoded_size()..].fill(0xEE);
+        assert_eq!(
+            leaf_upsert(&dirty, b"c", b"x", 64).unwrap(),
+            leaf_upsert(&clean, b"c", b"x", 64).unwrap()
+        );
+        assert_eq!(
+            leaf_remove(&dirty, b"b", 64).unwrap(),
+            leaf_remove(&clean, b"b", 64).unwrap()
+        );
+        let internal = Node::Internal {
+            keys: vec![b"m".to_vec()],
+            children: vec![1, 2],
+        };
+        let clean = internal.encode(64).unwrap();
+        let mut dirty = clean.clone();
+        dirty[internal.encoded_size()..].fill(0xEE);
+        assert_eq!(
+            internal_repoint(&dirty, 1, 5, 64).unwrap(),
+            internal_repoint(&clean, 1, 5, 64).unwrap()
+        );
+        assert_eq!(
+            internal_insert(&dirty, 0, 5, b"c", 6, 64).unwrap(),
+            internal_insert(&clean, 0, 5, b"c", 6, 64).unwrap()
+        );
+    }
+
+    /// Run every editor over a (possibly mangled) page; `Ok(())` only if all accept it.
+    fn run_every_editor(data: &[u8], leaf: bool, page_size: usize) -> Result<()> {
+        if leaf {
+            // Keys before, inside and past the entries, so every walk length runs.
+            for key in [&b""[..], b"a", b"m", b"zzzz"] {
+                leaf_upsert(data, key, b"v", page_size)?;
+                leaf_remove(data, key, page_size)?;
+            }
+        } else {
+            for idx in 0..=3 {
+                internal_repoint(data, idx, 1, page_size)?;
+                internal_insert(data, idx, 1, b"s", 2, page_size)?;
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn editors_reject_hostile_pages_without_panicking() {
+        let page_size = 128;
+        let leaf = Node::Leaf {
+            entries: vec![
+                (b"a".to_vec(), b"one".to_vec()),
+                (b"m".to_vec(), b"".to_vec()),
+                (b"q".to_vec(), b"three".to_vec()),
+            ],
+        };
+        let internal = Node::Internal {
+            keys: vec![b"f".to_vec(), b"m".to_vec(), b"t".to_vec()],
+            children: vec![10, 20, 30, 40],
+        };
+        for (node, is_leaf) in [(&leaf, true), (&internal, false)] {
+            let good = node.encode(page_size).unwrap();
+            let used = node.encoded_size();
+            run_every_editor(&good, is_leaf, page_size).unwrap();
+
+            // Every truncation that cuts into the entries is an error; one that only
+            // shortens the zero tail still parses.
+            for cut in 0..good.len() {
+                let result = run_every_editor(&good[..cut], is_leaf, page_size);
+                assert_eq!(result.is_err(), cut < used, "cut at {cut} of {used}");
+            }
+
+            // Wrong tags: the other node kind, the meta tag, zero, garbage.
+            for tag in [TAG_LEAF, TAG_INTERNAL, TAG_META, 0, 0xFF] {
+                if tag == good[0] {
+                    continue;
+                }
+                let mut bad = good.clone();
+                bad[0] = tag;
+                assert!(run_every_editor(&bad, is_leaf, page_size).is_err());
+            }
+
+            // An entry count or a length field claiming more than the page holds.
+            let mut bad = good.clone();
+            bad[1..3].copy_from_slice(&u16::MAX.to_le_bytes());
+            assert!(run_every_editor(&bad, is_leaf, page_size).is_err());
+            let mut pos = if is_leaf {
+                LEAF_HEADER_BYTES
+            } else {
+                INTERNAL_HEADER_BYTES
+            };
+            while pos < used {
+                let klen = u16_at(&good, pos).unwrap();
+                let fields = if is_leaf { 2 } else { 1 };
+                for field in 0..fields {
+                    for claim in [u16::MAX, (page_size - pos) as u16] {
+                        let mut bad = good.clone();
+                        let at = pos + 2 * field;
+                        bad[at..at + 2].copy_from_slice(&claim.to_le_bytes());
+                        assert!(
+                            run_every_editor(&bad, is_leaf, page_size).is_err(),
+                            "length field at {at} claiming {claim}"
+                        );
+                    }
+                }
+                pos += if is_leaf {
+                    4 + klen + u16_at(&good, pos + 2).unwrap()
+                } else {
+                    2 + klen + 8
+                };
+            }
+        }
+
+        // Edits whose own arguments cannot be encoded.
+        let good = leaf.encode(page_size).unwrap();
+        let long = vec![b'k'; usize::from(u16::MAX) + 1];
+        assert!(leaf_upsert(&good, &long, b"", page_size).is_err());
+        assert!(leaf_upsert(&good, b"k", &long, page_size).is_err());
+        let good = internal.encode(page_size).unwrap();
+        assert!(internal_insert(&good, 0, 1, &long, 2, page_size).is_err());
+        assert!(internal_repoint(&good, 4, 1, page_size).is_err());
+        assert!(internal_insert(&good, 4, 1, b"s", 2, page_size).is_err());
+        // A lone entry larger than the page cannot be split into two pages.
+        let empty = Node::empty_leaf().encode(64).unwrap();
+        assert!(leaf_upsert(&empty, &[b'k'; 80], b"", 64).is_err());
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //!   stream an actual storage device would see, which is exactly what the paper replays
 //!   for Figure 6.
 
+use bytes::Bytes;
 use lss_core::{LogStore, Result};
 use lss_workload::WriteTrace;
 use parking_lot::{Mutex, RwLock};
@@ -31,8 +32,9 @@ pub trait PageStore: Send + Sync {
     /// Size of every page in bytes.
     fn page_size(&self) -> usize;
 
-    /// Read a page; `None` if it was never written.
-    fn read_page(&self, id: u64) -> Result<Option<Vec<u8>>>;
+    /// Read a page; `None` if it was never written. The buffer is handed to the pool
+    /// as is (a frame holds it, readers share it), so it should own exactly one page.
+    fn read_page(&self, id: u64) -> Result<Option<Bytes>>;
 
     /// Write (or overwrite) a page. `data` must be exactly `page_size` bytes.
     fn write_page(&self, id: u64, data: &[u8]) -> Result<()>;
@@ -47,7 +49,7 @@ pub trait PageStore: Send + Sync {
 #[derive(Debug)]
 pub struct MemPageStore {
     page_size: usize,
-    pages: RwLock<HashMap<u64, Vec<u8>>>,
+    pages: RwLock<HashMap<u64, Bytes>>,
     writes: AtomicU64,
 }
 
@@ -77,13 +79,13 @@ impl PageStore for MemPageStore {
         self.page_size
     }
 
-    fn read_page(&self, id: u64) -> Result<Option<Vec<u8>>> {
+    fn read_page(&self, id: u64) -> Result<Option<Bytes>> {
         Ok(self.pages.read().get(&id).cloned())
     }
 
     fn write_page(&self, id: u64, data: &[u8]) -> Result<()> {
         assert_eq!(data.len(), self.page_size, "page {id} has the wrong size");
-        self.pages.write().insert(id, data.to_vec());
+        self.pages.write().insert(id, Bytes::copy_from_slice(data));
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -119,8 +121,8 @@ impl PageStore for LssPageStore {
         self.page_size
     }
 
-    fn read_page(&self, id: u64) -> Result<Option<Vec<u8>>> {
-        Ok(self.store.get(id)?.map(|b| b.to_vec()))
+    fn read_page(&self, id: u64) -> Result<Option<Bytes>> {
+        self.store.get(id)
     }
 
     fn write_page(&self, id: u64, data: &[u8]) -> Result<()> {
@@ -169,7 +171,7 @@ impl<S: PageStore> PageStore for TracingPageStore<S> {
         self.inner.page_size()
     }
 
-    fn read_page(&self, id: u64) -> Result<Option<Vec<u8>>> {
+    fn read_page(&self, id: u64) -> Result<Option<Bytes>> {
         self.inner.read_page(id)
     }
 

@@ -26,9 +26,17 @@
 //!   parsed in place, never decoded into an owned node, so the read path allocates
 //!   nothing.
 //! * **Writers** descend optimistically recording the path (raw page snapshots, same
-//!   zero-decode search), compute exactly which suffix of the path a mutation
-//!   rewrites (the leaf, plus every ancestor reached by a split or a shadow
-//!   relocation), then try-lock exactly those nodes' version slots
+//!   zero-decode search) in a fixed array of `MAX_DEPTH` levels, and then *edit the
+//!   encoded pages*: the leaf image is spliced by `node::leaf_upsert` / `leaf_remove`
+//!   (one pass over the snapshot, one page-sized copy, the old value returned), an
+//!   ancestor whose child relocated gets its 8-byte child pointer patched
+//!   (`node::internal_repoint`), one whose child split gets the separator spliced in
+//!   (`node::internal_insert`, which also splits the ancestor when it overflows).
+//!   Nothing on the write path is decoded into an owned node, so a steady-state
+//!   in-place mutation allocates its output page and the returned old value and
+//!   nothing else. From the edited leaf the writer computes exactly which suffix of
+//!   the path the mutation rewrites (the leaf, plus every ancestor reached by a split
+//!   or a shadow relocation), then try-locks exactly those nodes' version slots
 //!   by CAS-ing the versions observed during the descent — crabbing that takes
 //!   exclusive latches only on nodes that actually change. Any CAS failure releases
 //!   everything and restarts. Writers never block on a version slot while holding
@@ -38,11 +46,14 @@
 //!   tree latch for exactly one job: freezing the epoch's page set while a
 //!   [`TreeCheckpoint`] runs. After `OPT_RETRIES` failed optimistic attempts an
 //!   operation falls back to the epoch latch's exclusive side, which quiesces all
-//!   writers — guaranteed progress, no starvation in either direction. Optimistic
-//!   readers take **no** epoch latch, so quiesced mutations still follow the
-//!   lock-during-write discipline: every page they write stays version-locked
-//!   (odd) until the root is published. Fallback scans quiesce one leaf at a
-//!   time rather than pinning writers for the scan's whole tail.
+//!   writers — guaranteed progress, no starvation in either direction. A quiesced
+//!   mutation runs the *same* attempt as an optimistic one (there is one
+//!   implementation of the write path); with every other mutator and the
+//!   checkpointer excluded no version can move under it, so it succeeds at once.
+//!   Optimistic readers take **no** epoch latch, and are kept out as on the
+//!   optimistic path: every rewritten page stays version-locked (odd) until the
+//!   root is published. Fallback scans quiesce one leaf at a time rather than
+//!   pinning writers for the scan's whole tail.
 //!
 //! Lock order: epoch latch → version slot → allocator mutex → pool shard latch (each
 //! a leaf with respect to the ones after it; the pool never takes a tree lock).
@@ -66,10 +77,11 @@
 use crate::buffer_pool::BufferPool;
 use crate::latch::VersionTable;
 use crate::node::{
-    raw_internal_search, raw_is_leaf, raw_leaf_entries, raw_leaf_search, MetaPage, Node,
-    LEAF_HEADER_BYTES,
+    internal_insert, internal_repoint, internal_root, leaf_remove, leaf_upsert,
+    raw_internal_search, raw_is_leaf, raw_leaf_entries, raw_leaf_search, MetaPage, Node, PageEdit,
 };
 use crate::page_store::PageStore;
+use bytes::Bytes;
 use lss_core::error::{Error, Result};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::collections::HashSet;
@@ -82,6 +94,12 @@ const META_PAGE: u64 = 0;
 /// the epoch latch (quiescing writers). High enough that the fallback is rare under
 /// ordinary contention, low enough to bound tail latency under pathological aliasing.
 const OPT_RETRIES: u32 = 8;
+
+/// Deepest root-to-leaf path a writer records. A mutation's bookkeeping lives in
+/// arrays of this size, so it allocates nothing per level; a tree this deep is out of
+/// reach of any store (every level multiplies the leaf count by at least two), and a
+/// mutation that would have to follow or grow one fails with [`Error::TreeTooDeep`].
+const MAX_DEPTH: usize = 32;
 
 /// Allocator state: the page-id watermark plus the shadow epoch's page sets.
 #[derive(Debug)]
@@ -155,25 +173,63 @@ pub struct BTree<S: PageStore> {
     counters: TreeCounters,
 }
 
-/// One step of a writer's recorded descent. The page image is kept as the raw
-/// validated snapshot — internal nodes are only decoded if the mutation actually
-/// rewrites them (most descents never decode anything but the leaf).
+/// One step of a writer's recorded descent: the raw validated snapshot of the page,
+/// which the mutation edits in its encoded form — nothing on the write path decodes.
 struct PathEntry {
     page: u64,
     ver: u64,
-    bytes: std::sync::Arc<Vec<u8>>,
+    bytes: Bytes,
     /// The child slot the descent took (internal nodes; 0 for the leaf).
     idx: usize,
 }
 
+/// A writer's recorded descent, root first.
+struct Path {
+    levels: [Option<PathEntry>; MAX_DEPTH],
+    len: usize,
+}
+
+impl Path {
+    fn new() -> Self {
+        Self {
+            levels: [const { None }; MAX_DEPTH],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, entry: PathEntry) -> Result<()> {
+        let slot = self
+            .levels
+            .get_mut(self.len)
+            .ok_or(Error::TreeTooDeep { max: MAX_DEPTH })?;
+        *slot = Some(entry);
+        self.len += 1;
+        Ok(())
+    }
+}
+
+impl std::ops::Index<usize> for Path {
+    type Output = PathEntry;
+
+    fn index(&self, level: usize) -> &PathEntry {
+        self.levels[level]
+            .as_ref()
+            .expect("level below the recorded depth")
+    }
+}
+
 /// Per-level decisions of a mutation, computed *exactly* from the descent snapshots
 /// before any lock or allocation, so the apply phase follows the plan verbatim.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Copy)]
 struct LevelPlan {
     /// Shadow mode: the node moves to a new page id (it was not fresh this epoch).
     relocate: bool,
     /// The rewritten node overflows and splits.
     split: bool,
+    /// The page id the rewritten node is written to.
+    target: u64,
+    /// The page id of the right half (meaningful only if `split`).
+    sibling: u64,
 }
 
 /// Outcome of one optimistic attempt.
@@ -186,29 +242,13 @@ enum Attempt<T> {
 /// (an unlock bumps the version, so observers of a half-applied mutation restart).
 struct SlotLocks<'a> {
     table: &'a VersionTable,
-    slots: Vec<usize>,
-}
-
-impl SlotLocks<'_> {
-    /// Take `page`'s slot unconditionally (spinning) unless this set already holds
-    /// it. The quiesced paths use this: they are the sole mutator (epoch latch held
-    /// exclusively), but optimistic readers take no epoch latch, so every page they
-    /// write must still be covered by a locked (odd) version word until the whole
-    /// mutation — including the root publication — is done. Without it a reader
-    /// could validate post-write bytes against the pre-write version, or mix an
-    /// old parent snapshot with a new child mid-split.
-    fn lock_spin(&mut self, page: u64) {
-        let slot = self.table.slot_of(page);
-        if !self.slots.contains(&slot) {
-            self.table.lock_slot_spin(slot);
-            self.slots.push(slot);
-        }
-    }
+    slots: [usize; MAX_DEPTH],
+    len: usize,
 }
 
 impl Drop for SlotLocks<'_> {
     fn drop(&mut self) {
-        for &s in &self.slots {
+        for &s in &self.slots[..self.len] {
             self.table.unlock_slot(s);
         }
     }
@@ -387,9 +427,9 @@ impl<S: PageStore> BTree<S> {
             if attempts > OPT_RETRIES {
                 self.counters.read_fallbacks.fetch_add(1, Ordering::Relaxed);
                 let _quiesced = self.epoch_latch.write();
-                let (entries, _) = self.find_leaf(key)?;
-                return match entries.iter().find(|(k, _)| k.as_slice() == key) {
-                    Some((_, v)) => f(v).map(Some),
+                let (leaf, _) = self.find_leaf(key)?;
+                return match raw_leaf_search(&leaf, key)? {
+                    Some(v) => f(v).map(Some),
                     None => Ok(None),
                 };
             }
@@ -482,12 +522,13 @@ impl<S: PageStore> BTree<S> {
                 // released by a concurrent checkpoint mid-read.
                 self.counters.read_fallbacks.fetch_add(1, Ordering::Relaxed);
                 let quiesced = self.epoch_latch.write();
-                let (entries, upper) = self.find_leaf(&cursor)?;
-                for (k, v) in &entries {
-                    if k.as_slice() >= end {
+                let (leaf, upper) = self.find_leaf(&cursor)?;
+                for entry in raw_leaf_entries(&leaf)? {
+                    let (k, v) = entry?;
+                    if k >= end {
                         return Ok(out);
                     }
-                    if k.as_slice() >= cursor.as_slice() {
+                    if k >= cursor.as_slice() {
                         if let Some(r) = f(k, v)? {
                             out.push(r);
                         }
@@ -611,28 +652,7 @@ impl<S: PageStore> BTree<S> {
                 max: self.max_entry_size(),
             });
         }
-        self.counters.writer_ops.fetch_add(1, Ordering::Relaxed);
-        let mut attempts = 0u32;
-        {
-            let _epoch = self.epoch_latch.read();
-            loop {
-                attempts += 1;
-                if attempts > OPT_RETRIES {
-                    break; // fall through to the quiesced path below
-                }
-                match self.try_mutate(key, Some(value))? {
-                    Attempt::Done(old) => return Ok(old),
-                    Attempt::Conflict => {
-                        self.counters.write_restarts.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        self.counters
-            .write_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-        let _quiesced = self.epoch_latch.write();
-        self.insert_quiesced(key, value)
+        self.mutate(key, Some(value))
     }
 
     /// Delete a key. Returns true if it existed.
@@ -642,16 +662,16 @@ impl<S: PageStore> BTree<S> {
 
     /// Delete a key, returning its value if it existed.
     pub fn delete_returning(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.mutate(key, None)
+    }
+
+    /// `value = Some(v)` inserts/overwrites, `None` deletes; returns the old value.
+    fn mutate(&self, key: &[u8], value: Option<&[u8]>) -> Result<Option<Vec<u8>>> {
         self.counters.writer_ops.fetch_add(1, Ordering::Relaxed);
-        let mut attempts = 0u32;
         {
             let _epoch = self.epoch_latch.read();
-            loop {
-                attempts += 1;
-                if attempts > OPT_RETRIES {
-                    break;
-                }
-                match self.try_mutate(key, None)? {
+            for _ in 0..OPT_RETRIES {
+                match self.try_mutate(key, value)? {
                     Attempt::Done(old) => return Ok(old),
                     Attempt::Conflict => {
                         self.counters.write_restarts.fetch_add(1, Ordering::Relaxed);
@@ -663,117 +683,104 @@ impl<S: PageStore> BTree<S> {
             .write_fallbacks
             .fetch_add(1, Ordering::Relaxed);
         let _quiesced = self.epoch_latch.write();
-        self.delete_quiesced(key)
+        self.mutate_quiesced(key, value)
     }
 
-    /// One optimistic mutation attempt: `value = Some(v)` inserts/overwrites,
-    /// `None` deletes. Caller holds the epoch latch shared.
+    /// Exclusive-fallback mutation (caller holds the epoch latch exclusively): the
+    /// same attempt the optimistic path makes. It cannot conflict here — a version
+    /// moves only under a mutation, which the latch excludes, or a checkpoint commit,
+    /// which holds it — so the loop body runs once. Optimistic readers take no epoch
+    /// latch and are kept out the way every attempt keeps them out: each rewritten
+    /// page stays version-locked (odd) until the root is published, and a failed
+    /// write rolls the allocator bookkeeping back.
+    fn mutate_quiesced(&self, key: &[u8], value: Option<&[u8]>) -> Result<Option<Vec<u8>>> {
+        loop {
+            if let Attempt::Done(old) = self.try_mutate(key, value)? {
+                return Ok(old);
+            }
+        }
+    }
+
+    /// One mutation attempt. Caller holds the epoch latch (shared or exclusive).
     fn try_mutate(&self, key: &[u8], value: Option<&[u8]>) -> Result<Attempt<Option<Vec<u8>>>> {
         // Phase 1: optimistic descent recording (page, version, snapshot, child slot).
         let Some(path) = self.descend_recording(key)? else {
             return Ok(Attempt::Conflict);
         };
-        let leaf_i = path.len() - 1;
+        let leaf_i = path.len - 1;
 
-        // Phase 2: the new leaf image and the old value. Only the leaf is decoded —
-        // internal snapshots stay raw unless the mutation actually rewrites them.
-        let Node::Leaf { mut entries } = Node::decode(&path[leaf_i].bytes)? else {
-            unreachable!("descent ends at a leaf")
-        };
-        let old = match (
-            entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)),
-            value,
-        ) {
-            (Ok(i), Some(v)) => Some(std::mem::replace(&mut entries[i].1, v.to_vec())),
-            (Err(i), Some(v)) => {
-                entries.insert(i, (key.to_vec(), v.to_vec()));
-                None
-            }
-            (Ok(i), None) => Some(entries.remove(i).1),
-            (Err(_), None) => {
+        // Phase 2: the new leaf image(s) and the old value, spliced straight from the
+        // encoded snapshot.
+        let (leaf, old) = match value {
+            Some(v) => leaf_upsert(&path[leaf_i].bytes, key, v, self.page_size)?,
+            None => match leaf_remove(&path[leaf_i].bytes, key, self.page_size)? {
+                Some((page, old)) => (PageEdit::Fits(page), Some(old)),
                 // Delete miss: the validated leaf snapshot proves absence — return
                 // without locking anything (a miss must not churn shadow pages).
-                return Ok(Attempt::Done(None));
-            }
+                None => return Ok(Attempt::Done(None)),
+            },
         };
 
         // Phase 3: the exact per-level plan (what relocates, what splits, where the
         // rewrite stops). Fresh-ness of a live node only changes under its version
         // lock, so the snapshot taken here stays valid as long as the CAS below
         // succeeds.
-        let in_place: Vec<bool> = if !self.shadow {
-            vec![true; path.len()]
-        } else {
-            let a = self.alloc.lock();
-            path.iter().map(|p| a.fresh.contains(&p.page)).collect()
-        };
-        let (anchor, plans) = self.plan(&path, &in_place, &entries)?;
+        let (anchor, mut plans) = self.plan(&path, &leaf)?;
 
         // Phase 4: crab — try-lock exactly the version slots of path[anchor..] at the
         // versions the descent observed. Success proves every node we are about to
         // rewrite (and the root pointer, if anchor == 0) is unchanged since phase 1.
-        let mut lock_set: Vec<(usize, u64)> = path[anchor..]
-            .iter()
-            .map(|p| (self.versions.slot_of(p.page), p.ver))
-            .collect();
-        lock_set.sort_unstable();
-        lock_set.dedup();
-        if lock_set.windows(2).any(|w| w[0].0 == w[1].0) {
-            // Two path pages alias one slot at different versions: unprovable.
-            return Ok(Attempt::Conflict);
+        let mut lock_set = [(0usize, 0u64); MAX_DEPTH];
+        let lock_set = &mut lock_set[..path.len - anchor];
+        for (entry, i) in lock_set.iter_mut().zip(anchor..) {
+            *entry = (self.versions.slot_of(path[i].page), path[i].ver);
         }
+        lock_set.sort_unstable();
         let mut locks = SlotLocks {
             table: &self.versions,
-            slots: Vec::with_capacity(lock_set.len()),
+            slots: [0; MAX_DEPTH],
+            len: 0,
         };
-        for &(slot, ver) in &lock_set {
+        for (n, &(slot, ver)) in lock_set.iter().enumerate() {
+            if n > 0 && lock_set[n - 1].0 == slot {
+                if lock_set[n - 1].1 != ver {
+                    // Two path pages alias one slot at different versions: unprovable.
+                    return Ok(Attempt::Conflict);
+                }
+                continue; // aliases at one version share the lock
+            }
             if !self.versions.try_lock_slot(slot, ver) {
                 return Ok(Attempt::Conflict); // SlotLocks drop releases what we hold
             }
-            locks.slots.push(slot);
+            locks.slots[locks.len] = slot;
+            locks.len += 1;
         }
         self.counters
             .writer_locks
-            .fetch_add(lock_set.len() as u64, Ordering::Relaxed);
+            .fetch_add(locks.len as u64, Ordering::Relaxed);
 
         // Phase 5: allocate ids per plan in one short allocator hold (skipped when
-        // the whole rewrite is in place — the common steady-state case), recording
-        // what was queued on `freed` and what was freshly allocated so a failed
-        // apply can roll the bookkeeping back.
-        let mut relocated_old: Vec<u64> = Vec::new();
-        let mut allocated_new: Vec<u64> = Vec::new();
-        let (targets, siblings, new_root_id) =
-            if plans[anchor..].iter().all(|p| !p.relocate && !p.split) {
-                let targets: Vec<u64> = path[anchor..].iter().map(|p| p.page).collect();
-                let siblings = vec![None; targets.len()];
-                (targets, siblings, None)
-            } else {
-                let mut a = self.alloc.lock();
-                let mut targets = Vec::with_capacity(path.len() - anchor);
-                let mut siblings = Vec::with_capacity(path.len() - anchor);
-                for i in anchor..path.len() {
-                    if plans[i].relocate {
-                        let id = self.alloc_page_locked(&mut a);
-                        allocated_new.push(id);
-                        targets.push(id);
-                        a.freed.push(path[i].page);
-                        relocated_old.push(path[i].page);
-                    } else {
-                        targets.push(path[i].page);
-                    }
-                    siblings.push(plans[i].split.then(|| {
-                        let id = self.alloc_page_locked(&mut a);
-                        allocated_new.push(id);
-                        id
-                    }));
+        // the whole rewrite is in place — the common steady-state case).
+        let rewritten = anchor..path.len;
+        let mut new_root_id = None;
+        if plans[rewritten.clone()]
+            .iter()
+            .any(|p| p.relocate || p.split)
+        {
+            let mut a = self.alloc.lock();
+            for i in rewritten.clone() {
+                if plans[i].relocate {
+                    plans[i].target = self.alloc_page_locked(&mut a);
+                    a.freed.push(path[i].page);
                 }
-                let new_root_id = (anchor == 0 && plans[0].split).then(|| {
-                    let id = self.alloc_page_locked(&mut a);
-                    allocated_new.push(id);
-                    id
-                });
-                (targets, siblings, new_root_id)
-            };
+                if plans[i].split {
+                    plans[i].sibling = self.alloc_page_locked(&mut a);
+                }
+            }
+            if anchor == 0 && plans[0].split {
+                new_root_id = Some(self.alloc_page_locked(&mut a));
+            }
+        }
 
         // Phase 6: apply the plan. On failure, undo phase 5 *while the version
         // locks are still held* (so no concurrent mutation can touch these pages
@@ -781,14 +788,23 @@ impl<S: PageStore> BTree<S> {
         // queued on `freed` — leaving them there would let the next checkpoint's
         // commit delete storage the committed tree needs — and the fresh ids never
         // became reachable, so they go straight back to the free list.
-        if let Err(e) = self.apply_plan(&path, anchor, entries, &targets, &siblings, new_root_id) {
-            if !relocated_old.is_empty() || !allocated_new.is_empty() {
-                let mut a = self.alloc.lock();
-                a.freed.retain(|id| !relocated_old.contains(id));
-                for &id in &allocated_new {
-                    a.fresh.remove(&id);
+        if let Err(e) = self.apply_plan(&path, anchor, &plans, leaf, new_root_id) {
+            let mut a = self.alloc.lock();
+            let give_back = |a: &mut AllocState, id: u64| {
+                a.fresh.remove(&id);
+                a.free.push(id);
+            };
+            for i in rewritten {
+                if plans[i].relocate {
+                    a.freed.retain(|&id| id != path[i].page);
+                    give_back(&mut a, plans[i].target);
                 }
-                a.free.extend_from_slice(&allocated_new);
+                if plans[i].split {
+                    give_back(&mut a, plans[i].sibling);
+                }
+            }
+            if let Some(id) = new_root_id {
+                give_back(&mut a, id);
             }
             return Err(e);
         }
@@ -805,83 +821,57 @@ impl<S: PageStore> BTree<S> {
         Ok(Attempt::Done(old))
     }
 
-    /// Apply a mutation's plan: build and write the rewritten nodes bottom-up
-    /// (children before parents), then publish the new root if it moved. Every
-    /// write bumps the page's version, so optimistic readers of any rewritten or
-    /// stale page restart. The caller holds the version locks of `path[anchor..]`
-    /// and rolls back the allocator bookkeeping if this fails.
+    /// Apply a mutation's plan: build and write the rewritten pages bottom-up
+    /// (children before parents), then publish the new root if it moved. Internal
+    /// levels are patched (child relocated) or spliced (child split) in their encoded
+    /// form. Every write bumps the page's version, so optimistic readers of any
+    /// rewritten or stale page restart. The caller holds the version locks of
+    /// `path[anchor..]` and rolls back the allocator bookkeeping if this fails.
     fn apply_plan(
         &self,
-        path: &[PathEntry],
+        path: &Path,
         anchor: usize,
-        mut entries: Vec<(Vec<u8>, Vec<u8>)>,
-        targets: &[u64],
-        siblings: &[Option<u64>],
+        plans: &[LevelPlan; MAX_DEPTH],
+        leaf: PageEdit,
         new_root_id: Option<u64>,
     ) -> Result<()> {
-        let leaf_i = path.len() - 1;
+        let leaf_i = path.len - 1;
+        let mut leaf = Some(leaf);
         let mut child_id = 0u64;
         let mut carry: Option<(Vec<u8>, u64)> = None; // (separator, right sibling id)
-        for i in (anchor..path.len()).rev() {
-            let li = i - anchor;
-            let target = targets[li];
-            if i == leaf_i {
-                if let Some(right_id) = siblings[li] {
-                    let at = split_point(&entries, self.page_size);
-                    let right = entries.split_off(at);
-                    carry = Some((right[0].0.clone(), right_id));
-                    self.write_node(right_id, &Node::Leaf { entries: right })?;
+        for i in (anchor..=leaf_i).rev() {
+            let PathEntry { bytes, idx, .. } = &path[i];
+            let edit = match (leaf.take(), carry.take()) {
+                (Some(leaf), _) => leaf,
+                (None, Some((sep, right))) => {
+                    internal_insert(bytes, *idx, child_id, &sep, right, self.page_size)?
                 }
-                self.write_node(
-                    target,
-                    &Node::Leaf {
-                        entries: std::mem::take(&mut entries),
-                    },
-                )?;
-            } else {
-                // Rewritten internal level: decode the raw snapshot now (and only
-                // now), mutate the owned node, re-encode.
-                let Node::Internal {
-                    mut keys,
-                    mut children,
-                } = Node::decode(&path[i].bytes)?
-                else {
-                    unreachable!("descent recorded an internal level")
-                };
-                let idx = path[i].idx;
-                children[idx] = child_id;
-                if let Some((sep, right_id)) = carry.take() {
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, right_id);
+                (None, None) => {
+                    PageEdit::Fits(internal_repoint(bytes, *idx, child_id, self.page_size)?)
                 }
-                if let Some(right_id) = siblings[li] {
-                    // Split the internal node: the middle key moves up.
-                    let mid = keys.len() / 2;
-                    let up_key = keys[mid].clone();
-                    let right = Node::Internal {
-                        keys: keys[mid + 1..].to_vec(),
-                        children: children[mid + 1..].to_vec(),
-                    };
-                    keys.truncate(mid);
-                    children.truncate(mid + 1);
-                    carry = Some((up_key, right_id));
-                    self.write_node(right_id, &right)?;
+            };
+            let plan = &plans[i];
+            assert_eq!(
+                matches!(edit, PageEdit::Split { .. }),
+                plan.split,
+                "plan and apply size the same snapshot with the same editor"
+            );
+            let page = match edit {
+                PageEdit::Fits(page) => page,
+                PageEdit::Split { left, sep, right } => {
+                    self.write_page(plan.sibling, right)?;
+                    carry = Some((sep, plan.sibling));
+                    left
                 }
-                self.write_node(target, &Node::Internal { keys, children })?;
-            }
-            child_id = target;
+            };
+            self.write_page(plan.target, page)?;
+            child_id = plan.target;
         }
         if anchor == 0 {
             if let Some((sep, right_id)) = carry.take() {
                 // The root split: a new internal root above both halves.
                 let id = new_root_id.expect("planned root split allocates a root id");
-                self.write_node(
-                    id,
-                    &Node::Internal {
-                        keys: vec![sep],
-                        children: vec![child_id, right_id],
-                    },
-                )?;
+                self.write_page(id, internal_root(child_id, &sep, right_id, self.page_size)?)?;
                 child_id = id;
             }
             if child_id != path[0].page {
@@ -897,13 +887,13 @@ impl<S: PageStore> BTree<S> {
     }
 
     /// Optimistic descent for a mutation, recording the full path. `None` = conflict.
-    fn descend_recording(&self, key: &[u8]) -> Result<Option<Vec<PathEntry>>> {
+    fn descend_recording(&self, key: &[u8]) -> Result<Option<Path>> {
         let mut page = self.root.load(Ordering::Acquire);
         let mut ver = self.versions.stable(page);
         if self.root.load(Ordering::Acquire) != page {
             return Ok(None);
         }
-        let mut path = Vec::with_capacity(4);
+        let mut path = Path::new();
         loop {
             let Some(bytes) = self.pool.read(page)? else {
                 if self.versions.changed(page, ver) {
@@ -920,7 +910,7 @@ impl<S: PageStore> BTree<S> {
                     ver,
                     bytes,
                     idx: 0,
-                });
+                })?;
                 return Ok(Some(path));
             }
             let (idx, child, _) = raw_internal_search(&bytes, key)?;
@@ -933,38 +923,36 @@ impl<S: PageStore> BTree<S> {
                 ver,
                 bytes,
                 idx,
-            });
+            })?;
             page = child;
             ver = child_ver;
         }
     }
 
-    /// Compute the mutation's exact rewrite plan from the descent snapshots: which
-    /// suffix of the path is rewritten (`anchor` = the highest rewritten level), and
-    /// per level whether it relocates (shadow path-copy) and/or splits. Sizes are
-    /// computed exactly — including the exact separator each split pushes up — so the
-    /// apply phase can follow the plan without re-deciding anything.
-    fn plan(
-        &self,
-        path: &[PathEntry],
-        in_place: &[bool],
-        new_entries: &[(Vec<u8>, Vec<u8>)],
-    ) -> Result<(usize, Vec<LevelPlan>)> {
-        let leaf_i = path.len() - 1;
-        let mut plans = vec![LevelPlan::default(); path.len()];
-        plans[leaf_i].relocate = !in_place[leaf_i];
-        let leaf_size = LEAF_HEADER_BYTES
-            + new_entries
-                .iter()
-                .map(|(k, v)| 4 + k.len() + v.len())
-                .sum::<usize>();
-        plans[leaf_i].split = leaf_size > self.page_size;
-        let mut pending_sep: Option<Vec<u8>> = if plans[leaf_i].split {
-            let at = split_point(new_entries, self.page_size);
-            Some(new_entries[at].0.clone())
-        } else {
-            None
+    /// Compute the mutation's exact rewrite plan from the descent snapshots and the
+    /// already edited leaf: which suffix of the path is rewritten (`anchor` = the
+    /// highest rewritten level; entries above it are not part of the plan), and per
+    /// level whether it relocates (shadow path-copy) and/or splits. A level that receives a separator is sized by
+    /// running the apply phase's own editor on its snapshot (child ids do not change
+    /// a size, so placeholders do) — whether it splits, and the exact key it pushes
+    /// up, are then the apply phase's by construction.
+    fn plan(&self, path: &Path, leaf: &PageEdit) -> Result<(usize, [LevelPlan; MAX_DEPTH])> {
+        let leaf_i = path.len - 1;
+        let mut plans = [LevelPlan::default(); MAX_DEPTH];
+        {
+            let alloc = self.shadow.then(|| self.alloc.lock());
+            for (i, plan) in plans[..path.len].iter_mut().enumerate() {
+                plan.target = path[i].page;
+                plan.relocate = alloc
+                    .as_ref()
+                    .is_some_and(|a| !a.fresh.contains(&path[i].page));
+            }
+        }
+        let mut pending_sep = match leaf {
+            PageEdit::Split { sep, .. } => Some(sep.clone()),
+            PageEdit::Fits(_) => None,
         };
+        plans[leaf_i].split = pending_sep.is_some();
 
         let mut anchor = leaf_i;
         for i in (0..leaf_i).rev() {
@@ -972,117 +960,21 @@ impl<S: PageStore> BTree<S> {
                 break; // the child was rewritten in place without splitting
             }
             anchor = i;
-            plans[i].relocate = !in_place[i];
             if let Some(sep) = pending_sep.take() {
-                // A separator propagates into this level (the child split): decode
-                // the raw snapshot to size the grown node — rare enough that the
-                // decode never shows up on the steady-state path.
-                let node = Node::decode(&path[i].bytes)?;
-                let grown = node.encoded_size() + 2 + sep.len() + 8;
-                if grown > self.page_size {
+                let PathEntry { bytes, idx, .. } = &path[i];
+                if let PageEdit::Split { sep: up_key, .. } =
+                    internal_insert(bytes, *idx, 0, &sep, 0, self.page_size)?
+                {
                     plans[i].split = true;
-                    // The key the split pushes up: the middle of the keys *after*
-                    // inserting `sep` at the descent's child slot.
-                    let Node::Internal { keys, .. } = &node else {
-                        unreachable!("internal level")
-                    };
-                    let idx = path[i].idx;
-                    let mid = keys.len().div_ceil(2);
-                    let up_key = match mid.cmp(&idx) {
-                        std::cmp::Ordering::Less => keys[mid].clone(),
-                        std::cmp::Ordering::Equal => sep,
-                        std::cmp::Ordering::Greater => keys[mid - 1].clone(),
-                    };
                     pending_sep = Some(up_key);
                 }
             }
         }
+        if pending_sep.is_some() && path.len == MAX_DEPTH {
+            // The root would split under a path that already fills the arrays.
+            return Err(Error::TreeTooDeep { max: MAX_DEPTH });
+        }
         Ok((anchor, plans))
-    }
-
-    /// Exclusive-fallback insert (caller holds the epoch latch exclusively).
-    ///
-    /// Optimistic readers take no epoch latch, so the quiesced writer still follows
-    /// the lock-during-write discipline: every written page's version slot stays
-    /// locked (odd) from its first write until the root is published, and on a
-    /// failed write the allocator bookkeeping rolls back (the epoch latch excludes
-    /// every other mutation, so truncating `freed` is exact).
-    fn insert_quiesced(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut locks = SlotLocks {
-            table: &self.versions,
-            slots: Vec::new(),
-        };
-        let mut alloc = self.alloc.lock();
-        let freed_base = alloc.freed.len();
-        let result: Result<(u64, Option<Vec<u8>>)> = (|| {
-            let root = self.root.load(Ordering::Acquire);
-            let (new_root, old, split) =
-                self.insert_rec(&mut locks, &mut alloc, root, key, value)?;
-            let mut root = new_root;
-            if let Some((sep, right)) = split {
-                // The root split: create a new internal root.
-                let new_root_id = self.alloc_page_locked(&mut alloc);
-                self.write_node_quiesced(
-                    &mut locks,
-                    new_root_id,
-                    &Node::Internal {
-                        keys: vec![sep],
-                        children: vec![root, right],
-                    },
-                )?;
-                root = new_root_id;
-            }
-            Ok((root, old))
-        })();
-        match result {
-            Ok((root, old)) => {
-                self.root.store(root, Ordering::Release);
-                if old.is_none() {
-                    self.len.fetch_add(1, Ordering::AcqRel);
-                }
-                Ok(old)
-            }
-            Err(e) => {
-                alloc.freed.truncate(freed_base);
-                Err(e)
-            }
-        }
-    }
-
-    /// Exclusive-fallback delete (caller holds the epoch latch exclusively; same
-    /// locking and rollback discipline as [`BTree::insert_quiesced`]).
-    fn delete_quiesced(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        // Read-only probe first: a miss must not churn shadow pages.
-        let mut page = self.root.load(Ordering::Acquire);
-        loop {
-            match self.read_node(page)? {
-                Node::Internal { keys, children } => page = children[child_index(&keys, key)],
-                Node::Leaf { entries } => {
-                    if !entries.iter().any(|(k, _)| k.as_slice() == key) {
-                        return Ok(None);
-                    }
-                    break;
-                }
-            }
-        }
-        let mut locks = SlotLocks {
-            table: &self.versions,
-            slots: Vec::new(),
-        };
-        let mut alloc = self.alloc.lock();
-        let freed_base = alloc.freed.len();
-        let root = self.root.load(Ordering::Acquire);
-        match self.delete_rec(&mut locks, &mut alloc, root, key) {
-            Ok((new_root, old)) => {
-                self.root.store(new_root, Ordering::Release);
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                Ok(old)
-            }
-            Err(e) => {
-                alloc.freed.truncate(freed_base);
-                Err(e)
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1137,70 +1029,41 @@ impl<S: PageStore> BTree<S> {
         id
     }
 
-    /// The page id a quiesced modification of `page` must be written to (see the
-    /// shadow-mode module docs): the page itself when it may be updated in place,
-    /// otherwise a newly allocated shadow id with `page` queued for release.
-    fn shadow_id(&self, a: &mut AllocState, page: u64) -> u64 {
-        if !self.shadow || a.fresh.contains(&page) {
-            return page;
-        }
-        let id = self.alloc_page_locked(a);
-        a.freed.push(page);
-        id
-    }
-
-    fn read_node(&self, page: u64) -> Result<Node> {
-        let bytes = self.pool.read(page)?.ok_or_else(|| missing_page(page))?;
-        Node::decode(&bytes)
-    }
-
-    /// Write a node and bump its page's version: *every* node write invalidates
+    /// Write a page image and bump the page's version: *every* node write invalidates
     /// optimistic observers of that page id — in-place rewrites (content changed),
     /// relocation targets and recycled ids (a reader parked on the id from a stale
     /// path must not validate against the new incarnation).
-    fn write_node(&self, page: u64, node: &Node) -> Result<()> {
-        self.pool.write(page, node.encode(self.page_size)?)?;
+    fn write_page(&self, page: u64, image: Vec<u8>) -> Result<()> {
+        self.pool.write(page, image)?;
         self.versions.bump(page);
         Ok(())
     }
 
-    /// [`BTree::write_node`] for the quiesced paths: the page's version slot joins
-    /// `locks` (odd word) *before* the pool write and stays locked until the caller
-    /// drops the set after publishing the root. The eventual unlock advances the
-    /// version past anything an optimistic reader could have observed, so no
-    /// separate bump is needed.
-    fn write_node_quiesced(&self, locks: &mut SlotLocks<'_>, page: u64, node: &Node) -> Result<()> {
-        let bytes = node.encode(self.page_size)?;
-        locks.lock_spin(page);
-        self.pool.write(page, bytes)
-    }
-
-    /// Descend to the leaf that would hold `key`, returning its entries together with
-    /// the leaf's exclusive upper bound: the innermost separator to the right of the
-    /// descent path (`None` on the rightmost spine). The upper bound is the smallest
-    /// key of the *next* leaf, which is how scans walk leaves without sibling links.
-    /// Caller must hold the epoch latch exclusively (no validation is performed).
-    #[allow(clippy::type_complexity)]
-    fn find_leaf(&self, key: &[u8]) -> Result<(Vec<(Vec<u8>, Vec<u8>)>, Option<Vec<u8>>)> {
+    /// Descend to the leaf that would hold `key`, returning its encoded page together
+    /// with the leaf's exclusive upper bound: the innermost separator to the right of
+    /// the descent path (`None` on the rightmost spine). The upper bound is the
+    /// smallest key of the *next* leaf, which is how scans walk leaves without sibling
+    /// links. Caller must hold the epoch latch exclusively (no validation is performed).
+    fn find_leaf(&self, key: &[u8]) -> Result<(Bytes, Option<Vec<u8>>)> {
         let mut page = self.root.load(Ordering::Acquire);
         let mut upper: Option<Vec<u8>> = None;
         loop {
-            match self.read_node(page)? {
-                Node::Internal { keys, children } => {
-                    let idx = child_index(&keys, key);
-                    if idx < keys.len() {
-                        // Deeper separators are tighter than inherited ones.
-                        upper = Some(keys[idx].clone());
-                    }
-                    page = children[idx];
-                }
-                Node::Leaf { entries } => return Ok((entries, upper)),
+            let bytes = self.pool.read(page)?.ok_or_else(|| missing_page(page))?;
+            if raw_is_leaf(&bytes)? {
+                return Ok((bytes, upper));
             }
+            let (_, child, sep) = raw_internal_search(&bytes, key)?;
+            if let Some(sep) = sep {
+                // Deeper separators are tighter than inherited ones.
+                upper = Some(sep.to_vec());
+            }
+            page = child;
         }
     }
 
     fn walk_rec(&self, page: u64, f: &mut impl FnMut(u64, &Node)) -> Result<()> {
-        let node = self.read_node(page)?;
+        let bytes = self.pool.read(page)?.ok_or_else(|| missing_page(page))?;
+        let node = Node::decode(&bytes)?;
         f(page, &node);
         if let Node::Internal { children, .. } = &node {
             for &c in children {
@@ -1208,153 +1071,6 @@ impl<S: PageStore> BTree<S> {
             }
         }
         Ok(())
-    }
-
-    /// Recursive insert for the quiesced path. Returns the node's (possibly
-    /// relocated) page id, the previous value of the key if it existed, and the
-    /// `(separator, right page)` of a node split when one propagated upward.
-    #[allow(clippy::type_complexity)]
-    fn insert_rec(
-        &self,
-        locks: &mut SlotLocks<'_>,
-        a: &mut AllocState,
-        page: u64,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<(u64, Option<Vec<u8>>, Option<(Vec<u8>, u64)>)> {
-        match self.read_node(page)? {
-            Node::Leaf { mut entries } => {
-                let old = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => Some(std::mem::replace(&mut entries[i].1, value.to_vec())),
-                    Err(i) => {
-                        entries.insert(i, (key.to_vec(), value.to_vec()));
-                        None
-                    }
-                };
-                let page = self.shadow_id(a, page);
-                let node = Node::Leaf { entries };
-                if node.encoded_size() <= self.page_size {
-                    self.write_node_quiesced(locks, page, &node)?;
-                    return Ok((page, old, None));
-                }
-                // Split the leaf: move the upper half to a new page.
-                let Node::Leaf { entries } = node else {
-                    unreachable!()
-                };
-                let split_at = split_point(&entries, self.page_size);
-                let right_entries = entries[split_at..].to_vec();
-                let left_entries = entries[..split_at].to_vec();
-                let sep = right_entries[0].0.clone();
-                let right_page = self.alloc_page_locked(a);
-                self.write_node_quiesced(
-                    locks,
-                    right_page,
-                    &Node::Leaf {
-                        entries: right_entries,
-                    },
-                )?;
-                self.write_node_quiesced(
-                    locks,
-                    page,
-                    &Node::Leaf {
-                        entries: left_entries,
-                    },
-                )?;
-                Ok((page, old, Some((sep, right_page))))
-            }
-            Node::Internal {
-                mut keys,
-                mut children,
-            } => {
-                let idx = child_index(&keys, key);
-                let child = children[idx];
-                let (new_child, old, split) = self.insert_rec(locks, a, child, key, value)?;
-                if new_child == child && split.is_none() {
-                    // Nothing about this node changed (the child was updated in
-                    // place): leave it untouched so in-place trees write only what
-                    // they modify and shadow trees stop the path copy here.
-                    return Ok((page, old, None));
-                }
-                children[idx] = new_child;
-                let page = self.shadow_id(a, page);
-                if let Some((sep, right)) = split {
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, right);
-                    let node = Node::Internal { keys, children };
-                    if node.encoded_size() > self.page_size {
-                        // Split the internal node: the middle key moves up.
-                        let Node::Internal { keys, children } = node else {
-                            unreachable!()
-                        };
-                        let mid = keys.len() / 2;
-                        let up_key = keys[mid].clone();
-                        let right_keys = keys[mid + 1..].to_vec();
-                        let right_children = children[mid + 1..].to_vec();
-                        let left_keys = keys[..mid].to_vec();
-                        let left_children = children[..mid + 1].to_vec();
-                        let right_page = self.alloc_page_locked(a);
-                        self.write_node_quiesced(
-                            locks,
-                            right_page,
-                            &Node::Internal {
-                                keys: right_keys,
-                                children: right_children,
-                            },
-                        )?;
-                        self.write_node_quiesced(
-                            locks,
-                            page,
-                            &Node::Internal {
-                                keys: left_keys,
-                                children: left_children,
-                            },
-                        )?;
-                        return Ok((page, old, Some((up_key, right_page))));
-                    }
-                    self.write_node_quiesced(locks, page, &node)?;
-                    return Ok((page, old, None));
-                }
-                self.write_node_quiesced(locks, page, &Node::Internal { keys, children })?;
-                Ok((page, old, None))
-            }
-        }
-    }
-
-    /// Recursive delete of a key known to exist (quiesced path). Returns the node's
-    /// (possibly relocated) page id and the removed value.
-    fn delete_rec(
-        &self,
-        locks: &mut SlotLocks<'_>,
-        a: &mut AllocState,
-        page: u64,
-        key: &[u8],
-    ) -> Result<(u64, Option<Vec<u8>>)> {
-        match self.read_node(page)? {
-            Node::Leaf { mut entries } => {
-                let old = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => Some(entries.remove(i).1),
-                    Err(_) => None,
-                };
-                if old.is_none() {
-                    return Ok((page, None));
-                }
-                let page = self.shadow_id(a, page);
-                self.write_node_quiesced(locks, page, &Node::Leaf { entries })?;
-                Ok((page, old))
-            }
-            Node::Internal { keys, mut children } => {
-                let idx = child_index(&keys, key);
-                let child = children[idx];
-                let (new_child, old) = self.delete_rec(locks, a, child, key)?;
-                if new_child == child {
-                    return Ok((page, old));
-                }
-                children[idx] = new_child;
-                let page = self.shadow_id(a, page);
-                self.write_node_quiesced(locks, page, &Node::Internal { keys, children })?;
-                Ok((page, old))
-            }
-        }
     }
 }
 
@@ -1439,26 +1155,6 @@ fn successor(k: &[u8]) -> Vec<u8> {
     s
 }
 
-/// Index of the child to descend into for `key` given the separator keys.
-fn child_index(keys: &[Vec<u8>], key: &[u8]) -> usize {
-    match keys.binary_search_by(|k| k.as_slice().cmp(key)) {
-        Ok(i) => i + 1, // equal to separator => right subtree (separator is its smallest key)
-        Err(i) => i,
-    }
-}
-
-/// Where to split a leaf's entries so both halves fit comfortably: the first index where
-/// the accumulated encoded size exceeds half the page.
-fn split_point(entries: &[(Vec<u8>, Vec<u8>)], page_size: usize) -> usize {
-    let mut acc = LEAF_HEADER_BYTES;
-    for (i, (k, v)) in entries.iter().enumerate() {
-        acc += 4 + k.len() + v.len();
-        if acc > page_size / 2 && i + 1 < entries.len() {
-            return (i + 1).max(1);
-        }
-    }
-    (entries.len() / 2).max(1)
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1478,6 +1174,17 @@ mod tests {
 
     fn key(i: u32) -> Vec<u8> {
         format!("key-{i:08}").into_bytes()
+    }
+
+    /// The quiesced-path regressions below name the fallback by operation.
+    impl<S: PageStore> BTree<S> {
+        fn insert_quiesced(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>> {
+            self.mutate_quiesced(key, Some(value))
+        }
+
+        fn delete_quiesced(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+            self.mutate_quiesced(key, None)
+        }
     }
 
     #[test]
@@ -1587,6 +1294,178 @@ mod tests {
         }
     }
 
+    /// Depth of the tree (levels on the leftmost spine) and its number of empty leaves.
+    fn shape(t: &BTree<MemPageStore>) -> (usize, usize) {
+        let mut nodes = std::collections::HashMap::new();
+        t.walk(|id, node| {
+            nodes.insert(id, node.clone());
+        })
+        .unwrap();
+        let empty = nodes
+            .values()
+            .filter(|n| matches!(n, Node::Leaf { entries } if entries.is_empty()))
+            .count();
+        let (mut depth, mut page) = (1, t.root.load(Ordering::Acquire));
+        while let Node::Internal { children, .. } = &nodes[&page] {
+            depth += 1;
+            page = children[0];
+        }
+        (depth, empty)
+    }
+
+    fn assert_matches_model(t: &BTree<MemPageStore>, model: &BTreeMap<Vec<u8>, Vec<u8>>) {
+        assert_eq!(t.len() as usize, model.len());
+        let scanned = t.range(b"", b"~~~~~~~~~~~~~~~~").unwrap();
+        let expected: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        assert_eq!(scanned, expected);
+    }
+
+    /// The raw-page write path end to end, in both modes: variable-length values over
+    /// enough keys that leaves, internal nodes and the root all split; every seventh
+    /// mutation forced through the quiesced fallback; in shadow mode a commit every 500
+    /// operations, so the next touch of any path relocates it and repoints each
+    /// ancestor; then whole leaves deleted empty, scanned across and refilled.
+    #[test]
+    fn matches_a_model_through_splits_relocations_empty_leaves_and_the_fallback() {
+        const KEYS: u64 = 1_500;
+        for tree in [new_tree(), new_shadow_tree()] {
+            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            let mut state = 0x2357_1113u64;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            // `None` deletes. Every seventh call takes the path a mutation takes after
+            // `OPT_RETRIES` conflicts.
+            let mut calls = 0u32;
+            let mut mutate =
+                |model: &mut BTreeMap<Vec<u8>, Vec<u8>>, k: Vec<u8>, v: Option<Vec<u8>>| {
+                    calls += 1;
+                    let got = if calls.is_multiple_of(7) {
+                        let _quiesced = tree.epoch_latch.write();
+                        tree.mutate_quiesced(&k, v.as_deref())
+                    } else {
+                        tree.mutate(&k, v.as_deref())
+                    };
+                    let want = match v {
+                        Some(v) => model.insert(k, v),
+                        None => model.remove(&k),
+                    };
+                    assert_eq!(got.unwrap(), want);
+                };
+
+            for step in 0..12_000u32 {
+                let k = key((next() % KEYS) as u32);
+                let v = (next() % 4 != 0).then(|| vec![b'v'; (next() % 48) as usize]);
+                mutate(&mut model, k, v);
+                if tree.shadow && step % 500 == 499 {
+                    let mut ck = tree.begin_checkpoint();
+                    ck.write_back().unwrap();
+                    tree.seed_free_list(ck.commit());
+                    // Nothing is fresh now: the first touch path-copies root to leaf
+                    // (every level relocated, every parent repointed) …
+                    let (depth, _) = shape(&tree);
+                    let k = key((next() % KEYS) as u32);
+                    mutate(&mut model, k.clone(), Some(b"first touch".to_vec()));
+                    assert_eq!(tree.alloc.lock().freed.len(), depth);
+                    // … and the second finds the path fresh and rewrites in place.
+                    mutate(&mut model, k, Some(b"second touch".to_vec()));
+                    assert_eq!(tree.alloc.lock().freed.len(), depth);
+                }
+            }
+            let (depth, _) = shape(&tree);
+            assert!(depth >= 3, "depth {depth}: no internal node ever split");
+            assert_matches_model(&tree, &model);
+
+            // Hollow out a run of whole leaves, look through the hole, refill it.
+            for i in 400..700 {
+                mutate(&mut model, key(i), None);
+            }
+            let (_, empty) = shape(&tree);
+            assert!(empty > 0, "300 consecutive deletes emptied no leaf");
+            assert_matches_model(&tree, &model);
+            assert_eq!(tree.get(&key(555)).unwrap(), None);
+            assert_eq!(
+                tree.range(&key(380), &key(720)).unwrap().len(),
+                model.range(key(380)..key(720)).count()
+            );
+            for i in (400..700).step_by(3) {
+                mutate(&mut model, key(i), Some(vec![b'r'; (i % 40) as usize]));
+            }
+            assert_matches_model(&tree, &model);
+            for (k, v) in &model {
+                assert_eq!(tree.get(k).unwrap().as_deref(), Some(v.as_slice()));
+            }
+            assert_eq!(
+                tree.stats().write_fallbacks,
+                0,
+                "the fallback was forced, not hit"
+            );
+        }
+    }
+
+    #[test]
+    fn a_path_deeper_than_max_depth_is_a_typed_error() {
+        // A root that is its own child: every descent is endless.
+        let t = new_tree();
+        let root = t.root.load(Ordering::Acquire);
+        let cyclic = Node::Internal {
+            keys: vec![],
+            children: vec![root],
+        };
+        t.pool.write(root, cyclic.encode(PAGE).unwrap()).unwrap();
+        for result in [t.insert(b"k", b"v"), t.delete(b"k").map(|_| ())] {
+            assert!(matches!(result, Err(Error::TreeTooDeep { max: MAX_DEPTH })));
+        }
+    }
+
+    #[test]
+    fn growing_past_max_depth_is_refused_before_anything_is_written() {
+        // A hand-built spine of MAX_DEPTH - 1 *full* internal nodes over one leaf:
+        // the first leaf split overflows every level and would have to split the root.
+        // The separators sort above every key used below, so descents take slot 0.
+        let t = new_tree();
+        let spine = MAX_DEPTH as u64 - 1;
+        let keys: Vec<Vec<u8>> = (0..5u8)
+            .map(|i| [&[b'z'; 38][..], &[b'0' + i]].concat())
+            .collect();
+        for level in 0..spine {
+            let node = Node::Internal {
+                keys: keys.clone(),
+                children: vec![100 + level + 1, 0, 0, 0, 0, 0],
+            };
+            assert_eq!(node.encoded_size(), PAGE);
+            t.pool
+                .write(100 + level, node.encode(PAGE).unwrap())
+                .unwrap();
+        }
+        let leaf = Node::empty_leaf().encode(PAGE).unwrap();
+        t.pool.write(100 + spine, leaf).unwrap();
+        t.root.store(100, Ordering::Release);
+        t.alloc.lock().next_page_id = 200;
+
+        let mut stored = 0;
+        let refused = loop {
+            match t.insert(&key(stored), &[b'v'; 40]) {
+                Ok(()) => stored += 1,
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(refused, Error::TreeTooDeep { max: MAX_DEPTH }));
+        assert!(stored > 0, "the leaf must fill before it splits");
+        assert_eq!(
+            t.alloc.lock().next_page_id,
+            200,
+            "a refused split allocates nothing"
+        );
+        assert_eq!(t.len(), u64::from(stored));
+        for i in 0..stored {
+            assert_eq!(t.get(&key(i)).unwrap().unwrap(), [b'v'; 40]);
+        }
+    }
+
     #[test]
     fn oversized_entries_are_rejected() {
         let t = new_tree();
@@ -1642,7 +1521,7 @@ mod tests {
             (r, n)
         };
         // Snapshot the committed pages straight from the store.
-        let committed: Vec<(u64, Vec<u8>)> = (0..next1)
+        let committed: Vec<(u64, Bytes)> = (0..next1)
             .filter_map(|id| tree.store().read_page(id).unwrap().map(|d| (id, d)))
             .collect();
         assert!(committed.iter().any(|(id, _)| *id == root1));
@@ -1656,7 +1535,7 @@ mod tests {
         for (id, data) in &committed {
             assert_eq!(
                 tree.store().read_page(*id).unwrap().as_deref(),
-                Some(data.as_slice()),
+                Some(&data[..]),
                 "committed page {id} overwritten before commit"
             );
         }
@@ -1697,7 +1576,7 @@ mod tests {
             fn page_size(&self) -> usize {
                 self.0.page_size()
             }
-            fn read_page(&self, id: u64) -> Result<Option<Vec<u8>>> {
+            fn read_page(&self, id: u64) -> Result<Option<Bytes>> {
                 self.0.read_page(id)
             }
             fn write_page(&self, id: u64, data: &[u8]) -> Result<()> {
@@ -1785,7 +1664,7 @@ mod tests {
         fn page_size(&self) -> usize {
             self.inner.page_size()
         }
-        fn read_page(&self, id: u64) -> Result<Option<Vec<u8>>> {
+        fn read_page(&self, id: u64) -> Result<Option<Bytes>> {
             self.inner.read_page(id)
         }
         fn write_page(&self, id: u64, data: &[u8]) -> Result<()> {

@@ -65,6 +65,13 @@ pub enum Error {
         /// The metadata page that holds the legacy chunk.
         slot: PageId,
     },
+    /// A B+-tree mutation would have to follow, or grow the tree to, a root-to-leaf
+    /// path longer than the tree records. Every level multiplies the leaf count, so
+    /// this means a corrupt (cyclic) index, not a large one.
+    TreeTooDeep {
+        /// The deepest path a mutation records.
+        max: usize,
+    },
     /// Configuration rejected at store-open time.
     InvalidConfig(String),
     /// The store was opened against a device whose geometry does not match the config.
@@ -114,6 +121,11 @@ impl fmt::Display for Error {
                 f,
                 "unsupported KV index format: metadata page {slot} holds the retired JSON \
                  index, which this build neither reads nor migrates"
+            ),
+            Error::TreeTooDeep { max } => write!(
+                f,
+                "B+-tree deeper than {max} levels: the index is corrupt or the mutation \
+                 would grow it past what a writer records"
             ),
             Error::InvalidConfig(detail) => write!(f, "invalid configuration: {detail}"),
             Error::GeometryMismatch { expected, actual } => {

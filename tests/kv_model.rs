@@ -338,6 +338,108 @@ fn overlapping_keyspace_racing_writers() {
     assert_eq!(present, after, "restart changed the committed contents");
 }
 
+/// Two writers on *interleaved* keys (even / odd), so every leaf holds keys of both and
+/// each writer's splits, first-touch relocations (thread 0 commits an epoch every 150
+/// operations) and parent repoints land on paths the other is descending. They first
+/// grow the index from nothing — leaf, internal and root splits — then each deletes its
+/// half of one contiguous run, which leaves whole leaves empty once both are through.
+/// A writer is the only one touching its keys, so each of its reads must match its own
+/// model exactly; the barrier makes the two phases overlap between the threads.
+#[test]
+fn interleaved_writers_grow_then_hollow_out_a_shared_index() {
+    const KEYS: u32 = 1_400;
+    const HOLE: std::ops::Range<u32> = 300..1_000;
+    let seed = stress_seed_or(0x1234_5678);
+    let kv = Arc::new(KvStore::open(LogStore::open_in_memory(config()).unwrap()).unwrap());
+    let phase = std::sync::Barrier::new(2);
+
+    fn striped_key(i: u32) -> Vec<u8> {
+        format!("g:k{i:05}").into_bytes()
+    }
+
+    let mut models: Vec<BTreeMap<Vec<u8>, Vec<u8>>> = Vec::new();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2u32)
+            .map(|t| {
+                let (kv, phase) = (kv.clone(), &phase);
+                scope.spawn(move || {
+                    let mut rng = Rng(seed ^ u64::from(t));
+                    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+                    let mine: Vec<u32> = (0..KEYS).filter(|i| i % 2 == t).collect();
+                    phase.wait();
+                    // Grow: every key once in a scrambled order, then overwrites.
+                    for seq in 0..2 * mine.len() {
+                        let at = if seq < mine.len() {
+                            seq * 389 // coprime with the 700 keys: a permutation
+                        } else {
+                            rng.next() as usize
+                        };
+                        let i = mine[at % mine.len()];
+                        let k = striped_key(i);
+                        let pad = "x".repeat((rng.next() % 40) as usize);
+                        let v = [k.as_slice(), format!("=w{t}s{seq}:{pad}").as_bytes()].concat();
+                        kv.put(&k, &v).unwrap();
+                        let got = kv.get(&k).unwrap().expect("get-after-put lost the key");
+                        assert_eq!(got.as_ref(), v.as_slice(), "stale read (seed {seed:#x})");
+                        model.insert(k, v);
+                        if t == 0 && seq % 150 == 149 {
+                            kv.flush().unwrap();
+                        }
+                    }
+                    phase.wait();
+                    // Hollow out: this writer's half of the run, front to back.
+                    for (seq, &i) in mine.iter().filter(|i| HOLE.contains(i)).enumerate() {
+                        let k = striped_key(i);
+                        assert!(kv.delete(&k).unwrap(), "delete missed a live key");
+                        assert!(kv.get(&k).unwrap().is_none(), "deleted key still readable");
+                        model.remove(&k);
+                        if t == 0 && seq % 150 == 149 {
+                            kv.flush().unwrap();
+                        }
+                    }
+                    model
+                })
+            })
+            .collect();
+        for h in handles {
+            models.push(h.join().unwrap());
+        }
+    });
+
+    let mut union = models.pop().unwrap();
+    union.append(&mut models.pop().unwrap());
+    assert_eq!(kv.len(), union.len());
+    assert_eq!(kv.len() as u32, KEYS - (HOLE.end - HOLE.start));
+    // Across the emptied leaves: nothing inside, the neighbours on either side intact.
+    let hole = kv.range(&striped_key(HOLE.start), &striped_key(HOLE.end));
+    assert!(hole.unwrap().is_empty(), "the hole is not empty");
+    let scanned = kv.range(b"g:", b"g:~").unwrap();
+    assert_eq!(scanned.len(), union.len());
+    for ((sk, sv), (ek, ev)) in scanned.iter().zip(union.iter()) {
+        assert_eq!(sk, ek);
+        assert_eq!(sv.as_ref(), ev.as_slice());
+    }
+    // Refill part of the hole, commit, restart: identical contents.
+    for i in HOLE.step_by(5) {
+        let k = striped_key(i);
+        kv.put(&k, &[k.as_slice(), b"=refill"].concat()).unwrap();
+        union.insert(k.clone(), [k.as_slice(), b"=refill"].concat());
+    }
+    kv.flush().unwrap();
+    let kv = Arc::try_unwrap(kv).unwrap_or_else(|_| unreachable!("all clones joined"));
+    let store = kv.into_inner();
+    let cfg = store.config().clone();
+    let reopened =
+        KvStore::open(LogStore::recover_with_device(cfg, store.into_device()).unwrap()).unwrap();
+    let after: BTreeMap<Vec<u8>, Vec<u8>> = reopened
+        .range(b"g:", b"g:~")
+        .unwrap()
+        .into_iter()
+        .map(|(k, v)| (k, v.to_vec()))
+        .collect();
+    assert_eq!(after, union, "restart changed the committed contents");
+}
+
 /// Regression test for the PR 4 reader-starvation hazard: back-to-back scanners used
 /// to monopolise the tree's reader-preferring `RwLock` on a single core, stalling
 /// writers (and the flusher's exclusive latch) indefinitely — the model test's
