@@ -71,11 +71,19 @@ impl SeparationConfig {
 /// Parameters controlling when cleaning runs and how much it does per cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CleaningConfig {
-    /// Cleaning is triggered when the number of free segments falls below this value
-    /// (paper §6.1.1 uses 32).
+    /// The *upper mark* of cleaning (paper §6.1.1 triggers at 32): the free-segment
+    /// level at which writers wake an attached background pool, and below which a
+    /// writer that cleans for itself starts looking — but between this mark and the
+    /// must-clean floor ([`reserved_free_segments`](Self::reserved_free_segments) +
+    /// [`StoreConfig::write_streams`]) it runs a cycle only if the policy's batch is
+    /// nearly free (≥ 0.9 empty on average); anything fuller waits for the floor, so a
+    /// busy store's free pool sits there, not here. A trigger at or below the floor
+    /// leaves no band: cleaning simply starts at the trigger.
     pub trigger_free_segments: usize,
-    /// Number of in-use segments cleaned per cleaning cycle (paper §6.1.1 uses 64;
-    /// multi-log uses 1). Policies may override via
+    /// The full-batch budget: in-use segments cleaned per cleaning cycle, in aggregate
+    /// across [`StoreConfig::cleaner_threads`] concurrent cycles (paper §6.1.1 uses 64;
+    /// multi-log uses 1). A writer's cycle at the must-clean floor takes at most as
+    /// many victims as the floor holds segments. Policies may override via
     /// [`crate::policy::CleaningPolicy::preferred_batch`].
     pub segments_per_cycle: usize,
     /// Number of free segments that must always remain available as the destination of

@@ -31,6 +31,8 @@
 //!    ([`crate::mapping::ShardedPageTable::replace_if_current`]): a page the user
 //!    rewrote since staging fails the swap and its stale copy is abandoned (the original
 //!    write sequence guarantees the abandoned copy can also never win during recovery).
+//!    Staged pages are also committed before any of the cycle's outputs is sealed in
+//!    the middle of a victim: a sealed segment is every other cycle's candidate victim.
 //!    The victim is then released into the quarantine tagged with this cycle's token
 //!    (remap-before-release: by the time a victim is released, none of its pages are
 //!    referenced by the mapping).
@@ -85,7 +87,7 @@ use crate::types::{
 };
 use crate::write_buffer::sort_by_separation_key;
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -138,7 +140,16 @@ pub(crate) struct GcControl {
     /// True while a [`crate::shared::BackgroundCleaner`] pool is attached; writers
     /// then kick it instead of cleaning inline.
     background_attached: AtomicBool,
+    /// The free count at which a writer's last paced attempt got nowhere (no victim,
+    /// a pick not worth cleaning yet, or a cycle that freed nothing on balance), or
+    /// [`NO_FRUITLESS_ATTEMPT`]. `ensure_headroom` runs on every put and an attempt
+    /// scans every sealed segment under the central lock, so it is repeated only once
+    /// the count has moved. A hint: racing writers may overwrite each other's entry,
+    /// which costs one extra attempt or skips one until the next allocation.
+    fruitless_at: AtomicUsize,
 }
+
+const NO_FRUITLESS_ATTEMPT: usize = usize::MAX;
 
 #[derive(Default)]
 struct KickState {
@@ -174,7 +185,19 @@ impl GcControl {
             kick: Mutex::new(KickState::default()),
             kick_cond: Condvar::new(),
             background_attached: AtomicBool::new(false),
+            fruitless_at: AtomicUsize::new(NO_FRUITLESS_ATTEMPT),
         }
+    }
+
+    /// True if a paced attempt at this free count is worth making: the last fruitless
+    /// one saw a different count (or there was none).
+    pub(crate) fn worth_attempting_at(&self, free: usize) -> bool {
+        self.fruitless_at.load(Ordering::Relaxed) != free
+    }
+
+    /// Remember that a paced attempt which saw `free` free segments got nowhere.
+    pub(crate) fn note_fruitless_at(&self, free: usize) {
+        self.fruitless_at.store(free, Ordering::Relaxed);
     }
 
     /// Acquire a cycle slot (blocks while `cleaner_threads` cycles are already in
@@ -248,10 +271,52 @@ impl GcControl {
 pub(crate) enum SelectionMode {
     /// The configured policy picks (with a greedy fallback only if it picks nothing).
     Policy,
+    /// The configured policy picks, but whether the cycle runs at all, and how large,
+    /// is the writer's pacing decision ([`pace`]), taken in the selection critical
+    /// section against the exact free count.
+    Paced,
     /// Force a global greedy pick with the full configured batch: the space-driven
     /// escalation writers use when policy-driven cycles fail to relieve allocation
     /// pressure (multi-log nets almost nothing per cycle under distress).
     ForceGreedy,
+}
+
+/// What a writer at or below the upper mark does about cleaning before it admits a put.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pace {
+    /// Nothing: cleaning now would cost more than cleaning later.
+    Wait,
+    /// At the must-clean floor: a small policy cycle.
+    CleanSmall,
+    /// In the may-clean band with nearly free victims on offer: a full policy batch.
+    CleanFull,
+}
+
+/// Mean emptiness from which a batch counts as *nearly free*: relocating it writes at
+/// most a tenth of what it frees, and its segments can only get a tenth emptier, so
+/// waiting cannot make the cycle meaningfully cheaper.
+pub(crate) const NEARLY_FREE_EMPTINESS: f64 = 0.9;
+
+/// The writer's pacing decision (see docs/ARCHITECTURE.md, "Pacing"). Cleaning cost is
+/// set by how full the victims are (paper Table 1), and victims only empty while they
+/// wait, so the free pool is spent down to the `floor` before anything that still
+/// holds live data is moved; between the floor and the `upper` mark a cycle runs only
+/// if the full batch the policy would take is nearly free. `full_pick_emptiness` runs
+/// that selection and reports its mean emptiness (`None`: nothing to pick); it scans
+/// every sealed segment, so it is consulted only inside the band.
+pub(crate) fn pace(
+    free: usize,
+    floor: usize,
+    upper: usize,
+    full_pick_emptiness: impl FnOnce() -> Option<f64>,
+) -> Pace {
+    if free <= floor {
+        Pace::CleanSmall
+    } else if free <= upper && full_pick_emptiness().is_some_and(|e| e >= NEARLY_FREE_EMPTINESS) {
+        Pace::CleanFull
+    } else {
+        Pace::Wait
+    }
 }
 
 /// One relocation appended to a GC builder, awaiting its page-table commit.
@@ -294,6 +359,32 @@ struct CycleCtx {
     token: u64,
     gcs: GcStreams,
     claimed: Vec<SegmentId>,
+    /// Relocations of the victim in hand that sit in an output builder awaiting their
+    /// page-table commit. Emptied by [`commit_staged`] — at the end of each victim, and
+    /// before any of the cycle's outputs is sealed: a sealed segment is a candidate
+    /// victim for every *other* cycle, which would find a copy nobody references yet,
+    /// release the slot, and leave this cycle's later swap pointing into a segment on
+    /// its way back to the free list.
+    staged: Vec<StagedRelocation>,
+    /// Outputs that took a re-emitted tombstone of the victim in hand, one entry per
+    /// tombstone; charged along with `staged`.
+    retained_outputs: Vec<SegmentId>,
+    pages_moved: u64,
+    bytes_moved: u64,
+}
+
+impl CycleCtx {
+    fn new(token: u64, claimed: Vec<SegmentId>) -> Self {
+        Self {
+            token,
+            gcs: GcStreams::default(),
+            claimed,
+            staged: Vec::new(),
+            retained_outputs: Vec::new(),
+            pages_moved: 0,
+            bytes_moved: 0,
+        }
+    }
 }
 
 /// One victim with its image read and live pages collected (the output of the phase-2
@@ -325,6 +416,17 @@ struct PreparedVictim {
 /// critical section.
 type ClaimedVictim = (SegmentId, f64, UpdateTick, u16);
 
+/// Mean emptiness of a picked batch, as the segment table has it now (`None` for an
+/// empty pick).
+fn mean_emptiness(segments: &crate::segment::SegmentTable, picked: &[SegmentId]) -> Option<f64> {
+    let sum: f64 = picked
+        .iter()
+        .filter_map(|&v| segments.meta(v))
+        .map(|m| m.emptiness())
+        .sum();
+    (!picked.is_empty()).then(|| sum / picked.len() as f64)
+}
+
 /// Invoke the store's phase hook, if installed, with no lock held.
 fn fire_phase_hook(store: &LogStore, token: u64, phase: GcPhase, victim: Option<SegmentId>) {
     let hook = store.gc_phase_hook();
@@ -347,8 +449,6 @@ pub(crate) fn run_cleaning_cycle_with(
 ) -> Result<CleaningReport> {
     let permit = store.gc.begin_cycle();
     let token = permit.token;
-    let stats = store.atomic_stats();
-    AtomicStats::bump(&stats.cleaning_cycles);
     let unow = store.unow();
 
     // Phase 1: select victims and claim them, in one short central critical section —
@@ -367,44 +467,70 @@ pub(crate) fn run_cleaning_cycle_with(
             unow,
             segments: &sealed,
         };
-        let mut picked = match mode {
-            SelectionMode::Policy => {
-                // Temperature feedback into victim selection: segments filled with the
-                // coldest survivor class decay slowly by construction, so cleaning them
-                // at the usual dead-fraction is pure churn — hide them from the policy
-                // until their emptiness is within `cold_victim_min_emptiness` of the
-                // emptiest sealed segment. The bar is relative so cold segments ripen
-                // at every fill factor instead of being starved out at high fill. The
-                // filter is advisory only: if it empties the candidate set the
-                // unfiltered pick runs, and the distress path (ForceGreedy) never
-                // filters.
-                let threshold = store.config().cleaning.cold_victim_min_emptiness;
-                let use_filter = store.config().gc_temperature_classes > 1 && threshold > 0.0;
-                let filtered: Vec<SegmentStats> = if use_filter {
-                    let max_emptiness = sealed.iter().map(|s| s.emptiness()).fold(0.0f64, f64::max);
-                    let bar = threshold * max_emptiness;
-                    sealed
-                        .iter()
-                        .filter(|s| s.temperature != 0 || s.emptiness() >= bar)
-                        .copied()
-                        .collect()
-                } else {
-                    Vec::new()
+        let mut policy_pick = |batch: usize| {
+            // Temperature feedback into victim selection: segments filled with the
+            // coldest survivor class decay slowly by construction, so cleaning them
+            // at the usual dead-fraction is pure churn — hide them from the policy
+            // until their emptiness is within `cold_victim_min_emptiness` of the
+            // emptiest sealed segment. The bar is relative so cold segments ripen
+            // at every fill factor instead of being starved out at high fill. The
+            // filter is advisory only: if it empties the candidate set the
+            // unfiltered pick runs, and the distress path (ForceGreedy) never
+            // filters.
+            let threshold = store.config().cleaning.cold_victim_min_emptiness;
+            let use_filter = store.config().gc_temperature_classes > 1 && threshold > 0.0;
+            let filtered: Vec<SegmentStats> = if use_filter {
+                let max_emptiness = sealed.iter().map(|s| s.emptiness()).fold(0.0f64, f64::max);
+                let bar = threshold * max_emptiness;
+                sealed
+                    .iter()
+                    .filter(|s| s.temperature != 0 || s.emptiness() >= bar)
+                    .copied()
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let filtering = use_filter && filtered.len() < sealed.len();
+            let mut p = if filtering {
+                let fctx = PolicyContext {
+                    unow,
+                    segments: &filtered,
                 };
-                let filtering = use_filter && filtered.len() < sealed.len();
-                let mut p = if filtering {
-                    let fctx = PolicyContext {
-                        unow,
-                        segments: &filtered,
-                    };
-                    policy.select_victims(&fctx, batch)
-                } else {
-                    policy.select_victims(&ctx, batch)
-                };
-                if p.is_empty() && filtering {
-                    p = policy.select_victims(&ctx, batch);
+                policy.select_victims(&fctx, batch)
+            } else {
+                policy.select_victims(&ctx, batch)
+            };
+            if p.is_empty() && filtering {
+                p = policy.select_victims(&ctx, batch);
+            }
+            if p.is_empty() {
+                // Space-driven escalation (the simulator's `emergency_greedy_clean`): a
+                // selective policy — multi-log only inspects the written log's
+                // neighbourhood — can find no victim even though reclaimable space
+                // exists elsewhere. Real systems fall back to a global space-driven GC
+                // in that corner.
+                let mut greedy = crate::policy::GreedyPolicy::new();
+                p = crate::policy::CleaningPolicy::select_victims(&mut greedy, &ctx, batch);
+            }
+            p
+        };
+        let picked = match mode {
+            SelectionMode::Policy => policy_pick(batch),
+            SelectionMode::Paced => {
+                let (floor, upper) = store.pacing_marks();
+                let mut full_pick = Vec::new();
+                let decision = pace(segments.free_count(), floor, upper, || {
+                    full_pick = policy_pick(batch);
+                    mean_emptiness(segments, &full_pick)
+                });
+                match decision {
+                    Pace::Wait => Vec::new(),
+                    // A cycle reaps its victims only at its end, so until then its
+                    // output comes out of the free pool it started with: at the floor
+                    // it takes no more victims than the floor holds segments.
+                    Pace::CleanSmall => policy_pick(batch.min(floor.max(1))),
+                    Pace::CleanFull => full_pick,
                 }
-                p
             }
             SelectionMode::ForceGreedy => {
                 // Distress cycles take the *full* configured batch, not the per-cycle
@@ -420,14 +546,6 @@ pub(crate) fn run_cleaning_cycle_with(
                 crate::policy::CleaningPolicy::select_victims(&mut greedy, &ctx, want)
             }
         };
-        if picked.is_empty() && mode == SelectionMode::Policy {
-            // Space-driven escalation (the simulator's `emergency_greedy_clean`): a
-            // selective policy — multi-log only inspects the written log's neighbourhood
-            // — can find no victim even though reclaimable space exists elsewhere.
-            // Real systems fall back to a global space-driven GC in that corner.
-            let mut greedy = crate::policy::GreedyPolicy::new();
-            picked = crate::policy::CleaningPolicy::select_victims(&mut greedy, &ctx, batch);
-        }
         picked
             .into_iter()
             .filter_map(|v| {
@@ -440,15 +558,14 @@ pub(crate) fn run_cleaning_cycle_with(
     if victims.is_empty() {
         return Ok(CleaningReport::default());
     }
+    // Only an attempt that claimed something is a cycle: a paced attempt that decides
+    // to wait, or finds nothing to pick, is a probe.
+    AtomicStats::bump(&store.atomic_stats().cleaning_cycles);
     for &(v, _, _, _) in &victims {
         fire_phase_hook(store, token, GcPhase::Claimed, Some(v));
     }
 
-    let mut cycle = CycleCtx {
-        token,
-        gcs: GcStreams::default(),
-        claimed: victims.iter().map(|&(v, _, _, _)| v).collect(),
-    };
+    let mut cycle = CycleCtx::new(token, victims.iter().map(|&(v, _, _, _)| v).collect());
     let result = run_claimed_victims(store, &mut cycle, &victims, unow);
     finish_cycle(store, cycle, result)
 }
@@ -462,7 +579,6 @@ fn run_claimed_victims(
     victims: &[ClaimedVictim],
     unow: UpdateTick,
 ) -> Result<CleaningReport> {
-    let mut report = CleaningReport::default();
     let mut emptiness_sum = 0.0;
     let mut released: Vec<SegmentId> = Vec::with_capacity(victims.len());
 
@@ -475,14 +591,7 @@ fn run_claimed_victims(
             GcPhase::VictimRead,
             Some(prepared.victim),
         );
-        if relocate_victim(
-            store,
-            cycle,
-            prepared,
-            unow,
-            &mut report,
-            &mut emptiness_sum,
-        )? {
+        if relocate_victim(store, cycle, prepared, unow, &mut emptiness_sum)? {
             released.push(prepared.victim);
             fire_phase_hook(
                 store,
@@ -504,6 +613,11 @@ fn run_claimed_victims(
     write_path::sync_and_reap(store)?;
     fire_phase_hook(store, cycle.token, GcPhase::Synced, None);
 
+    let mut report = CleaningReport {
+        pages_moved: cycle.pages_moved,
+        bytes_moved: cycle.bytes_moved,
+        ..CleaningReport::default()
+    };
     if !released.is_empty() {
         report.mean_emptiness = emptiness_sum / released.len() as f64;
     }
@@ -555,7 +669,6 @@ fn relocate_victim(
     cycle: &mut CycleCtx,
     prepared: &PreparedVictim,
     unow: UpdateTick,
-    report: &mut CleaningReport,
     emptiness_sum: &mut f64,
 ) -> Result<bool> {
     let stats = store.atomic_stats();
@@ -622,7 +735,10 @@ fn relocate_victim(
     // The ledger only satisfies `seal_open`'s batching interface and stays empty
     // here: GC accounting is applied directly at commit (phase 3b), in the same
     // central section as the page-table swap.
-    let mut staged: Vec<StagedRelocation> = Vec::with_capacity(items.len());
+    debug_assert!(
+        cycle.staged.is_empty(),
+        "the previous victim left staged pages"
+    );
     let mut ledger = MetaLedger::default();
     for item in items {
         let LivePage { page, loc, up2 } = item.live;
@@ -646,15 +762,16 @@ fn relocate_victim(
             ensure_gc_open(store, cycle, &mut ledger, item.class, item.log, data.len())?
         else {
             // No output space for this victim even after the distress fallbacks:
-            // abandon it *gracefully*. Nothing of it has been committed — its pages
-            // are still mapped into the sealed victim image, which stays exactly
-            // where it is — and the few copies already staged into builders are
-            // never swapped in, so they are recovery-safe garbage. Move on to the
+            // abandon it *gracefully*. Whatever was staged is committed (and the
+            // victim charged with those departures — the fallbacks did that before
+            // they sealed); the pages that found no room are still mapped into the
+            // sealed victim image, which stays exactly where it is. Move on to the
             // remaining victims rather than giving up on the cycle: a later victim
             // may be fully dead (needing no output space at all) and releasing it
             // is exactly what relieves the pressure. The writers' escalation
             // ladder (greedy cycles, quarantine sweeps) decides whether the store
             // is genuinely full.
+            commit_staged_early(store, cycle);
             return Ok(false);
         };
         let open = cycle
@@ -667,7 +784,7 @@ fn relocate_victim(
         // [`crate::cleaner::LivePage`]).
         let offset = open.builder.write().push_page(page, loc.write_seq, data);
         open.up2_avg.add(up2);
-        staged.push(StagedRelocation {
+        cycle.staged.push(StagedRelocation {
             page,
             old: loc,
             new: PageLocation {
@@ -696,10 +813,9 @@ fn relocate_victim(
     // the victim's slot can be reused. (Re-emitting a tombstone that a racing user
     // delete has just superseded is harmless — it loses every recovery comparison.)
     // This must happen before the victim is released below: if no output space can be
-    // found the victim is abandoned intact, never released with its delete facts
-    // dropped.
+    // found the victim is abandoned with its delete facts in place, never released with
+    // them dropped.
     let covered = prepared.seal_seq <= store.checkpoint_frontier();
-    let mut retained_outputs: Vec<SegmentId> = Vec::new();
     for &(page, write_seq) in &prepared.tombstones {
         if covered || store.mapping().get(page).is_some() {
             AtomicStats::bump(&stats.tombstones_dropped);
@@ -719,9 +835,12 @@ fn relocate_victim(
             Some(k) => k,
             None => match ensure_gc_open(store, cycle, &mut ledger, 0, 0, 0)? {
                 Some(k) => k,
-                // Same graceful abandonment as above: nothing of this victim has been
-                // committed yet, and tombstones already re-emitted for it are harmless.
-                None => return Ok(false),
+                // Same graceful abandonment as above: the victim keeps its delete
+                // facts, and tombstones already re-emitted for it are harmless.
+                None => {
+                    commit_staged_early(store, cycle);
+                    return Ok(false);
+                }
             },
         };
         let open = cycle
@@ -730,40 +849,15 @@ fn relocate_victim(
             .get_mut(&stream)
             .expect("ensure_gc_open just installed this stream");
         open.builder.write().push_tombstone(page, write_seq);
-        retained_outputs.push(open.id);
+        cycle.retained_outputs.push(open.id);
         AtomicStats::bump(&stats.tombstones_retained);
     }
 
-    // Phase 3b: commit under one short central section. The swap and the output
-    // segment's accounting land in the same critical section, so any later death of
-    // the relocated copy (recorded by a writer only after it observes the new
-    // location) is applied after this `on_page_added`, never before.
+    // Phase 3b: commit what is still staged and release the victim, under one short
+    // central section.
     {
         let mut central = store.central().lock();
-        for s in staged {
-            if store.mapping().replace_if_current(s.page, &s.old, s.new) {
-                if let Some(meta) = central.segments.meta_mut(s.new.segment) {
-                    meta.on_page_added(s.new.len, None);
-                }
-                AtomicStats::bump(&stats.gc_pages_written);
-                AtomicStats::add(&stats.gc_bytes_written, s.new.len as u64);
-                stats.add_class_page(s.class, s.new.len as u64);
-                report.pages_moved += 1;
-                report.bytes_moved += s.new.len as u64;
-            }
-            // A failed swap means the user rewrote the page after staging: the
-            // stale copy in the output builder is dead on arrival and is simply
-            // never accounted live (it will be reclaimed when that segment is
-            // eventually cleaned).
-        }
-        // Charge the re-emitted tombstones' entry-table footprint to their output
-        // segments (the cycle owns its outputs, so no generation race is possible
-        // here), mirroring the user write path's tombstone accounting.
-        for seg in retained_outputs {
-            if let Some(meta) = central.segments.meta_mut(seg) {
-                meta.on_tombstone_added();
-            }
-        }
+        commit_staged(store, cycle, &mut central, None);
         // Remap-before-release now holds for every live page of this victim; park
         // the slot — tagged with this cycle's token — until the relocated copies are
         // durable and no reader pins remain.
@@ -775,6 +869,63 @@ fn relocate_victim(
     }
     cycle.claimed.retain(|&s| s != victim);
     Ok(true)
+}
+
+/// Commit every staged relocation by page-table compare-and-swap and account it to its
+/// output segment, and charge the re-emitted tombstones to theirs. The caller holds the
+/// central lock: the swap and the output segment's accounting land in the same
+/// critical section, so any later death of the relocated copy (recorded by a writer
+/// only after it observes the new location) is applied after this `on_page_added`,
+/// never before.
+///
+/// `victim_stays_claimed` is `Some(now)` when this runs *before* the end of the victim
+/// — an output is about to be sealed under it (see [`CycleCtx::staged`]) — and the
+/// victim might yet be abandoned rather than released: the pages that just left it are
+/// then recorded as deaths in its own counters.
+fn commit_staged(
+    store: &LogStore,
+    cycle: &mut CycleCtx,
+    central: &mut CentralState,
+    victim_stays_claimed: Option<UpdateTick>,
+) {
+    let stats = store.atomic_stats();
+    for s in cycle.staged.drain(..) {
+        if store.mapping().replace_if_current(s.page, &s.old, s.new) {
+            if let Some(meta) = central.segments.meta_mut(s.new.segment) {
+                meta.on_page_added(s.new.len, None);
+            }
+            if let Some(now) = victim_stays_claimed {
+                if let Some(meta) = central.segments.meta_mut(s.old.segment) {
+                    meta.on_page_dead(s.old.len, now, None);
+                }
+            }
+            AtomicStats::bump(&stats.gc_pages_written);
+            AtomicStats::add(&stats.gc_bytes_written, s.new.len as u64);
+            stats.add_class_page(s.class, s.new.len as u64);
+            cycle.pages_moved += 1;
+            cycle.bytes_moved += s.new.len as u64;
+        }
+        // A failed swap means the user rewrote the page after staging: the stale copy
+        // in the output builder is dead on arrival and is simply never accounted live
+        // (it will be reclaimed when that segment is eventually cleaned).
+    }
+    // The re-emitted tombstones' entry-table footprint, mirroring the user write
+    // path's tombstone accounting.
+    for seg in cycle.retained_outputs.drain(..) {
+        if let Some(meta) = central.segments.meta_mut(seg) {
+            meta.on_tombstone_added();
+        }
+    }
+}
+
+/// [`commit_staged`] before the end of the victim: ahead of a seal of the cycle's outputs
+/// in the middle of it, or when it is abandoned for want of output space.
+fn commit_staged_early(store: &LogStore, cycle: &mut CycleCtx) {
+    if !cycle.staged.is_empty() || !cycle.retained_outputs.is_empty() {
+        let now = store.unow();
+        let mut central = store.central().lock();
+        commit_staged(store, cycle, &mut central, Some(now));
+    }
 }
 
 /// Read a victim's image into `image` and decode its extent chain.
@@ -953,6 +1104,7 @@ fn ensure_gc_open(
         }
     }
     if let Some(full) = cycle.gcs.open.remove(&stream) {
+        commit_staged_early(store, cycle);
         write_path::seal_open(store, full, ledger)?;
     }
     let capacity =
@@ -1001,6 +1153,7 @@ fn ensure_gc_open(
 /// its quarantine entries sealed and run a sync+reap pass, so the victims it has
 /// already emptied re-enter the free pool while the cycle continues.
 fn make_own_relocations_durable(store: &LogStore, cycle: &mut CycleCtx) -> Result<()> {
+    commit_staged_early(store, cycle);
     write_path::seal_streams(store, &mut cycle.gcs)?;
     {
         let mut central = store.central().lock();
@@ -1054,6 +1207,160 @@ mod tests {
         store
     }
 
+    /// The pacing rule, row by row: `(free, floor, upper, mean emptiness of the full
+    /// pick, decision)`. The pick is looked at only inside the band.
+    #[test]
+    fn pace_cleans_small_at_the_floor_and_full_in_the_band_only_when_nearly_free() {
+        use Pace::*;
+        let table: &[(usize, usize, usize, Option<f64>, Pace)] = &[
+            // Shipped marks: floor 8, upper 32.
+            (33, 8, 32, Some(1.0), Wait), // above the upper mark nothing is even looked at
+            (32, 8, 32, Some(1.0), CleanFull),
+            (32, 8, 32, Some(0.9), CleanFull),
+            (32, 8, 32, Some(0.899), Wait),
+            (20, 8, 32, Some(0.98), CleanFull), // the kv-mixed shape
+            (20, 8, 32, Some(0.29), Wait),      // the page-churn shape
+            (9, 8, 32, Some(0.29), Wait),
+            (9, 8, 32, None, Wait), // nothing to pick
+            (8, 8, 32, Some(0.29), CleanSmall),
+            (8, 8, 32, None, CleanSmall), // the cycle itself finds out there is no victim
+            (0, 8, 32, Some(1.0), CleanSmall),
+            // `small_for_tests`: floor == trigger, the band is empty.
+            (5, 4, 4, Some(1.0), Wait),
+            (4, 4, 4, Some(1.0), CleanSmall),
+            (4, 4, 4, Some(0.0), CleanSmall),
+            // Ten open segments lift the floor to 12...
+            (13, 12, 32, Some(0.5), Wait),
+            (12, 12, 32, Some(0.5), CleanSmall),
+            // ...and forty lift both marks to 42.
+            (43, 42, 42, Some(1.0), Wait),
+            (42, 42, 42, Some(1.0), CleanSmall),
+        ];
+        for &(free, floor, upper, pick, want) in table {
+            let mut looked = false;
+            let got = pace(free, floor, upper, || {
+                looked = true;
+                pick
+            });
+            assert_eq!(
+                got, want,
+                "free {free}, marks {floor}/{upper}, pick {pick:?}"
+            );
+            assert_eq!(
+                looked,
+                floor < free && free <= upper,
+                "free {free}, marks {floor}/{upper}: the pick is the band's business only"
+            );
+        }
+    }
+
+    #[test]
+    fn pacing_marks_follow_the_reserve_the_streams_and_the_open_segments() {
+        // `small_for_tests`: 2 reserved + 2 streams = its trigger of 4.
+        let store = LogStore::open_in_memory(StoreConfig::small_for_tests()).unwrap();
+        assert_eq!(store.pacing_marks(), (4, 4));
+
+        // The shipped marks: 4 reserved + 4 streams under a trigger of 32.
+        let mut config = StoreConfig::small_for_tests().with_write_streams(4);
+        config.num_segments = 128;
+        config.cleaning = crate::config::CleaningConfig::default();
+        let store = LogStore::open_in_memory(config).unwrap();
+        assert_eq!(store.pacing_marks(), (8, 32));
+        assert_eq!(store.effective_clean_trigger(), 32);
+        // Open segments + 2 lift the floor once they exceed it, then both marks.
+        store.note_open_delta(6);
+        assert_eq!(store.pacing_marks(), (8, 32));
+        store.note_open_delta(4);
+        assert_eq!(store.pacing_marks(), (12, 32));
+        store.note_open_delta(30);
+        assert_eq!(store.pacing_marks(), (42, 42));
+    }
+
+    /// Greedy selection that counts how often it is asked.
+    struct CountingPolicy {
+        inner: crate::policy::GreedyPolicy,
+        selections: Arc<AtomicU64>,
+    }
+
+    impl crate::policy::CleaningPolicy for CountingPolicy {
+        fn name(&self) -> &'static str {
+            "counting-greedy"
+        }
+        fn select_victims(&mut self, ctx: &PolicyContext<'_>, want: usize) -> Vec<SegmentId> {
+            self.selections.fetch_add(1, Ordering::Relaxed);
+            self.inner.select_victims(ctx, want)
+        }
+    }
+
+    /// `ensure_headroom` runs on every put and a selection scans every sealed segment
+    /// under the central lock: an attempt that got nowhere is not repeated until the
+    /// free count moves — in the band (the pick is not nearly free) and at the floor
+    /// (nothing reclaimable at all).
+    #[test]
+    fn a_fruitless_attempt_is_retried_only_when_the_free_count_changes() {
+        let mut config = StoreConfig::small_for_tests()
+            .with_write_streams(1)
+            .with_gc_read_pool(1);
+        config.sort_buffer_segments = 0;
+        config.cleaning.trigger_free_segments = 16;
+        config.cleaning.segments_per_cycle = 8;
+        let store = LogStore::open_in_memory(config.clone()).unwrap();
+        let (floor, upper) = store.pacing_marks();
+        assert_eq!((floor, upper), (3, 16));
+        let selections = Arc::new(AtomicU64::new(0));
+        store.central().lock().policy = Box::new(CountingPolicy {
+            inner: crate::policy::GreedyPolicy::new(),
+            selections: Arc::clone(&selections),
+        });
+        let seen = || selections.load(Ordering::Relaxed);
+
+        // Distinct pages only: every sealed segment is full of live data.
+        let next_page = std::cell::Cell::new(0);
+        let fill_until = |free: usize| {
+            while store.free_segments() > free {
+                let page = next_page.replace(next_page.get() + 1);
+                store.put(page, &page_body(&config, page, 1)).unwrap();
+            }
+        };
+        fill_until(upper + 1);
+        assert_eq!(seen(), 0, "nothing is selected above the upper mark");
+
+        // In the band: one look per free count, however many puts arrive at it.
+        fill_until(upper);
+        assert_eq!(
+            seen(),
+            0,
+            "the put that took the pool to the mark looked before it"
+        );
+        for _ in 0..5 {
+            write_path::ensure_headroom(&store).unwrap();
+        }
+        assert_eq!(seen(), 1, "same free count, no second selection");
+        fill_until(upper - 1);
+        assert_eq!(seen(), 1, "every put on the way found the count unchanged");
+        write_path::ensure_headroom(&store).unwrap();
+        assert_eq!(seen(), 2, "the count moved: one retry");
+        assert_eq!(store.stats().cleaning_cycles, 0, "a probe is not a cycle");
+
+        // At the floor: the small cycle finds no victim and is remembered likewise.
+        fill_until(floor);
+        write_path::ensure_headroom(&store).unwrap();
+        let at_floor = seen();
+        for _ in 0..5 {
+            write_path::ensure_headroom(&store).unwrap();
+        }
+        assert_eq!(seen(), at_floor);
+        assert_eq!(store.stats().cleaning_cycles, 0);
+
+        // Garbage appears, and the tombstones' segments move the count: the attempts
+        // that follow are real cycles.
+        for page in 0..next_page.get() / 2 {
+            store.delete(page).unwrap();
+        }
+        assert!(seen() > at_floor);
+        assert!(store.stats().cleaning_cycles >= 1);
+    }
+
     /// Collection hands out *locations* into the victim image; the payload is copied
     /// only when the relocation is staged. A user overwrite landing in between must
     /// still win: its page is left where the user put it, every other survivor is
@@ -1084,23 +1391,11 @@ mod tests {
 
         // Phase 3 on the stale collection, then the cycle's own phase 4.
         let permit = store.gc.begin_cycle();
-        let mut cycle = CycleCtx {
-            token: permit.token,
-            gcs: GcStreams::default(),
-            claimed: vec![victim],
-        };
-        let (mut report, mut emptiness_sum) = (CleaningReport::default(), 0.0);
+        let mut cycle = CycleCtx::new(permit.token, vec![victim]);
+        let mut emptiness_sum = 0.0;
         let unow = store.unow();
-        assert!(relocate_victim(
-            &store,
-            &mut cycle,
-            &prepared,
-            unow,
-            &mut report,
-            &mut emptiness_sum
-        )
-        .unwrap());
-        assert_eq!(report.pages_moved as usize, survivors.len() - 1);
+        assert!(relocate_victim(&store, &mut cycle, &prepared, unow, &mut emptiness_sum).unwrap());
+        assert_eq!(cycle.pages_moved as usize, survivors.len() - 1);
         assert_eq!(store.mapping().get(raced), Some(user_copy));
         let output = cycle.gcs.open.values().next().unwrap().id;
         for &page in &survivors[1..] {
@@ -1117,6 +1412,100 @@ mod tests {
 
         for page in 0..64 {
             let version = if page == raced { 2 } else { 1 };
+            assert_eq!(
+                store.get(page).unwrap().unwrap().as_ref(),
+                &page_body(&config, page, version)[..],
+                "page {page}"
+            );
+        }
+    }
+
+    /// A device that inspects every whole image it is asked to write — i.e. every seal
+    /// of a never-persisted segment, which is every GC output — and records the page
+    /// copies in it that nothing references *yet*: the page table still holds the very
+    /// same version (write sequence) of the page at another address.
+    struct SealWatch {
+        inner: crate::device::MemDevice,
+        store: Arc<std::sync::OnceLock<std::sync::Weak<LogStore>>>,
+        unreferenced: Arc<Mutex<Vec<(SegmentId, PageId)>>>,
+    }
+
+    impl crate::device::SegmentDevice for SealWatch {
+        fn geometry(&self) -> crate::device::DeviceGeometry {
+            self.inner.geometry()
+        }
+        fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
+            self.inner.read_segment(seg)
+        }
+        fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+            self.inner.read_segment_into(seg, buf)
+        }
+        fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
+            self.inner.read_range(seg, offset, len)
+        }
+        fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()> {
+            if let Some(store) = self.store.get().and_then(std::sync::Weak::upgrade) {
+                let parsed = decode_segment(seg, image)?.expect("a seal writes an extent");
+                let mut unreferenced = self.unreferenced.lock();
+                for e in parsed.entries.iter().filter(|e| !e.is_tombstone()) {
+                    if store
+                        .mapping()
+                        .get(e.page_id)
+                        .is_some_and(|loc| loc.write_seq == e.write_seq && loc.segment != seg)
+                    {
+                        unreferenced.push((seg, e.page_id));
+                    }
+                }
+            }
+            self.inner.write_segment(seg, image)
+        }
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+        fn segment_writes(&self) -> u64 {
+            self.inner.segment_writes()
+        }
+    }
+
+    /// A sealed segment is a candidate victim for every other cycle, so a cycle must
+    /// not seal an output that still holds staged copies it has not committed: another
+    /// cycle would find none of them current, release the slot, and the first cycle's
+    /// later swap would point the page table into a segment on its way back to the
+    /// free list (pages were lost this way with overlapping inline cycles). Here one
+    /// cycle's second victim overflows its output, which is sealed mid-victim.
+    #[test]
+    fn an_output_sealed_in_the_middle_of_a_victim_holds_no_uncommitted_copy() {
+        let config = StoreConfig::small_for_tests()
+            .with_write_streams(1)
+            .with_gc_read_pool(1);
+        let handle = Arc::new(std::sync::OnceLock::new());
+        let unreferenced = Arc::new(Mutex::new(Vec::new()));
+        let device = SealWatch {
+            inner: crate::device::MemDevice::new(config.segment_bytes, config.num_segments),
+            store: Arc::clone(&handle),
+            unreferenced: Arc::clone(&unreferenced),
+        };
+        let store = Arc::new(LogStore::open_with_device(config.clone(), Box::new(device)).unwrap());
+        for page in 0..60 {
+            store.put(page, &page_body(&config, page, 1)).unwrap();
+        }
+        // A third of every segment dies: two victims' survivors overflow one output.
+        for page in (0..60).step_by(3) {
+            store.put(page, &page_body(&config, page, 2)).unwrap();
+        }
+        store.flush().unwrap();
+        store.checkpoint_json().unwrap(); // seals every open segment
+        handle.set(Arc::downgrade(&store)).unwrap();
+
+        let report = run_cleaning_cycle(&store).unwrap();
+        assert!(report.victims.len() >= 2, "{report:?}");
+        assert!(
+            store.stats().segments_sealed as usize > report.victims.len(),
+            "no output filled up mid-cycle"
+        );
+        assert_eq!(*unreferenced.lock(), Vec::new());
+        for page in 0..60 {
+            let version = if page % 3 == 0 { 2 } else { 1 };
             assert_eq!(
                 store.get(page).unwrap().unwrap().as_ref(),
                 &page_body(&config, page, version)[..],

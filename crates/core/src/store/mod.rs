@@ -913,10 +913,21 @@ impl LogStore {
     /// partially filled open segments never starve allocation — mirroring the
     /// simulator's `effective_trigger`.
     pub(crate) fn effective_clean_trigger(&self) -> usize {
-        self.config
-            .cleaning
-            .trigger_free_segments
-            .max(self.open_count.load(Ordering::Relaxed) + 2)
+        self.pacing_marks().1
+    }
+
+    /// The two free-segment marks a writer paces its own cleaning by, `(floor, upper)`
+    /// (see [`gc_driver::pace`]). The *upper* mark is the configured trigger, raised
+    /// when many output segments are open. The *floor* is what must stay free so that
+    /// every write stream can still open its next segment above the GC reserve (and,
+    /// like the trigger, never less than the open segments + 2); it is capped at the
+    /// upper mark, so a trigger configured at or below it leaves no band in between.
+    pub(crate) fn pacing_marks(&self) -> (usize, usize) {
+        let cleaning = &self.config.cleaning;
+        let open = self.open_count.load(Ordering::Relaxed) + 2;
+        let upper = cleaning.trigger_free_segments.max(open);
+        let floor = (cleaning.reserved_free_segments + self.streams.len()).max(open);
+        (floor.min(upper), upper)
     }
 
     pub(crate) fn counters(&self) -> (UpdateTick, WriteSeq) {

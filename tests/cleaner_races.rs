@@ -597,6 +597,86 @@ fn cleaner_pool_races_writers_without_losing_data() {
     assert_eq!(store.live_pages() as u64, writers * pages_per_writer);
 }
 
+/// Four writers pace their own cleaning on a small, well-filled device (no background
+/// pool): the free pool lives at the must-clean floor, where every writer's next drain
+/// competes with the others' small inline cycles for the last few segments — victims
+/// claimed by a peer, freed segments raced away, a fruitless attempt remembered by one
+/// writer while another changes the count. None of that may surface as `OutOfSpace`
+/// (the device is 70 % full), and no page may be lost.
+#[test]
+fn four_writers_at_the_floor_see_no_spurious_out_of_space_and_lose_nothing() {
+    let mut config = StoreConfig::small_for_tests()
+        .with_policy(PolicyKind::Mdc)
+        .with_write_streams(4)
+        .with_cleaner_threads(2);
+    config.num_segments = 96;
+    // Floor 4 + 4 = 8, upper mark 16: a band the writers fall through, since no batch
+    // on this device is ever nearly free.
+    config.cleaning.trigger_free_segments = 16;
+    config.cleaning.segments_per_cycle = 16;
+    config.cleaning.reserved_free_segments = 4;
+    let config = apply_env_concurrency(config);
+    let upper = config.cleaning.trigger_free_segments;
+    let store = Arc::new(LogStore::open_in_memory(config.clone()).unwrap());
+
+    let writers = 4u64;
+    let pages_per_writer = 250u64;
+    let puts_per_writer = 12_000u64;
+    let handles: Vec<_> = (0..writers)
+        .map(|w| {
+            let store = Arc::clone(&store);
+            let len = config.page_bytes;
+            std::thread::spawn(move || {
+                // Uniform overwrites (a fixed LCG per writer), so victims keep most of
+                // their pages and the pool has to be won back a few segments at a time.
+                let mut versions = vec![0u64; pages_per_writer as usize];
+                let mut above_upper = 0u64;
+                let mut x = w + 1;
+                for n in 0..puts_per_writer {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let i = if n < pages_per_writer {
+                        n
+                    } else {
+                        (x >> 33) % pages_per_writer
+                    };
+                    let page = w * 10_000 + i;
+                    versions[i as usize] += 1;
+                    store
+                        .put(page, &payload(page, versions[i as usize], len))
+                        .unwrap_or_else(|e| panic!("writer {w}, put {n}: {e}"));
+                    if n > puts_per_writer / 2 && store.free_segments() > upper {
+                        above_upper += 1;
+                    }
+                }
+                (versions, above_upper)
+            })
+        })
+        .collect();
+    let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    store.flush().unwrap();
+    let stats = store.stats();
+    // The test is about the floor only if that is where the pool spent its time.
+    let above_upper: u64 = results.iter().map(|(_, above)| above).sum();
+    assert!(
+        above_upper * 10 < writers * puts_per_writer / 2,
+        "the free pool was above the upper mark after {above_upper} puts"
+    );
+    assert!(stats.cleaning_cycles > 0, "the writers never cleaned");
+    for (w, (versions, _)) in results.iter().enumerate() {
+        for (i, &version) in versions.iter().enumerate() {
+            let page = w as u64 * 10_000 + i as u64;
+            let got = store
+                .get(page)
+                .unwrap()
+                .unwrap_or_else(|| panic!("page {page} lost at the floor"));
+            assert_eq!(decode(&got), (page, version));
+        }
+    }
+    assert_eq!(store.live_pages() as u64, writers * pages_per_writer);
+}
+
 /// Temperature-classed streams change *placement*, never the commit protocol: with two
 /// classes, survivors the cycle routes to the hot output stream still lose to user
 /// writes that land while the cycle is parked after its victim read. The page-table

@@ -169,12 +169,25 @@ fn seeded_multithreaded_kv_model() {
                 scope.spawn(move || writer(&kv, t, t == 0))
             })
             .collect();
-        for h in writers {
-            models.push(h.join().unwrap());
+        // Join before unwrapping: a writer's failed assertion must stop the cleaner and
+        // the scanner (and fail the test), not leave them spinning for ever.
+        let joined: Vec<_> = writers.into_iter().map(|h| h.join()).collect();
+        // `cleaning_cycles` counts cycles that claimed a victim, not calls of
+        // `clean_now`: on a fast box the writers can finish before the cleaner thread
+        // has found a sealed segment with garbage in it. There is plenty by now, so
+        // let it reclaim some before the final verification (which then checks the
+        // relocated store); the assertion below reports a cleaner that never managed.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while joined.iter().all(|j| j.is_ok())
+            && kv.store().stats().cleaning_cycles == 0
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::yield_now();
         }
         stop.store(true, Ordering::Relaxed);
         cleaner.join().unwrap();
         scanner.join().unwrap();
+        models.extend(joined.into_iter().map(|j| j.unwrap()));
     });
 
     // Final verification: the union of the per-thread models is exactly the store.
