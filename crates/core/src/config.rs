@@ -211,9 +211,6 @@ pub struct StoreConfig {
     /// this; the paper's simulator does not (every user write is a page write), so the
     /// simulator runs with this disabled.
     pub absorb_updates_in_buffer: bool,
-    /// Verify segment checksums on every read (cheap for the header/entry table; the
-    /// payload itself is not checksummed per-read).
-    pub verify_checksums_on_read: bool,
     /// Checkpoint-journal cadence and incrementality (see [`CheckpointConfig`]).
     pub checkpoint: CheckpointConfig,
 }
@@ -237,7 +234,6 @@ impl StoreConfig {
             gc_read_pool: 4,
             gc_temperature_classes: 1,
             absorb_updates_in_buffer: true,
-            verify_checksums_on_read: true,
             checkpoint: CheckpointConfig::default(),
         }
     }
@@ -266,7 +262,6 @@ impl StoreConfig {
             gc_read_pool: 2,
             gc_temperature_classes: 1,
             absorb_updates_in_buffer: false,
-            verify_checksums_on_read: true,
             checkpoint: CheckpointConfig::default(),
         }
     }
