@@ -8,6 +8,8 @@
 //! global sort-buffer separation the simulator shows temperature classes as largely
 //! redundant, but 8 interleaved writer threads defeat global sorting and that is where
 //! classed GC output pays off. Tuning must see the same machine the benchmarks run on.
+//! The writers clean inline, pacing their own cycles with up to `cleaner_threads` of
+//! them overlapping, as every store does.
 //!
 //! Emits `BENCH_autotune.json`; the `recommended` object is what
 //! `cleaner --autotune-config BENCH_autotune.json` (or `LSS_AUTOTUNE_CONFIG`) replays.
@@ -16,7 +18,7 @@
 
 use lss_bench::{stress_seed_or, GcTuning, Scale};
 use lss_core::policy::PolicyKind;
-use lss_core::{LogStore, SharedLogStore, StoreConfig};
+use lss_core::{LogStore, StoreConfig};
 use lss_tpcc::{TpccConfig, TpccDriver};
 use lss_workload::{HotColdWorkload, PageWorkload, TraceWorkload, WriteTrace, ZipfianWorkload};
 use serde::{Deserialize, Serialize};
@@ -134,7 +136,7 @@ fn measure(
 ) -> TunePoint {
     let config = store_config(scale, tuning);
     let payload = vec![0xA5u8; config.page_bytes];
-    let store = SharedLogStore::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let store = LogStore::open_in_memory(config.clone()).unwrap();
     let fill_pages = config.logical_pages_for_fill_factor(FILL_FACTOR) as u64;
     let workload_pages = if family == "tpcc" {
         let distinct = tpcc.distinct_pages() as u64;
@@ -151,14 +153,14 @@ fn measure(
         store.put(p, &payload).unwrap();
     }
     store.flush().unwrap();
-    store.with_store(|s| s.reset_stats());
+    store.reset_stats();
 
     let ops = ops_per_thread(scale);
     let start = Instant::now();
     let total = Arc::new(AtomicU64::new(0));
     std::thread::scope(|scope| {
         for t in 0..FOREGROUND_THREADS {
-            let store = store.clone();
+            let store = &store;
             let payload = &payload;
             let total = Arc::clone(&total);
             let mut workload =

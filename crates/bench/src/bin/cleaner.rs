@@ -8,13 +8,13 @@
 //!   back-to-back cycles: segments reclaimed per second is the cleaner's scaling
 //!   metric (cycles run on disjoint victim sets and pipeline their victim reads
 //!   across `gc_read_pool` I/O workers).
-//! * **interference** — 8 writer threads run a hot overwrite workload against a store
-//!   whose background cleaner pool has `cleaner_threads` threads: foreground puts/s
-//!   must hold up (compare BENCH_concurrency.json's put scaling) while the pool keeps
-//!   up with the garbage.
+//! * **interference** — 8 writer threads run a hot overwrite workload and pace their
+//!   own cleaning inline, with up to `cleaner_threads` cycles overlapping: foreground
+//!   puts/s must hold up (compare BENCH_concurrency.json's put scaling) while those
+//!   cycles keep up with the garbage.
 //!
 //! Then the **skew** phases replay Zipfian-0.99 and hot-cold 90:10 overwrite
-//! workloads with the GC output split into temperature classes
+//! workloads (cleaned inline by the writers, as above) with the GC output split into temperature classes
 //! (`gc_temperature_classes` 1 vs 2 vs 4), reporting write amplification and the
 //! per-class relocation/misprediction counters. An autotune recommendation
 //! (`--autotune-config <path>` or `LSS_AUTOTUNE_CONFIG`) adds one more row with the
@@ -31,14 +31,15 @@
 use lss_bench::{load_autotune_recommendation, stress_seed_or, GcTuning, Scale};
 use lss_core::device::{DeviceGeometry, MemDevice, SegmentDevice};
 use lss_core::policy::PolicyKind;
-use lss_core::{LogStore, Result, SegmentId, SharedLogStore, StoreConfig};
+use lss_core::util::mix64;
+use lss_core::{LogStore, Result, SegmentId, StoreConfig};
 use lss_workload::{HotColdWorkload, PageWorkload, ZipfianWorkload};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One measured point: cleaner behaviour at a given pool size.
+/// One measured point: cleaner behaviour at a given `cleaner_threads`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CleanerPoint {
     cleaner_threads: usize,
@@ -48,11 +49,11 @@ struct CleanerPoint {
     reclaim_segments_cleaned: u64,
     /// Pages the reclaim phase relocated.
     reclaim_pages_moved: u64,
-    /// Foreground puts/s with 8 writer threads and the background pool running.
+    /// Foreground puts/s with 8 writer threads cleaning inline.
     foreground_puts_per_sec: f64,
     /// Write amplification observed during the interference phase.
     interference_write_amplification: f64,
-    /// Cleaning cycles the pool ran during the interference phase.
+    /// Cleaning cycles the writers ran during the interference phase.
     interference_cleaning_cycles: u64,
 }
 
@@ -142,24 +143,15 @@ fn ops_per_thread(scale: Scale) -> u64 {
     }
 }
 
-/// Cheap deterministic page scrambler (splitmix64 finalizer).
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Preload to a 0.5 fill and overwrite a scrambled full pass so every sealed segment
 /// decays into a live/dead checkerboard (the cleaner must relocate, not just free).
-fn checkerboard(store: &SharedLogStore, config: &StoreConfig, payload: &[u8]) -> u64 {
+fn checkerboard(store: &LogStore, config: &StoreConfig, payload: &[u8]) -> u64 {
     let pages = config.logical_pages_for_fill_factor(0.5) as u64;
     for p in 0..pages {
         store.put(p, payload).unwrap();
     }
     for i in 0..pages {
-        store.put(mix(i) % pages, payload).unwrap();
+        store.put(mix64(i) % pages, payload).unwrap();
     }
     store.flush().unwrap();
     seal_preload(store);
@@ -170,7 +162,7 @@ fn checkerboard(store: &SharedLogStore, config: &StoreConfig, payload: &[u8]) ->
 /// phase below starts from a device of sealed segments only (open segments are not
 /// victims), whatever the preload left half-filled — the start state
 /// BENCH_cleaner.json was recorded from.
-fn seal_preload(store: &SharedLogStore) {
+fn seal_preload(store: &LogStore) {
     store.checkpoint_json().unwrap();
 }
 
@@ -181,18 +173,15 @@ fn seal_preload(store: &SharedLogStore) {
 fn measure_reclaim(threads: usize, scale: Scale) -> (f64, u64, u64) {
     let config = store_config(scale, threads);
     let payload = vec![0xA5u8; config.page_bytes];
-    // No background pool: the measurement threads drive the cycles themselves.
-    let store = SharedLogStore::without_background_cleaner(
-        LogStore::open_in_memory(config.clone()).unwrap(),
-    );
+    let store = LogStore::open_in_memory(config.clone()).unwrap();
     checkerboard(&store, &config, &payload);
-    store.with_store(|s| s.reset_stats());
+    store.reset_stats();
 
     let work_cap = 4 * config.num_segments as u64;
     let start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let store = store.clone();
+            let store = &store;
             scope.spawn(move || {
                 // Drain until the work cap, or until cycles run dry (claims make
                 // empty results possible while peers still hold victims, so require
@@ -217,25 +206,26 @@ fn measure_reclaim(threads: usize, scale: Scale) -> (f64, u64, u64) {
     )
 }
 
-/// Phase 2: foreground put throughput with the background pool of `threads` cleaners.
+/// Phase 2: foreground put throughput while the writers clean inline, up to `threads`
+/// cycles at a time.
 fn measure_interference(threads: usize, scale: Scale) -> (f64, f64, u64) {
     let config = store_config(scale, threads);
     let payload = vec![0xA5u8; config.page_bytes];
-    let store = SharedLogStore::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let store = LogStore::open_in_memory(config.clone()).unwrap();
     let pages = checkerboard(&store, &config, &payload);
-    store.with_store(|s| s.reset_stats());
+    store.reset_stats();
 
     let ops = ops_per_thread(scale);
     let start = Instant::now();
     let total = Arc::new(AtomicU64::new(0));
     std::thread::scope(|scope| {
         for t in 0..FOREGROUND_THREADS {
-            let store = store.clone();
+            let store = &store;
             let payload = &payload;
             let total = Arc::clone(&total);
             scope.spawn(move || {
                 for i in 0..ops {
-                    let page = mix(t as u64 * ops + i) % pages;
+                    let page = mix64(t as u64 * ops + i) % pages;
                     store.put(page, payload).unwrap();
                 }
                 total.fetch_add(ops, Ordering::Relaxed);
@@ -284,21 +274,21 @@ fn measure_skew(kind: &str, tuning: &GcTuning, scale: Scale, seed: u64) -> SkewP
         .with_gc_temperature_classes(tuning.gc_temperature_classes);
     config.cleaning.cold_victim_min_emptiness = tuning.cold_victim_min_emptiness;
     let payload = vec![0xA5u8; config.page_bytes];
-    let store = SharedLogStore::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let store = LogStore::open_in_memory(config.clone()).unwrap();
     let pages = config.logical_pages_for_fill_factor(SKEW_FILL) as u64;
     for p in 0..pages {
         store.put(p, &payload).unwrap();
     }
     store.flush().unwrap();
     seal_preload(&store);
-    store.with_store(|s| s.reset_stats());
+    store.reset_stats();
 
     let ops = skew_ops_per_thread(scale);
     let start = Instant::now();
     let total = Arc::new(AtomicU64::new(0));
     std::thread::scope(|scope| {
         for t in 0..FOREGROUND_THREADS {
-            let store = store.clone();
+            let store = &store;
             let payload = &payload;
             let total = Arc::clone(&total);
             let mut workload = skew_workload(kind, pages, seed.wrapping_add(t as u64));
@@ -376,9 +366,7 @@ fn measure_recovery(scale: Scale) -> RecoveryPoint {
         "lss-bench-cleaner-recovery-{}.ckpt",
         std::process::id()
     ));
-    let store = SharedLogStore::without_background_cleaner(
-        LogStore::open_with_device(config.clone(), Box::new(device.clone())).unwrap(),
-    );
+    let store = LogStore::open_with_device(config.clone(), Box::new(device.clone())).unwrap();
     let pages = checkerboard(&store, &config, &payload);
     for p in (0..pages).step_by(7) {
         store.delete(p).unwrap();
@@ -387,10 +375,10 @@ fn measure_recovery(scale: Scale) -> RecoveryPoint {
     for _ in 0..2 {
         store.clean_now().unwrap();
     }
-    store.with_store(|s| s.checkpoint_log_to(&journal)).unwrap();
+    store.checkpoint_log_to(&journal).unwrap();
     // Post-checkpoint tail: the bounded replay the journal reopen has to do.
     for i in 0..pages / 20 {
-        store.put(mix(0xDEAD_0000 + i) % pages, &payload).unwrap();
+        store.put(mix64(0xDEAD_0000 + i) % pages, &payload).unwrap();
     }
     store.flush().unwrap();
     let live = store.live_pages() as u64;

@@ -1,5 +1,6 @@
-//! Concurrency scaling benchmark: put/get throughput of the shared store vs thread
-//! count (1/2/4/8), with the background cleaner running.
+//! Concurrency scaling benchmark: put/get throughput of one `Arc<LogStore>` vs thread
+//! count (1/2/4/8). Cleaning runs inline: each writer paces its own cycles, with up to
+//! `cleaner_threads` of them overlapping.
 //!
 //! Emits `BENCH_concurrency.json` so later PRs can track how read/write scaling evolves
 //! (the concurrent read/write/clean pipeline of PR 1 is the baseline).
@@ -8,7 +9,8 @@
 
 use lss_bench::Scale;
 use lss_core::policy::PolicyKind;
-use lss_core::{LogStore, SharedLogStore, StoreConfig};
+use lss_core::util::mix64;
+use lss_core::{LogStore, StoreConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,21 +67,12 @@ fn ops_per_thread(scale: Scale) -> u64 {
     }
 }
 
-/// Cheap deterministic page scrambler (splitmix64 finalizer).
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn measure(threads: usize, scale: Scale) -> ScalingPoint {
     let config = store_config(scale);
     let pages = config.logical_pages_for_fill_factor(0.5) as u64;
     let ops = ops_per_thread(scale);
     let payload = vec![0xA5u8; config.page_bytes];
-    let store = SharedLogStore::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let store = LogStore::open_in_memory(config.clone()).unwrap();
 
     // Preload to the target fill so cleaning participates in the measurement.
     for p in 0..pages {
@@ -90,20 +83,20 @@ fn measure(threads: usize, scale: Scale) -> ScalingPoint {
     // window starts from a device of sealed segments only, whatever the preload left
     // half-filled — the start state BENCH_concurrency.json was recorded from.
     store.checkpoint_json().unwrap();
-    store.with_store(|s| s.reset_stats());
+    store.reset_stats();
 
     let run_phase = |phase: &str| -> f64 {
         let start = Instant::now();
         let total = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let store = store.clone();
+                let store = &store;
                 let payload = &payload;
                 let total = Arc::clone(&total);
                 scope.spawn(move || {
                     let mut done = 0u64;
                     for i in 0..ops {
-                        let page = mix(t as u64 * ops + i) % pages;
+                        let page = mix64(t as u64 * ops + i) % pages;
                         match phase {
                             "put" => store.put(page, payload).unwrap(),
                             "get" => {

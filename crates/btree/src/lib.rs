@@ -4,7 +4,7 @@
 //! benchmark on a B+-tree-based storage engine"* through the cleaning simulator. This
 //! crate is that storage engine — and, since the paged-index refactor, also the
 //! workspace's real KV substrate: everything is internally synchronised (`&self`), so
-//! trees and KV stores compose with [`lss_core::SharedLogStore`]-style shared handles:
+//! trees and KV stores share one `Arc<`[`lss_core::LogStore`]`>` across threads:
 //!
 //! * [`page_store`] — where pages live: in memory, in an [`lss_core::LogStore`], or
 //!   wrapped by a tracer that records the page-write I/O stream;

@@ -72,9 +72,9 @@ impl SeparationConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CleaningConfig {
     /// The *upper mark* of cleaning (paper §6.1.1 triggers at 32): the free-segment
-    /// level at which writers wake an attached background pool, and below which a
-    /// writer that cleans for itself starts looking — but between this mark and the
-    /// must-clean floor ([`reserved_free_segments`](Self::reserved_free_segments) +
+    /// level below which a writer starts looking for a cycle to run before its put —
+    /// but between this mark and the must-clean floor
+    /// ([`reserved_free_segments`](Self::reserved_free_segments) +
     /// [`StoreConfig::write_streams`]) it runs a cycle only if the policy's batch is
     /// nearly free (≥ 0.9 empty on average); anything fuller waits for the floor, so a
     /// busy store's free pool sits there, not here. A trigger at or below the floor
@@ -178,15 +178,17 @@ pub struct StoreConfig {
     /// `1` reproduces the single-write-mutex behaviour of earlier versions. Writes to
     /// the *same* page always hit the same stream, preserving per-page ordering.
     pub write_streams: usize,
-    /// Maximum number of cleaning cycles that may run concurrently (and the size of the
-    /// [`crate::shared::BackgroundCleaner`] thread pool a `SharedLogStore` spawns).
+    /// Maximum number of cleaning cycles that may overlap, and the divisor of each
+    /// cycle's share of [`CleaningConfig::segments_per_cycle`]. It is not a thread
+    /// count: the store spawns no cleaner threads, and every cycle runs on the thread
+    /// that started it (a pacing writer, a drain out of segments, or
+    /// [`crate::LogStore::clean_now`]); a caller past the cap waits for a slot.
     ///
     /// Cycles run on **disjoint victim sets**: victims are claimed atomically in the
     /// segment table at selection time, so two cycles can never pick the same slot, and
     /// relocations commit by per-page compare-and-swap, so concurrent commits are safe.
     /// `1` reproduces the strictly serialised single-cycle behaviour of earlier
-    /// versions. Writers that lend their own thread to a synchronous cycle count
-    /// against the same limit.
+    /// versions.
     pub cleaner_threads: usize,
     /// Number of I/O workers a cleaning cycle pipelines its phase-2 victim-image reads
     /// across. The reads (the dominant cost of cleaning) are prefetched with a bounded
@@ -308,8 +310,7 @@ impl StoreConfig {
         self
     }
 
-    /// Builder-style: set the maximum number of concurrent cleaning cycles (and the
-    /// background-cleaner pool size).
+    /// Builder-style: set the maximum number of overlapping cleaning cycles.
     pub fn with_cleaner_threads(mut self, n: usize) -> Self {
         self.cleaner_threads = n;
         self
@@ -441,9 +442,8 @@ impl StoreConfig {
                 self.write_streams
             )));
         }
-        // Bounded so a runaway configuration cannot spawn an unbounded cleaner pool or
-        // pin an unbounded number of claimed victims; 8 concurrent cycles saturate any
-        // device this store targets.
+        // Bounded so a runaway configuration cannot pin an unbounded number of claimed
+        // victims; 8 concurrent cycles saturate any device this store targets.
         if self.cleaner_threads == 0 || self.cleaner_threads > 8 {
             return Err(Error::InvalidConfig(format!(
                 "cleaner_threads must be in 1..=8, got {}",

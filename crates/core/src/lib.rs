@@ -33,9 +33,8 @@
 //! * [`store`] — [`LogStore`], the public facade: `put` / `get` / `delete` / `flush` /
 //!   `checkpoint`, all `&self`, split into a lock-free-ish read path, a mutex-guarded
 //!   write pipeline, and a cleaning driver that relocates pages concurrently with
-//!   foreground traffic; crash recovery in [`recovery`].
-//! * [`shared`] — [`SharedLogStore`]: cheap cloneable `Arc` handles plus the
-//!   [`shared::BackgroundCleaner`] thread that takes cleaning off the write path.
+//!   foreground traffic; crash recovery in [`recovery`]. Share it across threads as an
+//!   `Arc<LogStore>`: there is no background cleaner — writers pace their own cleaning.
 //!
 //! The ordered key-value layer (paged B+-tree index living in the same store) moved to
 //! the `lss-btree` crate (`lss_btree::kv::KvStore`), where it can build on the tree.
@@ -71,7 +70,6 @@ pub mod mapping;
 pub mod policy;
 pub mod recovery;
 pub mod segment;
-pub mod shared;
 pub mod stats;
 pub mod store;
 pub mod types;
@@ -81,7 +79,6 @@ pub mod write_buffer;
 pub use config::{CheckpointConfig, CleaningConfig, SeparationConfig, StoreConfig, Up2Mode};
 pub use error::{Error, Result};
 pub use policy::{CleaningPolicy, PolicyKind};
-pub use shared::SharedLogStore;
 pub use stats::StoreStats;
 pub use store::{GcPhase, GcPhaseHook, LogStore};
 pub use types::{PageId, SegmentId};

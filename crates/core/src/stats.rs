@@ -65,8 +65,8 @@ pub struct StoreStats {
     /// buffers or open segments — this equals the page table's total live bytes, which
     /// tests use as a ledger cross-check.
     pub sealed_live_bytes: u64,
-    /// Times a writer hit the hard reserve floor and lent its own thread to a
-    /// synchronous cleaning cycle.
+    /// Always 0: writers clean for themselves, so none ever waits on a cleaner.
+    /// Kept only because the `benchmark` bench reports it as `cleaner.writer_stalls`.
     pub writer_stall_events: u64,
     /// Times the last-resort straggler reclaim ran (a writer quiesced the cycle gate
     /// and forced a quarantine sweep before it would declare out-of-space).
@@ -262,8 +262,6 @@ pub struct AtomicStats {
     pub device_page_reads: AtomicU64,
     /// See [`StoreStats::absorbed_in_buffer`].
     pub absorbed_in_buffer: AtomicU64,
-    /// See [`StoreStats::writer_stall_events`].
-    pub writer_stall_events: AtomicU64,
     /// See [`StoreStats::straggler_reclaims`].
     pub straggler_reclaims: AtomicU64,
     /// See [`StoreStats::gc_class_pages_written`] (fixed-width; classes beyond the
@@ -345,7 +343,7 @@ impl AtomicStats {
             pages_read: self.pages_read.load(Ordering::Relaxed),
             device_page_reads: self.device_page_reads.load(Ordering::Relaxed),
             absorbed_in_buffer: self.absorbed_in_buffer.load(Ordering::Relaxed),
-            writer_stall_events: self.writer_stall_events.load(Ordering::Relaxed),
+            writer_stall_events: 0,
             straggler_reclaims: self.straggler_reclaims.load(Ordering::Relaxed),
             gc_class_pages_written: trim_trailing_zeros(
                 self.gc_class_pages_written
@@ -393,7 +391,6 @@ impl AtomicStats {
         self.pages_read.store(0, Ordering::Relaxed);
         self.device_page_reads.store(0, Ordering::Relaxed);
         self.absorbed_in_buffer.store(0, Ordering::Relaxed);
-        self.writer_stall_events.store(0, Ordering::Relaxed);
         self.straggler_reclaims.store(0, Ordering::Relaxed);
         for c in &self.gc_class_pages_written {
             c.store(0, Ordering::Relaxed);

@@ -66,9 +66,10 @@
 //! them on the dead cycle's behalf; its unprocessed victim claims are dropped so the
 //! victims become selectable again.
 //!
-//! Cycles are started by the [`crate::shared::BackgroundCleaner`] pool, by writers at
-//! the free-segment watermark, or explicitly via [`crate::LogStore::clean_now`]; all of
-//! them acquire a cycle slot from [`GcControl`], which caps concurrency at
+//! There is no cleaner thread. Cycles are started by writers — paced ones ([`pace`])
+//! before a put, escalating ones when a stream drain runs out of segments — or
+//! explicitly via [`crate::LogStore::clean_now`]; all of them acquire a cycle slot from
+//! [`GcControl`], which caps how many overlap at
 //! [`StoreConfig::cleaner_threads`](crate::StoreConfig::cleaner_threads) (with a cap of
 //! 1 cycles serialise exactly as in the pre-concurrent design).
 
@@ -87,9 +88,8 @@ use crate::types::{
 };
 use crate::write_buffer::sort_by_separation_key;
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Externally observable phase boundaries of one cleaning cycle, in the order they are
 /// crossed: `Claimed* → (VictimRead → Relocated)* → Sealed → Synced`.
@@ -118,7 +118,7 @@ pub enum GcPhase {
 pub type GcPhaseHook = Arc<dyn Fn(u64, GcPhase, Option<SegmentId>) + Send + Sync>;
 
 /// Coordination state for cleaning: the concurrent-cycle gate and slots, cycle tokens
-/// and the background-cleaner wakeup.
+/// and the writers' fruitless-attempt hint.
 pub(crate) struct GcControl {
     /// Running cycles hold this shared; checkpoint snapshots and the straggler reclaim
     /// hold it exclusive to wait out every in-flight cycle. Never acquired while
@@ -128,18 +128,12 @@ pub(crate) struct GcControl {
     /// Number of cycles currently running, bounded by `max_cycles`.
     active_cycles: Mutex<usize>,
     slot_cond: Condvar,
-    /// Concurrency cap ([`StoreConfig::cleaner_threads`]): the slot count, the
-    /// background-pool size and the divisor of the per-cycle victim budget.
+    /// Concurrency cap ([`StoreConfig::cleaner_threads`]): the slot count and the
+    /// divisor of the per-cycle victim budget.
     max_cycles: usize,
     /// Next cycle token; starts above [`ORPHAN_CYCLE`], which is reserved for the
     /// quarantine entries of aborted cycles.
     next_token: AtomicU64,
-    /// Wakeup flag for the background cleaner pool, guarded with [`GcControl::kick_cond`].
-    kick: Mutex<KickState>,
-    kick_cond: Condvar,
-    /// True while a [`crate::shared::BackgroundCleaner`] pool is attached; writers
-    /// then kick it instead of cleaning inline.
-    background_attached: AtomicBool,
     /// The free count at which a writer's last paced attempt got nowhere (no victim,
     /// a pick not worth cleaning yet, or a cycle that freed nothing on balance), or
     /// [`NO_FRUITLESS_ATTEMPT`]. `ensure_headroom` runs on every put and an attempt
@@ -150,12 +144,6 @@ pub(crate) struct GcControl {
 }
 
 const NO_FRUITLESS_ATTEMPT: usize = usize::MAX;
-
-#[derive(Default)]
-struct KickState {
-    pending: bool,
-    shutdown: bool,
-}
 
 /// Permission to run one cleaning cycle: holds the shared cycle gate plus one of the
 /// `cleaner_threads` cycle slots, and carries the cycle's token. Dropping it frees the
@@ -182,9 +170,6 @@ impl GcControl {
             slot_cond: Condvar::new(),
             max_cycles: config.cleaner_threads.max(1),
             next_token: AtomicU64::new(ORPHAN_CYCLE + 1),
-            kick: Mutex::new(KickState::default()),
-            kick_cond: Condvar::new(),
-            background_attached: AtomicBool::new(false),
             fruitless_at: AtomicUsize::new(NO_FRUITLESS_ATTEMPT),
         }
     }
@@ -224,45 +209,6 @@ impl GcControl {
     /// lock.
     pub(crate) fn quiesce(&self) -> RwLockWriteGuard<'_, ()> {
         self.cycle_gate.write()
-    }
-
-    /// Wake the background cleaner pool (writers call this at the free-segment
-    /// watermark).
-    pub(crate) fn kick(&self) {
-        let mut k = self.kick.lock();
-        k.pending = true;
-        self.kick_cond.notify_all();
-    }
-
-    /// Ask the background cleaner pool to exit.
-    pub(crate) fn shutdown(&self) {
-        let mut k = self.kick.lock();
-        k.shutdown = true;
-        self.kick_cond.notify_all();
-    }
-
-    /// Block until kicked, shut down, or `timeout` elapses. Returns true on shutdown.
-    pub(crate) fn wait_for_kick(&self, timeout: Duration) -> bool {
-        let mut k = self.kick.lock();
-        if !k.pending && !k.shutdown {
-            self.kick_cond.wait_for(&mut k, timeout);
-        }
-        k.pending = false;
-        k.shutdown
-    }
-
-    /// Mark a background cleaner as attached/detached (clears any stale shutdown flag
-    /// on attach so a store can be re-shared after `try_into_inner` failed).
-    pub(crate) fn set_background_attached(&self, attached: bool) {
-        if attached {
-            self.kick.lock().shutdown = false;
-        }
-        self.background_attached.store(attached, Ordering::Release);
-    }
-
-    /// True while a background cleaner serves this store.
-    pub(crate) fn background_attached(&self) -> bool {
-        self.background_attached.load(Ordering::Acquire)
     }
 }
 
@@ -1266,7 +1212,6 @@ mod tests {
         config.cleaning = crate::config::CleaningConfig::default();
         let store = LogStore::open_in_memory(config).unwrap();
         assert_eq!(store.pacing_marks(), (8, 32));
-        assert_eq!(store.effective_clean_trigger(), 32);
         // Open segments + 2 lift the floor once they exceed it, then both marks.
         store.note_open_delta(6);
         assert_eq!(store.pacing_marks(), (8, 32));

@@ -3,9 +3,8 @@
 //! Since the concurrent-pipeline refactor the store is **internally synchronised** and
 //! every operation takes `&self`; since the sharded-write-path refactor the write side
 //! is further split into **independent per-stream append pipelines** so that writers on
-//! different streams never serialise behind one mutex. Wrap the store in an `Arc` (or
-//! use [`crate::SharedLogStore`], which also runs the background cleaner) to share it
-//! across threads.
+//! different streams never serialise behind one mutex. Wrap the store in an `Arc` to
+//! share it across threads.
 //!
 //! ### The layers
 //!
@@ -25,8 +24,8 @@
 //! * **Cleaning** (`gc_driver`) — up to
 //!   [`StoreConfig::cleaner_threads`](crate::StoreConfig::cleaner_threads) cycles run
 //!   **concurrently on disjoint victim sets** (victims are claimed atomically in the
-//!   segment table at selection time), either synchronously (allocation pressure,
-//!   [`LogStore::clean_now`]) or on the [`crate::shared::BackgroundCleaner`] pool.
+//!   segment table at selection time), always on the calling thread: a writer's paced
+//!   cycle before a put, a drain that ran out of segments, or [`LogStore::clean_now`].
 //!   Victim images are read and parsed with no store lock held — pipelined across a
 //!   small per-cycle I/O pool — and relocations are committed with a per-page atomic
 //!   *compare-and-swap* on the page table ([`crate::mapping::ShardedPageTable::replace_if_current`]),
@@ -908,20 +907,14 @@ impl LogStore {
         (crate::policy::MULTILOG_MAX_LOGS / self.streams.len()).max(2)
     }
 
-    /// The free-segment level below which cleaning should run: the configured trigger,
-    /// raised when many output segments are open (multi-log keeps up to 32 logs) so
-    /// partially filled open segments never starve allocation — mirroring the
-    /// simulator's `effective_trigger`.
-    pub(crate) fn effective_clean_trigger(&self) -> usize {
-        self.pacing_marks().1
-    }
-
     /// The two free-segment marks a writer paces its own cleaning by, `(floor, upper)`
     /// (see [`gc_driver::pace`]). The *upper* mark is the configured trigger, raised
-    /// when many output segments are open. The *floor* is what must stay free so that
-    /// every write stream can still open its next segment above the GC reserve (and,
-    /// like the trigger, never less than the open segments + 2); it is capped at the
-    /// upper mark, so a trigger configured at or below it leaves no band in between.
+    /// when many output segments are open (multi-log keeps up to 32 logs) so partially
+    /// filled open segments never starve allocation — mirroring the simulator's
+    /// `effective_trigger`. The *floor* is what must stay free so that every write
+    /// stream can still open its next segment above the GC reserve (and, like the
+    /// trigger, never less than the open segments + 2); it is capped at the upper mark,
+    /// so a trigger configured at or below it leaves no band in between.
     pub(crate) fn pacing_marks(&self) -> (usize, usize) {
         let cleaning = &self.config.cleaning;
         let open = self.open_count.load(Ordering::Relaxed) + 2;

@@ -24,11 +24,10 @@
 //!   incarnation's counters).
 //!
 //! Cleaning is **not** run inline inside a drain. Before taking the stream lock,
-//! `submit` checks the free pool against the pacing marks and either kicks the
-//! background cleaner or — with no cleaner attached — runs paced synchronous cycles on
-//! the caller's thread ([`ensure_headroom`]); if a drain still runs out of segments, it
-//! parks the unprocessed remainder back in the buffer shard, releases the stream lock,
-//! lets a cleaning cycle run, and retries. Out-of-space is reported only when a full
+//! `submit` checks the free pool against the pacing marks and runs paced synchronous
+//! cycles on the caller's thread ([`ensure_headroom`]); if a drain still runs out of
+//! segments, it parks the unprocessed remainder back in the buffer shard, releases the
+//! stream lock, lets a cleaning cycle run, and retries. Out-of-space is reported only when a full
 //! cycle frees nothing.
 
 use super::{
@@ -360,27 +359,14 @@ fn out_of_space(store: &LogStore) -> Error {
 
 /// Pace cleaning against the free pool *before* entering the stream lock.
 ///
-/// With a background cleaner attached this only kicks its condvar at the upper mark
-/// (and, at the hard reserve floor, lends the caller's thread to one synchronous cycle
-/// so writers cannot outrun the cleaner). Without one, the writer runs paced cycles
-/// ([`gc_driver::pace`]) itself: small ones at the must-clean floor until the pool is
-/// back above it, full ones between the floor and the upper mark as long as the
-/// policy's pick is nearly free. An attempt that gets nowhere is remembered by the
-/// free count it saw and not repeated until that count moves — the drain path
-/// escalates harder if allocation actually fails.
+/// The writer runs paced cycles ([`gc_driver::pace`]) itself: small ones at the
+/// must-clean floor until the pool is back above it, full ones between the floor and
+/// the upper mark as long as the policy's pick is nearly free. An attempt that gets
+/// nowhere is remembered by the free count it saw and not repeated until that count
+/// moves — the drain path escalates harder if allocation actually fails.
 pub(crate) fn ensure_headroom(store: &LogStore) -> Result<()> {
-    let upper = store.effective_clean_trigger();
+    let (_, upper) = store.pacing_marks();
     if store.approx_free_segments() > upper {
-        return Ok(());
-    }
-    if store.gc.background_attached() {
-        store.gc.kick();
-        if store.approx_free_segments() <= store.config().cleaning.reserved_free_segments + 1 {
-            // The writer outran the pool all the way to the reserve floor: record
-            // it before lending this thread to a cycle.
-            AtomicStats::bump(&store.atomic_stats().writer_stall_events);
-            gc_driver::run_cleaning_cycle(store)?;
-        }
         return Ok(());
     }
     for _ in 0..MAX_CLEAN_RETRIES {

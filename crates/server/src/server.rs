@@ -674,7 +674,6 @@ struct StoreSection {
     pages_read: u64,
     device_page_reads: u64,
     sealed_segments: u64,
-    writer_stall_events: u64,
 }
 
 fn stats_json(shared: &Shared) -> String {
@@ -730,7 +729,6 @@ fn stats_json(shared: &Shared) -> String {
             pages_read: store_stats.pages_read,
             device_page_reads: store_stats.device_page_reads,
             sealed_segments: store_stats.sealed_segments,
-            writer_stall_events: store_stats.writer_stall_events,
         },
     };
     serde_json::to_string(&doc).unwrap_or_else(|_| "{}".into())

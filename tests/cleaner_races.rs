@@ -14,13 +14,13 @@
 
 use lss::core::device::{DeviceGeometry, MemDevice, SegmentDevice};
 use lss::core::policy::PolicyKind;
-use lss::core::{Error, GcPhase, LogStore, Result, SegmentId, SharedLogStore, StoreConfig};
+use lss::core::{Error, GcPhase, LogStore, Result, SegmentId, StoreConfig};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 mod common;
-use common::{apply_env_concurrency, PhaseGate};
+use common::{apply_env_concurrency, CleanerThreads, PhaseGate};
 
 /// Self-describing page payload: `[page_id, version, filler...]`.
 fn payload(page: u64, version: u64, len: usize) -> Vec<u8> {
@@ -547,11 +547,12 @@ fn failed_victim_read_orphans_the_cycle_and_returns_every_image_to_the_pool() {
     assert_matches_model(&recovered, &model, pages, "recovered after the retry cycle");
 }
 
-/// Flake-catcher: a background cleaner pool (LSS_CLEANER_THREADS, default 2) races
-/// several writers over a hot overwrite workload; every page must hold its final
-/// version and live accounting must match. Run 10× in release by the CI stress job.
+/// Flake-catcher: test-side cleaner threads (LSS_CLEANER_THREADS, default 2) race
+/// several writers, which also clean inline, over a hot overwrite workload; every page
+/// must hold its final version and live accounting must match. Run 10× in release by
+/// the CI stress job.
 #[test]
-fn cleaner_pool_races_writers_without_losing_data() {
+fn cleaner_threads_race_writers_without_losing_data() {
     let mut config = apply_env_concurrency(
         StoreConfig::small_for_tests()
             .with_policy(PolicyKind::Mdc)
@@ -559,7 +560,8 @@ fn cleaner_pool_races_writers_without_losing_data() {
             .with_gc_read_pool(2),
     );
     config.num_segments = 128;
-    let store = SharedLogStore::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let store = Arc::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let _cleaners = CleanerThreads::spawn(&store);
 
     let writers = 4u64;
     let pages_per_writer = 120u64;
@@ -583,26 +585,26 @@ fn cleaner_pool_races_writers_without_losing_data() {
     }
     store.flush().unwrap();
     let stats = store.stats();
-    assert!(stats.cleaning_cycles > 0, "the pool never cleaned");
+    assert!(stats.cleaning_cycles > 0, "nothing ever cleaned");
     for w in 0..writers {
         for i in 0..pages_per_writer {
             let page = w * 10_000 + i;
             let got = store
                 .get(page)
                 .unwrap()
-                .unwrap_or_else(|| panic!("page {page} lost under cleaner-pool races"));
+                .unwrap_or_else(|| panic!("page {page} lost under cleaner races"));
             assert_eq!(decode(&got), (page, rounds));
         }
     }
     assert_eq!(store.live_pages() as u64, writers * pages_per_writer);
 }
 
-/// Four writers pace their own cleaning on a small, well-filled device (no background
-/// pool): the free pool lives at the must-clean floor, where every writer's next drain
-/// competes with the others' small inline cycles for the last few segments — victims
-/// claimed by a peer, freed segments raced away, a fruitless attempt remembered by one
-/// writer while another changes the count. None of that may surface as `OutOfSpace`
-/// (the device is 70 % full), and no page may be lost.
+/// Four writers pace their own cleaning on a small, well-filled device (no cleaner
+/// threads beside them): the free pool lives at the must-clean floor, where every
+/// writer's next drain competes with the others' small inline cycles for the last few
+/// segments — victims claimed by a peer, freed segments raced away, a fruitless attempt
+/// remembered by one writer while another changes the count. None of that may surface
+/// as `OutOfSpace` (the device is 70 % full), and no page may be lost.
 #[test]
 fn four_writers_at_the_floor_see_no_spurious_out_of_space_and_lose_nothing() {
     let mut config = StoreConfig::small_for_tests()

@@ -2,11 +2,12 @@
 //! separately and pulls this in via `mod common;`).
 
 use lss::core::device::{DeviceGeometry, MemDevice, SegmentDevice};
-use lss::core::{Error, GcPhase, GcPhaseHook, Result, SegmentId, StoreConfig};
+use lss::core::{Error, GcPhase, GcPhaseHook, LogStore, Result, SegmentId, StoreConfig};
 use std::collections::HashSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Apply the concurrency knobs the CI stress job cranks via the environment
@@ -26,6 +27,67 @@ pub fn stress_seed_or(default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// Extra cleaners racing a store's own writers: `cleaner_threads` threads that each run
+/// `clean_now()` while the free pool is at or below the configured trigger, and park
+/// briefly once it is above it, once a cycle freed nothing, or once the pool did not
+/// grow. The store starts no cleaner of its own — every cycle it runs is inline on a
+/// writer — so these threads are what puts cycles from other threads beside the
+/// writers' paced ones. Dropping the guard stops and joins them.
+#[allow(dead_code)] // not every test binary uses it
+pub struct CleanerThreads {
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+#[allow(dead_code)]
+impl CleanerThreads {
+    pub fn spawn(store: &Arc<LogStore>) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let threads = (0..store.config().cleaner_threads)
+            .map(|_| {
+                let store = Arc::clone(store);
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let trigger = store.config().cleaning.trigger_free_segments;
+                    while !stop.load(Ordering::Relaxed) {
+                        let free = store.free_segments();
+                        let grew = free <= trigger
+                            && matches!(store.clean_now(), Ok(r) if r.segments_freed() > 0)
+                            && store.free_segments() > free;
+                        if !grew {
+                            std::thread::park_timeout(Duration::from_millis(1));
+                        }
+                    }
+                })
+            })
+            .collect();
+        Self { stop, threads }
+    }
+
+    /// Stop and join the threads, then take the store back from its last handle.
+    pub fn stop(self, store: Arc<LogStore>) -> LogStore {
+        drop(self);
+        let Ok(store) = Arc::try_unwrap(store) else {
+            panic!("another handle to the store is still alive")
+        };
+        store
+    }
+}
+
+impl Drop for CleanerThreads {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        for thread in self.threads.drain(..) {
+            thread.thread().unpark();
+            let joined = thread.join();
+            assert!(
+                joined.is_ok() || std::thread::panicking(),
+                "a cleaner thread panicked"
+            );
+        }
+    }
 }
 
 /// How long [`PhaseGate`] waits before declaring a cycle stuck.

@@ -2,9 +2,9 @@
 //!
 //! These are the acceptance tests of the concurrent-store refactor:
 //!
-//! * a multi-threaded stress test (writer threads + reader threads + the background
-//!   cleaner) asserting that every page reads back its last flushed value under every
-//!   [`PolicyKind`];
+//! * a multi-threaded stress test (writer threads cleaning inline + reader threads +
+//!   test-side cleaner threads) asserting that every page reads back its last flushed
+//!   value under every [`PolicyKind`];
 //! * a determinised proof that reads and writes complete **while a cleaning cycle is in
 //!   flight** — a gated device blocks the cleaner inside its victim read until a
 //!   foreground `get` and `put` have completed, which would deadlock if cleaning still
@@ -14,12 +14,12 @@
 
 use lss::core::device::{DeviceGeometry, MemDevice, SegmentDevice};
 use lss::core::policy::PolicyKind;
-use lss::core::{Error, LogStore, Result, SegmentId, SharedLogStore, StoreConfig};
+use lss::core::{Error, LogStore, Result, SegmentId, StoreConfig};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 mod common;
-use common::apply_env_concurrency;
+use common::{apply_env_concurrency, CleanerThreads};
 
 /// Self-describing page payload: `[page_id, version, filler...]`, so readers can detect
 /// torn or misdirected reads no matter when they interleave with writers.
@@ -36,16 +36,17 @@ fn decode_payload(bytes: &[u8]) -> (u64, u64) {
     (page, version)
 }
 
-/// N writers + N readers + the background cleaner, for every policy: readers must never
-/// observe a payload belonging to a different page, and after the writers join every
-/// page must hold its final version.
+/// N writers (each pacing its own cleaning) + N readers + `cleaner_threads` test-side
+/// cleaner threads, for every policy: readers must never observe a payload belonging to
+/// a different page, and after the writers join every page must hold its final version.
 #[test]
-fn stress_readers_writers_and_background_cleaner_under_every_policy() {
+fn stress_readers_writers_and_cleaner_threads_under_every_policy() {
     for kind in PolicyKind::ALL {
         let mut config = apply_env_concurrency(StoreConfig::small_for_tests().with_policy(kind));
         config.num_segments = 128;
         config.sort_buffer_segments = 2;
-        let store = SharedLogStore::new(LogStore::open_in_memory(config.clone()).unwrap());
+        let store = Arc::new(LogStore::open_in_memory(config.clone()).unwrap());
+        let _cleaners = CleanerThreads::spawn(&store);
 
         let writers = 3u64;
         let pages_per_writer = 150u64;
@@ -154,7 +155,8 @@ fn acknowledged_writes_never_transiently_disappear() {
     // sharded wider than the default.
     config.write_streams = 4;
     let config = apply_env_concurrency(config);
-    let store = SharedLogStore::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let store = Arc::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let _cleaners = CleanerThreads::spawn(&store);
     let high_water = Arc::new(AtomicU64::new(0)); // pages < high_water are acknowledged
                                                   // Distinct fresh pages (the sharpest probe for the visibility window), sized to a
                                                   // 0.6 fill so pure growth fits the device.
@@ -334,7 +336,7 @@ fn reads_and_writes_complete_while_cleaning_is_in_flight() {
         }
     }
 
-    let store = SharedLogStore::without_background_cleaner(
+    let store = Arc::new(
         LogStore::open_with_device(config.clone(), Box::new(DeviceHandle(Arc::clone(&device))))
             .unwrap(),
     );

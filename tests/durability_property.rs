@@ -1,5 +1,5 @@
 //! Seeded durability property: random put/delete/clean/checkpoint interleavings
-//! against a store with a live background cleaner pool, crashed and reopened through
+//! against a store raced by test-side cleaner threads, crashed and reopened through
 //! the checkpoint journal several times per run. After every crash the recovered
 //! store must match the model **byte-exactly** — every live page holds its newest
 //! value, every deleted page stays dead (the cleaner's tombstone re-emission and the
@@ -20,13 +20,14 @@
 
 mod common;
 
-use common::{apply_env_concurrency, stress_seed_or, CrashPointDevice};
+use common::{apply_env_concurrency, stress_seed_or, CleanerThreads, CrashPointDevice};
 use lss::core::device::SegmentDevice;
 use lss::core::policy::PolicyKind;
-use lss::core::{LogStore, SegmentId, SharedLogStore, StoreConfig};
+use lss::core::{LogStore, SegmentId, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 fn temp_journal(tag: u64) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("lss-durability-{tag}-{}.ckpt", std::process::id()))
@@ -42,7 +43,7 @@ fn payload(page: u64, version: u64, len: usize) -> Vec<u8> {
 
 /// One seeded run: four crash generations, each a random interleaving of puts,
 /// deletes, forced cleaning cycles and incremental checkpoints (on top of whatever
-/// the background pool does on its own), ending in flush + checkpoint + device kill.
+/// the cleaner threads do on their own), ending in flush + checkpoint + device kill.
 /// Reopen goes through the journal and must reproduce the model byte-for-byte.
 fn run_crash_generations(seed: u64, cleaner_threads: usize) {
     let mut config = apply_env_concurrency(
@@ -62,9 +63,9 @@ fn run_crash_generations(seed: u64, cleaner_threads: usize) {
     let path = temp_journal(seed);
     std::fs::remove_file(&path).ok();
 
-    let mut store = SharedLogStore::new(
-        LogStore::open_with_device(config.clone(), Box::new(device.clone())).unwrap(),
-    );
+    let mut store =
+        Arc::new(LogStore::open_with_device(config.clone(), Box::new(device.clone())).unwrap());
+    let mut cleaners = CleanerThreads::spawn(&store);
     let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
     let mut rng = StdRng::seed_from_u64(seed);
 
@@ -85,17 +86,16 @@ fn run_crash_generations(seed: u64, cleaner_threads: usize) {
             } else {
                 // A mid-run checkpoint: publishes a frontier the racing cleaners may
                 // use to drop covered tombstones instead of re-emitting them.
-                store.with_store(|s| s.checkpoint_log_to(&path)).unwrap();
+                store.checkpoint_log_to(&path).unwrap();
             }
         }
 
         // The crash point: everything acknowledged durable, then the device dies
-        // under whatever the background pool still had in flight.
+        // under whatever the cleaner threads still had in flight.
         store.flush().unwrap();
-        store.with_store(|s| s.checkpoint_log_to(&path)).unwrap();
+        store.checkpoint_log_to(&path).unwrap();
         device.kill();
-        let inner = store.try_into_inner().expect("sole handle");
-        drop(inner); // the process dies
+        drop(cleaners.stop(store)); // the process dies
 
         device.heal();
         let recovered =
@@ -125,7 +125,8 @@ fn run_crash_generations(seed: u64, cleaner_threads: usize) {
 
         // The next generation continues on the recovered store: churn keeps
         // compounding across restarts, exactly like a long-lived deployment.
-        store = SharedLogStore::new(recovered);
+        store = Arc::new(recovered);
+        cleaners = CleanerThreads::spawn(&store);
     }
     std::fs::remove_file(&path).ok();
 }

@@ -12,13 +12,15 @@
 use lss::btree::{BTree, BufferPool, MemPageStore};
 use lss::core::layout::{self, decode_segment, SegmentBuilder};
 use lss::core::policy::PolicyKind;
-use lss::core::{LogStore, SegmentId, SharedLogStore, StoreConfig};
+use lss::core::{LogStore, SegmentId, StoreConfig};
 use lss::workload::{PageWorkload, WriteTrace, ZipfianWorkload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 mod common;
+use common::CleanerThreads;
 
 /// One user-level operation against the store.
 #[derive(Debug, Clone)]
@@ -298,7 +300,8 @@ fn run_concurrent_cleaner_model(seed: u64, cleaner_threads: usize) {
     );
     let capacity = config.num_segments as u64
         * layout::payload_capacity(config.segment_bytes, config.page_bytes) as u64;
-    let store = SharedLogStore::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let store = Arc::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let cleaners = CleanerThreads::spawn(&store);
     let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -338,7 +341,7 @@ fn run_concurrent_cleaner_model(seed: u64, cleaner_threads: usize) {
             }
         }
         if i % 256 == 0 {
-            let live = store.with_store(|s| s.live_bytes());
+            let live = store.live_bytes();
             if live > capacity {
                 fail_concurrent_cleaner_model(
                     seed,
@@ -354,7 +357,7 @@ fn run_concurrent_cleaner_model(seed: u64, cleaner_threads: usize) {
 
     store.flush().unwrap();
     let last = ops.len() - 1;
-    let live = store.with_store(|s| s.live_bytes());
+    let live = store.live_bytes();
     if live > capacity {
         fail_concurrent_cleaner_model(
             seed,
@@ -392,8 +395,8 @@ fn run_concurrent_cleaner_model(seed: u64, cleaner_threads: usize) {
         }
     }
 
-    // Shut the pool down, recover from the device image, and require *exact* recovery:
-    // every live (model) page comes back byte-identical, and nothing else exists —
+    // Stop the cleaner threads, recover from the device image, and require *exact*
+    // recovery: every live (model) page comes back byte-identical, and nothing else exists —
     // including pages that were deleted at some point. Deletion is durable because the
     // cleaner never drops a delete fact without proof of redundancy: a victim's
     // tombstones are re-emitted into the cycle's GC output streams (keeping their
@@ -403,7 +406,7 @@ fn run_concurrent_cleaner_model(seed: u64, cleaner_threads: usize) {
     // resurrection window — PR 5's documented limitation — is exactly the bug the
     // re-emission protocol closes; `tests/tombstone_resurrection.rs` pins the seed
     // that exposed it.)
-    let inner = store.try_into_inner().expect("sole handle");
+    let inner = cleaners.stop(store);
     let recovered = LogStore::recover_with_device(config.clone(), inner.into_device()).unwrap();
     for (&page, value) in &model {
         if recovered.get(page).unwrap().as_deref() != Some(value.as_slice()) {
@@ -443,8 +446,8 @@ fn run_concurrent_cleaner_model(seed: u64, cleaner_threads: usize) {
     }
 }
 
-/// Seeded random workloads against a store with a live background cleaner pool at
-/// `cleaner_threads ∈ {1, 2, 4}`:
+/// Seeded random workloads against a store raced by [`CleanerThreads`] at
+/// `cleaner_threads ∈ {1, 2, 4}` (that many test-side threads and overlapping cycles):
 ///
 /// * **get-after-put linearizability** — every acknowledged `put` is immediately and
 ///   thereafter readable with exactly the written bytes (concurrent cycles relocate
@@ -471,7 +474,7 @@ fn store_matches_model_under_concurrent_cleaners() {
 
 /// Seed-replay entry point for chasing a failure. With `LSS_REPLAY_CLEANERS` set,
 /// `LSS_REPLAY_SEED` is the *exact* seed a failure dump printed; without it, the
-/// value is treated as the base seed and all three pool sizes replay:
+/// value is treated as the base seed and all three `cleaner_threads` values replay:
 ///
 /// ```text
 /// LSS_REPLAY_SEED=4244 LSS_REPLAY_CLEANERS=2 \

@@ -14,12 +14,14 @@
 //! tombstone_resurrection`).
 
 use lss::core::policy::PolicyKind;
-use lss::core::{LogStore, SharedLogStore, StoreConfig};
+use lss::core::{LogStore, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 mod common;
+use common::CleanerThreads;
 
 /// The seed that originally exposed the resurrection.
 const REGRESSION_SEED: u64 = 9003;
@@ -32,8 +34,8 @@ fn payload(page: u64, version: u64, len: usize) -> Vec<u8> {
     v
 }
 
-/// Delete-heavy seeded workload against a store with a live background cleaner pool,
-/// then full-scan recovery; every delete must stay dead and every live page must come
+/// Delete-heavy seeded workload against a store raced by [`CleanerThreads`], then
+/// full-scan recovery; every delete must stay dead and every live page must come
 /// back byte-exact. Delete-heavy on purpose: a high tombstone density maximises the
 /// chance that cleaning cycles relocate (and, pre-fix, dropped) delete facts while
 /// older copies of the pages are still on the device.
@@ -51,7 +53,8 @@ fn run_delete_heavy_model(seed: u64, cleaner_threads: usize) {
     );
     let max_page = config.logical_pages_for_fill_factor(0.5) as u64;
     let max_len = config.page_bytes;
-    let store = SharedLogStore::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let store = Arc::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let cleaners = CleanerThreads::spawn(&store);
     let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
     let mut deleted_ever: HashSet<u64> = HashSet::new();
 
@@ -71,7 +74,7 @@ fn run_delete_heavy_model(seed: u64, cleaner_threads: usize) {
     }
     store.flush().unwrap();
 
-    let inner = store.try_into_inner().expect("sole handle");
+    let inner = cleaners.stop(store);
     let recovered = LogStore::recover_with_device(config, inner.into_device()).unwrap();
     for (&page, value) in &model {
         assert_eq!(
@@ -96,7 +99,8 @@ fn run_delete_heavy_model(seed: u64, cleaner_threads: usize) {
     );
 }
 
-/// The pinned seed-9003 regression, at the pool sizes the original failure needed.
+/// The pinned seed-9003 regression, at the `cleaner_threads` values the original
+/// failure needed.
 /// `LSS_STRESS_SEED` overrides the base seed so the CI stress loop keeps exploring.
 #[test]
 fn seed_9003_deletes_stay_dead_across_recovery() {

@@ -8,7 +8,11 @@
 //!   under overwrite pressure with cleaning running.
 
 use lss::core::policy::PolicyKind;
-use lss::core::{LogStore, SharedLogStore, StoreConfig};
+use lss::core::{LogStore, StoreConfig};
+use std::sync::Arc;
+
+mod common;
+use common::CleanerThreads;
 
 fn payload(page: u64, version: u64, len: usize) -> Vec<u8> {
     let mut v = vec![(page ^ version) as u8; len.max(16)];
@@ -123,15 +127,16 @@ fn recovery_rebuilds_all_streams_after_crash_mid_drain() {
     }
 }
 
-/// Concurrent writers (more threads than streams) under overwrite pressure with the
-/// background cleaner running: every page must hold its final version, per stream.
+/// Concurrent writers (more threads than streams) under overwrite pressure with
+/// cleaner threads racing them: every page must hold its final version, per stream.
 #[test]
 fn concurrent_writers_across_streams_preserve_final_versions() {
     let mut config = StoreConfig::small_for_tests().with_policy(PolicyKind::Mdc);
     config.write_streams = 4;
     config.num_segments = 128;
     let config = config;
-    let store = SharedLogStore::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let store = Arc::new(LogStore::open_in_memory(config.clone()).unwrap());
+    let _cleaners = CleanerThreads::spawn(&store);
 
     let writers = 6u64;
     let pages_per_writer = 120u64;
