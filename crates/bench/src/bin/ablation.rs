@@ -1,17 +1,19 @@
-//! Ablation benches for the design knobs called out in DESIGN.md §4:
+//! Ablation benches for the paper's design choices, all on the simulator (the store
+//! ships one setting of each):
 //!
-//! 1. segment `up2` tracking mode (`OnOverwrite` vs `CarryForwardOnly`),
-//! 2. the cost-benefit formula (classic LFS vs the paper's literal text),
-//! 3. user/GC stream separation (also part of Figure 3),
+//! 1. segment `up2` tracking mode (`OnOverwrite`, paper §4.3, vs `CarryForwardOnly`,
+//!    §5.2.2),
+//! 2. the cost-benefit formula (classic LFS vs the paper's literal text, §6.1.3),
+//! 3. user/GC stream separation (§5.3; also part of Figure 3),
 //! 4. cleaning batch size (1 vs 64 segments per cycle),
 //! 5. sort-buffer size (also part of Figure 4).
 //!
 //! All runs use the 80-20 Zipfian distribution at F = 0.8 except where noted.
 
 use lss_bench::{print_results, run_point, sim_config, ExperimentPoint, Scale};
-use lss_core::config::{SeparationConfig, Up2Mode};
+use lss_core::freq::Up2Mode;
 use lss_core::policy::PolicyKind;
-use lss_sim::{run_simulation, SimResult};
+use lss_sim::{run_simulation, SeparationConfig, SimResult};
 use lss_workload::ZipfianWorkload;
 
 fn main() {

@@ -76,7 +76,6 @@ fn store_config(scale: Scale, tuning: &GcTuning) -> StoreConfig {
         Scale::Full => 512,
     };
     c.sort_buffer_segments = 4;
-    c.gc_read_pool = 4;
     c
 }
 

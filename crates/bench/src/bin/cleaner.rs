@@ -6,8 +6,8 @@
 //! * **reclaim** — the store is preloaded and overwritten into a live/dead
 //!   checkerboard, then `cleaner_threads` threads drain all reclaimable segments with
 //!   back-to-back cycles: segments reclaimed per second is the cleaner's scaling
-//!   metric (cycles run on disjoint victim sets and pipeline their victim reads
-//!   across `gc_read_pool` I/O workers).
+//!   metric (cycles run on disjoint victim sets, each reading its victims in turn on
+//!   its own thread).
 //! * **interference** — 8 writer threads run a hot overwrite workload and pace their
 //!   own cleaning inline, with up to `cleaner_threads` cycles overlapping: foreground
 //!   puts/s must hold up (compare BENCH_concurrency.json's put scaling) while those
@@ -105,7 +105,6 @@ struct CleanerReport {
     segment_bytes: usize,
     num_segments: usize,
     write_streams: usize,
-    gc_read_pool: usize,
     foreground_threads: usize,
     ops_per_thread: u64,
     results: Vec<CleanerPoint>,
@@ -127,7 +126,6 @@ fn store_config(scale: Scale, cleaner_threads: usize) -> StoreConfig {
     };
     c.sort_buffer_segments = 4;
     c.cleaner_threads = cleaner_threads;
-    c.gc_read_pool = 4;
     c.write_streams = std::env::var("LSS_WRITE_STREAMS")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -423,11 +421,10 @@ fn main() {
     let scale = Scale::from_args();
     let config = store_config(scale, 1);
     println!(
-        "cleaner scaling: MDC, {} x {} KiB segments, {} write streams, gc_read_pool {}, {} ops/thread",
+        "cleaner scaling: MDC, {} x {} KiB segments, {} write streams, {} ops/thread",
         config.num_segments,
         config.segment_bytes / 1024,
         config.write_streams,
-        config.gc_read_pool,
         ops_per_thread(scale)
     );
     println!(
@@ -522,7 +519,6 @@ fn main() {
         segment_bytes: config.segment_bytes,
         num_segments: config.num_segments,
         write_streams: config.write_streams,
-        gc_read_pool: config.gc_read_pool,
         foreground_threads: FOREGROUND_THREADS,
         ops_per_thread: ops_per_thread(scale),
         results,

@@ -4,9 +4,8 @@
 
 use lss_analysis::hotcold::{HotColdAnalysis, HotColdSpec};
 use lss_bench::{print_results, run_point, ExperimentPoint, Scale};
-use lss_core::config::SeparationConfig;
 use lss_core::policy::PolicyKind;
-use lss_sim::SimResult;
+use lss_sim::{SeparationConfig, SimResult};
 use lss_workload::HotColdWorkload;
 
 fn main() {

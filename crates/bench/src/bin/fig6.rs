@@ -7,7 +7,7 @@
 //! simulator, exactly as the paper replays its traces (§6.3). The fill factor is varied
 //! by sizing the simulated store relative to the number of distinct pages the database
 //! occupies (the paper varies the TPC-C scale factor against a fixed 100 GB device —
-//! same ratio, opposite knob; see EXPERIMENTS.md).
+//! same ratio, opposite knob).
 
 use lss_bench::{print_results, Scale};
 use lss_core::config::CleaningConfig;

@@ -1,6 +1,6 @@
 //! # lss-bench — the benchmark harness that regenerates every table and figure
 //!
-//! One binary per experiment (see DESIGN.md §5 for the full index):
+//! One binary per experiment (docs/BENCHMARKS.md says how to read each one's output):
 //!
 //! | Binary | Paper artefact |
 //! |---|---|
@@ -10,7 +10,7 @@
 //! | `fig4` | Figure 4 — sort-buffer size sweep |
 //! | `fig5` | Figure 5 — uniform / Zipfian-0.99 / Zipfian-1.35 fill-factor sweeps |
 //! | `fig6` | Figure 6 — TPC-C trace replay |
-//! | `ablation` | DESIGN.md §4 design-knob ablations |
+//! | `ablation` | the paper's design choices on the simulator: `up2` readings (§4.3 vs §5.2.2), cost-benefit formula (§6.1.3), stream separation (§5.3), cleaning batch and sort-buffer size |
 //!
 //! Every binary accepts `--quick` (smaller stores, fewer writes) and `--full` (closer to
 //! paper scale); the default sits in between so the whole suite finishes in minutes on a
@@ -24,9 +24,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use lss_core::config::SeparationConfig;
 use lss_core::policy::PolicyKind;
-use lss_sim::{run_simulation, SimConfig, SimResult};
+use lss_sim::{run_simulation, SeparationConfig, SimConfig, SimResult};
 use lss_workload::PageWorkload;
 
 /// How big an experiment to run.

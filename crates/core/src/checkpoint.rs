@@ -24,6 +24,7 @@
 use crate::config::StoreConfig;
 use crate::device::SegmentDevice;
 use crate::error::{Error, Result};
+use crate::freq::Up2Mode;
 use crate::mapping::PageTable;
 use crate::segment::{SegmentMeta, SegmentTable};
 use crate::store::{CheckpointSnapshot, LogStore};
@@ -226,12 +227,16 @@ pub fn open_from_checkpoint(
             )));
         }
         crate::recovery::probe_slot(store.device(), SegmentId(s.id))?;
-        let mut meta =
-            SegmentMeta::new_open(SegmentId(s.id), s.capacity_bytes, s.log_id, config.up2_mode);
+        let mut meta = SegmentMeta::new_open(
+            SegmentId(s.id),
+            s.capacity_bytes,
+            s.log_id,
+            Up2Mode::OnOverwrite,
+        );
         meta.live_bytes = s.live_bytes;
         meta.tombstone_bytes = s.tombstone_bytes;
         meta.live_pages = s.live_pages;
-        meta.seal(s.seal_seq, s.sealed_at, s.up2, config.up2_mode);
+        meta.seal(s.seal_seq, s.sealed_at, s.up2, Up2Mode::OnOverwrite);
         table.install_sealed(meta);
     }
     table.set_next_seal_seq(checkpoint.next_seal_seq);

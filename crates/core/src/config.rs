@@ -1,72 +1,11 @@
-//! Store configuration: geometry, cleaning parameters, and the frequency-separation
-//! options that the paper's breakdown analysis (Figure 3) toggles.
+//! Store configuration: geometry, cleaning parameters and the write-path and cleaner
+//! sizing a deployment tunes. The paper's design ablations (stream separation, the two
+//! `up2` readings) are simulator experiments and live in `lss-sim`'s `SimConfig`.
 
 use crate::error::{Error, Result};
 use crate::freq::MAX_TEMPERATURE_CLASSES;
 use crate::policy::PolicyKind;
 use serde::{Deserialize, Serialize};
-
-/// How the per-segment `up2` (penultimate update time) estimate is maintained.
-///
-/// The paper describes two readings (see DESIGN.md §4); both are provided so the choice
-/// can be ablated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum Up2Mode {
-    /// The segment's `up2` is fixed when the segment is sealed, to the mean of the `up2`
-    /// estimates carried by the pages written into it (literal reading of paper §5.2.2).
-    CarryForwardOnly,
-    /// In addition to the carry-forward initialisation, the segment tracks its own last
-    /// two update times: every overwrite of a live page in the segment advances
-    /// `up2 ← up1`, `up1 ← unow` (literal reading of paper §4.3). This is the default.
-    #[default]
-    OnOverwrite,
-}
-
-/// Which write streams are separated (sorted/grouped) by update frequency before being
-/// packed into segments. Corresponds to the MDC ablation variants of paper §6.2.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SeparationConfig {
-    /// Sort user writes in the sort buffer by their frequency estimate (`MDC` vs
-    /// `MDC-no-sep-user`).
-    pub separate_user_writes: bool,
-    /// Sort GC relocations by their frequency estimate (`MDC-no-sep-user` vs
-    /// `MDC-no-sep-user-GC`).
-    pub separate_gc_writes: bool,
-}
-
-impl Default for SeparationConfig {
-    fn default() -> Self {
-        Self {
-            separate_user_writes: true,
-            separate_gc_writes: true,
-        }
-    }
-}
-
-impl SeparationConfig {
-    /// Full separation (the default MDC configuration).
-    pub fn full() -> Self {
-        Self::default()
-    }
-
-    /// `MDC-no-sep-user`: GC writes are still grouped by frequency but user writes are
-    /// packed in arrival order.
-    pub fn no_user_separation() -> Self {
-        Self {
-            separate_user_writes: false,
-            separate_gc_writes: true,
-        }
-    }
-
-    /// `MDC-no-sep-user-GC`: neither stream is grouped; only victim selection differs
-    /// from greedy.
-    pub fn none() -> Self {
-        Self {
-            separate_user_writes: false,
-            separate_gc_writes: false,
-        }
-    }
-}
 
 /// Parameters controlling when cleaning runs and how much it does per cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -115,32 +54,8 @@ impl Default for CleaningConfig {
     }
 }
 
-/// Checkpoint-journal behaviour (see [`crate::LogStore::checkpoint_log_to`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointConfig {
-    /// If true (the default), repeated checkpoints to the same journal append only the
-    /// page-table shards dirtied since the previous checkpoint; clean shards stay
-    /// covered by their earlier journal entries. If false, every checkpoint rewrites
-    /// all shards (the journal is still append-only; recovery applies the newest
-    /// committed entry per shard either way).
-    pub incremental: bool,
-    /// Update ticks (user writes/deletes) between automatic checkpoints:
-    /// [`crate::LogStore::checkpoint_due`] turns true once this many updates have
-    /// happened since the last journal checkpoint. `0` (the default) disables the
-    /// cadence — checkpoints are taken only when the embedder asks for one.
-    pub cadence_updates: u64,
-}
-
-impl Default for CheckpointConfig {
-    fn default() -> Self {
-        Self {
-            incremental: true,
-            cadence_updates: 0,
-        }
-    }
-}
-
-/// Configuration of a [`crate::LogStore`] (and, with the same meaning, of the simulator).
+/// Configuration of a [`crate::LogStore`]. The simulator has its own `SimConfig`
+/// (`lss-sim`), which shares [`CleaningConfig`] and adds the paper's ablation switches.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoreConfig {
     /// Byte size of a segment, the unit of space reclamation (paper default: 2 MiB).
@@ -155,8 +70,6 @@ pub struct StoreConfig {
     pub policy: PolicyKind,
     /// Cleaning trigger/batch parameters.
     pub cleaning: CleaningConfig,
-    /// Which write streams are grouped by update frequency (paper §5.3 / Figure 3).
-    pub separation: SeparationConfig,
     /// Size of the user-write sort buffer, in segments (paper Figure 4; 16 is the knee).
     /// A value of 0 disables buffering: each user write goes straight to the open segment.
     ///
@@ -167,8 +80,6 @@ pub struct StoreConfig {
     /// Aggregate buffered (volatile) memory is therefore `write_streams ×
     /// sort_buffer_segments` segments.
     pub sort_buffer_segments: usize,
-    /// How the per-segment `up2` estimate is maintained.
-    pub up2_mode: Up2Mode,
     /// Number of independent write streams the store shards its write path into.
     ///
     /// Pages are routed to a stream by page-id hash; each stream owns its own slice of
@@ -190,11 +101,6 @@ pub struct StoreConfig {
     /// `1` reproduces the strictly serialised single-cycle behaviour of earlier
     /// versions.
     pub cleaner_threads: usize,
-    /// Number of I/O workers a cleaning cycle pipelines its phase-2 victim-image reads
-    /// across. The reads (the dominant cost of cleaning) are prefetched with a bounded
-    /// lookahead window while earlier victims are being relocated; `1` reads images one
-    /// at a time as earlier versions did.
-    pub gc_read_pool: usize,
     /// Number of temperature classes the cleaner splits its relocation output across.
     ///
     /// `1` (the default) reproduces the temperature-unaware cleaner bit-for-bit: one GC
@@ -213,8 +119,6 @@ pub struct StoreConfig {
     /// this; the paper's simulator does not (every user write is a page write), so the
     /// simulator runs with this disabled.
     pub absorb_updates_in_buffer: bool,
-    /// Checkpoint-journal cadence and incrementality (see [`CheckpointConfig`]).
-    pub checkpoint: CheckpointConfig,
 }
 
 impl StoreConfig {
@@ -228,15 +132,11 @@ impl StoreConfig {
             page_bytes: 4096,
             policy: PolicyKind::Mdc,
             cleaning: CleaningConfig::default(),
-            separation: SeparationConfig::default(),
             sort_buffer_segments: 16,
-            up2_mode: Up2Mode::default(),
             write_streams: 4,
             cleaner_threads: 2,
-            gc_read_pool: 4,
             gc_temperature_classes: 1,
             absorb_updates_in_buffer: true,
-            checkpoint: CheckpointConfig::default(),
         }
     }
 
@@ -254,17 +154,13 @@ impl StoreConfig {
                 reserved_free_segments: 2,
                 ..CleaningConfig::default()
             },
-            separation: SeparationConfig::default(),
             sort_buffer_segments: 2,
-            up2_mode: Up2Mode::default(),
             write_streams: 2,
             // Serialised cycles by default so existing tests stay deterministic; the
             // concurrency suites opt into 2 or 4 explicitly.
             cleaner_threads: 1,
-            gc_read_pool: 2,
             gc_temperature_classes: 1,
             absorb_updates_in_buffer: false,
-            checkpoint: CheckpointConfig::default(),
         }
     }
 
@@ -292,18 +188,6 @@ impl StoreConfig {
         self
     }
 
-    /// Builder-style: set the separation configuration.
-    pub fn with_separation(mut self, sep: SeparationConfig) -> Self {
-        self.separation = sep;
-        self
-    }
-
-    /// Builder-style: set the `up2` maintenance mode.
-    pub fn with_up2_mode(mut self, mode: Up2Mode) -> Self {
-        self.up2_mode = mode;
-        self
-    }
-
     /// Builder-style: set the number of independent write streams.
     pub fn with_write_streams(mut self, n: usize) -> Self {
         self.write_streams = n;
@@ -316,29 +200,10 @@ impl StoreConfig {
         self
     }
 
-    /// Builder-style: set the per-cycle victim-read I/O pool size.
-    pub fn with_gc_read_pool(mut self, n: usize) -> Self {
-        self.gc_read_pool = n;
-        self
-    }
-
     /// Builder-style: set the number of GC output temperature classes (see
     /// [`StoreConfig::gc_temperature_classes`]; `1` disables classification).
     pub fn with_gc_temperature_classes(mut self, n: usize) -> Self {
         self.gc_temperature_classes = n;
-        self
-    }
-
-    /// Builder-style: set the checkpoint-journal behaviour (see [`CheckpointConfig`]).
-    pub fn with_checkpoint(mut self, checkpoint: CheckpointConfig) -> Self {
-        self.checkpoint = checkpoint;
-        self
-    }
-
-    /// Builder-style: set the automatic-checkpoint cadence in update ticks
-    /// (`0` disables it; see [`CheckpointConfig::cadence_updates`]).
-    pub fn with_checkpoint_cadence(mut self, updates: u64) -> Self {
-        self.checkpoint.cadence_updates = updates;
         self
     }
 
@@ -347,11 +212,7 @@ impl StoreConfig {
     ///
     /// * `LSS_WRITE_STREAMS` — number of independent write streams (1..=16);
     /// * `LSS_CLEANER_THREADS` — maximum concurrent cleaning cycles (1..=8);
-    /// * `LSS_GC_TEMPERATURE_CLASSES` — GC output temperature classes (1..=8);
-    /// * `LSS_CHECKPOINT_INCREMENTAL` — `1`/`0` to enable/disable incremental
-    ///   checkpoint journalling ([`CheckpointConfig::incremental`]);
-    /// * `LSS_CHECKPOINT_CADENCE` — automatic-checkpoint cadence in update ticks
-    ///   (`0` disables; [`CheckpointConfig::cadence_updates`]).
+    /// * `LSS_GC_TEMPERATURE_CLASSES` — GC output temperature classes (1..=8).
     pub fn with_env_overrides(self) -> Self {
         self.with_overrides_from(|name| std::env::var(name).ok())
     }
@@ -370,12 +231,6 @@ impl StoreConfig {
         }
         if let Some(n) = get_usize("LSS_GC_TEMPERATURE_CLASSES") {
             self.gc_temperature_classes = n.clamp(1, MAX_TEMPERATURE_CLASSES);
-        }
-        if let Some(n) = get_usize("LSS_CHECKPOINT_INCREMENTAL") {
-            self.checkpoint.incremental = n != 0;
-        }
-        if let Some(n) = lookup("LSS_CHECKPOINT_CADENCE").and_then(|v| v.parse::<u64>().ok()) {
-            self.checkpoint.cadence_updates = n;
         }
         self
     }
@@ -448,12 +303,6 @@ impl StoreConfig {
             return Err(Error::InvalidConfig(format!(
                 "cleaner_threads must be in 1..=8, got {}",
                 self.cleaner_threads
-            )));
-        }
-        if self.gc_read_pool == 0 || self.gc_read_pool > 16 {
-            return Err(Error::InvalidConfig(format!(
-                "gc_read_pool must be in 1..=16, got {}",
-                self.gc_read_pool
             )));
         }
         // Bounded so the composite (class, log) GC-stream keys stay within u16 and the
@@ -538,12 +387,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = StoreConfig::small_for_tests();
-        c.gc_read_pool = 0;
-        assert!(c.validate().is_err());
-        c.gc_read_pool = 17;
-        assert!(c.validate().is_err());
-
-        let mut c = StoreConfig::small_for_tests();
         c.gc_temperature_classes = 0;
         assert!(c.validate().is_err());
         c.gc_temperature_classes = MAX_TEMPERATURE_CLASSES + 1;
@@ -578,31 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_knobs_default_build_and_override() {
-        let c = StoreConfig::small_for_tests();
-        assert!(c.checkpoint.incremental);
-        assert_eq!(c.checkpoint.cadence_updates, 0);
-
-        let c = c.with_overrides_from(|name| match name {
-            "LSS_CHECKPOINT_INCREMENTAL" => Some("0".to_string()),
-            "LSS_CHECKPOINT_CADENCE" => Some("5000".to_string()),
-            _ => None,
-        });
-        assert!(!c.checkpoint.incremental);
-        assert_eq!(c.checkpoint.cadence_updates, 5000);
-        c.validate().unwrap();
-
-        let c = StoreConfig::small_for_tests()
-            .with_checkpoint(CheckpointConfig {
-                incremental: false,
-                cadence_updates: 64,
-            })
-            .with_checkpoint_cadence(12);
-        assert!(!c.checkpoint.incremental);
-        assert_eq!(c.checkpoint.cadence_updates, 12);
-    }
-
-    #[test]
     fn fill_factor_helper_scales_with_f() {
         let c = StoreConfig::small_for_tests();
         let p50 = c.logical_pages_for_fill_factor(0.5);
@@ -623,19 +441,13 @@ mod tests {
             .with_policy(PolicyKind::Greedy)
             .with_num_segments(128)
             .with_sort_buffer_segments(4)
-            .with_separation(SeparationConfig::none())
-            .with_up2_mode(Up2Mode::CarryForwardOnly)
             .with_write_streams(8)
-            .with_cleaner_threads(4)
-            .with_gc_read_pool(8);
+            .with_cleaner_threads(4);
         assert_eq!(c.policy, PolicyKind::Greedy);
         assert_eq!(c.num_segments, 128);
         assert_eq!(c.sort_buffer_segments, 4);
-        assert!(!c.separation.separate_user_writes);
-        assert_eq!(c.up2_mode, Up2Mode::CarryForwardOnly);
         assert_eq!(c.write_streams, 8);
         assert_eq!(c.cleaner_threads, 4);
-        assert_eq!(c.gc_read_pool, 8);
         c.validate().unwrap();
     }
 
@@ -651,5 +463,52 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: StoreConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, c);
+    }
+
+    /// `field` and `parent.field` for every leaf of a serialised value.
+    fn flattened_fields(prefix: &str, value: &serde::Value, out: &mut Vec<String>) {
+        match value {
+            serde::Value::Object(fields) => {
+                for (name, v) in fields {
+                    let path = if prefix.is_empty() {
+                        name.clone()
+                    } else {
+                        format!("{prefix}.{name}")
+                    };
+                    flattened_fields(&path, v, out);
+                }
+            }
+            _ => out.push(prefix.to_string()),
+        }
+    }
+
+    /// The README's "Tuning knobs" table is the operator's list of what `StoreConfig`
+    /// sets: it names every settable value, and nothing that is not one.
+    #[test]
+    fn readme_knob_table_names_exactly_the_settable_values() {
+        let readme = include_str!("../../../README.md");
+        let table = readme
+            .split("## Tuning knobs")
+            .nth(1)
+            .expect("README has a Tuning knobs section");
+        let mut documented: Vec<String> = table
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .skip(2) // header and separator rows
+            .filter_map(|row| row.split('|').nth(1))
+            .flat_map(|cell| cell.split('/'))
+            .map(|name| name.trim().trim_matches('`').to_string())
+            .collect();
+        documented.sort();
+
+        let mut settable = Vec::new();
+        flattened_fields(
+            "",
+            &serde::Serialize::serialize(&StoreConfig::paper_default()),
+            &mut settable,
+        );
+        settable.sort();
+        assert_eq!(documented, settable);
     }
 }

@@ -18,8 +18,8 @@
 //! * **Sealing a segment** — the segment's `up2` becomes the mean of the `up2` values of
 //!   the pages written into it.
 
-use crate::config::Up2Mode;
 use crate::types::{PageId, UpdateTick};
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Carry-forward rule for a user re-write of an existing page (paper §5.2.2,
@@ -58,6 +58,23 @@ pub fn first_write_up2(coldest_in_batch: Option<UpdateTick>) -> UpdateTick {
 pub fn estimated_upf(up2: UpdateTick, unow: UpdateTick) -> f64 {
     let interval = unow.saturating_sub(up2).max(1);
     2.0 / interval as f64
+}
+
+/// How the per-segment `up2` (penultimate update time) estimate is maintained.
+///
+/// The paper gives two readings, §4.3 and §5.2.2. The store always uses
+/// [`Up2Mode::OnOverwrite`]; the simulator (`lss-sim`'s `SimConfig::up2_mode`) runs
+/// both, which is how the `ablation` bench compares them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+pub enum Up2Mode {
+    /// The segment's `up2` is fixed when the segment is sealed, to the mean of the `up2`
+    /// estimates carried by the pages written into it (literal reading of paper §5.2.2).
+    CarryForwardOnly,
+    /// In addition to the carry-forward initialisation, the segment tracks its own last
+    /// two update times: every overwrite of a live page in the segment advances
+    /// `up2 ← up1`, `up1 ← unow` (literal reading of paper §4.3). This is the default.
+    #[default]
+    OnOverwrite,
 }
 
 /// Per-segment update-recency tracker.

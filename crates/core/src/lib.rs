@@ -76,7 +76,7 @@ pub mod types;
 pub mod util;
 pub mod write_buffer;
 
-pub use config::{CheckpointConfig, CleaningConfig, SeparationConfig, StoreConfig, Up2Mode};
+pub use config::{CleaningConfig, StoreConfig};
 pub use error::{Error, Result};
 pub use policy::{CleaningPolicy, PolicyKind};
 pub use stats::StoreStats;

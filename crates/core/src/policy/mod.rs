@@ -151,7 +151,9 @@ pub enum PolicyKind {
     Greedy,
     /// The LFS cost-benefit heuristic \[23\].
     CostBenefit,
-    /// Cost-benefit using the literal formula printed in the paper (see DESIGN.md §2).
+    /// Cost-benefit using the formula as literally printed in the paper (§6.1.3), which
+    /// prefers full segments; [`PolicyKind::CostBenefit`] reads it as a typo (see
+    /// [`CostBenefitFormula`]).
     CostBenefitPaperLiteral,
     /// Multi-log cleaning \[26\] with estimated update frequencies.
     MultiLog,

@@ -36,6 +36,7 @@ use crate::checkpoint::{read_journal, JournalCheckpoint};
 use crate::config::StoreConfig;
 use crate::device::SegmentDevice;
 use crate::error::{Error, Result};
+use crate::freq::Up2Mode;
 use crate::layout::{self, decode_segment};
 use crate::mapping::PageTable;
 use crate::segment::{SegmentMeta, SegmentTable};
@@ -183,7 +184,7 @@ pub fn recover_with_report(
         // pins its entry slot and the segment must not look emptier than it is.
         let tombstone_bytes = p.entries.iter().filter(|e| e.is_tombstone()).count() as u64
             * layout::ENTRY_SIZE as u64;
-        let mut meta = SegmentMeta::new_open(p.id, capacity, p.header.log_id, config.up2_mode);
+        let mut meta = SegmentMeta::new_open(p.id, capacity, p.header.log_id, Up2Mode::OnOverwrite);
         meta.live_bytes = live_bytes + tombstone_bytes;
         meta.tombstone_bytes = tombstone_bytes;
         meta.live_pages = live_pages;
@@ -191,7 +192,7 @@ pub fn recover_with_report(
             p.header.seal_seq,
             p.header.sealed_at,
             p.header.up2,
-            config.up2_mode,
+            Up2Mode::OnOverwrite,
         );
         table.install_sealed(meta);
     }
@@ -363,11 +364,11 @@ pub fn recover_from_checkpoint_with_report(
                        up2: u64,
                        tombstone_bytes: u64| {
         let (live_bytes, live_pages) = live_per_segment.get(&id).copied().unwrap_or((0, 0));
-        let mut meta = SegmentMeta::new_open(id, cap, log_id, config.up2_mode);
+        let mut meta = SegmentMeta::new_open(id, cap, log_id, Up2Mode::OnOverwrite);
         meta.live_bytes = live_bytes + tombstone_bytes;
         meta.tombstone_bytes = tombstone_bytes;
         meta.live_pages = live_pages;
-        meta.seal(seal_seq, sealed_at, up2, config.up2_mode);
+        meta.seal(seal_seq, sealed_at, up2, Up2Mode::OnOverwrite);
         table.install_sealed(meta);
     };
     let replayed_ids: std::collections::HashSet<SegmentId> = tail.iter().map(|p| p.id).collect();
@@ -647,7 +648,6 @@ mod tests {
     #[test]
     fn incremental_checkpoints_skip_clean_shards() {
         let cfg = config();
-        assert!(cfg.checkpoint.incremental, "incremental is the default");
         let path = temp_journal_path("incr");
         let store = LogStore::open_in_memory(cfg.clone()).unwrap();
         for i in 0..300u64 {

@@ -1,8 +1,7 @@
 //! In-memory bookkeeping for segments: the quantities the cleaning analysis needs
 //! (`A`, `C`, `up2`, seal sequence) and the free/open/sealed life-cycle.
 
-use crate::config::Up2Mode;
-use crate::freq::{SegmentFreq, TEMPERATURE_UNCLASSIFIED};
+use crate::freq::{SegmentFreq, Up2Mode, TEMPERATURE_UNCLASSIFIED};
 use crate::policy::SegmentStats;
 use crate::types::{SealSeq, SegmentId, UpdateTick};
 

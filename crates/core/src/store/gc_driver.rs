@@ -18,10 +18,9 @@
 //!    recycled buffer from the store's image pool — and its entry table decoded;
 //!    entries that are no longer current are pre-filtered against the sharded page
 //!    table, leaving a list of *locations* into the image (no payload is copied out).
-//!    Reads are **pipelined across a small I/O pool**
-//!    ([`StoreConfig::gc_read_pool`](crate::StoreConfig::gc_read_pool)): workers
-//!    prefetch the next images (bounded lookahead) while the cycle relocates the
-//!    current victim's pages.
+//!    Victims are read **in order, one at a time, on the cycle's own thread**, each
+//!    just before it is relocated: the cycle holds one victim image at a time, and
+//!    overlap comes from overlapping cycles, not from reader threads.
 //! 3. **Relocate & commit** (per victim): still-current pages are appended, straight
 //!    from the victim image, to the cycle's *own* GC output segments (no store lock;
 //!    allocation and seals touch the central lock briefly), *keeping their original
@@ -78,7 +77,7 @@ use super::{CentralState, GcStreams, LogStore, OpenSegment};
 use crate::cleaner::{collect_live_pages, CleaningReport, LivePage};
 use crate::config::StoreConfig;
 use crate::error::{Error, Result};
-use crate::freq::{classify_heat, Up2Average, TEMPERATURE_UNCLASSIFIED};
+use crate::freq::{classify_heat, Up2Average, Up2Mode, TEMPERATURE_UNCLASSIFIED};
 use crate::layout::{self, decode_segment, SegmentBuilder};
 use crate::policy::{PolicyContext, SegmentStats, MULTILOG_MAX_LOGS};
 use crate::segment::ORPHAN_CYCLE;
@@ -333,8 +332,7 @@ impl CycleCtx {
     }
 }
 
-/// One victim with its image read and live pages collected (the output of the phase-2
-/// read pipeline).
+/// One victim with its image read and live pages collected (the output of phase 2).
 struct PreparedVictim {
     victim: SegmentId,
     /// The victim's whole image, in a buffer from the store's image pool (returned
@@ -528,8 +526,8 @@ fn run_claimed_victims(
     let mut emptiness_sum = 0.0;
     let mut released: Vec<SegmentId> = Vec::with_capacity(victims.len());
 
-    // Phase 2 runs as a pipeline: a small pool prefetches and pre-filters victim
-    // images while this thread relocates earlier victims' pages.
+    // Phases 2 and 3, victim by victim: read and pre-filter one image, relocate its
+    // survivors, hand the image back to the pool.
     for_each_prepared_victim(store, victims, |prepared| {
         fire_phase_hook(
             store,
@@ -640,7 +638,6 @@ fn relocate_victim(
     // Route every candidate to an output log and fetch separation keys, under one
     // short central acquisition (the policy lives there). Same routing helper as
     // the user drain, so user and GC placement can never diverge.
-    let separate = store.config().separation.separate_gc_writes;
     let mut items: Vec<GcItem> = {
         let mut central = store.central().lock();
         let CentralState { policy, .. } = &mut *central;
@@ -656,7 +653,7 @@ fn relocate_victim(
                     exact_freq: None,
                     origin: WriteOrigin::Gc,
                 };
-                let (log, key) = write_path::route_page(policy, unow, separate, &info);
+                let (log, key) = write_path::route_page(policy, unow, &info);
                 GcItem {
                     live,
                     log,
@@ -666,9 +663,7 @@ fn relocate_victim(
             })
             .collect()
     };
-    if separate {
-        sort_by_separation_key(&mut items, |it: &GcItem| it.key);
-    }
+    sort_by_separation_key(&mut items, |it: &GcItem| it.key);
     if classes > 1 {
         // Group by class (stable, so the separation order inside each class is kept):
         // each class fills its own output segments contiguously. A no-op with one
@@ -887,8 +882,8 @@ fn read_and_decode(
     })
 }
 
-/// Read one victim's image, decode it and pre-filter its live pages (the unit of work
-/// of the phase-2 read pipeline; touches only the device and the lock-free page table).
+/// Read one victim's image, decode it and pre-filter its live pages (phase 2 for one
+/// victim; touches only the device and the lock-free page table).
 fn prepare_victim(
     store: &LogStore,
     victim: SegmentId,
@@ -923,101 +918,22 @@ fn prepare_victim(
     })
 }
 
-/// Shared state of the phase-2 read pipeline: an in-order slot per victim, a bounded
-/// prefetch window, and a cancellation flag for early exit.
-struct ReadPipeline {
-    slots: Vec<Option<Result<PreparedVictim>>>,
-    next_fetch: usize,
-    consumed: usize,
-    cancelled: bool,
-}
-
-/// Drive `process` over every victim **in order**, with victim images read and
-/// pre-filtered by up to `gc_read_pool` I/O workers running ahead of the consumer
-/// (bounded lookahead, so at most `2 × pool` images are in memory at once). With a pool
-/// of 1 (or a single victim) this degrades to the plain sequential read-then-process
-/// loop of the pre-concurrent design. Every image goes back to the store's image pool
-/// as soon as its victim is processed — or, if the cycle stops early, unprocessed.
+/// Drive `process` over every victim **in order**: read and pre-filter one victim's
+/// image, process it, and hand the image back to the store's image pool before the next
+/// read — so a cycle holds one victim image at a time. The first read or `process`
+/// error stops the walk; the image in hand is returned to the pool either way.
 fn for_each_prepared_victim(
     store: &LogStore,
     victims: &[ClaimedVictim],
     mut process: impl FnMut(&PreparedVictim) -> Result<()>,
 ) -> Result<()> {
-    let mut consume = |prepared: PreparedVictim| {
+    for &(victim, emptiness, up2, temperature) in victims {
+        let prepared = prepare_victim(store, victim, emptiness, up2, temperature)?;
         let result = process(&prepared);
         store.recycle_image(prepared.image);
-        result
-    };
-    let pool = store.config().gc_read_pool.min(victims.len()).max(1);
-    if pool <= 1 {
-        for &(victim, emptiness, up2, temperature) in victims {
-            consume(prepare_victim(store, victim, emptiness, up2, temperature)?)?;
-        }
-        return Ok(());
+        result?;
     }
-
-    let window = pool * 2;
-    let state = Mutex::new(ReadPipeline {
-        slots: victims.iter().map(|_| None).collect(),
-        next_fetch: 0,
-        consumed: 0,
-        cancelled: false,
-    });
-    let space_cond = Condvar::new(); // workers wait here for window space
-    let ready_cond = Condvar::new(); // the consumer waits here for its next slot
-
-    let result = std::thread::scope(|scope| -> Result<()> {
-        for _ in 0..pool {
-            scope.spawn(|| loop {
-                let i = {
-                    let mut st = state.lock();
-                    loop {
-                        if st.cancelled || st.next_fetch >= st.slots.len() {
-                            return;
-                        }
-                        if st.next_fetch < st.consumed + window {
-                            break;
-                        }
-                        space_cond.wait(&mut st);
-                    }
-                    let i = st.next_fetch;
-                    st.next_fetch += 1;
-                    i
-                };
-                let (victim, emptiness, up2, temperature) = victims[i];
-                let prepared = prepare_victim(store, victim, emptiness, up2, temperature);
-                let mut st = state.lock();
-                st.slots[i] = Some(prepared);
-                ready_cond.notify_all();
-            });
-        }
-
-        let cancel = |err: Error| {
-            let mut st = state.lock();
-            st.cancelled = true;
-            space_cond.notify_all();
-            err
-        };
-        for i in 0..victims.len() {
-            let prepared = {
-                let mut st = state.lock();
-                while st.slots[i].is_none() {
-                    ready_cond.wait(&mut st);
-                }
-                let p = st.slots[i].take().expect("slot just observed filled");
-                st.consumed = i + 1;
-                space_cond.notify_all();
-                p
-            };
-            consume(prepared.map_err(&cancel)?).map_err(&cancel)?;
-        }
-        Ok(())
-    });
-    // Workers are joined: whatever they prefetched for a cancelled cycle is still here.
-    for prepared in state.into_inner().slots.into_iter().flatten().flatten() {
-        store.recycle_image(prepared.image);
-    }
-    result
+    Ok(())
 }
 
 /// Make sure the cycle has a GC output segment with room for `len` bytes, preferably
@@ -1117,7 +1033,7 @@ fn try_allocate_gc(
     let mut central = store.central().lock();
     let id = central
         .segments
-        .allocate(capacity, log, store.config().up2_mode)?;
+        .allocate(capacity, log, Up2Mode::OnOverwrite)?;
     if store.config().gc_temperature_classes > 1 {
         // Tag the output with the class of the survivors it will be filled with, so
         // victim selection can treat cold segments differently. In-memory only; with
@@ -1142,9 +1058,7 @@ mod tests {
 
     /// A one-stream store holding `pages` pages (version 1), all in sealed segments.
     fn sealed_store(pages: u64) -> LogStore {
-        let config = StoreConfig::small_for_tests()
-            .with_write_streams(1)
-            .with_gc_read_pool(1);
+        let config = StoreConfig::small_for_tests().with_write_streams(1);
         let store = LogStore::open_in_memory(config.clone()).unwrap();
         for page in 0..pages {
             store.put(page, &page_body(&config, page, 1)).unwrap();
@@ -1243,9 +1157,7 @@ mod tests {
     /// (nothing reclaimable at all).
     #[test]
     fn a_fruitless_attempt_is_retried_only_when_the_free_count_changes() {
-        let mut config = StoreConfig::small_for_tests()
-            .with_write_streams(1)
-            .with_gc_read_pool(1);
+        let mut config = StoreConfig::small_for_tests().with_write_streams(1);
         config.sort_buffer_segments = 0;
         config.cleaning.trigger_free_segments = 16;
         config.cleaning.segments_per_cycle = 8;
@@ -1420,9 +1332,7 @@ mod tests {
     /// cycle's second victim overflows its output, which is sealed mid-victim.
     #[test]
     fn an_output_sealed_in_the_middle_of_a_victim_holds_no_uncommitted_copy() {
-        let config = StoreConfig::small_for_tests()
-            .with_write_streams(1)
-            .with_gc_read_pool(1);
+        let config = StoreConfig::small_for_tests().with_write_streams(1);
         let handle = Arc::new(std::sync::OnceLock::new());
         let unreferenced = Arc::new(Mutex::new(Vec::new()));
         let device = SealWatch {

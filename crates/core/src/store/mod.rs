@@ -26,8 +26,8 @@
 //!   **concurrently on disjoint victim sets** (victims are claimed atomically in the
 //!   segment table at selection time), always on the calling thread: a writer's paced
 //!   cycle before a put, a drain that ran out of segments, or [`LogStore::clean_now`].
-//!   Victim images are read and parsed with no store lock held — pipelined across a
-//!   small per-cycle I/O pool — and relocations are committed with a per-page atomic
+//!   Victim images are read and parsed, one after another on the cycle's own thread,
+//!   with no store lock held, and relocations are committed with a per-page atomic
 //!   *compare-and-swap* on the page table ([`crate::mapping::ShardedPageTable::replace_if_current`]),
 //!   so cleaning never stalls the write streams. Victims are quarantined with a
 //!   per-entry `parked → sealed → synced` state machine, so one cycle's device sync can
@@ -170,8 +170,8 @@ pub(crate) struct GcStreams {
 
 /// Segment-sized buffers waiting for their next use, so that steady-state cleaning and
 /// sealing allocate (and page-fault) none: victim images go round between the cleaner's
-/// reads, builder images between open segments. Bounded by what a cycle and the streams
-/// can have in flight (`2 × gc_read_pool + write_streams`, see
+/// reads, builder images between open segments. Bounded by what the cycles and the
+/// streams can have in flight (`cleaner_threads + write_streams`, see
 /// [`LogStore::park_image`]); a buffer returned beyond that is simply freed.
 #[derive(Default)]
 struct ImagePool {
@@ -208,13 +208,11 @@ pub(crate) struct CheckpointSnapshot {
 }
 
 /// Book-keeping for the incremental checkpoint journal: which file the store has been
-/// checkpointing to, whether its base record is on disk, and the update tick of the
-/// last successful checkpoint (drives [`LogStore::checkpoint_due`]).
+/// checkpointing to, and whether its base record is on disk.
 #[derive(Default)]
 struct CheckpointTracker {
     path: Option<std::path::PathBuf>,
     base_written: bool,
-    last_unow: u64,
 }
 
 /// The shared coordination layer of the sharded write path, guarded by the central lock.
@@ -573,10 +571,10 @@ impl LogStore {
     }
 
     /// Segment-sized buffers currently parked for reuse by the cleaner's victim reads
-    /// and by new open segments (diagnostic). Never more than `2 × gc_read_pool +
-    /// write_streams` — what one cycle's read pipeline and the streams' open segments
-    /// can have in flight; a steady-state cleaning cycle takes its buffers from here
-    /// and puts every one back, so the figure is the same before and after.
+    /// and by new open segments (diagnostic). Never more than `cleaner_threads +
+    /// write_streams` — a victim image per overlapping cycle and an open segment per
+    /// stream; a steady-state cleaning cycle takes its buffers from here and puts every
+    /// one back, so the figure is the same before and after.
     pub fn pooled_images(&self) -> usize {
         let pool = self.images.lock();
         pool.blank.len() + pool.stale.len()
@@ -614,8 +612,7 @@ impl LogStore {
     /// device, so everything the journal describes is durable (pages still sitting in
     /// sort buffers are volatile, exactly as a crash would treat them). The first
     /// checkpoint to a given path writes the full page table; subsequent checkpoints to
-    /// the *same* path append only the shards dirtied since the previous one (when
-    /// [`crate::CheckpointConfig::incremental`] is on). Reopen with
+    /// the *same* path append only the shards dirtied since the previous one. Reopen with
     /// [`LogStore::recover_with_checkpoint`], which replays only the segments sealed
     /// after the journal's frontier instead of scanning the whole device.
     pub fn checkpoint_log_to<P: AsRef<std::path::Path>>(
@@ -625,13 +622,11 @@ impl LogStore {
         let path = path.as_ref();
         let mut tracker = self.ckpt.lock();
         let continuing = tracker.base_written && tracker.path.as_deref() == Some(path);
-        let dirty_only = self.config.checkpoint.incremental && continuing;
-        let snapshot = self.checkpoint_snapshot(dirty_only, true)?;
+        let snapshot = self.checkpoint_snapshot(continuing, true)?;
         match crate::checkpoint::append_to_journal(path, &self.config, &snapshot, !continuing) {
             Ok(stats) => {
                 tracker.path = Some(path.to_path_buf());
                 tracker.base_written = true;
-                tracker.last_unow = snapshot.unow;
                 AtomicStats::add(&self.stats.checkpoint_shards_written, stats.shards_written);
                 AtomicStats::add(&self.stats.checkpoint_shards_skipped, stats.shards_skipped);
                 // The checkpoint is committed: publish its frontier so the cleaner may
@@ -658,19 +653,6 @@ impl LogStore {
                 Err(e)
             }
         }
-    }
-
-    /// True once [`crate::CheckpointConfig::cadence_updates`] user updates have
-    /// happened since the last successful [`LogStore::checkpoint_log_to`] (always false
-    /// with the cadence at 0). The store never checkpoints by itself; embedders poll
-    /// this from their maintenance loop.
-    pub fn checkpoint_due(&self) -> bool {
-        let cadence = self.config.checkpoint.cadence_updates;
-        if cadence == 0 {
-            return false;
-        }
-        let last = self.ckpt.lock().last_unow;
-        self.unow.load(Ordering::Relaxed).saturating_sub(last) >= cadence
     }
 
     /// Rebuild a store from a device plus a checkpoint journal written by
@@ -760,7 +742,7 @@ impl LogStore {
         if image.len() != self.config.segment_bytes {
             return;
         }
-        let bound = 2 * self.config.gc_read_pool + self.config.write_streams;
+        let bound = self.config.cleaner_threads + self.config.write_streams;
         let mut pool = self.images.lock();
         if pool.blank.len() + pool.stale.len() < bound {
             if blank {
@@ -1032,13 +1014,10 @@ impl LogStore {
         self.unow.store(unow, Ordering::Relaxed);
         self.approx_free.store(free, Ordering::Relaxed);
         // A freshly recovered store has no journal continuity: the next checkpoint
-        // rewrites a full base, and the cadence clock starts from the recovered tick.
-        // The committed-frontier also resets — after a full scan there is no journal
-        // backing it (checkpoint-anchored recovery re-seeds it from its journal).
-        *self.ckpt.get_mut() = CheckpointTracker {
-            last_unow: unow,
-            ..CheckpointTracker::default()
-        };
+        // rewrites a full base. The committed-frontier also resets — after a full scan
+        // there is no journal backing it (checkpoint-anchored recovery re-seeds it from
+        // its journal).
+        *self.ckpt.get_mut() = CheckpointTracker::default();
         *self.ckpt_frontier.get_mut() = 0;
     }
 }
@@ -1046,7 +1025,6 @@ impl LogStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SeparationConfig;
     use crate::policy::PolicyKind;
 
     fn small_store(policy: PolicyKind) -> LogStore {
@@ -1395,23 +1373,6 @@ mod tests {
         absorbing.flush().unwrap();
         assert!(absorbing.stats().absorbed_in_buffer > 0);
         assert_eq!(absorbing.live_pages(), 1);
-    }
-
-    #[test]
-    fn separation_config_none_still_preserves_data() {
-        let config = StoreConfig::small_for_tests()
-            .with_policy(PolicyKind::Mdc)
-            .with_separation(SeparationConfig::none());
-        let pages = config.logical_pages_for_fill_factor(0.5) as u64;
-        let store = LogStore::open_in_memory(config.clone()).unwrap();
-        let payload = vec![9u8; config.page_bytes];
-        for i in 0..(config.physical_pages() as u64 * 3) {
-            store.put(i % pages, &payload).unwrap();
-        }
-        store.flush().unwrap();
-        for i in 0..pages {
-            assert!(store.get(i).unwrap().is_some());
-        }
     }
 
     #[test]

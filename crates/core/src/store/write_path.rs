@@ -5,8 +5,8 @@
 //! `put`/`delete` route by page-id hash to one write stream and enqueue into that
 //! stream's sort-buffer shard; when the shard reaches its configured size the stream
 //! drains it as one batch under the *stream lock*: carry-forward `up2` estimates are
-//! assigned (paper §5.2.2), the batch is optionally sorted by the policy's separation
-//! key (paper §5.3), and each page is appended to the stream's open segment for its
+//! assigned (paper §5.2.2), the batch is sorted by the policy's separation key (paper
+//! §5.3), and each page is appended to the stream's open segment for its
 //! output log. Streams never serialise against each other; they meet only at the
 //! central lock, which is held for short bounded operations:
 //!
@@ -34,7 +34,7 @@ use super::{
     gc_driver, CentralState, GcStreams, LogStore, OpenSegment, SealTail, StreamState, WriteStream,
 };
 use crate::error::{Error, Result};
-use crate::freq::{carry_forward_rewrite, first_write_up2, Up2Average};
+use crate::freq::{carry_forward_rewrite, first_write_up2, Up2Average, Up2Mode};
 use crate::layout::{self, SegmentBuilder};
 use crate::policy::PolicyContext;
 use crate::stats::AtomicStats;
@@ -476,7 +476,6 @@ fn should_drain(store: &LogStore, stream: &WriteStream) -> bool {
 pub(crate) fn route_page(
     policy: &mut Box<dyn crate::policy::CleaningPolicy>,
     unow: UpdateTick,
-    separate: bool,
     info: &crate::types::PageWriteInfo,
 ) -> (u16, Option<f64>) {
     let log = if policy.num_logs() > 1 {
@@ -488,12 +487,7 @@ pub(crate) fn route_page(
     } else {
         0
     };
-    let key = if separate {
-        policy.separation_key(info)
-    } else {
-        None
-    };
-    (log, key)
+    (log, policy.separation_key(info))
 }
 
 /// One snapshot entry being drained: the pending write plus its routing decisions.
@@ -522,7 +516,7 @@ fn sort_for_append(items: &mut [DrainItem], absorbing: bool) {
 }
 
 /// Assign carried `up2` values to the stream's buffered batch (paper §5.2.2) and hand
-/// every page to an open segment, sorted by the policy's separation key if configured.
+/// every page to an open segment, sorted by the policy's separation key.
 ///
 /// The buffer shard is *snapshotted*, not drained up front: an entry keeps serving
 /// reads until its page has a page-table entry, and is removed individually right after
@@ -540,7 +534,6 @@ pub(crate) fn drain_stream(
         return Ok(DrainOutcome::Done);
     }
     let unow = store.unow();
-    let separate = store.config().separation.separate_user_writes;
 
     // Prefetch each page's current location with no lock held: the page-table lookups
     // are the expensive part of the estimate pass, and they only feed heuristics — if
@@ -585,7 +578,7 @@ pub(crate) fn drain_stream(
         batch
             .into_iter()
             .map(|(slot, p)| {
-                let (log, key) = route_page(policy, unow, separate, &p.info);
+                let (log, key) = route_page(policy, unow, &p.info);
                 DrainItem {
                     slot,
                     page: p,
@@ -596,9 +589,7 @@ pub(crate) fn drain_stream(
             .collect()
     };
 
-    if separate {
-        sort_for_append(&mut items, store.config().absorb_updates_in_buffer);
-    }
+    sort_for_append(&mut items, store.config().absorb_updates_in_buffer);
 
     let mut ledger = MetaLedger::default();
     for item in items {
@@ -872,7 +863,7 @@ pub(crate) fn seal_open(
         ledger.apply(store, &mut central);
         let segments = &mut central.segments;
         let seq = open.seq.unwrap_or_else(|| segments.reserve_seal_seq());
-        segments.seal_reserved(open.id, seq, unow, carried_up2, store.config().up2_mode);
+        segments.seal_reserved(open.id, seq, unow, carried_up2, Up2Mode::OnOverwrite);
         segments.set_image_pending(open.id, true);
         seq
     };
@@ -958,7 +949,7 @@ fn allocate_user_segment(
             if central.segments.free_count() > reserved {
                 if let Some(id) = central
                     .segments
-                    .allocate(capacity, log, store.config().up2_mode)
+                    .allocate(capacity, log, Up2Mode::OnOverwrite)
                 {
                     store.bump_segment_gen(id);
                     let gen = store.segment_gen(id);

@@ -33,4 +33,4 @@ pub mod report;
 pub mod simulator;
 
 pub use report::SimResult;
-pub use simulator::{run_simulation, SimConfig, Simulator};
+pub use simulator::{run_simulation, SeparationConfig, SimConfig, Simulator};

@@ -3,10 +3,10 @@
 //! page identities only, so tens of millions of page writes per second are possible.
 
 use crate::report::SimResult;
-use lss_core::config::{CleaningConfig, SeparationConfig, Up2Mode};
+use lss_core::config::CleaningConfig;
 use lss_core::freq::{
     carry_forward_gc, carry_forward_rewrite, classify_heat, first_write_up2, PageHeat, Up2Average,
-    MAX_TEMPERATURE_CLASSES, TEMPERATURE_UNCLASSIFIED,
+    Up2Mode, MAX_TEMPERATURE_CLASSES, TEMPERATURE_UNCLASSIFIED,
 };
 use lss_core::policy::{
     CleaningPolicy, PolicyContext, PolicyKind, SegmentStats, MULTILOG_MAX_LOGS,
@@ -17,6 +17,53 @@ use lss_core::types::{PageId, PageWriteInfo, SegmentId, UpdateTick, WriteOrigin}
 use lss_core::util::FxHashMap;
 use lss_workload::PageWorkload;
 use serde::{Deserialize, Serialize};
+
+/// Which write streams are separated (sorted/grouped) by update frequency before being
+/// packed into segments: the MDC ablation variants of paper §5.3 / §6.2.1 (Figure 3).
+/// A simulator switch only — the store always separates both streams.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SeparationConfig {
+    /// Sort user writes in the sort buffer by their frequency estimate (`MDC` vs
+    /// `MDC-no-sep-user`).
+    pub separate_user_writes: bool,
+    /// Sort GC relocations by their frequency estimate (`MDC-no-sep-user` vs
+    /// `MDC-no-sep-user-GC`).
+    pub separate_gc_writes: bool,
+}
+
+impl Default for SeparationConfig {
+    fn default() -> Self {
+        Self {
+            separate_user_writes: true,
+            separate_gc_writes: true,
+        }
+    }
+}
+
+impl SeparationConfig {
+    /// Full separation (the default MDC configuration).
+    pub fn full() -> Self {
+        Self::default()
+    }
+
+    /// `MDC-no-sep-user`: GC writes are still grouped by frequency but user writes are
+    /// packed in arrival order.
+    pub fn no_user_separation() -> Self {
+        Self {
+            separate_user_writes: false,
+            separate_gc_writes: true,
+        }
+    }
+
+    /// `MDC-no-sep-user-GC`: neither stream is grouped; only victim selection differs
+    /// from greedy.
+    pub fn none() -> Self {
+        Self {
+            separate_user_writes: false,
+            separate_gc_writes: false,
+        }
+    }
+}
 
 /// Simulation parameters. Geometry is expressed in pages (the simulator never touches
 /// payload bytes).
@@ -36,7 +83,8 @@ pub struct SimConfig {
     pub sort_buffer_segments: usize,
     /// Cleaning trigger and batch size (paper: trigger 32 free, clean 64 per cycle).
     pub cleaning: CleaningConfig,
-    /// How per-segment `up2` estimates are maintained.
+    /// How per-segment `up2` estimates are maintained (the store always uses
+    /// [`Up2Mode::OnOverwrite`]; the other reading is an ablation).
     pub up2_mode: Up2Mode,
     /// Supply exact per-page update frequencies to the policy (required by the `-opt`
     /// oracle variants; harmless otherwise). `None` = derive from the policy.
@@ -818,9 +866,10 @@ mod tests {
         for kind in PolicyKind::ALL {
             if kind == PolicyKind::CostBenefitPaperLiteral {
                 // The literal formula printed in the paper prefers full segments, reclaims
-                // almost nothing per cycle, and cannot sustain this fill factor — that is
-                // exactly why DESIGN.md treats it as a typo. It is exercised separately in
-                // the ablation bench at a low fill factor.
+                // almost nothing per cycle, and cannot sustain this fill factor — which is
+                // why `CostBenefit` reads it as a typo and implements the classic LFS
+                // formula (see `lss_core::policy::CostBenefitFormula`). It is exercised
+                // separately in the ablation bench at a low fill factor.
                 continue;
             }
             // Roomier geometry than the other tests: multi-log keeps one partially-filled

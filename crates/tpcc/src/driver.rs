@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 /// Configuration of a TPC-C run. The defaults in [`TpccConfig::scaled_experiment`] are a
 /// deliberately scaled-down version of the paper's setup (scale factor 350–560 with a
-/// 4 GiB buffer cache); DESIGN.md records the substitution.
+/// 4 GiB buffer cache, §6.3); the crate docs say why the substitution is sound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpccConfig {
     /// Number of warehouses (TPC-C scale factor).

@@ -13,10 +13,10 @@
 //!    into an [`lss_workload::WriteTrace`], which the simulator then replays exactly as
 //!    the paper replays its traces.
 //!
-//! The substitution (scaled-down warehouses and buffer pool instead of scale factor
-//! 350–560 with a 4 GiB cache) is documented in DESIGN.md: what matters to the cleaning
-//! study is the *skew and drift* of the page-write stream produced by a B+-tree under
-//! TPC-C, which is preserved.
+//! The substitution — scaled-down warehouses and buffer pool instead of the paper's scale
+//! factor 350–560 with a 4 GiB cache (§6.3) — keeps the run laptop-sized, and it is
+//! sound because what matters to the cleaning study is the *skew and drift* of the
+//! page-write stream produced by a B+-tree under TPC-C, which is preserved.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -5,10 +5,9 @@
 use lss::analysis::hotcold::{HotColdAnalysis, HotColdSpec};
 use lss::analysis::table1::uniform_emptiness;
 use lss::analysis::write_amplification;
-use lss::core::config::SeparationConfig;
 use lss::core::policy::PolicyKind;
 use lss::core::{LogStore, StoreConfig};
-use lss::sim::{run_simulation, SimConfig};
+use lss::sim::{run_simulation, SeparationConfig, SimConfig};
 use lss::tpcc::{TpccConfig, TpccDriver};
 use lss::workload::{HotColdWorkload, PageWorkload, TraceWorkload, UniformWorkload};
 

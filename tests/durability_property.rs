@@ -49,8 +49,7 @@ fn run_crash_generations(seed: u64, cleaner_threads: usize) {
     let mut config = apply_env_concurrency(
         StoreConfig::small_for_tests()
             .with_policy(PolicyKind::Mdc)
-            .with_cleaner_threads(cleaner_threads)
-            .with_gc_read_pool(2),
+            .with_cleaner_threads(cleaner_threads),
     );
     config.num_segments = 96;
     println!(

@@ -290,8 +290,7 @@ fn fail_concurrent_cleaner_model(
 fn run_concurrent_cleaner_model(seed: u64, cleaner_threads: usize) {
     let mut config = StoreConfig::small_for_tests()
         .with_policy(PolicyKind::Mdc)
-        .with_cleaner_threads(cleaner_threads)
-        .with_gc_read_pool(2);
+        .with_cleaner_threads(cleaner_threads);
     config.num_segments = 96;
     println!(
         "concurrent-cleaner model: seed={seed} cleaner_threads={cleaner_threads} \
