@@ -92,7 +92,8 @@ pub struct StoreConfig {
     /// Maximum number of cleaning cycles that may overlap, and the divisor of each
     /// cycle's share of [`CleaningConfig::segments_per_cycle`]. It is not a thread
     /// count: the store spawns no cleaner threads, and every cycle runs on the thread
-    /// that started it (a pacing writer, a drain out of segments, or
+    /// that started it (the store's write-behind thread, pacing after a batch or
+    /// escalating when a drain runs out of segments; a flush out of segments; or
     /// [`crate::LogStore::clean_now`]); a caller past the cap waits for a slot.
     ///
     /// Cycles run on **disjoint victim sets**: victims are claimed atomically in the

@@ -34,7 +34,8 @@
 //!   `checkpoint`, all `&self`, split into a lock-free-ish read path, a mutex-guarded
 //!   write pipeline, and a cleaning driver that relocates pages concurrently with
 //!   foreground traffic; crash recovery in [`recovery`]. Share it across threads as an
-//!   `Arc<LogStore>`: there is no background cleaner — writers pace their own cleaning.
+//!   `Arc<LogStore>`. A write only buffers its page: the store's one write-behind
+//!   thread appends each full sort-buffer batch and runs the cleaning it needs.
 //!
 //! The ordered key-value layer (paged B+-tree index living in the same store) moved to
 //! the `lss-btree` crate (`lss_btree::kv::KvStore`), where it can build on the tree.

@@ -112,6 +112,13 @@ pub struct StoreStats {
     /// (those sealed after the checkpoint frontier). Zero for full-scan recovery and
     /// for stores that never recovered.
     pub recovery_segments_replayed: u64,
+    /// Sort-buffer batches handed to the store's write-behind worker to append (each
+    /// followed by the paced cleaning check; a batch a failed job left counts again
+    /// when it is handed back).
+    pub write_behind_jobs: u64,
+    /// Puts and deletes that waited for the worker: their stream's filling batch was
+    /// full while its previous batch was still queued or being appended.
+    pub write_behind_waits: u64,
 }
 
 impl StoreStats {
@@ -199,6 +206,8 @@ impl StoreStats {
         self.checkpoint_shards_written += other.checkpoint_shards_written;
         self.checkpoint_shards_skipped += other.checkpoint_shards_skipped;
         self.recovery_segments_replayed += other.recovery_segments_replayed;
+        self.write_behind_jobs += other.write_behind_jobs;
+        self.write_behind_waits += other.write_behind_waits;
     }
 
     /// Reset all counters to zero (used after a load phase so the measurement phase
@@ -283,6 +292,10 @@ pub struct AtomicStats {
     pub checkpoint_shards_skipped: AtomicU64,
     /// See [`StoreStats::recovery_segments_replayed`].
     pub recovery_segments_replayed: AtomicU64,
+    /// See [`StoreStats::write_behind_jobs`].
+    pub write_behind_jobs: AtomicU64,
+    /// See [`StoreStats::write_behind_waits`].
+    pub write_behind_waits: AtomicU64,
 }
 
 impl AtomicStats {
@@ -364,6 +377,8 @@ impl AtomicStats {
             checkpoint_shards_written: self.checkpoint_shards_written.load(Ordering::Relaxed),
             checkpoint_shards_skipped: self.checkpoint_shards_skipped.load(Ordering::Relaxed),
             recovery_segments_replayed: self.recovery_segments_replayed.load(Ordering::Relaxed),
+            write_behind_jobs: self.write_behind_jobs.load(Ordering::Relaxed),
+            write_behind_waits: self.write_behind_waits.load(Ordering::Relaxed),
             // Gauges sampled from the segment table / GC control, not counters: the
             // store facade fills them in (`LogStore::stats`); a bare snapshot leaves
             // them empty.
@@ -405,6 +420,8 @@ impl AtomicStats {
         self.checkpoint_shards_written.store(0, Ordering::Relaxed);
         self.checkpoint_shards_skipped.store(0, Ordering::Relaxed);
         self.recovery_segments_replayed.store(0, Ordering::Relaxed);
+        self.write_behind_jobs.store(0, Ordering::Relaxed);
+        self.write_behind_waits.store(0, Ordering::Relaxed);
     }
 }
 
@@ -453,6 +470,8 @@ mod tests {
             checkpoint_shards_written: 7,
             checkpoint_shards_skipped: 57,
             recovery_segments_replayed: 9,
+            write_behind_jobs: 5,
+            write_behind_waits: 1,
             ..Default::default()
         };
         a.merge(&b);
@@ -465,6 +484,7 @@ mod tests {
         assert_eq!(a.checkpoint_shards_written, 7);
         assert_eq!(a.checkpoint_shards_skipped, 57);
         assert_eq!(a.recovery_segments_replayed, 9);
+        assert_eq!((a.write_behind_jobs, a.write_behind_waits), (5, 1));
     }
 
     #[test]

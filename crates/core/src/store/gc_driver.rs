@@ -65,15 +65,16 @@
 //! them on the dead cycle's behalf; its unprocessed victim claims are dropped so the
 //! victims become selectable again.
 //!
-//! There is no cleaner thread. Cycles are started by writers — paced ones ([`pace`])
-//! before a put, escalating ones when a stream drain runs out of segments — or
-//! explicitly via [`crate::LogStore::clean_now`]; all of them acquire a cycle slot from
-//! [`GcControl`], which caps how many overlap at
+//! There is no cleaner thread of its own. Cycles are started by the store's
+//! write-behind worker — paced ones ([`pace`]) after each batch it appends, escalating
+//! ones when a drain runs out of segments — by a flush whose drain runs out likewise,
+//! or explicitly via [`crate::LogStore::clean_now`]; all of them acquire a cycle slot
+//! from [`GcControl`], which caps how many overlap at
 //! [`StoreConfig::cleaner_threads`](crate::StoreConfig::cleaner_threads) (with a cap of
 //! 1 cycles serialise exactly as in the pre-concurrent design).
 
 use super::write_path::{self, MetaLedger};
-use super::{CentralState, GcStreams, LogStore, OpenSegment};
+use super::{CentralState, GcStreams, OpenSegment, StoreCore};
 use crate::cleaner::{collect_live_pages, CleaningReport, LivePage};
 use crate::config::StoreConfig;
 use crate::error::{Error, Result};
@@ -93,7 +94,7 @@ use std::sync::Arc;
 /// Externally observable phase boundaries of one cleaning cycle, in the order they are
 /// crossed: `Claimed* → (VictimRead → Relocated)* → Sealed → Synced`.
 ///
-/// Exposed for test instrumentation via [`LogStore::set_gc_phase_hook`]: a hook that
+/// Exposed for test instrumentation via [`crate::LogStore::set_gc_phase_hook`]: a hook that
 /// blocks pauses the cycle at exactly that boundary (no store lock is held while the
 /// hook runs), which is what makes deterministic cleaner-race and crash-matrix tests
 /// possible.
@@ -117,7 +118,7 @@ pub enum GcPhase {
 pub type GcPhaseHook = Arc<dyn Fn(u64, GcPhase, Option<SegmentId>) + Send + Sync>;
 
 /// Coordination state for cleaning: the concurrent-cycle gate and slots, cycle tokens
-/// and the writers' fruitless-attempt hint.
+/// and the paced check's fruitless-attempt hint.
 pub(crate) struct GcControl {
     /// Running cycles hold this shared; checkpoint snapshots and the straggler reclaim
     /// hold it exclusive to wait out every in-flight cycle. Never acquired while
@@ -133,12 +134,12 @@ pub(crate) struct GcControl {
     /// Next cycle token; starts above [`ORPHAN_CYCLE`], which is reserved for the
     /// quarantine entries of aborted cycles.
     next_token: AtomicU64,
-    /// The free count at which a writer's last paced attempt got nowhere (no victim,
-    /// a pick not worth cleaning yet, or a cycle that freed nothing on balance), or
-    /// [`NO_FRUITLESS_ATTEMPT`]. `ensure_headroom` runs on every put and an attempt
-    /// scans every sealed segment under the central lock, so it is repeated only once
-    /// the count has moved. A hint: racing writers may overwrite each other's entry,
-    /// which costs one extra attempt or skips one until the next allocation.
+    /// The free count at which the last paced attempt got nowhere (no victim, a pick
+    /// not worth cleaning yet, or a cycle that freed nothing on balance), or
+    /// [`NO_FRUITLESS_ATTEMPT`]. An attempt scans every sealed segment under the
+    /// central lock, so it is repeated only once the count has moved. A hint: racing
+    /// attempts may overwrite each other's entry, which costs one extra attempt or
+    /// skips one until the next allocation.
     fruitless_at: AtomicUsize,
 }
 
@@ -217,16 +218,16 @@ pub(crate) enum SelectionMode {
     /// The configured policy picks (with a greedy fallback only if it picks nothing).
     Policy,
     /// The configured policy picks, but whether the cycle runs at all, and how large,
-    /// is the writer's pacing decision ([`pace`]), taken in the selection critical
-    /// section against the exact free count.
+    /// is the pacing decision ([`pace`]), taken in the selection critical section
+    /// against the exact free count.
     Paced,
     /// Force a global greedy pick with the full configured batch: the space-driven
-    /// escalation writers use when policy-driven cycles fail to relieve allocation
+    /// escalation a drain uses when policy-driven cycles fail to relieve allocation
     /// pressure (multi-log nets almost nothing per cycle under distress).
     ForceGreedy,
 }
 
-/// What a writer at or below the upper mark does about cleaning before it admits a put.
+/// What the paced check does about cleaning at or below the upper mark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Pace {
     /// Nothing: cleaning now would cost more than cleaning later.
@@ -242,7 +243,7 @@ pub(crate) enum Pace {
 /// waiting cannot make the cycle meaningfully cheaper.
 pub(crate) const NEARLY_FREE_EMPTINESS: f64 = 0.9;
 
-/// The writer's pacing decision (see docs/ARCHITECTURE.md, "Pacing"). Cleaning cost is
+/// The pacing decision (see docs/ARCHITECTURE.md, "Pacing"). Cleaning cost is
 /// set by how full the victims are (paper Table 1), and victims only empty while they
 /// wait, so the free pool is spent down to the `floor` before anything that still
 /// holds live data is moved; between the floor and the `upper` mark a cycle runs only
@@ -302,6 +303,8 @@ fn gc_stream_key(class: u16, log: u16) -> u16 {
 /// yet released.
 struct CycleCtx {
     token: u64,
+    /// The tick the cycle runs at: its selection, routing, deaths and seals.
+    unow: UpdateTick,
     gcs: GcStreams,
     claimed: Vec<SegmentId>,
     /// Relocations of the victim in hand that sit in an output builder awaiting their
@@ -319,9 +322,10 @@ struct CycleCtx {
 }
 
 impl CycleCtx {
-    fn new(token: u64, claimed: Vec<SegmentId>) -> Self {
+    fn new(token: u64, unow: UpdateTick, claimed: Vec<SegmentId>) -> Self {
         Self {
             token,
+            unow,
             gcs: GcStreams::default(),
             claimed,
             staged: Vec::new(),
@@ -372,28 +376,30 @@ fn mean_emptiness(segments: &crate::segment::SegmentTable, picked: &[SegmentId])
 }
 
 /// Invoke the store's phase hook, if installed, with no lock held.
-fn fire_phase_hook(store: &LogStore, token: u64, phase: GcPhase, victim: Option<SegmentId>) {
+fn fire_phase_hook(store: &StoreCore, token: u64, phase: GcPhase, victim: Option<SegmentId>) {
     let hook = store.gc_phase_hook();
     if let Some(h) = hook {
         h(token, phase, victim);
     }
 }
 
-/// Run one full cleaning cycle with the configured policy. Takes one of the
-/// `cleaner_threads` cycle slots; safe to call from any thread, with no store locks
-/// held.
-pub(crate) fn run_cleaning_cycle(store: &LogStore) -> Result<CleaningReport> {
-    run_cleaning_cycle_with(store, SelectionMode::Policy)
+/// Run one full cleaning cycle with the configured policy, at the live clock. Takes one
+/// of the `cleaner_threads` cycle slots; safe to call from any thread, with no store
+/// locks held.
+pub(crate) fn run_cleaning_cycle(store: &StoreCore) -> Result<CleaningReport> {
+    run_cleaning_cycle_with(store, SelectionMode::Policy, store.unow())
 }
 
-/// Run one cycle with explicit victim-selection mode (see [`SelectionMode`]).
+/// Run one cycle with explicit victim-selection mode (see [`SelectionMode`]) at tick
+/// `unow` — the tick of the work that needs it: a batch's hand-off tick for the
+/// write-behind worker's cycles.
 pub(crate) fn run_cleaning_cycle_with(
-    store: &LogStore,
+    store: &StoreCore,
     mode: SelectionMode,
+    unow: UpdateTick,
 ) -> Result<CleaningReport> {
     let permit = store.gc.begin_cycle();
     let token = permit.token;
-    let unow = store.unow();
 
     // Phase 1: select victims and claim them, in one short central critical section —
     // the claims are what make concurrent cycles' victim sets disjoint.
@@ -509,8 +515,8 @@ pub(crate) fn run_cleaning_cycle_with(
         fire_phase_hook(store, token, GcPhase::Claimed, Some(v));
     }
 
-    let mut cycle = CycleCtx::new(token, victims.iter().map(|&(v, _, _, _)| v).collect());
-    let result = run_claimed_victims(store, &mut cycle, &victims, unow);
+    let mut cycle = CycleCtx::new(token, unow, victims.iter().map(|&(v, _, _, _)| v).collect());
+    let result = run_claimed_victims(store, &mut cycle, &victims);
     finish_cycle(store, cycle, result)
 }
 
@@ -518,10 +524,9 @@ pub(crate) fn run_cleaning_cycle_with(
 /// whatever claims and GC output builders are still outstanding, for
 /// [`finish_cycle`] to orphan.
 fn run_claimed_victims(
-    store: &LogStore,
+    store: &StoreCore,
     cycle: &mut CycleCtx,
     victims: &[ClaimedVictim],
-    unow: UpdateTick,
 ) -> Result<CleaningReport> {
     let mut emptiness_sum = 0.0;
     let mut released: Vec<SegmentId> = Vec::with_capacity(victims.len());
@@ -535,7 +540,7 @@ fn run_claimed_victims(
             GcPhase::VictimRead,
             Some(prepared.victim),
         );
-        if relocate_victim(store, cycle, prepared, unow, &mut emptiness_sum)? {
+        if relocate_victim(store, cycle, prepared, &mut emptiness_sum)? {
             released.push(prepared.victim);
             fire_phase_hook(
                 store,
@@ -548,7 +553,7 @@ fn run_claimed_victims(
     })?;
 
     // Phase 4: make the relocated pages durable and recycle this cycle's victims.
-    write_path::seal_streams(store, &mut cycle.gcs)?;
+    write_path::seal_streams(store, &mut cycle.gcs, cycle.unow)?;
     fire_phase_hook(store, cycle.token, GcPhase::Sealed, None);
     {
         let mut central = store.central().lock();
@@ -576,7 +581,7 @@ fn run_claimed_victims(
 /// received), and unprocessed claims are dropped so the victims become selectable
 /// again.
 fn finish_cycle(
-    store: &LogStore,
+    store: &StoreCore,
     mut cycle: CycleCtx,
     result: Result<CleaningReport>,
 ) -> Result<CleaningReport> {
@@ -609,14 +614,14 @@ fn finish_cycle(
 /// because no output space could be found (its claim stays with the cycle and is
 /// dropped at cycle end).
 fn relocate_victim(
-    store: &LogStore,
+    store: &StoreCore,
     cycle: &mut CycleCtx,
     prepared: &PreparedVictim,
-    unow: UpdateTick,
     emptiness_sum: &mut f64,
 ) -> Result<bool> {
     let stats = store.atomic_stats();
     let victim = prepared.victim;
+    let unow = cycle.unow;
 
     // Classify every candidate's temperature from the decayed heat sketch, sampled
     // lock-free *before* any central acquisition. Ranking is per victim batch
@@ -709,7 +714,7 @@ fn relocate_victim(
             // sealed victim image, which stays exactly where it is. Move on to the
             // remaining victims rather than giving up on the cycle: a later victim
             // may be fully dead (needing no output space at all) and releasing it
-            // is exactly what relieves the pressure. The writers' escalation
+            // is exactly what relieves the pressure. The drains' escalation
             // ladder (greedy cycles, quarantine sweeps) decides whether the store
             // is genuinely full.
             commit_staged_early(store, cycle);
@@ -815,7 +820,7 @@ fn relocate_victim(
 /// Commit every staged relocation by page-table compare-and-swap and account it to its
 /// output segment, and charge the re-emitted tombstones to theirs. The caller holds the
 /// central lock: the swap and the output segment's accounting land in the same
-/// critical section, so any later death of the relocated copy (recorded by a writer
+/// critical section, so any later death of the relocated copy (recorded by a drain
 /// only after it observes the new location) is applied after this `on_page_added`,
 /// never before.
 ///
@@ -824,7 +829,7 @@ fn relocate_victim(
 /// victim might yet be abandoned rather than released: the pages that just left it are
 /// then recorded as deaths in its own counters.
 fn commit_staged(
-    store: &LogStore,
+    store: &StoreCore,
     cycle: &mut CycleCtx,
     central: &mut CentralState,
     victim_stays_claimed: Option<UpdateTick>,
@@ -861,9 +866,9 @@ fn commit_staged(
 
 /// [`commit_staged`] before the end of the victim: ahead of a seal of the cycle's outputs
 /// in the middle of it, or when it is abandoned for want of output space.
-fn commit_staged_early(store: &LogStore, cycle: &mut CycleCtx) {
+fn commit_staged_early(store: &StoreCore, cycle: &mut CycleCtx) {
     if !cycle.staged.is_empty() || !cycle.retained_outputs.is_empty() {
-        let now = store.unow();
+        let now = cycle.unow;
         let mut central = store.central().lock();
         commit_staged(store, cycle, &mut central, Some(now));
     }
@@ -871,7 +876,7 @@ fn commit_staged_early(store: &LogStore, cycle: &mut CycleCtx) {
 
 /// Read a victim's image into `image` and decode its extent chain.
 fn read_and_decode(
-    store: &LogStore,
+    store: &StoreCore,
     victim: SegmentId,
     image: &mut Vec<u8>,
 ) -> Result<layout::ParsedSegment> {
@@ -885,7 +890,7 @@ fn read_and_decode(
 /// Read one victim's image, decode it and pre-filter its live pages (phase 2 for one
 /// victim; touches only the device and the lock-free page table).
 fn prepare_victim(
-    store: &LogStore,
+    store: &StoreCore,
     victim: SegmentId,
     emptiness: f64,
     up2: UpdateTick,
@@ -923,7 +928,7 @@ fn prepare_victim(
 /// read — so a cycle holds one victim image at a time. The first read or `process`
 /// error stops the walk; the image in hand is returned to the pool either way.
 fn for_each_prepared_victim(
-    store: &LogStore,
+    store: &StoreCore,
     victims: &[ClaimedVictim],
     mut process: impl FnMut(&PreparedVictim) -> Result<()>,
 ) -> Result<()> {
@@ -952,7 +957,7 @@ fn for_each_prepared_victim(
 /// progress), then seals its output streams and syncs so its already quarantined
 /// victims become reusable.
 fn ensure_gc_open(
-    store: &LogStore,
+    store: &StoreCore,
     cycle: &mut CycleCtx,
     ledger: &mut MetaLedger,
     class: u16,
@@ -967,7 +972,7 @@ fn ensure_gc_open(
     }
     if let Some(full) = cycle.gcs.open.remove(&stream) {
         commit_staged_early(store, cycle);
-        write_path::seal_open(store, full, ledger)?;
+        write_path::seal_open(store, full, ledger, cycle.unow)?;
     }
     let capacity =
         layout::payload_capacity(store.config().segment_bytes, store.config().page_bytes) as u64;
@@ -1014,9 +1019,9 @@ fn ensure_gc_open(
 /// Mid-cycle durability point (distress only): seal this cycle's own GC outputs, mark
 /// its quarantine entries sealed and run a sync+reap pass, so the victims it has
 /// already emptied re-enter the free pool while the cycle continues.
-fn make_own_relocations_durable(store: &LogStore, cycle: &mut CycleCtx) -> Result<()> {
+fn make_own_relocations_durable(store: &StoreCore, cycle: &mut CycleCtx) -> Result<()> {
     commit_staged_early(store, cycle);
-    write_path::seal_streams(store, &mut cycle.gcs)?;
+    write_path::seal_streams(store, &mut cycle.gcs, cycle.unow)?;
     {
         let mut central = store.central().lock();
         central.segments.quarantine_mark_sealed(cycle.token);
@@ -1025,7 +1030,7 @@ fn make_own_relocations_durable(store: &LogStore, cycle: &mut CycleCtx) -> Resul
 }
 
 fn try_allocate_gc(
-    store: &LogStore,
+    store: &StoreCore,
     capacity: u64,
     log: u16,
     class: u16,
@@ -1051,6 +1056,7 @@ fn try_allocate_gc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LogStore;
 
     fn page_body(config: &StoreConfig, page: PageId, version: u8) -> Vec<u8> {
         vec![version.wrapping_mul(31) ^ page as u8; config.page_bytes]
@@ -1118,21 +1124,22 @@ mod tests {
     fn pacing_marks_follow_the_reserve_the_streams_and_the_open_segments() {
         // `small_for_tests`: 2 reserved + 2 streams = its trigger of 4.
         let store = LogStore::open_in_memory(StoreConfig::small_for_tests()).unwrap();
-        assert_eq!(store.pacing_marks(), (4, 4));
+        assert_eq!(store.core.pacing_marks(), (4, 4));
 
         // The shipped marks: 4 reserved + 4 streams under a trigger of 32.
         let mut config = StoreConfig::small_for_tests().with_write_streams(4);
         config.num_segments = 128;
         config.cleaning = crate::config::CleaningConfig::default();
         let store = LogStore::open_in_memory(config).unwrap();
-        assert_eq!(store.pacing_marks(), (8, 32));
+        let core = &store.core;
+        assert_eq!(core.pacing_marks(), (8, 32));
         // Open segments + 2 lift the floor once they exceed it, then both marks.
-        store.note_open_delta(6);
-        assert_eq!(store.pacing_marks(), (8, 32));
-        store.note_open_delta(4);
-        assert_eq!(store.pacing_marks(), (12, 32));
-        store.note_open_delta(30);
-        assert_eq!(store.pacing_marks(), (42, 42));
+        core.note_open_delta(6);
+        assert_eq!(core.pacing_marks(), (8, 32));
+        core.note_open_delta(4);
+        assert_eq!(core.pacing_marks(), (12, 32));
+        core.note_open_delta(30);
+        assert_eq!(core.pacing_marks(), (42, 42));
     }
 
     /// Greedy selection that counts how often it is asked.
@@ -1151,9 +1158,9 @@ mod tests {
         }
     }
 
-    /// `ensure_headroom` runs on every put and a selection scans every sealed segment
-    /// under the central lock: an attempt that got nowhere is not repeated until the
-    /// free count moves — in the band (the pick is not nearly free) and at the floor
+    /// `ensure_headroom` ends every write-behind job and a selection scans every sealed
+    /// segment under the central lock: an attempt that got nowhere is not repeated until
+    /// the free count moves — in the band (the pick is not nearly free) and at the floor
     /// (nothing reclaimable at all).
     #[test]
     fn a_fruitless_attempt_is_retried_only_when_the_free_count_changes() {
@@ -1162,49 +1169,54 @@ mod tests {
         config.cleaning.trigger_free_segments = 16;
         config.cleaning.segments_per_cycle = 8;
         let store = LogStore::open_in_memory(config.clone()).unwrap();
-        let (floor, upper) = store.pacing_marks();
+        let core = &store.core;
+        let (floor, upper) = core.pacing_marks();
         assert_eq!((floor, upper), (3, 16));
         let selections = Arc::new(AtomicU64::new(0));
-        store.central().lock().policy = Box::new(CountingPolicy {
+        core.central().lock().policy = Box::new(CountingPolicy {
             inner: crate::policy::GreedyPolicy::new(),
             selections: Arc::clone(&selections),
         });
         let seen = || selections.load(Ordering::Relaxed);
+        // Every put is a one-page batch. Waiting for its job (by running the queue
+        // here, as a flush does, without the flush's persist points) means the count
+        // read next is the one the job's paced check saw.
+        let settle = || drop(core.write_behind.run_queued(core).unwrap());
+        let put = |page: PageId| {
+            store.put(page, &page_body(&config, page, 1)).unwrap();
+            settle();
+        };
 
         // Distinct pages only: every sealed segment is full of live data.
         let next_page = std::cell::Cell::new(0);
         let fill_until = |free: usize| {
             while store.free_segments() > free {
-                let page = next_page.replace(next_page.get() + 1);
-                store.put(page, &page_body(&config, page, 1)).unwrap();
+                put(next_page.replace(next_page.get() + 1));
             }
         };
         fill_until(upper + 1);
         assert_eq!(seen(), 0, "nothing is selected above the upper mark");
 
-        // In the band: one look per free count, however many puts arrive at it.
+        // In the band: one look per free count, however many checks arrive at it.
         fill_until(upper);
         assert_eq!(
             seen(),
-            0,
-            "the put that took the pool to the mark looked before it"
+            1,
+            "the job that took the pool to the mark looked once"
         );
         for _ in 0..5 {
-            write_path::ensure_headroom(&store).unwrap();
+            write_path::ensure_headroom(core, store.unow()).unwrap();
         }
         assert_eq!(seen(), 1, "same free count, no second selection");
         fill_until(upper - 1);
-        assert_eq!(seen(), 1, "every put on the way found the count unchanged");
-        write_path::ensure_headroom(&store).unwrap();
-        assert_eq!(seen(), 2, "the count moved: one retry");
+        assert_eq!(seen(), 2, "the count moved: one more look");
         assert_eq!(store.stats().cleaning_cycles, 0, "a probe is not a cycle");
 
         // At the floor: the small cycle finds no victim and is remembered likewise.
         fill_until(floor);
-        write_path::ensure_headroom(&store).unwrap();
         let at_floor = seen();
         for _ in 0..5 {
-            write_path::ensure_headroom(&store).unwrap();
+            write_path::ensure_headroom(core, store.unow()).unwrap();
         }
         assert_eq!(seen(), at_floor);
         assert_eq!(store.stats().cleaning_cycles, 0);
@@ -1213,6 +1225,7 @@ mod tests {
         // that follow are real cycles.
         for page in 0..next_page.get() / 2 {
             store.delete(page).unwrap();
+            settle();
         }
         assert!(seen() > at_floor);
         assert!(store.stats().cleaning_cycles >= 1);
@@ -1227,15 +1240,16 @@ mod tests {
         let store = sealed_store(64);
         let config = store.config().clone();
         // Phases 1 and 2 by hand: claim the segment holding page 0, read and collect.
-        let victim = store.mapping().get(0).unwrap().segment;
+        let core = &store.core;
+        let victim = core.mapping().get(0).unwrap().segment;
         let (emptiness, up2, temperature) = {
-            let mut central = store.central().lock();
+            let mut central = core.central().lock();
             let m = central.segments.meta(victim).unwrap();
             let claim = (m.emptiness(), m.freq.up2(), m.temperature);
             assert!(central.segments.claim_for_cleaning(victim));
             claim
         };
-        let prepared = prepare_victim(&store, victim, emptiness, up2, temperature).unwrap();
+        let prepared = prepare_victim(core, victim, emptiness, up2, temperature).unwrap();
         let survivors: Vec<PageId> = prepared.candidates.iter().map(|l| l.page).collect();
         assert!(survivors.len() > 1, "victim holds {survivors:?}");
 
@@ -1243,28 +1257,26 @@ mod tests {
         let raced = survivors[0];
         store.put(raced, &page_body(&config, raced, 2)).unwrap();
         store.flush().unwrap(); // drained: the page table has moved on
-        let user_copy = store.mapping().get(raced).unwrap();
+        let user_copy = core.mapping().get(raced).unwrap();
         assert_ne!(user_copy.segment, victim);
 
         // Phase 3 on the stale collection, then the cycle's own phase 4.
-        let permit = store.gc.begin_cycle();
-        let mut cycle = CycleCtx::new(permit.token, vec![victim]);
+        let permit = core.gc.begin_cycle();
+        let mut cycle = CycleCtx::new(permit.token, store.unow(), vec![victim]);
         let mut emptiness_sum = 0.0;
-        let unow = store.unow();
-        assert!(relocate_victim(&store, &mut cycle, &prepared, unow, &mut emptiness_sum).unwrap());
+        assert!(relocate_victim(core, &mut cycle, &prepared, &mut emptiness_sum).unwrap());
         assert_eq!(cycle.pages_moved as usize, survivors.len() - 1);
-        assert_eq!(store.mapping().get(raced), Some(user_copy));
+        assert_eq!(core.mapping().get(raced), Some(user_copy));
         let output = cycle.gcs.open.values().next().unwrap().id;
         for &page in &survivors[1..] {
-            assert_eq!(store.mapping().get(page).unwrap().segment, output);
+            assert_eq!(core.mapping().get(page).unwrap().segment, output);
         }
-        write_path::seal_streams(&store, &mut cycle.gcs).unwrap();
-        store
-            .central()
+        write_path::seal_streams(core, &mut cycle.gcs, cycle.unow).unwrap();
+        core.central()
             .lock()
             .segments
             .quarantine_mark_sealed(cycle.token);
-        write_path::sync_and_reap(&store).unwrap();
+        write_path::sync_and_reap(core).unwrap();
         drop(permit);
 
         for page in 0..64 {
@@ -1306,6 +1318,7 @@ mod tests {
                 let mut unreferenced = self.unreferenced.lock();
                 for e in parsed.entries.iter().filter(|e| !e.is_tombstone()) {
                     if store
+                        .core
                         .mapping()
                         .get(e.page_id)
                         .is_some_and(|loc| loc.write_seq == e.write_seq && loc.segment != seg)
@@ -1352,7 +1365,7 @@ mod tests {
         store.checkpoint_json().unwrap(); // seals every open segment
         handle.set(Arc::downgrade(&store)).unwrap();
 
-        let report = run_cleaning_cycle(&store).unwrap();
+        let report = run_cleaning_cycle(&store.core).unwrap();
         assert!(report.victims.len() >= 2, "{report:?}");
         assert!(
             store.stats().segments_sealed as usize > report.victims.len(),
@@ -1381,7 +1394,7 @@ mod tests {
         }
         store.checkpoint_json().unwrap();
         let parked = |store: &LogStore| {
-            let pool = store.images.lock();
+            let pool = store.core.images.lock();
             let mut ptrs: Vec<_> = pool
                 .blank
                 .iter()
@@ -1392,12 +1405,12 @@ mod tests {
             ptrs
         };
         // The first cycle may still allocate (a victim image, a GC output image)...
-        assert!(run_cleaning_cycle(&store).unwrap().pages_moved > 0);
+        assert!(run_cleaning_cycle(&store.core).unwrap().pages_moved > 0);
         let before = parked(&store);
         assert!((2..=3).contains(&before.len()), "{} parked", before.len());
         // ...the next ones find everything they need parked, and leave it parked.
         for _ in 0..3 {
-            assert!(run_cleaning_cycle(&store).unwrap().pages_moved > 0);
+            assert!(run_cleaning_cycle(&store.core).unwrap().pages_moved > 0);
             assert_eq!(parked(&store), before);
         }
     }

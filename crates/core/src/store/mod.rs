@@ -16,16 +16,19 @@
 //! * **Write path** (`write_path`) — `put`/`delete` route by page-id hash to one of
 //!   [`StoreConfig::write_streams`](crate::StoreConfig::write_streams) write streams.
 //!   Each stream owns its slice of the sort buffer and its open output segments
-//!   (one per output log), guarded by the *stream lock*; buffering, `up2` assignment,
+//!   (one per output log). A write only buffers its page, under the shard's buffer
+//!   lock; a full batch is frozen and handed to the store's write-behind worker
+//!   (`write_behind`), which drains it under the *stream lock* — `up2` assignment,
 //!   separation sorting, payload copies into builders and segment image writes all
-//!   happen under the stream lock only. The shared central state (segment table,
-//!   policy, free-space accounting) is touched in short, bounded critical sections:
-//!   segment allocation, seal bookkeeping, and batched per-page accounting.
+//!   happen there. The shared central state (segment table, policy, free-space
+//!   accounting) is touched in short, bounded critical sections: segment
+//!   allocation, seal bookkeeping, and batched per-page accounting.
 //! * **Cleaning** (`gc_driver`) — up to
 //!   [`StoreConfig::cleaner_threads`](crate::StoreConfig::cleaner_threads) cycles run
 //!   **concurrently on disjoint victim sets** (victims are claimed atomically in the
-//!   segment table at selection time), always on the calling thread: a writer's paced
-//!   cycle before a put, a drain that ran out of segments, or [`LogStore::clean_now`].
+//!   segment table at selection time), always on the calling thread: the write-behind
+//!   worker's paced cycle after each batch it appends, a drain (the worker's or a
+//!   flush's) that ran out of segments, or [`LogStore::clean_now`].
 //!   Victim images are read and parsed, one after another on the cycle's own thread,
 //!   with no store lock held, and relocations are committed with a per-page atomic
 //!   *compare-and-swap* on the page table ([`crate::mapping::ShardedPageTable::replace_if_current`]),
@@ -37,10 +40,14 @@
 //! ### Lock ordering
 //!
 //! To stay deadlock-free, locks nest in this order (any prefix may be skipped, never
-//! reordered): `cycle gate (shared by cycles / exclusive by checkpoint & straggler
-//! reclaim) → cycle slot → stream lock → GC-stream lock (a cycle's own outputs or the
-//! orphan pool) → wounded-seal lock → central lock`. The open-segment read index and
-//! page-table shards are leaves: no other lock is acquired while holding them. The
+//! reordered): `write-behind job lock (held while a job runs, by the worker or by a
+//! flush or checkpoint running the queued jobs) → cycle gate (shared by cycles /
+//! exclusive by checkpoint & straggler reclaim) → cycle slot → stream lock → GC-stream
+//! lock (a cycle's own outputs or the orphan pool) → wounded-seal lock → central
+//! lock`. The open-segment read index and page-table shards are leaves: no other lock
+//! is acquired while holding them; so is a stream's buffer lock, except that a
+//! hand-off takes it under the write-behind queue lock, which is taken under no other
+//! store lock. The
 //! cycle gate is **never** acquired while holding a stream lock (a quiescing checkpoint
 //! holds it exclusive and then takes the stream locks); the emergency quarantine
 //! reclaim on the allocation path therefore skips the gate entirely — the quarantine's
@@ -52,7 +59,8 @@
 //! Pages buffered in a sort-buffer shard, or appended to an open segment since its last
 //! persist point, are volatile; they become durable when the extent holding them is
 //! written to the device and the device is synced. [`LogStore::flush`] is the durability
-//! point: it drains every stream, writes each open segment's unpersisted tail as a new
+//! point: it appends every batch handed to the write-behind worker, drains the rest of
+//! every stream, writes each open segment's unpersisted tail as a new
 //! extent (kilobytes, not a segment image — see [`crate::layout`]) and syncs the device.
 //! It does **not** seal: a segment keeps filling across flushes and is sealed only when
 //! it is full, when its stream needs the open-log slot, or when a checkpoint asks. After
@@ -66,6 +74,7 @@
 
 mod gc_driver;
 mod read_path;
+mod write_behind;
 mod write_path;
 
 pub(crate) use gc_driver::GcControl;
@@ -91,6 +100,7 @@ use parking_lot::{Mutex, RwLock};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use write_behind::WriteBehind;
 
 /// A segment currently being filled in memory.
 ///
@@ -102,7 +112,7 @@ pub(crate) struct OpenSegment {
     pub(crate) builder: Arc<RwLock<SegmentBuilder>>,
     pub(crate) up2_avg: Up2Average,
     pub(crate) log: u16,
-    /// Allocation generation of the slot (see [`LogStore::segment_gen`]); recorded so
+    /// Allocation generation of the slot (see [`StoreCore::segment_gen`]); recorded so
     /// batched accounting for this open segment can be validated at apply time.
     pub(crate) gen: u64,
     /// Stream-local LRU tick, used to bound how many logs a stream keeps open at once.
@@ -150,10 +160,11 @@ pub(crate) struct StreamState {
 /// and per-page ordering is preserved without any global lock.
 pub(crate) struct WriteStream {
     /// This stream's sort-buffer shard. Behind its own `RwLock` so the read path can
-    /// consult it without the stream lock; writers mutate it while holding the stream
-    /// lock (pushes and drains of one stream never interleave).
+    /// consult it without the stream lock; a push takes only this lock, and so does a
+    /// hand-off freezing the filling batch.
     pub(crate) buffer: RwLock<WriteBuffer>,
-    /// Open segments and drain bookkeeping; the "write lock" of this stream.
+    /// Open segments; the stream lock. It serialises drains, the only thing that
+    /// remaps the stream's user pages.
     pub(crate) state: Mutex<StreamState>,
 }
 
@@ -161,7 +172,7 @@ pub(crate) struct WriteStream {
 /// pages into. Each in-flight cycle owns its own instance (no lock needed — nothing
 /// else can reach it); a cycle seals its outputs in its final phase. If a cycle aborts
 /// on an I/O error, its leftover open segments are pushed into the store's *orphan
-/// pool* ([`LogStore::gc_orphans`]) so a later flush or reclaim pass can still seal
+/// pool* ([`StoreCore::gc_orphans`]) so a later flush or reclaim pass can still seal
 /// them.
 #[derive(Default)]
 pub(crate) struct GcStreams {
@@ -172,7 +183,7 @@ pub(crate) struct GcStreams {
 /// sealing allocate (and page-fault) none: victim images go round between the cleaner's
 /// reads, builder images between open segments. Bounded by what the cycles and the
 /// streams can have in flight (`cleaner_threads + write_streams`, see
-/// [`LogStore::park_image`]); a buffer returned beyond that is simply freed.
+/// [`StoreCore::park_image`]); a buffer returned beyond that is simply freed.
 #[derive(Default)]
 struct ImagePool {
     /// All-zero images, as a [`SegmentBuilder`] needs them
@@ -227,7 +238,15 @@ pub(crate) struct CentralState {
 }
 
 /// The log-structured page store.
+///
+/// A handle on the store's shared state, which its write-behind worker thread (see
+/// `write_behind`) shares too. Dropping the store joins the worker.
 pub struct LogStore {
+    core: Arc<StoreCore>,
+}
+
+/// Everything a [`LogStore`] shares with its write-behind worker.
+pub(crate) struct StoreCore {
     config: StoreConfig,
     policy_name: &'static str,
     device: Box<dyn SegmentDevice>,
@@ -292,17 +311,26 @@ pub struct LogStore {
     /// reads it (relaxed; staleness only delays a drop) to decide when a victim's
     /// tombstones are checkpoint-covered and may be dropped instead of re-emitted.
     ckpt_frontier: AtomicU64,
+    /// The job queue and thread that append handed-off batches (see `write_behind`).
+    write_behind: WriteBehind,
 }
 
 impl std::fmt::Debug for LogStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let core = &self.core;
         f.debug_struct("LogStore")
-            .field("policy", &self.policy_name)
-            .field("write_streams", &self.streams.len())
-            .field("live_pages", &self.mapping.len())
-            .field("free_segments", &self.approx_free.load(Ordering::Relaxed))
-            .field("unow", &self.unow.load(Ordering::Relaxed))
+            .field("policy", &core.policy_name)
+            .field("write_streams", &core.streams.len())
+            .field("live_pages", &core.mapping.len())
+            .field("free_segments", &core.approx_free.load(Ordering::Relaxed))
+            .field("unow", &core.unow.load(Ordering::Relaxed))
             .finish()
+    }
+}
+
+impl Drop for LogStore {
+    fn drop(&mut self) {
+        self.core.write_behind.stop();
     }
 }
 
@@ -333,10 +361,11 @@ impl LogStore {
         let policy = config.policy.build();
         let policy_name = policy.name();
         let num_segments = config.num_segments;
-        Ok(Self {
+        let streams = config.write_streams.max(1);
+        let core = StoreCore {
             policy_name,
             mapping: ShardedPageTable::new(),
-            streams: (0..config.write_streams.max(1))
+            streams: (0..streams)
                 .map(|_| WriteStream {
                     buffer: RwLock::new(WriteBuffer::new(config.absorb_updates_in_buffer)),
                     state: Mutex::new(StreamState::default()),
@@ -362,8 +391,12 @@ impl LogStore {
             gc_phase_hook: RwLock::new(None),
             ckpt: Mutex::new(CheckpointTracker::default()),
             ckpt_frontier: AtomicU64::new(0),
+            write_behind: WriteBehind::new(streams),
             device,
             config,
+        };
+        Ok(Self {
+            core: Arc::new(core),
         })
     }
 
@@ -382,8 +415,14 @@ impl LogStore {
     // ------------------------------------------------------------------
 
     /// Write (or overwrite) a page.
+    ///
+    /// The page is buffered and the call returns: appending a full sort-buffer batch,
+    /// and any cleaning that needs, is the write-behind worker's job. An error a
+    /// background job hit is returned by the next `put`, `delete` or `flush`, once; a
+    /// put that returns an error may or may not have buffered its page.
     pub fn put(&self, page: PageId, data: &[u8]) -> Result<()> {
-        let max = layout::max_single_payload(self.config.segment_bytes);
+        let core = &self.core;
+        let max = layout::max_single_payload(core.config.segment_bytes);
         if data.len() > max {
             return Err(Error::PageTooLarge {
                 page,
@@ -391,14 +430,14 @@ impl LogStore {
                 max,
             });
         }
-        self.unow.fetch_add(1, Ordering::Relaxed);
-        if self.config.gc_temperature_classes > 1 {
+        core.unow.fetch_add(1, Ordering::Relaxed);
+        if core.config.gc_temperature_classes > 1 {
             // The sketch is only consulted by classed GC output; with one class the
             // put path stays free of its per-write atomics.
-            self.heat.record(page);
+            core.heat.record(page);
         }
-        AtomicStats::bump(&self.stats.user_pages_written);
-        AtomicStats::add(&self.stats.user_bytes_written, data.len() as u64);
+        AtomicStats::bump(&core.stats.user_pages_written);
+        AtomicStats::add(&core.stats.user_bytes_written, data.len() as u64);
         let pending = PendingPage {
             info: PageWriteInfo {
                 page,
@@ -409,17 +448,18 @@ impl LogStore {
             },
             data: Some(Bytes::copy_from_slice(data)),
         };
-        write_path::submit(self, pending)
+        write_path::submit(core, pending)
     }
 
     /// Delete a page. Subsequent reads return `None`; the space its last version occupied
-    /// becomes reclaimable.
+    /// becomes reclaimable. Buffered like a [`LogStore::put`].
     pub fn delete(&self, page: PageId) -> Result<()> {
-        self.unow.fetch_add(1, Ordering::Relaxed);
-        if self.config.gc_temperature_classes > 1 {
-            self.heat.record(page);
+        let core = &self.core;
+        core.unow.fetch_add(1, Ordering::Relaxed);
+        if core.config.gc_temperature_classes > 1 {
+            core.heat.record(page);
         }
-        AtomicStats::bump(&self.stats.user_pages_written);
+        AtomicStats::bump(&core.stats.user_pages_written);
         let pending = PendingPage {
             info: PageWriteInfo {
                 page,
@@ -430,7 +470,7 @@ impl LogStore {
             },
             data: None,
         };
-        write_path::submit(self, pending)
+        write_path::submit(core, pending)
     }
 
     /// Read the current version of a page. Returns `None` if the page does not exist or
@@ -439,17 +479,22 @@ impl LogStore {
     /// Takes `&self` and never acquires a write-side lock: reads proceed concurrently
     /// with writes on every stream and with an in-flight cleaning cycle.
     pub fn get(&self, page: PageId) -> Result<Option<Bytes>> {
-        read_path::get(self, page)
+        read_path::get(&self.core, page)
     }
 
     /// True if the page currently exists (buffered or stored).
     pub fn contains(&self, page: PageId) -> bool {
-        read_path::contains(self, page)
+        read_path::contains(&self.core, page)
     }
 
     /// The durability point: drain every stream's sort buffer, write what each open
     /// segment gained since its last persist point, and sync the device. When it
     /// returns, every `put`/`delete` that returned before the call survives a crash.
+    ///
+    /// The flush does the draining itself: it waits out the batch the write-behind
+    /// worker is appending, if any, and appends every batch still queued, in order,
+    /// before the rest of each stream's buffer. An error a background job hit is
+    /// returned first (once); flush again to retry.
     ///
     /// A flush is a *persist point*, not a seal. Each open segment with unpersisted
     /// entries appends one extent to its on-device chain — two small sector-aligned
@@ -462,7 +507,7 @@ impl LogStore {
     /// aborted cleaning cycles are still sealed on the way, and the quarantine is
     /// reaped after the sync.
     pub fn flush(&self) -> Result<()> {
-        write_path::flush(self)
+        write_path::flush(&self.core)
     }
 
     /// Run one cleaning cycle right now, regardless of the free-segment trigger.
@@ -471,24 +516,31 @@ impl LogStore {
     /// Up to [`StoreConfig::cleaner_threads`] cycles may run concurrently (on disjoint
     /// victim sets); beyond that, this call waits for a cycle slot.
     pub fn clean_now(&self) -> Result<CleaningReport> {
-        gc_driver::run_cleaning_cycle(self)
+        gc_driver::run_cleaning_cycle(&self.core)
     }
 
     /// Install (or clear, with `None`) a hook invoked at every phase boundary of every
     /// cleaning cycle. **Test/diagnostic instrumentation**: a blocking hook pauses the
     /// cycle at exactly that boundary, which is how the deterministic cleaner-race
     /// tests interleave cycles and foreground traffic at precise points. No store lock
-    /// is held while the hook runs.
+    /// is held while the hook runs. Cycles the write-behind worker runs call it on the
+    /// worker's thread.
     pub fn set_gc_phase_hook(&self, hook: Option<GcPhaseHook>) {
-        *self.gc_phase_hook.write() = hook;
+        *self.core.gc_phase_hook.write() = hook;
     }
 
     /// Snapshot of the operational statistics accumulated so far, including the live
     /// per-segment emptiness histogram (see
     /// [`StoreStats::emptiness_histogram`](crate::StoreStats::emptiness_histogram)).
+    ///
+    /// Like any monitoring read it does not wait for the write-behind worker: a batch
+    /// being appended, and the cleaning it runs, may be partly counted. After a
+    /// [`LogStore::flush`] by the only writer, the counts are those of every write made
+    /// before it.
     pub fn stats(&self) -> StoreStats {
-        let mut stats = self.stats.snapshot();
-        let central = self.central.lock();
+        let core = &self.core;
+        let mut stats = core.stats.snapshot();
+        let central = core.central.lock();
         let (hist, sealed, live) = central
             .segments
             .emptiness_histogram(crate::stats::EMPTINESS_HISTOGRAM_BINS);
@@ -497,10 +549,10 @@ impl LogStore {
         stats.sealed_live_bytes = live;
         stats.claimed_victims = central.segments.claimed_count() as u64;
         stats.quarantined_segments = central.segments.quarantine_len() as u64;
-        if self.config.gc_temperature_classes > 1 {
+        if core.config.gc_temperature_classes > 1 {
             stats.gc_class_segments = central
                 .segments
-                .sealed_counts_by_temperature(self.config.gc_temperature_classes);
+                .sealed_counts_by_temperature(core.config.gc_temperature_classes);
         }
         stats
     }
@@ -508,37 +560,37 @@ impl LogStore {
     /// Reset statistics (e.g. after a load phase, so that a measurement phase starts
     /// from zero as the paper's evaluation does).
     pub fn reset_stats(&self) {
-        self.stats.reset();
+        self.core.stats.reset();
     }
 
     /// The store configuration.
     pub fn config(&self) -> &StoreConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Name of the active cleaning policy.
     pub fn policy_name(&self) -> &'static str {
-        self.policy_name
+        self.core.policy_name
     }
 
     /// Number of independent write streams this store shards its write path into.
     pub fn write_stream_count(&self) -> usize {
-        self.streams.len()
+        self.core.streams.len()
     }
 
     /// The write stream a page routes to (diagnostic; stable for the store's lifetime).
     pub fn stream_of_page(&self, page: PageId) -> usize {
-        (mix64(page) as usize) % self.streams.len()
+        self.core.stream_of_page(page)
     }
 
     /// The update-count clock (one tick per user write or delete).
     pub fn unow(&self) -> UpdateTick {
-        self.unow.load(Ordering::Relaxed)
+        self.core.unow()
     }
 
     /// Number of live pages.
     pub fn live_pages(&self) -> usize {
-        self.mapping.len()
+        self.core.mapping.len()
     }
 
     /// Page ids currently live in `[start, end)`, in ascending order.
@@ -550,6 +602,7 @@ impl LogStore {
     /// call started.
     pub fn live_page_ids_in(&self, start: PageId, end: PageId) -> Vec<PageId> {
         let mut ids: Vec<PageId> = self
+            .core
             .mapping
             .snapshot()
             .into_iter()
@@ -562,12 +615,12 @@ impl LogStore {
 
     /// Bytes of live page payloads.
     pub fn live_bytes(&self) -> u64 {
-        self.mapping.live_bytes()
+        self.core.mapping.live_bytes()
     }
 
     /// Number of free segments (excluding quarantined victims awaiting reuse).
     pub fn free_segments(&self) -> usize {
-        self.central.lock().segments.free_count()
+        self.core.central.lock().segments.free_count()
     }
 
     /// Segment-sized buffers currently parked for reuse by the cleaner's victim reads
@@ -576,18 +629,19 @@ impl LogStore {
     /// stream; a steady-state cleaning cycle takes its buffers from here and puts every
     /// one back, so the figure is the same before and after.
     pub fn pooled_images(&self) -> usize {
-        let pool = self.images.lock();
+        let pool = self.core.images.lock();
         pool.blank.len() + pool.stale.len()
     }
 
     /// Current fill factor: live payload bytes over total device payload capacity.
     pub fn fill_factor(&self) -> f64 {
-        let capacity = self.config.num_segments as f64
-            * layout::payload_capacity(self.config.segment_bytes, self.config.page_bytes) as f64;
+        let config = &self.core.config;
+        let capacity = config.num_segments as f64
+            * layout::payload_capacity(config.segment_bytes, config.page_bytes) as f64;
         if capacity == 0.0 {
             0.0
         } else {
-            self.mapping.live_bytes() as f64 / capacity
+            self.core.mapping.live_bytes() as f64 / capacity
         }
     }
 
@@ -619,24 +673,25 @@ impl LogStore {
         &self,
         path: P,
     ) -> Result<crate::checkpoint::CheckpointStats> {
+        let core = &self.core;
         let path = path.as_ref();
-        let mut tracker = self.ckpt.lock();
+        let mut tracker = core.ckpt.lock();
         let continuing = tracker.base_written && tracker.path.as_deref() == Some(path);
-        let snapshot = self.checkpoint_snapshot(continuing, true)?;
-        match crate::checkpoint::append_to_journal(path, &self.config, &snapshot, !continuing) {
+        let snapshot = core.checkpoint_snapshot(continuing, true)?;
+        match crate::checkpoint::append_to_journal(path, &core.config, &snapshot, !continuing) {
             Ok(stats) => {
                 tracker.path = Some(path.to_path_buf());
                 tracker.base_written = true;
-                AtomicStats::add(&self.stats.checkpoint_shards_written, stats.shards_written);
-                AtomicStats::add(&self.stats.checkpoint_shards_skipped, stats.shards_skipped);
+                AtomicStats::add(&core.stats.checkpoint_shards_written, stats.shards_written);
+                AtomicStats::add(&core.stats.checkpoint_shards_skipped, stats.shards_skipped);
                 // The checkpoint is committed: publish its frontier so the cleaner may
                 // drop (rather than re-emit) tombstones in covered victims, and lift
                 // the tombstone space charge from every covered segment — their delete
                 // facts are durable in the journal now, so those segments are
                 // reclaimable at their true emptiness.
-                self.ckpt_frontier
+                core.ckpt_frontier
                     .store(snapshot.frontier, Ordering::Relaxed);
-                self.central
+                core.central
                     .lock()
                     .segments
                     .uncharge_covered_tombstones(snapshot.frontier);
@@ -648,7 +703,7 @@ impl LogStore {
                 // journal from scratch next time — appending after a torn tail would
                 // hide the new records from the reader, which stops at the first
                 // unparsable line.
-                self.mapping.mark_dirty_mask(snapshot.dirty_mask);
+                core.mapping.mark_dirty_mask(snapshot.dirty_mask);
                 tracker.base_written = false;
                 Err(e)
             }
@@ -671,14 +726,74 @@ impl LogStore {
     /// [`LogStore::recover_with_device`] in tests that simulate a restart).
     ///
     /// Unsealed data is discarded exactly as a crash would discard it; call
-    /// [`LogStore::flush`] first if that matters.
+    /// [`LogStore::flush`] first if that matters. The write-behind worker finishes the
+    /// batch it is appending, if any, and abandons the rest.
     pub fn into_device(self) -> Box<dyn SegmentDevice> {
-        self.device
+        self.core.write_behind.stop();
+        let core = Arc::clone(&self.core);
+        drop(self);
+        match Arc::try_unwrap(core) {
+            Ok(core) => core.device,
+            Err(_) => unreachable!("the joined worker held the only other handle"),
+        }
     }
 
     // ------------------------------------------------------------------
-    // Crate-internal accessors used by checkpoint/recovery and the layers
+    // For checkpoint and recovery
     // ------------------------------------------------------------------
+
+    pub(crate) fn device(&self) -> &dyn SegmentDevice {
+        self.core.device()
+    }
+
+    pub(crate) fn atomic_stats(&self) -> &AtomicStats {
+        &self.core.stats
+    }
+
+    pub(crate) fn checkpoint_snapshot(
+        &self,
+        dirty_only: bool,
+        consume_dirty: bool,
+    ) -> Result<CheckpointSnapshot> {
+        self.core.checkpoint_snapshot(dirty_only, consume_dirty)
+    }
+
+    /// Seed the committed-checkpoint frontier (used by checkpoint-anchored recovery:
+    /// the journal the store was recovered from is itself a committed checkpoint).
+    pub(crate) fn set_checkpoint_frontier(&self, frontier: SealSeq) {
+        self.core.ckpt_frontier.store(frontier, Ordering::Relaxed);
+    }
+
+    /// Install what recovery rebuilt. Runs before anything is handed to the
+    /// write-behind worker, so the store's state has no other owner yet.
+    pub(crate) fn install_recovered_state(
+        &mut self,
+        mapping: PageTable,
+        segments: SegmentTable,
+        unow: UpdateTick,
+        next_write_seq: WriteSeq,
+    ) {
+        Arc::get_mut(&mut self.core)
+            .expect("recovery installs its state before the write-behind worker starts")
+            .install_recovered_state(mapping, segments, unow, next_write_seq);
+    }
+}
+
+impl StoreCore {
+    pub(crate) fn config(&self) -> &StoreConfig {
+        &self.config
+    }
+
+    /// The write stream a page routes to.
+    pub(crate) fn stream_of_page(&self, page: PageId) -> usize {
+        (mix64(page) as usize) % self.streams.len()
+    }
+
+    /// The live update-count clock. Store mutations are stamped with the tick of the
+    /// work they belong to — a batch's hand-off tick, a flush's — passed explicitly.
+    pub(crate) fn unow(&self) -> UpdateTick {
+        self.unow.load(Ordering::Relaxed)
+    }
 
     pub(crate) fn device(&self) -> &dyn SegmentDevice {
         self.device.as_ref()
@@ -753,7 +868,7 @@ impl LogStore {
         }
     }
 
-    /// Give back a buffer a victim image was read into (see [`LogStore::park_image`]).
+    /// Give back a buffer a victim image was read into (see [`StoreCore::park_image`]).
     pub(crate) fn recycle_image(&self, image: Vec<u8>) {
         self.park_image(image, false);
     }
@@ -816,12 +931,6 @@ impl LogStore {
         self.ckpt_frontier.load(Ordering::Relaxed)
     }
 
-    /// Seed the committed-checkpoint frontier (used by checkpoint-anchored recovery:
-    /// the journal the store was recovered from is itself a committed checkpoint).
-    pub(crate) fn set_checkpoint_frontier(&self, frontier: SealSeq) {
-        self.ckpt_frontier.store(frontier, Ordering::Relaxed);
-    }
-
     /// The per-page heat sketch (sampled lock-free by the cleaner).
     pub(crate) fn heat(&self) -> &PageHeat {
         &self.heat
@@ -863,7 +972,7 @@ impl LogStore {
         self.approx_free.load(Ordering::Relaxed)
     }
 
-    /// Refresh [`LogStore::approx_free_segments`] from the authoritative table.
+    /// Refresh [`StoreCore::approx_free_segments`] from the authoritative table.
     pub(crate) fn publish_free(&self, segments: &SegmentTable) {
         self.approx_free
             .store(segments.free_count(), Ordering::Relaxed);
@@ -889,7 +998,7 @@ impl LogStore {
         (crate::policy::MULTILOG_MAX_LOGS / self.streams.len()).max(2)
     }
 
-    /// The two free-segment marks a writer paces its own cleaning by, `(floor, upper)`
+    /// The two free-segment marks cleaning is paced by, `(floor, upper)`
     /// (see [`gc_driver::pace`]). The *upper* mark is the configured trigger, raised
     /// when many output segments are open (multi-log keeps up to 32 logs) so partially
     /// filled open segments never starve allocation — mirroring the simulator's
@@ -920,7 +1029,10 @@ impl LogStore {
     /// in-flight cleaning cycle, so no GC remaps and no victim reaps) while holding
     /// every stream lock (no drains) — taking the pieces under separate critical
     /// sections would let a cycle slip between them and reap a victim that the page
-    /// snapshot still references but the segment records would omit.
+    /// snapshot still references but the segment records would omit. Before that, like
+    /// a flush, it waits out the write-behind job in flight and runs the queued ones, so
+    /// it covers every batch handed off before it (the batches still filling stay
+    /// volatile), and no job starts until it is done.
     ///
     /// The capture is **self-durable**: with the store quiesced it seals every open
     /// output segment (user streams and orphaned GC builders), retries wounded seals
@@ -943,8 +1055,12 @@ impl LogStore {
         dirty_only: bool,
         consume_dirty: bool,
     ) -> Result<CheckpointSnapshot> {
+        let _running = self.write_behind.run_queued(self)?;
+        // The seals below may release segments: the next put's paced check sees them.
+        self.write_behind.owe_pacing();
         let _quiesced = self.gc.quiesce();
         let mut streams: Vec<_> = self.streams.iter().map(|s| s.state.lock()).collect();
+        let unow = self.unow();
         // Seal every open user output segment so no mapping entry points into an
         // unsealed builder. Empty builders are released, full ones written out; an I/O
         // failure parks the image as a wounded seal and fails the checkpoint.
@@ -953,14 +1069,14 @@ impl LogStore {
             let logs: Vec<u16> = ss.open.keys().copied().collect();
             for log in logs {
                 if let Some(open) = ss.open.remove(&log) {
-                    write_path::seal_open(self, open, &mut ledger)?;
+                    write_path::seal_open(self, open, &mut ledger, unow)?;
                 }
             }
             ledger.flush_to_central(self);
         }
         // Seal orphaned GC output builders of aborted cycles, retry wounded seals and
         // sync: after this, everything the mapping references is durable on the device.
-        write_path::seal_orphans_and_reap(self)?;
+        write_path::seal_orphans_and_reap(self, unow)?;
 
         let dirty_mask = if dirty_only {
             self.mapping.take_dirty()

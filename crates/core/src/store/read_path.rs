@@ -30,10 +30,11 @@
 //! and since the pin is already visible, it cannot be reaped (hence not reused) until
 //! the reader unpins. If the mapping moved on, the reader simply retries with the page's
 //! new location. A bounded number of retries falls back to locking the page's write
-//! stream, which freezes user rewrites of the page and leaves only GC relocations — each
-//! of which moves the page *toward* a readable location — so the loop terminates.
+//! stream, which holds off the drains that remap the stream's user pages and leaves only
+//! GC relocations — each of which moves the page *toward* a readable location — so the
+//! loop terminates.
 
-use super::LogStore;
+use super::StoreCore;
 use crate::error::Result;
 use crate::stats::AtomicStats;
 use crate::types::{PageId, PageLocation};
@@ -54,7 +55,7 @@ enum Attempt {
 }
 
 /// Resolve a page once: open-segment builder first, then pinned device read.
-fn try_read_mapped(store: &LogStore, page: PageId, loc: PageLocation) -> Result<Attempt> {
+fn try_read_mapped(store: &StoreCore, page: PageId, loc: PageLocation) -> Result<Attempt> {
     // Open segment: serve from the shared builder image, validated under the
     // open-segment index lock. Holding the index read lock freezes seal (removal)
     // and slot-reuse (insertion) transitions, so the entry seen here is the
@@ -100,7 +101,7 @@ fn try_read_mapped(store: &LogStore, page: PageId, loc: PageLocation) -> Result<
 }
 
 /// Read the current version of a page (see module docs for the protocol).
-pub(crate) fn get(store: &LogStore, page: PageId) -> Result<Option<Bytes>> {
+pub(crate) fn get(store: &StoreCore, page: PageId) -> Result<Option<Bytes>> {
     AtomicStats::bump(&store.atomic_stats().pages_read);
 
     // 1. Still in the owning stream's sort buffer?
@@ -126,12 +127,15 @@ pub(crate) fn get(store: &LogStore, page: PageId) -> Result<Option<Bytes>> {
         }
     }
 
-    // Pathological contention: hold the page's stream lock, which freezes user
-    // rewrites of this page (they all route here). The page can then move at most
-    // once more per cleaning cycle, and a GC relocation always lands the page either
-    // in a registered open builder or in a sealed segment whose image precedes its
-    // removal from the index — so each iteration either succeeds or observes one of
-    // these strictly rarer moves, and the loop terminates.
+    // Pathological contention: hold the page's stream lock. Drains hold it too, and a
+    // drain is the only thing that remaps a user write of this page (writers only
+    // buffer, and every write of the page routes to this stream), so user rewrites stop
+    // moving it; a write buffered meanwhile is concurrent with this read, which may
+    // return either version. The page can then move at most once more per cleaning
+    // cycle, and a GC relocation always lands the page either in a registered open
+    // builder or in a sealed segment whose image precedes its removal from the index —
+    // so each iteration either succeeds or observes one of these strictly rarer moves,
+    // and the loop terminates.
     let _stream = store.stream(page).state.lock();
     loop {
         let Some(loc) = store.mapping().get(page) else {
@@ -146,7 +150,7 @@ pub(crate) fn get(store: &LogStore, page: PageId) -> Result<Option<Bytes>> {
 
 /// True if the page currently exists (buffered or stored). Same concurrency contract as
 /// [`get`], without materialising the payload.
-pub(crate) fn contains(store: &LogStore, page: PageId) -> bool {
+pub(crate) fn contains(store: &StoreCore, page: PageId) -> bool {
     {
         let buffer = store.stream(page).buffer.read();
         if let Some(p) = buffer.get(page) {

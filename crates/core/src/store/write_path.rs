@@ -23,15 +23,21 @@
 //!   clean-release-reuse of its segment is dropped instead of corrupting the new
 //!   incarnation's counters).
 //!
-//! Cleaning is **not** run inline inside a drain. Before taking the stream lock,
-//! `submit` checks the free pool against the pacing marks and runs paced synchronous
-//! cycles on the caller's thread ([`ensure_headroom`]); if a drain still runs out of
-//! segments, it parks the unprocessed remainder back in the buffer shard, releases the
-//! stream lock, lets a cleaning cycle run, and retries. Out-of-space is reported only when a full
-//! cycle frees nothing.
+//! A writer never drains and never cleans: `submit` buffers the page and, when the
+//! stream's filling batch is full, freezes it and hands it to the store's write-behind
+//! worker (`super::write_behind`). The worker's job ([`run_job`]) drains the batch at
+//! the tick it was frozen at; if the drain runs out of segments it leaves the
+//! unprocessed remainder buffered, releases the stream lock, lets a cleaning cycle run,
+//! and retries ([`drain_with_cleaning`], the one escalation ladder, which `flush` uses
+//! too). Out-of-space is reported only when a full cycle frees nothing. The job then
+//! runs the paced check ([`ensure_headroom`]) at the tick of the put after the batch's.
+//!
+//! Every mutation is stamped with the tick of the work it belongs to, passed down as
+//! `unow`: a batch's hand-off tick, a flush's, or a cycle's start.
 
+use super::write_behind::Job;
 use super::{
-    gc_driver, CentralState, GcStreams, LogStore, OpenSegment, SealTail, StreamState, WriteStream,
+    gc_driver, CentralState, GcStreams, OpenSegment, SealTail, StoreCore, StreamState, WriteStream,
 };
 use crate::error::{Error, Result};
 use crate::freq::{carry_forward_rewrite, first_write_up2, Up2Average, Up2Mode};
@@ -40,7 +46,7 @@ use crate::policy::PolicyContext;
 use crate::stats::AtomicStats;
 use crate::types::{PageId, PageLocation, SegmentId, UpdateTick};
 use crate::util::FxHashMap;
-use crate::write_buffer::{sort_by_separation_key, PendingPage};
+use crate::write_buffer::{sort_by_separation_key, PendingPage, WriteBuffer};
 use parking_lot::{MutexGuard, RwLock};
 use std::sync::Arc;
 
@@ -136,7 +142,7 @@ impl MetaLedger {
 
     /// Apply (and clear) every recorded op against the authoritative segment table.
     /// Call with the central lock held.
-    pub(crate) fn apply(&mut self, store: &LogStore, central: &mut CentralState) {
+    pub(crate) fn apply(&mut self, store: &StoreCore, central: &mut CentralState) {
         for op in self.ops.drain(..) {
             match op {
                 MetaOp::Added {
@@ -178,7 +184,7 @@ impl MetaLedger {
     }
 
     /// Apply the batch under a fresh central-lock acquisition, if anything is pending.
-    pub(crate) fn flush_to_central(&mut self, store: &LogStore) {
+    pub(crate) fn flush_to_central(&mut self, store: &StoreCore) {
         if self.is_empty() {
             return;
         }
@@ -187,91 +193,107 @@ impl MetaLedger {
     }
 }
 
-/// Entry point for `put`/`delete`: buffer the write into its page's stream and drain
-/// that stream if its buffer shard is full.
-pub(crate) fn submit(store: &LogStore, pending: PendingPage) -> Result<()> {
-    ensure_headroom(store)?;
-    let stream = store.stream(pending.info.page);
-    let mut ss = stream.state.lock();
-    {
-        let mut buf = stream.buffer.write();
-        if buf.push(pending) {
+/// Entry point for `put`/`delete`: buffer the write into its page's stream and, if that
+/// fills the stream's batch, hand the batch to the write-behind worker.
+pub(crate) fn submit(store: &Arc<StoreCore>, pending: PendingPage) -> Result<()> {
+    let wb = &store.write_behind;
+    wb.take_failure()?;
+    // The paced check a flush owes runs at this put's tick, ahead of its batch.
+    wb.pay_pacing(store, store.unow())?;
+    let s = store.stream_of_page(pending.info.page);
+    let full = {
+        let mut buffer = store.streams()[s].buffer.write();
+        if buffer.push(pending) {
             AtomicStats::bump(&store.atomic_stats().absorbed_in_buffer);
         }
+        should_drain(store, &buffer)
+    };
+    if full {
+        wb.hand_off(store, s)?;
     }
-    if !should_drain(store, stream) {
-        return Ok(());
+    Ok(())
+}
+
+/// One write-behind job (see `super::write_behind`): a stream's frozen batch, drained at
+/// the tick it was frozen at and followed by the paced check at the next put's tick, or
+/// a paced check alone.
+pub(crate) fn run_job(store: &StoreCore, job: Job) -> Result<()> {
+    match job {
+        Job::Drain(s) => match drain_frozen(store, &store.streams()[s], &mut 0)? {
+            Some(unow) => ensure_headroom(store, unow + 1),
+            None => Ok(()),
+        },
+        Job::Pace(unow) => ensure_headroom(store, unow),
     }
-    match drain_stream(store, stream, &mut ss)? {
-        DrainOutcome::Done => Ok(()),
-        DrainOutcome::NeedsCleaning => {
-            drop(ss);
-            drain_with_cleaning(store, stream)
-        }
+}
+
+/// Append a stream's frozen batch at the tick it was frozen at, escalating to cleaning
+/// ([`drain_with_cleaning`], counting in `attempts`) if the drain runs out of segments.
+/// Returns that tick, or `None` if nothing was frozen.
+fn drain_frozen(
+    store: &StoreCore,
+    stream: &WriteStream,
+    attempts: &mut usize,
+) -> Result<Option<UpdateTick>> {
+    let mut ss = stream.state.lock();
+    let Some(unow) = stream.buffer.read().frozen_tick() else {
+        return Ok(None);
+    };
+    if let DrainOutcome::NeedsCleaning = drain_stream(store, stream, &mut ss)? {
+        drop(ss);
+        drain_with_cleaning(store, stream, unow, attempts)?;
     }
+    Ok(Some(unow))
 }
 
 /// Drain every stream, persist every open segment's unpersisted tail, sync the device
 /// and reap the quarantine: the durability point. Nothing is sealed here — a user
 /// segment is sealed only when [`ensure_open`] finds it full or over the open-log cap,
-/// or when a checkpoint asks (`LogStore::checkpoint_snapshot`).
-pub(crate) fn flush(store: &LogStore) -> Result<()> {
-    let mut stalled = 0;
-    'retry: for attempt in 0..MAX_CLEAN_RETRIES {
-        for stream in store.streams() {
-            let mut ss = stream.state.lock();
-            match drain_stream(store, stream, &mut ss)? {
-                DrainOutcome::Done => {
-                    for open in ss.open.values_mut() {
-                        persist_open(store, open)?;
-                    }
-                }
-                DrainOutcome::NeedsCleaning => {
-                    drop(ss);
-                    // Same escalation ladder as `drain_with_cleaning`: a selective
-                    // policy (multi-log frees at most one segment per cycle) can
-                    // ping-pong with the drain forever; greedy cycles monotonically
-                    // reclaim whatever exists.
-                    let mode = if attempt < 2 {
-                        gc_driver::SelectionMode::Policy
-                    } else {
-                        gc_driver::SelectionMode::ForceGreedy
-                    };
-                    let report = gc_driver::run_cleaning_cycle_with(store, mode)?;
-                    if report.segments_freed() == 0 && !reclaim_stragglers(store)? {
-                        // Tolerate transient no-progress rounds under concurrent
-                        // cleaning (see `drain_with_cleaning`).
-                        stalled += 1;
-                        if stalled >= MAX_STALLED_ROUNDS {
-                            return Err(out_of_space(store));
-                        }
-                    } else {
-                        stalled = 0;
-                    }
-                    continue 'retry;
-                }
-            }
+/// or when a checkpoint asks (`StoreCore::checkpoint_snapshot`).
+///
+/// The flush drains on its own thread: it waits out the job the worker is running, runs
+/// the queued ones (each at its own tick), then per stream appends whatever is still
+/// frozen and then the rest of the buffer, frozen at the flush's tick. The paced check
+/// that follows is owed to the next put.
+pub(crate) fn flush(store: &StoreCore) -> Result<()> {
+    let wb = &store.write_behind;
+    wb.take_failure()?;
+    let _running = wb.run_queued(store)?;
+    // The job it waited out may have failed meanwhile: that error is this flush's.
+    wb.take_failure()?;
+    wb.owe_pacing();
+    let unow = store.unow();
+    // One escalation count for the whole flush: its third cycle is greedy, whichever
+    // stream needs it.
+    let mut attempts = 0;
+    for stream in store.streams() {
+        // A batch a failed job left, or one a racing writer froze: either way it holds
+        // writes older than the rest of the buffer.
+        drain_frozen(store, stream, &mut attempts)?;
+        stream.buffer.write().freeze(unow);
+        drain_frozen(store, stream, &mut attempts)?;
+        let mut ss = stream.state.lock();
+        for open in ss.open.values_mut() {
+            persist_open(store, open, unow)?;
         }
-        // Every stream is drained and persisted. The tail seals any orphaned GC output
-        // builders (left behind by aborted cycles) and syncs: quarantine entries whose
-        // owning cycle has not yet sealed its outputs stay *parked* — the per-entry
-        // sealed/synced state machine, not a lock, is what keeps this sync from
-        // prematurely freeing a concurrent cycle's victims.
-        seal_orphans_and_reap(store)?;
-        return Ok(());
     }
-    Err(out_of_space(store))
+    // Every stream is drained and persisted. The tail seals any orphaned GC output
+    // builders (left behind by aborted cycles) and syncs: quarantine entries whose
+    // owning cycle has not yet sealed its outputs stay *parked* — the per-entry
+    // sealed/synced state machine, not a lock, is what keeps this sync from
+    // prematurely freeing a concurrent cycle's victims.
+    seal_orphans_and_reap(store, unow)
 }
 
 /// Seal every GC output stream of a cycle (used by the cycle's own phase 4 and by the
 /// mid-cycle distress durability point). Device writes happen here; the caller marks
 /// the matching quarantine entries sealed afterwards.
-pub(crate) fn seal_streams(store: &LogStore, gcs: &mut GcStreams) -> Result<()> {
+pub(crate) fn seal_streams(store: &StoreCore, gcs: &mut GcStreams, unow: UpdateTick) -> Result<()> {
     let mut ledger = MetaLedger::default();
     let logs: Vec<u16> = gcs.open.keys().copied().collect();
     for log in logs {
         if let Some(open) = gcs.open.remove(&log) {
-            seal_open(store, open, &mut ledger)?;
+            seal_open(store, open, &mut ledger, unow)?;
         }
     }
     ledger.flush_to_central(store);
@@ -286,7 +308,7 @@ pub(crate) fn seal_streams(store: &LogStore, gcs: &mut GcStreams) -> Result<()> 
 /// Entries sealed concurrently *after* the snapshot may have writes the sync does not
 /// cover; they simply wait for the next sync point. This is what makes the sequence
 /// safe to run concurrently with in-flight cleaning cycles.
-pub(crate) fn sync_and_reap(store: &LogStore) -> Result<()> {
+pub(crate) fn sync_and_reap(store: &StoreCore) -> Result<()> {
     retry_wounded_seals(store)?;
     let candidates = store.central().lock().segments.quarantine_sealed_unsynced();
     store.device().sync()?;
@@ -305,12 +327,12 @@ pub(crate) fn sync_and_reap(store: &LogStore) -> Result<()> {
 /// concurrently aborting cycle either hands over its builders *and* entries before this
 /// pass (both get processed) or after it (both wait for the next pass) — never one
 /// without the other.
-pub(crate) fn seal_orphans_and_reap(store: &LogStore) -> Result<()> {
+pub(crate) fn seal_orphans_and_reap(store: &StoreCore, unow: UpdateTick) -> Result<()> {
     {
         let mut orphans = store.gc_orphans().lock();
         let mut ledger = MetaLedger::default();
         while let Some(open) = orphans.pop() {
-            seal_open(store, open, &mut ledger)?;
+            seal_open(store, open, &mut ledger, unow)?;
         }
         ledger.flush_to_central(store);
         retry_wounded_seals(store)?;
@@ -328,12 +350,12 @@ pub(crate) fn seal_orphans_and_reap(store: &LogStore) -> Result<()> {
 const MAX_CLEAN_RETRIES: usize = 64;
 
 /// How many *consecutive* rounds of "cycle freed nothing and the straggler sweep did
-/// not grow the pool" a writer tolerates before declaring out-of-space. Under
+/// not grow the pool" a drain tolerates before declaring out-of-space. Under
 /// concurrent cleaning a single such round is routinely transient (victims claimed by
-/// peers, freed segments raced away by other writers).
+/// peers, freed segments raced away by other drains).
 const MAX_STALLED_ROUNDS: usize = 3;
 
-fn out_of_space(store: &LogStore) -> Error {
+fn out_of_space(store: &StoreCore) -> Error {
     if std::env::var("LSS_DEBUG_OOS").is_ok() {
         let central = store.central().lock();
         let sealed = central.segments.sealed_stats();
@@ -357,14 +379,15 @@ fn out_of_space(store: &LogStore) -> Error {
     }
 }
 
-/// Pace cleaning against the free pool *before* entering the stream lock.
+/// Pace cleaning against the free pool, at tick `unow`: the check every write-behind
+/// job ends with, and the first put after a flush or checkpoint queues.
 ///
-/// The writer runs paced cycles ([`gc_driver::pace`]) itself: small ones at the
-/// must-clean floor until the pool is back above it, full ones between the floor and
-/// the upper mark as long as the policy's pick is nearly free. An attempt that gets
-/// nowhere is remembered by the free count it saw and not repeated until that count
-/// moves — the drain path escalates harder if allocation actually fails.
-pub(crate) fn ensure_headroom(store: &LogStore) -> Result<()> {
+/// It runs paced cycles ([`gc_driver::pace`]): small ones at the must-clean floor until
+/// the pool is back above it, full ones between the floor and the upper mark as long as
+/// the policy's pick is nearly free. An attempt that gets nowhere is remembered by the
+/// free count it saw and not repeated until that count moves — the drain path escalates
+/// harder if allocation actually fails.
+pub(crate) fn ensure_headroom(store: &StoreCore, unow: UpdateTick) -> Result<()> {
     let (_, upper) = store.pacing_marks();
     if store.approx_free_segments() > upper {
         return Ok(());
@@ -374,7 +397,8 @@ pub(crate) fn ensure_headroom(store: &LogStore) -> Result<()> {
         if free > upper || !store.gc.worth_attempting_at(free) {
             break;
         }
-        let report = gc_driver::run_cleaning_cycle_with(store, gc_driver::SelectionMode::Paced)?;
+        let report =
+            gc_driver::run_cleaning_cycle_with(store, gc_driver::SelectionMode::Paced, unow)?;
         // No progress — the decision was to wait, there were no victims, or the
         // cycle's GC output consumed everything it freed.
         if report.segments_freed() == 0 || store.approx_free_segments() <= free {
@@ -395,30 +419,39 @@ pub(crate) fn ensure_headroom(store: &LogStore) -> Result<()> {
 /// forces a seal-orphans + sync + reap pass. Returns true if the free pool grew — from
 /// the concurrent cycles' own reaps or from ours — meaning the caller should retry
 /// instead of erroring.
-fn reclaim_stragglers(store: &LogStore) -> Result<bool> {
+fn reclaim_stragglers(store: &StoreCore, unow: UpdateTick) -> Result<bool> {
     AtomicStats::bump(&store.atomic_stats().straggler_reclaims);
     let before = store.approx_free_segments();
     drop(store.gc.quiesce());
-    emergency_reclaim(store, true)?;
+    emergency_reclaim(store, true, unow)?;
     Ok(store.approx_free_segments() > before)
 }
 
-/// Clean-then-retry loop for a stream drain that ran out of segments mid-batch.
+/// Clean-then-retry loop for a stream drain that ran out of segments mid-batch: the one
+/// escalation ladder, for a write-behind job's drain and a flush's alike. `unow` is the
+/// batch's tick; `attempts` counts the cycles the caller's escalation has run so far — a
+/// job's drain starts its own at 0, a flush shares one across its streams.
 ///
 /// The first attempts let the configured policy pick victims; if that does not unblock
 /// the drain (a selective policy can net almost nothing per cycle under distress), the
 /// loop escalates to full-batch greedy cycles, which monotonically reclaim whatever is
 /// reclaimable. Out-of-space is reported only once even a greedy cycle plus a
 /// quarantine sweep ([`reclaim_stragglers`]) free nothing.
-fn drain_with_cleaning(store: &LogStore, stream: &WriteStream) -> Result<()> {
+fn drain_with_cleaning(
+    store: &StoreCore,
+    stream: &WriteStream,
+    unow: UpdateTick,
+    attempts: &mut usize,
+) -> Result<()> {
     let mut stalled = 0;
-    for attempt in 0..MAX_CLEAN_RETRIES {
-        let mode = if attempt < 2 {
+    while *attempts < MAX_CLEAN_RETRIES {
+        let mode = if *attempts < 2 {
             gc_driver::SelectionMode::Policy
         } else {
             gc_driver::SelectionMode::ForceGreedy
         };
-        let report = gc_driver::run_cleaning_cycle_with(store, mode)?;
+        *attempts += 1;
+        let report = gc_driver::run_cleaning_cycle_with(store, mode, unow)?;
         let mut ss = stream.state.lock();
         match drain_stream(store, stream, &mut ss)? {
             DrainOutcome::Done => return Ok(()),
@@ -427,13 +460,13 @@ fn drain_with_cleaning(store: &LogStore, stream: &WriteStream) -> Result<()> {
                     stalled = 0;
                 } else {
                     drop(ss);
-                    if reclaim_stragglers(store)? {
+                    if reclaim_stragglers(store, unow)? {
                         stalled = 0;
                     } else {
                         // With concurrent cleaners, one empty round proves little:
                         // our cycle can find everything claimed by peers, and the
                         // segments a straggler sweep frees can be snapped up by
-                        // other writers before we re-observe the pool. Only
+                        // other drains before we re-observe the pool. Only
                         // *consecutive* no-progress rounds — each having waited out
                         // every in-flight cycle — demonstrate genuine exhaustion.
                         stalled += 1;
@@ -448,12 +481,13 @@ fn drain_with_cleaning(store: &LogStore, stream: &WriteStream) -> Result<()> {
     Err(out_of_space(store))
 }
 
-fn sort_buffer_capacity_bytes(store: &LogStore) -> usize {
+fn sort_buffer_capacity_bytes(store: &StoreCore) -> usize {
     store.config().sort_buffer_segments
         * layout::payload_capacity(store.config().segment_bytes, store.config().page_bytes)
 }
 
-/// A stream drains when its shard holds the full configured sort-buffer budget.
+/// A stream's filling batch is handed off when it holds the full configured
+/// sort-buffer budget.
 ///
 /// The budget is deliberately *per stream*, not divided by the stream count: the
 /// sort buffer exists to batch enough pages that carry-forward `up2` estimates and
@@ -461,13 +495,11 @@ fn sort_buffer_capacity_bytes(store: &LogStore) -> usize {
 /// the *batch* size each drain sorts. Dividing the budget across streams was measured
 /// to cost ~20-30% write amplification at 8 streams — the aggregate memory ceiling
 /// (streams × budget) is the cheaper price.
-fn should_drain(store: &LogStore, stream: &WriteStream) -> bool {
-    let (payload_bytes, len) = {
-        let buf = stream.buffer.read();
-        (buf.payload_bytes(), buf.len())
-    };
+pub(crate) fn should_drain(store: &StoreCore, buffer: &WriteBuffer) -> bool {
     let sbs = store.config().sort_buffer_segments;
-    sbs == 0 || payload_bytes >= sort_buffer_capacity_bytes(store) || len >= sbs.max(1) * 4096
+    sbs == 0
+        || buffer.filling_bytes() >= sort_buffer_capacity_bytes(store)
+        || buffer.filling_len() >= sbs.max(1) * 4096
 }
 
 /// Ask the policy for a page's output log and separation key. Shared by the user drain
@@ -490,9 +522,9 @@ pub(crate) fn route_page(
     (log, policy.separation_key(info))
 }
 
-/// One snapshot entry being drained: the pending write plus its routing decisions.
+/// One frozen entry being drained: the pending write plus its routing decisions.
 struct DrainItem {
-    slot: usize,
+    slot: u32,
     page: PendingPage,
     log: u16,
     key: Option<f64>,
@@ -515,25 +547,37 @@ fn sort_for_append(items: &mut [DrainItem], absorbing: bool) {
     sort_by_separation_key(items, |it: &DrainItem| it.key);
 }
 
-/// Assign carried `up2` values to the stream's buffered batch (paper §5.2.2) and hand
-/// every page to an open segment, sorted by the policy's separation key.
+/// Frozen slots a drain copies, or drops once appended, per buffer lock, so that it
+/// holds off the writers' pushes for microseconds at a time.
+const SLOTS_PER_LOCK: usize = 64;
+
+/// Assign carried `up2` values to the stream's frozen batch (paper §5.2.2) and hand
+/// every page to an open segment, sorted by the policy's separation key, at the tick the
+/// batch was frozen at.
 ///
-/// The buffer shard is *snapshotted*, not drained up front: an entry keeps serving
-/// reads until its page has a page-table entry, and is removed individually right after
-/// its append (all under the continuously held stream lock) — so a reader always finds
-/// an acknowledged write in the buffer or in the page table, never in neither. If the
-/// batch stops early for cleaning, only the unprocessed remainder stays buffered; the
-/// post-cleaning retry re-snapshots exactly that remainder.
+/// The frozen batch is copied (payloads shared), not drained up front: an entry keeps
+/// serving reads until its page has a page-table entry, and is removed (a few dozen at
+/// a time, the payloads freed after the buffer lock is let go) after its append — all
+/// under the continuously held stream lock — so a reader always finds an acknowledged
+/// write in the buffer or in the page table, never in neither. If the batch stops
+/// early for cleaning, only the unprocessed remainder stays buffered; the
+/// post-cleaning retry picks up exactly that remainder.
 pub(crate) fn drain_stream(
-    store: &LogStore,
+    store: &StoreCore,
     stream: &WriteStream,
     ss: &mut MutexGuard<'_, StreamState>,
 ) -> Result<DrainOutcome> {
-    let mut batch = stream.buffer.read().snapshot_indexed();
-    if batch.is_empty() {
+    let Some(unow) = stream.buffer.read().frozen_tick() else {
         return Ok(DrainOutcome::Done);
+    };
+    let mut batch = Vec::new();
+    let mut from = Some(0);
+    while let Some(slot) = from {
+        from = stream
+            .buffer
+            .read()
+            .copy_frozen(slot, SLOTS_PER_LOCK, &mut batch);
     }
-    let unow = store.unow();
 
     // Prefetch each page's current location with no lock held: the page-table lookups
     // are the expensive part of the estimate pass, and they only feed heuristics — if
@@ -592,41 +636,56 @@ pub(crate) fn drain_stream(
     sort_for_append(&mut items, store.config().absorb_updates_in_buffer);
 
     let mut ledger = MetaLedger::default();
+    let mut appended = Vec::with_capacity(SLOTS_PER_LOCK);
+    let mut outcome = Ok(DrainOutcome::Done);
     for item in items {
-        match append_page(store, ss, &mut ledger, item.page, item.log)? {
-            AppendOutcome::Appended => {
+        match append_page(store, ss, &mut ledger, item.page, item.log, unow) {
+            Ok(AppendOutcome::Appended) => {
                 // The page is mapped; its buffer copy is now redundant.
-                stream.buffer.write().remove_slot(item.slot);
+                appended.push(item.slot);
+                if appended.len() == SLOTS_PER_LOCK {
+                    // Bound first, so that the payloads are freed after the lock goes.
+                    let removed = stream.buffer.write().remove_frozen(&appended);
+                    drop(removed);
+                    appended.clear();
+                }
             }
-            AppendOutcome::NeedsCleaning => {
-                // The remainder (this page onward) stays in the buffer for the retry.
-                ledger.flush_to_central(store);
-                return Ok(DrainOutcome::NeedsCleaning);
+            // The remainder (this page onward) stays in the buffer for the retry.
+            Ok(AppendOutcome::NeedsCleaning) => {
+                outcome = Ok(DrainOutcome::NeedsCleaning);
+                break;
+            }
+            Err(e) => {
+                outcome = Err(e);
+                break;
             }
         }
     }
+    let removed = stream.buffer.write().remove_frozen(&appended);
+    drop(removed);
     ledger.flush_to_central(store);
-    Ok(DrainOutcome::Done)
+    outcome
 }
 
 /// Append one pending user page to the stream's open segment for `log`, updating the
 /// page table and recording the death of the previous version.
 fn append_page(
-    store: &LogStore,
+    store: &StoreCore,
     ss: &mut MutexGuard<'_, StreamState>,
     ledger: &mut MetaLedger,
     p: PendingPage,
     log: u16,
+    unow: UpdateTick,
 ) -> Result<AppendOutcome> {
     if p.is_tombstone() {
-        return append_tombstone(store, ss, ledger, p, log);
+        return append_tombstone(store, ss, ledger, p, log, unow);
     }
 
     let data = p
         .data
         .clone()
         .expect("non-tombstone pending page must carry a payload in the real store");
-    if !ensure_open(store, ss, ledger, log, data.len())? {
+    if !ensure_open(store, ss, ledger, log, data.len(), unow)? {
         return Ok(AppendOutcome::NeedsCleaning);
     }
     let seq = store.take_write_seq();
@@ -646,12 +705,12 @@ fn append_page(
         write_seq: seq,
     };
     ledger.record_added(open.id, open.gen, data.len() as u32, p.info.exact_freq);
-    commit_user_remap(store, ledger, &p, loc);
+    commit_user_remap(store, ledger, &p, loc, unow);
     Ok(AppendOutcome::Appended)
 }
 
 /// Point the page table at a freshly appended user copy and record the death of the
-/// previous copy against the segment incarnation that actually held it.
+/// previous copy, at tick `unow`, against the segment incarnation that actually held it.
 ///
 /// The old location's allocation generation must be captured while that location is
 /// still *current* — a generation read after the transition could observe a slot that a
@@ -664,10 +723,11 @@ fn append_page(
 /// and the swap — retry with the new location; user writes to this page cannot race us
 /// (they serialise on the stream lock we hold).
 fn commit_user_remap(
-    store: &LogStore,
+    store: &StoreCore,
     ledger: &mut MetaLedger,
     p: &PendingPage,
     loc: PageLocation,
+    unow: UpdateTick,
 ) {
     loop {
         match store.mapping().get(p.info.page) {
@@ -681,7 +741,7 @@ fn commit_user_remap(
             Some(old) => {
                 let gen = store.segment_gen(old.segment);
                 if store.mapping().replace_if_current(p.info.page, &old, loc) {
-                    ledger.record_dead(old.segment, gen, old.len, store.unow(), p.info.exact_freq);
+                    ledger.record_dead(old.segment, gen, old.len, unow, p.info.exact_freq);
                     return;
                 }
                 // Lost a race with a GC relocation; re-observe and retry.
@@ -691,18 +751,19 @@ fn commit_user_remap(
 }
 
 fn append_tombstone(
-    store: &LogStore,
+    store: &StoreCore,
     ss: &mut MutexGuard<'_, StreamState>,
     ledger: &mut MetaLedger,
     p: PendingPage,
     log: u16,
+    unow: UpdateTick,
 ) -> Result<AppendOutcome> {
     let page = p.info.page;
     if store.mapping().get(page).is_none() {
         // The page does not exist on the device; nothing to delete or record.
         return Ok(AppendOutcome::Appended);
     }
-    if !ensure_open(store, ss, ledger, log, 0)? {
+    if !ensure_open(store, ss, ledger, log, 0, unow)? {
         return Ok(AppendOutcome::NeedsCleaning);
     }
     // Same generation-capture discipline as `commit_user_remap`, for removal.
@@ -712,7 +773,7 @@ fn append_tombstone(
         };
         let gen = store.segment_gen(old.segment);
         if store.mapping().remove_if_current(page, &old) {
-            ledger.record_dead(old.segment, gen, old.len, store.unow(), None);
+            ledger.record_dead(old.segment, gen, old.len, unow, None);
             break;
         }
     }
@@ -734,11 +795,12 @@ fn append_tombstone(
 /// false if allocation would dip below the user reserve (the caller must let cleaning
 /// run).
 fn ensure_open(
-    store: &LogStore,
+    store: &StoreCore,
     ss: &mut MutexGuard<'_, StreamState>,
     ledger: &mut MetaLedger,
     log: u16,
     len: usize,
+    unow: UpdateTick,
 ) -> Result<bool> {
     if let Some(open) = ss.open.get(&log) {
         if open.builder.read().fits(len) {
@@ -746,7 +808,7 @@ fn ensure_open(
         }
     }
     if let Some(full) = ss.open.remove(&log) {
-        seal_open(store, full, ledger)?;
+        seal_open(store, full, ledger, unow)?;
     }
     // Bound how many logs this stream keeps open at once (multi-log wants up to 32
     // across the whole store): seal the least-recently-used open segment to make room.
@@ -759,9 +821,9 @@ fn ensure_open(
             .map(|(&l, _)| l)
             .expect("open map is non-empty");
         let open = ss.open.remove(&lru).expect("lru key just observed");
-        seal_open(store, open, ledger)?;
+        seal_open(store, open, ledger, unow)?;
     }
-    let Some((id, gen)) = allocate_user_segment(store, ledger, log)? else {
+    let Some((id, gen)) = allocate_user_segment(store, ledger, log, unow)? else {
         return Ok(false);
     };
     let builder = Arc::new(RwLock::new(SegmentBuilder::with_image(
@@ -796,14 +858,13 @@ fn ensure_open(
 /// carries it, and the eventual seal happens under it. On a device error the extent
 /// stays pending: the next persist point (or the seal) lays it down again, over bytes
 /// no completed flush ever vouched for.
-fn persist_open(store: &LogStore, open: &mut OpenSegment) -> Result<()> {
+fn persist_open(store: &StoreCore, open: &mut OpenSegment, unow: UpdateTick) -> Result<()> {
     if !open.builder.read().has_unpersisted() {
         return Ok(());
     }
     let seq = *open
         .seq
         .get_or_insert_with(|| store.central().lock().segments.reserve_seal_seq());
-    let unow = store.unow();
     let dirty = open
         .builder
         .write()
@@ -838,9 +899,10 @@ fn persist_open(store: &LogStore, open: &mut OpenSegment) -> Result<()> {
 /// *before* the builder is removed from the open-segment read index, so a reader that
 /// misses the index is guaranteed to find the image on the device.
 pub(crate) fn seal_open(
-    store: &LogStore,
+    store: &StoreCore,
     open: OpenSegment,
     ledger: &mut MetaLedger,
+    unow: UpdateTick,
 ) -> Result<()> {
     store.note_open_delta(-1);
     if open.builder.read().is_empty() {
@@ -855,7 +917,6 @@ pub(crate) fn seal_open(
         store.publish_free(&central.segments);
         return Ok(());
     }
-    let unow = store.unow();
     let carried_up2 = open.up2_avg.mean_or(unow);
     let seal_seq = {
         let mut central = store.central().lock();
@@ -897,7 +958,7 @@ pub(crate) fn seal_open(
 
 impl SealTail {
     /// Write what the device still lacks of this sealed segment's image.
-    fn write(&self, store: &LogStore) -> Result<()> {
+    fn write(&self, store: &StoreCore) -> Result<()> {
         store.write_image(self.id, self.builder.read().image(), self.dirty.as_ref())
     }
 }
@@ -905,7 +966,7 @@ impl SealTail {
 /// The tail of a seal once the segment's image is complete on the device: readers are
 /// sent to the device from here on, and the builder's image — `builder` is the last
 /// handle on it once the read index lets go — is recycled for the next open segment.
-fn finish_seal(store: &LogStore, id: SegmentId, builder: Arc<RwLock<SegmentBuilder>>) {
+fn finish_seal(store: &StoreCore, id: SegmentId, builder: Arc<RwLock<SegmentBuilder>>) {
     AtomicStats::bump(&store.atomic_stats().segments_sealed);
     store.open_reads().write().remove(&id);
     store.recycle_builder(builder);
@@ -918,7 +979,7 @@ fn finish_seal(store: &LogStore, id: SegmentId, builder: Arc<RwLock<SegmentBuild
 /// every sync point so a sync never "completes" a flush while a sealed image is still
 /// missing from the device. On success the segment finishes its normal seal transition;
 /// on failure the error propagates and the image stays parked for the next attempt.
-fn retry_wounded_seals(store: &LogStore) -> Result<()> {
+fn retry_wounded_seals(store: &StoreCore) -> Result<()> {
     let mut wounded = store.wounded_seals().lock();
     while let Some(seal) = wounded.last() {
         seal.write(store)?;
@@ -935,9 +996,10 @@ fn retry_wounded_seals(store: &LogStore) -> Result<()> {
 /// When the pool runs dry this first tries to reclaim quarantined victims via
 /// [`try_emergency_reclaim`]. Returns the segment plus its new allocation generation.
 fn allocate_user_segment(
-    store: &LogStore,
+    store: &StoreCore,
     ledger: &mut MetaLedger,
     log: u16,
+    unow: UpdateTick,
 ) -> Result<Option<(SegmentId, u64)>> {
     let reserved = store.config().cleaning.reserved_free_segments;
     let capacity =
@@ -959,7 +1021,7 @@ fn allocate_user_segment(
             }
         }
         if attempt == 0 {
-            emergency_reclaim(store, false)?;
+            emergency_reclaim(store, false, unow)?;
         }
     }
     Ok(None)
@@ -976,7 +1038,7 @@ fn allocate_user_segment(
 /// must never touch the cycle gate there — a quiescing checkpoint acquires the gate
 /// first and the stream locks second); `blocking = true` callers hold no stream lock
 /// and additionally retry pin-skipped reaps (see [`reclaim_stragglers`]).
-fn emergency_reclaim(store: &LogStore, blocking: bool) -> Result<()> {
+fn emergency_reclaim(store: &StoreCore, blocking: bool, unow: UpdateTick) -> Result<()> {
     {
         let orphans_empty = store.gc_orphans().lock().is_empty();
         let wounded_empty = store.wounded_seals().lock().is_empty();
@@ -992,7 +1054,7 @@ fn emergency_reclaim(store: &LogStore, blocking: bool) -> Result<()> {
             return Ok(());
         }
     }
-    seal_orphans_and_reap(store)?;
+    seal_orphans_and_reap(store, unow)?;
     if blocking {
         // Quarantine entries can survive the reap only because a reader happened to
         // hold a pin at that instant — pins last microseconds. When the caller is
@@ -1024,7 +1086,7 @@ mod tests {
     use crate::types::{PageWriteInfo, WriteOrigin};
     use bytes::Bytes;
 
-    fn item(slot: usize, page: PageId, key: f64, data: Option<&'static [u8]>) -> DrainItem {
+    fn item(slot: u32, page: PageId, key: f64, data: Option<&'static [u8]>) -> DrainItem {
         DrainItem {
             slot,
             page: PendingPage {

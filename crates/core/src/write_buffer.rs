@@ -5,8 +5,14 @@
 //! separation key — so pages with similar update frequency are packed into the same
 //! output segments — and drained to open segments. A buffer of 0 segments disables
 //! batching entirely; the paper finds 16 segments to be the knee of the curve (Figure 4).
+//!
+//! A buffer holds at most two batches. Writers append to the *filling* batch. A full one
+//! is *frozen* — an O(1) swap that records the batch's tick — and handed to the drain,
+//! which appends it to open segments while writers fill the next batch. A write never
+//! absorbs into a frozen slot: it appends to the filling batch, and the index points at
+//! the newest copy, so reads return it.
 
-use crate::types::{PageId, PageWriteInfo};
+use crate::types::{PageId, PageWriteInfo, UpdateTick};
 use crate::util::FxHashMap;
 use bytes::Bytes;
 
@@ -27,19 +33,43 @@ impl PendingPage {
     }
 }
 
-/// FIFO buffer of pending page writes with optional in-place absorption of re-writes.
+/// Where a page's newest buffered write sits: its batch's number and its slot there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    batch: u32,
+    idx: u32,
+}
+
+/// The batch a drain is appending, frozen by [`WriteBuffer::freeze`].
+#[derive(Debug)]
+struct Frozen {
+    /// The batch's writes; `None` once appended.
+    pages: Vec<Option<PendingPage>>,
+    /// How many slots are still buffered.
+    left: usize,
+    tick: UpdateTick,
+}
+
+/// Two-batch buffer of pending page writes with optional in-place absorption of
+/// re-writes within the filling batch.
 #[derive(Debug, Default)]
 pub struct WriteBuffer {
-    pending: Vec<Option<PendingPage>>,
-    index: FxHashMap<PageId, usize>,
-    payload_bytes: usize,
-    live_entries: usize,
+    /// The batch writers append to; every slot is `Some` (the type is the frozen
+    /// batch's, so that freezing is a swap).
+    filling: Vec<Option<PendingPage>>,
+    filling_bytes: usize,
+    /// Number of the filling batch; the frozen one, if any, is the number before it.
+    filling_batch: u32,
+    frozen: Option<Frozen>,
+    /// Each buffered page's newest write. Every entry points into the filling batch or
+    /// at a still-buffered slot of the frozen one.
+    index: FxHashMap<PageId, Slot>,
     absorb: bool,
 }
 
 impl WriteBuffer {
     /// Create a buffer. If `absorb` is true, a second write to a page already in the
-    /// buffer replaces the buffered copy instead of adding another entry.
+    /// filling batch replaces the buffered copy instead of adding another entry.
     pub fn new(absorb: bool) -> Self {
         Self {
             absorb,
@@ -47,96 +77,122 @@ impl WriteBuffer {
         }
     }
 
-    /// Number of pending entries.
-    pub fn len(&self) -> usize {
-        self.live_entries
+    /// Number of entries in the filling batch.
+    pub fn filling_len(&self) -> usize {
+        self.filling.len()
     }
 
-    /// True if nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.live_entries == 0
+    /// Payload bytes in the filling batch.
+    pub fn filling_bytes(&self) -> usize {
+        self.filling_bytes
     }
 
-    /// Total payload bytes buffered.
-    pub fn payload_bytes(&self) -> usize {
-        self.payload_bytes
+    /// The tick the frozen batch was frozen at, or `None` if there is no frozen batch
+    /// (none was frozen, or a drain appended all of it).
+    pub fn frozen_tick(&self) -> Option<UpdateTick> {
+        self.frozen.as_ref().map(|f| f.tick)
     }
 
-    /// Add a pending write. Returns `true` if the write was absorbed into an existing
-    /// buffered entry for the same page (only possible when absorption is enabled).
+    /// Add a pending write to the filling batch. Returns `true` if the write was
+    /// absorbed into an existing entry for the same page (only possible when absorption
+    /// is enabled, and only into the filling batch).
     pub fn push(&mut self, page: PendingPage) -> bool {
         if self.absorb {
-            if let Some(&idx) = self.index.get(&page.info.page) {
-                if let Some(existing) = self.pending[idx].as_mut() {
-                    self.payload_bytes -= existing.info.size as usize;
-                    self.payload_bytes += page.info.size as usize;
-                    *existing = page;
+            if let Some(slot) = self.index.get(&page.info.page) {
+                if slot.batch == self.filling_batch {
+                    self.filling_bytes += page.info.size as usize;
+                    if let Some(old) = self.filling[slot.idx as usize].replace(page) {
+                        self.filling_bytes -= old.info.size as usize;
+                    }
                     return true;
                 }
             }
         }
-        let idx = self.pending.len();
-        self.payload_bytes += page.info.size as usize;
-        self.index.insert(page.info.page, idx);
-        self.pending.push(Some(page));
-        self.live_entries += 1;
+        let slot = Slot {
+            batch: self.filling_batch,
+            idx: self.filling.len() as u32,
+        };
+        self.filling_bytes += page.info.size as usize;
+        self.index.insert(page.info.page, slot);
+        self.filling.push(Some(page));
         false
     }
 
     /// Most recent buffered state of a page, if any.
     pub fn get(&self, page: PageId) -> Option<&PendingPage> {
-        // The index tracks the most recent entry for each page even without absorption,
-        // because later pushes overwrite the index slot.
-        self.index
-            .get(&page)
-            .and_then(|&idx| self.pending[idx].as_ref())
+        let slot = self.index.get(&page)?;
+        let batch = if slot.batch == self.filling_batch {
+            &self.filling
+        } else {
+            &self.frozen.as_ref()?.pages
+        };
+        batch.get(slot.idx as usize)?.as_ref()
     }
 
-    /// Drain all pending writes in arrival order, clearing the buffer.
-    pub fn drain(&mut self) -> Vec<PendingPage> {
-        self.index.clear();
-        self.payload_bytes = 0;
-        self.live_entries = 0;
-        self.pending.drain(..).flatten().collect()
+    /// Freeze the filling batch at `tick`, unless a frozen batch is still buffered or
+    /// there is nothing to freeze. Returns whether it froze.
+    pub fn freeze(&mut self, tick: UpdateTick) -> bool {
+        if self.frozen.is_some() || self.filling.is_empty() {
+            return false;
+        }
+        let capacity = self.filling.capacity();
+        let pages = std::mem::replace(&mut self.filling, Vec::with_capacity(capacity));
+        self.frozen = Some(Frozen {
+            left: pages.len(),
+            pages,
+            tick,
+        });
+        self.filling_bytes = 0;
+        self.filling_batch = self.filling_batch.wrapping_add(1);
+        true
     }
 
-    /// Clone every pending write in arrival order *without* clearing the buffer.
-    ///
-    /// The write path drains in two phases: it appends a snapshot of the batch to open
-    /// segments first and clears the buffer only afterwards, so a reader always finds a
-    /// page either in the buffer or in the page table — never in neither. Payloads are
-    /// `Bytes`, so the clones are reference-count bumps.
-    pub fn snapshot(&self) -> Vec<PendingPage> {
-        self.pending.iter().flatten().cloned().collect()
+    /// Copy the still-buffered writes of up to `max` frozen slots, from slot `from` on,
+    /// to `into` as `(slot, write)` in arrival order (payloads shared, not copied).
+    /// Returns the slot to go on from, or `None` once the batch is copied. A drain
+    /// copies a few dozen slots per buffer lock, so that a push waits microseconds for
+    /// it; only the drain changes the frozen batch, so the pieces fit together.
+    pub fn copy_frozen(
+        &self,
+        from: u32,
+        max: usize,
+        into: &mut Vec<(u32, PendingPage)>,
+    ) -> Option<u32> {
+        let pages = &self.frozen.as_ref()?.pages;
+        let end = (from as usize + max).min(pages.len());
+        into.extend(
+            (from..)
+                .zip(&pages[from as usize..end])
+                .filter_map(|(i, p)| Some((i, p.clone()?))),
+        );
+        (end < pages.len()).then_some(end as u32)
     }
 
-    /// Like [`WriteBuffer::snapshot`], but each clone carries its stable slot index so
-    /// the drain can remove entries one by one (via [`WriteBuffer::remove_slot`]) as
-    /// soon as their page-table entries exist.
-    pub fn snapshot_indexed(&self) -> Vec<(usize, PendingPage)> {
-        self.pending
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_ref().map(|p| (i, p.clone())))
-            .collect()
-    }
-
-    /// Remove the entry at a snapshot slot (called right after the entry's page has
-    /// been appended to a segment and remapped, so reads switch from the buffer copy to
-    /// the mapped copy without a gap).
-    pub fn remove_slot(&mut self, slot: usize) {
-        if let Some(p) = self.pending[slot].take() {
-            self.payload_bytes -= p.info.size as usize;
-            self.live_entries -= 1;
-            if self.index.get(&p.info.page) == Some(&slot) {
-                self.index.remove(&p.info.page);
+    /// Drop appended slots of the frozen batch (called once their pages are remapped,
+    /// so reads switch from the buffer copy to the mapped copy without a gap). An index
+    /// entry is removed only if it still points at the slot: a newer write of the page
+    /// keeps its own. The frozen batch goes once its last slot does. Returns the writes
+    /// removed, for the caller to free once it has let go of the buffer lock.
+    pub fn remove_frozen(&mut self, slots: &[u32]) -> Vec<PendingPage> {
+        let Some(frozen) = self.frozen.as_mut() else {
+            return Vec::new();
+        };
+        let batch = self.filling_batch.wrapping_sub(1);
+        let mut removed = Vec::with_capacity(slots.len());
+        for &idx in slots {
+            let Some(page) = frozen.pages[idx as usize].take() else {
+                continue;
+            };
+            frozen.left -= 1;
+            if self.index.get(&page.info.page) == Some(&Slot { batch, idx }) {
+                self.index.remove(&page.info.page);
             }
+            removed.push(page);
         }
-        if self.live_entries == 0 {
-            self.pending.clear();
-            self.index.clear();
-            self.payload_bytes = 0;
+        if frozen.left == 0 {
+            self.frozen = None;
         }
+        removed
     }
 }
 
@@ -181,21 +237,33 @@ mod tests {
         }
     }
 
+    /// The frozen batch's still-buffered pages, copied two slots at a time.
+    fn frozen_pages(buf: &WriteBuffer) -> Vec<PageId> {
+        let mut copied = Vec::new();
+        let mut from = Some(0);
+        while let Some(slot) = from {
+            from = buf.copy_frozen(slot, 2, &mut copied);
+        }
+        copied.iter().map(|(_, p)| p.info.page).collect()
+    }
+
     #[test]
-    fn push_and_drain_preserve_arrival_order() {
+    fn freeze_hands_over_the_batch_in_arrival_order() {
         let mut buf = WriteBuffer::new(false);
         buf.push(pending(3, 10, 0));
         buf.push(pending(1, 20, 0));
         buf.push(pending(2, 30, 0));
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf.payload_bytes(), 60);
-        let batch = buf.drain();
-        assert_eq!(
-            batch.iter().map(|p| p.info.page).collect::<Vec<_>>(),
-            vec![3, 1, 2]
-        );
-        assert!(buf.is_empty());
-        assert_eq!(buf.payload_bytes(), 0);
+        assert_eq!((buf.filling_len(), buf.filling_bytes()), (3, 60));
+        assert!(buf.freeze(7));
+        assert_eq!((buf.filling_len(), buf.filling_bytes()), (0, 0));
+        assert_eq!(buf.frozen_tick(), Some(7));
+        assert_eq!(frozen_pages(&buf), vec![3, 1, 2]);
+        // Frozen pages keep serving reads until they are removed.
+        assert_eq!(buf.get(1).unwrap().info.size, 20);
+        assert_eq!(buf.remove_frozen(&[0, 1, 2]).len(), 3);
+        assert!(buf.get(1).is_none());
+        assert_eq!(buf.copy_frozen(0, 8, &mut Vec::new()), None);
+        assert!(buf.frozen_tick().is_none());
     }
 
     #[test]
@@ -203,7 +271,7 @@ mod tests {
         let mut buf = WriteBuffer::new(false);
         assert!(!buf.push(pending(1, 10, 0)));
         assert!(!buf.push(pending(1, 12, 5)));
-        assert_eq!(buf.len(), 2);
+        assert_eq!(buf.filling_len(), 2);
         // get() returns the most recent version.
         assert_eq!(buf.get(1).unwrap().info.size, 12);
     }
@@ -213,29 +281,52 @@ mod tests {
         let mut buf = WriteBuffer::new(true);
         assert!(!buf.push(pending(1, 10, 0)));
         assert!(buf.push(pending(1, 25, 5)));
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf.payload_bytes(), 25);
-        let batch = buf.drain();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].info.size, 25);
+        assert_eq!(buf.filling_len(), 1);
+        assert_eq!(buf.filling_bytes(), 25);
+        assert!(buf.freeze(0));
+        assert_eq!(frozen_pages(&buf), vec![1]);
     }
 
+    /// A write to a page whose older copy is frozen never absorbs into it: it appends
+    /// to the filling batch, reads return it, and removing the frozen copy leaves it.
     #[test]
-    fn snapshot_clones_without_clearing() {
-        let mut buf = WriteBuffer::new(false);
+    fn a_write_never_absorbs_into_a_frozen_slot() {
+        let mut buf = WriteBuffer::new(true);
         buf.push(pending(1, 10, 0));
-        buf.push(pending(2, 20, 0));
-        let snap = buf.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(
-            snap.iter().map(|p| p.info.page).collect::<Vec<_>>(),
-            vec![1, 2]
+        buf.push(pending(2, 10, 0));
+        assert!(buf.freeze(1));
+        assert!(
+            !buf.push(pending(1, 30, 0)),
+            "absorbed into the frozen batch"
         );
-        // The buffer is untouched: reads keep hitting it until the batch is committed.
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf.payload_bytes(), 30);
-        let order: Vec<PageId> = buf.drain().iter().map(|p| p.info.page).collect();
-        assert_eq!(order, vec![1, 2]);
+        assert!(
+            buf.push(pending(1, 40, 0)),
+            "the filling batch still absorbs"
+        );
+        assert_eq!(buf.get(1).unwrap().info.size, 40);
+        // One frozen batch at a time.
+        assert!(!buf.freeze(2));
+        buf.remove_frozen(&[0, 1]);
+        assert_eq!(buf.get(1).unwrap().info.size, 40);
+        assert!(buf.get(2).is_none());
+        assert!(buf.freeze(2));
+        assert_eq!(frozen_pages(&buf), vec![1]);
+        assert_eq!(buf.frozen_tick(), Some(2));
+    }
+
+    /// A drain that stops early leaves exactly the slots it did not append.
+    #[test]
+    fn partial_removal_keeps_the_rest_buffered() {
+        let mut buf = WriteBuffer::new(false);
+        for page in 0..5 {
+            buf.push(pending(page, 8, 0));
+        }
+        assert!(buf.freeze(3));
+        assert_eq!(buf.remove_frozen(&[3, 0]).len(), 2);
+        assert!(buf.remove_frozen(&[3]).is_empty()); // removing twice is harmless
+        assert_eq!(frozen_pages(&buf), vec![1, 2, 4]);
+        assert!(buf.get(0).is_none() && buf.get(1).is_some());
+        assert_eq!(buf.frozen_tick(), Some(3));
     }
 
     #[test]

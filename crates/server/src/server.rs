@@ -674,6 +674,8 @@ struct StoreSection {
     pages_read: u64,
     device_page_reads: u64,
     sealed_segments: u64,
+    write_behind_jobs: u64,
+    write_behind_waits: u64,
 }
 
 fn stats_json(shared: &Shared) -> String {
@@ -729,6 +731,8 @@ fn stats_json(shared: &Shared) -> String {
             pages_read: store_stats.pages_read,
             device_page_reads: store_stats.device_page_reads,
             sealed_segments: store_stats.sealed_segments,
+            write_behind_jobs: store_stats.write_behind_jobs,
+            write_behind_waits: store_stats.write_behind_waits,
         },
     };
     serde_json::to_string(&doc).unwrap_or_else(|_| "{}".into())
