@@ -28,13 +28,13 @@ fn main() {
             t.insert(&key(i), &value).unwrap();
         }
         let load = start.elapsed();
-        t.begin_checkpoint().commit();
+        t.begin_checkpoint().cut().commit();
         let mut x = 0x12345678u64;
         let start = Instant::now();
         let mut hits = 0u32;
         for op in 0..OPS {
             if op % 20_000 == 0 {
-                t.begin_checkpoint().commit();
+                t.begin_checkpoint().cut().commit();
             }
             x = x
                 .wrapping_mul(6364136223846793005)

@@ -209,8 +209,8 @@ impl<S: PageStore> BufferPool<S> {
     /// [`BufferPool::flush_all`]).
     ///
     /// Callers must prevent concurrent `write`s for the write-back to be exhaustive
-    /// (the B+-tree holds its exclusive latch across checkpoints); concurrent reads are
-    /// harmless.
+    /// (the B+-tree holds its exclusive epoch latch across a checkpoint's write-back
+    /// and cut, and releases it before the barriers); concurrent reads are harmless.
     ///
     /// Returns the page ids written, in write order.
     pub fn write_back(&self) -> Result<Vec<u64>> {

@@ -24,19 +24,28 @@
 //! The tree runs in shadow (copy-on-write) mode ([`BTree::open_shadow`]): committed
 //! pages are never overwritten, and every `put` relocates the value to a *fresh* user
 //! page instead of updating the old one in place. [`KvStore::flush`] commits an epoch
-//! with two barriers:
+//! in a short *cut* and a tail of two barriers:
 //!
-//! 1. write back all dirty index pages (fresh ids only) and flush the store —
-//!    **barrier 1**: the new tree and values are durable but unreferenced;
-//! 2. write a versioned, checksummed [`Superblock`] into the alternating slot
+//! 1. **the cut**, under the tree's exclusive epoch latch: write back all dirty index
+//!    pages (fresh ids only) into the store, snapshot the superblock's fields, take the
+//!    epoch's superseded tree ids and user pages, and end the epoch (no page of it is
+//!    updated in place again; see [`crate::tree::TreeCheckpoint::cut`]); then release
+//!    the latch. A mutation after the cut belongs to the next epoch, and no mutation
+//!    ever waits for a barrier;
+//! 2. flush the store — **barrier 1**: the cut tree and its values are durable but
+//!    unreferenced (pages of the next epoch may ride along; nothing references them);
+//! 3. write a versioned, checksummed [`Superblock`] into the alternating slot
 //!    `META_BASE + epoch % 2` and flush again — **barrier 2**: the single page write
 //!    that atomically flips the committed state.
 //!
-//! Only after barrier 2 are the epoch's superseded pages deleted and their ids
-//! recycled. A crash anywhere in this protocol reopens to exactly the last committed
-//! index: the old superblock still describes a fully intact tree whose pages nobody
-//! touched. Reopen additionally runs a reachability sweep that reclaims pages a
-//! crashed epoch left behind and reconstructs both free lists.
+//! Only after barrier 2 are the cut epoch's superseded pages deleted and their ids
+//! recycled. A failed barrier releases nothing and leaves the epoch number alone: both
+//! superseded lists go back for the next flip, whose root still references the cut
+//! pages and whose barrier 1 persists them. A crash anywhere in this protocol reopens
+//! to exactly the last committed index: the old superblock still describes a fully
+//! intact tree whose pages nobody touched. Reopen additionally runs a reachability
+//! sweep that reclaims pages a crashed epoch (or a later one) left behind and
+//! reconstructs both free lists.
 //!
 //! ## Concurrency and lock order
 //!
@@ -49,9 +58,11 @@
 //! [`BTree::scan_map`]): the leaf that maps a key to its value page is re-validated
 //! *after* the value is read, and reclaiming a superseded value page happens only
 //! after a commit bumped that leaf's version — so a validated value read is proven
-//! not to have raced the page's release. Lock order: `epoch latch → node version
-//! slot → tree allocator → pool shard latch`; the user-page allocator mutex is taken
-//! either alone or (during a flush's commit phase) inside the epoch latch.
+//! not to have raced the page's release. Lock order: `commit mutex → epoch latch →
+//! node version slot → tree allocator → pool shard latch`; the user-page allocator
+//! mutex is taken either alone or (during a flip's cut) inside the commit mutex and
+//! the epoch latch. The commit mutex serialises flips and is held from the cut
+//! through the release; the epoch latch is held exclusively only for the cut.
 //!
 //! ## Group commit
 //!
@@ -61,7 +72,7 @@
 //! the same generation, then runs the two-barrier flip once and wakes every rider
 //! with the shared outcome. A rider's mutations are always covered: they completed
 //! before its `flush` call, the generation closes before the flip begins, and the
-//! flip's checkpoint quiesces the tree — so the flipped epoch contains every batched
+//! flip's cut comes after both — so the flipped epoch contains every batched
 //! mutation, and a crash lands on exactly the previous or the batched epoch, never a
 //! partial batch (it is one ordinary epoch). A failed flip fails the *whole*
 //! generation with one shared source error — leader and riders all surface
@@ -77,8 +88,8 @@
 //! point where that is known: when the caller's generation closes (on joining, for a
 //! rider; at once with no window), which is after the window and strictly before
 //! `begin_checkpoint`. Everything listed before the hook ran had returned from its
-//! `put`/`delete`, so the checkpoint contains it; anything listed later may have
-//! missed the checkpoint and must wait for the next flip. Cutting the list after
+//! `put`/`delete`, so the cut contains it; anything listed later may have missed the
+//! cut and must wait for the next flip. Cutting the list after
 //! `flush` returned instead would acknowledge exactly those late arrivals with an
 //! epoch that does not hold them. The window stays owned here, in one place: a
 //! caller batches by calling `flush_with` once, not by sleeping itself.
@@ -95,6 +106,7 @@ use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Page ids at and above this value are reserved for the KV layer's own metadata.
 pub const META_BASE: PageId = 1 << 62;
@@ -119,6 +131,12 @@ fn decode_user_page(v: &[u8]) -> Result<PageId> {
         ))
     })?;
     Ok(PageId::from_le_bytes(bytes))
+}
+
+/// Add the microseconds since `since` to a time counter.
+fn add_micros(counter: &AtomicU64, since: Instant) {
+    let us = u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX);
+    counter.fetch_add(us, Ordering::Relaxed);
 }
 
 /// Options for opening a [`KvStore`].
@@ -160,6 +178,8 @@ pub(crate) struct KvCounters {
     pub(crate) superblock_commits: AtomicU64,
     pub(crate) flush_calls: AtomicU64,
     pub(crate) group_commit_riders: AtomicU64,
+    pub(crate) commit_latch_us: AtomicU64,
+    pub(crate) commit_us: AtomicU64,
 }
 
 impl KvCounters {
@@ -182,6 +202,8 @@ impl KvCounters {
             superblock_commits: self.superblock_commits.load(Ordering::Relaxed),
             flush_calls: self.flush_calls.load(Ordering::Relaxed),
             group_commit_riders: self.group_commit_riders.load(Ordering::Relaxed),
+            commit_latch_us: self.commit_latch_us.load(Ordering::Relaxed),
+            commit_us: self.commit_us.load(Ordering::Relaxed),
             epoch,
             keys,
             pool,
@@ -217,6 +239,12 @@ pub struct KvStats {
     /// Flush calls that rode another caller's commit generation instead of leading
     /// their own flip (0 when `group_commit_window_us = 0`).
     pub group_commit_riders: u64,
+    /// Microseconds flips held the tree's epoch latch exclusively, in total: the cuts
+    /// (write-back and snapshot), the only part of a flip that mutations wait for.
+    pub commit_latch_us: u64,
+    /// Microseconds spent in flips, in total: cut, both barriers and the release
+    /// (not the group-commit window, nor the wait for another flip to finish).
+    pub commit_us: u64,
     /// Current committed epoch (0 = nothing committed yet).
     pub epoch: u64,
     /// Number of live keys at snapshot time.
@@ -297,6 +325,46 @@ struct UserAlloc {
     freed_epoch: Vec<PageId>,
 }
 
+/// What an index reaches: its tree page ids, the user pages its leaves map, and its
+/// key count.
+struct Reach {
+    tree: HashSet<u64>,
+    user: HashSet<PageId>,
+    keys: u64,
+}
+
+impl Reach {
+    /// Walk the whole tree (quiescing writers for the walk).
+    fn walk(tree: &BTree<KvTreeStore>) -> Result<Self> {
+        let mut reach = Reach {
+            tree: HashSet::new(),
+            user: HashSet::new(),
+            keys: 0,
+        };
+        let mut bad_value: Option<usize> = None;
+        tree.walk(|id, node| {
+            reach.tree.insert(id);
+            if let Node::Leaf { entries } = node {
+                reach.keys += entries.len() as u64;
+                for (_, v) in entries {
+                    match decode_user_page(v) {
+                        Ok(p) => {
+                            reach.user.insert(p);
+                        }
+                        Err(_) => bad_value = Some(v.len()),
+                    }
+                }
+            }
+        })?;
+        match bad_value {
+            Some(len) => Err(Error::CorruptCheckpoint(format!(
+                "kv index leaf holds a {len}-byte value, expected an 8-byte page id"
+            ))),
+            None => Ok(reach),
+        }
+    }
+}
+
 /// One group-commit generation: the leader publishes the flip's outcome here and
 /// wakes every rider. `None` = the flip has not finished; `Some(None)` = committed;
 /// `Some(Some(e))` = the flip failed with the shared source error (leader and
@@ -310,7 +378,7 @@ struct CommitGeneration {
 
 /// The group-commit coordinator: at most one *open* generation accepts riders at a
 /// time; it closes the moment its leader starts the flip, so later callers lead a
-/// fresh generation (flips themselves serialise on the tree's epoch latch).
+/// fresh generation (flips themselves serialise on [`KvStore`]'s commit mutex).
 #[derive(Debug, Default)]
 struct GroupCommit {
     open: std::sync::Mutex<Option<Arc<CommitGeneration>>>,
@@ -358,6 +426,8 @@ pub struct KvStore {
     store: Arc<LogStore>,
     tree: BTree<KvTreeStore>,
     alloc: Mutex<UserAlloc>,
+    /// Serialises flips, from the cut through the release of the cut epoch's pages.
+    commit: Mutex<()>,
     /// Last committed epoch.
     epoch: AtomicU64,
     counters: Arc<KvCounters>,
@@ -451,6 +521,7 @@ impl KvStore {
             store,
             tree: BTree::open_shadow(pool, None)?,
             alloc: Mutex::new(UserAlloc::default()),
+            commit: Mutex::new(()),
             epoch: AtomicU64::new(0),
             counters,
             group_commit_window_us: opts.group_commit_window_us,
@@ -464,30 +535,11 @@ impl KvStore {
         let (pool, counters) = Self::components(&store, opts)?;
         let tree = BTree::open_shadow(pool, Some((sb.root, sb.tree_next_page, sb.len)))?;
 
-        // Reachability walk: every committed tree page and every referenced user page.
-        let mut reachable_tree: HashSet<u64> = HashSet::new();
-        let mut referenced_user: HashSet<PageId> = HashSet::new();
-        let mut keys = 0u64;
-        let mut bad_value: Option<usize> = None;
-        tree.walk(|id, node| {
-            reachable_tree.insert(id);
-            if let Node::Leaf { entries } = node {
-                keys += entries.len() as u64;
-                for (_, v) in entries {
-                    match decode_user_page(v) {
-                        Ok(p) => {
-                            referenced_user.insert(p);
-                        }
-                        Err(_) => bad_value = Some(v.len()),
-                    }
-                }
-            }
-        })?;
-        if let Some(len) = bad_value {
-            return Err(Error::CorruptCheckpoint(format!(
-                "kv index leaf holds a {len}-byte value, expected an 8-byte page id"
-            )));
-        }
+        let Reach {
+            tree: reachable_tree,
+            user: referenced_user,
+            keys,
+        } = Reach::walk(&tree)?;
         if keys != sb.len {
             return Err(Error::CorruptCheckpoint(format!(
                 "kv superblock records {} keys but the committed tree holds {keys}",
@@ -532,6 +584,7 @@ impl KvStore {
                 free: user_free,
                 freed_epoch: Vec::new(),
             }),
+            commit: Mutex::new(()),
             epoch: AtomicU64::new(sb.epoch),
             counters,
             group_commit_window_us: opts.group_commit_window_us,
@@ -609,8 +662,10 @@ impl KvStore {
         }
     }
 
-    /// Read a key. The value page is read under the tree's shared latch, so a
-    /// concurrent flush cannot release it mid-read.
+    /// Read a key. Latch-free: the value page is read inside the lookup's optimistic
+    /// window ([`BTree::get_map`]), and the leaf is re-validated after the read. A
+    /// value page is superseded only by a mutation that rewrites the leaf mapping it,
+    /// and released only after that, so a validated value never raced its release.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         self.counters.gets.fetch_add(1, Ordering::Relaxed);
         let got = self
@@ -633,9 +688,10 @@ impl KvStore {
         }
     }
 
-    /// Iterate keys in `[start, end)` in order, reading each value. The whole scan —
-    /// including the value reads — runs under the tree's shared latch, so it observes
-    /// one consistent index snapshot.
+    /// Iterate keys in `[start, end)` in order, reading each value. Validated like
+    /// [`KvStore::get`], per leaf ([`BTree::scan_map`]): the scan is atomic per leaf,
+    /// not as a whole — every key present for the scan's whole duration is returned
+    /// exactly once, and mutations racing it may land between leaves.
     pub fn range(&self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Bytes)>> {
         self.counters.range_scans.fetch_add(1, Ordering::Relaxed);
         self.tree.scan_map(start, end, |k, v| {
@@ -648,9 +704,11 @@ impl KvStore {
 
     /// Commit the current epoch: the durability point.
     ///
-    /// Two barriers — dirty index pages first, then the superblock flip — then the
-    /// superseded pages of the epoch are released. See the module docs; a crash at any
-    /// point leaves the last committed epoch intact.
+    /// A short cut under the epoch latch — dirty index pages written back, the epoch
+    /// ended — then two barriers beside live writers — the cut pages, then the
+    /// superblock flip — then the superseded pages of the cut epoch are released. See
+    /// the module docs; a crash at any point leaves the last committed epoch intact.
+    /// Mutations that return after the cut are in the next epoch, not this one.
     ///
     /// With a non-zero `group_commit_window_us`, concurrent callers batch into one
     /// flip (see the module's *Group commit* section); every caller returns only once
@@ -748,41 +806,65 @@ impl KvStore {
         }
     }
 
-    /// One two-barrier superblock flip (the body of a commit; see [`KvStore::flush`]).
+    /// One superblock flip (the body of a commit; see [`KvStore::flush`]), timed.
+    /// Flips serialise on the commit mutex, held from the cut through the release.
     fn flip(&self) -> Result<()> {
+        let _serial = self.commit.lock();
+        let started = Instant::now();
+        let flipped = self.cut_and_commit();
+        add_micros(&self.counters.commit_us, started);
+        flipped
+    }
+
+    /// The cut under the epoch latch, then both barriers and the release beside live
+    /// writers. Caller holds the commit mutex.
+    fn cut_and_commit(&self) -> Result<()> {
         let mut ck = self.tree.begin_checkpoint();
+        let latched = Instant::now();
         ck.write_back()?;
-        self.store.flush()?; // barrier 1: new tree pages + values durable
+        // Take the user pages this epoch superseded *while the latch is held*: every
+        // entry was pushed by a mutation that completed before the cut, so the cut
+        // tree provably does not reference it. A mutation that slips in once the
+        // latch drops frees a page the cut tree may still map — that entry lands
+        // after this take() and waits for the next epoch.
+        let (user_next, freed_user) = {
+            let mut alloc = self.alloc.lock();
+            (alloc.next, std::mem::take(&mut alloc.freed_epoch))
+        };
+        let cut = ck.cut();
+        add_micros(&self.counters.commit_latch_us, latched);
 
         let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        let user_next = self.alloc.lock().next;
         let sb = Superblock {
             epoch,
-            root: ck.root(),
-            tree_next_page: ck.next_page_id(),
+            root: cut.root(),
+            tree_next_page: cut.next_page_id(),
             user_next_page: user_next,
-            len: ck.len(),
+            len: cut.len(),
         };
-        self.store.put(superblock_slot(epoch), &sb.encode())?;
-        self.store.flush()?; // barrier 2: the atomic flip — this epoch is committed
-
+        let durable = self
+            .store
+            .flush() // barrier 1: the cut tree pages + values durable
+            .and_then(|()| self.store.put(superblock_slot(epoch), &sb.encode()))
+            .and_then(|()| self.store.flush()); // barrier 2: the cut epoch is committed
+        if let Err(e) = durable {
+            // The committed index still maps every superseded page: release nothing.
+            // The tree's ids go back as `cut` drops, the user pages here; the next
+            // flip's root still references the cut pages, and its barrier 1
+            // persists them.
+            self.alloc.lock().freed_epoch.extend(freed_user);
+            return Err(e);
+        }
         self.epoch.store(epoch, Ordering::Relaxed);
         self.counters
             .superblock_commits
             .fetch_add(1, Ordering::Relaxed);
 
-        // Snapshot the user pages this epoch superseded *while the checkpoint guard
-        // still holds the tree latch*: every entry was pushed by a mutation that
-        // completed before this checkpoint began, so the superblock just committed
-        // provably does not reference it. A mutation that slips in once the latch
-        // drops frees a page the committed index may still map — that entry lands
-        // after this take() and waits for the next epoch.
-        let freed_user = std::mem::take(&mut self.alloc.lock().freed_epoch);
         // Post-commit: release the superseded pages (no longer referenced by the
         // committed index, hence unreachable by any reader), and only *then* recycle
         // their ids — recycling first would let a concurrent writer re-allocate an id
         // whose lagging release then tombstones the new page.
-        let freed_tree = ck.commit();
+        let freed_tree = cut.commit();
         for &id in &freed_tree {
             self.store.delete(TREE_BASE + id)?;
         }
@@ -830,6 +912,28 @@ impl KvStore {
     #[doc(hidden)]
     pub fn set_next_user_page_for_tests(&self, next: PageId) {
         self.alloc.lock().next = next;
+    }
+
+    /// Test hook: the ids on the tree's or the user allocator's free list that the
+    /// live index reaches, or that the lists hold twice (tree ids as `TREE_BASE + id`).
+    /// Empty on a sound store; call it while no flip runs.
+    #[doc(hidden)]
+    pub fn misfiled_free_ids_for_tests(&self) -> Result<Vec<PageId>> {
+        let reach = Reach::walk(&self.tree)?;
+        let mut listed = HashSet::new();
+        let mut misfiled = Vec::new();
+        for id in self.tree.free_ids() {
+            if reach.tree.contains(&id) || !listed.insert(TREE_BASE + id) {
+                misfiled.push(TREE_BASE + id);
+            }
+        }
+        let user_free = self.alloc.lock().free.clone();
+        for id in user_free {
+            if reach.user.contains(&id) || !listed.insert(id) {
+                misfiled.push(id);
+            }
+        }
+        Ok(misfiled)
     }
 }
 

@@ -45,4 +45,4 @@ pub mod tree;
 pub use buffer_pool::{BufferPool, BufferPoolStats};
 pub use kv::{KvOptions, KvStats, KvStore};
 pub use page_store::{LssPageStore, MemPageStore, PageStore, TracingPageStore};
-pub use tree::{BTree, TreeCheckpoint, TreeStats};
+pub use tree::{BTree, TreeCheckpoint, TreeCut, TreeStats};

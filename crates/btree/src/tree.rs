@@ -44,7 +44,8 @@
 //! * **Checkpoints** (and walks, and flushes) take the tree's *epoch latch*
 //!   exclusively; every mutation holds it shared. This replaces the old exclusive
 //!   tree latch for exactly one job: freezing the epoch's page set while a
-//!   [`TreeCheckpoint`] runs. After `OPT_RETRIES` failed optimistic attempts an
+//!   [`TreeCheckpoint`] writes it back and cuts it — the caller's barriers run after
+//!   the cut, with the latch released. After `OPT_RETRIES` failed optimistic attempts an
 //!   operation falls back to the epoch latch's exclusive side, which quiesces all
 //!   writers — guaranteed progress, no starvation in either direction. A quiesced
 //!   mutation runs the *same* attempt as an optimistic one (there is one
@@ -64,12 +65,15 @@
 //! first time an epoch modifies a node, the node is relocated to a freshly allocated
 //! page id and the old id is queued on a freed list (path copying — the parent is being
 //! rewritten anyway to repoint at the relocated child, all the way to the root). Pages
-//! allocated since the last commit are "fresh" and are updated in place. A
-//! [`TreeCheckpoint`] then makes the epoch durable: write back the dirty pages (all of
-//! them fresh ids), let the caller place a commit record (the KV layer's superblock)
-//! pointing at the new root, and only then release the freed ids for reuse — bumping
-//! the freed pages' versions first, so optimistic readers still standing on a stale
-//! path restart instead of chasing reclaimed pages. Crash at any point and the
+//! allocated since the last cut are "fresh" and are updated in place. A
+//! [`TreeCheckpoint`] then ends the epoch: under the exclusive epoch latch it writes
+//! back the dirty pages (all of them fresh ids) and *cuts* — snapshots root, watermark
+//! and key count, takes the freed ids and clears `fresh`, so the next epoch relocates
+//! the cut epoch's pages instead of rewriting them. With the latch released, the
+//! caller makes the pages durable and places a commit record (the KV layer's
+//! superblock) pointing at the cut root, and only then releases the freed ids for
+//! reuse — bumping the freed pages' versions first, so optimistic readers still
+//! standing on a stale path restart instead of chasing reclaimed pages. Crash at any point and the
 //! previously committed root still describes a fully intact tree. Stand-alone trees
 //! ([`BTree::open`]) skip all of this and update pages in place, which keeps the TPC-C
 //! page-write traces of the Figure 6 experiment faithful.
@@ -402,6 +406,11 @@ impl<S: PageStore> BTree<S> {
         self.alloc.lock().free.extend(ids);
     }
 
+    /// The reusable-page-id list, as it stands (for audits).
+    pub(crate) fn free_ids(&self) -> Vec<u64> {
+        self.alloc.lock().free.clone()
+    }
+
     // ------------------------------------------------------------------
     // Reads
     // ------------------------------------------------------------------
@@ -687,9 +696,11 @@ impl<S: PageStore> BTree<S> {
     }
 
     /// Exclusive-fallback mutation (caller holds the epoch latch exclusively): the
-    /// same attempt the optimistic path makes. It cannot conflict here — a version
-    /// moves only under a mutation, which the latch excludes, or a checkpoint commit,
-    /// which holds it — so the loop body runs once. Optimistic readers take no epoch
+    /// same attempt the optimistic path makes. It conflicts at most briefly here — a
+    /// version moves only under a mutation, which the latch excludes, or when a
+    /// committed cut invalidates the ids it freed, none of which is on the live path
+    /// (a slot one of them aliases is a false conflict) — so the loop body almost
+    /// always runs once. Optimistic readers take no epoch
     /// latch and are kept out the way every attempt keeps them out: each rewritten
     /// page stays version-locked (odd) until the root is published, and a failed
     /// write rolls the allocator bookkeeping back.
@@ -1006,7 +1017,7 @@ impl<S: PageStore> BTree<S> {
     }
 
     /// Take the epoch latch exclusively for a checkpoint: no mutation can run until
-    /// the returned guard is committed or dropped. See [`TreeCheckpoint`].
+    /// the returned guard is cut or dropped. See [`TreeCheckpoint`].
     pub fn begin_checkpoint(&self) -> TreeCheckpoint<'_, S> {
         TreeCheckpoint {
             tree: self,
@@ -1075,70 +1086,116 @@ impl<S: PageStore> BTree<S> {
 }
 
 /// An in-progress checkpoint of a shadow-mode tree: holds the epoch latch exclusively
-/// so the epoch's page set is frozen while the caller runs its commit protocol.
+/// so the epoch's page set is frozen while its pages are written back and cut.
 ///
 /// Intended sequence (the KV layer's two-barrier superblock flip):
 ///
 /// 1. [`TreeCheckpoint::write_back`] — dirty pages (all fresh ids) reach the store;
-/// 2. caller makes them durable (barrier 1), then durably commits a record pointing at
-///    [`TreeCheckpoint::root`] / [`TreeCheckpoint::next_page_id`] (barrier 2);
-/// 3. [`TreeCheckpoint::commit`] — the epoch's freed page ids become reusable and are
-///    returned so the caller can release their storage.
+/// 2. [`TreeCheckpoint::cut`] — the epoch ends and the latch is released: the
+///    returned [`TreeCut`] holds the commit record's fields and the ids the epoch
+///    superseded, and mutations resume at once as the next epoch;
+/// 3. caller makes the written pages durable (barrier 1), then durably commits a
+///    record pointing at [`TreeCut::root`] / [`TreeCut::next_page_id`] (barrier 2);
+/// 4. [`TreeCut::commit`] — the epoch's freed page ids are returned so the caller can
+///    release their storage and then recycle them.
 ///
-/// Dropping the guard without committing aborts the epoch bookkeeping-wise: freed pages
-/// stay unreleased and the next checkpoint retries, which is exactly right when a
-/// barrier fails — the previously committed root is still fully intact.
+/// Dropping the checkpoint before the cut leaves the epoch running; dropping the cut
+/// without committing hands its freed ids back to the tree for the next cut, which is
+/// exactly right when a barrier fails — the previously committed root is still fully
+/// intact.
 pub struct TreeCheckpoint<'a, S: PageStore> {
     tree: &'a BTree<S>,
     _quiesced: RwLockWriteGuard<'a, ()>,
 }
 
-impl<S: PageStore> TreeCheckpoint<'_, S> {
+impl<'a, S: PageStore> TreeCheckpoint<'a, S> {
     /// Write all dirty pages back to the store in ascending page-id order (no sync).
     /// Returns the page ids written.
     pub fn write_back(&mut self) -> Result<Vec<u64>> {
         self.tree.pool.write_back()
     }
 
-    /// The root page id this checkpoint would commit.
-    pub fn root(&self) -> u64 {
-        self.tree.root.load(Ordering::Acquire)
-    }
-
-    /// The allocation watermark this checkpoint would commit.
-    pub fn next_page_id(&self) -> u64 {
-        self.tree.alloc.lock().next_page_id
-    }
-
-    /// The key count this checkpoint would commit.
-    pub fn len(&self) -> u64 {
-        self.tree.len.load(Ordering::Acquire)
-    }
-
-    /// True if the tree holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Seal the epoch after the caller's commit record is durable: fresh pages become
-    /// committed. Returns the epoch's freed page ids — no longer referenced by the
-    /// committed tree — **without recycling them**: the caller releases their storage
-    /// first and only then hands them back via [`BTree::seed_free_list`]. Recycling
-    /// before the release is a race: a new page could be allocated at the id and then
-    /// clobbered by the in-flight release of its previous incarnation.
-    pub fn commit(self) -> Vec<u64> {
-        let mut a = self.tree.alloc.lock();
+    /// End the epoch and release the epoch latch: snapshot the commit record's fields,
+    /// take the epoch's freed page ids and clear `fresh`. From here on no page of the
+    /// cut epoch is updated in place — a mutation of the next epoch relocates it like
+    /// any committed page — so the cut tree stays intact while the caller's barriers
+    /// run beside live writers.
+    pub fn cut(self) -> TreeCut<'a, S> {
+        let tree = self.tree;
+        let mut a = tree.alloc.lock();
         a.fresh.clear();
-        let freed = std::mem::take(&mut a.freed);
+        let cut = TreeCut {
+            tree,
+            root: tree.root.load(Ordering::Acquire),
+            next_page_id: a.next_page_id,
+            len: tree.len.load(Ordering::Acquire),
+            freed: std::mem::take(&mut a.freed),
+        };
         drop(a);
+        drop(self);
+        cut
+    }
+}
+
+/// A cut epoch of a shadow-mode tree, waiting for the caller's commit record (see
+/// [`TreeCheckpoint`]). Holds no lock.
+pub struct TreeCut<'a, S: PageStore> {
+    tree: &'a BTree<S>,
+    root: u64,
+    next_page_id: u64,
+    len: u64,
+    /// Committed pages the cut epoch superseded; released only once the record
+    /// pointing at `root` is durable.
+    freed: Vec<u64>,
+}
+
+impl<S: PageStore> TreeCut<'_, S> {
+    /// The root page id of the cut epoch.
+    pub fn root(&self) -> u64 {
+        self.root
+    }
+
+    /// The allocation watermark of the cut epoch.
+    pub fn next_page_id(&self) -> u64 {
+        self.next_page_id
+    }
+
+    /// The key count of the cut epoch.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// True if the cut epoch holds no keys.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Call once the commit record is durable. Returns the epoch's freed page ids — no
+    /// longer referenced by the committed tree — **without recycling them**: the
+    /// caller releases their storage first and only then hands them back via
+    /// [`BTree::seed_free_list`]. Recycling before the release is a race: a new page
+    /// could be allocated at the id and then clobbered by the in-flight release of its
+    /// previous incarnation.
+    pub fn commit(mut self) -> Vec<u64> {
+        let freed = std::mem::take(&mut self.freed);
         // Invalidate optimistic readers parked on a freed page *before* the caller
         // deletes its storage or recycles its id: a reader holding a stale path (its
-        // root-to-leaf snapshot predates this epoch) would otherwise validate a page
-        // that is about to vanish or be reborn as a different node.
+        // root-to-leaf snapshot predates the cut) would otherwise validate a page that
+        // is about to vanish or be reborn as a different node.
         for &id in &freed {
             self.tree.versions.bump(id);
         }
         freed
+    }
+}
+
+impl<S: PageStore> Drop for TreeCut<'_, S> {
+    /// An uncommitted cut: the committed tree still references every freed page, so
+    /// the ids go back on the tree's freed list and wait for the next cut's commit.
+    fn drop(&mut self) {
+        if !self.freed.is_empty() {
+            self.tree.alloc.lock().freed.append(&mut self.freed);
+        }
     }
 }
 
@@ -1184,6 +1241,13 @@ mod tests {
 
         fn delete_quiesced(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
             self.mutate_quiesced(key, None)
+        }
+
+        /// A KV flip's latch phase: write the epoch back and cut it.
+        fn cut_epoch(&self) -> TreeCut<'_, S> {
+            let mut ck = self.begin_checkpoint();
+            ck.write_back().unwrap();
+            ck.cut()
         }
     }
 
@@ -1361,9 +1425,7 @@ mod tests {
                 let v = (next() % 4 != 0).then(|| vec![b'v'; (next() % 48) as usize]);
                 mutate(&mut model, k, v);
                 if tree.shadow && step % 500 == 499 {
-                    let mut ck = tree.begin_checkpoint();
-                    ck.write_back().unwrap();
-                    tree.seed_free_list(ck.commit());
+                    tree.seed_free_list(tree.cut_epoch().commit());
                     // Nothing is fresh now: the first touch path-copies root to leaf
                     // (every level relocated, every parent repointed) …
                     let (depth, _) = shape(&tree);
@@ -1512,12 +1574,10 @@ mod tests {
         }
         // Commit epoch 1.
         let (root1, next1) = {
-            let mut ck = tree.begin_checkpoint();
-            ck.write_back().unwrap();
-            let (r, n) = (ck.root(), ck.next_page_id());
-            let freed = ck.commit();
+            let cut = tree.cut_epoch();
+            let (r, n) = (cut.root(), cut.next_page_id());
             // A fresh tree frees nothing on its first commit.
-            assert!(freed.is_empty());
+            assert!(cut.commit().is_empty());
             (r, n)
         };
         // Snapshot the committed pages straight from the store.
@@ -1541,29 +1601,57 @@ mod tests {
         }
 
         // Committing epoch 2 frees superseded pages; once handed back, they recycle.
-        let freed = {
-            let mut ck = tree.begin_checkpoint();
-            ck.write_back().unwrap();
-            ck.commit()
-        };
+        let freed = tree.cut_epoch().commit();
         assert!(!freed.is_empty(), "epoch 2 must supersede committed pages");
         tree.seed_free_list(freed);
-        let watermark_before = {
-            let ck = tree.begin_checkpoint();
-            ck.next_page_id()
-        };
+        let watermark_before = tree.alloc.lock().next_page_id;
         for i in 200..260u32 {
             tree.insert(&key(i), b"epoch-2").unwrap();
         }
-        let watermark_after = {
-            let ck = tree.begin_checkpoint();
-            ck.next_page_id()
-        };
+        let watermark_after = tree.alloc.lock().next_page_id;
         assert!(
             (watermark_after - watermark_before) < 60,
             "freed ids were not recycled (watermark grew by {})",
             watermark_after - watermark_before
         );
+    }
+
+    #[test]
+    fn the_next_epoch_relocates_cut_pages_and_an_uncommitted_cut_gives_its_freed_ids_back() {
+        let tree = new_shadow_tree();
+        for i in 0..200u32 {
+            tree.insert(&key(i), b"epoch-1").unwrap();
+        }
+        tree.cut_epoch().commit();
+        tree.insert(&key(3), b"epoch-2").unwrap();
+        let cut = tree.cut_epoch();
+        let freed = cut.freed.clone();
+        assert!(!freed.is_empty(), "epoch 2 must supersede committed pages");
+        let cut_pages: Vec<(u64, Bytes)> = (0..cut.next_page_id())
+            .filter_map(|id| tree.store().read_page(id).unwrap().map(|d| (id, d)))
+            .collect();
+
+        // The latch is free: a mutation runs as epoch 3 and path-copies the cut
+        // epoch's pages, fresh a moment ago, instead of rewriting them in place.
+        tree.insert(&key(3), b"epoch-3").unwrap();
+        assert_ne!(tree.root.load(Ordering::Acquire), cut.root());
+        tree.pool.write_back().unwrap();
+        for (id, data) in &cut_pages {
+            assert_eq!(
+                tree.store().read_page(*id).unwrap().as_deref(),
+                Some(&data[..]),
+                "cut page {id} rewritten by the next epoch"
+            );
+        }
+
+        // A cut whose commit record never became durable keeps its freed ids queued
+        // for the next cut, beside the ones epoch 3 superseded.
+        drop(cut);
+        let queued = tree.alloc.lock().freed.clone();
+        assert!(freed.iter().all(|id| queued.contains(id)), "{freed:?} lost");
+        assert!(queued.len() > freed.len(), "epoch 3 superseded nothing");
+        assert_eq!(tree.cut_epoch().commit().len(), queued.len());
+        assert_eq!(tree.get(&key(3)).unwrap().unwrap(), b"epoch-3");
     }
 
     #[test]
@@ -1590,10 +1678,9 @@ mod tests {
             tree.insert(&key(i), format!("v-{i}").as_bytes()).unwrap();
         }
         let (root, next, len) = {
-            let mut ck = tree.begin_checkpoint();
-            ck.write_back().unwrap();
-            let frontier = (ck.root(), ck.next_page_id(), ck.len());
-            ck.commit();
+            let cut = tree.cut_epoch();
+            let frontier = (cut.root(), cut.next_page_id(), cut.len());
+            cut.commit();
             frontier
         };
         // Uncommitted epoch on top: must be invisible to the frontier reopen.
@@ -1688,9 +1775,7 @@ mod tests {
         for i in 0..200u32 {
             tree.insert(&key(i), b"seed").unwrap();
         }
-        let mut ck = tree.begin_checkpoint();
-        ck.write_back().unwrap();
-        ck.commit();
+        tree.cut_epoch().commit();
         assert!(
             tree.alloc.lock().freed.is_empty(),
             "committed baseline must start with an empty freed queue"
@@ -1720,9 +1805,7 @@ mod tests {
         // committed tree no longer references: scribbling over their storage —
         // the moral equivalent of the store deleting them — must break nothing.
         tree.insert(&key(42), b"after").unwrap();
-        let mut ck = tree.begin_checkpoint();
-        ck.write_back().unwrap();
-        for id in ck.commit() {
+        for id in tree.cut_epoch().commit() {
             tree.store().inner.write_page(id, &[0xAA; PAGE]).unwrap();
         }
         assert_eq!(tree.get(&key(42)).unwrap().unwrap(), b"after");
@@ -1751,9 +1834,7 @@ mod tests {
         assert_eq!(tree.get(&key(57)).unwrap().as_deref(), Some(&b"seed"[..]));
 
         // Re-commit (clean pool, empty freed queue), then the delete path.
-        let mut ck = tree.begin_checkpoint();
-        ck.write_back().unwrap();
-        ck.commit();
+        tree.cut_epoch().commit();
         tree.store().fail.store(true, Ordering::Relaxed);
         {
             let _quiesced = tree.epoch_latch.write();

@@ -9,8 +9,9 @@
 //! and acknowledges every request that was parked before the flip began — so durable
 //! writes in flight together, from any mix of connections, share one flip, and
 //! replies to requests that arrived together share one socket flush. The committer
-//! starts at most one flip per [`COMMIT_INTERVAL`]. There is no thread pool and no
-//! knob to size one.
+//! starts the next flip as soon as the last one has acked and a rider is parked: a
+//! flip holds the index's epoch latch only for its short cut, so writers never wait
+//! for its barriers. There is no thread pool and no knob to size one.
 //!
 //! Most clients should use the `lss-client` crate rather than this crate's
 //! [`protocol`] module directly; operators run the `lss-server` binary (see
@@ -57,4 +58,4 @@
 pub mod protocol;
 mod server;
 
-pub use server::{Server, ServerConfig, COMMIT_INTERVAL};
+pub use server::{Server, ServerConfig};

@@ -12,10 +12,10 @@
 //!                     │     thread would block in `read`
 //!                     └─ durable PUT / DELETE, FLUSH: applied, then *parked* ──┐
 //!                                                                             ▼
-//! committer thread ◄── rider list (server-wide) ── sleeps until a rider exists
-//!     and the commit interval since its last flip's start has passed, cuts the
-//!     list as its group-commit generation closes, runs one two-barrier flip, acks
-//!     every rider it cut: all acks of a connection, then one flush
+//! committer thread ◄── rider list (server-wide) ── sleeps until a rider exists,
+//!     cuts the list as its group-commit generation closes, runs one flip (a short
+//!     cut under the epoch latch, then two barriers beside live writers), acks every
+//!     rider it cut: all acks of a connection, then one flush; and goes again
 //! ```
 //!
 //! Two batching effects stack here: every durable write parked before the cut shares
@@ -43,23 +43,12 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Durable requests one connection may have parked for the committer. At the cap
 /// the connection's thread stops reading until a flip acknowledges some, so a peer
 /// cannot grow the rider list without bound by never waiting for its acks.
 const MAX_PARKED_PER_CONN: usize = 1024;
-
-/// Least time from the start of one flip to the start of the next; an idle server
-/// flips at once. A flip holds the tree's epoch latch, so every mutation waits while
-/// one runs: flips started back to back would leave writers only the gaps between
-/// them, and would tie every durable writer's throughput to what `fdatasync` costs
-/// that minute. With the interval a busy server commits 250 times a second and
-/// everything that arrived within an interval shares its flip — durable throughput
-/// is requests in flight per interval for as long as a flip fits one. The price: a
-/// connection sending durable writes strictly one at a time gets 250 a second
-/// (docs/OPERATIONS.md). A constant, not a knob.
-pub const COMMIT_INTERVAL: Duration = Duration::from_millis(4);
 
 /// Server tuning knobs. All knobs are also documented in docs/OPERATIONS.md.
 #[derive(Debug, Clone)]
@@ -443,39 +432,31 @@ fn park_rider(shared: &Shared, conn: &Arc<Conn>, opcode: u8, corr_id: u64, ok: &
     drop(riders);
     if first {
         // Only an empty list has the committer waiting for a rider; with one on it,
-        // it is flipping or sleeping out the commit interval.
+        // it is flipping.
         shared.rider_parked.notify_one();
     }
 }
 
 /// The committer: the only caller of `KvStore::flush*` in the server. One flip per
-/// iteration, at most one per [`COMMIT_INTERVAL`], acknowledges every rider parked
-/// before the flip's generation closed; riders parked later wait for the next
-/// iteration.
+/// iteration acknowledges every rider parked before the flip's generation closed;
+/// riders parked later wait for the next iteration, which starts as soon as this one
+/// has acked. A flip holds the tree's epoch latch only for its cut, so flips back to
+/// back leave writers running; the group-commit window is what gathers riders.
 fn commit_loop(shared: &Shared) {
     let mut batch = Vec::new();
-    let mut next_flip = Instant::now();
     loop {
         {
-            // Sleep until a rider exists, then out the rest of the commit interval.
             let mut riders = shared.riders.lock();
-            while !shared.shutting_down.load(Ordering::Acquire) {
-                let early = next_flip.saturating_duration_since(Instant::now());
-                if riders.is_empty() {
-                    shared.rider_parked.wait(&mut riders);
-                } else if early.is_zero() {
-                    break;
-                } else {
-                    shared.rider_parked.wait_for(&mut riders, early);
-                }
+            while riders.is_empty() && !shared.shutting_down.load(Ordering::Acquire) {
+                shared.rider_parked.wait(&mut riders);
             }
         }
         if shared.shutting_down.load(Ordering::Acquire) {
             return;
         }
-        next_flip = Instant::now() + COMMIT_INTERVAL;
-        // The cut runs strictly before the flip's checkpoint begins (see
-        // `KvStore::flush_with`): every rider cut here was applied before it.
+        // The hook takes the list strictly before the flip's checkpoint begins (see
+        // `KvStore::flush_with`): every rider taken here was applied before the
+        // epoch's cut, so the flip covers it.
         let flipped = shared
             .kv
             .flush_with(|| std::mem::swap(&mut batch, &mut *shared.riders.lock()));
@@ -658,6 +639,8 @@ struct KvSection {
     flush_calls: u64,
     superblock_commits: u64,
     group_commit_riders: u64,
+    commit_latch_us: u64,
+    commit_us: u64,
     index_write_amplification: f64,
     pool_hit_ratio: f64,
 }
@@ -717,6 +700,8 @@ fn stats_json(shared: &Shared) -> String {
             flush_calls: kv_stats.flush_calls,
             superblock_commits: kv_stats.superblock_commits,
             group_commit_riders: kv_stats.group_commit_riders,
+            commit_latch_us: kv_stats.commit_latch_us,
+            commit_us: kv_stats.commit_us,
             index_write_amplification: kv_stats.index_write_amplification(),
             pool_hit_ratio: kv_stats.pool.hit_ratio(),
         },

@@ -338,6 +338,119 @@ impl CrashPointDevice {
     }
 }
 
+/// The state of a [`SyncControl`] gate; tests change it through [`SyncControl::set`].
+#[derive(Default)]
+#[allow(dead_code)]
+pub struct SyncState {
+    /// While set, a sync numbered `hold_from` or later waits at the gate.
+    pub holding: bool,
+    /// The first sync (1-based, counted from creation) that `holding` stops; 0 (the
+    /// default) stops every one.
+    pub hold_from: usize,
+    /// Every sync that leaves the gate fails.
+    pub failing: bool,
+    /// Syncs that have reached the gate since the device was created.
+    pub arrived: usize,
+}
+
+/// A [`CrashPointDevice`] whose `sync` — the barrier of a KV flip — can be held at a
+/// gate and made to fail after it: a test parks a flip inside a barrier, runs other
+/// threads against the store meanwhile, and then releases it, fails it, or kills the
+/// device under it ([`SyncControl::crash`]). Writes always land unless the crash
+/// device has died.
+#[derive(Clone)]
+#[allow(dead_code)]
+pub struct SyncControl {
+    inner: CrashPointDevice,
+    state: Arc<(Mutex<SyncState>, Condvar)>,
+}
+
+#[allow(dead_code)]
+impl SyncControl {
+    pub fn new(config: &StoreConfig) -> Self {
+        Self {
+            inner: CrashPointDevice::new(config.segment_bytes, config.num_segments),
+            state: Arc::default(),
+        }
+    }
+
+    pub fn set(&self, change: impl FnOnce(&mut SyncState)) {
+        change(&mut self.state.0.lock().unwrap());
+        self.state.1.notify_all();
+    }
+
+    /// Syncs that have reached the gate so far.
+    pub fn syncs(&self) -> usize {
+        self.state.0.lock().unwrap().arrived
+    }
+
+    /// Block until the `nth` sync (1-based, counted from creation) is at the gate.
+    pub fn wait_for_sync(&self, nth: usize) {
+        let deadline = Instant::now() + GATE_TIMEOUT;
+        let mut state = self.state.0.lock().unwrap();
+        while state.arrived < nth {
+            let (next, timeout) = self
+                .state
+                .1
+                .wait_timeout(state, deadline.saturating_duration_since(Instant::now()))
+                .unwrap();
+            state = next;
+            assert!(!timeout.timed_out(), "sync {nth} never reached the gate");
+        }
+    }
+
+    /// The crash device underneath: kill it while a sync is held to crash mid-barrier.
+    pub fn crash(&self) -> &CrashPointDevice {
+        &self.inner
+    }
+}
+
+/// A test that fails while the gate is closed must not hang in a drop that joins a
+/// thread waiting at the gate (a server's committer, a flusher).
+impl Drop for SyncControl {
+    fn drop(&mut self) {
+        self.set(|s| s.holding = false);
+    }
+}
+
+impl SegmentDevice for SyncControl {
+    fn geometry(&self) -> DeviceGeometry {
+        self.inner.geometry()
+    }
+    fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
+        self.inner.read_segment(seg)
+    }
+    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+        self.inner.read_segment_into(seg, buf)
+    }
+    fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
+        self.inner.read_range(seg, offset, len)
+    }
+    fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()> {
+        self.inner.write_segment(seg, image)
+    }
+    fn write_ranges(&self, seg: SegmentId, image: &[u8], dirty: &[Range<u32>]) -> Result<()> {
+        self.inner.write_ranges(seg, image, dirty)
+    }
+    fn sync(&self) -> Result<()> {
+        let mut state = self.state.0.lock().unwrap();
+        state.arrived += 1;
+        let nth = state.arrived;
+        self.state.1.notify_all();
+        while state.holding && nth >= state.hold_from {
+            state = self.state.1.wait(state).unwrap();
+        }
+        if state.failing {
+            return Err(Error::Io(std::io::Error::other("injected sync failure")));
+        }
+        drop(state);
+        self.inner.sync()
+    }
+    fn segment_writes(&self) -> u64 {
+        self.inner.segment_writes()
+    }
+}
+
 impl SegmentDevice for CrashPointDevice {
     fn geometry(&self) -> DeviceGeometry {
         self.inner.geometry()

@@ -13,22 +13,21 @@
 
 mod common;
 
-use common::stress_seed_or;
+use common::{stress_seed_or, SyncControl};
 use lss::btree::kv::{KvOptions, KvStore};
 use lss::client::{Client, ClientError, ClientOptions};
-use lss::core::device::{DeviceGeometry, MemDevice, SegmentDevice};
-use lss::core::{Error, LogStore, SegmentId, StoreConfig};
+use lss::core::device::{MemDevice, SegmentDevice};
+use lss::core::{LogStore, StoreConfig};
 use lss::server::protocol::{
     self, encode_frame, read_frame, write_frame, Request, Response, ERR_BAD_REQUEST, ERR_SERVER,
     ERR_UNSUPPORTED_OPCODE, MIN_FRAME_LEN, OP_PUT, RESPONSE_BIT, STATUS_OK, VERSION,
 };
-use lss::server::{Server, ServerConfig, COMMIT_INTERVAL};
+use lss::server::{Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// An in-process server on an ephemeral port plus the shared store handle.
@@ -370,94 +369,6 @@ fn shutdown_mid_request_unblocks_clients() {
 // The committer.
 // ---------------------------------------------------------------------------------
 
-#[derive(Default)]
-struct SyncState {
-    holding: bool,
-    failing: bool,
-    /// Syncs that have reached the gate since the device was created.
-    arrived: usize,
-}
-
-/// A `MemDevice` whose `sync` — the barrier of a flip — can be held at a gate and
-/// made to fail after it. Writes always land.
-#[derive(Clone)]
-struct SyncControl {
-    inner: Arc<MemDevice>,
-    state: Arc<(Mutex<SyncState>, Condvar)>,
-}
-
-impl SyncControl {
-    fn new(config: &StoreConfig) -> Self {
-        Self {
-            inner: Arc::new(MemDevice::new(config.segment_bytes, config.num_segments)),
-            state: Arc::default(),
-        }
-    }
-
-    fn set(&self, change: impl FnOnce(&mut SyncState)) {
-        change(&mut self.state.0.lock().unwrap());
-        self.state.1.notify_all();
-    }
-
-    /// Block until the `nth` sync (1-based, counted from creation) is at the gate.
-    fn wait_for_sync(&self, nth: usize) {
-        let mut state = self.state.0.lock().unwrap();
-        while state.arrived < nth {
-            state = self.state.1.wait(state).unwrap();
-        }
-    }
-}
-
-/// A test that fails while the gate is closed must not hang in the server's drop,
-/// which joins a committer waiting at the gate.
-impl Drop for SyncControl {
-    fn drop(&mut self) {
-        self.set(|s| s.holding = false);
-    }
-}
-
-impl SegmentDevice for SyncControl {
-    fn geometry(&self) -> DeviceGeometry {
-        self.inner.geometry()
-    }
-    fn read_segment(&self, seg: SegmentId) -> lss::core::Result<Vec<u8>> {
-        self.inner.read_segment(seg)
-    }
-    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> lss::core::Result<()> {
-        self.inner.read_segment_into(seg, buf)
-    }
-    fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> lss::core::Result<Vec<u8>> {
-        self.inner.read_range(seg, offset, len)
-    }
-    fn write_segment(&self, seg: SegmentId, image: &[u8]) -> lss::core::Result<()> {
-        self.inner.write_segment(seg, image)
-    }
-    fn write_ranges(
-        &self,
-        seg: SegmentId,
-        image: &[u8],
-        dirty: &[Range<u32>],
-    ) -> lss::core::Result<()> {
-        self.inner.write_ranges(seg, image, dirty)
-    }
-    fn sync(&self) -> lss::core::Result<()> {
-        let mut state = self.state.0.lock().unwrap();
-        state.arrived += 1;
-        self.state.1.notify_all();
-        while state.holding {
-            state = self.state.1.wait(state).unwrap();
-        }
-        if state.failing {
-            return Err(Error::Io(std::io::Error::other("injected sync failure")));
-        }
-        drop(state);
-        self.inner.sync()
-    }
-    fn segment_writes(&self) -> u64 {
-        self.inner.segment_writes()
-    }
-}
-
 /// A server on a [`SyncControl`] device with the shipped 200 µs window.
 fn start_gated_server() -> (Server, Arc<KvStore>, SyncControl) {
     let config = StoreConfig::small_for_tests();
@@ -557,34 +468,26 @@ fn concurrent_durable_puts_share_flips() {
     server.shutdown();
 }
 
-/// §5.2: flips start at least one commit interval apart, however fast the device,
-/// and never less often than the requests need — a lower bound on time and a count,
-/// no upper bound on either clock.
+/// §5.2: durable PUTs sent strictly one at a time each get a flip of their own — a
+/// count, not a clock: there is no least time between flips.
 #[test]
-fn flips_are_spaced_by_the_commit_interval() {
+fn one_at_a_time_durable_puts_each_get_their_own_flip() {
     const PUTS: u32 = 8;
     let (server, kv) = start_server();
     let mut stream = raw_conn(&server);
     let before = kv.stats().superblock_commits;
-    let start = std::time::Instant::now();
     for i in 0..PUTS {
         send(&mut stream, u64::from(i), &durable_put(&format!("k{i}")));
         assert_eq!(recv(&mut stream), (u64::from(i), Response::Put));
+        assert_eq!(kv.stats().superblock_commits - before, u64::from(i + 1));
     }
-    // One at a time, each PUT needs a flip of its own; the first may start at once.
-    assert_eq!(kv.stats().superblock_commits - before, u64::from(PUTS));
-    let least = COMMIT_INTERVAL * (PUTS - 1);
-    assert!(
-        start.elapsed() >= least,
-        "{PUTS} flips in {:?}, less than {least:?}",
-        start.elapsed()
-    );
     server.shutdown();
 }
 
 /// §5.2 / §5.5: a request parked while a flip is under way is not covered by that
-/// flip — its ack waits for a second superblock commit. (A mutation sent during a
-/// flip is not even applied until the flip ends: the checkpoint holds the tree.)
+/// flip — its ack waits for a second superblock commit. Its mutation is applied at
+/// once all the same: a flip holds the index only for its cut, never across a
+/// barrier, so the value is readable while flip 1 is still held.
 #[test]
 fn a_request_parked_during_a_flip_waits_for_the_next_one() {
     let (server, kv, device) = start_gated_server();
@@ -594,9 +497,14 @@ fn a_request_parked_during_a_flip_waits_for_the_next_one() {
     send(&mut stream, 1, &durable_put("first"));
     device.wait_for_sync(1); // flip 1 is at its first barrier: its riders are cut
     send(&mut stream, 2, &Request::Flush);
-    fence(&mut stream, 3); // answered at once, ahead of both acks (§7)
-    send(&mut stream, 4, &durable_put("second"));
-    assert_eq!(kv.stats().superblock_commits, before);
+    send(&mut stream, 3, &durable_put("second"));
+    fence(&mut stream, 4); // answered at once, ahead of all three acks (§7)
+    assert_eq!(kv.get(b"second").unwrap().as_deref(), Some(&b"v"[..]));
+    assert_eq!(
+        kv.stats().superblock_commits,
+        before,
+        "flip 1 is still held"
+    );
     device.set(|s| s.holding = false);
     assert_eq!(recv(&mut stream), (1, Response::Put));
     assert_eq!(recv(&mut stream), (2, Response::Flush));
@@ -605,10 +513,9 @@ fn a_request_parked_during_a_flip_waits_for_the_next_one() {
         flips >= 2,
         "a FLUSH parked during flip 1 was acknowledged by it ({flips} flips)"
     );
-    assert_eq!(recv(&mut stream), (4, Response::Put));
+    assert_eq!(recv(&mut stream), (3, Response::Put));
     let flips = kv.stats().superblock_commits - before;
     assert!((2..=3).contains(&flips), "{flips} flips for three riders");
-    assert_eq!(kv.get(b"second").unwrap().as_deref(), Some(&b"v"[..]));
     server.shutdown();
 }
 
