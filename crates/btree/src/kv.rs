@@ -96,14 +96,14 @@
 
 use crate::buffer_pool::{BufferPool, BufferPoolStats};
 use crate::kv_legacy::{classify_slot, SlotState, Superblock};
-use crate::node::Node;
+use crate::node::{raw_is_leaf, raw_leaf_entries};
 use crate::page_store::PageStore;
 use crate::tree::{BTree, TreeStats};
 use bytes::Bytes;
 use lss_core::error::{Error, Result};
+use lss_core::util::FxHashSet;
 use lss_core::{LogStore, PageId};
 use parking_lot::Mutex;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -328,40 +328,38 @@ struct UserAlloc {
 /// What an index reaches: its tree page ids, the user pages its leaves map, and its
 /// key count.
 struct Reach {
-    tree: HashSet<u64>,
-    user: HashSet<PageId>,
+    tree: FxHashSet<u64>,
+    user: FxHashSet<PageId>,
     keys: u64,
 }
 
 impl Reach {
-    /// Walk the whole tree (quiescing writers for the walk).
+    /// Walk the whole tree (quiescing writers for the walk), reading each leaf's
+    /// values where they lie in its encoded page.
     fn walk(tree: &BTree<KvTreeStore>) -> Result<Self> {
         let mut reach = Reach {
-            tree: HashSet::new(),
-            user: HashSet::new(),
+            tree: FxHashSet::default(),
+            user: FxHashSet::default(),
             keys: 0,
         };
-        let mut bad_value: Option<usize> = None;
-        tree.walk(|id, node| {
+        tree.walk(|id, page| {
             reach.tree.insert(id);
-            if let Node::Leaf { entries } = node {
-                reach.keys += entries.len() as u64;
-                for (_, v) in entries {
-                    match decode_user_page(v) {
-                        Ok(p) => {
-                            reach.user.insert(p);
-                        }
-                        Err(_) => bad_value = Some(v.len()),
-                    }
+            if raw_is_leaf(page)? {
+                for entry in raw_leaf_entries(page)? {
+                    let (_, v) = entry?;
+                    let user = decode_user_page(v).map_err(|_| {
+                        Error::CorruptCheckpoint(format!(
+                            "kv index leaf holds a {}-byte value, expected an 8-byte page id",
+                            v.len()
+                        ))
+                    })?;
+                    reach.user.insert(user);
+                    reach.keys += 1;
                 }
             }
+            Ok(())
         })?;
-        match bad_value {
-            Some(len) => Err(Error::CorruptCheckpoint(format!(
-                "kv index leaf holds a {len}-byte value, expected an 8-byte page id"
-            ))),
-            None => Ok(reach),
-        }
+        Ok(reach)
     }
 }
 
@@ -547,34 +545,36 @@ impl KvStore {
             )));
         }
 
-        // Reachability sweep over the tree range: live pages the committed tree does
-        // not reach are leftovers of a crashed epoch (or releases whose tombstone the
-        // crash lost) — delete them, and recycle the ids below the watermark (ids at
-        // or above it are handed out again by the watermark itself). Enumerating
-        // *live* pages keeps this O(tree size), never O(id-space width).
+        // Reachability sweep over one snapshot of the live pages. In the tree range,
+        // live pages the committed tree does not reach are leftovers of a crashed epoch
+        // (or releases whose tombstone the crash lost) — delete them, and recycle the
+        // ids below the watermark (ids at or above it are handed out again by the
+        // watermark itself). Same for user value pages: live values the committed index
+        // does not reference were superseded or newly written by an uncommitted epoch.
+        // Enumerating *live* pages keeps this O(store size), never O(id-space width).
         let mut tree_free = Vec::new();
-        for page in store.live_page_ids_in(TREE_BASE, PageId::MAX) {
-            let id = page - TREE_BASE;
-            if !reachable_tree.contains(&id) {
-                store.delete(page)?;
-                if id < sb.tree_next_page {
-                    tree_free.push(id);
-                }
-            }
-        }
-        tree.seed_free_list(tree_free);
-
-        // Same sweep for user value pages: live values the committed index does not
-        // reference were superseded or newly written by an uncommitted epoch.
         let mut user_free = Vec::new();
-        for page in store.live_page_ids_in(0, USER_PAGE_LIMIT) {
-            if !referenced_user.contains(&page) {
+        for page in store.live_page_ids() {
+            if page >= TREE_BASE {
+                let id = page - TREE_BASE;
+                if !reachable_tree.contains(&id) {
+                    store.delete(page)?;
+                    if id < sb.tree_next_page {
+                        tree_free.push(id);
+                    }
+                }
+            } else if page < USER_PAGE_LIMIT && !referenced_user.contains(&page) {
                 store.delete(page)?;
                 if page < sb.user_next_page {
                     user_free.push(page);
                 }
             }
         }
+        // In id order, as two sweeps of id-ordered snapshots left them, so ids are
+        // reused in the same order as before.
+        tree_free.sort_unstable();
+        user_free.sort_unstable();
+        tree.seed_free_list(tree_free);
 
         Ok(Self {
             store,
@@ -920,7 +920,7 @@ impl KvStore {
     #[doc(hidden)]
     pub fn misfiled_free_ids_for_tests(&self) -> Result<Vec<PageId>> {
         let reach = Reach::walk(&self.tree)?;
-        let mut listed = HashSet::new();
+        let mut listed = FxHashSet::default();
         let mut misfiled = Vec::new();
         for id in self.tree.free_ids() {
             if reach.tree.contains(&id) || !listed.insert(TREE_BASE + id) {

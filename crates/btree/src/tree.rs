@@ -636,9 +636,10 @@ impl<S: PageStore> BTree<S> {
         }
     }
 
-    /// Visit every reachable node (pre-order), e.g. for reachability sweeps after a
-    /// restart. Quiesces all writers for a stable traversal.
-    pub fn walk(&self, mut f: impl FnMut(u64, &Node)) -> Result<()> {
+    /// Visit every reachable page (pre-order) as its encoded image, e.g. for
+    /// reachability sweeps after a restart; an error from `f` ends the walk. Quiesces
+    /// all writers for a stable traversal.
+    pub fn walk(&self, mut f: impl FnMut(u64, &[u8]) -> Result<()>) -> Result<()> {
         let _quiesced = self.epoch_latch.write();
         self.walk_rec(self.root.load(Ordering::Acquire), &mut f)
     }
@@ -1072,12 +1073,14 @@ impl<S: PageStore> BTree<S> {
         }
     }
 
-    fn walk_rec(&self, page: u64, f: &mut impl FnMut(u64, &Node)) -> Result<()> {
+    fn walk_rec(&self, page: u64, f: &mut impl FnMut(u64, &[u8]) -> Result<()>) -> Result<()> {
         let bytes = self.pool.read(page)?.ok_or_else(|| missing_page(page))?;
-        let node = Node::decode(&bytes)?;
-        f(page, &node);
-        if let Node::Internal { children, .. } = &node {
-            for &c in children {
+        f(page, &bytes)?;
+        if raw_is_leaf(&bytes)? {
+            return Ok(());
+        }
+        if let Node::Internal { children, .. } = Node::decode(&bytes)? {
+            for c in children {
                 self.walk_rec(c, f)?;
             }
         }
@@ -1361,8 +1364,9 @@ mod tests {
     /// Depth of the tree (levels on the leftmost spine) and its number of empty leaves.
     fn shape(t: &BTree<MemPageStore>) -> (usize, usize) {
         let mut nodes = std::collections::HashMap::new();
-        t.walk(|id, node| {
-            nodes.insert(id, node.clone());
+        t.walk(|id, page| {
+            nodes.insert(id, Node::decode(page)?);
+            Ok(())
         })
         .unwrap();
         let empty = nodes
@@ -1711,11 +1715,12 @@ mod tests {
         }
         let mut ids = Vec::new();
         let mut leaves = 0u64;
-        t.walk(|id, node| {
+        t.walk(|id, page| {
             ids.push(id);
-            if node.is_leaf() {
+            if raw_is_leaf(page)? {
                 leaves += 1;
             }
+            Ok(())
         })
         .unwrap();
         let unique: std::collections::HashSet<_> = ids.iter().collect();

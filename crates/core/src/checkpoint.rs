@@ -241,7 +241,14 @@ pub fn open_from_checkpoint(
     }
     table.set_next_seal_seq(checkpoint.next_seal_seq);
 
-    store.install_recovered_state(mapping, table, checkpoint.unow, checkpoint.next_write_seq);
+    let probed = checkpoint.segments.len() * crate::layout::HEADER_SIZE;
+    store.install_recovered_state(
+        mapping,
+        table,
+        checkpoint.unow,
+        checkpoint.next_write_seq,
+        probed as u64,
+    );
     Ok(store)
 }
 

@@ -57,6 +57,15 @@
 //! The `sealed_at` tick and carried `up2` of a decoded segment are those of its last
 //! valid extent (each extent records the cumulative values at its persist point).
 //!
+//! Because extents grow up from offset 0, the whole chain is a prefix of the image — the
+//! slot's **front** — and decoding it never touches a payload byte. [`decode_front`] is
+//! the one chain decoder: the cleaner feeds it a whole victim image (through
+//! [`decode_segment`]); recovery feeds it a prefix read from the device, and it either
+//! decodes exactly as the whole image would or says how many bytes it needs
+//! ([`read_front`] is that loop). So a recovery scan costs in proportion to the entries
+//! on the device, not its bytes: a full segment of 4 KiB pages has a 12 KiB front
+//! ([`front_bytes`]), 0.6 % of 2 MiB.
+//!
 //! Entries record `(page_id, offset, len, write_seq)`. A tombstone (deletion record) is an
 //! entry with `len == TOMBSTONE_LEN`; it has no payload. Payload bytes are not
 //! checksummed by this format; the write order (payloads before the extent that
@@ -293,7 +302,7 @@ pub fn decode_header(seg: SegmentId, buf: &[u8]) -> Result<Option<SegmentHeader>
 }
 
 /// A fully decoded segment image: chain summary plus the entries of every valid extent.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedSegment {
     /// Summary of the extent chain.
     pub header: SegmentHeader,
@@ -301,23 +310,64 @@ pub struct ParsedSegment {
     pub entries: Vec<SegmentEntry>,
 }
 
-/// Decode the extent at `offset`, whose payloads must lie in `[.., payload_top)`, and
-/// append its entries to `entries`. Returns the header plus the offset the *next*
-/// extent would start at and its `payload_top`.
+/// Bytes of the front of a segment that holds a full segment of `page_bytes` pages in
+/// one extent — header plus entry table, rounded up to a [`SECTOR`] — which is what
+/// recovery reads of every slot first (12 KiB for 2 MiB segments of 4 KiB pages).
+pub fn front_bytes(segment_bytes: usize, page_bytes: usize) -> usize {
+    let table = HEADER_SIZE + pages_per_segment(segment_bytes, page_bytes) * ENTRY_SIZE;
+    align_up(table).min(segment_bytes)
+}
+
+/// What [`decode_front`] made of a prefix of a segment image.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Front {
+    /// The chain ends inside the prefix: the decoded segment, exactly what
+    /// [`decode_segment`] returns for the whole image (`None` for a blank slot).
+    Chain(Option<ParsedSegment>),
+    /// The chain may go on past the prefix: the first `n` bytes of the image (more than
+    /// the prefix holds, at most the segment) are needed to tell.
+    Need(usize),
+}
+
+/// One step of the chain walk.
+enum Step {
+    /// A valid extent: its header, where the next extent would start, and the next
+    /// extent's `payload_top`.
+    Extent(ExtentHeader, usize, usize),
+    /// No extent of this chain here: the chain ends.
+    End,
+    /// The extent here reaches past the prefix: the prefix length needed to decode it.
+    Need(usize),
+}
+
+/// Decode the extent at `offset` of a `segment_bytes`-long image, of which `prefix`
+/// holds the first bytes, and append its entries to `entries`. Its payloads must lie in
+/// `[.., payload_top)`; `chain` is the `(seal_seq, header_crc)` of the chain it would
+/// extend (`None` for the first extent). Payload bytes are never looked at, so only the
+/// header and the entry table need to be in `prefix`.
 fn decode_extent(
     seg: SegmentId,
-    image: &[u8],
+    prefix: &[u8],
+    segment_bytes: usize,
     offset: usize,
     payload_top: usize,
-    prev: Option<u32>,
+    chain: Option<(SealSeq, u32)>,
     entries: &mut Vec<SegmentEntry>,
-) -> Result<Option<(ExtentHeader, usize, usize)>> {
-    if offset + HEADER_SIZE > image.len() {
-        return Ok(None);
+) -> Result<Step> {
+    if offset + HEADER_SIZE > segment_bytes {
+        return Ok(Step::End);
     }
-    let Some(header) = ExtentHeader::decode(seg, &image[offset..], prev)? else {
-        return Ok(None);
+    if offset + HEADER_SIZE > prefix.len() {
+        return Ok(Step::Need(offset + HEADER_SIZE));
+    }
+    let Some(header) = ExtentHeader::decode(seg, &prefix[offset..], chain.map(|c| c.1))? else {
+        return Ok(Step::End);
     };
+    // An extent of another incarnation ends the chain whatever its table holds, so its
+    // table is never read.
+    if chain.is_some_and(|(seal_seq, _)| header.seal_seq != seal_seq) {
+        return Ok(Step::End);
+    }
     let count = header.entry_count as usize;
     let table_start = offset + HEADER_SIZE;
     let table_end = table_start + count * ENTRY_SIZE;
@@ -331,7 +381,10 @@ fn decode_extent(
             ),
         });
     }
-    let table = &image[table_start..table_end];
+    if table_end > prefix.len() {
+        return Ok(Step::Need(table_end));
+    }
+    let table = &prefix[table_start..table_end];
     let computed = crc32c(table);
     if computed != header.entries_crc {
         return Err(Error::CorruptSegment {
@@ -366,11 +419,11 @@ fn decode_extent(
         }
         entries.push(e);
     }
-    Ok(Some((
+    Ok(Step::Extent(
         header,
         align_up(table_end),
         align_down(payload_floor),
-    )))
+    ))
 }
 
 /// Decode a full segment image by walking its extent chain, validating checksums and
@@ -381,11 +434,31 @@ fn decode_extent(
 /// or stale bytes of the slot's previous incarnation — ends the chain: the segment
 /// decodes to the valid prefix.
 pub fn decode_segment(seg: SegmentId, image: &[u8]) -> Result<Option<ParsedSegment>> {
+    match decode_front(seg, image, image.len())? {
+        Front::Chain(parsed) => Ok(parsed),
+        Front::Need(n) => unreachable!("a whole image of {} bytes needs {n}", image.len()),
+    }
+}
+
+/// The chain decoder behind [`decode_segment`], fed a `prefix` of a `segment_bytes`-long
+/// image: the headers and entry tables of a slot's front, never its payloads. The same
+/// magic, chained-CRC, sequence and bounds rules decide, on the same bytes, so a prefix
+/// either decodes exactly as the whole image would ([`Front::Chain`], or the same
+/// error), or reports how long a prefix it needs ([`Front::Need`]).
+pub fn decode_front(seg: SegmentId, prefix: &[u8], segment_bytes: usize) -> Result<Front> {
     let mut entries = Vec::new();
-    let Some((first, mut offset, mut payload_top)) =
-        decode_extent(seg, image, 0, image.len(), None, &mut entries)?
-    else {
-        return Ok(None);
+    let (first, mut offset, mut payload_top) = match decode_extent(
+        seg,
+        prefix,
+        segment_bytes,
+        0,
+        segment_bytes,
+        None,
+        &mut entries,
+    )? {
+        Step::Extent(first, offset, payload_top) => (first, offset, payload_top),
+        Step::End => return Ok(Front::Chain(None)),
+        Step::Need(n) => return Ok(Front::Need(n)),
     };
     let mut header = SegmentHeader {
         seal_seq: first.seal_seq,
@@ -401,13 +474,14 @@ pub fn decode_segment(seg: SegmentId, image: &[u8]) -> Result<Option<ParsedSegme
         let valid_entries = entries.len();
         match decode_extent(
             seg,
-            image,
+            prefix,
+            segment_bytes,
             offset,
             payload_top,
-            Some(prev_crc),
+            Some((header.seal_seq, prev_crc)),
             &mut entries,
         ) {
-            Ok(Some((ext, next_offset, next_top))) if ext.seal_seq == header.seal_seq => {
+            Ok(Step::Extent(ext, next_offset, next_top)) => {
                 header.sealed_at = ext.sealed_at;
                 header.up2 = ext.up2;
                 header.entry_count += ext.entry_count;
@@ -417,13 +491,57 @@ pub fn decode_segment(seg: SegmentId, image: &[u8]) -> Result<Option<ParsedSegme
                 offset = next_offset;
                 payload_top = next_top;
             }
-            _ => {
+            Ok(Step::Need(n)) => return Ok(Front::Need(n)),
+            Ok(Step::End) | Err(_) => {
                 entries.truncate(valid_entries);
                 break;
             }
         }
     }
-    Ok(Some(ParsedSegment { header, entries }))
+    Ok(Front::Chain(Some(ParsedSegment { header, entries })))
+}
+
+/// Read a slot's front through `read(offset, len)` and decode its chain: a first read
+/// of `first_read` bytes (see [`front_bytes`]), then — while [`decode_front`] needs
+/// more — reads of only the missing bytes, each at least doubling the prefix (sector
+/// aligned, capped at the segment). `front` may already hold the slot's first bytes
+/// (a probed header); it ends up holding everything read.
+///
+/// The outer error is a failed read; the inner result is the decode verdict — exactly
+/// what [`decode_segment`] returns for the whole image.
+pub fn read_front(
+    seg: SegmentId,
+    segment_bytes: usize,
+    first_read: usize,
+    front: &mut Vec<u8>,
+    mut read: impl FnMut(usize, usize) -> Result<Vec<u8>>,
+) -> Result<Result<Option<ParsedSegment>>> {
+    loop {
+        match decode_front(seg, front, segment_bytes) {
+            Ok(Front::Chain(parsed)) => return Ok(Ok(parsed)),
+            Err(e) => return Ok(Err(e)),
+            Ok(Front::Need(needed)) => {
+                let have = front.len();
+                let want = align_up(needed.max(2 * have).max(first_read)).min(segment_bytes);
+                let more = read(have, want - have)?;
+                if more.len() != want - have {
+                    return Err(Error::Io(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        format!(
+                            "segment {seg}: read {} of {} front bytes",
+                            more.len(),
+                            want - have
+                        ),
+                    )));
+                }
+                if front.is_empty() {
+                    *front = more;
+                } else {
+                    front.extend_from_slice(&more);
+                }
+            }
+        }
+    }
 }
 
 /// True if the two dirty ranges of a persist point (as returned by
@@ -1016,6 +1134,209 @@ mod tests {
         assert_eq!(parsed.header.seal_seq, 9);
         assert_eq!(parsed.header.extents, 1);
         assert_eq!(parsed.entries, new.entries);
+    }
+
+    /// A seeded number stream for the property test below (splitmix64 over a counter).
+    struct Seeded(u64);
+
+    impl Seeded {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 += 1;
+            (crate::util::mix64(self.0) % n as u64) as usize
+        }
+
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// How the last extent of a generated slot landed.
+    #[derive(Debug, Clone, Copy)]
+    enum Tail {
+        Intact,
+        /// The header landed, the end of the entry table did not.
+        ShortTable,
+        /// One bit of the entry table flipped.
+        BadTableCrc,
+        /// A validly chained extent carrying another seal sequence.
+        WrongSeq,
+    }
+
+    /// Lay down a random slot the way the write path does: a chain of 1–12 persist
+    /// points of pages (1 B to `page_bytes`) and tombstones, each extent written as its
+    /// two dirty ranges over whatever the slot held — sometimes a previous incarnation's
+    /// longer chain, so stale extents sit just past the new one — with the last extent
+    /// torn as `tail` says.
+    fn random_slot(
+        rng: &mut Seeded,
+        segment_bytes: usize,
+        page_bytes: usize,
+        tail: Tail,
+    ) -> Vec<u8> {
+        let mut slot = vec![0u8; segment_bytes];
+        if rng.chance(40) {
+            let mut old = SegmentBuilder::new(segment_bytes);
+            for i in 0..4 + rng.below(12) as u64 {
+                if !old.fits(page_bytes) {
+                    break;
+                }
+                old.push_page(i, i + 1, &vec![0xEE; page_bytes]);
+                old.render_extent(3, i, 0, 1);
+                old.commit_extent();
+            }
+            slot.copy_from_slice(old.image());
+        }
+        let mut b = SegmentBuilder::new(segment_bytes);
+        let points = if rng.chance(25) { 1 } else { 2 + rng.below(11) };
+        let whole_pages = rng.chance(50);
+        let mut n = 0u64;
+        for point in 0..points {
+            for _ in 0..rng.below(3 * segment_bytes / page_bytes / points + 2) {
+                n += 1;
+                if rng.chance(20) {
+                    if b.fits(0) {
+                        b.push_tombstone(rng.below(64) as u64, n);
+                    }
+                } else {
+                    let len = if whole_pages {
+                        page_bytes
+                    } else {
+                        1 + rng.below(page_bytes)
+                    };
+                    if b.fits(len) {
+                        b.push_page(rng.below(64) as u64, n, &vec![n as u8; len]);
+                    }
+                }
+            }
+            let last = point + 1 == points;
+            let seq = if last && matches!(tail, Tail::WrongSeq) {
+                10
+            } else {
+                9
+            };
+            let ranges = b.render_extent(seq, 100 + point as u64, 50, 2);
+            for r in &ranges {
+                let r = r.start as usize..r.end as usize;
+                slot[r.clone()].copy_from_slice(&b.image()[r]);
+            }
+            if !last {
+                b.commit_extent();
+                if !b.fits(0) {
+                    break; // full: no room for another extent
+                }
+                continue;
+            }
+            let extent = ranges[1].start as usize..ranges[1].end as usize;
+            let table = extent.start + HEADER_SIZE..b.pending_table_end(0);
+            match tail {
+                Tail::ShortTable if !table.is_empty() => {
+                    let cut = table.start + rng.below(table.len());
+                    slot[cut..extent.end].fill(0);
+                }
+                Tail::BadTableCrc if !table.is_empty() => {
+                    slot[table.start + rng.below(table.len())] ^= 1 << rng.below(8);
+                }
+                _ => {}
+            }
+        }
+        slot
+    }
+
+    /// Recovery's read loop over an in-memory slot: the verdict, and every `(offset,
+    /// len)` read.
+    fn decode_growing(
+        slot: &[u8],
+        first_read: usize,
+    ) -> (Result<Option<ParsedSegment>>, Vec<(usize, usize)>) {
+        let mut reads = Vec::new();
+        let mut front = Vec::new();
+        let verdict = read_front(
+            SegmentId(0),
+            slot.len(),
+            first_read,
+            &mut front,
+            |off, len| {
+                reads.push((off, len));
+                Ok(slot[off..off + len].to_vec())
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            front,
+            slot[..front.len()],
+            "the front is the slot's first bytes"
+        );
+        (verdict, reads)
+    }
+
+    fn same_verdict(a: &Result<Option<ParsedSegment>>, b: &Result<Option<ParsedSegment>>) -> bool {
+        match (a, b) {
+            (Ok(a), Ok(b)) => a == b,
+            (Err(a), Err(b)) => std::mem::discriminant(a) == std::mem::discriminant(b),
+            _ => false,
+        }
+    }
+
+    /// The prefix decoder is the whole-image decoder: on every generated slot — torn
+    /// tails, stale extents of a previous incarnation, fronts longer than the first
+    /// read — every prefix either decodes to exactly the whole image's summary and
+    /// entries (or the same kind of error) or asks for more bytes than it holds, and
+    /// recovery's growing read reaches the whole image's verdict reading only the front,
+    /// each read appending just the missing bytes and at least doubling the prefix.
+    #[test]
+    fn a_growing_prefix_decodes_exactly_as_the_whole_image() {
+        let mut grown = 0;
+        let mut errors = 0;
+        for seed in 0..400u64 {
+            let mut rng = Seeded(seed << 32);
+            let segment_bytes = [4096, 8192, 32 * 1024][rng.below(3)];
+            let page_bytes = [64, 256, 1024][rng.below(3)];
+            let tail = [
+                Tail::Intact,
+                Tail::ShortTable,
+                Tail::BadTableCrc,
+                Tail::WrongSeq,
+            ][rng.below(4)];
+            let slot = random_slot(&mut rng, segment_bytes, page_bytes, tail);
+            let whole = decode_segment(SegmentId(0), &slot);
+            errors += whole.is_err() as usize;
+            let ctx =
+                format!("seed {seed}: {segment_bytes} B slot, {page_bytes} B pages, {tail:?}");
+
+            for len in (0..=segment_bytes).step_by(segment_bytes / 64) {
+                match decode_front(SegmentId(0), &slot[..len], segment_bytes) {
+                    Ok(Front::Need(n)) => {
+                        assert!(len < n && n <= segment_bytes, "{ctx}: {len} → {n}")
+                    }
+                    Ok(Front::Chain(parsed)) => {
+                        assert!(same_verdict(&Ok(parsed), &whole), "{ctx}: prefix {len}")
+                    }
+                    Err(e) => assert!(same_verdict(&Err(e), &whole), "{ctx}: prefix {len}"),
+                }
+            }
+
+            let first_read = front_bytes(segment_bytes, page_bytes);
+            let (verdict, reads) = decode_growing(&slot, first_read);
+            assert!(
+                same_verdict(&verdict, &whole),
+                "{ctx}: {verdict:?} vs {whole:?}"
+            );
+            assert_eq!(reads[0], (0, first_read), "{ctx}");
+            for pair in reads.windows(2) {
+                let (held, (off, len)) = (pair[0].0 + pair[0].1, pair[1]);
+                assert_eq!(off, held, "{ctx}: a read appends only the missing bytes");
+                assert!(
+                    off + len >= (2 * off).min(segment_bytes),
+                    "{ctx}: {reads:?}"
+                );
+            }
+            grown += (reads.len() > 1) as usize;
+        }
+        assert!(
+            (100..400).contains(&grown),
+            "{grown} of 400 fronts outgrew their first read"
+        );
+        assert!(errors > 25, "only {errors} torn first extents");
     }
 
     #[test]

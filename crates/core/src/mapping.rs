@@ -4,7 +4,9 @@
 //! Two forms are provided:
 //!
 //! * [`PageTable`] — a plain single-owner map, used by recovery/checkpoint loading to
-//!   assemble state and by unit tests of the cleaner's pure helpers.
+//!   assemble state and by unit tests of the cleaner's pure helpers. It is split into
+//!   the same shards as the concurrent form, so installing it hands each shard's map
+//!   over whole.
 //! * [`ShardedPageTable`] — the concurrent table the live store uses: page ids are
 //!   hashed across N shards, each behind its own `parking_lot::RwLock`, so `get` takes
 //!   `&self` and readers on different shards (and concurrent readers of the same shard)
@@ -21,10 +23,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// This is the in-memory analogue of an SSD FTL's logical-to-physical map or an LFS's
 /// inode map. It is rebuilt on restart from a checkpoint plus a device scan
 /// ([`crate::recovery`]).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct PageTable {
-    map: FxHashMap<PageId, PageLocation>,
+    /// One map per [`ShardedPageTable`] shard: shard `i` holds the pages
+    /// [`shard_of`] sends to `i`.
+    shards: Vec<FxHashMap<PageId, PageLocation>>,
     live_bytes: u64,
+}
+
+impl Default for PageTable {
+    fn default() -> Self {
+        Self::from_shards(
+            (0..PAGE_TABLE_SHARDS)
+                .map(|_| FxHashMap::default())
+                .collect(),
+        )
+    }
 }
 
 impl PageTable {
@@ -33,14 +47,30 @@ impl PageTable {
         Self::default()
     }
 
+    /// Assemble a table from maps already split by [`shard_of`] — recovery builds each
+    /// one at its final size.
+    pub(crate) fn from_shards(shards: Vec<FxHashMap<PageId, PageLocation>>) -> Self {
+        assert_eq!(shards.len(), PAGE_TABLE_SHARDS, "one map per shard");
+        debug_assert!(shards
+            .iter()
+            .enumerate()
+            .all(|(i, map)| map.keys().all(|&page| shard_of(page) == i)));
+        let live_bytes = shards
+            .iter()
+            .flat_map(|map| map.values())
+            .map(|loc| loc.len as u64)
+            .sum();
+        Self { shards, live_bytes }
+    }
+
     /// Number of live pages.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.shards.iter().map(|map| map.len()).sum()
     }
 
     /// True if no pages are live.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Total bytes of live page payloads.
@@ -50,14 +80,14 @@ impl PageTable {
 
     /// Current location of a page.
     pub fn get(&self, page: PageId) -> Option<PageLocation> {
-        self.map.get(&page).copied()
+        self.shards[shard_of(page)].get(&page).copied()
     }
 
     /// Install a new location for a page, returning the previous location if the page
     /// was already live.
     pub fn insert(&mut self, page: PageId, loc: PageLocation) -> Option<PageLocation> {
         self.live_bytes += loc.len as u64;
-        let old = self.map.insert(page, loc);
+        let old = self.shards[shard_of(page)].insert(page, loc);
         if let Some(o) = old {
             self.live_bytes -= o.len as u64;
         }
@@ -66,7 +96,7 @@ impl PageTable {
 
     /// Remove a page (deletion), returning its last location.
     pub fn remove(&mut self, page: PageId) -> Option<PageLocation> {
-        let old = self.map.remove(&page);
+        let old = self.shards[shard_of(page)].remove(&page);
         if let Some(o) = old {
             self.live_bytes -= o.len as u64;
         }
@@ -83,7 +113,9 @@ impl PageTable {
 
     /// Iterate over all live pages.
     pub fn iter(&self) -> impl Iterator<Item = (PageId, PageLocation)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
+        self.shards
+            .iter()
+            .flat_map(|map| map.iter().map(|(&k, &v)| (k, v)))
     }
 }
 
@@ -91,6 +123,14 @@ impl PageTable {
 /// selection branch-free; 64 shards is comfortably above the core counts this store
 /// targets, so shard collisions between concurrent readers are rare.
 pub const PAGE_TABLE_SHARDS: usize = 64;
+
+/// The shard a page lives in, in both page-table forms.
+#[inline]
+pub(crate) fn shard_of(page: PageId) -> usize {
+    // Mix before masking: page ids are often dense small integers, and the low bits
+    // alone would put striding workloads on a handful of shards.
+    (mix64(page) as usize) & (PAGE_TABLE_SHARDS - 1)
+}
 
 /// The concurrent page table: N independently locked shards plus atomic aggregates.
 ///
@@ -134,21 +174,14 @@ impl ShardedPageTable {
     }
 
     #[inline]
-    fn shard_index(page: PageId) -> usize {
-        // Mix before masking: page ids are often dense small integers, and the low bits
-        // alone would put striding workloads on a handful of shards.
-        (mix64(page) as usize) & (PAGE_TABLE_SHARDS - 1)
-    }
-
-    #[inline]
     fn shard(&self, page: PageId) -> &RwLock<FxHashMap<PageId, PageLocation>> {
-        &self.shards[Self::shard_index(page)]
+        &self.shards[shard_of(page)]
     }
 
     #[inline]
     fn mark_dirty(&self, page: PageId) {
         self.dirty
-            .fetch_or(1u64 << Self::shard_index(page), Ordering::Relaxed);
+            .fetch_or(1u64 << shard_of(page), Ordering::Relaxed);
     }
 
     /// Atomically fetch-and-clear the dirty-shard mask (bit `i` set = shard `i` mutated
@@ -287,17 +320,21 @@ impl ShardedPageTable {
         out
     }
 
-    /// Replace the entire contents with a recovered [`PageTable`] (restart path).
-    pub fn install(&self, table: PageTable) {
+    /// Every live page id, shard by shard (so in no particular order; O(n)).
+    pub(crate) fn page_ids(&self) -> Vec<PageId> {
+        let mut out = Vec::with_capacity(self.len());
         for shard in self.shards.iter() {
-            shard.write().clear();
+            out.extend(shard.read().keys().copied());
         }
-        let mut pages = 0u64;
-        let mut bytes = 0u64;
-        for (page, loc) in table.iter() {
-            self.shard(page).write().insert(page, loc);
-            pages += 1;
-            bytes += loc.len as u64;
+        out
+    }
+
+    /// Replace the entire contents with a recovered [`PageTable`] (restart path): each
+    /// of its shard maps becomes the shard's map as it is, one lock per shard.
+    pub fn install(&self, table: PageTable) {
+        let (pages, bytes) = (table.len() as u64, table.live_bytes());
+        for (shard, map) in self.shards.iter().zip(table.shards) {
+            *shard.write() = map;
         }
         self.live_pages.store(pages, Ordering::Relaxed);
         self.live_bytes.store(bytes, Ordering::Relaxed);

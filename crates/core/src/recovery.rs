@@ -2,9 +2,23 @@
 //!
 //! Because every segment is self-describing (a chain of checksummed extents, each a
 //! header + entry table, see [`crate::layout`]), the page table can always be rebuilt
-//! from the device alone: replay segments in seal order, keep the newest version of each
-//! page (largest `(write_seq, seal_seq)` pair) and honour tombstones. Segment metadata
-//! (`A`, `C`, `up2`) is then derived from the final page table plus the headers.
+//! from the device alone: replay every segment's entries, keep the newest version of
+//! each page (largest `(write_seq, seal_seq)` pair) and honour tombstones. Segment
+//! metadata (`A`, `C`, `up2`) is then derived from the final page table plus the headers.
+//!
+//! **Recovery reads fronts, never payloads.** All it needs of a slot is the extent chain
+//! at the slot's front — extents grow up from offset 0, payloads down from the end. Each
+//! front is read through [`SegmentDevice::read_range`] in a prefix that grows until the
+//! chain ends ([`layout::read_front`]): a first read sized for one full extent of
+//! `page_bytes` pages ([`layout::front_bytes`]: 12 KiB for 2 MiB segments of 4 KiB
+//! pages), then only the missing bytes, each read at least doubling the prefix. A scan
+//! therefore costs in proportion to the entries on the device, not to its bytes (a
+//! 512 MiB device of 4 KiB pages reads about 6 MiB), and [`layout::decode_front`] — the
+//! decoder the cleaner runs on whole images — applies the same rules to the prefix.
+//! [`crate::StoreStats::recovery_bytes_read`] reports what the last recovery read.
+//! The page table is built once: the newest versions are kept in the page table's own
+//! shards, and each shard's final map is allocated at its final size and handed to the
+//! store whole.
 //!
 //! A slot's extent chain is replayed up to the first extent that fails validation: a
 //! persist point whose write never completed was never acknowledged, so dropping it —
@@ -26,24 +40,25 @@
 //! [`recover_from_checkpoint`] avoids the full scan: a checkpoint journal (see
 //! [`crate::checkpoint`]) carries the page table and the sealed-segment metadata up to a
 //! *seal-sequence frontier*; recovery reads only the fixed-size header of every slot and
-//! fully decodes just the segments sealed *after* the frontier, replaying them on top of
-//! the checkpoint state with the same `(write_seq, seal_seq)` rule. Checkpoint entries
-//! are ranked with their owning segment's seal sequence, so a post-frontier GC copy of a
-//! checkpointed page (same write seq, later seal) correctly supersedes the checkpoint
-//! entry, while a stale post-frontier copy (lower write seq) never does.
+//! decodes the fronts of just the segments sealed *after* the frontier, replaying them on
+//! top of the checkpoint state with the same `(write_seq, seal_seq)` rule. Checkpoint
+//! entries are ranked with their owning segment's seal sequence, so a post-frontier GC
+//! copy of a checkpointed page (same write seq, later seal) correctly supersedes the
+//! checkpoint entry, while a stale post-frontier copy (lower write seq) never does.
 
 use crate::checkpoint::{read_journal, JournalCheckpoint};
 use crate::config::StoreConfig;
 use crate::device::SegmentDevice;
 use crate::error::{Error, Result};
 use crate::freq::Up2Mode;
-use crate::layout::{self, decode_segment};
-use crate::mapping::PageTable;
+use crate::layout::{self, ParsedSegment};
+use crate::mapping::{shard_of, PageTable, PAGE_TABLE_SHARDS};
 use crate::segment::{SegmentMeta, SegmentTable};
 use crate::stats::AtomicStats;
 use crate::store::LogStore;
-use crate::types::{PageId, PageLocation, SealSeq, SegmentId, WriteSeq};
+use crate::types::{PageId, PageLocation, SealSeq, SegmentId, UpdateTick, WriteSeq};
 use crate::util::FxHashMap;
+use std::collections::hash_map::Entry;
 
 /// Outcome of scanning a device.
 #[derive(Debug, Default)]
@@ -68,6 +83,149 @@ struct PageVersion {
     tombstone: bool,
 }
 
+/// The newest version of every page replayed so far — the largest `(write_seq,
+/// seal_seq)` wins, tombstones included — kept in the page table's shards. The rule is a
+/// maximum, so the order segments are replayed in does not matter.
+struct Newest {
+    shards: Vec<FxHashMap<PageId, PageVersion>>,
+}
+
+impl Newest {
+    fn new() -> Self {
+        Self {
+            shards: (0..PAGE_TABLE_SHARDS)
+                .map(|_| FxHashMap::default())
+                .collect(),
+        }
+    }
+
+    fn offer(&mut self, page: PageId, candidate: PageVersion) {
+        match self.shards[shard_of(page)].entry(page) {
+            Entry::Occupied(mut cur) => {
+                let held = cur.get();
+                if (held.write_seq, held.seal_seq) < (candidate.write_seq, candidate.seal_seq) {
+                    cur.insert(candidate);
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(candidate);
+            }
+        }
+    }
+
+    /// Offer every entry of a decoded segment; returns the largest write sequence seen.
+    fn replay(&mut self, id: SegmentId, parsed: &ParsedSegment) -> WriteSeq {
+        let mut max_write_seq = 0;
+        for e in &parsed.entries {
+            max_write_seq = max_write_seq.max(e.write_seq);
+            self.offer(
+                e.page_id,
+                PageVersion {
+                    write_seq: e.write_seq,
+                    seal_seq: parsed.header.seal_seq,
+                    loc: PageLocation {
+                        segment: id,
+                        offset: e.offset,
+                        len: e.payload_len(),
+                        write_seq: e.write_seq,
+                    },
+                    tombstone: e.is_tombstone(),
+                },
+            );
+        }
+        max_write_seq
+    }
+
+    /// The live pages as a page table — each shard's map allocated once, at its final
+    /// size, while the shard's versions are dropped — and every segment's live
+    /// `(bytes, pages)`, indexed by segment id.
+    fn into_live(self, num_segments: usize) -> (PageTable, Vec<(u64, u64)>) {
+        let mut live = vec![(0u64, 0u64); num_segments];
+        let shards = self
+            .shards
+            .into_iter()
+            .map(|versions| {
+                let count = versions.values().filter(|v| !v.tombstone).count();
+                let mut map = FxHashMap::with_capacity_and_hasher(count, Default::default());
+                for (page, v) in versions.into_iter().filter(|(_, v)| !v.tombstone) {
+                    let seg = &mut live[v.loc.segment.index()];
+                    seg.0 += v.loc.len as u64;
+                    seg.1 += 1;
+                    map.insert(page, v.loc);
+                }
+                map
+            })
+            .collect();
+        (PageTable::from_shards(shards), live)
+    }
+}
+
+/// Bytes every tombstone entry of a replayed segment re-acquires (matching the write
+/// path's accounting: until a checkpoint covers it, a delete fact pins its entry slot
+/// and the segment must not look emptier than it is).
+fn tombstone_bytes(parsed: &ParsedSegment) -> u64 {
+    parsed.entries.iter().filter(|e| e.is_tombstone()).count() as u64 * layout::ENTRY_SIZE as u64
+}
+
+/// Install a recovered segment as sealed, with its live `(bytes, pages)` from the final
+/// page table plus its tombstone charge.
+fn install_sealed(
+    table: &mut SegmentTable,
+    id: SegmentId,
+    capacity: u64,
+    log_id: u16,
+    (seal_seq, sealed_at, up2): (SealSeq, UpdateTick, UpdateTick),
+    (live_bytes, live_pages): (u64, u64),
+    tombstone_bytes: u64,
+) {
+    let mut meta = SegmentMeta::new_open(id, capacity, log_id, Up2Mode::OnOverwrite);
+    meta.live_bytes = live_bytes + tombstone_bytes;
+    meta.tombstone_bytes = tombstone_bytes;
+    meta.live_pages = live_pages;
+    meta.seal(seal_seq, sealed_at, up2, Up2Mode::OnOverwrite);
+    table.install_sealed(meta);
+}
+
+/// Reads slot fronts for one recovery and counts the bytes it read.
+struct FrontReader<'a> {
+    device: &'a dyn SegmentDevice,
+    segment_bytes: usize,
+    first_read: usize,
+    bytes_read: u64,
+}
+
+impl<'a> FrontReader<'a> {
+    fn new(device: &'a dyn SegmentDevice, page_bytes: usize) -> Self {
+        let segment_bytes = device.geometry().segment_bytes;
+        Self {
+            device,
+            segment_bytes,
+            first_read: layout::front_bytes(segment_bytes, page_bytes),
+            bytes_read: 0,
+        }
+    }
+
+    fn read(&mut self, seg: SegmentId, offset: usize, len: usize) -> Result<Vec<u8>> {
+        let bytes = self.device.read_range(seg, offset as u32, len as u32)?;
+        self.bytes_read += bytes.len() as u64;
+        Ok(bytes)
+    }
+
+    /// Decode a slot's extent chain from its front, going on from whatever `front`
+    /// already holds of it. The outer error is a failed read, the inner result the
+    /// decode verdict ([`layout::read_front`]).
+    fn chain(
+        &mut self,
+        seg: SegmentId,
+        mut front: Vec<u8>,
+    ) -> Result<Result<Option<ParsedSegment>>> {
+        let (segment_bytes, first_read) = (self.segment_bytes, self.first_read);
+        layout::read_front(seg, segment_bytes, first_read, &mut front, |offset, len| {
+            self.read(seg, offset, len)
+        })
+    }
+}
+
 /// What the first extent header of a slot says about it.
 pub(crate) enum Slot {
     /// Never written (or erased).
@@ -77,11 +235,11 @@ pub(crate) enum Slot {
     Written(layout::SegmentHeader),
 }
 
-/// Read and decode the first extent header of a slot. A header of another on-device
-/// format version is an error ([`Error::FormatVersion`]), not a corrupt slot.
-pub(crate) fn probe_slot(device: &dyn SegmentDevice, seg: SegmentId) -> Result<Slot> {
-    let head = device.read_range(seg, 0, layout::HEADER_SIZE as u32)?;
-    match layout::decode_header(seg, &head) {
+/// Decode a slot's first extent header from its first [`layout::HEADER_SIZE`] bytes. A
+/// header of another on-device format version is an error ([`Error::FormatVersion`]),
+/// not a corrupt slot.
+fn classify(seg: SegmentId, head: &[u8]) -> Result<Slot> {
+    match layout::decode_header(seg, head) {
         Ok(Some(first)) => Ok(Slot::Written(first)),
         Ok(None) => Ok(Slot::Blank),
         Err(e @ Error::FormatVersion { .. }) => Err(e),
@@ -89,7 +247,12 @@ pub(crate) fn probe_slot(device: &dyn SegmentDevice, seg: SegmentId) -> Result<S
     }
 }
 
-/// Rebuild a [`LogStore`] from an existing device by scanning all segment images.
+/// Read and decode the first extent header of a slot (see [`classify`]).
+pub(crate) fn probe_slot(device: &dyn SegmentDevice, seg: SegmentId) -> Result<Slot> {
+    classify(seg, &device.read_range(seg, 0, layout::HEADER_SIZE as u32)?)
+}
+
+/// Rebuild a [`LogStore`] from an existing device by scanning every slot's front.
 pub fn recover(config: StoreConfig, device: Box<dyn SegmentDevice>) -> Result<LogStore> {
     let (store, _report) = recover_with_report(config, device)?;
     Ok(store)
@@ -103,102 +266,54 @@ pub fn recover_with_report(
     config.validate()?;
     let mut report = ScanReport::default();
 
-    // Pass 1: decode every segment image (entry tables only; payloads stay on device).
-    struct Parsed {
-        id: SegmentId,
-        header: layout::SegmentHeader,
-        entries: Vec<layout::SegmentEntry>,
-    }
-    let mut parsed_segments: Vec<Parsed> = Vec::new();
-    let mut image = Vec::new(); // one buffer for the whole scan; decoding only borrows it
+    // Pass 1: decode every slot's extent chain from its front (payloads stay on device).
+    let mut reader = FrontReader::new(device.as_ref(), config.page_bytes);
+    let mut parsed_segments: Vec<(SegmentId, ParsedSegment)> = Vec::new();
     for i in 0..config.num_segments {
         let id = SegmentId(i as u32);
-        device.read_segment_into(id, &mut image)?;
-        match decode_segment(id, &image) {
+        match reader.chain(id, Vec::new())? {
             Ok(Some(p)) => {
                 report.sealed_segments += 1;
-                parsed_segments.push(Parsed {
-                    id,
-                    header: p.header,
-                    entries: p.entries,
-                });
+                parsed_segments.push((id, p));
             }
             Ok(None) => report.blank_segments += 1,
             Err(e @ Error::FormatVersion { .. }) => return Err(e),
             Err(_) => report.corrupt_segments.push(id),
         }
     }
+    let bytes_read = reader.bytes_read;
 
-    // Pass 2: replay entries in seal order, newest version of each page wins.
-    parsed_segments.sort_by_key(|p| p.header.seal_seq);
-    let mut best: FxHashMap<PageId, PageVersion> = FxHashMap::default();
+    // Pass 2: replay every entry, newest version of each page wins.
+    let mut newest = Newest::new();
     let mut max_write_seq: WriteSeq = 0;
     let mut max_unow = 0;
-    for p in &parsed_segments {
+    for (id, p) in &parsed_segments {
         max_unow = max_unow.max(p.header.sealed_at);
-        for e in &p.entries {
-            max_write_seq = max_write_seq.max(e.write_seq);
-            let candidate = PageVersion {
-                write_seq: e.write_seq,
-                seal_seq: p.header.seal_seq,
-                loc: PageLocation {
-                    segment: p.id,
-                    offset: e.offset,
-                    len: e.payload_len(),
-                    write_seq: e.write_seq,
-                },
-                tombstone: e.is_tombstone(),
-            };
-            match best.get(&e.page_id) {
-                Some(cur)
-                    if (cur.write_seq, cur.seal_seq)
-                        >= (candidate.write_seq, candidate.seal_seq) => {}
-                _ => {
-                    best.insert(e.page_id, candidate);
-                }
-            }
-        }
+        max_write_seq = max_write_seq.max(newest.replay(*id, p));
     }
 
-    // Pass 3: build the page table and per-segment live statistics.
-    let mut mapping = PageTable::new();
-    let mut live_per_segment: FxHashMap<SegmentId, (u64, u64)> = FxHashMap::default();
-    for (page, v) in &best {
-        if v.tombstone {
-            continue;
-        }
-        mapping.insert(*page, v.loc);
-        let entry = live_per_segment.entry(v.loc.segment).or_insert((0, 0));
-        entry.0 += v.loc.len as u64;
-        entry.1 += 1;
-    }
+    // Pass 3: the page table and per-segment live statistics.
+    let (mapping, live) = newest.into_live(config.num_segments);
     report.live_pages = mapping.len();
     report.replayed_segments = report.sealed_segments;
 
     let capacity = layout::payload_capacity(config.segment_bytes, config.page_bytes) as u64;
     let mut table = SegmentTable::new(config.num_segments);
-    for p in &parsed_segments {
-        let (live_bytes, live_pages) = live_per_segment.get(&p.id).copied().unwrap_or((0, 0));
-        // Every tombstone entry (winner or not) re-acquires its space charge, matching
-        // the write path's accounting: until a checkpoint covers it, the delete fact
-        // pins its entry slot and the segment must not look emptier than it is.
-        let tombstone_bytes = p.entries.iter().filter(|e| e.is_tombstone()).count() as u64
-            * layout::ENTRY_SIZE as u64;
-        let mut meta = SegmentMeta::new_open(p.id, capacity, p.header.log_id, Up2Mode::OnOverwrite);
-        meta.live_bytes = live_bytes + tombstone_bytes;
-        meta.tombstone_bytes = tombstone_bytes;
-        meta.live_pages = live_pages;
-        meta.seal(
-            p.header.seal_seq,
-            p.header.sealed_at,
-            p.header.up2,
-            Up2Mode::OnOverwrite,
+    for (id, p) in &parsed_segments {
+        let h = &p.header;
+        install_sealed(
+            &mut table,
+            *id,
+            capacity,
+            h.log_id,
+            (h.seal_seq, h.sealed_at, h.up2),
+            live[id.index()],
+            tombstone_bytes(p),
         );
-        table.install_sealed(meta);
     }
 
     let mut store = LogStore::open_with_device(config, device)?;
-    store.install_recovered_state(mapping, table, max_unow, max_write_seq + 1);
+    store.install_recovered_state(mapping, table, max_unow, max_write_seq + 1, bytes_read);
     Ok((store, report))
 }
 
@@ -242,49 +357,40 @@ pub fn recover_from_checkpoint_with_report(
 
     let mut report = ScanReport::default();
 
-    // Pass 1: sweep only the fixed-size first header of every slot; fully decode just
-    // the segments sealed (or first persisted) after the checkpoint frontier. A
-    // recorded slot whose on-device header still predates the frontier keeps its
-    // checkpoint metadata without any further I/O; a post-frontier header means the
-    // slot was written (or reused and rewritten) after the checkpoint and its entries
-    // must be replayed.
-    struct Parsed {
-        id: SegmentId,
-        header: layout::SegmentHeader,
-        entries: Vec<layout::SegmentEntry>,
-    }
-    let mut tail: Vec<Parsed> = Vec::new();
-    let mut image = Vec::new(); // one buffer for every tail segment read
+    // Pass 1: read only the fixed-size first header of every slot; decode the fronts of
+    // just the segments sealed (or first persisted) after the checkpoint frontier, going
+    // on from the header already read. A recorded slot whose on-device header still
+    // predates the frontier keeps its checkpoint metadata without any further I/O; a
+    // post-frontier header means the slot was written (or reused and rewritten) after
+    // the checkpoint and its entries must be replayed.
+    let mut reader = FrontReader::new(device.as_ref(), config.page_bytes);
+    let mut tail: Vec<(SegmentId, ParsedSegment)> = Vec::new();
     for i in 0..config.num_segments {
         let id = SegmentId(i as u32);
-        match probe_slot(device.as_ref(), id)? {
+        let head = reader.read(id, 0, layout::HEADER_SIZE)?;
+        match classify(id, &head)? {
             Slot::Blank => report.blank_segments += 1,
             Slot::Corrupt => report.corrupt_segments.push(id),
-            Slot::Written(first) => {
-                // Every extent of a chain carries the same sequence, so the first
-                // extent's header decides whether the slot belongs to the tail.
-                if first.seal_seq > cp.frontier {
-                    device.read_segment_into(id, &mut image)?;
-                    match decode_segment(id, &image) {
-                        Ok(Some(p)) => tail.push(Parsed {
-                            id,
-                            header: p.header,
-                            entries: p.entries,
-                        }),
-                        // The header round-tripped but its entry table does not decode:
-                        // torn first write of a post-checkpoint segment. Its contents
-                        // were never acknowledged durable, so skipping it is correct.
-                        Ok(None) | Err(_) => report.corrupt_segments.push(id),
-                    }
+            // Every extent of a chain carries the same sequence, so the first extent's
+            // header decides whether the slot belongs to the tail.
+            Slot::Written(first) if first.seal_seq > cp.frontier => {
+                match reader.chain(id, head)? {
+                    Ok(Some(p)) => tail.push((id, p)),
+                    // The header round-tripped but its entry table does not decode: torn
+                    // first write of a post-checkpoint segment. Its contents were never
+                    // acknowledged durable, so skipping it is correct.
+                    Ok(None) | Err(_) => report.corrupt_segments.push(id),
                 }
             }
+            Slot::Written(_) => {}
         }
     }
     report.replayed_segments = tail.len();
+    let bytes_read = reader.bytes_read;
 
-    // Pass 2: seed the newest-version map from the checkpoint, ranking each entry with
-    // its owning segment's seal sequence, then replay the tail in seal order on top.
-    let mut best: FxHashMap<PageId, PageVersion> = FxHashMap::default();
+    // Pass 2: seed the newest versions from the checkpoint, ranking each entry with its
+    // owning segment's seal sequence, then replay the tail on top.
+    let mut newest = Newest::new();
     for p in &cp.pages {
         let seg = SegmentId(p.segment);
         let Some(owner) = records.get(&seg) else {
@@ -293,7 +399,7 @@ pub fn recover_from_checkpoint_with_report(
                 p.page, p.segment
             )));
         };
-        best.insert(
+        newest.offer(
             p.page,
             PageVersion {
                 write_seq: p.write_seq,
@@ -308,107 +414,58 @@ pub fn recover_from_checkpoint_with_report(
             },
         );
     }
-    tail.sort_by_key(|p| p.header.seal_seq);
     let mut max_write_seq: WriteSeq = 0;
     let mut max_replayed_seal: SealSeq = 0;
     let mut max_unow = 0;
-    for p in &tail {
+    for (id, p) in &tail {
         max_unow = max_unow.max(p.header.sealed_at);
         max_replayed_seal = max_replayed_seal.max(p.header.seal_seq);
-        for e in &p.entries {
-            max_write_seq = max_write_seq.max(e.write_seq);
-            let candidate = PageVersion {
-                write_seq: e.write_seq,
-                seal_seq: p.header.seal_seq,
-                loc: PageLocation {
-                    segment: p.id,
-                    offset: e.offset,
-                    len: e.payload_len(),
-                    write_seq: e.write_seq,
-                },
-                tombstone: e.is_tombstone(),
-            };
-            match best.get(&e.page_id) {
-                Some(cur)
-                    if (cur.write_seq, cur.seal_seq)
-                        >= (candidate.write_seq, candidate.seal_seq) => {}
-                _ => {
-                    best.insert(e.page_id, candidate);
-                }
-            }
-        }
+        max_write_seq = max_write_seq.max(newest.replay(*id, p));
     }
 
     // Pass 3: final page table, and per-segment live stats from the *final* mapping
     // (a tail segment may have relocated pages away from recorded segments).
-    let mut mapping = PageTable::new();
-    let mut live_per_segment: FxHashMap<SegmentId, (u64, u64)> = FxHashMap::default();
-    for (page, v) in &best {
-        if v.tombstone {
-            continue;
-        }
-        mapping.insert(*page, v.loc);
-        let entry = live_per_segment.entry(v.loc.segment).or_insert((0, 0));
-        entry.0 += v.loc.len as u64;
-        entry.1 += 1;
-    }
+    let (mapping, live) = newest.into_live(config.num_segments);
     report.live_pages = mapping.len();
 
     let capacity = layout::payload_capacity(config.segment_bytes, config.page_bytes) as u64;
     let mut table = SegmentTable::new(config.num_segments);
-    let mut install = |id: SegmentId,
-                       cap: u64,
-                       log_id: u16,
-                       seal_seq: u64,
-                       sealed_at: u64,
-                       up2: u64,
-                       tombstone_bytes: u64| {
-        let (live_bytes, live_pages) = live_per_segment.get(&id).copied().unwrap_or((0, 0));
-        let mut meta = SegmentMeta::new_open(id, cap, log_id, Up2Mode::OnOverwrite);
-        meta.live_bytes = live_bytes + tombstone_bytes;
-        meta.tombstone_bytes = tombstone_bytes;
-        meta.live_pages = live_pages;
-        meta.seal(seal_seq, sealed_at, up2, Up2Mode::OnOverwrite);
-        table.install_sealed(meta);
-    };
-    let replayed_ids: std::collections::HashSet<SegmentId> = tail.iter().map(|p| p.id).collect();
-    for p in &tail {
+    let mut in_tail = vec![false; config.num_segments];
+    for (id, p) in &tail {
         // Tail segments recompute their tombstone charge from their entry tables.
-        let tombstone_bytes = p.entries.iter().filter(|e| e.is_tombstone()).count() as u64
-            * layout::ENTRY_SIZE as u64;
-        install(
-            p.id,
+        let h = &p.header;
+        install_sealed(
+            &mut table,
+            *id,
             capacity,
-            p.header.log_id,
-            p.header.seal_seq,
-            p.header.sealed_at,
-            p.header.up2,
-            tombstone_bytes,
+            h.log_id,
+            (h.seal_seq, h.sealed_at, h.up2),
+            live[id.index()],
+            tombstone_bytes(p),
         );
+        in_tail[id.index()] = true;
     }
+    let mut resealed = 0;
     for (id, r) in &records {
-        if replayed_ids.contains(id) {
+        if in_tail[id.index()] {
+            resealed += 1;
             continue; // the slot was resealed after the checkpoint; the header wins
         }
         // Every recorded segment was sealed at or before the journal's frontier, so
         // its tombstones are covered by the very checkpoint we are recovering from
         // (committing a checkpoint uncharges everything it captured): install it
         // uncharged, mirroring the in-memory state right after that commit.
-        install(
+        install_sealed(
+            &mut table,
             *id,
             r.capacity_bytes,
             r.log_id,
-            r.seal_seq,
-            r.sealed_at,
-            r.up2,
+            (r.seal_seq, r.sealed_at, r.up2),
+            live[id.index()],
             0,
         );
     }
-    report.sealed_segments = report.replayed_segments + records.len()
-        - records
-            .keys()
-            .filter(|id| replayed_ids.contains(id))
-            .count();
+    report.sealed_segments = report.replayed_segments + records.len() - resealed;
 
     table.set_next_seal_seq(cp.next_seal_seq.max(max_replayed_seal + 1));
     let next_write_seq = cp.next_write_seq.max(max_write_seq + 1);
@@ -416,7 +473,7 @@ pub fn recover_from_checkpoint_with_report(
 
     let replayed = report.replayed_segments as u64;
     let mut store = LogStore::open_with_device(config, device)?;
-    store.install_recovered_state(mapping, table, unow, next_write_seq);
+    store.install_recovered_state(mapping, table, unow, next_write_seq, bytes_read);
     // The journal we just recovered from is itself a committed checkpoint: seed the
     // frontier so the cleaner may keep dropping covered tombstones immediately.
     store.set_checkpoint_frontier(cp.frontier);

@@ -112,6 +112,10 @@ pub struct StoreStats {
     /// (those sealed after the checkpoint frontier). Zero for full-scan recovery and
     /// for stores that never recovered.
     pub recovery_segments_replayed: u64,
+    /// Bytes the last recovery read from the device — slot fronts (headers and entry
+    /// tables, never payloads) on the full scan, first headers plus the post-frontier
+    /// tail's fronts on the checkpoint path. Zero for stores that never recovered.
+    pub recovery_bytes_read: u64,
     /// Sort-buffer batches handed to the store's write-behind worker to append (each
     /// followed by the paced cleaning check; a batch a failed job left counts again
     /// when it is handed back).
@@ -206,6 +210,7 @@ impl StoreStats {
         self.checkpoint_shards_written += other.checkpoint_shards_written;
         self.checkpoint_shards_skipped += other.checkpoint_shards_skipped;
         self.recovery_segments_replayed += other.recovery_segments_replayed;
+        self.recovery_bytes_read += other.recovery_bytes_read;
         self.write_behind_jobs += other.write_behind_jobs;
         self.write_behind_waits += other.write_behind_waits;
     }
@@ -379,9 +384,10 @@ impl AtomicStats {
             recovery_segments_replayed: self.recovery_segments_replayed.load(Ordering::Relaxed),
             write_behind_jobs: self.write_behind_jobs.load(Ordering::Relaxed),
             write_behind_waits: self.write_behind_waits.load(Ordering::Relaxed),
-            // Gauges sampled from the segment table / GC control, not counters: the
-            // store facade fills them in (`LogStore::stats`); a bare snapshot leaves
-            // them empty.
+            // Gauges sampled from the segment table / GC control, not counters, and
+            // what the store's recovery read: the store facade fills them in
+            // (`LogStore::stats`); a bare snapshot leaves them empty.
+            recovery_bytes_read: 0,
             emptiness_histogram: Vec::new(),
             sealed_segments: 0,
             sealed_live_bytes: 0,
@@ -470,6 +476,7 @@ mod tests {
             checkpoint_shards_written: 7,
             checkpoint_shards_skipped: 57,
             recovery_segments_replayed: 9,
+            recovery_bytes_read: 12_288,
             write_behind_jobs: 5,
             write_behind_waits: 1,
             ..Default::default()
@@ -484,6 +491,7 @@ mod tests {
         assert_eq!(a.checkpoint_shards_written, 7);
         assert_eq!(a.checkpoint_shards_skipped, 57);
         assert_eq!(a.recovery_segments_replayed, 9);
+        assert_eq!(a.recovery_bytes_read, 12_288);
         assert_eq!((a.write_behind_jobs, a.write_behind_waits), (5, 1));
     }
 

@@ -243,6 +243,10 @@ pub(crate) struct CentralState {
 /// `write_behind`) shares too. Dropping the store joins the worker.
 pub struct LogStore {
     core: Arc<StoreCore>,
+    /// Bytes the recovery that built this store read from the device (see
+    /// [`StoreStats::recovery_bytes_read`]): a fact of how it was opened, kept on the
+    /// handle rather than among the shared counters.
+    recovery_bytes_read: u64,
 }
 
 /// Everything a [`LogStore`] shares with its write-behind worker.
@@ -397,6 +401,7 @@ impl LogStore {
         };
         Ok(Self {
             core: Arc::new(core),
+            recovery_bytes_read: 0,
         })
     }
 
@@ -540,6 +545,7 @@ impl LogStore {
     pub fn stats(&self) -> StoreStats {
         let core = &self.core;
         let mut stats = core.stats.snapshot();
+        stats.recovery_bytes_read = self.recovery_bytes_read;
         let central = core.central.lock();
         let (hist, sealed, live) = central
             .segments
@@ -593,24 +599,14 @@ impl LogStore {
         self.core.mapping.len()
     }
 
-    /// Page ids currently live in `[start, end)`, in ascending order.
+    /// Every live page id, in no particular order.
     ///
     /// Cost is proportional to the *live* page count, never to the width of the id
-    /// range — which is what lets layered allocators (e.g. the KV layer's reopen
-    /// sweep) reclaim stragglers from a sparsely used partition of the 2⁶⁴ id space.
-    /// Like any concurrent gauge, the enumeration may miss pages written after the
-    /// call started.
-    pub fn live_page_ids_in(&self, start: PageId, end: PageId) -> Vec<PageId> {
-        let mut ids: Vec<PageId> = self
-            .core
-            .mapping
-            .snapshot()
-            .into_iter()
-            .map(|(page, _)| page)
-            .filter(|page| (start..end).contains(page))
-            .collect();
-        ids.sort_unstable();
-        ids
+    /// space — which is what lets layered allocators (e.g. the KV layer's reopen sweep)
+    /// reclaim stragglers from a sparsely used partition of the 2⁶⁴ id space. Like any
+    /// concurrent gauge, the enumeration may miss pages written after the call started.
+    pub fn live_page_ids(&self) -> Vec<PageId> {
+        self.core.mapping.page_ids()
     }
 
     /// Bytes of live page payloads.
@@ -764,15 +760,18 @@ impl LogStore {
         self.core.ckpt_frontier.store(frontier, Ordering::Relaxed);
     }
 
-    /// Install what recovery rebuilt. Runs before anything is handed to the
-    /// write-behind worker, so the store's state has no other owner yet.
+    /// Install what recovery rebuilt, having read `bytes_read` bytes of the device.
+    /// Runs before anything is handed to the write-behind worker, so the store's state
+    /// has no other owner yet.
     pub(crate) fn install_recovered_state(
         &mut self,
         mapping: PageTable,
         segments: SegmentTable,
         unow: UpdateTick,
         next_write_seq: WriteSeq,
+        bytes_read: u64,
     ) {
+        self.recovery_bytes_read = bytes_read;
         Arc::get_mut(&mut self.core)
             .expect("recovery installs its state before the write-behind worker starts")
             .install_recovered_state(mapping, segments, unow, next_write_seq);

@@ -659,6 +659,8 @@ struct StoreSection {
     sealed_segments: u64,
     write_behind_jobs: u64,
     write_behind_waits: u64,
+    recovery_segments_replayed: u64,
+    recovery_bytes_read: u64,
 }
 
 fn stats_json(shared: &Shared) -> String {
@@ -718,6 +720,8 @@ fn stats_json(shared: &Shared) -> String {
             sealed_segments: store_stats.sealed_segments,
             write_behind_jobs: store_stats.write_behind_jobs,
             write_behind_waits: store_stats.write_behind_waits,
+            recovery_segments_replayed: store_stats.recovery_segments_replayed,
+            recovery_bytes_read: store_stats.recovery_bytes_read,
         },
     };
     serde_json::to_string(&doc).unwrap_or_else(|_| "{}".into())

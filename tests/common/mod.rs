@@ -451,6 +451,74 @@ impl SegmentDevice for SyncControl {
     }
 }
 
+/// A [`MemDevice`] that counts what is read through it: the bytes of every ranged read,
+/// and every whole-image read (`read_segment`, `read_segment_into`). Clones share the
+/// device and the counts, so a test can hand one to recovery and read the counts after.
+#[allow(dead_code)]
+#[derive(Clone)]
+pub struct CountingDevice {
+    inner: Arc<MemDevice>,
+    range_bytes: Arc<AtomicU64>,
+    whole_reads: Arc<AtomicU64>,
+}
+
+#[allow(dead_code)]
+impl CountingDevice {
+    pub fn new(segment_bytes: usize, num_segments: usize) -> Self {
+        Self {
+            inner: Arc::new(MemDevice::new(segment_bytes, num_segments)),
+            range_bytes: Arc::default(),
+            whole_reads: Arc::default(),
+        }
+    }
+
+    /// The device underneath, read without counting.
+    pub fn uncounted(&self) -> &MemDevice {
+        &self.inner
+    }
+
+    /// `(range bytes, whole-image reads)` so far; zeroes both.
+    pub fn take_counts(&self) -> (u64, u64) {
+        (
+            self.range_bytes.swap(0, Ordering::SeqCst),
+            self.whole_reads.swap(0, Ordering::SeqCst),
+        )
+    }
+}
+
+impl SegmentDevice for CountingDevice {
+    fn geometry(&self) -> DeviceGeometry {
+        self.inner.geometry()
+    }
+    fn read_segment(&self, seg: SegmentId) -> Result<Vec<u8>> {
+        self.whole_reads.fetch_add(1, Ordering::SeqCst);
+        self.inner.read_segment(seg)
+    }
+    fn read_segment_into(&self, seg: SegmentId, buf: &mut Vec<u8>) -> Result<()> {
+        self.whole_reads.fetch_add(1, Ordering::SeqCst);
+        self.inner.read_segment_into(seg, buf)
+    }
+    fn read_range(&self, seg: SegmentId, offset: u32, len: u32) -> Result<Vec<u8>> {
+        self.range_bytes.fetch_add(len as u64, Ordering::SeqCst);
+        self.inner.read_range(seg, offset, len)
+    }
+    fn write_segment(&self, seg: SegmentId, image: &[u8]) -> Result<()> {
+        self.inner.write_segment(seg, image)
+    }
+    fn write_ranges(&self, seg: SegmentId, image: &[u8], dirty: &[Range<u32>]) -> Result<()> {
+        self.inner.write_ranges(seg, image, dirty)
+    }
+    fn erase_segment(&self, seg: SegmentId) -> Result<()> {
+        self.inner.erase_segment(seg)
+    }
+    fn sync(&self) -> Result<()> {
+        self.inner.sync()
+    }
+    fn segment_writes(&self) -> u64 {
+        self.inner.segment_writes()
+    }
+}
+
 impl SegmentDevice for CrashPointDevice {
     fn geometry(&self) -> DeviceGeometry {
         self.inner.geometry()
