@@ -17,8 +17,8 @@
 //!   complexity regressions (a bounded replay degrading into a full scan) without
 //!   tripping on scheduler noise.
 //!
-//! The two JSON trees are walked in parallel: identity fields (`threads`,
-//! `cleaner_threads`, `mode`, `phase`, `benchmark`, `policy`) must match so
+//! The two JSON trees are walked in parallel: identity fields (`threads`, `mode`,
+//! `phase`, `benchmark`, `policy`) must match so
 //! metrics are never compared across misaligned rows, result arrays must keep their
 //! length, and a metric present in the baseline may not disappear. Fields *added* by
 //! a newer bench schema pass freely — the gate compares against what the baseline
@@ -33,14 +33,7 @@ use serde::Value;
 
 /// Fields that identify a result row; a mismatch means the comparison is misaligned,
 /// which is itself a failure (renamed modes, reordered rows).
-const IDENTITY_KEYS: &[&str] = &[
-    "benchmark",
-    "policy",
-    "mode",
-    "phase",
-    "threads",
-    "cleaner_threads",
-];
+const IDENTITY_KEYS: &[&str] = &["benchmark", "policy", "mode", "phase", "threads"];
 
 /// Gate thresholds.
 struct Gate {

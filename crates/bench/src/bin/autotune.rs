@@ -8,8 +8,8 @@
 //! global sort-buffer separation the simulator shows temperature classes as largely
 //! redundant, but 8 interleaved writer threads defeat global sorting and that is where
 //! classed GC output pays off. Tuning must see the same machine the benchmarks run on.
-//! The writers clean inline, pacing their own cycles with up to `cleaner_threads` of
-//! them overlapping, as every store does.
+//! The writers only buffer: the store's write-behind thread drains their batches and
+//! paces the cleaning, one cycle at a time, as every store does.
 //!
 //! Emits `BENCH_autotune.json`; the `recommended` object is what
 //! `cleaner --autotune-config BENCH_autotune.json` (or `LSS_AUTOTUNE_CONFIG`) replays.

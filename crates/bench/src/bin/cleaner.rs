@@ -1,20 +1,20 @@
-//! Cleaner scaling benchmark: reclaim throughput and foreground interference at
-//! 1/2/4 concurrent cleaning cycles (`cleaner_threads`).
+//! Cleaner benchmark: reclaim throughput and foreground interference. The store runs
+//! one cleaning cycle at a time (concurrent `clean_now` callers serialise on its
+//! write-behind job lock), so there is no cycle-count axis.
 //!
-//! Two phases per thread count:
+//! Two phases:
 //!
 //! * **reclaim** — the store is preloaded and overwritten into a live/dead
-//!   checkerboard, then `cleaner_threads` threads drain all reclaimable segments with
-//!   back-to-back cycles: segments reclaimed per second is the cleaner's scaling
-//!   metric (cycles run on disjoint victim sets, each reading its victims in turn on
-//!   its own thread).
-//! * **interference** — 8 writer threads run a hot overwrite workload and pace their
-//!   own cleaning inline, with up to `cleaner_threads` cycles overlapping: foreground
-//!   puts/s must hold up (compare BENCH_concurrency.json's put scaling) while those
-//!   cycles keep up with the garbage.
+//!   checkerboard, then one thread drains all reclaimable segments with back-to-back
+//!   `clean_now` cycles: segments reclaimed per second is the cleaner's throughput
+//!   metric.
+//! * **interference** — 8 writer threads run a hot overwrite workload while the
+//!   store's write-behind thread drains their batches and paces the cleaning:
+//!   foreground puts/s must hold up (compare BENCH_concurrency.json's put scaling)
+//!   while the cycles keep up with the garbage.
 //!
 //! Then the **skew** phases replay Zipfian-0.99 and hot-cold 90:10 overwrite
-//! workloads (cleaned inline by the writers, as above) with the GC output split into temperature classes
+//! workloads (cleaned as above) with the GC output split into temperature classes
 //! (`gc_temperature_classes` 1 vs 2 vs 4), reporting write amplification and the
 //! per-class relocation/misprediction counters. An autotune recommendation
 //! (`--autotune-config <path>` or `LSS_AUTOTUNE_CONFIG`) adds one more row with the
@@ -39,21 +39,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One measured point: cleaner behaviour at a given `cleaner_threads`.
+/// One measured point: reclaim throughput and foreground interference.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CleanerPoint {
-    cleaner_threads: usize,
     /// Segments reclaimed per second while draining a fully checkerboarded store.
     reclaim_segments_per_sec: f64,
     /// Segments the reclaim phase cleaned (work-capped at 4 × num_segments).
     reclaim_segments_cleaned: u64,
     /// Pages the reclaim phase relocated.
     reclaim_pages_moved: u64,
-    /// Foreground puts/s with 8 writer threads cleaning inline.
+    /// Foreground puts/s with 8 writer threads.
     foreground_puts_per_sec: f64,
     /// Write amplification observed during the interference phase.
     interference_write_amplification: f64,
-    /// Cleaning cycles the writers ran during the interference phase.
+    /// Cleaning cycles run during the interference phase.
     interference_cleaning_cycles: u64,
 }
 
@@ -116,7 +115,7 @@ struct CleanerReport {
 
 const FOREGROUND_THREADS: usize = 8;
 
-fn store_config(scale: Scale, cleaner_threads: usize) -> StoreConfig {
+fn store_config(scale: Scale) -> StoreConfig {
     let mut c = StoreConfig::paper_default().with_policy(PolicyKind::Mdc);
     c.segment_bytes = 256 * 1024;
     c.num_segments = match scale {
@@ -125,7 +124,6 @@ fn store_config(scale: Scale, cleaner_threads: usize) -> StoreConfig {
         Scale::Full => 1024,
     };
     c.sort_buffer_segments = 4;
-    c.cleaner_threads = cleaner_threads;
     c.write_streams = std::env::var("LSS_WRITE_STREAMS")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -164,12 +162,12 @@ fn seal_preload(store: &LogStore) {
     store.checkpoint_json().unwrap();
 }
 
-/// Phase 1: how fast `threads` concurrent cycles chew through reclaimable segments.
-/// The metric is cleaning-machinery throughput (victims processed per second):
-/// concurrent cycles may re-clean each other's partially filled outputs, so the phase
-/// is bounded by a fixed work cap to keep runs comparable.
-fn measure_reclaim(threads: usize, scale: Scale) -> (f64, u64, u64) {
-    let config = store_config(scale, threads);
+/// Phase 1: how fast back-to-back cycles chew through reclaimable segments. The metric
+/// is cleaning-machinery throughput (victims processed per second): later cycles may
+/// re-clean earlier ones' outputs, so the phase is bounded by a fixed work cap to keep
+/// runs comparable.
+fn measure_reclaim(scale: Scale) -> (f64, u64, u64) {
+    let config = store_config(scale);
     let payload = vec![0xA5u8; config.page_bytes];
     let store = LogStore::open_in_memory(config.clone()).unwrap();
     checkerboard(&store, &config, &payload);
@@ -177,24 +175,13 @@ fn measure_reclaim(threads: usize, scale: Scale) -> (f64, u64, u64) {
 
     let work_cap = 4 * config.num_segments as u64;
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let store = &store;
-            scope.spawn(move || {
-                // Drain until the work cap, or until cycles run dry (claims make
-                // empty results possible while peers still hold victims, so require
-                // two consecutive empty cycles before giving up).
-                let mut dry = 0;
-                while dry < 2 && store.stats().segments_cleaned < work_cap {
-                    match store.clean_now() {
-                        Ok(report) if report.segments_freed() == 0 => dry += 1,
-                        Ok(_) => dry = 0,
-                        Err(_) => break,
-                    }
-                }
-            });
+    // Drain until the work cap, or until a cycle finds nothing to clean.
+    while store.stats().segments_cleaned < work_cap {
+        match store.clean_now() {
+            Ok(report) if report.segments_freed() > 0 => {}
+            _ => break,
         }
-    });
+    }
     let elapsed = start.elapsed().as_secs_f64();
     let stats = store.stats();
     (
@@ -204,10 +191,9 @@ fn measure_reclaim(threads: usize, scale: Scale) -> (f64, u64, u64) {
     )
 }
 
-/// Phase 2: foreground put throughput while the writers clean inline, up to `threads`
-/// cycles at a time.
-fn measure_interference(threads: usize, scale: Scale) -> (f64, f64, u64) {
-    let config = store_config(scale, threads);
+/// Phase 2: foreground put throughput while the store cleans behind the writers.
+fn measure_interference(scale: Scale) -> (f64, f64, u64) {
+    let config = store_config(scale);
     let payload = vec![0xA5u8; config.page_bytes];
     let store = LogStore::open_in_memory(config.clone()).unwrap();
     let pages = checkerboard(&store, &config, &payload);
@@ -267,7 +253,7 @@ fn skew_ops_per_thread(scale: Scale) -> u64 {
 /// per-class counters show where survivors went and how often they were
 /// reclassified.
 fn measure_skew(kind: &str, tuning: &GcTuning, scale: Scale, seed: u64) -> SkewPoint {
-    let mut config = store_config(scale, 1)
+    let mut config = store_config(scale)
         .with_policy(tuning.policy)
         .with_gc_temperature_classes(tuning.gc_temperature_classes);
     config.cleaning.cold_victim_min_emptiness = tuning.cold_victim_min_emptiness;
@@ -354,7 +340,7 @@ impl SegmentDevice for SharedDevice {
 /// checkpoint, so both reopens must land on the same live-page count — asserted,
 /// since a silently inexact reopen would make the latency numbers meaningless.
 fn measure_recovery(scale: Scale) -> RecoveryPoint {
-    let config = store_config(scale, 2);
+    let config = store_config(scale);
     let payload = vec![0xA5u8; config.page_bytes];
     let device = SharedDevice(Arc::new(MemDevice::new(
         config.segment_bytes,
@@ -419,37 +405,33 @@ fn measure_recovery(scale: Scale) -> RecoveryPoint {
 
 fn main() {
     let scale = Scale::from_args();
-    let config = store_config(scale, 1);
+    let config = store_config(scale);
     println!(
-        "cleaner scaling: MDC, {} x {} KiB segments, {} write streams, {} ops/thread",
+        "cleaner: MDC, {} x {} KiB segments, {} write streams, {} ops/thread",
         config.num_segments,
         config.segment_bytes / 1024,
         config.write_streams,
         ops_per_thread(scale)
     );
     println!(
-        "{:>8} {:>16} {:>10} {:>12} {:>14} {:>8} {:>10}",
-        "cleaners", "reclaim seg/s", "segments", "pages", "fg puts/s", "Wamp", "cycles"
+        "{:>16} {:>10} {:>12} {:>14} {:>8} {:>10}",
+        "reclaim seg/s", "segments", "pages", "fg puts/s", "Wamp", "cycles"
     );
 
-    let mut results = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let (reclaim_rate, cleaned, moved) = measure_reclaim(threads, scale);
-        let (puts, wamp, cycles) = measure_interference(threads, scale);
-        println!(
-            "{:>8} {:>16.1} {:>10} {:>12} {:>14.0} {:>8.3} {:>10}",
-            threads, reclaim_rate, cleaned, moved, puts, wamp, cycles
-        );
-        results.push(CleanerPoint {
-            cleaner_threads: threads,
-            reclaim_segments_per_sec: reclaim_rate,
-            reclaim_segments_cleaned: cleaned,
-            reclaim_pages_moved: moved,
-            foreground_puts_per_sec: puts,
-            interference_write_amplification: wamp,
-            interference_cleaning_cycles: cycles,
-        });
-    }
+    let (reclaim_rate, cleaned, moved) = measure_reclaim(scale);
+    let (puts, wamp, cycles) = measure_interference(scale);
+    println!(
+        "{:>16.1} {:>10} {:>12} {:>14.0} {:>8.3} {:>10}",
+        reclaim_rate, cleaned, moved, puts, wamp, cycles
+    );
+    let results = vec![CleanerPoint {
+        reclaim_segments_per_sec: reclaim_rate,
+        reclaim_segments_cleaned: cleaned,
+        reclaim_pages_moved: moved,
+        foreground_puts_per_sec: puts,
+        interference_write_amplification: wamp,
+        interference_cleaning_cycles: cycles,
+    }];
 
     let seed = stress_seed_or(0x5EED_C0DE);
     println!("\nskew phases (8 writers, fill {SKEW_FILL}, seed {seed:#x}):");

@@ -1,6 +1,6 @@
 //! Concurrency scaling benchmark: put/get throughput of one `Arc<LogStore>` vs thread
-//! count (1/2/4/8). Cleaning runs inline: each writer paces its own cycles, with up to
-//! `cleaner_threads` of them overlapping.
+//! count (1/2/4/8). The writers only buffer: the store's write-behind thread drains
+//! their batches and paces the cleaning, one cycle at a time.
 //!
 //! Emits `BENCH_concurrency.json` so later PRs can track how read/write scaling evolves
 //! (the concurrent read/write/clean pipeline of PR 1 is the baseline).

@@ -19,17 +19,15 @@ pub struct CleaningConfig {
     /// busy store's free pool sits there, not here. A trigger at or below the floor
     /// leaves no band: cleaning simply starts at the trigger.
     pub trigger_free_segments: usize,
-    /// The full-batch budget: in-use segments cleaned per cleaning cycle, in aggregate
-    /// across [`StoreConfig::cleaner_threads`] concurrent cycles (paper §6.1.1 uses 64;
-    /// multi-log uses 1). A writer's cycle at the must-clean floor takes at most as
-    /// many victims as the floor holds segments. Policies may override via
+    /// The full-batch budget: in-use segments cleaned per cleaning cycle (paper §6.1.1
+    /// uses 64, the default here and what `lss-sim` runs; the store ships 32, see
+    /// [`StoreConfig::paper_default`]; multi-log uses 1). A cycle at the must-clean
+    /// floor takes at most as many victims as the floor holds segments; a distress
+    /// cycle takes the full batch. Policies may override via
     /// [`crate::policy::CleaningPolicy::preferred_batch`].
     pub segments_per_cycle: usize,
     /// Number of free segments that must always remain available as the destination of
-    /// GC relocations; allocation for user data never dips into this reserve. With
-    /// concurrent cleaning ([`StoreConfig::cleaner_threads`] > 1) every in-flight cycle
-    /// may hold one reserve segment as its output, so keeping this at least as large as
-    /// `cleaner_threads` avoids cycles abandoning victims under distress.
+    /// GC relocations; allocation for user data never dips into this reserve.
     pub reserved_free_segments: usize,
     /// Fraction of the *current maximum sealed emptiness* a segment tagged with the
     /// coldest temperature class must reach before policy-driven victim selection will
@@ -89,19 +87,6 @@ pub struct StoreConfig {
     /// `1` reproduces the single-write-mutex behaviour of earlier versions. Writes to
     /// the *same* page always hit the same stream, preserving per-page ordering.
     pub write_streams: usize,
-    /// Maximum number of cleaning cycles that may overlap, and the divisor of each
-    /// cycle's share of [`CleaningConfig::segments_per_cycle`]. It is not a thread
-    /// count: the store spawns no cleaner threads, and every cycle runs on the thread
-    /// that started it (the store's write-behind thread, pacing after a batch or
-    /// escalating when a drain runs out of segments; a flush out of segments; or
-    /// [`crate::LogStore::clean_now`]); a caller past the cap waits for a slot.
-    ///
-    /// Cycles run on **disjoint victim sets**: victims are claimed atomically in the
-    /// segment table at selection time, so two cycles can never pick the same slot, and
-    /// relocations commit by per-page compare-and-swap, so concurrent commits are safe.
-    /// `1` reproduces the strictly serialised single-cycle behaviour of earlier
-    /// versions.
-    pub cleaner_threads: usize,
     /// Number of temperature classes the cleaner splits its relocation output across.
     ///
     /// `1` (the default) reproduces the temperature-unaware cleaner bit-for-bit: one GC
@@ -126,16 +111,22 @@ impl StoreConfig {
     /// The paper's simulation geometry: 4 KiB pages, 2 MiB segments (512 pages each).
     /// `num_segments` is left at a laptop-friendly default and should be adjusted with
     /// [`StoreConfig::with_num_segments`] or [`StoreConfig::with_capacity_bytes`].
+    ///
+    /// The cleaning batch is 32 victims, not the paper's 64: it is the batch every
+    /// shipped cycle took while the store split 64 across two cycle slots, and one cycle
+    /// runs at a time now.
     pub fn paper_default() -> Self {
         Self {
             segment_bytes: 2 * 1024 * 1024,
             num_segments: 1024,
             page_bytes: 4096,
             policy: PolicyKind::Mdc,
-            cleaning: CleaningConfig::default(),
+            cleaning: CleaningConfig {
+                segments_per_cycle: 32,
+                ..CleaningConfig::default()
+            },
             sort_buffer_segments: 16,
             write_streams: 4,
-            cleaner_threads: 2,
             gc_temperature_classes: 1,
             absorb_updates_in_buffer: true,
         }
@@ -157,9 +148,6 @@ impl StoreConfig {
             },
             sort_buffer_segments: 2,
             write_streams: 2,
-            // Serialised cycles by default so existing tests stay deterministic; the
-            // concurrency suites opt into 2 or 4 explicitly.
-            cleaner_threads: 1,
             gc_temperature_classes: 1,
             absorb_updates_in_buffer: false,
         }
@@ -195,12 +183,6 @@ impl StoreConfig {
         self
     }
 
-    /// Builder-style: set the maximum number of overlapping cleaning cycles.
-    pub fn with_cleaner_threads(mut self, n: usize) -> Self {
-        self.cleaner_threads = n;
-        self
-    }
-
     /// Builder-style: set the number of GC output temperature classes (see
     /// [`StoreConfig::gc_temperature_classes`]; `1` disables classification).
     pub fn with_gc_temperature_classes(mut self, n: usize) -> Self {
@@ -212,7 +194,6 @@ impl StoreConfig {
     /// job, clamped to the ranges validation accepts:
     ///
     /// * `LSS_WRITE_STREAMS` — number of independent write streams (1..=16);
-    /// * `LSS_CLEANER_THREADS` — maximum concurrent cleaning cycles (1..=8);
     /// * `LSS_GC_TEMPERATURE_CLASSES` — GC output temperature classes (1..=8).
     pub fn with_env_overrides(self) -> Self {
         self.with_overrides_from(|name| std::env::var(name).ok())
@@ -226,9 +207,6 @@ impl StoreConfig {
         let get_usize = |name: &str| lookup(name).and_then(|v| v.parse::<usize>().ok());
         if let Some(n) = get_usize("LSS_WRITE_STREAMS") {
             self.write_streams = n.clamp(1, 16);
-        }
-        if let Some(n) = get_usize("LSS_CLEANER_THREADS") {
-            self.cleaner_threads = n.clamp(1, 8);
         }
         if let Some(n) = get_usize("LSS_GC_TEMPERATURE_CLASSES") {
             self.gc_temperature_classes = n.clamp(1, MAX_TEMPERATURE_CLASSES);
@@ -296,14 +274,6 @@ impl StoreConfig {
             return Err(Error::InvalidConfig(format!(
                 "write_streams must be in 1..=16, got {}",
                 self.write_streams
-            )));
-        }
-        // Bounded so a runaway configuration cannot pin an unbounded number of claimed
-        // victims; 8 concurrent cycles saturate any device this store targets.
-        if self.cleaner_threads == 0 || self.cleaner_threads > 8 {
-            return Err(Error::InvalidConfig(format!(
-                "cleaner_threads must be in 1..=8, got {}",
-                self.cleaner_threads
             )));
         }
         // Bounded so the composite (class, log) GC-stream keys stay within u16 and the
@@ -382,12 +352,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = StoreConfig::small_for_tests();
-        c.cleaner_threads = 0;
-        assert!(c.validate().is_err());
-        c.cleaner_threads = 9; // above the concurrent-cycle cap
-        assert!(c.validate().is_err());
-
-        let mut c = StoreConfig::small_for_tests();
         c.gc_temperature_classes = 0;
         assert!(c.validate().is_err());
         c.gc_temperature_classes = MAX_TEMPERATURE_CLASSES + 1;
@@ -442,13 +406,11 @@ mod tests {
             .with_policy(PolicyKind::Greedy)
             .with_num_segments(128)
             .with_sort_buffer_segments(4)
-            .with_write_streams(8)
-            .with_cleaner_threads(4);
+            .with_write_streams(8);
         assert_eq!(c.policy, PolicyKind::Greedy);
         assert_eq!(c.num_segments, 128);
         assert_eq!(c.sort_buffer_segments, 4);
         assert_eq!(c.write_streams, 8);
-        assert_eq!(c.cleaner_threads, 4);
         c.validate().unwrap();
     }
 

@@ -29,11 +29,11 @@
 //! * [`policy`] — the cleaning policies evaluated in the paper: age, greedy,
 //!   cost-benefit, multi-log, MDC and their "-opt" oracle variants.
 //! * [`cleaner`] — pure helpers for victim-page collection plus the
-//!   [`cleaner::CleaningReport`] type; the concurrent driver lives in `store::gc_driver`.
+//!   [`cleaner::CleaningReport`] type; the driver lives in `store::gc_driver`.
 //! * [`store`] — [`LogStore`], the public facade: `put` / `get` / `delete` / `flush` /
 //!   `checkpoint`, all `&self`, split into a lock-free-ish read path, a mutex-guarded
-//!   write pipeline, and a cleaning driver that relocates pages concurrently with
-//!   foreground traffic; crash recovery in [`recovery`]. Share it across threads as an
+//!   write pipeline, and a cleaning driver that relocates pages beside foreground
+//!   traffic, one cycle at a time; crash recovery in [`recovery`]. Share it across threads as an
 //!   `Arc<LogStore>`. A write only buffers its page: the store's one write-behind
 //!   thread appends each full sort-buffer batch and runs the cleaning it needs.
 //!

@@ -1,5 +1,10 @@
 //! In-memory bookkeeping for segments: the quantities the cleaning analysis needs
 //! (`A`, `C`, `up2`, seal sequence) and the free/open/sealed life-cycle.
+//!
+//! The store mutates the table from one mutator at a time (every drain, cleaning cycle,
+//! seal and sync point runs under its write-behind job lock), so a victim needs no claim
+//! while a cycle relocates it, and the reclamation quarantine is one list of released
+//! victims: a sync marks all of them synced, and a reap frees the unpinned ones.
 
 use crate::freq::{SegmentFreq, Up2Mode, TEMPERATURE_UNCLASSIFIED};
 use crate::policy::SegmentStats;
@@ -198,27 +203,15 @@ impl SegmentState {
     }
 }
 
-/// Owner token for quarantine entries whose cleaning cycle aborted: the next
-/// sync point that seals the orphaned GC output builders adopts them (see
-/// [`SegmentTable::quarantine_orphan`]). Live cycles use tokens starting at 1.
-pub const ORPHAN_CYCLE: u64 = 0;
-
-/// One victim parked in the reclamation quarantine, with the state machine that gates
-/// its reuse: `parked` (relocations may still sit in the owning cycle's in-memory GC
-/// builders) → `sealed` (every relocated copy has been written to the device) →
-/// `synced` (a device sync has landed *after* those writes). Only synced entries with
-/// no reader pins are reaped back to the free list.
+/// One victim parked in the reclamation quarantine: `synced` once a device sync has
+/// landed after the victim was released. A cleaning cycle releases a victim only after
+/// committing its relocations, and every sync point runs either outside any cycle or as
+/// the cycle's own, after it has sealed its outputs; so by the time a sync marks an
+/// entry, the relocated copies of its live pages are on the device. Only synced entries
+/// with no reader pins are reaped back to the free list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct QuarantineEntry {
     id: SegmentId,
-    /// Token of the cleaning cycle that released this victim ([`ORPHAN_CYCLE`] after
-    /// that cycle aborted and handed its output builders to the orphan pool).
-    owner: u64,
-    /// True once every relocated copy of this victim's live pages has been written to
-    /// the device (the owning cycle sealed its GC outputs, or the orphan pool was
-    /// sealed on its behalf).
-    sealed: bool,
-    /// True once a device sync has landed after the entry was sealed.
     synced: bool,
 }
 
@@ -231,22 +224,15 @@ pub struct SegmentTable {
     /// Segments released by the cleaner but not yet eligible for reuse: their slots must
     /// stay untouched until (a) the relocated copies of their live pages are durable on
     /// the device (crash safety: the old copies are the only durable ones until then —
-    /// tracked by the per-entry `sealed`/`synced` state, see [`QuarantineEntry`]) and
-    /// (b) no in-flight reader still holds the slot pinned (read safety: a ranged read
-    /// may be in progress against the old image).
+    /// see [`QuarantineEntry`]) and (b) no in-flight reader still holds the slot pinned
+    /// (read safety: a ranged read may be in progress against the old image).
     quarantine: Vec<QuarantineEntry>,
-    /// Victims claimed by an in-flight cleaning cycle. Claimed segments stay `Sealed`
-    /// (their accounting keeps updating) but are hidden from
-    /// [`SegmentTable::sealed_stats`], so two concurrent cycles can never select the
-    /// same victim: selection and claiming happen in one central-lock critical section.
-    cleaning: Vec<SegmentId>,
-    /// Segments whose metadata says `Sealed` but whose image is still being written to
-    /// the device. In the sharded write path the (large) device write of a seal happens
-    /// *outside* the coordination lock, so there is a window in which a segment is
-    /// `Sealed` in this table while the device slot is still blank; such segments are
-    /// excluded from [`SegmentTable::sealed_stats`] so the cleaner never selects a
-    /// victim it cannot read back. Single-threaded embedders (the simulator) never mark
-    /// anything pending and are unaffected.
+    /// Segments whose metadata says `Sealed` but whose image is not complete on the
+    /// device: the device write of a seal happens *outside* the coordination lock, and a
+    /// seal whose write failed (a *wounded* seal) stays pending until a sync point lands
+    /// it. Such segments are excluded from [`SegmentTable::sealed_stats`] so the cleaner
+    /// never selects a victim it cannot read back. Single-threaded embedders (the
+    /// simulator) never mark anything pending and are unaffected.
     image_pending: Vec<SegmentId>,
     next_seal_seq: SealSeq,
 }
@@ -261,7 +247,6 @@ impl SegmentTable {
             states: vec![SegmentState::Free; num_segments],
             free,
             quarantine: Vec::new(),
-            cleaning: Vec::new(),
             image_pending: Vec::new(),
             next_seal_seq: 1,
         }
@@ -308,44 +293,14 @@ impl SegmentTable {
         self.free.push(id);
     }
 
-    /// Claim a sealed segment as a cleaning victim. Returns false if the segment is not
-    /// sealed or is already claimed by another cycle. Call under the same central-lock
-    /// critical section as the victim selection, so claims are atomic with the pick.
-    pub fn claim_for_cleaning(&mut self, id: SegmentId) -> bool {
-        if !self.states[id.index()].is_sealed() || self.cleaning.contains(&id) {
-            return false;
-        }
-        self.cleaning.push(id);
-        true
-    }
-
-    /// Drop a victim claim without cleaning the segment (the cycle skipped or aborted
-    /// it); the segment becomes selectable again. No-op if the claim is already gone.
-    pub fn unclaim(&mut self, id: SegmentId) {
-        self.cleaning.retain(|&s| s != id);
-    }
-
-    /// Number of victims currently claimed by in-flight cleaning cycles.
-    pub fn claimed_count(&self) -> usize {
-        self.cleaning.len()
-    }
-
-    /// Release a cleaned victim into the quarantine instead of the free list, recording
-    /// which cycle owns it, and drop its cleaning claim. The slot becomes allocatable
-    /// only after the owner seals its GC outputs
-    /// ([`SegmentTable::quarantine_mark_sealed`]), a device sync lands
+    /// Release a cleaned victim into the quarantine instead of the free list. The slot
+    /// becomes allocatable only after a device sync lands
     /// ([`SegmentTable::mark_quarantine_synced`]) and a subsequent
     /// [`SegmentTable::reap_quarantine`] confirms no reader pins remain.
-    pub fn release_quarantined(&mut self, id: SegmentId, owner: u64) {
+    pub fn release_quarantined(&mut self, id: SegmentId) {
         debug_assert!(!self.states[id.index()].is_free(), "double free of {id}");
         self.states[id.index()] = SegmentState::Free;
-        self.cleaning.retain(|&s| s != id);
-        self.quarantine.push(QuarantineEntry {
-            id,
-            owner,
-            sealed: false,
-            synced: false,
-        });
+        self.quarantine.push(QuarantineEntry { id, synced: false });
     }
 
     /// Number of segments parked in the quarantine.
@@ -353,58 +308,11 @@ impl SegmentTable {
         self.quarantine.len()
     }
 
-    /// Record that `owner`'s relocated copies are all on the device (its GC output
-    /// streams were sealed): its quarantine entries now only await a sync.
-    pub fn quarantine_mark_sealed(&mut self, owner: u64) {
+    /// Record that a device sync has landed: every quarantined victim's relocated pages
+    /// are durable now, so all of them become candidates for reaping.
+    pub fn mark_quarantine_synced(&mut self) {
         for e in &mut self.quarantine {
-            if e.owner == owner {
-                e.sealed = true;
-            }
-        }
-    }
-
-    /// Hand an aborted cycle's quarantine entries to the orphan owner
-    /// ([`ORPHAN_CYCLE`]): the next sync point that seals the orphaned GC output
-    /// builders marks them sealed on the dead cycle's behalf.
-    pub fn quarantine_orphan(&mut self, owner: u64) {
-        for e in &mut self.quarantine {
-            if e.owner == owner {
-                e.owner = ORPHAN_CYCLE;
-            }
-        }
-    }
-
-    /// Number of quarantine entries an orphan-seal + sync + reap pass could make
-    /// progress on: entries already sealed (a sync or a pin-free reap can free them)
-    /// and orphan-owned entries (the pass seals the orphan builders on their behalf).
-    /// Entries still parked under a *live* cycle are excluded — only that cycle's own
-    /// phase 4 can move them forward.
-    pub fn quarantine_reclaimable(&self) -> usize {
-        self.quarantine
-            .iter()
-            .filter(|e| e.sealed || e.owner == ORPHAN_CYCLE)
-            .count()
-    }
-
-    /// Sealed-but-unsynced quarantine entries: the candidates a sync point snapshots
-    /// *before* issuing the device sync (entries sealed after the snapshot may have
-    /// writes the sync does not cover, so they wait for the next one).
-    pub fn quarantine_sealed_unsynced(&self) -> Vec<SegmentId> {
-        self.quarantine
-            .iter()
-            .filter(|e| e.sealed && !e.synced)
-            .map(|e| e.id)
-            .collect()
-    }
-
-    /// Record that a device sync has landed for the given previously sealed entries
-    /// (the snapshot taken by [`SegmentTable::quarantine_sealed_unsynced`]): their
-    /// relocated pages are now durable, so they become candidates for reaping.
-    pub fn mark_quarantine_synced(&mut self, ids: &[SegmentId]) {
-        for e in &mut self.quarantine {
-            if ids.contains(&e.id) {
-                e.synced = true;
-            }
+            e.synced = true;
         }
     }
 
@@ -477,7 +385,6 @@ impl SegmentTable {
         self.states[id.index()] = SegmentState::Sealed(meta);
         self.free.retain(|&s| s != id);
         self.quarantine.retain(|e| e.id != id);
-        self.cleaning.retain(|&s| s != id);
         self.image_pending.retain(|&s| s != id);
     }
 
@@ -514,29 +421,10 @@ impl SegmentTable {
         self.image_pending.contains(&id)
     }
 
-    /// Snapshots of every sealed segment that is *available as a cleaning victim*:
-    /// segments mid-seal (see [`SegmentTable::set_image_pending`]) and victims already
-    /// claimed by an in-flight cycle (see [`SegmentTable::claim_for_cleaning`]) are
-    /// excluded.
+    /// Snapshots of every sealed segment whose image is on the device: the cleaning
+    /// candidates and the checkpoint's segment records. Segments mid-seal (see
+    /// [`SegmentTable::set_image_pending`]) are excluded.
     pub fn sealed_stats(&self) -> Vec<SegmentStats> {
-        self.states
-            .iter()
-            .filter_map(|s| match s {
-                SegmentState::Sealed(m)
-                    if !self.image_pending.contains(&m.id) && !self.cleaning.contains(&m.id) =>
-                {
-                    Some(m.stats())
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Snapshots of every sealed segment whose image is on the device, *including*
-    /// victims claimed by in-flight cycles (a claimed victim still holds durable data
-    /// until it is actually released). Used by checkpointing, which must not drop
-    /// segment records just because a cycle happened to be selecting at that moment.
-    pub fn sealed_stats_including_claimed(&self) -> Vec<SegmentStats> {
         self.states
             .iter()
             .filter_map(|s| match s {
@@ -547,7 +435,7 @@ impl SegmentTable {
     }
 
     /// Per-segment tombstone footprint for every sealed segment whose image is on the
-    /// device (same population as [`SegmentTable::sealed_stats_including_claimed`]).
+    /// device (same population as [`SegmentTable::sealed_stats`]).
     /// Only segments with a non-zero charge are reported; the checkpoint records these
     /// so recovery can rebuild the accounting exactly.
     pub fn sealed_tombstone_bytes(&self) -> Vec<(SegmentId, u64)> {
@@ -752,82 +640,25 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_defers_reuse_until_sealed_synced_and_reaped() {
+    fn quarantine_defers_reuse_until_synced_and_reaped() {
         let mut t = SegmentTable::new(4);
         let a = t.allocate(CAP, 0, Up2Mode::OnOverwrite).unwrap();
         t.seal(a, 10, 5, Up2Mode::OnOverwrite);
         assert_eq!(t.free_count(), 3);
-        t.release_quarantined(a, 7);
+        t.release_quarantined(a);
         // Quarantined: state is free but the slot is not allocatable yet.
         assert!(t.state(a).is_free());
         assert_eq!(t.free_count(), 3);
         assert_eq!(t.quarantine_len(), 1);
-        // Not sealed yet: it is not even a sync candidate.
-        assert!(t.quarantine_sealed_unsynced().is_empty());
+        // Not reapable before a sync lands.
         assert_eq!(t.reap_quarantine(|_| true), 0);
-        // Sealing a *different* owner's entries changes nothing.
-        t.quarantine_mark_sealed(9);
-        assert!(t.quarantine_sealed_unsynced().is_empty());
-        // The owner seals its GC outputs: the entry becomes a sync candidate, but is
-        // still not reapable before the sync lands.
-        t.quarantine_mark_sealed(7);
-        let candidates = t.quarantine_sealed_unsynced();
-        assert_eq!(candidates, vec![a]);
-        assert_eq!(t.reap_quarantine(|_| true), 0);
-        t.mark_quarantine_synced(&candidates);
+        t.mark_quarantine_synced();
         // A pinned segment survives reaping.
         assert_eq!(t.reap_quarantine(|id| id != a), 0);
         assert_eq!(t.quarantine_len(), 1);
-        // Sealed, synced and unpinned: it re-enters the free pool.
+        // Synced and unpinned: it re-enters the free pool.
         assert_eq!(t.reap_quarantine(|_| true), 1);
         assert_eq!(t.quarantine_len(), 0);
-        assert_eq!(t.free_count(), 4);
-    }
-
-    #[test]
-    fn claims_hide_victims_from_selection_until_unclaimed() {
-        let mut t = SegmentTable::new(4);
-        let a = t.allocate(CAP, 0, Up2Mode::OnOverwrite).unwrap();
-        let b = t.allocate(CAP, 0, Up2Mode::OnOverwrite).unwrap();
-        t.seal(a, 10, 5, Up2Mode::OnOverwrite);
-        t.seal(b, 11, 6, Up2Mode::OnOverwrite);
-        assert!(t.claim_for_cleaning(a));
-        // Double claims and claims of non-sealed slots are rejected.
-        assert!(!t.claim_for_cleaning(a));
-        assert!(!t.claim_for_cleaning(SegmentId(3)));
-        assert_eq!(t.claimed_count(), 1);
-        // A claimed victim disappears from victim selection, but not from the
-        // checkpoint view.
-        let stats = t.sealed_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].id, b);
-        assert_eq!(t.sealed_stats_including_claimed().len(), 2);
-        // Unclaiming makes it selectable again.
-        t.unclaim(a);
-        assert_eq!(t.claimed_count(), 0);
-        assert_eq!(t.sealed_stats().len(), 2);
-        // Releasing a claimed victim into the quarantine also drops the claim.
-        assert!(t.claim_for_cleaning(b));
-        t.release_quarantined(b, 1);
-        assert_eq!(t.claimed_count(), 0);
-    }
-
-    #[test]
-    fn orphaned_quarantine_entries_are_adopted_by_the_orphan_owner() {
-        let mut t = SegmentTable::new(4);
-        let a = t.allocate(CAP, 0, Up2Mode::OnOverwrite).unwrap();
-        t.seal(a, 10, 5, Up2Mode::OnOverwrite);
-        t.release_quarantined(a, 3);
-        // The owning cycle dies before sealing its outputs; its entries move to the
-        // orphan owner and are sealed by the next orphan-seal pass.
-        t.quarantine_orphan(3);
-        t.quarantine_mark_sealed(3); // the dead token no longer matches anything
-        assert!(t.quarantine_sealed_unsynced().is_empty());
-        t.quarantine_mark_sealed(ORPHAN_CYCLE);
-        let candidates = t.quarantine_sealed_unsynced();
-        assert_eq!(candidates, vec![a]);
-        t.mark_quarantine_synced(&candidates);
-        assert_eq!(t.reap_quarantine(|_| true), 1);
         assert_eq!(t.free_count(), 4);
     }
 

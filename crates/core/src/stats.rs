@@ -68,10 +68,11 @@ pub struct StoreStats {
     /// Always 0: writers clean for themselves, so none ever waits on a cleaner.
     /// Kept only because the `benchmark` bench reports it as `cleaner.writer_stalls`.
     pub writer_stall_events: u64,
-    /// Times the last-resort straggler reclaim ran (a writer quiesced the cycle gate
-    /// and forced a quarantine sweep before it would declare out-of-space).
+    /// Times the last-resort straggler reclaim ran (a drain whose cleaning cycle freed
+    /// nothing forced a quarantine sweep before it would declare out-of-space).
     pub straggler_reclaims: u64,
-    /// Victims currently claimed by in-flight cleaning cycles (gauge).
+    /// Always 0: one cleaning cycle runs at a time and victims are never claimed.
+    /// Kept only because the `benchmark` bench reports it as `cleaner.claimed_victims`.
     pub claimed_victims: u64,
     /// Victims currently parked in the reclamation quarantine (gauge).
     pub quarantined_segments: u64,
@@ -384,14 +385,14 @@ impl AtomicStats {
             recovery_segments_replayed: self.recovery_segments_replayed.load(Ordering::Relaxed),
             write_behind_jobs: self.write_behind_jobs.load(Ordering::Relaxed),
             write_behind_waits: self.write_behind_waits.load(Ordering::Relaxed),
-            // Gauges sampled from the segment table / GC control, not counters, and
-            // what the store's recovery read: the store facade fills them in
+            claimed_victims: 0,
+            // Gauges sampled from the segment table, not counters, and what the
+            // store's recovery read: the store facade fills them in
             // (`LogStore::stats`); a bare snapshot leaves them empty.
             recovery_bytes_read: 0,
             emptiness_histogram: Vec::new(),
             sealed_segments: 0,
             sealed_live_bytes: 0,
-            claimed_victims: 0,
             quarantined_segments: 0,
             gc_class_segments: Vec::new(),
         }

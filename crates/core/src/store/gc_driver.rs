@@ -1,6 +1,10 @@
-//! The cleaning driver: victim selection, live-page relocation and remap commit —
-//! running as up to [`StoreConfig::cleaner_threads`](crate::StoreConfig::cleaner_threads)
-//! **concurrent cycles on disjoint victim sets**.
+//! The cleaning driver: victim selection, live-page relocation and remap commit.
+//!
+//! **One cycle runs at a time.** Every cycle runs under the store's write-behind job lock
+//! (`WriteBehind::running`), as every drain, seal and sync point does: on the
+//! write-behind thread, on a flush or checkpoint running the queued jobs, or on a
+//! [`crate::LogStore::clean_now`] caller, which takes the lock the same way. Concurrent
+//! `clean_now` callers therefore serialise.
 //!
 //! ### One cycle's life
 //!
@@ -9,85 +13,72 @@
 //! happens with **no store lock** held, and so that a live byte is copied exactly once
 //! between the device read and the device write (victim image → output builder image):
 //!
-//! 1. **Claim** (short central lock): the policy picks up to `segments_per_cycle`
-//!    victims from the sealed-segment snapshots and the cycle *claims* them in the same
-//!    critical section ([`crate::segment::SegmentTable::claim_for_cleaning`]). Claimed
-//!    victims are hidden from selection, so two concurrent cycles can never pick the
-//!    same slot; their emptiness/`up2` are recorded.
+//! 1. **Select** (short central lock): the policy picks up to `segments_per_cycle`
+//!    victims from the sealed-segment snapshots; their emptiness/`up2` are recorded.
 //! 2. **Read** (no locks): each victim's image is read from the device — into a
 //!    recycled buffer from the store's image pool — and its entry table decoded;
 //!    entries that are no longer current are pre-filtered against the sharded page
 //!    table, leaving a list of *locations* into the image (no payload is copied out).
-//!    Victims are read **in order, one at a time, on the cycle's own thread**, each
-//!    just before it is relocated: the cycle holds one victim image at a time, and
-//!    overlap comes from overlapping cycles, not from reader threads.
+//!    Victims are read **in order, one at a time**, each just before it is relocated:
+//!    the cycle holds one victim image at a time.
 //! 3. **Relocate & commit** (per victim): still-current pages are appended, straight
-//!    from the victim image, to the cycle's *own* GC output segments (no store lock;
+//!    from the victim image, to the cycle's GC output segments (no store lock;
 //!    allocation and seals touch the central lock briefly), *keeping their original
 //!    per-page write sequences*; the victim image then goes back to the pool. Then,
 //!    under one short central section, each staged page is committed with an atomic
 //!    *compare-and-swap* on the page table
-//!    ([`crate::mapping::ShardedPageTable::replace_if_current`]): a page the user
-//!    rewrote since staging fails the swap and its stale copy is abandoned (the original
-//!    write sequence guarantees the abandoned copy can also never win during recovery).
-//!    Staged pages are also committed before any of the cycle's outputs is sealed in
-//!    the middle of a victim: a sealed segment is every other cycle's candidate victim.
-//!    The victim is then released into the quarantine tagged with this cycle's token
-//!    (remap-before-release: by the time a victim is released, none of its pages are
-//!    referenced by the mapping).
-//! 4. **Seal + sync + reap**: the cycle's GC output streams are sealed, its quarantine
-//!    entries are marked *sealed*, the device is synced, and quarantined victims whose
-//!    seal preceded the sync — this cycle's and any other's — return to the free list
-//!    once no reader pins remain.
+//!    ([`crate::mapping::ShardedPageTable::replace_if_current`]). Staged pages are also
+//!    committed before any of the cycle's outputs is sealed in the middle of a victim,
+//!    so a sealed segment never holds a copy nothing references yet. The victim is then
+//!    released into the quarantine (remap-before-release: by the time a victim is
+//!    released, none of its pages are referenced by the mapping).
+//! 4. **Seal + sync + reap**: the cycle's GC output streams are sealed, the device is
+//!    synced, and the quarantined victims return to the free list once no reader pins
+//!    remain.
 //!
-//! ### Why overlapping cycles are safe
+//! ### What one mutator still owes readers
 //!
-//! * **Disjoint victims** — claims make victim sets disjoint by construction, so two
-//!   cycles never stage the same page from the same location, and the per-victim
-//!   release/accounting paths never touch the same slot.
-//! * **CAS commits** — relocation commits are per-page compare-and-swaps against the
-//!   observed victim location; they are already safe against racing user writes and are
-//!   equally safe against another cycle (which, by disjointness, can only be moving
-//!   *other* pages).
-//! * **Per-entry quarantine state** — each quarantine entry carries its owning cycle's
-//!   token and a `parked → sealed → synced` state machine
-//!   ([`crate::segment::SegmentTable::quarantine_mark_sealed`]): one cycle's device
-//!   sync can therefore never free another cycle's victim while that cycle's relocated
-//!   copies still sit in unsealed in-memory builders.
+//! Nothing else changes the store while a cycle runs, but readers take no write-side
+//! lock: a `get` may run beside any phase.
+//!
+//! * **Reader pins** — a reader pins a segment before it reads the device and
+//!   revalidates the mapping after; a released victim is reaped only once its pin count
+//!   is zero, so a ranged read in flight never sees the slot reused.
+//! * **Open-segment reads** — an output builder stays in the store's open-segment read
+//!   index until its image is on the device, so a page relocated into an unsealed (or
+//!   wounded) output is served from memory.
+//! * **CAS commits** — a relocation commits only if the page is still where the victim
+//!   held it; the read path's revalidation relies on every remap being such a swap.
+//! * **Image-pending seals** — a sealed output whose device write failed stays hidden
+//!   from victim selection until a sync point lands it.
 //! * **Crash safety at every boundary** — a victim's slot is untouched until its
 //!   relocated copies are durable, and relocated copies keep their original write
 //!   sequences, so recovery after a crash at any phase boundary reconstructs exactly
-//!   the last flushed state no matter how many cycles were in flight.
+//!   the last flushed state.
 //!
-//! A cycle that aborts (I/O error) *orphans* its state: leftover GC output builders go
-//! to the store's orphan pool and its quarantine entries are re-tagged
-//! [`crate::segment::ORPHAN_CYCLE`], so the next flush or reclaim pass seals and frees
-//! them on the dead cycle's behalf; its unprocessed victim claims are dropped so the
-//! victims become selectable again.
+//! A cycle that aborts (I/O error) seals each of its outputs on the spot. A seal whose
+//! write fails becomes a *wounded seal*, which every sync point retries before it syncs;
+//! the victims the cycle released wait in the quarantine for the next sync point, like
+//! any others. The victims it had not reached are untouched.
 //!
 //! There is no cleaner thread of its own. Cycles are started by the store's
 //! write-behind worker — paced ones ([`pace`]) after each batch it appends, escalating
 //! ones when a drain runs out of segments — by a flush whose drain runs out likewise,
-//! or explicitly via [`crate::LogStore::clean_now`]; all of them acquire a cycle slot
-//! from [`GcControl`], which caps how many overlap at
-//! [`StoreConfig::cleaner_threads`](crate::StoreConfig::cleaner_threads) (with a cap of
-//! 1 cycles serialise exactly as in the pre-concurrent design).
+//! or explicitly via [`crate::LogStore::clean_now`].
 
 use super::write_path::{self, MetaLedger};
 use super::{CentralState, GcStreams, OpenSegment, StoreCore};
 use crate::cleaner::{collect_live_pages, CleaningReport, LivePage};
-use crate::config::StoreConfig;
 use crate::error::{Error, Result};
 use crate::freq::{classify_heat, Up2Average, Up2Mode, TEMPERATURE_UNCLASSIFIED};
 use crate::layout::{self, decode_segment, SegmentBuilder};
 use crate::policy::{PolicyContext, SegmentStats, MULTILOG_MAX_LOGS};
-use crate::segment::ORPHAN_CYCLE;
 use crate::stats::AtomicStats;
 use crate::types::{
     PageId, PageLocation, PageWriteInfo, SealSeq, SegmentId, UpdateTick, WriteOrigin, WriteSeq,
 };
 use crate::write_buffer::sort_by_separation_key;
-use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -95,13 +86,15 @@ use std::sync::Arc;
 /// crossed: `Claimed* → (VictimRead → Relocated)* → Sealed → Synced`.
 ///
 /// Exposed for test instrumentation via [`crate::LogStore::set_gc_phase_hook`]: a hook that
-/// blocks pauses the cycle at exactly that boundary (no store lock is held while the
-/// hook runs), which is what makes deterministic cleaner-race and crash-matrix tests
-/// possible.
+/// blocks pauses the cycle at exactly that boundary, which is what makes deterministic
+/// cleaner-race and crash-matrix tests possible. The write-behind job lock is held while
+/// the hook runs (no other store lock is), so a paused cycle holds off drains, flushes,
+/// checkpoints and other cycles, but never reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GcPhase {
-    /// A victim was claimed in the segment table (fired once per victim, after the
-    /// selection critical section and before any image read).
+    /// A victim was selected (fired once per victim, after the selection critical
+    /// section and before any image read). The name predates one-at-a-time cycles,
+    /// when selected victims were claimed against concurrent cycles.
     Claimed,
     /// One victim's image has been read and its live pages collected.
     VictimRead,
@@ -117,59 +110,24 @@ pub enum GcPhase {
 /// The victim is present for the per-victim phases, absent for `Sealed`/`Synced`.
 pub type GcPhaseHook = Arc<dyn Fn(u64, GcPhase, Option<SegmentId>) + Send + Sync>;
 
-/// Coordination state for cleaning: the concurrent-cycle gate and slots, cycle tokens
-/// and the paced check's fruitless-attempt hint.
+/// Coordination state for cleaning: the phase hook's cycle token and the paced check's
+/// fruitless-attempt hint.
 pub(crate) struct GcControl {
-    /// Running cycles hold this shared; checkpoint snapshots and the straggler reclaim
-    /// hold it exclusive to wait out every in-flight cycle. Never acquired while
-    /// holding a stream lock (a checkpoint holds it exclusive *and then* takes the
-    /// stream locks).
-    cycle_gate: RwLock<()>,
-    /// Number of cycles currently running, bounded by `max_cycles`.
-    active_cycles: Mutex<usize>,
-    slot_cond: Condvar,
-    /// Concurrency cap ([`StoreConfig::cleaner_threads`]): the slot count and the
-    /// divisor of the per-cycle victim budget.
-    max_cycles: usize,
-    /// Next cycle token; starts above [`ORPHAN_CYCLE`], which is reserved for the
-    /// quarantine entries of aborted cycles.
+    /// The next cycle's token for the phase hook (a plain counter, from 1).
     next_token: AtomicU64,
     /// The free count at which the last paced attempt got nowhere (no victim, a pick
     /// not worth cleaning yet, or a cycle that freed nothing on balance), or
     /// [`NO_FRUITLESS_ATTEMPT`]. An attempt scans every sealed segment under the
-    /// central lock, so it is repeated only once the count has moved. A hint: racing
-    /// attempts may overwrite each other's entry, which costs one extra attempt or
-    /// skips one until the next allocation.
+    /// central lock, so it is repeated only once the count has moved.
     fruitless_at: AtomicUsize,
 }
 
 const NO_FRUITLESS_ATTEMPT: usize = usize::MAX;
 
-/// Permission to run one cleaning cycle: holds the shared cycle gate plus one of the
-/// `cleaner_threads` cycle slots, and carries the cycle's token. Dropping it frees the
-/// slot.
-pub(crate) struct CyclePermit<'a> {
-    control: &'a GcControl,
-    _gate: RwLockReadGuard<'a, ()>,
-    token: u64,
-}
-
-impl Drop for CyclePermit<'_> {
-    fn drop(&mut self) {
-        let mut active = self.control.active_cycles.lock();
-        *active -= 1;
-        self.control.slot_cond.notify_one();
-    }
-}
-
 impl GcControl {
-    pub(crate) fn new(config: &StoreConfig) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            cycle_gate: RwLock::new(()),
-            active_cycles: Mutex::new(0),
-            slot_cond: Condvar::new(),
-            max_cycles: config.cleaner_threads.max(1),
-            next_token: AtomicU64::new(ORPHAN_CYCLE + 1),
+            next_token: AtomicU64::new(1),
             fruitless_at: AtomicUsize::new(NO_FRUITLESS_ATTEMPT),
         }
     }
@@ -185,30 +143,9 @@ impl GcControl {
         self.fruitless_at.store(free, Ordering::Relaxed);
     }
 
-    /// Acquire a cycle slot (blocks while `cleaner_threads` cycles are already in
-    /// flight, or while a [`GcControl::quiesce`] holder drains the gate).
-    pub(crate) fn begin_cycle(&self) -> CyclePermit<'_> {
-        let gate = self.cycle_gate.read();
-        let mut active = self.active_cycles.lock();
-        while *active >= self.max_cycles {
-            self.slot_cond.wait(&mut active);
-        }
-        *active += 1;
-        drop(active);
-        CyclePermit {
-            control: self,
-            _gate: gate,
-            token: self.next_token.fetch_add(1, Ordering::Relaxed),
-        }
-    }
-
-    /// Wait out every in-flight cleaning cycle and hold new ones off while the guard
-    /// lives. Used by checkpoint snapshots (a stable mapping needs no concurrent GC
-    /// remaps) and by the last-resort straggler reclaim (an in-flight cycle's own
-    /// phase 4 is what frees its victims). Must not be called while holding a stream
-    /// lock.
-    pub(crate) fn quiesce(&self) -> RwLockWriteGuard<'_, ()> {
-        self.cycle_gate.write()
+    /// A fresh token for the next cycle's phase-hook calls.
+    fn take_token(&self) -> u64 {
+        self.next_token.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -298,21 +235,17 @@ fn gc_stream_key(class: u16, log: u16) -> u16 {
     class * MULTILOG_MAX_LOGS as u16 + log
 }
 
-/// The private state of one in-flight cycle: its token, its own GC output streams
-/// (no lock needed — nobody else can reach them) and the victims it has claimed but not
-/// yet released.
+/// The private state of the running cycle: its token and its GC output streams (no
+/// lock needed — nobody else can reach them).
 struct CycleCtx {
     token: u64,
     /// The tick the cycle runs at: its selection, routing, deaths and seals.
     unow: UpdateTick,
     gcs: GcStreams,
-    claimed: Vec<SegmentId>,
     /// Relocations of the victim in hand that sit in an output builder awaiting their
     /// page-table commit. Emptied by [`commit_staged`] — at the end of each victim, and
-    /// before any of the cycle's outputs is sealed: a sealed segment is a candidate
-    /// victim for every *other* cycle, which would find a copy nobody references yet,
-    /// release the slot, and leave this cycle's later swap pointing into a segment on
-    /// its way back to the free list.
+    /// before any of the cycle's outputs is sealed, so that a sealed segment (a
+    /// candidate victim of the next cycle) never holds a copy nothing references yet.
     staged: Vec<StagedRelocation>,
     /// Outputs that took a re-emitted tombstone of the victim in hand, one entry per
     /// tombstone; charged along with `staged`.
@@ -322,12 +255,11 @@ struct CycleCtx {
 }
 
 impl CycleCtx {
-    fn new(token: u64, unow: UpdateTick, claimed: Vec<SegmentId>) -> Self {
+    fn new(token: u64, unow: UpdateTick) -> Self {
         Self {
             token,
             unow,
             gcs: GcStreams::default(),
-            claimed,
             staged: Vec::new(),
             retained_outputs: Vec::new(),
             pages_moved: 0,
@@ -343,7 +275,7 @@ struct PreparedVictim {
     /// there once the victim is relocated); `candidates` point into it.
     image: Vec<u8>,
     emptiness: f64,
-    /// The victim's temperature tag at claim time ([`TEMPERATURE_UNCLASSIFIED`] for
+    /// The victim's temperature tag at selection time ([`TEMPERATURE_UNCLASSIFIED`] for
     /// user-filled segments), compared against each survivor's fresh class to count
     /// promotions/demotions.
     temperature: u16,
@@ -360,9 +292,9 @@ struct PreparedVictim {
     tombstones: Vec<(PageId, WriteSeq)>,
 }
 
-/// A claimed victim: `(id, emptiness, up2, temperature)` recorded in the claim
+/// A selected victim: `(id, emptiness, up2, temperature)` recorded in the selection
 /// critical section.
-type ClaimedVictim = (SegmentId, f64, UpdateTick, u16);
+type SelectedVictim = (SegmentId, f64, UpdateTick, u16);
 
 /// Mean emptiness of a picked batch, as the segment table has it now (`None` for an
 /// empty pick).
@@ -383,35 +315,29 @@ fn fire_phase_hook(store: &StoreCore, token: u64, phase: GcPhase, victim: Option
     }
 }
 
-/// Run one full cleaning cycle with the configured policy, at the live clock. Takes one
-/// of the `cleaner_threads` cycle slots; safe to call from any thread, with no store
-/// locks held.
+/// Run one full cleaning cycle with the configured policy, at the live clock. The
+/// caller holds the write-behind job lock (see [`crate::LogStore::clean_now`]).
 pub(crate) fn run_cleaning_cycle(store: &StoreCore) -> Result<CleaningReport> {
     run_cleaning_cycle_with(store, SelectionMode::Policy, store.unow())
 }
 
 /// Run one cycle with explicit victim-selection mode (see [`SelectionMode`]) at tick
 /// `unow` — the tick of the work that needs it: a batch's hand-off tick for the
-/// write-behind worker's cycles.
+/// write-behind worker's cycles. The caller holds the write-behind job lock, which is
+/// what keeps cycles from overlapping each other and every drain and sync point.
 pub(crate) fn run_cleaning_cycle_with(
     store: &StoreCore,
     mode: SelectionMode,
     unow: UpdateTick,
 ) -> Result<CleaningReport> {
-    let permit = store.gc.begin_cycle();
-    let token = permit.token;
+    let token = store.gc.take_token();
+    let full_batch = store.config().cleaning.segments_per_cycle.max(1);
 
-    // Phase 1: select victims and claim them, in one short central critical section —
-    // the claims are what make concurrent cycles' victim sets disjoint.
-    let victims: Vec<ClaimedVictim> = {
+    // Phase 1: select victims, in one short central critical section.
+    let victims: Vec<SelectedVictim> = {
         let mut central = store.central().lock();
         let CentralState { segments, policy } = &mut *central;
-        // The configured batch is an *aggregate* in-flight budget: divide it across
-        // the concurrent cycles, or K cycles would claim K × segments_per_cycle
-        // victims at once and could park most of a small device in claims +
-        // quarantine while writers starve.
-        let share = (store.config().cleaning.segments_per_cycle / store.gc.max_cycles).max(1);
-        let batch = policy.preferred_batch().unwrap_or(share).max(1);
+        let batch = policy.preferred_batch().unwrap_or(full_batch).max(1);
         let sealed = segments.sealed_stats();
         let ctx = PolicyContext {
             unow,
@@ -483,50 +409,49 @@ pub(crate) fn run_cleaning_cycle_with(
                 }
             }
             SelectionMode::ForceGreedy => {
-                // Distress cycles take the *full* configured batch, not the per-cycle
-                // share: a 1-victim cycle whose victim carries a tombstone can spend a
-                // whole fresh output segment on one 24-byte delete fact — net-zero
-                // reclaim, forever. A full batch coalesces the tombstones (and the
-                // stragglers' live pages) of many victims into one output, so a greedy
-                // distress cycle is monotonic as the escalation ladder assumes.
-                let want = batch
-                    .max(share)
-                    .max(store.config().cleaning.segments_per_cycle.max(1));
+                // Distress cycles take the full configured batch even under a policy
+                // that prefers one victim: a 1-victim cycle whose victim carries a
+                // tombstone can spend a whole fresh output segment on one 24-byte
+                // delete fact — net-zero reclaim, forever. A full batch coalesces the
+                // tombstones (and the stragglers' live pages) of many victims into one
+                // output, so a greedy distress cycle is monotonic as the escalation
+                // ladder assumes.
                 let mut greedy = crate::policy::GreedyPolicy::new();
-                crate::policy::CleaningPolicy::select_victims(&mut greedy, &ctx, want)
+                crate::policy::CleaningPolicy::select_victims(&mut greedy, &ctx, full_batch)
             }
         };
         picked
             .into_iter()
             .filter_map(|v| {
                 let m = segments.meta(v)?;
-                let entry = (v, m.emptiness(), m.freq.up2(), m.temperature);
-                segments.claim_for_cleaning(v).then_some(entry)
+                Some((v, m.emptiness(), m.freq.up2(), m.temperature))
             })
             .collect()
     };
     if victims.is_empty() {
         return Ok(CleaningReport::default());
     }
-    // Only an attempt that claimed something is a cycle: a paced attempt that decides
+    // Only an attempt that selected something is a cycle: a paced attempt that decides
     // to wait, or finds nothing to pick, is a probe.
     AtomicStats::bump(&store.atomic_stats().cleaning_cycles);
     for &(v, _, _, _) in &victims {
         fire_phase_hook(store, token, GcPhase::Claimed, Some(v));
     }
 
-    let mut cycle = CycleCtx::new(token, unow, victims.iter().map(|&(v, _, _, _)| v).collect());
-    let result = run_claimed_victims(store, &mut cycle, &victims);
-    finish_cycle(store, cycle, result)
+    let mut cycle = CycleCtx::new(token, unow);
+    let result = run_selected_victims(store, &mut cycle, &victims);
+    if result.is_err() {
+        seal_aborted_outputs(store, &mut cycle);
+    }
+    result
 }
 
-/// Phases 2–4 over an already claimed victim set. Any error leaves `cycle` holding
-/// whatever claims and GC output builders are still outstanding, for
-/// [`finish_cycle`] to orphan.
-fn run_claimed_victims(
+/// Phases 2–4 over the selected victims. An error leaves `cycle` holding whatever GC
+/// outputs are still open, for [`seal_aborted_outputs`].
+fn run_selected_victims(
     store: &StoreCore,
     cycle: &mut CycleCtx,
-    victims: &[ClaimedVictim],
+    victims: &[SelectedVictim],
 ) -> Result<CleaningReport> {
     let mut emptiness_sum = 0.0;
     let mut released: Vec<SegmentId> = Vec::with_capacity(victims.len());
@@ -555,10 +480,6 @@ fn run_claimed_victims(
     // Phase 4: make the relocated pages durable and recycle this cycle's victims.
     write_path::seal_streams(store, &mut cycle.gcs, cycle.unow)?;
     fire_phase_hook(store, cycle.token, GcPhase::Sealed, None);
-    {
-        let mut central = store.central().lock();
-        central.segments.quarantine_mark_sealed(cycle.token);
-    }
     write_path::sync_and_reap(store)?;
     fire_phase_hook(store, cycle.token, GcPhase::Synced, None);
 
@@ -574,45 +495,26 @@ fn run_claimed_victims(
     Ok(report)
 }
 
-/// Common cycle epilogue: on success, drop the claims of skipped victims; on error,
-/// orphan the cycle — leftover GC output builders go to the store's orphan pool and the
-/// cycle's quarantine entries are re-tagged [`ORPHAN_CYCLE`] (both under the orphan
-/// lock, so an orphan-seal pass can never adopt entries whose builders it has not yet
-/// received), and unprocessed claims are dropped so the victims become selectable
-/// again.
-fn finish_cycle(
-    store: &StoreCore,
-    mut cycle: CycleCtx,
-    result: Result<CleaningReport>,
-) -> Result<CleaningReport> {
-    match result {
-        Ok(report) => {
-            if !cycle.claimed.is_empty() {
-                let mut central = store.central().lock();
-                for v in &cycle.claimed {
-                    central.segments.unclaim(*v);
-                }
-            }
-            Ok(report)
-        }
-        Err(e) => {
-            let mut orphans = store.gc_orphans().lock();
-            orphans.extend(cycle.gcs.open.drain().map(|(_, open)| open));
-            let mut central = store.central().lock();
-            for v in &cycle.claimed {
-                central.segments.unclaim(*v);
-            }
-            central.segments.quarantine_orphan(cycle.token);
-            Err(e)
-        }
+/// The epilogue of a cycle that failed: seal each output it still has open, so that
+/// everything it relocated is on its way to the device before anything else runs. A
+/// seal whose write fails is parked as a wounded seal (see `write_path::seal_open`),
+/// which every sync point retries before it syncs — so the victims the cycle released
+/// stay quarantined until their copies are durable. Staged relocations the cycle never
+/// committed are dropped: their copies are dead on arrival.
+fn seal_aborted_outputs(store: &StoreCore, cycle: &mut CycleCtx) {
+    cycle.staged.clear();
+    cycle.retained_outputs.clear();
+    let mut ledger = MetaLedger::default();
+    for (_, open) in cycle.gcs.open.drain() {
+        // The first error is the one the cycle returns; this one is parked.
+        let _ = write_path::seal_open(store, open, &mut ledger, cycle.unow);
     }
 }
 
 /// Relocate one prepared victim: route and stage its still-current pages into the
 /// cycle's GC outputs, commit the relocations by page-table compare-and-swap, and
 /// release the victim into the quarantine. Returns false if the victim was skipped
-/// because no output space could be found (its claim stays with the cycle and is
-/// dropped at cycle end).
+/// because no output space could be found (it stays sealed where it is).
 fn relocate_victim(
     store: &StoreCore,
     cycle: &mut CycleCtx,
@@ -805,15 +707,13 @@ fn relocate_victim(
         let mut central = store.central().lock();
         commit_staged(store, cycle, &mut central, None);
         // Remap-before-release now holds for every live page of this victim; park
-        // the slot — tagged with this cycle's token — until the relocated copies are
-        // durable and no reader pins remain.
-        central.segments.release_quarantined(victim, cycle.token);
+        // the slot until the relocated copies are durable and no reader pins remain.
+        central.segments.release_quarantined(victim);
         AtomicStats::bump(&stats.segments_cleaned);
         stats.add_emptiness(prepared.emptiness);
         *emptiness_sum += prepared.emptiness;
         store.publish_free(&central.segments);
     }
-    cycle.claimed.retain(|&s| s != victim);
     Ok(true)
 }
 
@@ -824,15 +724,15 @@ fn relocate_victim(
 /// only after it observes the new location) is applied after this `on_page_added`,
 /// never before.
 ///
-/// `victim_stays_claimed` is `Some(now)` when this runs *before* the end of the victim
-/// — an output is about to be sealed under it (see [`CycleCtx::staged`]) — and the
-/// victim might yet be abandoned rather than released: the pages that just left it are
-/// then recorded as deaths in its own counters.
+/// `victim_in_hand` is `Some(now)` when this runs *before* the end of the victim — an
+/// output is about to be sealed under it (see [`CycleCtx::staged`]) — and the victim
+/// might yet be abandoned rather than released: the pages that just left it are then
+/// recorded as deaths in its own counters.
 fn commit_staged(
     store: &StoreCore,
     cycle: &mut CycleCtx,
     central: &mut CentralState,
-    victim_stays_claimed: Option<UpdateTick>,
+    victim_in_hand: Option<UpdateTick>,
 ) {
     let stats = store.atomic_stats();
     for s in cycle.staged.drain(..) {
@@ -840,7 +740,7 @@ fn commit_staged(
             if let Some(meta) = central.segments.meta_mut(s.new.segment) {
                 meta.on_page_added(s.new.len, None);
             }
-            if let Some(now) = victim_stays_claimed {
+            if let Some(now) = victim_in_hand {
                 if let Some(meta) = central.segments.meta_mut(s.old.segment) {
                     meta.on_page_dead(s.old.len, now, None);
                 }
@@ -851,9 +751,9 @@ fn commit_staged(
             cycle.pages_moved += 1;
             cycle.bytes_moved += s.new.len as u64;
         }
-        // A failed swap means the user rewrote the page after staging: the stale copy
-        // in the output builder is dead on arrival and is simply never accounted live
-        // (it will be reclaimed when that segment is eventually cleaned).
+        // A failed swap means the page moved on after staging: the stale copy in the
+        // output builder is dead on arrival and is simply never accounted live (it will
+        // be reclaimed when that segment is eventually cleaned).
     }
     // The re-emitted tombstones' entry-table footprint, mirroring the user write
     // path's tombstone accounting.
@@ -929,7 +829,7 @@ fn prepare_victim(
 /// error stops the walk; the image in hand is returned to the pool either way.
 fn for_each_prepared_victim(
     store: &StoreCore,
-    victims: &[ClaimedVictim],
+    victims: &[SelectedVictim],
     mut process: impl FnMut(&PreparedVictim) -> Result<()>,
 ) -> Result<()> {
     for &(victim, emptiness, up2, temperature) in victims {
@@ -993,7 +893,7 @@ fn ensure_gc_open(
         make_own_relocations_durable(store, cycle)?;
         allocated = try_allocate_gc(store, capacity, log, class);
     }
-    let Some((id, gen)) = allocated else {
+    let Some(id) = allocated else {
         return Ok(None);
     };
     let builder = Arc::new(RwLock::new(SegmentBuilder::with_image(
@@ -1007,7 +907,6 @@ fn ensure_gc_open(
             builder,
             up2_avg: Up2Average::new(),
             log,
-            gen,
             last_used: 0,
             seq: None,
         },
@@ -1016,25 +915,16 @@ fn ensure_gc_open(
     Ok(Some(stream))
 }
 
-/// Mid-cycle durability point (distress only): seal this cycle's own GC outputs, mark
-/// its quarantine entries sealed and run a sync+reap pass, so the victims it has
-/// already emptied re-enter the free pool while the cycle continues.
+/// Mid-cycle durability point (distress only): seal this cycle's GC outputs and run a
+/// sync+reap pass, so the victims it has already emptied re-enter the free pool while
+/// the cycle continues.
 fn make_own_relocations_durable(store: &StoreCore, cycle: &mut CycleCtx) -> Result<()> {
     commit_staged_early(store, cycle);
     write_path::seal_streams(store, &mut cycle.gcs, cycle.unow)?;
-    {
-        let mut central = store.central().lock();
-        central.segments.quarantine_mark_sealed(cycle.token);
-    }
     write_path::sync_and_reap(store)
 }
 
-fn try_allocate_gc(
-    store: &StoreCore,
-    capacity: u64,
-    log: u16,
-    class: u16,
-) -> Option<(SegmentId, u64)> {
+fn try_allocate_gc(store: &StoreCore, capacity: u64, log: u16, class: u16) -> Option<SegmentId> {
     let mut central = store.central().lock();
     let id = central
         .segments
@@ -1047,16 +937,15 @@ fn try_allocate_gc(
             meta.temperature = class;
         }
     }
-    store.bump_segment_gen(id);
-    let gen = store.segment_gen(id);
     store.publish_free(&central.segments);
-    Some((id, gen))
+    Some(id)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LogStore;
+    use crate::{LogStore, StoreConfig};
+    use parking_lot::Mutex;
 
     fn page_body(config: &StoreConfig, page: PageId, version: u8) -> Vec<u8> {
         vec![version.wrapping_mul(31) ^ page as u8; config.page_bytes]
@@ -1239,15 +1128,13 @@ mod tests {
     fn user_overwrite_between_collect_and_commit_beats_the_uncopied_relocation() {
         let store = sealed_store(64);
         let config = store.config().clone();
-        // Phases 1 and 2 by hand: claim the segment holding page 0, read and collect.
+        // Phases 1 and 2 by hand: select the segment holding page 0, read and collect.
         let core = &store.core;
         let victim = core.mapping().get(0).unwrap().segment;
         let (emptiness, up2, temperature) = {
-            let mut central = core.central().lock();
+            let central = core.central().lock();
             let m = central.segments.meta(victim).unwrap();
-            let claim = (m.emptiness(), m.freq.up2(), m.temperature);
-            assert!(central.segments.claim_for_cleaning(victim));
-            claim
+            (m.emptiness(), m.freq.up2(), m.temperature)
         };
         let prepared = prepare_victim(core, victim, emptiness, up2, temperature).unwrap();
         let survivors: Vec<PageId> = prepared.candidates.iter().map(|l| l.page).collect();
@@ -1260,9 +1147,10 @@ mod tests {
         let user_copy = core.mapping().get(raced).unwrap();
         assert_ne!(user_copy.segment, victim);
 
-        // Phase 3 on the stale collection, then the cycle's own phase 4.
-        let permit = core.gc.begin_cycle();
-        let mut cycle = CycleCtx::new(permit.token, store.unow(), vec![victim]);
+        // Phase 3 on the stale collection, then the cycle's own phase 4, under the job
+        // lock as every cycle runs.
+        let running = core.write_behind.run_queued(core).unwrap();
+        let mut cycle = CycleCtx::new(core.gc.take_token(), store.unow());
         let mut emptiness_sum = 0.0;
         assert!(relocate_victim(core, &mut cycle, &prepared, &mut emptiness_sum).unwrap());
         assert_eq!(cycle.pages_moved as usize, survivors.len() - 1);
@@ -1272,12 +1160,8 @@ mod tests {
             assert_eq!(core.mapping().get(page).unwrap().segment, output);
         }
         write_path::seal_streams(core, &mut cycle.gcs, cycle.unow).unwrap();
-        core.central()
-            .lock()
-            .segments
-            .quarantine_mark_sealed(cycle.token);
         write_path::sync_and_reap(core).unwrap();
-        drop(permit);
+        drop(running);
 
         for page in 0..64 {
             let version = if page == raced { 2 } else { 1 };
@@ -1337,12 +1221,10 @@ mod tests {
         }
     }
 
-    /// A sealed segment is a candidate victim for every other cycle, so a cycle must
-    /// not seal an output that still holds staged copies it has not committed: another
-    /// cycle would find none of them current, release the slot, and the first cycle's
-    /// later swap would point the page table into a segment on its way back to the
-    /// free list (pages were lost this way with overlapping inline cycles). Here one
-    /// cycle's second victim overflows its output, which is sealed mid-victim.
+    /// A sealed segment is a candidate victim of the next cycle, so a cycle does not seal
+    /// an output that still holds staged copies it has not committed: every copy a seal
+    /// writes is referenced by then. Here one cycle's second victim overflows its output,
+    /// which is sealed mid-victim.
     #[test]
     fn an_output_sealed_in_the_middle_of_a_victim_holds_no_uncommitted_copy() {
         let config = StoreConfig::small_for_tests().with_write_streams(1);
@@ -1365,7 +1247,7 @@ mod tests {
         store.checkpoint_json().unwrap(); // seals every open segment
         handle.set(Arc::downgrade(&store)).unwrap();
 
-        let report = run_cleaning_cycle(&store.core).unwrap();
+        let report = store.clean_now().unwrap();
         assert!(report.victims.len() >= 2, "{report:?}");
         assert!(
             store.stats().segments_sealed as usize > report.victims.len(),
@@ -1405,12 +1287,12 @@ mod tests {
             ptrs
         };
         // The first cycle may still allocate (a victim image, a GC output image)...
-        assert!(run_cleaning_cycle(&store.core).unwrap().pages_moved > 0);
+        assert!(store.clean_now().unwrap().pages_moved > 0);
         let before = parked(&store);
         assert!((2..=3).contains(&before.len()), "{} parked", before.len());
         // ...the next ones find everything they need parked, and leave it parked.
         for _ in 0..3 {
-            assert!(run_cleaning_cycle(&store.core).unwrap().pages_moved > 0);
+            assert!(store.clean_now().unwrap().pages_moved > 0);
             assert_eq!(parked(&store), before);
         }
     }

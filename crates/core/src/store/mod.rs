@@ -23,36 +23,33 @@
 //!   happen there. The shared central state (segment table, policy, free-space
 //!   accounting) is touched in short, bounded critical sections: segment
 //!   allocation, seal bookkeeping, and batched per-page accounting.
-//! * **Cleaning** (`gc_driver`) — up to
-//!   [`StoreConfig::cleaner_threads`](crate::StoreConfig::cleaner_threads) cycles run
-//!   **concurrently on disjoint victim sets** (victims are claimed atomically in the
-//!   segment table at selection time), always on the calling thread: the write-behind
-//!   worker's paced cycle after each batch it appends, a drain (the worker's or a
-//!   flush's) that ran out of segments, or [`LogStore::clean_now`].
-//!   Victim images are read and parsed, one after another on the cycle's own thread,
-//!   with no store lock held, and relocations are committed with a per-page atomic
-//!   *compare-and-swap* on the page table ([`crate::mapping::ShardedPageTable::replace_if_current`]),
-//!   so cleaning never stalls the write streams. Victims are quarantined with a
-//!   per-entry `parked → sealed → synced` state machine, so one cycle's device sync can
-//!   never free another cycle's victims early; a victim returns to the free list only
-//!   after its own relocations are synced and no reader pins remain.
+//! * **Cleaning** (`gc_driver`) — one cycle at a time, always on the calling thread:
+//!   the write-behind worker's paced cycle after each batch it appends, a drain (the
+//!   worker's or a flush's) that ran out of segments, or [`LogStore::clean_now`].
+//!   Victim images are read and parsed one after another with no store lock held, and
+//!   relocations are committed with a per-page atomic *compare-and-swap* on the page
+//!   table ([`crate::mapping::ShardedPageTable::replace_if_current`]). A released
+//!   victim waits in the quarantine, and returns to the free list once a sync has
+//!   landed after its relocations were written and no reader pins remain.
+//!
+//! ### One mutator
+//!
+//! Every drain, cleaning cycle, seal and sync point runs under the write-behind *job
+//! lock*: held by the worker while it runs a job, and by a flush, checkpoint or
+//! [`LogStore::clean_now`] while it runs the queued jobs and then its own work. So the
+//! store has one mutator at a time; writers only buffer, and readers take no write-side
+//! lock at all. What readers still need from the mutator — reader pins,
+//! pin-and-revalidate, the page-table compare-and-swap, the open-segment read index and
+//! image-pending seals — is listed in `gc_driver`'s module docs.
 //!
 //! ### Lock ordering
 //!
 //! To stay deadlock-free, locks nest in this order (any prefix may be skipped, never
-//! reordered): `write-behind job lock (held while a job runs, by the worker or by a
-//! flush or checkpoint running the queued jobs) → cycle gate (shared by cycles /
-//! exclusive by checkpoint & straggler reclaim) → cycle slot → stream lock → GC-stream
-//! lock (a cycle's own outputs or the orphan pool) → wounded-seal lock → central
+//! reordered): `write-behind job lock → stream lock → wounded-seal lock → central
 //! lock`. The open-segment read index and page-table shards are leaves: no other lock
 //! is acquired while holding them; so is a stream's buffer lock, except that a
 //! hand-off takes it under the write-behind queue lock, which is taken under no other
-//! store lock. The
-//! cycle gate is **never** acquired while holding a stream lock (a quiescing checkpoint
-//! holds it exclusive and then takes the stream locks); the emergency quarantine
-//! reclaim on the allocation path therefore skips the gate entirely — the quarantine's
-//! per-entry state machine, not the gate, is what makes its sync safe against in-flight
-//! cycles.
+//! store lock.
 //!
 //! ### Durability model
 //!
@@ -112,9 +109,6 @@ pub(crate) struct OpenSegment {
     pub(crate) builder: Arc<RwLock<SegmentBuilder>>,
     pub(crate) up2_avg: Up2Average,
     pub(crate) log: u16,
-    /// Allocation generation of the slot (see [`StoreCore::segment_gen`]); recorded so
-    /// batched accounting for this open segment can be validated at apply time.
-    pub(crate) gen: u64,
     /// Stream-local LRU tick, used to bound how many logs a stream keeps open at once.
     pub(crate) last_used: u64,
     /// Seal sequence reserved at the segment's first persist point (`None` until then);
@@ -169,11 +163,8 @@ pub(crate) struct WriteStream {
 }
 
 /// The GC output streams of one cleaning cycle: open segments the cycle relocates live
-/// pages into. Each in-flight cycle owns its own instance (no lock needed — nothing
-/// else can reach it); a cycle seals its outputs in its final phase. If a cycle aborts
-/// on an I/O error, its leftover open segments are pushed into the store's *orphan
-/// pool* ([`StoreCore::gc_orphans`]) so a later flush or reclaim pass can still seal
-/// them.
+/// pages into. The running cycle owns its instance (no lock needed — nothing else can
+/// reach it) and seals its outputs in its final phase, or on the spot if it aborts.
 #[derive(Default)]
 pub(crate) struct GcStreams {
     pub(crate) open: FxHashMap<u16, OpenSegment>,
@@ -181,9 +172,9 @@ pub(crate) struct GcStreams {
 
 /// Segment-sized buffers waiting for their next use, so that steady-state cleaning and
 /// sealing allocate (and page-fault) none: victim images go round between the cleaner's
-/// reads, builder images between open segments. Bounded by what the cycles and the
-/// streams can have in flight (`cleaner_threads + write_streams`, see
-/// [`StoreCore::park_image`]); a buffer returned beyond that is simply freed.
+/// reads, builder images between open segments. Bounded by what a cycle and the
+/// streams can have in flight (`write_streams + 2`, see [`StoreCore::park_image`]); a
+/// buffer returned beyond that is simply freed.
 #[derive(Default)]
 struct ImagePool {
     /// All-zero images, as a [`SegmentBuilder`] needs them
@@ -260,11 +251,6 @@ pub(crate) struct StoreCore {
     streams: Box<[WriteStream]>,
     /// The shared coordination layer (see [`CentralState`]).
     central: Mutex<CentralState>,
-    /// Orphaned GC output segments: leftovers of cleaning cycles that aborted on an
-    /// I/O error, parked here (together with the re-tagging of those cycles' quarantine
-    /// entries to [`crate::segment::ORPHAN_CYCLE`], under this same lock) so the next
-    /// flush or emergency reclaim can seal them and free the victims they relocated.
-    gc_orphans: Mutex<Vec<OpenSegment>>,
     /// Sealed segments whose final device write failed (an I/O error during the seal).
     /// The builder and the ranges still to write are parked here and retried before
     /// every sync point; until they land, the segment stays image-pending (never a
@@ -278,11 +264,6 @@ pub(crate) struct StoreCore {
     /// Per-segment reader pin counts (see `read_path`); quarantined victims are only
     /// reused once their pin count is zero.
     pins: Box<[AtomicU32]>,
-    /// Per-segment allocation generation, bumped (under the central lock) every time a
-    /// slot is handed out by the allocator. Batched accounting records the generation it
-    /// observed; an op whose generation no longer matches at apply time targeted a
-    /// previous incarnation of the slot and is dropped.
-    seg_gen: Box<[AtomicU64]>,
     /// Lock-free operation counters.
     stats: AtomicStats,
     /// Decayed per-page write-heat sketch, bumped on every `put`/`delete` and sampled
@@ -302,14 +283,14 @@ pub(crate) struct StoreCore {
     /// cleaning trigger is raised when many output streams are open (multi-log keeps up
     /// to 32) so partially filled open segments never starve allocation.
     open_count: AtomicUsize,
-    /// Cleaning coordination: concurrent-cycle gate and slots, background wakeup.
+    /// Cleaning coordination: the phase hook's cycle token, the paced check's hint.
     pub(crate) gc: GcControl,
     /// Test/diagnostic instrumentation invoked at every cleaning-cycle phase boundary
     /// (see [`GcPhase`]); `None` in production.
     gc_phase_hook: RwLock<Option<GcPhaseHook>>,
     /// Incremental-checkpoint journal state (see [`CheckpointTracker`]). Taken *before*
-    /// the cycle gate in [`LogStore::checkpoint_log_to`], serialising checkpoints
-    /// against each other without widening any existing critical section.
+    /// the write-behind job lock in [`LogStore::checkpoint_log_to`], serialising
+    /// checkpoints against each other without widening any existing critical section.
     ckpt: Mutex<CheckpointTracker>,
     /// Seal-seq frontier of the last *committed* checkpoint (0 = none). The cleaner
     /// reads it (relaxed; staleness only delays a drop) to decide when a victim's
@@ -379,19 +360,17 @@ impl LogStore {
                 segments: SegmentTable::new(num_segments),
                 policy,
             }),
-            gc_orphans: Mutex::new(Vec::new()),
             wounded_seals: Mutex::new(Vec::new()),
             open_reads: RwLock::new(FxHashMap::default()),
             images: Mutex::new(ImagePool::default()),
             pins: (0..num_segments).map(|_| AtomicU32::new(0)).collect(),
-            seg_gen: (0..num_segments).map(|_| AtomicU64::new(0)).collect(),
             stats: AtomicStats::default(),
             heat: PageHeat::for_physical_pages(config.physical_pages()),
             unow: AtomicU64::new(0),
             next_write_seq: AtomicU64::new(1),
             approx_free: AtomicUsize::new(num_segments),
             open_count: AtomicUsize::new(0),
-            gc: GcControl::new(&config),
+            gc: GcControl::new(),
             gc_phase_hook: RwLock::new(None),
             ckpt: Mutex::new(CheckpointTracker::default()),
             ckpt_frontier: AtomicU64::new(0),
@@ -508,9 +487,8 @@ impl LogStore {
     /// not one `segment_bytes` image per open segment, and segments reach the cleaner
     /// full. Segments are sealed by the write path when full (or when a stream runs
     /// over its open-log cap) and by checkpoints
-    /// ([`LogStore::checkpoint_log_to`]), never here. Orphaned GC output builders of
-    /// aborted cleaning cycles are still sealed on the way, and the quarantine is
-    /// reaped after the sync.
+    /// ([`LogStore::checkpoint_log_to`]), never here. Wounded seals are retried before
+    /// the sync, and the quarantine is reaped after it.
     pub fn flush(&self) -> Result<()> {
         write_path::flush(&self.core)
     }
@@ -518,18 +496,26 @@ impl LogStore {
     /// Run one cleaning cycle right now, regardless of the free-segment trigger.
     /// Returns what was accomplished.
     ///
-    /// Up to [`StoreConfig::cleaner_threads`] cycles may run concurrently (on disjoint
-    /// victim sets); beyond that, this call waits for a cycle slot.
+    /// Like a flush, the call takes the write-behind job lock: it waits out the job the
+    /// worker is running, runs the queued ones, then the cycle. So one cycle runs at a
+    /// time, and concurrent callers serialise. The paced check that follows is owed to
+    /// the next put.
     pub fn clean_now(&self) -> Result<CleaningReport> {
-        gc_driver::run_cleaning_cycle(&self.core)
+        let core = &self.core;
+        let _running = core.write_behind.run_queued(core)?;
+        core.write_behind.owe_pacing();
+        gc_driver::run_cleaning_cycle(core)
     }
 
     /// Install (or clear, with `None`) a hook invoked at every phase boundary of every
     /// cleaning cycle. **Test/diagnostic instrumentation**: a blocking hook pauses the
     /// cycle at exactly that boundary, which is how the deterministic cleaner-race
-    /// tests interleave cycles and foreground traffic at precise points. No store lock
-    /// is held while the hook runs. Cycles the write-behind worker runs call it on the
-    /// worker's thread.
+    /// tests interleave a cycle with foreground traffic at precise points. The
+    /// write-behind job lock is held while the hook runs (no other store lock is): a
+    /// paused cycle holds off every drain, flush, checkpoint and other cycle, while
+    /// reads, and puts short of backpressure, go on. The hook must not call back into
+    /// anything that takes that lock. Cycles the write-behind worker runs call it on
+    /// the worker's thread.
     pub fn set_gc_phase_hook(&self, hook: Option<GcPhaseHook>) {
         *self.core.gc_phase_hook.write() = hook;
     }
@@ -553,7 +539,6 @@ impl LogStore {
         stats.emptiness_histogram = hist;
         stats.sealed_segments = sealed;
         stats.sealed_live_bytes = live;
-        stats.claimed_victims = central.segments.claimed_count() as u64;
         stats.quarantined_segments = central.segments.quarantine_len() as u64;
         if core.config.gc_temperature_classes > 1 {
             stats.gc_class_segments = central
@@ -620,9 +605,9 @@ impl LogStore {
     }
 
     /// Segment-sized buffers currently parked for reuse by the cleaner's victim reads
-    /// and by new open segments (diagnostic). Never more than `cleaner_threads +
-    /// write_streams` — a victim image per overlapping cycle and an open segment per
-    /// stream; a steady-state cleaning cycle takes its buffers from here and puts every
+    /// and by new open segments (diagnostic). Never more than `write_streams + 2` — an
+    /// open segment per stream, plus the victim image and an output of the one running
+    /// cycle; a steady-state cleaning cycle takes its buffers from here and puts every
     /// one back, so the figure is the same before and after.
     pub fn pooled_images(&self) -> usize {
         let pool = self.core.images.lock();
@@ -856,7 +841,7 @@ impl StoreCore {
         if image.len() != self.config.segment_bytes {
             return;
         }
-        let bound = self.config.cleaner_threads + self.config.write_streams;
+        let bound = self.config.write_streams + 2;
         let mut pool = self.images.lock();
         if pool.blank.len() + pool.stale.len() < bound {
             if blank {
@@ -901,10 +886,6 @@ impl StoreCore {
         &self.central
     }
 
-    pub(crate) fn gc_orphans(&self) -> &Mutex<Vec<OpenSegment>> {
-        &self.gc_orphans
-    }
-
     /// The installed cleaning-phase hook, if any (cloned out so it is invoked with no
     /// lock held).
     pub(crate) fn gc_phase_hook(&self) -> Option<GcPhaseHook> {
@@ -938,18 +919,6 @@ impl StoreCore {
     /// Claim the next per-page write sequence number.
     pub(crate) fn take_write_seq(&self) -> WriteSeq {
         self.next_write_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Current allocation generation of a segment slot (relaxed read; stable while the
-    /// caller owns the slot or holds the central lock).
-    pub(crate) fn segment_gen(&self, id: SegmentId) -> u64 {
-        self.seg_gen[id.index()].load(Ordering::Relaxed)
-    }
-
-    /// Bump a slot's allocation generation. Call only under the central lock, right
-    /// after the allocator hands the slot out.
-    pub(crate) fn bump_segment_gen(&self, id: SegmentId) {
-        self.seg_gen[id.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Reader pin count of a segment slot.
@@ -1024,18 +993,16 @@ impl StoreCore {
     /// only the shards dirtied since the last capture), the sealed-segment records, the
     /// seal-sequence frontier and the counters.
     ///
-    /// All of it is taken under a single quiesce of the cycle gate (waits out every
-    /// in-flight cleaning cycle, so no GC remaps and no victim reaps) while holding
-    /// every stream lock (no drains) — taking the pieces under separate critical
-    /// sections would let a cycle slip between them and reap a victim that the page
-    /// snapshot still references but the segment records would omit. Before that, like
-    /// a flush, it waits out the write-behind job in flight and runs the queued ones, so
-    /// it covers every batch handed off before it (the batches still filling stay
-    /// volatile), and no job starts until it is done.
+    /// All of it is taken under the write-behind job lock, so no drain, cleaning cycle
+    /// or reap runs meanwhile — taking the pieces while a cycle ran could let it reap a
+    /// victim that the page snapshot still references but the segment records would
+    /// omit. Like a flush, it first waits out the job in flight and runs the queued
+    /// ones, so it covers every batch handed off before it (the batches still filling
+    /// stay volatile).
     ///
     /// The capture is **self-durable**: with the store quiesced it seals every open
-    /// output segment (user streams and orphaned GC builders), retries wounded seals
-    /// and syncs the device before reading the page table. Skipping that and snapping a
+    /// user output segment, retries wounded seals and syncs the device before reading
+    /// the page table. Skipping that and snapping a
     /// mapping that points into open, unsealed segments would make the checkpoint
     /// *worse* than a full scan — a crash would lose the old durable copy of any page
     /// whose newest copy sat in an open segment the journal already claims to cover.
@@ -1057,7 +1024,6 @@ impl StoreCore {
         let _running = self.write_behind.run_queued(self)?;
         // The seals below may release segments: the next put's paced check sees them.
         self.write_behind.owe_pacing();
-        let _quiesced = self.gc.quiesce();
         let mut streams: Vec<_> = self.streams.iter().map(|s| s.state.lock()).collect();
         let unow = self.unow();
         // Seal every open user output segment so no mapping entry points into an
@@ -1073,9 +1039,9 @@ impl StoreCore {
             }
             ledger.flush_to_central(self);
         }
-        // Seal orphaned GC output builders of aborted cycles, retry wounded seals and
-        // sync: after this, everything the mapping references is durable on the device.
-        write_path::seal_orphans_and_reap(self, unow)?;
+        // Retry wounded seals and sync: after this, everything the mapping references
+        // is durable on the device.
+        write_path::sync_and_reap(self)?;
 
         let dirty_mask = if dirty_only {
             self.mapping.take_dirty()
@@ -1096,7 +1062,7 @@ impl StoreCore {
         let (sealed, tombstone_bytes, next_seal_seq) = {
             let central = self.central.lock();
             (
-                central.segments.sealed_stats_including_claimed(),
+                central.segments.sealed_stats(),
                 central.segments.sealed_tombstone_bytes(),
                 central.segments.next_seal_seq(),
             )

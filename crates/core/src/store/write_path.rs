@@ -10,8 +10,7 @@
 //! output log. Streams never serialise against each other; they meet only at the
 //! central lock, which is held for short bounded operations:
 //!
-//! * **allocation** — taking a segment off the shared free list (and bumping its
-//!   allocation generation);
+//! * **allocation** — taking a segment off the shared free list;
 //! * **seal bookkeeping** — assigning the seal sequence (or reserving it, at an open
 //!   segment's first persist point) and transitioning metadata; the device write of
 //!   the image happens *outside* the central lock, with the segment hidden from victim
@@ -19,9 +18,9 @@
 //!   [`crate::segment::SegmentTable::set_image_pending`]);
 //! * **batched accounting** — per-page `live_bytes`/`live_pages`/`up2` bookkeeping is
 //!   recorded into a [`MetaLedger`] while appending and applied in order under one lock
-//!   acquisition per batch (guarded by slot generations, so an op that raced a
-//!   clean-release-reuse of its segment is dropped instead of corrupting the new
-//!   incarnation's counters).
+//!   acquisition per batch. A death is recorded and applied inside one drain, and no
+//!   cleaning cycle runs inside a drain, so the segment an op names is the incarnation
+//!   it was recorded against.
 //!
 //! A writer never drains and never cleans: `submit` buffers the page and, when the
 //! stream's filling batch is full, freezes it and hands it to the store's write-behind
@@ -31,6 +30,10 @@
 //! and retries ([`drain_with_cleaning`], the one escalation ladder, which `flush` uses
 //! too). Out-of-space is reported only when a full cycle frees nothing. The job then
 //! runs the paced check ([`ensure_headroom`]) at the tick of the put after the batch's.
+//!
+//! Every drain, like every cleaning cycle, seal and sync point, runs under the
+//! write-behind job lock — on the worker, or on a flush or checkpoint running the
+//! queued jobs — so the store has one mutator at a time; readers take none of it.
 //!
 //! Every mutation is stamped with the tick of the work it belongs to, passed down as
 //! `unow`: a batch's hand-off tick, a flush's, or a cycle's start.
@@ -73,7 +76,6 @@ enum MetaOp {
     /// A live page of `len` bytes was appended to `seg`.
     Added {
         seg: SegmentId,
-        gen: u64,
         len: u32,
         exact: Option<f64>,
     },
@@ -81,7 +83,6 @@ enum MetaOp {
     /// update tick `at`.
     Dead {
         seg: SegmentId,
-        gen: u64,
         len: u32,
         at: UpdateTick,
         exact: Option<f64>,
@@ -89,51 +90,35 @@ enum MetaOp {
     /// A tombstone entry was appended to `seg`: its entry-table footprint is charged
     /// as live space so tombstone-laden segments don't masquerade as empty (see
     /// [`crate::segment::SegmentMeta::tombstone_bytes`]).
-    TombstoneAdded { seg: SegmentId, gen: u64 },
+    TombstoneAdded { seg: SegmentId },
 }
 
 /// An ordered batch of per-page accounting, applied under one central-lock acquisition.
 ///
-/// Each op carries the allocation generation of its segment slot as observed when the
-/// op was recorded; if the slot has since been released and re-allocated (only possible
-/// for deaths racing a full clean-reap-reuse of the segment), the op targets a dead
-/// incarnation and is dropped. Ops for one segment incarnation are recorded in program
-/// order by the only actor that can touch it, so `Added` always lands before the
-/// matching `Dead`.
+/// A ledger lives inside one drain (or one seal), and no cleaning cycle runs before it
+/// is applied, so no segment it names can be released and reused in between. Ops are
+/// recorded in program order, so `Added` always lands before the matching `Dead`.
 #[derive(Default)]
 pub(crate) struct MetaLedger {
     ops: Vec<MetaOp>,
 }
 
 impl MetaLedger {
-    fn record_added(&mut self, seg: SegmentId, gen: u64, len: u32, exact: Option<f64>) {
-        self.ops.push(MetaOp::Added {
-            seg,
-            gen,
-            len,
-            exact,
-        });
+    fn record_added(&mut self, seg: SegmentId, len: u32, exact: Option<f64>) {
+        self.ops.push(MetaOp::Added { seg, len, exact });
     }
 
-    fn record_dead(
-        &mut self,
-        seg: SegmentId,
-        gen: u64,
-        len: u32,
-        at: UpdateTick,
-        exact: Option<f64>,
-    ) {
+    fn record_dead(&mut self, seg: SegmentId, len: u32, at: UpdateTick, exact: Option<f64>) {
         self.ops.push(MetaOp::Dead {
             seg,
-            gen,
             len,
             at,
             exact,
         });
     }
 
-    pub(crate) fn record_tombstone(&mut self, seg: SegmentId, gen: u64) {
-        self.ops.push(MetaOp::TombstoneAdded { seg, gen });
+    fn record_tombstone(&mut self, seg: SegmentId) {
+        self.ops.push(MetaOp::TombstoneAdded { seg });
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -142,41 +127,28 @@ impl MetaLedger {
 
     /// Apply (and clear) every recorded op against the authoritative segment table.
     /// Call with the central lock held.
-    pub(crate) fn apply(&mut self, store: &StoreCore, central: &mut CentralState) {
+    pub(crate) fn apply(&mut self, central: &mut CentralState) {
         for op in self.ops.drain(..) {
+            let segments = &mut central.segments;
             match op {
-                MetaOp::Added {
-                    seg,
-                    gen,
-                    len,
-                    exact,
-                } => {
-                    if store.segment_gen(seg) == gen {
-                        if let Some(meta) = central.segments.meta_mut(seg) {
-                            meta.on_page_added(len, exact);
-                        }
+                MetaOp::Added { seg, len, exact } => {
+                    if let Some(meta) = segments.meta_mut(seg) {
+                        meta.on_page_added(len, exact);
                     }
                 }
                 MetaOp::Dead {
                     seg,
-                    gen,
                     len,
                     at,
                     exact,
                 } => {
-                    // A `None` meta means the segment was already released (its
-                    // metadata died wholesale with the victim) — nothing to account.
-                    if store.segment_gen(seg) == gen {
-                        if let Some(meta) = central.segments.meta_mut(seg) {
-                            meta.on_page_dead(len, at, exact);
-                        }
+                    if let Some(meta) = segments.meta_mut(seg) {
+                        meta.on_page_dead(len, at, exact);
                     }
                 }
-                MetaOp::TombstoneAdded { seg, gen } => {
-                    if store.segment_gen(seg) == gen {
-                        if let Some(meta) = central.segments.meta_mut(seg) {
-                            meta.on_tombstone_added();
-                        }
+                MetaOp::TombstoneAdded { seg } => {
+                    if let Some(meta) = segments.meta_mut(seg) {
+                        meta.on_tombstone_added();
                     }
                 }
             }
@@ -188,8 +160,7 @@ impl MetaLedger {
         if self.is_empty() {
             return;
         }
-        let mut central = store.central().lock();
-        self.apply(store, &mut central);
+        self.apply(&mut store.central().lock());
     }
 }
 
@@ -277,17 +248,13 @@ pub(crate) fn flush(store: &StoreCore) -> Result<()> {
             persist_open(store, open, unow)?;
         }
     }
-    // Every stream is drained and persisted. The tail seals any orphaned GC output
-    // builders (left behind by aborted cycles) and syncs: quarantine entries whose
-    // owning cycle has not yet sealed its outputs stay *parked* — the per-entry
-    // sealed/synced state machine, not a lock, is what keeps this sync from
-    // prematurely freeing a concurrent cycle's victims.
-    seal_orphans_and_reap(store, unow)
+    // Every stream is drained and persisted; wounded seals are retried and the
+    // device synced, which frees the quarantined victims no reader pins.
+    sync_and_reap(store)
 }
 
 /// Seal every GC output stream of a cycle (used by the cycle's own phase 4 and by the
-/// mid-cycle distress durability point). Device writes happen here; the caller marks
-/// the matching quarantine entries sealed afterwards.
+/// mid-cycle distress durability point). Device writes happen here; the caller syncs.
 pub(crate) fn seal_streams(store: &StoreCore, gcs: &mut GcStreams, unow: UpdateTick) -> Result<()> {
     let mut ledger = MetaLedger::default();
     let logs: Vec<u16> = gcs.open.keys().copied().collect();
@@ -300,20 +267,18 @@ pub(crate) fn seal_streams(store: &StoreCore, gcs: &mut GcStreams, unow: UpdateT
     Ok(())
 }
 
-/// The durability tail every sync point shares: retry wounded seals, snapshot the
-/// quarantine entries that are already *sealed* (their relocations' device writes were
-/// issued before this sync), sync the device, mark exactly that snapshot synced, and
-/// reap synced victims without reader pins.
+/// The durability tail every sync point shares: retry wounded seals, sync the device,
+/// mark every quarantined victim synced, and reap the ones without reader pins.
 ///
-/// Entries sealed concurrently *after* the snapshot may have writes the sync does not
-/// cover; they simply wait for the next sync point. This is what makes the sequence
-/// safe to run concurrently with in-flight cleaning cycles.
+/// Marking all of them is sound because the store has one mutator: a sync point runs
+/// outside any cleaning cycle, or is the cycle's own after it has sealed its outputs,
+/// so every quarantined victim's relocated copies were written before this sync — and
+/// a seal whose write failed is retried first, or the sync point fails before it syncs.
 pub(crate) fn sync_and_reap(store: &StoreCore) -> Result<()> {
     retry_wounded_seals(store)?;
-    let candidates = store.central().lock().segments.quarantine_sealed_unsynced();
     store.device().sync()?;
     let mut central = store.central().lock();
-    central.segments.mark_quarantine_synced(&candidates);
+    central.segments.mark_quarantine_synced();
     central
         .segments
         .reap_quarantine(|id| store.pin_count(id) == 0);
@@ -321,39 +286,10 @@ pub(crate) fn sync_and_reap(store: &StoreCore) -> Result<()> {
     Ok(())
 }
 
-/// Seal the orphaned GC output builders of aborted cycles, adopt their quarantine
-/// entries (mark them sealed once every orphan builder and wounded seal has reached the
-/// device), then sync and reap. The orphan lock is held across seal + adopt so a
-/// concurrently aborting cycle either hands over its builders *and* entries before this
-/// pass (both get processed) or after it (both wait for the next pass) — never one
-/// without the other.
-pub(crate) fn seal_orphans_and_reap(store: &StoreCore, unow: UpdateTick) -> Result<()> {
-    {
-        let mut orphans = store.gc_orphans().lock();
-        let mut ledger = MetaLedger::default();
-        while let Some(open) = orphans.pop() {
-            seal_open(store, open, &mut ledger, unow)?;
-        }
-        ledger.flush_to_central(store);
-        retry_wounded_seals(store)?;
-        let mut central = store.central().lock();
-        central
-            .segments
-            .quarantine_mark_sealed(crate::segment::ORPHAN_CYCLE);
-    }
-    sync_and_reap(store)
-}
-
 /// Maximum clean-and-retry iterations before reporting out-of-space. Each iteration
 /// requires the preceding cycle to have freed at least one segment, so this bound is
 /// only reached on pathological configurations.
 const MAX_CLEAN_RETRIES: usize = 64;
-
-/// How many *consecutive* rounds of "cycle freed nothing and the straggler sweep did
-/// not grow the pool" a drain tolerates before declaring out-of-space. Under
-/// concurrent cleaning a single such round is routinely transient (victims claimed by
-/// peers, freed segments raced away by other drains).
-const MAX_STALLED_ROUNDS: usize = 3;
 
 fn out_of_space(store: &StoreCore) -> Error {
     if std::env::var("LSS_DEBUG_OOS").is_ok() {
@@ -362,10 +298,9 @@ fn out_of_space(store: &StoreCore) -> Error {
         let meta_live: u64 = central.segments.iter_meta().map(|m| m.live_bytes).sum();
         let sealed_free: u64 = sealed.iter().map(|s| s.free_bytes).sum();
         eprintln!(
-            "OOS: free={} quarantine={} claimed={} sealed={} sealed_free_bytes={} meta_live={} map_live={} map_pages={}",
+            "OOS: free={} quarantine={} sealed={} sealed_free_bytes={} meta_live={} map_live={} map_pages={}",
             central.segments.free_count(),
             central.segments.quarantine_len(),
-            central.segments.claimed_count(),
             sealed.len(),
             sealed_free,
             meta_live,
@@ -410,20 +345,16 @@ pub(crate) fn ensure_headroom(store: &StoreCore, unow: UpdateTick) -> Result<()>
 }
 
 /// Last line of defence before declaring out-of-space: dead space can be parked in the
-/// quarantine — either stragglers whose reap was skipped because a reader happened to
-/// hold a pin at the wrong instant, or whole batches of victims that *concurrent*
-/// cycles are about to recycle, or victims those cycles have claimed. None of that is
-/// visible to victim selection, so a cycle that frees nothing does not prove the store
-/// is full. This quiesces the cycle gate — waiting out every in-flight cycle, whose own
-/// phase 4 reaps its victims (no stream lock is held here, so blocking is safe) — then
-/// forces a seal-orphans + sync + reap pass. Returns true if the free pool grew — from
-/// the concurrent cycles' own reaps or from ours — meaning the caller should retry
-/// instead of erroring.
-fn reclaim_stragglers(store: &StoreCore, unow: UpdateTick) -> Result<bool> {
+/// quarantine — stragglers whose reap was skipped because a reader happened to hold a
+/// pin at the wrong instant, or victims of a cycle that aborted before its sync. None
+/// of that is visible to victim selection, so a cycle that frees nothing does not prove
+/// the store is full. This forces a sync + reap pass (no stream lock is held here, so
+/// waiting out pins is safe). Returns true if the free pool grew, meaning the caller
+/// should retry instead of erroring.
+fn reclaim_stragglers(store: &StoreCore) -> Result<bool> {
     AtomicStats::bump(&store.atomic_stats().straggler_reclaims);
     let before = store.approx_free_segments();
-    drop(store.gc.quiesce());
-    emergency_reclaim(store, true, unow)?;
+    emergency_reclaim(store, true)?;
     Ok(store.approx_free_segments() > before)
 }
 
@@ -435,15 +366,15 @@ fn reclaim_stragglers(store: &StoreCore, unow: UpdateTick) -> Result<bool> {
 /// The first attempts let the configured policy pick victims; if that does not unblock
 /// the drain (a selective policy can net almost nothing per cycle under distress), the
 /// loop escalates to full-batch greedy cycles, which monotonically reclaim whatever is
-/// reclaimable. Out-of-space is reported only once even a greedy cycle plus a
-/// quarantine sweep ([`reclaim_stragglers`]) free nothing.
+/// reclaimable. Out-of-space is reported the first time a cycle frees nothing and a
+/// quarantine sweep ([`reclaim_stragglers`]) after it does not grow the pool: with one
+/// mutator nothing else can free a segment meanwhile.
 fn drain_with_cleaning(
     store: &StoreCore,
     stream: &WriteStream,
     unow: UpdateTick,
     attempts: &mut usize,
 ) -> Result<()> {
-    let mut stalled = 0;
     while *attempts < MAX_CLEAN_RETRIES {
         let mode = if *attempts < 2 {
             gc_driver::SelectionMode::Policy
@@ -456,23 +387,10 @@ fn drain_with_cleaning(
         match drain_stream(store, stream, &mut ss)? {
             DrainOutcome::Done => return Ok(()),
             DrainOutcome::NeedsCleaning => {
-                if report.segments_freed() > 0 {
-                    stalled = 0;
-                } else {
+                if report.segments_freed() == 0 {
                     drop(ss);
-                    if reclaim_stragglers(store, unow)? {
-                        stalled = 0;
-                    } else {
-                        // With concurrent cleaners, one empty round proves little:
-                        // our cycle can find everything claimed by peers, and the
-                        // segments a straggler sweep frees can be snapped up by
-                        // other drains before we re-observe the pool. Only
-                        // *consecutive* no-progress rounds — each having waited out
-                        // every in-flight cycle — demonstrate genuine exhaustion.
-                        stalled += 1;
-                        if stalled >= MAX_STALLED_ROUNDS {
-                            return Err(out_of_space(store));
-                        }
+                    if !reclaim_stragglers(store)? {
+                        return Err(out_of_space(store));
                     }
                 }
             }
@@ -704,24 +622,18 @@ fn append_page(
         len: data.len() as u32,
         write_seq: seq,
     };
-    ledger.record_added(open.id, open.gen, data.len() as u32, p.info.exact_freq);
+    ledger.record_added(open.id, data.len() as u32, p.info.exact_freq);
     commit_user_remap(store, ledger, &p, loc, unow);
     Ok(AppendOutcome::Appended)
 }
 
 /// Point the page table at a freshly appended user copy and record the death of the
-/// previous copy, at tick `unow`, against the segment incarnation that actually held it.
+/// previous copy, at tick `unow`.
 ///
-/// The old location's allocation generation must be captured while that location is
-/// still *current* — a generation read after the transition could observe a slot that a
-/// concurrent clean-release-reuse has already handed to a new open segment, and the
-/// death would then corrupt the new incarnation's live counters. So the transition is a
-/// compare-and-swap against the observed old location: if it succeeds, the mapping
-/// still pointed at the old copy at swap time, which (by remap-before-release) proves
-/// its segment was un-recycled for the whole observation window and the generation is
-/// the right one. A failed swap means the cleaner relocated the page between our read
-/// and the swap — retry with the new location; user writes to this page cannot race us
-/// (they serialise on the stream lock we hold).
+/// The transition is a compare-and-swap against the observed old location, like every
+/// remap the read path revalidates against. Nothing else remaps the page meanwhile —
+/// user writes to it serialise on the stream lock we hold, and no cleaning cycle runs
+/// during a drain — so the first swap lands; the loop only re-observes if it did not.
 fn commit_user_remap(
     store: &StoreCore,
     ledger: &mut MetaLedger,
@@ -739,12 +651,10 @@ fn commit_user_remap(
                 return;
             }
             Some(old) => {
-                let gen = store.segment_gen(old.segment);
                 if store.mapping().replace_if_current(p.info.page, &old, loc) {
-                    ledger.record_dead(old.segment, gen, old.len, unow, p.info.exact_freq);
+                    ledger.record_dead(old.segment, old.len, unow, p.info.exact_freq);
                     return;
                 }
-                // Lost a race with a GC relocation; re-observe and retry.
             }
         }
     }
@@ -766,14 +676,13 @@ fn append_tombstone(
     if !ensure_open(store, ss, ledger, log, 0, unow)? {
         return Ok(AppendOutcome::NeedsCleaning);
     }
-    // Same generation-capture discipline as `commit_user_remap`, for removal.
+    // The same compare-and-swap as `commit_user_remap`, for removal.
     loop {
         let Some(old) = store.mapping().get(page) else {
             return Ok(AppendOutcome::Appended);
         };
-        let gen = store.segment_gen(old.segment);
         if store.mapping().remove_if_current(page, &old) {
-            ledger.record_dead(old.segment, gen, old.len, unow, None);
+            ledger.record_dead(old.segment, old.len, unow, None);
             break;
         }
     }
@@ -786,7 +695,7 @@ fn append_tombstone(
         .expect("ensure_open just installed this log");
     open.last_used = tick;
     open.builder.write().push_tombstone(page, seq);
-    ledger.record_tombstone(open.id, open.gen);
+    ledger.record_tombstone(open.id);
     Ok(AppendOutcome::Appended)
 }
 
@@ -823,7 +732,7 @@ fn ensure_open(
         let open = ss.open.remove(&lru).expect("lru key just observed");
         seal_open(store, open, ledger, unow)?;
     }
-    let Some((id, gen)) = allocate_user_segment(store, ledger, log, unow)? else {
+    let Some(id) = allocate_user_segment(store, ledger, log)? else {
         return Ok(false);
     };
     let builder = Arc::new(RwLock::new(SegmentBuilder::with_image(
@@ -839,7 +748,6 @@ fn ensure_open(
             builder,
             up2_avg: Up2Average::new(),
             log,
-            gen,
             last_used: tick,
             seq: None,
         },
@@ -884,8 +792,8 @@ fn persist_open(store: &StoreCore, open: &mut OpenSegment, unow: UpdateTick) -> 
 
 /// Seal an open segment: lay down its final extent, write what the device does not
 /// have yet and transition its metadata to `Sealed`. Empty builders just release the
-/// segment. The single seal routine for user streams (caller holds the stream lock), GC
-/// streams (caller holds the cycle lock) and orphaned GC builders.
+/// segment. The single seal routine for user streams (caller holds the stream lock) and
+/// a cycle's GC streams (caller runs the cycle).
 ///
 /// A segment that was never persisted goes out as one `write_segment` of its whole
 /// image (which a [`crate::device::FileDevice`] starts writing back at once, so the next
@@ -912,7 +820,7 @@ pub(crate) fn seal_open(
         store.open_reads().write().remove(&open.id);
         store.recycle_builder(open.builder);
         let mut central = store.central().lock();
-        ledger.apply(store, &mut central);
+        ledger.apply(&mut central);
         central.segments.release(open.id);
         store.publish_free(&central.segments);
         return Ok(());
@@ -921,7 +829,7 @@ pub(crate) fn seal_open(
     let seal_seq = {
         let mut central = store.central().lock();
         // Accounting recorded for this segment must land before its stats freeze.
-        ledger.apply(store, &mut central);
+        ledger.apply(&mut central);
         let segments = &mut central.segments;
         let seq = open.seq.unwrap_or_else(|| segments.reserve_seal_seq());
         segments.seal_reserved(open.id, seq, unow, carried_up2, Up2Mode::OnOverwrite);
@@ -994,67 +902,54 @@ fn retry_wounded_seals(store: &StoreCore) -> Result<()> {
 /// User allocations stop at the reserve floor (returning `None` so the caller can let a
 /// cleaning cycle run); the reserve exists so GC relocations always have destinations.
 /// When the pool runs dry this first tries to reclaim quarantined victims via
-/// [`try_emergency_reclaim`]. Returns the segment plus its new allocation generation.
+/// [`emergency_reclaim`].
 fn allocate_user_segment(
     store: &StoreCore,
     ledger: &mut MetaLedger,
     log: u16,
-    unow: UpdateTick,
-) -> Result<Option<(SegmentId, u64)>> {
+) -> Result<Option<SegmentId>> {
     let reserved = store.config().cleaning.reserved_free_segments;
     let capacity =
         layout::payload_capacity(store.config().segment_bytes, store.config().page_bytes) as u64;
     for attempt in 0..2 {
         {
             let mut central = store.central().lock();
-            ledger.apply(store, &mut central);
+            ledger.apply(&mut central);
             if central.segments.free_count() > reserved {
                 if let Some(id) = central
                     .segments
                     .allocate(capacity, log, Up2Mode::OnOverwrite)
                 {
-                    store.bump_segment_gen(id);
-                    let gen = store.segment_gen(id);
                     store.publish_free(&central.segments);
-                    return Ok(Some((id, gen)));
+                    return Ok(Some(id));
                 }
             }
         }
         if attempt == 0 {
-            emergency_reclaim(store, false, unow)?;
+            emergency_reclaim(store, false)?;
         }
     }
     Ok(None)
 }
 
 /// Escape hatch under allocation pressure: make already-sealed relocated pages durable
-/// right now (sync the device) so quarantined victims become reusable, sealing any
-/// orphaned GC output builders along the way.
+/// right now (sync the device) so quarantined victims become reusable.
 ///
-/// Safe to run concurrently with in-flight cleaning cycles: the per-entry quarantine
-/// state machine guarantees this pass can only free victims whose relocations are
-/// already on the device — a live cycle's still-parked entries are untouched. The
-/// allocation path calls it with `blocking = false` while holding a stream lock (it
-/// must never touch the cycle gate there — a quiescing checkpoint acquires the gate
-/// first and the stream locks second); `blocking = true` callers hold no stream lock
-/// and additionally retry pin-skipped reaps (see [`reclaim_stragglers`]).
-fn emergency_reclaim(store: &StoreCore, blocking: bool, unow: UpdateTick) -> Result<()> {
+/// Runs outside any cleaning cycle (on a drain's allocation path, or between the
+/// escalation ladder's cycles), so every quarantined victim's copies are already
+/// written. The allocation path calls it with `blocking = false` while holding a stream
+/// lock; `blocking = true` callers hold no stream lock and additionally retry
+/// pin-skipped reaps (see [`reclaim_stragglers`]).
+fn emergency_reclaim(store: &StoreCore, blocking: bool) -> Result<()> {
+    if store.wounded_seals().lock().is_empty()
+        && store.central().lock().segments.quarantine_len() == 0
     {
-        let orphans_empty = store.gc_orphans().lock().is_empty();
-        let wounded_empty = store.wounded_seals().lock().is_empty();
-        if orphans_empty
-            && wounded_empty
-            && store.central().lock().segments.quarantine_reclaimable() == 0
-        {
-            // Nothing this pass could free: no orphan builders to seal, no wounded
-            // images to retry, and every quarantined victim (if any) is still parked
-            // under a live cycle whose own phase 4 is the only thing that can move it
-            // forward. Skip the pointless device sync — the non-blocking caller holds
-            // a stream lock, and an fsync there would stall the stream for nothing.
-            return Ok(());
-        }
+        // Nothing this pass could free: no wounded images to retry and no quarantined
+        // victim. Skip the pointless device sync — the non-blocking caller holds a
+        // stream lock, and an fsync there would stall the stream for nothing.
+        return Ok(());
     }
-    seal_orphans_and_reap(store, unow)?;
+    sync_and_reap(store)?;
     if blocking {
         // Quarantine entries can survive the reap only because a reader happened to
         // hold a pin at that instant — pins last microseconds. When the caller is

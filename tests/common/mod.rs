@@ -10,9 +10,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Apply the concurrency knobs the CI stress job cranks via the environment
-/// (`LSS_WRITE_STREAMS`, `LSS_CLEANER_THREADS`) on top of a test's base config,
-/// clamped to the ranges config validation accepts.
+/// Apply the concurrency knob the CI stress job cranks via the environment
+/// (`LSS_WRITE_STREAMS`) on top of a test's base config, clamped to the range config
+/// validation accepts.
 #[allow(dead_code)] // not every test binary uses it
 pub fn apply_env_concurrency(config: StoreConfig) -> StoreConfig {
     config.with_env_overrides()
@@ -29,12 +29,14 @@ pub fn stress_seed_or(default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Extra cleaners racing a store's own writers: `cleaner_threads` threads that each run
+/// Extra cleaners racing a store's own writers: `threads` threads that each run
 /// `clean_now()` while the free pool is at or below the configured trigger, and park
 /// briefly once it is above it, once a cycle freed nothing, or once the pool did not
-/// grow. The store starts no cleaner of its own — every cycle it runs is inline on a
-/// writer — so these threads are what puts cycles from other threads beside the
-/// writers' paced ones. Dropping the guard stops and joins them.
+/// grow. The store starts no cleaner of its own — its cycles run on its write-behind
+/// thread — so these threads are what puts `clean_now` callers beside the writers. Every
+/// cycle runs under the store's write-behind job lock, so these callers serialise with
+/// each other and with the store's own drains and cycles. Dropping the guard stops and
+/// joins them.
 #[allow(dead_code)] // not every test binary uses it
 pub struct CleanerThreads {
     stop: Arc<AtomicBool>,
@@ -43,9 +45,9 @@ pub struct CleanerThreads {
 
 #[allow(dead_code)]
 impl CleanerThreads {
-    pub fn spawn(store: &Arc<LogStore>) -> Self {
+    pub fn spawn(store: &Arc<LogStore>, threads: usize) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
-        let threads = (0..store.config().cleaner_threads)
+        let threads = (0..threads)
             .map(|_| {
                 let store = Arc::clone(store);
                 let stop = Arc::clone(&stop);
@@ -113,10 +115,11 @@ struct GateInner {
 }
 
 /// A controllable barrier over the cleaning-cycle state machine: the store's
-/// [`lss::core::LogStore::set_gc_phase_hook`] fires at every phase boundary with no
-/// lock held, and this harness turns it into a pause/release gate — tests park any
-/// cycle at any boundary, run foreground traffic or other cycles while it is parked,
-/// then release it. Used by `tests/cleaner_races.rs`.
+/// [`lss::core::LogStore::set_gc_phase_hook`] fires at every phase boundary with only
+/// the write-behind job lock held, and this harness turns it into a pause/release gate
+/// — tests park a cycle at any boundary, run reads and buffered writes while it is
+/// parked (and watch drains, flushes and other cycles wait for it), then release it.
+/// Used by `tests/cleaner_races.rs`.
 #[derive(Default)]
 pub struct PhaseGate {
     inner: Mutex<GateInner>,
@@ -194,6 +197,11 @@ impl PhaseGate {
         }
     }
 
+    /// True while `cycle` is parked at `phase`.
+    pub fn is_paused(&self, cycle: u64, phase: GcPhase) -> bool {
+        self.inner.lock().unwrap().paused.contains(&(cycle, phase))
+    }
+
     /// Release one parked `(cycle, phase)` pair.
     pub fn release(&self, cycle: u64, phase: GcPhase) {
         let mut g = self.inner.lock().unwrap();
@@ -213,7 +221,7 @@ impl PhaseGate {
         self.cond.notify_all();
     }
 
-    /// The victims a cycle claimed, from its `Claimed` events.
+    /// The victims a cycle selected, from its `Claimed` events.
     pub fn victims_of(&self, cycle: u64) -> Vec<SegmentId> {
         self.inner
             .lock()

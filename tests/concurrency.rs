@@ -36,8 +36,8 @@ fn decode_payload(bytes: &[u8]) -> (u64, u64) {
     (page, version)
 }
 
-/// N writers (each pacing its own cleaning) + N readers + `cleaner_threads` test-side
-/// cleaner threads, for every policy: readers must never observe a payload belonging to
+/// N writers (the store paces their cleaning) + N readers + two test-side cleaner
+/// threads, for every policy: readers must never observe a payload belonging to
 /// a different page, and after the writers join every page must hold its final version.
 #[test]
 fn stress_readers_writers_and_cleaner_threads_under_every_policy() {
@@ -46,7 +46,7 @@ fn stress_readers_writers_and_cleaner_threads_under_every_policy() {
         config.num_segments = 128;
         config.sort_buffer_segments = 2;
         let store = Arc::new(LogStore::open_in_memory(config.clone()).unwrap());
-        let _cleaners = CleanerThreads::spawn(&store);
+        let _cleaners = CleanerThreads::spawn(&store, 2);
 
         let writers = 3u64;
         let pages_per_writer = 150u64;
@@ -156,7 +156,7 @@ fn acknowledged_writes_never_transiently_disappear() {
     config.write_streams = 4;
     let config = apply_env_concurrency(config);
     let store = Arc::new(LogStore::open_in_memory(config.clone()).unwrap());
-    let _cleaners = CleanerThreads::spawn(&store);
+    let _cleaners = CleanerThreads::spawn(&store, 1);
     let high_water = Arc::new(AtomicU64::new(0)); // pages < high_water are acknowledged
                                                   // Distinct fresh pages (the sharpest probe for the visibility window), sized to a
                                                   // 0.6 fill so pure growth fits the device.

@@ -6,7 +6,8 @@
 //! checkpoint-covered drop proof both get exercised, because mid-run checkpoints
 //! publish frontiers while cleaning is racing them).
 //!
-//! Runs at `cleaner_threads ∈ {1, 2, 4}` with per-thread-count seeds derived from
+//! Runs with 1, 2 and 4 concurrent `clean_now` callers (test-side cleaner threads,
+//! which serialise on the store's job lock) and per-count seeds derived from
 //! `LSS_STRESS_SEED` (default 7700), so the CI stress loop explores a fresh
 //! interleaving per iteration and any hit replays with
 //! `LSS_STRESS_SEED=<seed> cargo test --release --test durability_property`.
@@ -45,16 +46,13 @@ fn payload(page: u64, version: u64, len: usize) -> Vec<u8> {
 /// deletes, forced cleaning cycles and incremental checkpoints (on top of whatever
 /// the cleaner threads do on their own), ending in flush + checkpoint + device kill.
 /// Reopen goes through the journal and must reproduce the model byte-for-byte.
-fn run_crash_generations(seed: u64, cleaner_threads: usize) {
-    let mut config = apply_env_concurrency(
-        StoreConfig::small_for_tests()
-            .with_policy(PolicyKind::Mdc)
-            .with_cleaner_threads(cleaner_threads),
-    );
+fn run_crash_generations(seed: u64, cleaners: usize) {
+    let mut config =
+        apply_env_concurrency(StoreConfig::small_for_tests().with_policy(PolicyKind::Mdc));
     config.num_segments = 96;
     println!(
-        "durability property: seed={seed} cleaner_threads={} write_streams={}",
-        config.cleaner_threads, config.write_streams
+        "durability property: seed={seed} cleaners={cleaners} write_streams={}",
+        config.write_streams
     );
     let max_page = config.logical_pages_for_fill_factor(0.5) as u64;
     let max_len = config.page_bytes;
@@ -64,7 +62,7 @@ fn run_crash_generations(seed: u64, cleaner_threads: usize) {
 
     let mut store =
         Arc::new(LogStore::open_with_device(config.clone(), Box::new(device.clone())).unwrap());
-    let mut cleaners = CleanerThreads::spawn(&store);
+    let mut cleaner_threads = CleanerThreads::spawn(&store, cleaners);
     let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
     let mut rng = StdRng::seed_from_u64(seed);
 
@@ -94,7 +92,7 @@ fn run_crash_generations(seed: u64, cleaner_threads: usize) {
         store.flush().unwrap();
         store.checkpoint_log_to(&path).unwrap();
         device.kill();
-        drop(cleaners.stop(store)); // the process dies
+        drop(cleaner_threads.stop(store)); // the process dies
 
         device.heal();
         let recovered =
@@ -125,7 +123,7 @@ fn run_crash_generations(seed: u64, cleaner_threads: usize) {
         // The next generation continues on the recovered store: churn keeps
         // compounding across restarts, exactly like a long-lived deployment.
         store = Arc::new(recovered);
-        cleaners = CleanerThreads::spawn(&store);
+        cleaner_threads = CleanerThreads::spawn(&store, cleaners);
     }
     std::fs::remove_file(&path).ok();
 }
@@ -133,8 +131,8 @@ fn run_crash_generations(seed: u64, cleaner_threads: usize) {
 #[test]
 fn random_interleavings_recover_exactly_at_every_crash() {
     let base = stress_seed_or(7700);
-    for &cleaner_threads in &[1usize, 2, 4] {
-        run_crash_generations(base + cleaner_threads as u64, cleaner_threads);
+    for &cleaners in &[1usize, 2, 4] {
+        run_crash_generations(base + cleaners as u64, cleaners);
     }
 }
 
@@ -203,11 +201,8 @@ fn run_until_crash(store: &LogStore, ops: &[Op], pages: u64) -> Vec<HashSet<Opti
 #[test]
 fn every_returned_flush_survives_a_crash_at_every_ranged_write_boundary() {
     let seed = stress_seed_or(7700) + 50;
-    let mut config = apply_env_concurrency(
-        StoreConfig::small_for_tests()
-            .with_policy(PolicyKind::Greedy)
-            .with_cleaner_threads(1),
-    );
+    let mut config =
+        apply_env_concurrency(StoreConfig::small_for_tests().with_policy(PolicyKind::Greedy));
     config.num_segments = 24;
     let pages = config.logical_pages_for_fill_factor(0.3) as u64;
     let ops = flush_heavy_trace(seed, pages, config.page_bytes);
@@ -281,8 +276,7 @@ fn every_returned_flush_survives_a_crash_at_every_ranged_write_boundary() {
 fn stale_extents_beyond_a_recycled_slots_chain_are_never_replayed() {
     let config = StoreConfig::small_for_tests()
         .with_policy(PolicyKind::Greedy)
-        .with_write_streams(1)
-        .with_cleaner_threads(1);
+        .with_write_streams(1);
     let device = CrashPointDevice::new(config.segment_bytes, config.num_segments);
     let store = LogStore::open_with_device(config.clone(), Box::new(device.clone())).unwrap();
     let path = temp_journal(0x57a1e);

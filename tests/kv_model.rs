@@ -2,8 +2,8 @@
 //! disjoint key spaces (each checked against its own `BTreeMap` model), a background
 //! cleaner hammering `clean_now`, a checkpointer committing epochs mid-flight, and a
 //! scanner asserting ordered, well-formed range scans — all against one shared
-//! [`KvStore`]. Honours `LSS_WRITE_STREAMS` / `LSS_CLEANER_THREADS` like the other
-//! stress suites, so the CI stress job runs it with the concurrency knobs cranked.
+//! [`KvStore`]. Honours `LSS_WRITE_STREAMS` like the other
+//! stress suites, so the CI stress job runs it with the write path sharded wider.
 //!
 //! Per-key linearizability here is simple because key spaces are disjoint: a thread is
 //! the only writer of its keys, so every `get` it issues must observe its own latest

@@ -288,9 +288,7 @@ fn fail_concurrent_cleaner_model(
 /// Failures go through [`fail_concurrent_cleaner_model`], so the seed and the op
 /// trace always reach the test output.
 fn run_concurrent_cleaner_model(seed: u64, cleaner_threads: usize) {
-    let mut config = StoreConfig::small_for_tests()
-        .with_policy(PolicyKind::Mdc)
-        .with_cleaner_threads(cleaner_threads);
+    let mut config = StoreConfig::small_for_tests().with_policy(PolicyKind::Mdc);
     config.num_segments = 96;
     println!(
         "concurrent-cleaner model: seed={seed} cleaner_threads={cleaner_threads} \
@@ -300,7 +298,7 @@ fn run_concurrent_cleaner_model(seed: u64, cleaner_threads: usize) {
     let capacity = config.num_segments as u64
         * layout::payload_capacity(config.segment_bytes, config.page_bytes) as u64;
     let store = Arc::new(LogStore::open_in_memory(config.clone()).unwrap());
-    let cleaners = CleanerThreads::spawn(&store);
+    let cleaners = CleanerThreads::spawn(&store, cleaner_threads);
     let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -445,12 +443,12 @@ fn run_concurrent_cleaner_model(seed: u64, cleaner_threads: usize) {
     }
 }
 
-/// Seeded random workloads against a store raced by [`CleanerThreads`] at
-/// `cleaner_threads ∈ {1, 2, 4}` (that many test-side threads and overlapping cycles):
+/// Seeded random workloads against a store raced by [`CleanerThreads`] with 1, 2 and 4
+/// concurrent `clean_now` callers (which serialise on the store's job lock):
 ///
 /// * **get-after-put linearizability** — every acknowledged `put` is immediately and
-///   thereafter readable with exactly the written bytes (concurrent cycles relocate
-///   pages under the reader, so this exercises the CAS-commit and pin protocols);
+///   thereafter readable with exactly the written bytes (cycles relocate pages under
+///   the reader, so this exercises the CAS-commit and pin protocols);
 /// * **capacity invariant** — total live bytes never exceed the device's payload
 ///   capacity, no matter how the cleaner interleaves;
 /// * **exact recovery** — after a flush, scan recovery from the device alone
@@ -473,7 +471,7 @@ fn store_matches_model_under_concurrent_cleaners() {
 
 /// Seed-replay entry point for chasing a failure. With `LSS_REPLAY_CLEANERS` set,
 /// `LSS_REPLAY_SEED` is the *exact* seed a failure dump printed; without it, the
-/// value is treated as the base seed and all three `cleaner_threads` values replay:
+/// value is treated as the base seed and all three cleaner counts replay:
 ///
 /// ```text
 /// LSS_REPLAY_SEED=4244 LSS_REPLAY_CLEANERS=2 \

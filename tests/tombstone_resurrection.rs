@@ -40,20 +40,18 @@ fn payload(page: u64, version: u64, len: usize) -> Vec<u8> {
 /// chance that cleaning cycles relocate (and, pre-fix, dropped) delete facts while
 /// older copies of the pages are still on the device.
 fn run_delete_heavy_model(seed: u64, cleaner_threads: usize) {
-    let mut config = common::apply_env_concurrency(
-        StoreConfig::small_for_tests()
-            .with_policy(PolicyKind::Mdc)
-            .with_cleaner_threads(cleaner_threads),
-    );
+    let mut config =
+        common::apply_env_concurrency(StoreConfig::small_for_tests().with_policy(PolicyKind::Mdc));
     config.num_segments = 96;
     println!(
-        "tombstone-resurrection model: seed={seed} cleaner_threads={} write_streams={}",
-        config.cleaner_threads, config.write_streams
+        "tombstone-resurrection model: seed={seed} cleaner_threads={cleaner_threads} \
+         write_streams={}",
+        config.write_streams
     );
     let max_page = config.logical_pages_for_fill_factor(0.5) as u64;
     let max_len = config.page_bytes;
     let store = Arc::new(LogStore::open_in_memory(config.clone()).unwrap());
-    let cleaners = CleanerThreads::spawn(&store);
+    let cleaners = CleanerThreads::spawn(&store, cleaner_threads);
     let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
     let mut deleted_ever: HashSet<u64> = HashSet::new();
 
@@ -98,8 +96,8 @@ fn run_delete_heavy_model(seed: u64, cleaner_threads: usize) {
     );
 }
 
-/// The pinned seed-9003 regression, at the `cleaner_threads` values the original
-/// failure needed.
+/// The pinned seed-9003 regression, with the numbers of test-side cleaner threads the
+/// original failure needed.
 /// `LSS_STRESS_SEED` overrides the base seed so the CI stress loop keeps exploring.
 #[test]
 fn seed_9003_deletes_stay_dead_across_recovery() {

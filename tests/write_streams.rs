@@ -136,7 +136,7 @@ fn concurrent_writers_across_streams_preserve_final_versions() {
     config.num_segments = 128;
     let config = config;
     let store = Arc::new(LogStore::open_in_memory(config.clone()).unwrap());
-    let _cleaners = CleanerThreads::spawn(&store);
+    let _cleaners = CleanerThreads::spawn(&store, 1);
 
     let writers = 6u64;
     let pages_per_writer = 120u64;
