@@ -181,12 +181,14 @@ impl<S: PageStore> BufferPool<S> {
         }
     }
 
-    /// Write a page through the pool (kept dirty until evicted or flushed).
+    /// Write a page through the pool (kept dirty until evicted or flushed). `data` is
+    /// the page as it is stored: 1 to `page_size` bytes, held and written back as is.
     pub fn write(&self, page_id: u64, data: Vec<u8>) -> Result<()> {
-        assert_eq!(
+        assert!(
+            (1..=self.store.page_size()).contains(&data.len()),
+            "page {page_id} has the wrong size: {} bytes, page size {}",
             data.len(),
-            self.store.page_size(),
-            "page {page_id} has the wrong size"
+            self.store.page_size()
         );
         let data = Bytes::from(data);
         let mut shard = self.shard(page_id).lock();

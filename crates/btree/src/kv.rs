@@ -144,8 +144,9 @@ fn add_micros(counter: &AtomicU64, since: Instant) {
 pub struct KvOptions {
     /// Buffer-pool capacity for index pages, in pages.
     pub pool_pages: usize,
-    /// Index page size in bytes; defaults to the store's configured page size
-    /// (clamped to at least 64, the tree's minimum).
+    /// Index page size in bytes — the bound every node split compares against; each
+    /// node is stored at its encoded length, not padded to it. Defaults to the store's
+    /// configured page size (clamped to at least 64, the tree's minimum).
     pub tree_page_bytes: Option<usize>,
     /// Group-commit window in microseconds: how long the leader of a commit
     /// generation waits for further [`KvStore::flush`] callers to batch into the
@@ -940,7 +941,9 @@ impl KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Node;
     use lss_core::policy::PolicyKind;
+    use lss_core::util::FxHashMap;
     use lss_core::StoreConfig;
 
     fn config() -> StoreConfig {
@@ -956,7 +959,11 @@ mod tests {
     /// Flush, drop, recover the log store from its device and reopen the KV store —
     /// a clean restart.
     fn restart(kv: KvStore) -> KvStore {
-        let store = kv.into_inner();
+        reopen(kv.into_inner())
+    }
+
+    /// Recover a log store from its device and open the KV store on it.
+    fn reopen(store: LogStore) -> KvStore {
         let cfg = store.config().clone();
         let device = store.into_device();
         let recovered = LogStore::recover_with_device(cfg, device).unwrap();
@@ -1128,9 +1135,10 @@ mod tests {
     fn heavy_churn_with_cleaning_survives_restart() {
         // Overwrite far more than the device could hold without cleaning: CoW value
         // pages + CoW index pages + periodic commits must all stay consistent while
-        // the cleaner relocates them.
+        // the cleaner relocates them. Index pages cost only their encoded bytes, so it
+        // takes 800 keys to make the cleaner run (~20 cycles; at 400 it never runs).
         let kv = kv();
-        let keys = 400u32;
+        let keys = 800u32;
         for round in 0..12u32 {
             for i in 0..keys {
                 kv.put(
@@ -1156,6 +1164,161 @@ mod tests {
                 format!("r11-{i}").as_bytes()
             );
         }
+    }
+
+    /// Deterministic splitmix64 for the seeded runs below.
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// The committed index's shape: reachable tree pages and root-to-leaf levels.
+    fn tree_shape(kv: &KvStore) -> (usize, usize) {
+        let (mut pages, mut root, mut first_child) = (0, None, FxHashMap::default());
+        kv.tree
+            .walk(|id, page| {
+                pages += 1;
+                root.get_or_insert(id); // pre-order: the root comes first
+                if let Node::Internal { children, .. } = Node::decode(page)? {
+                    first_child.insert(id, children[0]);
+                }
+                Ok(())
+            })
+            .unwrap();
+        let (mut depth, mut at) = (1, root.unwrap());
+        while let Some(&child) = first_child.get(&at) {
+            depth += 1;
+            at = child;
+        }
+        (pages, depth)
+    }
+
+    /// Every index page in the log store, as stored.
+    fn stored_index_pages(store: &LogStore) -> Vec<(PageId, Bytes)> {
+        store
+            .live_page_ids()
+            .into_iter()
+            .filter(|&p| p >= TREE_BASE)
+            .filter_map(|p| Some((p, store.get(p).unwrap()?)))
+            .collect()
+    }
+
+    /// An ascending preload — as `kv-mixed`'s, it leaves every leaf about half full —
+    /// then seeded overwrites, inserts and deletes, committing every 500 operations.
+    fn seeded_single_thread_run() -> KvStore {
+        let mut cfg = StoreConfig::small_for_tests().with_policy(PolicyKind::Mdc);
+        cfg.segment_bytes = 64 * 1024;
+        cfg.page_bytes = 4096;
+        cfg.num_segments = 128;
+        let opts = KvOptions {
+            pool_pages: 16,
+            ..KvOptions::default()
+        };
+        let kv = KvStore::open_with(LogStore::open_in_memory(cfg).unwrap(), opts).unwrap();
+        let key = |i: u64| format!("user{i:010}").into_bytes();
+        for i in 0..20_000 {
+            kv.put(&key(i), b"preloaded").unwrap();
+        }
+        kv.flush().unwrap();
+        let mut rng = Rng(7);
+        for op in 1..=6_000u64 {
+            let i = rng.below(30_000);
+            if rng.below(10) == 0 {
+                kv.delete(&key(i)).unwrap();
+            } else {
+                kv.put(&key(i), format!("op{op}").as_bytes()).unwrap();
+            }
+            if op % 500 == 0 {
+                kv.flush().unwrap();
+            }
+        }
+        kv
+    }
+
+    /// Index pages carry only their bytes: every page the tree stores is exactly its
+    /// node's encoded length, while the tree keeps the shape — page count, depth,
+    /// pages written, commits — that it had when every page was padded to 4 KiB.
+    #[test]
+    fn index_pages_are_stored_at_their_encoded_length_and_the_tree_keeps_its_shape() {
+        let kv = seeded_single_thread_run();
+        let stats = kv.stats();
+        let page_size = kv.store().config().page_bytes as u64;
+        // Recorded when every node was padded to the page (index_bytes_written was
+        // then 6054 × 4096): the same splits, at the same keys, into the same pages.
+        assert_eq!(stats.index_pages_written, 6054);
+        assert_eq!(stats.superblock_commits, 13);
+        assert_eq!(tree_shape(&kv), (272, 3));
+        for (id, page) in stored_index_pages(kv.store()) {
+            let encoded = Node::decode(&page).unwrap().encoded_size();
+            assert_eq!(page.len(), encoded, "index page {id:#x} carries a tail");
+        }
+        assert!(
+            (stats.index_bytes_written as f64)
+                < 0.6 * (stats.index_pages_written * page_size) as f64,
+            "{} bytes in {} index pages of {page_size}",
+            stats.index_bytes_written,
+            stats.index_pages_written
+        );
+    }
+
+    /// A device whose index pages are padded to the page size — as every older build
+    /// stored them — reopens, reads and mutates correctly; each page an edit rewrites
+    /// is stored bare, the rest stay as they were.
+    #[test]
+    fn a_store_of_padded_index_pages_reopens_reads_and_mutates() {
+        let check = |kv: &KvStore, model: &std::collections::BTreeMap<Vec<u8>, Vec<u8>>| {
+            assert_eq!(kv.len(), model.len());
+            let all = kv.range(b"", b"\xff").unwrap().into_iter();
+            assert!(all.map(|(k, v)| (k, v.to_vec())).eq(model.clone()));
+        };
+        let kv = kv();
+        let mut model = std::collections::BTreeMap::new();
+        for i in 0..600u32 {
+            let (k, v) = (format!("k{i:05}"), format!("v{i}"));
+            kv.put(k.as_bytes(), v.as_bytes()).unwrap();
+            model.insert(k.into_bytes(), v.into_bytes());
+        }
+        kv.flush().unwrap();
+        let store = kv.into_inner();
+        let page_size = store.config().page_bytes;
+        for (id, page) in stored_index_pages(&store) {
+            let mut padded = page.to_vec();
+            padded.resize(page_size, 0);
+            store.put(id, &padded).unwrap();
+        }
+        store.flush().unwrap();
+
+        let kv = reopen(store);
+        check(&kv, &model);
+        for i in 0..900u32 {
+            let k = format!("k{:05}", i * 7 % 1_200).into_bytes();
+            if i % 5 == 0 {
+                assert_eq!(kv.delete(&k).unwrap(), model.remove(&k).is_some());
+            } else {
+                let v = format!("w{i}").into_bytes();
+                kv.put(&k, &v).unwrap();
+                model.insert(k, v);
+            }
+        }
+        kv.flush().unwrap();
+        check(&kv, &model);
+        let mut bare = 0;
+        for (id, page) in stored_index_pages(kv.store()) {
+            let encoded = Node::decode(&page).unwrap().encoded_size();
+            assert!(
+                page.len() == encoded || page.len() == page_size,
+                "page {id:#x}"
+            );
+            bare += (page.len() == encoded) as usize;
+        }
+        assert!(bare > 0, "no edit rewrote a padded page");
+        check(&restart(kv), &model);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! On-page encoding of B+-tree nodes.
 //!
-//! Every node occupies exactly one fixed-size page:
+//! Every node is stored at its encoded length — at most one page, and never padded out
+//! to it:
 //!
 //! ```text
 //! leaf:     [ 1u8 | nkeys u16 | (klen u16, vlen u16, key, value)* ]
@@ -12,13 +13,21 @@
 //! keys has `nkeys + 1` children; separator `keys[i]` is the smallest key reachable via
 //! `children[i + 1]`.
 //!
+//! The page size is a bound, not a length: every overflow and split decision compares
+//! the encoded length against it, so a tree splits at the same keys whatever its pages
+//! weigh, and what goes to the page store is only the node's own bytes (on the log
+//! store a page costs its bytes, twice: once written, once reclaimed). A page may still
+//! carry a zero tail — every page an older build wrote was padded to the page size —
+//! so readers bound-check against the slice they are given and stop after the last
+//! entry, and an edit of such a page writes it back without the tail.
+//!
 //! The tree works on these images directly. Reads search them in place
 //! ([`raw_internal_search`], [`raw_leaf_search`], [`raw_leaf_entries`]); writes edit
 //! them in place too — [`leaf_upsert`] / [`leaf_remove`] splice one entry in or out of a
 //! leaf image, [`internal_repoint`] patches one child pointer, [`internal_insert`]
 //! splices in the separator and right sibling of a child that split, and both inserts
 //! split the page when the result overflows. Every editor is one pass over the page plus
-//! one page-sized copy, rejects a malformed page with an error, and writes exactly the
+//! one copy of its bytes, rejects a malformed page with an error, and writes exactly the
 //! bytes `Node::decode` → edit → [`Node::encode`] would (the tests hold them to that,
 //! byte for byte). The owned [`Node`] form remains for walks, the reopen sweep and as
 //! that reference.
@@ -37,6 +46,8 @@ const TAG_META: u8 = 3;
 
 /// Bytes of the fixed leaf header (tag + entry count).
 pub(crate) const LEAF_HEADER_BYTES: usize = 1 + 2;
+/// Bytes of an encoded meta page (tag + root + watermark + key count).
+const META_BYTES: usize = 1 + 8 + 8 + 8;
 
 /// A decoded B+-tree node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,9 +114,10 @@ impl Node {
         }
     }
 
-    /// Encode into a page image of exactly `page_size` bytes.
+    /// Encode into a page image of [`Node::encoded_size`] bytes; an error if that is
+    /// more than `page_size`.
     pub fn encode(&self, page_size: usize) -> Result<Vec<u8>> {
-        let mut buf = Vec::with_capacity(page_size);
+        let mut buf = Vec::with_capacity(self.encoded_size());
         match self {
             Node::Leaf { entries } => {
                 buf.push(TAG_LEAF);
@@ -332,15 +344,14 @@ fn start_page(tag: u8, nkeys: usize, capacity: usize) -> Result<Vec<u8>> {
     Ok(page)
 }
 
-/// Zero-fill a constructed node to the page size; an error if it does not fit.
-fn finish_page(mut page: Vec<u8>, page_size: usize) -> Result<Vec<u8>> {
+/// A constructed node as it is stored; an error if it outgrows the page.
+fn finish_page(page: Vec<u8>, page_size: usize) -> Result<Vec<u8>> {
     if page.len() > page_size {
         return Err(corrupt(&format!(
             "node needs {} bytes but the page holds {page_size}",
             page.len()
         )));
     }
-    page.resize(page_size, 0);
     Ok(page)
 }
 
@@ -399,7 +410,7 @@ pub fn leaf_upsert(
         None => (slot.nkeys + 1, slot.at),
     };
     let len = slot.at + 4 + key.len() + value.len() + (slot.used - tail);
-    let mut page = start_page(TAG_LEAF, nkeys, len.max(page_size))?;
+    let mut page = start_page(TAG_LEAF, nkeys, len)?;
     page.extend_from_slice(&data[LEAF_HEADER_BYTES..slot.at]);
     push_len(&mut page, key.len())?;
     push_len(&mut page, value.len())?;
@@ -408,7 +419,6 @@ pub fn leaf_upsert(
     page.extend_from_slice(&data[tail..slot.used]);
     let old = slot.hit.map(|(v, _)| v.to_vec());
     if page.len() <= page_size {
-        page.resize(page_size, 0);
         return Ok((PageEdit::Fits(page), old));
     }
 
@@ -435,9 +445,13 @@ pub fn leaf_upsert(
     }
     let sep_len = u16_at(&page, cut)?;
     let sep = page[cut + 4..cut + 4 + sep_len].to_vec();
-    let mut left = start_page(TAG_LEAF, count, page_size)?;
+    let mut left = start_page(TAG_LEAF, count, cut)?;
     left.extend_from_slice(&page[LEAF_HEADER_BYTES..cut]);
-    let mut right = start_page(TAG_LEAF, nkeys - count, page_size)?;
+    let mut right = start_page(
+        TAG_LEAF,
+        nkeys - count,
+        LEAF_HEADER_BYTES + page.len() - cut,
+    )?;
     right.extend_from_slice(&page[cut..]);
     let edit = PageEdit::Split {
         left: finish_page(left, page_size)?,
@@ -459,7 +473,7 @@ pub fn leaf_remove(
     let Some((old, end)) = slot.hit else {
         return Ok(None);
     };
-    let mut page = start_page(TAG_LEAF, slot.nkeys - 1, page_size)?;
+    let mut page = start_page(TAG_LEAF, slot.nkeys - 1, slot.used - (end - slot.at))?;
     page.extend_from_slice(&data[LEAF_HEADER_BYTES..slot.at]);
     page.extend_from_slice(&data[end..slot.used]);
     Ok(Some((finish_page(page, page_size)?, old.to_vec())))
@@ -497,7 +511,7 @@ fn internal_locate(data: &[u8], idx: usize) -> Result<(usize, usize, usize)> {
 /// relocated). Byte-identical to decode → assign → encode.
 pub fn internal_repoint(data: &[u8], idx: usize, child: u64, page_size: usize) -> Result<Vec<u8>> {
     let (_, child_at, used) = internal_locate(data, idx)?;
-    let mut page = Vec::with_capacity(used.max(page_size));
+    let mut page = Vec::with_capacity(used);
     page.extend_from_slice(&data[..used]);
     page[child_at..child_at + 8].copy_from_slice(&child.to_le_bytes());
     finish_page(page, page_size)
@@ -519,7 +533,7 @@ pub fn internal_insert(
     let (nkeys, child_at, used) = internal_locate(data, idx)?;
     let nkeys = nkeys + 1;
     let len = used + 2 + sep.len() + 8;
-    let mut page = start_page(TAG_INTERNAL, nkeys, len.max(page_size))?;
+    let mut page = start_page(TAG_INTERNAL, nkeys, len)?;
     page.extend_from_slice(&data[3..child_at]);
     page.extend_from_slice(&child.to_le_bytes());
     push_len(&mut page, sep.len())?;
@@ -527,7 +541,6 @@ pub fn internal_insert(
     page.extend_from_slice(&right.to_le_bytes());
     page.extend_from_slice(&data[child_at + 8..used]);
     if page.len() <= page_size {
-        page.resize(page_size, 0);
         return Ok(PageEdit::Fits(page));
     }
 
@@ -541,10 +554,10 @@ pub fn internal_insert(
     if up_end + 8 > page.len() {
         return Err(corrupt("truncated internal entry"));
     }
-    let mut left = start_page(TAG_INTERNAL, mid, page_size)?;
+    let mut left = start_page(TAG_INTERNAL, mid, pos)?;
     left.extend_from_slice(&page[3..pos]);
     // The right half starts at the child that followed the key moving up.
-    let mut right = start_page(TAG_INTERNAL, nkeys - mid - 1, page_size)?;
+    let mut right = start_page(TAG_INTERNAL, nkeys - mid - 1, 3 + page.len() - up_end)?;
     right.extend_from_slice(&page[up_end..]);
     Ok(PageEdit::Split {
         left: finish_page(left, page_size)?,
@@ -555,7 +568,7 @@ pub fn internal_insert(
 
 /// The page of a new root above the two halves of a split root.
 pub fn internal_root(left: u64, sep: &[u8], right: u64, page_size: usize) -> Result<Vec<u8>> {
-    let mut page = start_page(TAG_INTERNAL, 1, page_size)?;
+    let mut page = start_page(TAG_INTERNAL, 1, INTERNAL_HEADER_BYTES + 2 + sep.len() + 8)?;
     page.extend_from_slice(&left.to_le_bytes());
     push_len(&mut page, sep.len())?;
     page.extend_from_slice(sep);
@@ -564,20 +577,19 @@ pub fn internal_root(left: u64, sep: &[u8], right: u64, page_size: usize) -> Res
 }
 
 impl MetaPage {
-    /// Encode the meta page.
-    pub fn encode(&self, page_size: usize) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(page_size);
+    /// Encode the meta page (25 bytes).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(META_BYTES);
         buf.push(TAG_META);
         buf.extend_from_slice(&self.root.to_le_bytes());
         buf.extend_from_slice(&self.next_page_id.to_le_bytes());
         buf.extend_from_slice(&self.len.to_le_bytes());
-        buf.resize(page_size, 0);
         buf
     }
 
     /// Decode the meta page.
     pub fn decode(data: &[u8]) -> Result<MetaPage> {
-        if data.len() < 25 || data[0] != TAG_META {
+        if data.len() < META_BYTES || data[0] != TAG_META {
             return Err(corrupt("not a meta page"));
         }
         Ok(MetaPage {
@@ -601,7 +613,7 @@ mod tests {
             ],
         };
         let encoded = node.encode(256).unwrap();
-        assert_eq!(encoded.len(), 256);
+        assert_eq!(encoded.len(), node.encoded_size());
         assert_eq!(Node::decode(&encoded).unwrap(), node);
     }
 
@@ -622,8 +634,13 @@ mod tests {
             next_page_id: 99,
             len: 12345,
         };
-        let enc = m.encode(64);
+        let enc = m.encode();
+        assert_eq!(enc.len(), 25);
         assert_eq!(MetaPage::decode(&enc).unwrap(), m);
+        // A meta page an older build padded to its page size still decodes.
+        let mut padded = enc.clone();
+        padded.resize(64, 0);
+        assert_eq!(MetaPage::decode(&padded).unwrap(), m);
         assert!(MetaPage::decode(&[0u8; 64]).is_err());
     }
 
@@ -907,7 +924,9 @@ mod tests {
                         }
                     }
                 };
-                assert_eq!(page.len(), page_size);
+                // Stored at its encoded length: no zero tail.
+                assert_eq!(page.len(), Node::decode(&page).unwrap().encoded_size());
+                assert!(page.len() <= page_size);
             }
             // The sequence must have exercised every arm, not only appends.
             assert!(splits > 50, "page size {page_size}: {splits} splits");
@@ -962,7 +981,8 @@ mod tests {
                         }
                     }
                 };
-                assert_eq!(page.len(), page_size);
+                assert_eq!(page.len(), Node::decode(&page).unwrap().encoded_size());
+                assert!(page.len() <= page_size);
             }
             assert!(splits > 50, "page size {page_size}: {splits} splits");
             // A root above a split root is the one-key internal node.
@@ -979,40 +999,56 @@ mod tests {
         }
     }
 
+    /// A page padded to its page size — as every page an older build wrote is — or
+    /// carrying garbage past its last entry reads and edits exactly like the bare page,
+    /// and the edit writes it back without the tail.
     #[test]
-    fn editors_ignore_a_dirty_tail_and_rewrite_it_as_zeros() {
+    fn editors_ignore_a_padded_or_dirty_tail_and_drop_it() {
         let leaf = Node::Leaf {
             entries: vec![
                 (b"b".to_vec(), b"1".to_vec()),
                 (b"d".to_vec(), b"2".to_vec()),
             ],
         };
-        let clean = leaf.encode(64).unwrap();
-        let mut dirty = clean.clone();
-        dirty[leaf.encoded_size()..].fill(0xEE);
-        assert_eq!(
-            leaf_upsert(&dirty, b"c", b"x", 64).unwrap(),
-            leaf_upsert(&clean, b"c", b"x", 64).unwrap()
-        );
-        assert_eq!(
-            leaf_remove(&dirty, b"b", 64).unwrap(),
-            leaf_remove(&clean, b"b", 64).unwrap()
-        );
         let internal = Node::Internal {
             keys: vec![b"m".to_vec()],
             children: vec![1, 2],
         };
+        let with_tail = |clean: &[u8], fill: u8| {
+            let mut page = clean.to_vec();
+            page.resize(64, fill);
+            page
+        };
+        let clean = leaf.encode(64).unwrap();
+        assert_eq!(clean.len(), leaf.encoded_size());
+        for fill in [0, 0xEE] {
+            let tailed = with_tail(&clean, fill);
+            assert_eq!(Node::decode(&tailed).unwrap(), leaf);
+            assert_eq!(raw_leaf_search(&tailed, b"d").unwrap(), Some(&b"2"[..]));
+            assert_eq!(
+                leaf_upsert(&tailed, b"c", b"x", 64).unwrap(),
+                leaf_upsert(&clean, b"c", b"x", 64).unwrap()
+            );
+            assert_eq!(
+                leaf_remove(&tailed, b"b", 64).unwrap(),
+                leaf_remove(&clean, b"b", 64).unwrap()
+            );
+        }
         let clean = internal.encode(64).unwrap();
-        let mut dirty = clean.clone();
-        dirty[internal.encoded_size()..].fill(0xEE);
-        assert_eq!(
-            internal_repoint(&dirty, 1, 5, 64).unwrap(),
-            internal_repoint(&clean, 1, 5, 64).unwrap()
-        );
-        assert_eq!(
-            internal_insert(&dirty, 0, 5, b"c", 6, 64).unwrap(),
-            internal_insert(&clean, 0, 5, b"c", 6, 64).unwrap()
-        );
+        assert_eq!(clean.len(), internal.encoded_size());
+        for fill in [0, 0xEE] {
+            let tailed = with_tail(&clean, fill);
+            assert_eq!(Node::decode(&tailed).unwrap(), internal);
+            assert_eq!(raw_internal_search(&tailed, b"z").unwrap(), (1, 2, None));
+            assert_eq!(
+                internal_repoint(&tailed, 1, 5, 64).unwrap(),
+                internal_repoint(&clean, 1, 5, 64).unwrap()
+            );
+            assert_eq!(
+                internal_insert(&tailed, 0, 5, b"c", 6, 64).unwrap(),
+                internal_insert(&clean, 0, 5, b"c", 6, 64).unwrap()
+            );
+        }
     }
 
     /// Run every editor over a (possibly mangled) page; `Ok(())` only if all accept it.
@@ -1047,7 +1083,10 @@ mod tests {
             children: vec![10, 20, 30, 40],
         };
         for (node, is_leaf) in [(&leaf, true), (&internal, false)] {
-            let good = node.encode(page_size).unwrap();
+            // Padded to the page, as an older build stored it, so the truncations below
+            // also cut into a zero tail.
+            let mut good = node.encode(page_size).unwrap();
+            good.resize(page_size, 0);
             let used = node.encoded_size();
             run_every_editor(&good, is_leaf, page_size).unwrap();
 

@@ -1,4 +1,4 @@
-//! Page stores: where the B+-tree's fixed-size pages live.
+//! Page stores: where the B+-tree's pages live.
 //!
 //! The tree only needs `read_page` / `write_page`, and — since the shared-handle
 //! refactor — every method takes `&self`: implementations are internally synchronised so
@@ -24,19 +24,23 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Storage abstraction for fixed-size B+-tree pages.
+/// Storage abstraction for B+-tree pages of at most [`PageStore::page_size`] bytes.
 ///
 /// Implementations must be internally synchronised: the buffer pool calls them from any
 /// thread, holding at most one of its own shard latches.
 pub trait PageStore: Send + Sync {
-    /// Size of every page in bytes.
+    /// The largest page in bytes: the bound every node's split decision compares
+    /// against, not a length every page has.
     fn page_size(&self) -> usize;
 
-    /// Read a page; `None` if it was never written. The buffer is handed to the pool
-    /// as is (a frame holds it, readers share it), so it should own exactly one page.
+    /// Read a page; `None` if it was never written. Returns exactly the bytes the last
+    /// [`PageStore::write_page`] of `id` stored — a store does not pad them — so the
+    /// length varies from page to page (a page written padded, as older builds wrote
+    /// every node, comes back padded). The buffer is handed to the pool as is (a frame
+    /// holds it, readers share it), so it should own exactly one page.
     fn read_page(&self, id: u64) -> Result<Option<Bytes>>;
 
-    /// Write (or overwrite) a page. `data` must be exactly `page_size` bytes.
+    /// Write (or overwrite) a page: `data` is 1 to `page_size` bytes, stored as given.
     fn write_page(&self, id: u64, data: &[u8]) -> Result<()>;
 
     /// Flush any buffering to the underlying medium.
@@ -84,7 +88,12 @@ impl PageStore for MemPageStore {
     }
 
     fn write_page(&self, id: u64, data: &[u8]) -> Result<()> {
-        assert_eq!(data.len(), self.page_size, "page {id} has the wrong size");
+        assert!(
+            (1..=self.page_size).contains(&data.len()),
+            "page {id} has the wrong size: {} bytes, page size {}",
+            data.len(),
+            self.page_size
+        );
         self.pages.write().insert(id, Bytes::copy_from_slice(data));
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -201,10 +210,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wrong size")]
-    fn mem_store_rejects_wrong_size() {
+    fn mem_store_keeps_short_pages_at_their_length() {
         let s = MemPageStore::new(128);
-        s.write_page(1, &[0u8; 64]).unwrap();
+        s.write_page(1, &[5u8; 17]).unwrap();
+        s.write_page(2, &[6u8; 128]).unwrap();
+        assert_eq!(s.read_page(1).unwrap().unwrap(), vec![5u8; 17]);
+        assert_eq!(s.read_page(2).unwrap().unwrap(), vec![6u8; 128]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong size")]
+    fn mem_store_rejects_an_oversized_page() {
+        let s = MemPageStore::new(128);
+        s.write_page(1, &[0u8; 129]).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong size")]
+    fn mem_store_rejects_an_empty_page() {
+        let s = MemPageStore::new(128);
+        s.write_page(1, &[]).unwrap();
     }
 
     #[test]

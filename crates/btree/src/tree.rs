@@ -1,6 +1,7 @@
-//! The B+-tree itself: ordered byte-string keys and values over fixed-size pages served
-//! by a [`BufferPool`] — internally synchronised, so a shared tree serves concurrent
-//! readers and writers through `&self`.
+//! The B+-tree itself: ordered byte-string keys and values over pages of at most
+//! `page_size` bytes, each stored at its encoded length (see [`crate::node`]), served by
+//! a [`BufferPool`] — internally synchronised, so a shared tree serves concurrent readers
+//! and writers through `&self`.
 //!
 //! Features: point lookups, inserts/updates with recursive node splits, deletes (without
 //! rebalancing — pages may become underfull, which is harmless for the workloads here),
@@ -28,7 +29,7 @@
 //! * **Writers** descend optimistically recording the path (raw page snapshots, same
 //!   zero-decode search) in a fixed array of `MAX_DEPTH` levels, and then *edit the
 //!   encoded pages*: the leaf image is spliced by `node::leaf_upsert` / `leaf_remove`
-//!   (one pass over the snapshot, one page-sized copy, the old value returned), an
+//!   (one pass over the snapshot, one copy of its bytes, the old value returned), an
 //!   ancestor whose child relocated gets its 8-byte child pointer patched
 //!   (`node::internal_repoint`), one whose child split gets the separator spliced in
 //!   (`node::internal_insert`, which also splits the ancestor when it overflows).
@@ -274,7 +275,7 @@ impl<S: PageStore> BTree<S> {
                     len: 0,
                 };
                 pool.write(1, Node::empty_leaf().encode(page_size)?)?;
-                pool.write(META_PAGE, meta.encode(page_size))?;
+                pool.write(META_PAGE, meta.encode())?;
                 meta
             }
         };
@@ -1006,7 +1007,7 @@ impl<S: PageStore> BTree<S> {
                 next_page_id: self.alloc.lock().next_page_id,
                 len: self.len.load(Ordering::Acquire),
             };
-            self.pool.write(META_PAGE, meta.encode(self.page_size))?;
+            self.pool.write(META_PAGE, meta.encode())?;
         }
         self.pool.flush_all()
     }
@@ -1705,6 +1706,79 @@ mod tests {
                 format!("v-{i}").as_bytes()
             );
         }
+    }
+
+    /// One `MemPageStore` under two incarnations of a tree: `pad` stores every page
+    /// zero-filled to the page size, as every older build did; otherwise each page
+    /// must arrive bare, exactly its node's encoded length.
+    struct PaddingStore {
+        inner: std::sync::Arc<MemPageStore>,
+        pad: bool,
+    }
+    impl PageStore for PaddingStore {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn read_page(&self, id: u64) -> Result<Option<Bytes>> {
+            self.inner.read_page(id)
+        }
+        fn write_page(&self, id: u64, data: &[u8]) -> Result<()> {
+            if !self.pad {
+                assert_eq!(data.len(), Node::decode(data)?.encoded_size(), "page {id}");
+                return self.inner.write_page(id, data);
+            }
+            let mut page = data.to_vec();
+            page.resize(PAGE, 0);
+            self.inner.write_page(id, &page)
+        }
+    }
+
+    #[test]
+    fn a_tree_committed_on_padded_pages_reopens_reads_and_mutates() {
+        let inner = std::sync::Arc::new(MemPageStore::new(PAGE));
+        let open = |pad, frontier| {
+            let store = PaddingStore {
+                inner: inner.clone(),
+                pad,
+            };
+            BTree::open_shadow(BufferPool::new(store, 8), frontier).unwrap()
+        };
+        let commit = |tree: &BTree<PaddingStore>| {
+            let cut = tree.cut_epoch();
+            let frontier = (cut.root(), cut.next_page_id(), cut.len());
+            cut.commit();
+            Some(frontier)
+        };
+        let check = |tree: &BTree<PaddingStore>, model: &BTreeMap<Vec<u8>, Vec<u8>>| {
+            assert_eq!(tree.len() as usize, model.len());
+            let all = tree.range(b"", b"\xff").unwrap();
+            assert!(all.into_iter().eq(model.clone()));
+        };
+
+        let mut model = BTreeMap::new();
+        let padded = open(true, None);
+        for i in 0..600u32 {
+            padded.insert(&key(i), b"padded").unwrap();
+            model.insert(key(i), b"padded".to_vec());
+        }
+        let frontier = commit(&padded);
+        drop(padded);
+
+        let tree = open(false, frontier);
+        check(&tree, &model);
+        for i in 0..900u32 {
+            let k = key(i * 7 % 1_200);
+            if i % 5 == 0 {
+                assert_eq!(tree.delete(&k).unwrap(), model.remove(&k).is_some());
+            } else {
+                tree.insert(&k, b"bare").unwrap();
+                model.insert(k, b"bare".to_vec());
+            }
+        }
+        let frontier = commit(&tree);
+        check(&tree, &model);
+        drop(tree);
+        check(&open(false, frontier), &model);
     }
 
     #[test]

@@ -446,66 +446,98 @@ pub fn decode_segment(seg: SegmentId, image: &[u8]) -> Result<Option<ParsedSegme
 /// either decodes exactly as the whole image would ([`Front::Chain`], or the same
 /// error), or reports how long a prefix it needs ([`Front::Need`]).
 pub fn decode_front(seg: SegmentId, prefix: &[u8], segment_bytes: usize) -> Result<Front> {
-    let mut entries = Vec::new();
-    let (first, mut offset, mut payload_top) = match decode_extent(
-        seg,
-        prefix,
-        segment_bytes,
-        0,
-        segment_bytes,
-        None,
-        &mut entries,
-    )? {
-        Step::Extent(first, offset, payload_top) => (first, offset, payload_top),
-        Step::End => return Ok(Front::Chain(None)),
-        Step::Need(n) => return Ok(Front::Need(n)),
-    };
-    let mut header = SegmentHeader {
-        seal_seq: first.seal_seq,
-        sealed_at: first.sealed_at,
-        up2: first.up2,
-        entry_count: first.entry_count,
-        data_len: first.payload_len,
-        log_id: first.log_id,
-        extents: 1,
-    };
-    let mut prev_crc = first.crc;
-    loop {
-        let valid_entries = entries.len();
-        match decode_extent(
-            seg,
-            prefix,
+    ChainWalk::new(segment_bytes).resume(seg, prefix)
+}
+
+/// A chain walk that can stop at the end of a prefix and go on once the prefix has
+/// grown: everything [`decode_front`] knows after the extents it has validated, so
+/// [`read_front`] decodes each extent once however many reads the front takes.
+struct ChainWalk {
+    segment_bytes: usize,
+    /// Entries of the extents validated so far.
+    entries: Vec<SegmentEntry>,
+    /// The chain so far and its last header CRC; `None` before the first extent.
+    chain: Option<(SegmentHeader, u32)>,
+    /// Where the next extent would start, and the top of its payloads.
+    offset: usize,
+    payload_top: usize,
+}
+
+impl ChainWalk {
+    fn new(segment_bytes: usize) -> Self {
+        Self {
             segment_bytes,
-            offset,
-            payload_top,
-            Some((header.seal_seq, prev_crc)),
-            &mut entries,
-        ) {
-            Ok(Step::Extent(ext, next_offset, next_top)) => {
-                header.sealed_at = ext.sealed_at;
-                header.up2 = ext.up2;
-                header.entry_count += ext.entry_count;
-                header.data_len += ext.payload_len;
-                header.extents += 1;
-                prev_crc = ext.crc;
-                offset = next_offset;
-                payload_top = next_top;
-            }
-            Ok(Step::Need(n)) => return Ok(Front::Need(n)),
-            Ok(Step::End) | Err(_) => {
-                entries.truncate(valid_entries);
-                break;
-            }
+            entries: Vec::new(),
+            chain: None,
+            offset: 0,
+            payload_top: segment_bytes,
         }
     }
-    Ok(Front::Chain(Some(ParsedSegment { header, entries })))
+
+    /// Walk on from the last validated extent over `prefix` — the first bytes of the
+    /// image, at least as many as any earlier call was given.
+    fn resume(&mut self, seg: SegmentId, prefix: &[u8]) -> Result<Front> {
+        loop {
+            let valid_entries = self.entries.len();
+            let link = self.chain.map(|(header, crc)| (header.seal_seq, crc));
+            let step = decode_extent(
+                seg,
+                prefix,
+                self.segment_bytes,
+                self.offset,
+                self.payload_top,
+                link,
+                &mut self.entries,
+            );
+            match (step, &mut self.chain) {
+                (Ok(Step::Need(n)), _) => return Ok(Front::Need(n)),
+                (Ok(Step::Extent(ext, next_offset, next_top)), chain) => {
+                    (self.offset, self.payload_top) = (next_offset, next_top);
+                    match chain {
+                        None => {
+                            let header = SegmentHeader {
+                                seal_seq: ext.seal_seq,
+                                sealed_at: ext.sealed_at,
+                                up2: ext.up2,
+                                entry_count: ext.entry_count,
+                                data_len: ext.payload_len,
+                                log_id: ext.log_id,
+                                extents: 1,
+                            };
+                            *chain = Some((header, ext.crc));
+                        }
+                        Some((header, prev_crc)) => {
+                            header.sealed_at = ext.sealed_at;
+                            header.up2 = ext.up2;
+                            header.entry_count += ext.entry_count;
+                            header.data_len += ext.payload_len;
+                            header.extents += 1;
+                            *prev_crc = ext.crc;
+                        }
+                    }
+                }
+                // The first extent decides the slot: blank, or an error.
+                (Ok(Step::End), None) => return Ok(Front::Chain(None)),
+                (Err(e), None) => return Err(e),
+                // A later extent that does not validate ends the chain before it.
+                (Ok(Step::End) | Err(_), Some(_)) => {
+                    self.entries.truncate(valid_entries);
+                    break;
+                }
+            }
+        }
+        let (header, _) = self.chain.expect("the loop ends only after a first extent");
+        let entries = std::mem::take(&mut self.entries);
+        Ok(Front::Chain(Some(ParsedSegment { header, entries })))
+    }
 }
 
 /// Read a slot's front through `read(offset, len)` and decode its chain: a first read
-/// of `first_read` bytes (see [`front_bytes`]), then — while [`decode_front`] needs
-/// more — reads of only the missing bytes, each at least doubling the prefix (sector
-/// aligned, capped at the segment). `front` may already hold the slot's first bytes
-/// (a probed header); it ends up holding everything read.
+/// of `first_read` bytes (see [`front_bytes`]), then — while the chain may go on past
+/// what is held — reads of only the missing bytes, each at least doubling the prefix
+/// (sector aligned, capped at the segment). The walk resumes after each read at the
+/// extent it stopped in, so every extent is validated once. `front` may already hold
+/// the slot's first bytes (a probed header); it ends up holding everything read.
 ///
 /// The outer error is a failed read; the inner result is the decode verdict — exactly
 /// what [`decode_segment`] returns for the whole image.
@@ -516,8 +548,9 @@ pub fn read_front(
     front: &mut Vec<u8>,
     mut read: impl FnMut(usize, usize) -> Result<Vec<u8>>,
 ) -> Result<Result<Option<ParsedSegment>>> {
+    let mut walk = ChainWalk::new(segment_bytes);
     loop {
-        match decode_front(seg, front, segment_bytes) {
+        match walk.resume(seg, front) {
             Ok(Front::Chain(parsed)) => return Ok(Ok(parsed)),
             Err(e) => return Ok(Err(e)),
             Ok(Front::Need(needed)) => {
@@ -1269,6 +1302,19 @@ mod tests {
         (verdict, reads)
     }
 
+    /// The reads of a loop that decodes every grown prefix afresh from offset 0: what
+    /// [`read_front`] must read, byte for byte, while decoding each extent once.
+    fn redecoding_reads(slot: &[u8], first_read: usize) -> Vec<(usize, usize)> {
+        let mut reads = Vec::new();
+        let mut have = 0;
+        while let Ok(Front::Need(needed)) = decode_front(SegmentId(0), &slot[..have], slot.len()) {
+            let want = align_up(needed.max(2 * have).max(first_read)).min(slot.len());
+            reads.push((have, want - have));
+            have = want;
+        }
+        reads
+    }
+
     fn same_verdict(a: &Result<Option<ParsedSegment>>, b: &Result<Option<ParsedSegment>>) -> bool {
         match (a, b) {
             (Ok(a), Ok(b)) => a == b,
@@ -1322,6 +1368,7 @@ mod tests {
                 "{ctx}: {verdict:?} vs {whole:?}"
             );
             assert_eq!(reads[0], (0, first_read), "{ctx}");
+            assert_eq!(reads, redecoding_reads(&slot, first_read), "{ctx}");
             for pair in reads.windows(2) {
                 let (held, (off, len)) = (pair[0].0 + pair[0].1, pair[1]);
                 assert_eq!(off, held, "{ctx}: a read appends only the missing bytes");
