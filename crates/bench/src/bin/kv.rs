@@ -119,7 +119,6 @@ fn open(scale: Scale) -> KvStore {
         store,
         KvOptions {
             pool_pages: 2048,
-            tree_page_bytes: None,
             group_commit_window_us: std::env::var("LSS_KV_GROUP_COMMIT_US")
                 .ok()
                 .and_then(|s| s.parse().ok())

@@ -156,7 +156,6 @@ fn measure(
             store,
             KvOptions {
                 pool_pages: 2048,
-                tree_page_bytes: None,
                 group_commit_window_us: group_commit_us,
             },
         )

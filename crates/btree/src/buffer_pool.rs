@@ -1,4 +1,4 @@
-//! A fixed-capacity buffer pool with CLOCK (second-chance) eviction, dirty-page
+//! A byte-budgeted buffer pool with CLOCK (second-chance) eviction, dirty-page
 //! tracking and ordered write-back — internally synchronised behind sharded latches.
 //!
 //! The pool sits between the B+-tree and a [`crate::page_store::PageStore`]. Only dirty
@@ -6,6 +6,12 @@
 //! shapes the page-write I/O trace the paper's Figure 6 experiment replays (the authors
 //! used a 4 GiB buffer cache; the capacity here is configurable and scaled down together
 //! with the workload).
+//!
+//! The capacity is given in pages but held in bytes: `capacity × page_size`. A frame
+//! holds its page at the length it is stored — nodes are not padded to the page — so a
+//! pool of half-full pages caches twice as many of them. Each shard evicts, CLOCK
+//! order, until its frames fit its share of the budget; a pool of full pages therefore
+//! behaves exactly like a frame-counted one of `capacity` frames.
 //!
 //! Since the shared-handle refactor every method takes `&self`: frames are partitioned
 //! into up to 16 shards by page-id hash, each shard guarded by its own mutex with its
@@ -84,6 +90,24 @@ struct Shard {
     frames: Vec<Frame>,
     index: HashMap<u64, usize>,
     clock_hand: usize,
+    /// Bytes of page data the frames hold.
+    bytes: usize,
+}
+
+impl Shard {
+    /// Drop the frame at `idx` (written back first if its data is still needed); the
+    /// last frame takes its slot, and the CLOCK hand looks at that frame next.
+    fn remove(&mut self, idx: usize) {
+        let frame = self.frames.swap_remove(idx);
+        self.index.remove(&frame.page_id);
+        self.bytes -= frame.data.len();
+        if idx < self.frames.len() {
+            self.index.insert(self.frames[idx].page_id, idx);
+            self.clock_hand = idx;
+        } else {
+            self.clock_hand = 0;
+        }
+    }
 }
 
 /// A sharded CLOCK buffer pool over a [`PageStore`].
@@ -91,23 +115,25 @@ struct Shard {
 pub struct BufferPool<S: PageStore> {
     store: S,
     capacity: usize,
-    shard_capacity: usize,
+    /// Bytes of page data one shard may hold.
+    shard_budget: usize,
     shards: Box<[Mutex<Shard>]>,
     stats: AtomicPoolStats,
 }
 
 impl<S: PageStore> BufferPool<S> {
-    /// Create a pool holding up to `capacity` pages.
+    /// Create a pool holding up to `capacity` pages' worth of bytes: `capacity` full
+    /// pages, or more pages that are shorter.
     pub fn new(store: S, capacity: usize) -> Self {
         assert!(capacity >= 2, "buffer pool needs at least two frames");
         // Small pools stay single-sharded so their capacity (and eviction order) is
-        // exact; larger pools spread across up to 16 latches with >= 4 frames each.
+        // exact; larger pools spread across up to 16 latches with >= 4 pages each.
         let num_shards = (capacity / 4).clamp(1, 16);
-        let shard_capacity = capacity.div_ceil(num_shards);
+        let shard_budget = capacity.div_ceil(num_shards) * store.page_size();
         Self {
             store,
             capacity,
-            shard_capacity,
+            shard_budget,
             shards: (0..num_shards)
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
@@ -115,9 +141,16 @@ impl<S: PageStore> BufferPool<S> {
         }
     }
 
-    /// Pool capacity in pages.
+    /// Pool capacity in pages of [`BufferPool::page_size`] bytes.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// The most bytes of page data the pool holds: its capacity in pages times the
+    /// page size (rounded up to whole pages per shard).
+    #[cfg(test)]
+    fn budget_bytes(&self) -> usize {
+        self.shard_budget * self.shards.len()
     }
 
     /// Number of latch shards the frames are partitioned into.
@@ -128,6 +161,12 @@ impl<S: PageStore> BufferPool<S> {
     /// Number of pages currently cached.
     pub fn cached_pages(&self) -> usize {
         self.shards.iter().map(|s| s.lock().frames.len()).sum()
+    }
+
+    /// Bytes of page data currently cached.
+    #[cfg(test)]
+    fn cached_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().bytes).sum()
     }
 
     /// Number of dirty pages currently cached (gauge).
@@ -181,6 +220,19 @@ impl<S: PageStore> BufferPool<S> {
         }
     }
 
+    /// Read a page without installing it: a resident frame — dirty or clean — serves
+    /// it, a miss reads the store and leaves the pool as it was. For whole-tree walks,
+    /// which touch every page once. Not counted in the hit/miss statistics.
+    pub(crate) fn read_through(&self, page_id: u64) -> Result<Option<Bytes>> {
+        // The store read stays under the shard latch, as in `read`: the page cannot be
+        // halfway through an eviction's write-back while we read its store image.
+        let shard = self.shard(page_id).lock();
+        match shard.index.get(&page_id) {
+            Some(&idx) => Ok(Some(shard.frames[idx].data.clone())),
+            None => self.store.read_page(page_id),
+        }
+    }
+
     /// Write a page through the pool (kept dirty until evicted or flushed). `data` is
     /// the page as it is stored: 1 to `page_size` bytes, held and written back as is.
     pub fn write(&self, page_id: u64, data: Vec<u8>) -> Result<()> {
@@ -194,6 +246,14 @@ impl<S: PageStore> BufferPool<S> {
         let mut shard = self.shard(page_id).lock();
         if let Some(&idx) = shard.index.get(&page_id) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            let bytes = shard.bytes + data.len() - shard.frames[idx].data.len();
+            if bytes > self.shard_budget {
+                // The page grew past the shard's budget. Its old image is superseded,
+                // so the frame goes, and the new one is installed like a miss's.
+                shard.remove(idx);
+                return self.install(&mut shard, page_id, data, true);
+            }
+            shard.bytes = bytes;
             let f = &mut shard.frames[idx];
             f.data = data;
             f.dirty = true;
@@ -259,35 +319,40 @@ impl<S: PageStore> BufferPool<S> {
         &self.store
     }
 
+    /// Cache a page that is not resident, evicting until it fits the shard's budget.
+    /// The last victim's slot takes the new frame in place, so a pool of equal-size
+    /// pages evicts one frame per miss, in the order a frame-counted CLOCK does.
     fn install(&self, shard: &mut Shard, page_id: u64, data: Bytes, dirty: bool) -> Result<()> {
-        if shard.frames.len() < self.shard_capacity {
-            let idx = shard.frames.len();
-            shard.frames.push(Frame {
-                page_id,
-                data,
-                dirty,
-                referenced: true,
-            });
-            shard.index.insert(page_id, idx);
-            return Ok(());
-        }
-        let idx = self.evict_one(shard)?;
-        let old = shard.frames[idx].page_id;
-        shard.index.remove(&old);
-        shard.frames[idx] = Frame {
+        let frame = Frame {
             page_id,
             data,
             dirty,
             referenced: true,
         };
-        shard.index.insert(page_id, idx);
+        let len = frame.data.len();
+        while shard.bytes + len > self.shard_budget && !shard.frames.is_empty() {
+            let idx = self.evict_one(shard)?;
+            let freed = shard.frames[idx].data.len();
+            if shard.bytes - freed + len <= self.shard_budget {
+                shard.index.remove(&shard.frames[idx].page_id);
+                shard.bytes = shard.bytes - freed + len;
+                shard.frames[idx] = frame;
+                shard.index.insert(page_id, idx);
+                return Ok(());
+            }
+            shard.remove(idx);
+        }
+        shard.bytes += len;
+        shard.index.insert(page_id, shard.frames.len());
+        shard.frames.push(frame);
         Ok(())
     }
 
     /// CLOCK eviction within one shard: sweep until an unreferenced frame is found,
     /// clearing reference bits along the way; write the victim back if dirty (still
     /// under the shard latch, so no thread can read the store image of a page whose
-    /// write-back is in flight). Returns the freed frame index.
+    /// write-back is in flight). Returns the victim's index; the caller reuses or
+    /// removes its slot.
     fn evict_one(&self, shard: &mut Shard) -> Result<usize> {
         loop {
             let idx = shard.clock_hand;
@@ -442,6 +507,86 @@ mod tests {
         });
         pool.flush_all().unwrap();
         assert_eq!(pool.store().distinct_pages(), 256);
+    }
+
+    /// A page of `len` bytes, each byte derived from the page id and a version.
+    fn short_page(id: u64, version: u64, len: usize) -> Vec<u8> {
+        vec![(id * 31 + version) as u8; len]
+    }
+
+    #[test]
+    fn short_frames_stretch_the_budget_past_the_page_count() {
+        let store = TracingPageStore::new(MemPageStore::new(PS));
+        let pool = BufferPool::new(store, 4);
+        assert_eq!(pool.budget_bytes(), 4 * PS);
+        // Sixteen quarter pages are four pages' worth: all of them stay resident.
+        for i in 0..16u64 {
+            pool.write(i, short_page(i, 0, PS / 4)).unwrap();
+        }
+        assert_eq!(pool.cached_pages(), 16);
+        assert_eq!(pool.cached_bytes(), 4 * PS);
+        assert_eq!(pool.store().trace_len(), 0, "nothing was evicted");
+        // One more byte evicts: a pool counted in frames would have held only four.
+        pool.write(16, short_page(16, 0, 1)).unwrap();
+        assert_eq!(pool.cached_pages(), 16);
+        assert_eq!(pool.stats().dirty_evictions, 1);
+    }
+
+    /// Pages of random lengths, rewritten longer and shorter while they are resident,
+    /// read back after eviction: the pool never holds more bytes than its budget, dirty
+    /// frames reach the store when they are evicted, and every page reads back as it
+    /// was last written — through the pool and, after a flush, from the store.
+    #[test]
+    fn resident_bytes_stay_within_the_budget_and_evicted_dirty_frames_reach_the_store() {
+        for capacity in [4usize, 64] {
+            let pool = BufferPool::new(TracingPageStore::new(MemPageStore::new(PS)), capacity);
+            let budget = pool.budget_bytes();
+            assert!(budget >= capacity * PS && budget < (capacity + 16) * PS);
+            let mut state = capacity as u64;
+            let mut next = |n: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % n
+            };
+            let pages = 8 * capacity as u64;
+            let mut model = HashMap::new();
+            for version in 0..20 * pages {
+                let id = next(pages);
+                if next(3) == 0 {
+                    let got = pool.read(id).unwrap();
+                    assert_eq!(
+                        got.as_deref(),
+                        model.get(&id).map(Vec::as_slice),
+                        "page {id}"
+                    );
+                } else {
+                    let page = short_page(id, version, 1 + next(PS as u64) as usize);
+                    pool.write(id, page.clone()).unwrap();
+                    model.insert(id, page);
+                }
+                assert!(
+                    pool.cached_bytes() <= budget,
+                    "{} > {budget}",
+                    pool.cached_bytes()
+                );
+            }
+            let stats = pool.stats();
+            assert!(stats.dirty_evictions > 100, "{stats:?}");
+            assert!(
+                pool.cached_pages() > capacity,
+                "short pages must outnumber the capacity"
+            );
+            // Every dirty eviction was a store write; the flush writes the rest.
+            assert_eq!(pool.store().trace_len() as u64, stats.dirty_evictions);
+            pool.flush_all().unwrap();
+            for (id, page) in &model {
+                assert_eq!(
+                    pool.store().read_page(*id).unwrap().as_deref(),
+                    Some(&page[..])
+                );
+            }
+        }
     }
 
     #[test]

@@ -140,14 +140,16 @@ fn add_micros(counter: &AtomicU64, since: Instant) {
 }
 
 /// Options for opening a [`KvStore`].
+///
+/// The index page size is the store's `page_bytes` (at least 64, the tree's minimum):
+/// no node outgrows it, leaves split past half of it, and each node is stored at its
+/// encoded length, not padded to it.
 #[derive(Debug, Clone)]
 pub struct KvOptions {
-    /// Buffer-pool capacity for index pages, in pages.
+    /// Buffer-pool budget for index pages, in pages: the pool holds up to
+    /// `pool_pages × page_bytes` bytes of nodes at their encoded lengths, so it caches
+    /// more than `pool_pages` nodes when they are short.
     pub pool_pages: usize,
-    /// Index page size in bytes — the bound every node split compares against; each
-    /// node is stored at its encoded length, not padded to it. Defaults to the store's
-    /// configured page size (clamped to at least 64, the tree's minimum).
-    pub tree_page_bytes: Option<usize>,
     /// Group-commit window in microseconds: how long the leader of a commit
     /// generation waits for further [`KvStore::flush`] callers to batch into the
     /// same superblock flip. `0` (the default) commits per call, exactly the
@@ -159,7 +161,6 @@ impl Default for KvOptions {
     fn default() -> Self {
         Self {
             pool_pages: 256,
-            tree_page_bytes: None,
             group_commit_window_us: 0,
         }
     }
@@ -326,25 +327,78 @@ struct UserAlloc {
     freed_epoch: Vec<PageId>,
 }
 
+/// A set of page ids below a watermark, one bit per id. Both id spaces the KV layer
+/// allocates — tree ids and user page ids — are dense below their watermarks, since
+/// freed ids are reused before the watermark moves. The bitmap covers ids below
+/// `64 × live pages`, so it never costs more than 8 bytes a live page; ids above that —
+/// only a watermark far past the store's contents has any — go to a hash set.
+struct IdBitmap {
+    words: Vec<u64>,
+    spill: FxHashSet<u64>,
+    limit: u64,
+}
+
+impl IdBitmap {
+    fn below(limit: u64, live_pages: u64) -> Self {
+        let dense = limit.min(live_pages.saturating_add(1).saturating_mul(64));
+        Self {
+            words: vec![0; dense.div_ceil(64) as usize],
+            spill: FxHashSet::default(),
+            limit,
+        }
+    }
+
+    /// Add `id`; `false` if it is at or past the watermark.
+    fn insert(&mut self, id: u64) -> bool {
+        if id >= self.limit {
+            return false;
+        }
+        match self.words.get_mut((id / 64) as usize) {
+            Some(word) => *word |= 1 << (id % 64),
+            None => {
+                self.spill.insert(id);
+            }
+        }
+        true
+    }
+
+    fn contains(&self, id: u64) -> bool {
+        match self.words.get((id / 64) as usize) {
+            Some(word) => word & (1 << (id % 64)) != 0,
+            None => self.spill.contains(&id),
+        }
+    }
+}
+
 /// What an index reaches: its tree page ids, the user pages its leaves map, and its
 /// key count.
 struct Reach {
-    tree: FxHashSet<u64>,
-    user: FxHashSet<PageId>,
+    tree: IdBitmap,
+    user: IdBitmap,
     keys: u64,
 }
 
 impl Reach {
     /// Walk the whole tree (quiescing writers for the walk), reading each leaf's
-    /// values where they lie in its encoded page.
-    fn walk(tree: &BTree<KvTreeStore>) -> Result<Self> {
+    /// values where they lie in its encoded page. Every id must lie below its
+    /// watermark — `tree_next` for tree pages, `user_next` for user pages — which the
+    /// allocators guarantee; one past it is corruption.
+    fn walk(tree: &BTree<KvTreeStore>, tree_next: u64, user_next: PageId) -> Result<Self> {
+        let live = tree.store().store.live_pages() as u64;
         let mut reach = Reach {
-            tree: FxHashSet::default(),
-            user: FxHashSet::default(),
+            tree: IdBitmap::below(tree_next, live),
+            user: IdBitmap::below(user_next, live),
             keys: 0,
         };
+        let past = |kind: &str, id: u64, limit: u64| {
+            Error::CorruptCheckpoint(format!(
+                "kv index reaches {kind} page {id}, past its watermark {limit}"
+            ))
+        };
         tree.walk(|id, page| {
-            reach.tree.insert(id);
+            if !reach.tree.insert(id) {
+                return Err(past("tree", id, tree_next));
+            }
             if raw_is_leaf(page)? {
                 for entry in raw_leaf_entries(page)? {
                     let (_, v) = entry?;
@@ -354,7 +408,9 @@ impl Reach {
                             v.len()
                         ))
                     })?;
-                    reach.user.insert(user);
+                    if !reach.user.insert(user) {
+                        return Err(past("user", user, user_next));
+                    }
                     reach.keys += 1;
                 }
             }
@@ -492,10 +548,7 @@ impl KvStore {
         opts: &KvOptions,
     ) -> Result<(BufferPool<KvTreeStore>, Arc<KvCounters>)> {
         let max_payload = lss_core::layout::max_single_payload(store.config().segment_bytes);
-        let page_size = opts
-            .tree_page_bytes
-            .unwrap_or(store.config().page_bytes)
-            .max(64);
+        let page_size = store.config().page_bytes.max(64);
         if page_size > max_payload {
             return Err(Error::InvalidConfig(format!(
                 "kv tree page size {page_size} exceeds the segment payload limit {max_payload}"
@@ -538,7 +591,7 @@ impl KvStore {
             tree: reachable_tree,
             user: referenced_user,
             keys,
-        } = Reach::walk(&tree)?;
+        } = Reach::walk(&tree, sb.tree_next_page, sb.user_next_page)?;
         if keys != sb.len {
             return Err(Error::CorruptCheckpoint(format!(
                 "kv superblock records {} keys but the committed tree holds {keys}",
@@ -558,13 +611,13 @@ impl KvStore {
         for page in store.live_page_ids() {
             if page >= TREE_BASE {
                 let id = page - TREE_BASE;
-                if !reachable_tree.contains(&id) {
+                if !reachable_tree.contains(id) {
                     store.delete(page)?;
                     if id < sb.tree_next_page {
                         tree_free.push(id);
                     }
                 }
-            } else if page < USER_PAGE_LIMIT && !referenced_user.contains(&page) {
+            } else if page < USER_PAGE_LIMIT && !referenced_user.contains(page) {
                 store.delete(page)?;
                 if page < sb.user_next_page {
                     user_free.push(page);
@@ -920,17 +973,18 @@ impl KvStore {
     /// Empty on a sound store; call it while no flip runs.
     #[doc(hidden)]
     pub fn misfiled_free_ids_for_tests(&self) -> Result<Vec<PageId>> {
-        let reach = Reach::walk(&self.tree)?;
+        let user_next = self.alloc.lock().next;
+        let reach = Reach::walk(&self.tree, self.tree.next_page_id(), user_next)?;
         let mut listed = FxHashSet::default();
         let mut misfiled = Vec::new();
         for id in self.tree.free_ids() {
-            if reach.tree.contains(&id) || !listed.insert(TREE_BASE + id) {
+            if reach.tree.contains(id) || !listed.insert(TREE_BASE + id) {
                 misfiled.push(TREE_BASE + id);
             }
         }
         let user_free = self.alloc.lock().free.clone();
         for id in user_free {
-            if reach.user.contains(&id) || !listed.insert(id) {
+            if reach.user.contains(id) || !listed.insert(id) {
                 misfiled.push(id);
             }
         }
@@ -1026,6 +1080,8 @@ mod tests {
         );
 
         let kv2 = restart(kv);
+        // The reopen walk read every index page through the pool and installed none.
+        assert_eq!(kv2.tree.pool().cached_pages(), 0);
         assert_eq!(kv2.len(), 299);
         assert!(kv2.get(b"key-0007").unwrap().is_none());
         assert_eq!(
@@ -1108,6 +1164,48 @@ mod tests {
         let err = KvStore::open(store).unwrap_err();
         assert!(matches!(err, Error::CorruptCheckpoint(_)), "got {err}");
         assert!(err.to_string().contains("slot A"), "got {err}");
+    }
+
+    /// The reopen sweep keeps what the committed tree reaches in bitmaps below the
+    /// superblock's watermarks. A superblock whose watermark lies below a page its tree
+    /// reaches is corrupt — the allocator would hand that page out again — and reopening
+    /// it is an explicit error.
+    #[test]
+    fn a_watermark_below_a_reachable_page_is_an_explicit_error() {
+        let committed = || {
+            let kv = kv();
+            for i in 0..600u32 {
+                kv.put(format!("k{i:05}").as_bytes(), b"v").unwrap();
+            }
+            kv.flush().unwrap();
+            let slot = superblock_slot(kv.stats().epoch);
+            let store = kv.into_inner();
+            let sb = Superblock::decode(&store.get(slot).unwrap().unwrap()).unwrap();
+            (store, slot, sb)
+        };
+        let (_, _, sb) = committed();
+        for bad in [
+            Superblock {
+                user_next_page: 10,
+                ..sb
+            },
+            Superblock {
+                tree_next_page: sb.root + 1,
+                ..sb
+            },
+        ] {
+            assert!(bad.tree_next_page < sb.tree_next_page || bad.user_next_page < 600);
+            let (store, slot, _) = committed();
+            store.put(slot, &bad.encode()).unwrap();
+            store.flush().unwrap();
+            let cfg = store.config().clone();
+            let recovered = LogStore::recover_with_device(cfg, store.into_device()).unwrap();
+            let err = KvStore::open(recovered).unwrap_err();
+            assert!(
+                matches!(&err, Error::CorruptCheckpoint(m) if m.contains("watermark")),
+                "{bad:?}: got {err}"
+            );
+        }
     }
 
     #[test]
@@ -1241,26 +1339,27 @@ mod tests {
         kv
     }
 
-    /// Index pages carry only their bytes: every page the tree stores is exactly its
-    /// node's encoded length, while the tree keeps the shape — page count, depth,
-    /// pages written, commits — that it had when every page was padded to 4 KiB.
+    /// Index pages carry only their bytes, and leaves split past half the page: every
+    /// page the tree stores is exactly its node's encoded length, and the same run
+    /// writes about half the index bytes it wrote when leaves split at the whole page.
     #[test]
     fn index_pages_are_stored_at_their_encoded_length_and_the_tree_keeps_its_shape() {
         let kv = seeded_single_thread_run();
         let stats = kv.stats();
         let page_size = kv.store().config().page_bytes as u64;
-        // Recorded when every node was padded to the page (index_bytes_written was
-        // then 6054 × 4096): the same splits, at the same keys, into the same pages.
-        assert_eq!(stats.index_pages_written, 6054);
+        // Recorded when leaves began to split past half the page (the tree's shape
+        // follows the split rule, not the storage).
+        assert_eq!(stats.index_pages_written, 5602);
         assert_eq!(stats.superblock_commits, 13);
-        assert_eq!(tree_shape(&kv), (272, 3));
+        assert_eq!(tree_shape(&kv), (539, 3));
         for (id, page) in stored_index_pages(kv.store()) {
             let encoded = Node::decode(&page).unwrap().encoded_size();
             assert_eq!(page.len(), encoded, "index page {id:#x} carries a tail");
         }
+        // ~0.28 of the pages' worth: leaves average about a quarter page.
         assert!(
             (stats.index_bytes_written as f64)
-                < 0.6 * (stats.index_pages_written * page_size) as f64,
+                < 0.35 * (stats.index_pages_written * page_size) as f64,
             "{} bytes in {} index pages of {page_size}",
             stats.index_bytes_written,
             stats.index_pages_written

@@ -13,13 +13,17 @@
 //! keys has `nkeys + 1` children; separator `keys[i]` is the smallest key reachable via
 //! `children[i + 1]`.
 //!
-//! The page size is a bound, not a length: every overflow and split decision compares
-//! the encoded length against it, so a tree splits at the same keys whatever its pages
-//! weigh, and what goes to the page store is only the node's own bytes (on the log
-//! store a page costs its bytes, twice: once written, once reclaimed). A page may still
-//! carry a zero tail — every page an older build wrote was padded to the page size —
-//! so readers bound-check against the slice they are given and stop after the last
-//! entry, and an edit of such a page writes it back without the tail.
+//! The page size is a bound, not a length: no node image may exceed it, and what goes
+//! to the page store is only the node's own bytes (on the log store a page costs its
+//! bytes, twice: once written, once reclaimed). Internal nodes split when they outgrow
+//! the page; leaves split earlier, once they outgrow a smaller *target* (the tree uses
+//! half the page), so a rewritten leaf costs half as much log. A leaf splits at its
+//! byte midpoint, which keeps both halves within the page for any leaf of up to a page
+//! plus one maximum-size entry — so a full-page leaf an older build wrote still takes
+//! any insert. A page may still carry a zero tail — every page an older build wrote was
+//! padded to the page size — so readers bound-check against the slice they are given
+//! and stop after the last entry, and an edit of such a page writes it back without
+//! the tail.
 //!
 //! The tree works on these images directly. Reads search them in place
 //! ([`raw_internal_search`], [`raw_leaf_search`], [`raw_leaf_entries`]); writes edit
@@ -394,14 +398,17 @@ fn leaf_locate<'a>(data: &'a [u8], key: &[u8]) -> Result<LeafSlot<'a>> {
 }
 
 /// Insert or overwrite `key` in an encoded leaf by splicing the page image: returns
-/// the edit and the previous value. The output is byte for byte what decoding the
-/// leaf, editing the entry list and re-encoding produces — including, on overflow,
-/// the split point (the first entry boundary past half a page, else the middle) and
-/// the separator (the right half's first key).
+/// the edit and the previous value. A result of more than `target` bytes splits (one
+/// entry alone never does); no image may exceed `page_size`. The output is byte for
+/// byte what decoding the leaf, editing the entry list and re-encoding produces —
+/// including, on a split, the split point (the first entry boundary past half the
+/// edited leaf's bytes, else the middle) and the separator (the right half's first
+/// key).
 pub fn leaf_upsert(
     data: &[u8],
     key: &[u8],
     value: &[u8],
+    target: usize,
     page_size: usize,
 ) -> Result<(PageEdit, Option<Vec<u8>>)> {
     let slot = leaf_locate(data, key)?;
@@ -418,8 +425,8 @@ pub fn leaf_upsert(
     page.extend_from_slice(value);
     page.extend_from_slice(&data[tail..slot.used]);
     let old = slot.hit.map(|(v, _)| v.to_vec());
-    if page.len() <= page_size {
-        return Ok((PageEdit::Fits(page), old));
+    if page.len() <= target || nkeys < 2 {
+        return Ok((PageEdit::Fits(finish_page(page, page_size)?), old));
     }
 
     // Overflow. `pos` after entry i is exactly the accumulated encoded size.
@@ -428,20 +435,17 @@ pub fn leaf_upsert(
         pos: LEAF_HEADER_BYTES,
         remaining: nkeys,
     };
-    let middle = (nkeys / 2).max(1);
+    let middle = nkeys / 2;
     let (mut count, mut cut) = (middle, 0);
     for i in 0..nkeys {
         it.next().transpose()?;
         if i + 1 == middle {
             cut = it.pos;
         }
-        if it.pos > page_size / 2 && i + 1 < nkeys {
+        if it.pos > page.len() / 2 && i + 1 < nkeys {
             (count, cut) = (i + 1, it.pos);
             break;
         }
-    }
-    if count >= nkeys {
-        return Err(corrupt("a single leaf entry overflows the page"));
     }
     let sep_len = u16_at(&page, cut)?;
     let sep = page[cut + 4..cut + 4 + sep_len].to_vec();
@@ -770,17 +774,21 @@ mod tests {
         }
     }
 
-    /// The tree's leaf split rule as the decoded write path had it: the first index
-    /// where the accumulated encoded size exceeds half the page, else the middle.
-    fn split_point(entries: &[(Vec<u8>, Vec<u8>)], page_size: usize) -> usize {
+    /// The leaf split rule over a decoded entry list: the first index where the
+    /// accumulated encoded size exceeds half the leaf's, else the middle.
+    fn split_point(entries: &[(Vec<u8>, Vec<u8>)]) -> usize {
+        let total = Node::Leaf {
+            entries: entries.to_vec(),
+        }
+        .encoded_size();
         let mut acc = LEAF_HEADER_BYTES;
         for (i, (k, v)) in entries.iter().enumerate() {
             acc += 4 + k.len() + v.len();
-            if acc > page_size / 2 && i + 1 < entries.len() {
-                return (i + 1).max(1);
+            if acc > total / 2 && i + 1 < entries.len() {
+                return i + 1;
             }
         }
-        (entries.len() / 2).max(1)
+        entries.len() / 2
     }
 
     fn leaf_entries(data: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -801,6 +809,7 @@ mod tests {
         data: &[u8],
         key: &[u8],
         value: &[u8],
+        target: usize,
         page_size: usize,
     ) -> (PageEdit, Option<Vec<u8>>) {
         let mut entries = leaf_entries(data);
@@ -811,14 +820,15 @@ mod tests {
                 None
             }
         };
-        let node = Node::Leaf { entries };
-        if node.encoded_size() <= page_size {
-            return (PageEdit::Fits(node.encode(page_size).unwrap()), old);
+        let size = Node::Leaf {
+            entries: entries.clone(),
         }
-        let Node::Leaf { mut entries } = node else {
-            unreachable!()
-        };
-        let right = entries.split_off(split_point(&entries, page_size));
+        .encoded_size();
+        if size <= target || entries.len() < 2 {
+            let page = Node::Leaf { entries }.encode(page_size).unwrap();
+            return (PageEdit::Fits(page), old);
+        }
+        let right = entries.split_off(split_point(&entries));
         let edit = PageEdit::Split {
             sep: right[0].0.clone(),
             left: Node::Leaf { entries }.encode(page_size).unwrap(),
@@ -880,9 +890,13 @@ mod tests {
 
     #[test]
     fn leaf_editors_match_decode_edit_encode_byte_for_byte() {
-        for page_size in [64usize, 256, 4096] {
+        // The tree's half-page leaves, and leaves that fill the page.
+        for (page_size, target) in [64usize, 256, 4096]
+            .into_iter()
+            .flat_map(|p| [(p, p / 2), (p, p)])
+        {
             let max_entry = page_size / 4;
-            let mut rng = Rng(page_size as u64);
+            let mut rng = Rng((page_size + target) as u64);
             let mut page = Node::empty_leaf().encode(page_size).unwrap();
             let (mut splits, mut overwrites, mut removals) = (0, 0, 0);
             for _ in 0..EDITS_PER_PAGE_SIZE {
@@ -907,9 +921,10 @@ mod tests {
                     let len = rng.below(max_entry - key.len() + 1);
                     rng.bytes(len)
                 };
-                let (edit, old) = leaf_upsert(&page, &key, &value, page_size).unwrap();
-                let (want, want_old) = reference_leaf_upsert(&page, &key, &value, page_size);
-                assert_eq!(edit, want, "page size {page_size}");
+                let (edit, old) = leaf_upsert(&page, &key, &value, target, page_size).unwrap();
+                let (want, want_old) =
+                    reference_leaf_upsert(&page, &key, &value, target, page_size);
+                assert_eq!(edit, want, "page size {page_size}, target {target}");
                 assert_eq!(old, want_old);
                 overwrites += old.is_some() as usize;
                 page = match edit {
@@ -929,12 +944,83 @@ mod tests {
                 assert!(page.len() <= page_size);
             }
             // The sequence must have exercised every arm, not only appends.
-            assert!(splits > 50, "page size {page_size}: {splits} splits");
+            let at = format!("page size {page_size}, target {target}");
+            assert!(splits > 50, "{at}: {splits} splits");
+            assert!(overwrites > 500, "{at}: {overwrites} overwrites");
+            assert!(removals > 500, "{at}: {removals} removals");
+        }
+    }
+
+    /// The tree's leaf rule — split past half the page, entries of up to a quarter page
+    /// of key and value — over leaves of every fill up to the whole page, which is what
+    /// an older build split at: no edit yields an image larger than the page, every
+    /// result larger than the target splits, and both halves keep at least one entry.
+    #[test]
+    fn half_page_leaves_split_every_overflow_and_never_outgrow_the_page() {
+        for page_size in [64usize, 256, 4096] {
+            let (target, max_entry) = (page_size / 2, page_size / 4);
+            let mut rng = Rng(page_size as u64 ^ 0x5EED);
+            let (mut splits, mut full_page_splits) = (0, 0);
+            for round in 0..1_000 {
+                // A leaf filled to a random size — every other one as close to the
+                // whole page as its entries allow — with entries of up to a random cap.
+                let fill = if round % 2 == 0 {
+                    page_size
+                } else {
+                    rng.below(page_size + 1)
+                };
+                let cap = 1 + rng.below(max_entry);
+                let mut entries = std::collections::BTreeMap::new();
+                let (mut size, mut misses) = (LEAF_HEADER_BYTES, 0);
+                while misses < 32 {
+                    let klen = 1 + rng.below(cap);
+                    let vlen = rng.below(cap - klen + 1);
+                    let key = rng.bytes(klen);
+                    if entries.contains_key(&key) || size + 4 + klen + vlen > fill {
+                        misses += 1;
+                        continue;
+                    }
+                    size += 4 + klen + vlen;
+                    entries.insert(key, rng.bytes(vlen));
+                }
+                let leaf = Node::Leaf {
+                    entries: entries.clone().into_iter().collect(),
+                }
+                .encode(page_size)
+                .unwrap();
+                // A maximum-size entry, half the time overwriting a key already there.
+                let key = match entries.keys().nth(rng.below(entries.len().max(1))) {
+                    Some(k) if rng.below(2) == 0 => k.clone(),
+                    _ => {
+                        let len = 1 + rng.below(max_entry);
+                        rng.bytes(len)
+                    }
+                };
+                let value = rng.bytes(max_entry - key.len());
+                let (edit, _) = leaf_upsert(&leaf, &key, &value, target, page_size).unwrap();
+                entries.insert(key, value);
+                let want: Vec<_> = entries.into_iter().collect();
+                match edit {
+                    PageEdit::Fits(page) => {
+                        assert!(page.len() <= target || want.len() == 1, "{}", page.len());
+                        assert_eq!(leaf_entries(&page), want);
+                    }
+                    PageEdit::Split { left, sep, right } => {
+                        splits += 1;
+                        full_page_splits += (leaf.len() > page_size - max_entry) as usize;
+                        assert!(left.len() <= page_size && right.len() <= page_size);
+                        let (left, right) = (leaf_entries(&left), leaf_entries(&right));
+                        assert!(!left.is_empty() && !right.is_empty());
+                        assert_eq!(right[0].0, sep);
+                        assert_eq!([left, right].concat(), want);
+                    }
+                }
+            }
+            assert!(splits > 300, "page size {page_size}: {splits} splits");
             assert!(
-                overwrites > 500,
-                "page size {page_size}: {overwrites} overwrites"
+                full_page_splits > 100,
+                "page size {page_size}: {full_page_splits} splits of a nearly full page"
             );
-            assert!(removals > 500, "page size {page_size}: {removals} removals");
         }
     }
 
@@ -1026,8 +1112,8 @@ mod tests {
             assert_eq!(Node::decode(&tailed).unwrap(), leaf);
             assert_eq!(raw_leaf_search(&tailed, b"d").unwrap(), Some(&b"2"[..]));
             assert_eq!(
-                leaf_upsert(&tailed, b"c", b"x", 64).unwrap(),
-                leaf_upsert(&clean, b"c", b"x", 64).unwrap()
+                leaf_upsert(&tailed, b"c", b"x", 32, 64).unwrap(),
+                leaf_upsert(&clean, b"c", b"x", 32, 64).unwrap()
             );
             assert_eq!(
                 leaf_remove(&tailed, b"b", 64).unwrap(),
@@ -1056,7 +1142,7 @@ mod tests {
         if leaf {
             // Keys before, inside and past the entries, so every walk length runs.
             for key in [&b""[..], b"a", b"m", b"zzzz"] {
-                leaf_upsert(data, key, b"v", page_size)?;
+                leaf_upsert(data, key, b"v", page_size / 2, page_size)?;
                 leaf_remove(data, key, page_size)?;
             }
         } else {
@@ -1141,15 +1227,15 @@ mod tests {
         // Edits whose own arguments cannot be encoded.
         let good = leaf.encode(page_size).unwrap();
         let long = vec![b'k'; usize::from(u16::MAX) + 1];
-        assert!(leaf_upsert(&good, &long, b"", page_size).is_err());
-        assert!(leaf_upsert(&good, b"k", &long, page_size).is_err());
+        assert!(leaf_upsert(&good, &long, b"", page_size / 2, page_size).is_err());
+        assert!(leaf_upsert(&good, b"k", &long, page_size / 2, page_size).is_err());
         let good = internal.encode(page_size).unwrap();
         assert!(internal_insert(&good, 0, 1, &long, 2, page_size).is_err());
         assert!(internal_repoint(&good, 4, 1, page_size).is_err());
         assert!(internal_insert(&good, 4, 1, b"s", 2, page_size).is_err());
         // A lone entry larger than the page cannot be split into two pages.
         let empty = Node::empty_leaf().encode(64).unwrap();
-        assert!(leaf_upsert(&empty, &[b'k'; 80], b"", 64).is_err());
+        assert!(leaf_upsert(&empty, &[b'k'; 80], b"", 32, 64).is_err());
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The B+-tree itself: ordered byte-string keys and values over pages of at most
 //! `page_size` bytes, each stored at its encoded length (see [`crate::node`]), served by
 //! a [`BufferPool`] — internally synchronised, so a shared tree serves concurrent readers
-//! and writers through `&self`.
+//! and writers through `&self`. Internal nodes split when they outgrow the page, leaves
+//! once they outgrow half of it: a leaf is what nearly every mutation rewrites, and a
+//! smaller leaf costs less log per write.
 //!
 //! Features: point lookups, inserts/updates with recursive node splits, deletes (without
 //! rebalancing — pages may become underfull, which is harmless for the workloads here),
@@ -165,6 +167,8 @@ impl TreeStats {
 pub struct BTree<S: PageStore> {
     pool: BufferPool<S>,
     page_size: usize,
+    /// A leaf whose image outgrows this many bytes splits (half the page).
+    leaf_target: usize,
     /// Copy-on-write mode (see the module docs).
     shadow: bool,
     /// Page id of the root node (changes under the root's version lock).
@@ -333,6 +337,7 @@ impl<S: PageStore> BTree<S> {
         Self {
             pool,
             page_size,
+            leaf_target: page_size / 2,
             shadow,
             root: AtomicU64::new(meta.root),
             len: AtomicU64::new(meta.len),
@@ -359,7 +364,8 @@ impl<S: PageStore> BTree<S> {
     }
 
     /// Largest key+value payload the tree accepts (a quarter page, so that any two
-    /// entries always fit after a split).
+    /// entries always fit after a split, and a leaf split at its byte midpoint leaves
+    /// both halves within the page even when the leaf filled a whole page).
     pub fn max_entry_size(&self) -> usize {
         self.page_size / 4
     }
@@ -410,6 +416,11 @@ impl<S: PageStore> BTree<S> {
     /// The reusable-page-id list, as it stands (for audits).
     pub(crate) fn free_ids(&self) -> Vec<u64> {
         self.alloc.lock().free.clone()
+    }
+
+    /// The page-id watermark: every page the tree has allocated is below it.
+    pub(crate) fn next_page_id(&self) -> u64 {
+        self.alloc.lock().next_page_id
     }
 
     // ------------------------------------------------------------------
@@ -639,7 +650,9 @@ impl<S: PageStore> BTree<S> {
 
     /// Visit every reachable page (pre-order) as its encoded image, e.g. for
     /// reachability sweeps after a restart; an error from `f` ends the walk. Quiesces
-    /// all writers for a stable traversal.
+    /// all writers for a stable traversal. The walk reads through the pool: resident
+    /// pages come from their frames, the rest straight from the store, and nothing is
+    /// installed — a walk touches every page once and would only evict the working set.
     pub fn walk(&self, mut f: impl FnMut(u64, &[u8]) -> Result<()>) -> Result<()> {
         let _quiesced = self.epoch_latch.write();
         self.walk_rec(self.root.load(Ordering::Acquire), &mut f)
@@ -725,7 +738,13 @@ impl<S: PageStore> BTree<S> {
         // Phase 2: the new leaf image(s) and the old value, spliced straight from the
         // encoded snapshot.
         let (leaf, old) = match value {
-            Some(v) => leaf_upsert(&path[leaf_i].bytes, key, v, self.page_size)?,
+            Some(v) => leaf_upsert(
+                &path[leaf_i].bytes,
+                key,
+                v,
+                self.leaf_target,
+                self.page_size,
+            )?,
             None => match leaf_remove(&path[leaf_i].bytes, key, self.page_size)? {
                 Some((page, old)) => (PageEdit::Fits(page), Some(old)),
                 // Delete miss: the validated leaf snapshot proves absence — return
@@ -1075,7 +1094,10 @@ impl<S: PageStore> BTree<S> {
     }
 
     fn walk_rec(&self, page: u64, f: &mut impl FnMut(u64, &[u8]) -> Result<()>) -> Result<()> {
-        let bytes = self.pool.read(page)?.ok_or_else(|| missing_page(page))?;
+        let bytes = self
+            .pool
+            .read_through(page)?
+            .ok_or_else(|| missing_page(page))?;
         f(page, &bytes)?;
         if raw_is_leaf(&bytes)? {
             return Ok(());
@@ -1363,7 +1385,7 @@ mod tests {
     }
 
     /// Depth of the tree (levels on the leftmost spine) and its number of empty leaves.
-    fn shape(t: &BTree<MemPageStore>) -> (usize, usize) {
+    fn shape<S: PageStore>(t: &BTree<S>) -> (usize, usize) {
         let mut nodes = std::collections::HashMap::new();
         t.walk(|id, page| {
             nodes.insert(id, Node::decode(page)?);
@@ -1445,6 +1467,14 @@ mod tests {
             let (depth, _) = shape(&tree);
             assert!(depth >= 3, "depth {depth}: no internal node ever split");
             assert_matches_model(&tree, &model);
+            // Every leaf this tree wrote split once it passed half the page.
+            tree.walk(|id, page| {
+                if raw_is_leaf(page)? {
+                    assert!(page.len() <= PAGE / 2, "leaf {id}: {} bytes", page.len());
+                }
+                Ok(())
+            })
+            .unwrap();
 
             // Hollow out a run of whole leaves, look through the hole, refill it.
             for i in 400..700 {
@@ -1781,6 +1811,72 @@ mod tests {
         check(&open(false, frontier), &model);
     }
 
+    /// A leaf an older build filled to the whole 4 KiB page — committed, as in a shadow
+    /// tree's store, or in place, as in a stand-alone one — takes a maximum-size insert
+    /// anywhere in its key range: it splits into halves that both fit, with no error,
+    /// and the next edits split what is still past half a page.
+    #[test]
+    fn a_full_page_leaf_from_an_older_build_takes_a_max_size_insert_and_splits() {
+        const PAGE_4K: usize = 4096;
+        let entries: Vec<(Vec<u8>, Vec<u8>)> =
+            (0..39u32).map(|i| (key(i * 10), vec![b'o'; 88])).collect();
+        let leaf = Node::Leaf {
+            entries: entries.clone(),
+        };
+        assert!(
+            leaf.encoded_size() > PAGE_4K - 100,
+            "{}",
+            leaf.encoded_size()
+        );
+        let image = leaf.encode(PAGE_4K).unwrap();
+        for (shadow, at) in [(true, 5u32), (true, 381), (false, 0), (false, 205)] {
+            let store = MemPageStore::new(PAGE_4K);
+            store.write_page(1, &image).unwrap();
+            let pool = BufferPool::new(store, 8);
+            let tree = if shadow {
+                BTree::open_shadow(pool, Some((1, 2, 39))).unwrap()
+            } else {
+                pool.write(
+                    META_PAGE,
+                    MetaPage {
+                        root: 1,
+                        next_page_id: 2,
+                        len: 39,
+                    }
+                    .encode(),
+                )
+                .unwrap();
+                BTree::open(pool).unwrap()
+            };
+            let big = key(at);
+            let value = vec![b'n'; tree.max_entry_size() - big.len()];
+            tree.insert(&big, &value).unwrap();
+            let (depth, _) = shape(&tree);
+            assert_eq!(depth, 2, "the full leaf split under a new root");
+            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = entries.iter().cloned().collect();
+            model.insert(big, value);
+            assert_eq!(
+                tree.range(b"", b"~").unwrap(),
+                model.clone().into_iter().collect::<Vec<_>>()
+            );
+            // Overwrites shrink nothing: every leaf past half a page splits at its next
+            // edit, and none is left above the page.
+            for (k, _) in entries.iter().step_by(3) {
+                tree.insert(k, b"o").unwrap();
+                model.insert(k.clone(), b"o".to_vec());
+            }
+            assert_eq!(
+                tree.range(b"", b"~").unwrap(),
+                model.into_iter().collect::<Vec<_>>()
+            );
+            tree.walk(|_, page| {
+                assert!(page.len() <= PAGE_4K);
+                Ok(())
+            })
+            .unwrap();
+        }
+    }
+
     #[test]
     fn walk_visits_every_reachable_node_exactly_once() {
         let t = new_tree();
@@ -1841,18 +1937,28 @@ mod tests {
         }
     }
 
-    /// A committed shadow tree over a [`FailingStore`] with a 2-frame pool: once
-    /// `fail` is set, any mutation that relocates a root-to-leaf path (three
-    /// writes minimum at 200 keys / 256-byte pages) must dirty-evict mid-apply
-    /// and surface the injected error partway through its writes.
+    /// A key of [`committed_failing_shadow_tree`]: 40 bytes, so an internal node holds
+    /// at most four separators, and a leaf one entry.
+    fn long_key(i: u32) -> Vec<u8> {
+        format!("{i:040}").into_bytes()
+    }
+
+    /// The value every key of [`committed_failing_shadow_tree`] starts with.
+    const SEED: &[u8] = &[b's'; 24];
+
+    /// A committed shadow tree over a [`FailingStore`] with a pool of two pages'
+    /// worth: once `fail` is set, any mutation that relocates a root-to-leaf path
+    /// (seven levels at 300 keys, its internal nodes at least 111 of 256 bytes) writes
+    /// more than the pool holds, so it must dirty-evict mid-apply and surface the
+    /// injected error partway through its writes.
     fn committed_failing_shadow_tree() -> BTree<FailingStore> {
         let store = FailingStore {
             inner: MemPageStore::new(PAGE),
             fail: std::sync::atomic::AtomicBool::new(false),
         };
         let tree = BTree::open_shadow(BufferPool::new(store, 2), None).unwrap();
-        for i in 0..200u32 {
-            tree.insert(&key(i), b"seed").unwrap();
+        for i in 0..300u32 {
+            tree.insert(&long_key(i), SEED).unwrap();
         }
         tree.cut_epoch().commit();
         assert!(
@@ -1867,8 +1973,8 @@ mod tests {
         let tree = committed_failing_shadow_tree();
         tree.store().fail.store(true, Ordering::Relaxed);
         assert!(
-            tree.insert(&key(42), b"rewrite").is_err(),
-            "a 2-frame pool must dirty-evict (and so fail) mid-apply"
+            tree.insert(&long_key(42), b"rewrite").is_err(),
+            "a pool of two pages' worth must dirty-evict (and so fail) mid-apply"
         );
         // The regression: the committed pages this attempt queued for release
         // must not stay on `freed`, or the next checkpoint commit would delete
@@ -1879,18 +1985,18 @@ mod tests {
         );
         tree.store().fail.store(false, Ordering::Relaxed);
         // The old root was never superseded: the failed mutation is invisible.
-        assert_eq!(tree.get(&key(42)).unwrap().as_deref(), Some(&b"seed"[..]));
+        assert_eq!(tree.get(&long_key(42)).unwrap().as_deref(), Some(SEED));
         // The tree is fully usable and the next commit releases only pages the
         // committed tree no longer references: scribbling over their storage —
         // the moral equivalent of the store deleting them — must break nothing.
-        tree.insert(&key(42), b"after").unwrap();
+        tree.insert(&long_key(42), b"after").unwrap();
         for id in tree.cut_epoch().commit() {
             tree.store().inner.write_page(id, &[0xAA; PAGE]).unwrap();
         }
-        assert_eq!(tree.get(&key(42)).unwrap().unwrap(), b"after");
-        for i in (0..200u32).step_by(7) {
+        assert_eq!(tree.get(&long_key(42)).unwrap().unwrap(), b"after");
+        for i in (0..300u32).step_by(7) {
             if i != 42 {
-                assert_eq!(tree.get(&key(i)).unwrap().as_deref(), Some(&b"seed"[..]));
+                assert_eq!(tree.get(&long_key(i)).unwrap().as_deref(), Some(SEED));
             }
         }
     }
@@ -1903,30 +2009,30 @@ mod tests {
         tree.store().fail.store(true, Ordering::Relaxed);
         {
             let _quiesced = tree.epoch_latch.write();
-            assert!(tree.insert_quiesced(&key(57), b"rewrite").is_err());
+            assert!(tree.insert_quiesced(&long_key(57), b"rewrite").is_err());
         }
         assert!(
             tree.alloc.lock().freed.is_empty(),
             "failed quiesced insert left committed pages on the freed queue"
         );
         tree.store().fail.store(false, Ordering::Relaxed);
-        assert_eq!(tree.get(&key(57)).unwrap().as_deref(), Some(&b"seed"[..]));
+        assert_eq!(tree.get(&long_key(57)).unwrap().as_deref(), Some(SEED));
 
         // Re-commit (clean pool, empty freed queue), then the delete path.
         tree.cut_epoch().commit();
         tree.store().fail.store(true, Ordering::Relaxed);
         {
             let _quiesced = tree.epoch_latch.write();
-            assert!(tree.delete_quiesced(&key(100)).is_err());
+            assert!(tree.delete_quiesced(&long_key(100)).is_err());
         }
         assert!(
             tree.alloc.lock().freed.is_empty(),
             "failed quiesced delete left committed pages on the freed queue"
         );
         tree.store().fail.store(false, Ordering::Relaxed);
-        assert_eq!(tree.get(&key(100)).unwrap().as_deref(), Some(&b"seed"[..]));
-        assert!(tree.delete(&key(100)).unwrap());
-        assert_eq!(tree.len(), 199);
+        assert_eq!(tree.get(&long_key(100)).unwrap().as_deref(), Some(SEED));
+        assert!(tree.delete(&long_key(100)).unwrap());
+        assert_eq!(tree.len(), 299);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! decoder the cleaner runs on whole images — applies the same rules to the prefix.
 //! [`crate::StoreStats::recovery_bytes_read`] reports what the last recovery read.
 //! The page table is built once: the newest versions are kept in the page table's own
-//! shards, and each shard's final map is allocated at its final size and handed to the
-//! store whole.
+//! shards as the [`PageLocation`]s it holds — a segment's seal sequence, which breaks
+//! ties between copies of one write, is read from a per-segment array — and each
+//! shard's map, its tombstones dropped in place, is handed to the store whole.
 //!
 //! A slot's extent chain is replayed up to the first extent that fails validation: a
 //! persist point whose write never completed was never acknowledged, so dropping it —
@@ -76,34 +77,40 @@ pub struct ScanReport {
     pub replayed_segments: usize,
 }
 
-struct PageVersion {
-    write_seq: WriteSeq,
-    seal_seq: SealSeq,
-    loc: PageLocation,
-    tombstone: bool,
-}
-
 /// The newest version of every page replayed so far — the largest `(write_seq,
-/// seal_seq)` wins, tombstones included — kept in the page table's shards. The rule is a
-/// maximum, so the order segments are replayed in does not matter.
+/// seal_seq)` wins, tombstones included — kept in the page table's shards as the very
+/// [`PageLocation`]s the page table holds: the write sequence is in the location, the
+/// seal sequence is its segment's (`seal`, indexed by segment id), and a tombstone is a
+/// location of length [`layout::TOMBSTONE_LEN`]. The rule is a maximum, so the order
+/// segments are replayed in does not matter.
 struct Newest {
-    shards: Vec<FxHashMap<PageId, PageVersion>>,
+    shards: Vec<FxHashMap<PageId, PageLocation>>,
+    seal: Vec<SealSeq>,
 }
 
 impl Newest {
-    fn new() -> Self {
+    /// An empty map for a device of `num_segments` slots; `seal` must be set for every
+    /// segment before a location in it is offered.
+    fn new(num_segments: usize) -> Self {
         Self {
             shards: (0..PAGE_TABLE_SHARDS)
                 .map(|_| FxHashMap::default())
                 .collect(),
+            seal: vec![0; num_segments],
         }
     }
 
-    fn offer(&mut self, page: PageId, candidate: PageVersion) {
+    fn rank(&self, loc: &PageLocation) -> (WriteSeq, SealSeq) {
+        (loc.write_seq, self.seal[loc.segment.index()])
+    }
+
+    fn offer(&mut self, page: PageId, candidate: PageLocation) {
+        let rank = self.rank(&candidate);
         match self.shards[shard_of(page)].entry(page) {
             Entry::Occupied(mut cur) => {
                 let held = cur.get();
-                if (held.write_seq, held.seal_seq) < (candidate.write_seq, candidate.seal_seq) {
+                let held = (held.write_seq, self.seal[held.segment.index()]);
+                if held < rank {
                     cur.insert(candidate);
                 }
             }
@@ -115,47 +122,39 @@ impl Newest {
 
     /// Offer every entry of a decoded segment; returns the largest write sequence seen.
     fn replay(&mut self, id: SegmentId, parsed: &ParsedSegment) -> WriteSeq {
+        self.seal[id.index()] = parsed.header.seal_seq;
         let mut max_write_seq = 0;
         for e in &parsed.entries {
             max_write_seq = max_write_seq.max(e.write_seq);
             self.offer(
                 e.page_id,
-                PageVersion {
+                PageLocation {
+                    segment: id,
+                    offset: e.offset,
+                    len: e.len,
                     write_seq: e.write_seq,
-                    seal_seq: parsed.header.seal_seq,
-                    loc: PageLocation {
-                        segment: id,
-                        offset: e.offset,
-                        len: e.payload_len(),
-                        write_seq: e.write_seq,
-                    },
-                    tombstone: e.is_tombstone(),
                 },
             );
         }
         max_write_seq
     }
 
-    /// The live pages as a page table — each shard's map allocated once, at its final
-    /// size, while the shard's versions are dropped — and every segment's live
-    /// `(bytes, pages)`, indexed by segment id.
-    fn into_live(self, num_segments: usize) -> (PageTable, Vec<(u64, u64)>) {
-        let mut live = vec![(0u64, 0u64); num_segments];
-        let shards = self
-            .shards
-            .into_iter()
-            .map(|versions| {
-                let count = versions.values().filter(|v| !v.tombstone).count();
-                let mut map = FxHashMap::with_capacity_and_hasher(count, Default::default());
-                for (page, v) in versions.into_iter().filter(|(_, v)| !v.tombstone) {
-                    let seg = &mut live[v.loc.segment.index()];
-                    seg.0 += v.loc.len as u64;
-                    seg.1 += 1;
-                    map.insert(page, v.loc);
+    /// The live pages as a page table — each shard's map kept, its tombstones dropped
+    /// in place — and every segment's live `(bytes, pages)`, indexed by segment id.
+    fn into_live(self) -> (PageTable, Vec<(u64, u64)>) {
+        let mut live = vec![(0u64, 0u64); self.seal.len()];
+        let mut shards = self.shards;
+        for map in &mut shards {
+            map.retain(|_, loc| {
+                if loc.len == layout::TOMBSTONE_LEN {
+                    return false;
                 }
-                map
-            })
-            .collect();
+                let seg = &mut live[loc.segment.index()];
+                seg.0 += loc.len as u64;
+                seg.1 += 1;
+                true
+            });
+        }
         (PageTable::from_shards(shards), live)
     }
 }
@@ -284,7 +283,7 @@ pub fn recover_with_report(
     let bytes_read = reader.bytes_read;
 
     // Pass 2: replay every entry, newest version of each page wins.
-    let mut newest = Newest::new();
+    let mut newest = Newest::new(config.num_segments);
     let mut max_write_seq: WriteSeq = 0;
     let mut max_unow = 0;
     for (id, p) in &parsed_segments {
@@ -293,7 +292,7 @@ pub fn recover_with_report(
     }
 
     // Pass 3: the page table and per-segment live statistics.
-    let (mapping, live) = newest.into_live(config.num_segments);
+    let (mapping, live) = newest.into_live();
     report.live_pages = mapping.len();
     report.replayed_segments = report.sealed_segments;
 
@@ -389,28 +388,37 @@ pub fn recover_from_checkpoint_with_report(
     let bytes_read = reader.bytes_read;
 
     // Pass 2: seed the newest versions from the checkpoint, ranking each entry with its
-    // owning segment's seal sequence, then replay the tail on top.
-    let mut newest = Newest::new();
+    // owning segment's seal sequence, then replay the tail on top. A slot resealed after
+    // the frontier no longer holds what the checkpoint recorded in it — the cleaner
+    // moved or dropped every live page before reusing it, into the tail — so its
+    // checkpoint entries are skipped: ranked with the slot's new seal sequence, a stale
+    // one could outrank the relocated copy.
+    let mut newest = Newest::new(config.num_segments);
+    let mut in_tail = vec![false; config.num_segments];
+    for (id, r) in &records {
+        newest.seal[id.index()] = r.seal_seq;
+    }
+    for (id, _) in &tail {
+        in_tail[id.index()] = true;
+    }
     for p in &cp.pages {
         let seg = SegmentId(p.segment);
-        let Some(owner) = records.get(&seg) else {
+        if !records.contains_key(&seg) {
             return Err(Error::CorruptCheckpoint(format!(
                 "page {} references segment {} absent from the checkpoint",
                 p.page, p.segment
             )));
-        };
+        }
+        if in_tail[seg.index()] {
+            continue;
+        }
         newest.offer(
             p.page,
-            PageVersion {
+            PageLocation {
+                segment: seg,
+                offset: p.offset,
+                len: p.len,
                 write_seq: p.write_seq,
-                seal_seq: owner.seal_seq,
-                loc: PageLocation {
-                    segment: seg,
-                    offset: p.offset,
-                    len: p.len,
-                    write_seq: p.write_seq,
-                },
-                tombstone: false,
             },
         );
     }
@@ -425,12 +433,11 @@ pub fn recover_from_checkpoint_with_report(
 
     // Pass 3: final page table, and per-segment live stats from the *final* mapping
     // (a tail segment may have relocated pages away from recorded segments).
-    let (mapping, live) = newest.into_live(config.num_segments);
+    let (mapping, live) = newest.into_live();
     report.live_pages = mapping.len();
 
     let capacity = layout::payload_capacity(config.segment_bytes, config.page_bytes) as u64;
     let mut table = SegmentTable::new(config.num_segments);
-    let mut in_tail = vec![false; config.num_segments];
     for (id, p) in &tail {
         // Tail segments recompute their tombstone charge from their entry tables.
         let h = &p.header;
@@ -443,7 +450,6 @@ pub fn recover_from_checkpoint_with_report(
             live[id.index()],
             tombstone_bytes(p),
         );
-        in_tail[id.index()] = true;
     }
     let mut resealed = 0;
     for (id, r) in &records {

@@ -643,6 +643,8 @@ struct KvSection {
     commit_us: u64,
     index_write_amplification: f64,
     pool_hit_ratio: f64,
+    pool_dirty_evictions: u64,
+    pool_flush_writes: u64,
 }
 
 #[derive(Serialize)]
@@ -706,6 +708,8 @@ fn stats_json(shared: &Shared) -> String {
             commit_us: kv_stats.commit_us,
             index_write_amplification: kv_stats.index_write_amplification(),
             pool_hit_ratio: kv_stats.pool.hit_ratio(),
+            pool_dirty_evictions: kv_stats.pool.dirty_evictions,
+            pool_flush_writes: kv_stats.pool.flush_writes,
         },
         store: StoreSection {
             user_pages_written: store_stats.user_pages_written,

@@ -465,6 +465,20 @@ fn concurrent_durable_puts_share_flips() {
         "{ops} durable PUTs at {CONNS} x depth {DEPTH} took {flips} flips"
     );
     assert_eq!(kv.len() as u64, ops);
+    // STATS splits the index's page writes into commit write-backs and evictions.
+    let stats = Client::connect(&addr).unwrap().stats().unwrap();
+    let pool = kv.stats().pool;
+    assert!(pool.flush_writes > 0, "{pool:?}");
+    assert_eq!(
+        stat(&stats, "pool_flush_writes"),
+        pool.flush_writes,
+        "{stats}"
+    );
+    assert_eq!(
+        stat(&stats, "pool_dirty_evictions"),
+        pool.dirty_evictions,
+        "{stats}"
+    );
     server.shutdown();
 }
 
