@@ -20,6 +20,17 @@
 //! held (the underlying [`PageStore`] is `&self` and internally synchronised).
 //! Statistics are lock-free atomics.
 //!
+//! A shadow-mode tree stores most leaves it rewrites as *deltas* against a committed
+//! base (see [`crate::node`]), and its pool knows it (`BufferPool::with_leaf_deltas`);
+//! any other pool holds whatever bytes it is given. A frame always holds the
+//! consolidated leaf, so readers and editors never see a delta; a delta leaf's frame
+//! also holds its base id and the delta image, both counted against the budget, and
+//! eviction and write-back store the delta. A miss on a delta page reads its base as
+//! well — straight from the store, without installing it: a base is a committed page,
+//! never dirty — and consolidates the two before it installs the frame, which keeps the
+//! base id but not the delta: the tree stores a leaf whose delta was read back whole at
+//! its next write, so the clean frame's delta has no further use.
+//!
 //! Write-back discipline: [`BufferPool::write_back`] flushes dirty pages in ascending
 //! page-id order (ordered write-back — sequential-friendly for the store underneath and
 //! deterministic for tests), marks each frame clean only after its store write
@@ -28,23 +39,55 @@
 //! index pages are written and synced (barrier 1) strictly before the superblock flip
 //! (barrier 2).
 
+use crate::node::{delta_apply, raw_delta_base};
 use crate::page_store::PageStore;
 use bytes::Bytes;
 use lss_core::util::mix64;
-use lss_core::Result;
+use lss_core::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// How a leaf is stored: as a delta against a committed base.
+#[derive(Debug, Clone)]
+pub(crate) struct LeafDelta {
+    /// The base page the delta applies to.
+    pub(crate) base: u64,
+    /// The delta page itself — what the store holds for the leaf — or `None` once a
+    /// miss has read it back from the store, and its base with it: the leaf's next
+    /// write stores it whole (see `tree`), so nothing needs the delta any more, and the
+    /// clean frame never writes it.
+    pub(crate) image: Option<Bytes>,
+}
 
 #[derive(Debug)]
 struct Frame {
     page_id: u64,
     /// Shared with readers: a pool hit hands out a clone of the handle, so the page
     /// bytes are never copied under the shard latch (the latch hold is O(1)). A miss
-    /// installs the store's buffer as it came — no copy on the way in either.
+    /// installs the store's buffer as it came — no copy on the way in either. For a
+    /// delta leaf, the consolidated leaf.
     data: Bytes,
+    /// The delta that stores the page, if it is stored as one.
+    delta: Option<LeafDelta>,
     dirty: bool,
     referenced: bool,
+}
+
+impl Frame {
+    /// Bytes of the budget the frame takes: its page, and its delta if it keeps one.
+    fn len(&self) -> usize {
+        self.data.len() + self.delta_image().map_or(0, Bytes::len)
+    }
+
+    fn delta_image(&self) -> Option<&Bytes> {
+        self.delta.as_ref().and_then(|d| d.image.as_ref())
+    }
+
+    /// What the store holds for the page: the delta, if the frame keeps one.
+    fn stored(&self) -> &Bytes {
+        self.delta_image().unwrap_or(&self.data)
+    }
 }
 
 /// Buffer pool statistics.
@@ -92,15 +135,19 @@ struct Shard {
     clock_hand: usize,
     /// Bytes of page data the frames hold.
     bytes: usize,
+    /// Bumped whenever a frame comes, goes or is replaced: a miss that read outside the
+    /// latch knows by it that the store may hold something newer for its page.
+    changes: u64,
 }
 
 impl Shard {
     /// Drop the frame at `idx` (written back first if its data is still needed); the
     /// last frame takes its slot, and the CLOCK hand looks at that frame next.
     fn remove(&mut self, idx: usize) {
+        self.changes += 1;
         let frame = self.frames.swap_remove(idx);
         self.index.remove(&frame.page_id);
-        self.bytes -= frame.data.len();
+        self.bytes -= frame.len();
         if idx < self.frames.len() {
             self.index.insert(self.frames[idx].page_id, idx);
             self.clock_hand = idx;
@@ -119,6 +166,8 @@ pub struct BufferPool<S: PageStore> {
     shard_budget: usize,
     shards: Box<[Mutex<Shard>]>,
     stats: AtomicPoolStats,
+    /// The store may hold leaf deltas, which a miss consolidates with their bases.
+    leaf_deltas: bool,
 }
 
 impl<S: PageStore> BufferPool<S> {
@@ -138,7 +187,15 @@ impl<S: PageStore> BufferPool<S> {
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             stats: AtomicPoolStats::default(),
+            leaf_deltas: false,
         }
+    }
+
+    /// The pool of a shadow-mode tree, whose store may hold leaf deltas: a miss on one
+    /// reads its base and installs the consolidated leaf.
+    pub(crate) fn with_leaf_deltas(mut self) -> Self {
+        self.leaf_deltas = true;
+        self
     }
 
     /// Pool capacity in pages of [`BufferPool::page_size`] bytes.
@@ -201,68 +258,167 @@ impl<S: PageStore> BufferPool<S> {
     /// clones only the frame's handle, so concurrent readers of hot pages (every
     /// descent touches the root) do not serialise on a byte copy.
     pub fn read(&self, page_id: u64) -> Result<Option<Bytes>> {
-        let mut shard = self.shard(page_id).lock();
-        if let Some(&idx) = shard.index.get(&page_id) {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            shard.frames[idx].referenced = true;
-            return Ok(Some(shard.frames[idx].data.clone()));
-        }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        // The store read happens under the shard latch: this serialises misses within a
-        // shard but guarantees a page is installed at most once and that no thread can
-        // observe the store image of a page another thread is concurrently evicting.
-        match self.store.read_page(page_id)? {
-            Some(data) => {
-                self.install(&mut shard, page_id, data.clone(), false)?;
-                Ok(Some(data))
+        self.read_with(page_id, |f| f.data.clone())
+    }
+
+    /// [`BufferPool::read`], with the delta that stores the page if it is stored as one
+    /// (the writer's view: a leaf's delta is what a mutation extends).
+    pub(crate) fn read_leaf(&self, page_id: u64) -> Result<Option<(Bytes, Option<LeafDelta>)>> {
+        self.read_with(page_id, |f| (f.data.clone(), f.delta.clone()))
+    }
+
+    /// Read a page through the pool and hand what `view` takes of its frame.
+    fn read_with<T>(&self, page_id: u64, view: impl FnOnce(&Frame) -> T) -> Result<Option<T>> {
+        let mut missed = false;
+        loop {
+            let changes = {
+                let mut shard = self.shard(page_id).lock();
+                if let Some(&idx) = shard.index.get(&page_id) {
+                    if !missed {
+                        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    shard.frames[idx].referenced = true;
+                    return Ok(Some(view(&shard.frames[idx])));
+                }
+                if !missed {
+                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                    missed = true;
+                }
+                shard.changes
+            };
+            // The store is read with the latch released, so a miss — two reads and a
+            // merge for a delta — holds up no other reader of the shard. What the store
+            // holds for a page that is not resident changes only through a frame of its
+            // shard (an eviction's write-back, or a write installing it first), so if no
+            // frame came or went meanwhile the read is current and the page still
+            // absent; otherwise the miss starts over, and finds the page resident or
+            // reads the store again.
+            let loaded = self.load(page_id);
+            let mut shard = self.shard(page_id).lock();
+            if shard.changes != changes {
+                continue;
             }
-            None => Ok(None),
+            let Some((data, delta)) = loaded? else {
+                return Ok(None);
+            };
+            let frame = Frame {
+                page_id,
+                data,
+                delta,
+                dirty: false,
+                referenced: true,
+            };
+            let out = view(&frame);
+            self.install(&mut shard, frame)?;
+            return Ok(Some(out));
         }
     }
 
     /// Read a page without installing it: a resident frame — dirty or clean — serves
     /// it, a miss reads the store and leaves the pool as it was. For whole-tree walks,
-    /// which touch every page once. Not counted in the hit/miss statistics.
-    pub(crate) fn read_through(&self, page_id: u64) -> Result<Option<Bytes>> {
-        // The store read stays under the shard latch, as in `read`: the page cannot be
-        // halfway through an eviction's write-back while we read its store image.
+    /// which touch every page once. Returns the page (a delta leaf consolidated) and
+    /// the base of its delta, if it is stored as one. Not counted in the hit/miss
+    /// statistics.
+    pub(crate) fn read_through(&self, page_id: u64) -> Result<Option<(Bytes, Option<u64>)>> {
+        // A walk reads each page once, so it keeps the store read under the shard latch
+        // rather than re-checking: the page cannot be halfway through an eviction's
+        // write-back while we read its store image.
         let shard = self.shard(page_id).lock();
-        match shard.index.get(&page_id) {
-            Some(&idx) => Ok(Some(shard.frames[idx].data.clone())),
-            None => self.store.read_page(page_id),
-        }
+        let page = match shard.index.get(&page_id) {
+            Some(&idx) => {
+                let f = &shard.frames[idx];
+                Some((f.data.clone(), f.delta.clone()))
+            }
+            None => self.load(page_id)?,
+        };
+        Ok(page.map(|(data, delta)| (data, delta.map(|d| d.base))))
+    }
+
+    /// A page as the store holds it: a delta comes back consolidated with its base, the
+    /// base read straight from the store and not installed.
+    fn load(&self, page_id: u64) -> Result<Option<(Bytes, Option<LeafDelta>)>> {
+        let Some(stored) = self.store.read_page(page_id)? else {
+            return Ok(None);
+        };
+        let base = match self.leaf_deltas {
+            true => raw_delta_base(&stored)?,
+            false => None,
+        };
+        let Some(base) = base else {
+            return Ok(Some((stored, None)));
+        };
+        let base_image = self.store.read_page(base)?.ok_or_else(|| {
+            Error::CorruptCheckpoint(format!(
+                "delta page {page_id} names base {base}, which the store does not hold"
+            ))
+        })?;
+        let leaf = delta_apply(&base_image, &stored, self.page_size())?;
+        Ok(Some((
+            Bytes::from(leaf),
+            Some(LeafDelta { base, image: None }),
+        )))
     }
 
     /// Write a page through the pool (kept dirty until evicted or flushed). `data` is
     /// the page as it is stored: 1 to `page_size` bytes, held and written back as is.
     pub fn write(&self, page_id: u64, data: Vec<u8>) -> Result<()> {
+        self.write_leaf(page_id, data, None)
+    }
+
+    /// [`BufferPool::write`] for a leaf stored as `delta` when it has one: the frame
+    /// holds `data`, the consolidated leaf, and eviction and write-back store the delta.
+    pub(crate) fn write_leaf(
+        &self,
+        page_id: u64,
+        data: Vec<u8>,
+        delta: Option<LeafDelta>,
+    ) -> Result<()> {
+        let page_size = self.store.page_size();
         assert!(
-            (1..=self.store.page_size()).contains(&data.len()),
-            "page {page_id} has the wrong size: {} bytes, page size {}",
+            (1..=page_size).contains(&data.len())
+                && delta
+                    .as_ref()
+                    .and_then(|d| d.image.as_ref())
+                    .is_none_or(|i| i.len() <= page_size),
+            "page {page_id} has the wrong size: {} bytes, page size {page_size}",
             data.len(),
-            self.store.page_size()
         );
-        let data = Bytes::from(data);
+        let frame = Frame {
+            page_id,
+            data: Bytes::from(data),
+            delta,
+            dirty: true,
+            referenced: true,
+        };
         let mut shard = self.shard(page_id).lock();
         if let Some(&idx) = shard.index.get(&page_id) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            let bytes = shard.bytes + data.len() - shard.frames[idx].data.len();
+            let bytes = shard.bytes + frame.len() - shard.frames[idx].len();
             if bytes > self.shard_budget {
                 // The page grew past the shard's budget. Its old image is superseded,
                 // so the frame goes, and the new one is installed like a miss's.
                 shard.remove(idx);
-                return self.install(&mut shard, page_id, data, true);
+                return self.install(&mut shard, frame);
             }
             shard.bytes = bytes;
-            let f = &mut shard.frames[idx];
-            f.data = data;
-            f.dirty = true;
-            f.referenced = true;
+            shard.changes += 1;
+            shard.frames[idx] = frame;
             return Ok(());
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        self.install(&mut shard, page_id, data, true)?;
-        Ok(())
+        self.install(&mut shard, frame)
+    }
+
+    /// Drop a clean frame whose page nobody will read again — a committed page a
+    /// mutation relocated — so it stops taking budget from live pages. A dirty frame
+    /// stays: its bytes are not in the store yet.
+    pub(crate) fn discard(&self, page_id: u64) {
+        let mut shard = self.shard(page_id).lock();
+        if let Some(&idx) = shard.index.get(&page_id) {
+            if !shard.frames[idx].dirty {
+                shard.remove(idx);
+            }
+        }
     }
 
     /// Write every dirty page back to the store in ascending page-id order, marking
@@ -280,7 +436,7 @@ impl<S: PageStore> BufferPool<S> {
         for shard in self.shards.iter() {
             let shard = shard.lock();
             for f in shard.frames.iter().filter(|f| f.dirty) {
-                dirty.push((f.page_id, f.data.clone()));
+                dirty.push((f.page_id, f.stored().clone()));
             }
         }
         dirty.sort_by_key(|(id, _)| *id);
@@ -294,7 +450,7 @@ impl<S: PageStore> BufferPool<S> {
                 // Only clear the flag if the frame still holds what we wrote (a
                 // concurrent writer may have re-dirtied it; its data is newer).
                 let f = &mut shard.frames[idx];
-                if std::ptr::eq(f.data.as_ptr(), data.as_ptr()) {
+                if std::ptr::eq(f.stored().as_ptr(), data.as_ptr()) {
                     f.dirty = false;
                 }
             }
@@ -322,17 +478,12 @@ impl<S: PageStore> BufferPool<S> {
     /// Cache a page that is not resident, evicting until it fits the shard's budget.
     /// The last victim's slot takes the new frame in place, so a pool of equal-size
     /// pages evicts one frame per miss, in the order a frame-counted CLOCK does.
-    fn install(&self, shard: &mut Shard, page_id: u64, data: Bytes, dirty: bool) -> Result<()> {
-        let frame = Frame {
-            page_id,
-            data,
-            dirty,
-            referenced: true,
-        };
-        let len = frame.data.len();
+    fn install(&self, shard: &mut Shard, frame: Frame) -> Result<()> {
+        let (page_id, len) = (frame.page_id, frame.len());
+        shard.changes += 1;
         while shard.bytes + len > self.shard_budget && !shard.frames.is_empty() {
             let idx = self.evict_one(shard)?;
-            let freed = shard.frames[idx].data.len();
+            let freed = shard.frames[idx].len();
             if shard.bytes - freed + len <= self.shard_budget {
                 shard.index.remove(&shard.frames[idx].page_id);
                 shard.bytes = shard.bytes - freed + len;
@@ -363,7 +514,7 @@ impl<S: PageStore> BufferPool<S> {
             }
             if shard.frames[idx].dirty {
                 let frame = &shard.frames[idx];
-                self.store.write_page(frame.page_id, &frame.data)?;
+                self.store.write_page(frame.page_id, frame.stored())?;
                 self.stats.dirty_evictions.fetch_add(1, Ordering::Relaxed);
             } else {
                 self.stats.clean_evictions.fetch_add(1, Ordering::Relaxed);

@@ -96,7 +96,7 @@
 
 use crate::buffer_pool::{BufferPool, BufferPoolStats};
 use crate::kv_legacy::{classify_slot, SlotState, Superblock};
-use crate::node::{raw_is_leaf, raw_leaf_entries};
+use crate::node::{is_delta, raw_is_leaf, raw_leaf_entries};
 use crate::page_store::PageStore;
 use crate::tree::{BTree, TreeStats};
 use bytes::Bytes;
@@ -175,6 +175,8 @@ pub(crate) struct KvCounters {
     pub(crate) range_scans: AtomicU64,
     pub(crate) index_pages_written: AtomicU64,
     pub(crate) index_bytes_written: AtomicU64,
+    pub(crate) index_delta_pages_written: AtomicU64,
+    pub(crate) index_delta_bytes_written: AtomicU64,
     pub(crate) value_pages_written: AtomicU64,
     pub(crate) value_bytes_written: AtomicU64,
     pub(crate) superblock_commits: AtomicU64,
@@ -199,6 +201,8 @@ impl KvCounters {
             range_scans: self.range_scans.load(Ordering::Relaxed),
             index_pages_written: self.index_pages_written.load(Ordering::Relaxed),
             index_bytes_written: self.index_bytes_written.load(Ordering::Relaxed),
+            index_delta_pages_written: self.index_delta_pages_written.load(Ordering::Relaxed),
+            index_delta_bytes_written: self.index_delta_bytes_written.load(Ordering::Relaxed),
             value_pages_written: self.value_pages_written.load(Ordering::Relaxed),
             value_bytes_written: self.value_bytes_written.load(Ordering::Relaxed),
             superblock_commits: self.superblock_commits.load(Ordering::Relaxed),
@@ -229,6 +233,11 @@ pub struct KvStats {
     pub index_pages_written: u64,
     /// Bytes of index pages written into the log store.
     pub index_bytes_written: u64,
+    /// Of [`KvStats::index_pages_written`], the leaves stored as deltas against a
+    /// committed base rather than whole.
+    pub index_delta_pages_written: u64,
+    /// Of [`KvStats::index_bytes_written`], the bytes of those deltas.
+    pub index_delta_bytes_written: u64,
     /// User value pages written into the log store.
     pub value_pages_written: u64,
     /// Bytes of user values written into the log store.
@@ -300,12 +309,15 @@ impl PageStore for KvTreeStore {
     }
 
     fn write_page(&self, id: u64, data: &[u8]) -> Result<()> {
-        self.counters
-            .index_pages_written
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .index_bytes_written
+        let c = &self.counters;
+        c.index_pages_written.fetch_add(1, Ordering::Relaxed);
+        c.index_bytes_written
             .fetch_add(data.len() as u64, Ordering::Relaxed);
+        if is_delta(data) {
+            c.index_delta_pages_written.fetch_add(1, Ordering::Relaxed);
+            c.index_delta_bytes_written
+                .fetch_add(data.len() as u64, Ordering::Relaxed);
+        }
         self.store.put(TREE_BASE + id, data)
     }
 
@@ -362,6 +374,14 @@ impl IdBitmap {
         true
     }
 
+    /// Add every id of `other`, a set below the same watermark.
+    fn union(&mut self, other: IdBitmap) {
+        for (word, theirs) in self.words.iter_mut().zip(other.words) {
+            *word |= theirs;
+        }
+        self.spill.extend(other.spill);
+    }
+
     fn contains(&self, id: u64) -> bool {
         match self.words.get((id / 64) as usize) {
             Some(word) => word & (1 << (id % 64)) != 0,
@@ -370,8 +390,11 @@ impl IdBitmap {
     }
 }
 
-/// What an index reaches: its tree page ids, the user pages its leaves map, and its
-/// key count.
+/// Most threads a reopen's reachability walk runs on.
+const REACH_WALK_THREADS: usize = 4;
+
+/// What an index reaches: its tree page ids — the bases its delta leaves are stored
+/// against among them — the user pages its leaves map, and its key count.
 struct Reach {
     tree: IdBitmap,
     user: IdBitmap,
@@ -382,22 +405,30 @@ impl Reach {
     /// Walk the whole tree (quiescing writers for the walk), reading each leaf's
     /// values where they lie in its encoded page. Every id must lie below its
     /// watermark — `tree_next` for tree pages, `user_next` for user pages — which the
-    /// allocators guarantee; one past it is corruption.
+    /// allocators guarantee; one past it is corruption. The walk reads nearly every
+    /// page from the store (two for a delta leaf: the delta and its base), so it runs
+    /// on one thread per core, up to [`REACH_WALK_THREADS`], each collecting its own
+    /// ids, merged at the end.
     fn walk(tree: &BTree<KvTreeStore>, tree_next: u64, user_next: PageId) -> Result<Self> {
         let live = tree.store().store.live_pages() as u64;
-        let mut reach = Reach {
-            tree: IdBitmap::below(tree_next, live),
-            user: IdBitmap::below(user_next, live),
-            keys: 0,
-        };
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(REACH_WALK_THREADS);
         let past = |kind: &str, id: u64, limit: u64| {
             Error::CorruptCheckpoint(format!(
                 "kv index reaches {kind} page {id}, past its watermark {limit}"
             ))
         };
-        tree.walk(|id, page| {
-            if !reach.tree.insert(id) {
-                return Err(past("tree", id, tree_next));
+        let init = || Reach {
+            tree: IdBitmap::below(tree_next, live),
+            user: IdBitmap::below(user_next, live),
+            keys: 0,
+        };
+        let visit = |reach: &mut Reach, id, base, page: &[u8]| {
+            for id in std::iter::once(id).chain(base) {
+                if !reach.tree.insert(id) {
+                    return Err(past("tree", id, tree_next));
+                }
             }
             if raw_is_leaf(page)? {
                 for entry in raw_leaf_entries(page)? {
@@ -415,7 +446,14 @@ impl Reach {
                 }
             }
             Ok(())
-        })?;
+        };
+        let mut parts = tree.walk_split(threads, init, visit)?.into_iter();
+        let mut reach = parts.next().expect("the root's part");
+        for part in parts {
+            reach.tree.union(part.tree);
+            reach.user.union(part.user);
+            reach.keys += part.keys;
+        }
         Ok(reach)
     }
 }
@@ -1280,7 +1318,7 @@ mod tests {
     fn tree_shape(kv: &KvStore) -> (usize, usize) {
         let (mut pages, mut root, mut first_child) = (0, None, FxHashMap::default());
         kv.tree
-            .walk(|id, page| {
+            .walk(|id, _, page| {
                 pages += 1;
                 root.get_or_insert(id); // pre-order: the root comes first
                 if let Node::Internal { children, .. } = Node::decode(page)? {
@@ -1339,31 +1377,37 @@ mod tests {
         kv
     }
 
-    /// Index pages carry only their bytes, and leaves split past half the page: every
-    /// page the tree stores is exactly its node's encoded length, and the same run
-    /// writes about half the index bytes it wrote when leaves split at the whole page.
+    /// Index pages carry only their bytes, leaves split past half the page, and a leaf
+    /// an epoch touches is stored as a delta against its committed base: every page the
+    /// tree stores is exactly its encoded length, a third of the index pages are
+    /// deltas, and the run writes 0.59 of the index bytes it wrote when every touched
+    /// leaf was stored whole.
     #[test]
     fn index_pages_are_stored_at_their_encoded_length_and_the_tree_keeps_its_shape() {
         let kv = seeded_single_thread_run();
         let stats = kv.stats();
         let page_size = kv.store().config().page_bytes as u64;
-        // Recorded when leaves began to split past half the page (the tree's shape
-        // follows the split rule, not the storage).
-        assert_eq!(stats.index_pages_written, 5602);
+        // Recorded when leaves began to be stored as deltas: 5 602 pages and 6.46 MB
+        // before (a relocated page's frame now leaves the pool at once, so the pool
+        // evicts less). The tree's shape follows the split rule, not the storage.
+        assert_eq!(stats.index_pages_written, 5173);
+        assert_eq!(stats.index_delta_pages_written, 1958);
         assert_eq!(stats.superblock_commits, 13);
         assert_eq!(tree_shape(&kv), (539, 3));
         for (id, page) in stored_index_pages(kv.store()) {
-            let encoded = Node::decode(&page).unwrap().encoded_size();
+            let encoded = crate::node::encoded_len(&page).unwrap();
             assert_eq!(page.len(), encoded, "index page {id:#x} carries a tail");
         }
-        // ~0.28 of the pages' worth: leaves average about a quarter page.
+        // ~0.18 of the pages' worth (~0.28 with every touched leaf stored whole): leaves
+        // average about a quarter page, and a delta a few dozen bytes.
         assert!(
             (stats.index_bytes_written as f64)
-                < 0.35 * (stats.index_pages_written * page_size) as f64,
+                < 0.22 * (stats.index_pages_written * page_size) as f64,
             "{} bytes in {} index pages of {page_size}",
             stats.index_bytes_written,
             stats.index_pages_written
         );
+        assert!(stats.index_delta_bytes_written < stats.index_bytes_written / 20);
     }
 
     /// A device whose index pages are padded to the page size — as every older build
@@ -1417,6 +1461,97 @@ mod tests {
             bare += (page.len() == encoded) as usize;
         }
         assert!(bare > 0, "no edit rewrote a padded page");
+        check(&restart(kv), &model);
+    }
+
+    /// The tree's delta leaves and the bases they name, with each base's stored image.
+    fn stored_bases(kv: &KvStore) -> Vec<(u64, Bytes)> {
+        let mut bases = Vec::new();
+        kv.tree
+            .walk(|_, base, _| {
+                bases.extend(base);
+                Ok(())
+            })
+            .unwrap();
+        let image = |id| {
+            kv.store()
+                .get(TREE_BASE + id)
+                .unwrap()
+                .expect("a base is stored")
+        };
+        bases.into_iter().map(|id| (id, image(id))).collect()
+    }
+
+    /// A crash after an epoch's leaf deltas reached the store — written back and
+    /// flushed, barrier 1 of a flip — but before its superblock flip: the store reopens
+    /// to the previous commit, every base a committed delta names is intact, including
+    /// those the crashed epoch had queued for release when it consolidated their
+    /// leaves, and the reopened index takes new deltas and commits.
+    #[test]
+    fn a_crash_between_an_epochs_deltas_and_its_flip_keeps_every_committed_base() {
+        let check = |kv: &KvStore, model: &std::collections::BTreeMap<Vec<u8>, Vec<u8>>| {
+            assert_eq!(kv.len(), model.len());
+            let all = kv.range(b"", b"\xff").unwrap().into_iter();
+            assert!(all.map(|(k, v)| (k, v.to_vec())).eq(model.clone()));
+        };
+        let key = |i: u32| format!("k{i:05}").into_bytes();
+        let kv = kv();
+        let mut model = std::collections::BTreeMap::new();
+        let mut put = |kv: &KvStore, i: u32, v: String| {
+            kv.put(&key(i), v.as_bytes()).unwrap();
+            model.insert(key(i), v.into_bytes());
+        };
+        // Epoch 1 writes whole leaves; epoch 2 one entry of every seventh key, so most
+        // leaves it touches are stored as deltas against epoch 1's.
+        for i in 0..600 {
+            put(&kv, i, format!("e1-{i}"));
+        }
+        kv.flush().unwrap();
+        for i in (0..600).step_by(7) {
+            put(&kv, i, format!("e2-{i}"));
+        }
+        kv.flush().unwrap();
+        let committed = model.clone();
+        let bases = stored_bases(&kv);
+        assert!(bases.len() > 20, "{} deltas committed", bases.len());
+
+        // Epoch 3 edits every third key: deltas grow past half their leaf and
+        // consolidate, queueing their bases for release. Its pages reach the store and
+        // barrier 1 runs; the superblock is never written.
+        for i in (0..600).step_by(3) {
+            if i % 2 == 0 {
+                kv.put(&key(i), format!("e3-{i}").as_bytes()).unwrap();
+            } else {
+                kv.delete(&key(i)).unwrap();
+            }
+        }
+        let queued = kv.tree.freed_ids();
+        let doomed = bases.iter().filter(|(id, _)| queued.contains(id)).count();
+        assert!(doomed > 5, "epoch 3 consolidated {doomed} committed deltas");
+        let deltas = kv.stats().index_delta_pages_written;
+        kv.tree.begin_checkpoint().write_back().unwrap();
+        kv.store().flush().unwrap();
+        assert!(kv.stats().index_delta_pages_written > deltas);
+
+        let kv = reopen(kv.into_inner());
+        check(&kv, &committed);
+        for (id, image) in &bases {
+            let stored = kv.store().get(TREE_BASE + id).unwrap();
+            assert_eq!(stored.as_ref(), Some(image), "base {id} changed");
+        }
+        assert_eq!(stored_bases(&kv), bases);
+        assert!(kv.misfiled_free_ids_for_tests().unwrap().is_empty());
+
+        // The reopened index writes deltas against the same bases and commits.
+        let mut model = committed;
+        let deltas = kv.stats().index_delta_pages_written;
+        for i in (1..600).step_by(11) {
+            kv.put(&key(i), b"after").unwrap();
+            model.insert(key(i), b"after".to_vec());
+        }
+        kv.flush().unwrap();
+        assert!(kv.stats().index_delta_pages_written > deltas);
+        check(&kv, &model);
         check(&restart(kv), &model);
     }
 

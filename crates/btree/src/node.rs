@@ -7,6 +7,7 @@
 //! leaf:     [ 1u8 | nkeys u16 | (klen u16, vlen u16, key, value)* ]
 //! internal: [ 2u8 | nkeys u16 | child0 u64 | (klen u16, key, child u64)* ]
 //! meta:     [ 3u8 | root u64  | next_page u64 | len u64 ]
+//! delta:    [ 4u8 | base u64  | nkeys u16 | (klen u16, vlen u16, key, value)* ]
 //! ```
 //!
 //! Keys and values are arbitrary byte strings. An internal node with `nkeys` separator
@@ -36,6 +37,18 @@
 //! byte for byte). The owned [`Node`] form remains for walks, the reopen sweep and as
 //! that reference.
 //!
+//! A **delta** stores a leaf as the changes since its *base*, a whole leaf page: every
+//! key set or removed since the base was written, in key order, one entry per key, with
+//! `vlen = u16::MAX` (and no value bytes) marking a removed key. Its entries use the
+//! leaf's entry encoding, and [`delta_upsert`] edits them with the leaf's own splice
+//! ([`leaf_upsert`] / [`leaf_remove`] run the same locate-and-splice pass over a leaf).
+//! [`delta_apply`] merges a delta into its base in one sorted pass and produces exactly
+//! the leaf `Node::decode` → apply each entry → [`Node::encode`] would. A delta is
+//! never the base of another (one link, never a chain); the shadow-mode tree decides
+//! when a leaf is stored as one (see `tree`). A delta is not a node: [`Node::decode`]
+//! and the `raw_*` readers refuse it with an error, and the buffer pool consolidates
+//! it with its base before the tree sees the page.
+//!
 //! Leaves carry **no sibling links**: range scans walk the tree by successor descent
 //! (see `tree`). This is what lets the shadow (copy-on-write) mode relocate any single
 //! page without rewriting its left neighbour — with persistent `next` pointers, moving
@@ -47,9 +60,14 @@ use lss_core::error::{Error, Result};
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
 const TAG_META: u8 = 3;
+const TAG_DELTA: u8 = 4;
 
 /// Bytes of the fixed leaf header (tag + entry count).
 pub(crate) const LEAF_HEADER_BYTES: usize = 1 + 2;
+/// Bytes of the fixed delta header (tag + base id + entry count).
+const DELTA_HEADER_BYTES: usize = 1 + 8 + 2;
+/// The value length that marks a removed key in a delta.
+const TOMBSTONE: u16 = u16::MAX;
 /// Bytes of an encoded meta page (tag + root + watermark + key count).
 const META_BYTES: usize = 1 + 8 + 8 + 8;
 
@@ -270,49 +288,97 @@ pub fn raw_leaf_search<'a>(data: &'a [u8], key: &[u8]) -> Result<Option<&'a [u8]
 
 /// Zero-allocation in-order iterator over an encoded leaf's `(key, value)` slices.
 pub fn raw_leaf_entries(data: &[u8]) -> Result<RawLeafEntries<'_>> {
-    if data.len() < LEAF_HEADER_BYTES || data[0] != TAG_LEAF {
-        return Err(corrupt("not a leaf page"));
-    }
-    Ok(RawLeafEntries {
-        data,
-        pos: LEAF_HEADER_BYTES,
-        remaining: u16::from_le_bytes(data[1..3].try_into().unwrap()) as usize,
-    })
+    Entries::of(data, TAG_LEAF).map(RawLeafEntries)
 }
 
 /// Iterator state for [`raw_leaf_entries`].
-pub struct RawLeafEntries<'a> {
-    data: &'a [u8],
-    pos: usize,
-    remaining: usize,
-}
+pub struct RawLeafEntries<'a>(Entries<'a>);
 
 impl<'a> Iterator for RawLeafEntries<'a> {
     type Item = Result<(&'a [u8], &'a [u8])>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        // A leaf has no removed keys: every value is present.
+        let entry = self.0.next()?;
+        Some(entry.map(|(k, v)| (k, v.unwrap_or_default())))
+    }
+}
+
+/// In-order walk over the entries of a leaf or a delta: each key with its value, or
+/// `None` for a key a delta removes.
+struct Entries<'a> {
+    data: &'a [u8],
+    /// Offset of the next entry; once the walk ends, just past the last one.
+    pos: usize,
+    remaining: usize,
+    /// A delta: a value length of [`TOMBSTONE`] marks a removed key.
+    delta: bool,
+}
+
+impl<'a> Entries<'a> {
+    /// The entries of a page tagged `tag` ([`TAG_LEAF`] or [`TAG_DELTA`]).
+    fn of(data: &'a [u8], tag: u8) -> Result<Self> {
+        let delta = tag == TAG_DELTA;
+        let (header, what) = match delta {
+            true => (DELTA_HEADER_BYTES, "not a delta page"),
+            false => (LEAF_HEADER_BYTES, "not a leaf page"),
+        };
+        if data.len() < header || data[0] != tag {
+            return Err(corrupt(what));
+        }
+        Ok(Self {
+            data,
+            pos: header,
+            remaining: u16_at(data, header - 2)?,
+            delta,
+        })
+    }
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = Result<(&'a [u8], Option<&'a [u8]>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.remaining == 0 {
             return None;
         }
         self.remaining -= 1;
-        if self.pos + 4 > self.data.len() {
+        let Some(entry) = entry_at(self.data, self.pos, self.delta) else {
             self.remaining = 0;
             return Some(Err(corrupt("truncated leaf entry")));
-        }
-        let klen =
-            u16::from_le_bytes(self.data[self.pos..self.pos + 2].try_into().unwrap()) as usize;
-        let vlen =
-            u16::from_le_bytes(self.data[self.pos + 2..self.pos + 4].try_into().unwrap()) as usize;
-        self.pos += 4;
-        if self.pos + klen + vlen > self.data.len() {
-            self.remaining = 0;
-            return Some(Err(corrupt("truncated leaf entry")));
-        }
-        let k = &self.data[self.pos..self.pos + klen];
-        let v = &self.data[self.pos + klen..self.pos + klen + vlen];
-        self.pos += klen + vlen;
-        Some(Ok((k, v)))
+        };
+        self.pos = entry.end;
+        Some(Ok((entry.key, entry.value)))
     }
+}
+
+/// One entry of a leaf or a delta, where it lies in its page.
+struct Entry<'a> {
+    key: &'a [u8],
+    /// `None`: a key the delta removes.
+    value: Option<&'a [u8]>,
+    /// The offset just past the entry.
+    end: usize,
+}
+
+/// The entry of a leaf or, if `delta`, of a delta that starts at `pos`; `None` if it
+/// runs past the end of `data`.
+#[inline]
+fn entry_at(data: &[u8], pos: usize, delta: bool) -> Option<Entry<'_>> {
+    let head = data.get(pos..pos + 4)?;
+    let klen = usize::from(u16::from_le_bytes([head[0], head[1]]));
+    let vlen = u16::from_le_bytes([head[2], head[3]]);
+    let removed = delta && vlen == TOMBSTONE;
+    let vlen = if removed { 0 } else { usize::from(vlen) };
+    let key_at = pos + 4;
+    let end = key_at + klen + vlen;
+    let key = data.get(key_at..key_at + klen)?;
+    let value = data.get(key_at + klen..end)?;
+    Some(Entry {
+        key,
+        value: (!removed).then_some(value),
+        end,
+    })
 }
 
 /// What a raw page edit produced: the rewritten page image, or — when the result
@@ -365,20 +431,36 @@ fn push_len(page: &mut Vec<u8>, len: usize) -> Result<()> {
     Ok(())
 }
 
-/// Where `key` sits, or would go, in an encoded leaf — from one pass over the page.
-struct LeafSlot<'a> {
+/// Append one entry in the leaf encoding; `None` is a delta's removed key.
+fn push_entry(page: &mut Vec<u8>, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+    push_len(page, key.len())?;
+    match value {
+        Some(v) => push_len(page, v.len())?,
+        None => page.extend_from_slice(&TOMBSTONE.to_le_bytes()),
+    }
+    page.extend_from_slice(key);
+    page.extend_from_slice(value.unwrap_or_default());
+    Ok(())
+}
+
+/// Where `key` sits, or would go, in an encoded leaf or delta — from one pass over
+/// the page.
+struct Slot<'a> {
+    /// Bytes before the first entry.
+    header: usize,
     nkeys: usize,
     /// Byte offset of the first entry whose key is `>= key` (`used` if none).
     at: usize,
-    /// The entry for `key` itself: its value and the offset just past it.
-    hit: Option<(&'a [u8], usize)>,
+    /// The entry for `key` itself: its value (`None`: removed) and the offset just
+    /// past it.
+    hit: Option<(Option<&'a [u8]>, usize)>,
     /// Offset just past the last entry.
     used: usize,
 }
 
-fn leaf_locate<'a>(data: &'a [u8], key: &[u8]) -> Result<LeafSlot<'a>> {
-    let mut it = raw_leaf_entries(data)?;
-    let nkeys = it.remaining;
+fn locate<'a>(data: &'a [u8], tag: u8, key: &[u8]) -> Result<Slot<'a>> {
+    let mut it = Entries::of(data, tag)?;
+    let (header, nkeys) = (it.pos, it.remaining);
     let mut found = None;
     loop {
         let start = it.pos;
@@ -389,12 +471,37 @@ fn leaf_locate<'a>(data: &'a [u8], key: &[u8]) -> Result<LeafSlot<'a>> {
         }
     }
     let (at, hit) = found.unwrap_or((it.pos, None));
-    Ok(LeafSlot {
+    Ok(Slot {
+        header,
         nkeys,
         at,
         hit,
         used: it.pos,
     })
+}
+
+/// The located page with `key`'s entry set to `entry` — inserted, or replacing the
+/// one there — or removed when `entry` is `None`: one copy of the page's bytes, with
+/// its header (tag, and a delta's base) kept and its entry count adjusted.
+fn splice(
+    data: &[u8],
+    slot: &Slot<'_>,
+    key: &[u8],
+    entry: Option<Option<&[u8]>>,
+) -> Result<Vec<u8>> {
+    let tail = slot.hit.map_or(slot.at, |(_, end)| end);
+    let nkeys = slot.nkeys - usize::from(slot.hit.is_some()) + usize::from(entry.is_some());
+    let nkeys = u16::try_from(nkeys).map_err(|_| corrupt("entry count exceeds u16"))?;
+    let added = entry.map_or(0, |v| 4 + key.len() + v.map_or(0, <[u8]>::len));
+    let mut page = Vec::with_capacity(slot.at + added + slot.used - tail);
+    page.extend_from_slice(&data[..slot.header - 2]);
+    page.extend_from_slice(&nkeys.to_le_bytes());
+    page.extend_from_slice(&data[slot.header..slot.at]);
+    if let Some(value) = entry {
+        push_entry(&mut page, key, value)?;
+    }
+    page.extend_from_slice(&data[tail..slot.used]);
+    Ok(page)
 }
 
 /// Insert or overwrite `key` in an encoded leaf by splicing the page image: returns
@@ -411,30 +518,16 @@ pub fn leaf_upsert(
     target: usize,
     page_size: usize,
 ) -> Result<(PageEdit, Option<Vec<u8>>)> {
-    let slot = leaf_locate(data, key)?;
-    let (nkeys, tail) = match slot.hit {
-        Some((_, end)) => (slot.nkeys, end),
-        None => (slot.nkeys + 1, slot.at),
-    };
-    let len = slot.at + 4 + key.len() + value.len() + (slot.used - tail);
-    let mut page = start_page(TAG_LEAF, nkeys, len)?;
-    page.extend_from_slice(&data[LEAF_HEADER_BYTES..slot.at]);
-    push_len(&mut page, key.len())?;
-    push_len(&mut page, value.len())?;
-    page.extend_from_slice(key);
-    page.extend_from_slice(value);
-    page.extend_from_slice(&data[tail..slot.used]);
-    let old = slot.hit.map(|(v, _)| v.to_vec());
+    let slot = locate(data, TAG_LEAF, key)?;
+    let page = splice(data, &slot, key, Some(Some(value)))?;
+    let old = slot.hit.map(|(v, _)| v.unwrap_or_default().to_vec());
+    let nkeys = slot.nkeys + usize::from(old.is_none());
     if page.len() <= target || nkeys < 2 {
         return Ok((PageEdit::Fits(finish_page(page, page_size)?), old));
     }
 
     // Overflow. `pos` after entry i is exactly the accumulated encoded size.
-    let mut it = RawLeafEntries {
-        data: &page,
-        pos: LEAF_HEADER_BYTES,
-        remaining: nkeys,
-    };
+    let mut it = Entries::of(&page, TAG_LEAF)?;
     let middle = nkeys / 2;
     let (mut count, mut cut) = (middle, 0);
     for i in 0..nkeys {
@@ -473,14 +566,121 @@ pub fn leaf_remove(
     key: &[u8],
     page_size: usize,
 ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-    let slot = leaf_locate(data, key)?;
-    let Some((old, end)) = slot.hit else {
+    let slot = locate(data, TAG_LEAF, key)?;
+    let Some((old, _)) = slot.hit else {
         return Ok(None);
     };
-    let mut page = start_page(TAG_LEAF, slot.nkeys - 1, slot.used - (end - slot.at))?;
-    page.extend_from_slice(&data[LEAF_HEADER_BYTES..slot.at]);
-    page.extend_from_slice(&data[end..slot.used]);
-    Ok(Some((finish_page(page, page_size)?, old.to_vec())))
+    let page = splice(data, &slot, key, None)?;
+    Ok(Some((
+        finish_page(page, page_size)?,
+        old.unwrap_or_default().to_vec(),
+    )))
+}
+
+/// True if the page is a delta.
+pub fn is_delta(data: &[u8]) -> bool {
+    data.first() == Some(&TAG_DELTA)
+}
+
+/// The base a delta page names; `None` for any other page. An error only for a delta
+/// too short to name one.
+pub fn raw_delta_base(data: &[u8]) -> Result<Option<u64>> {
+    if !is_delta(data) {
+        return Ok(None);
+    }
+    match data.get(1..9) {
+        Some(b) => Ok(Some(u64::from_le_bytes(b.try_into().unwrap()))),
+        None => Err(corrupt("truncated delta header")),
+    }
+}
+
+/// A delta against `base` that changes nothing yet.
+pub fn delta_empty(base: u64) -> Vec<u8> {
+    let mut page = Vec::with_capacity(DELTA_HEADER_BYTES);
+    page.push(TAG_DELTA);
+    page.extend_from_slice(&base.to_le_bytes());
+    page.extend_from_slice(&0u16.to_le_bytes());
+    page
+}
+
+/// Record in a delta that `key` now maps to `value`, or is removed (`None`),
+/// replacing whatever the delta said about `key` before: the leaf's splice over the
+/// delta's entries. A removal always leaves a removed-key entry — whether the base
+/// holds the key is the base's business — and a value of `u16::MAX` bytes, the
+/// removed-key marker, cannot be recorded.
+pub fn delta_upsert(delta: &[u8], key: &[u8], value: Option<&[u8]>) -> Result<Vec<u8>> {
+    if value.is_some_and(|v| v.len() >= usize::from(TOMBSTONE)) {
+        return Err(corrupt("a delta cannot hold a value of u16::MAX bytes"));
+    }
+    let slot = locate(delta, TAG_DELTA, key)?;
+    splice(delta, &slot, key, Some(value))
+}
+
+/// Merge a delta into its base leaf in one sorted pass: the consolidated leaf, byte for
+/// byte what decoding the base, applying each delta entry (set or remove) and
+/// re-encoding produces. Both encode an entry alike, so the merge only copies: each run
+/// of base entries between two delta keys in one piece, each set entry as the delta
+/// holds it. A malformed base or delta — truncated, wrongly tagged, or a delta whose
+/// keys are not strictly ascending — and a result larger than `page_size` are errors.
+pub fn delta_apply(base: &[u8], delta: &[u8], page_size: usize) -> Result<Vec<u8>> {
+    let truncated = || corrupt("truncated leaf entry");
+    let olds = Entries::of(base, TAG_LEAF)?;
+    let news = Entries::of(delta, TAG_DELTA)?;
+    let (mut olds_left, mut count) = (olds.remaining, olds.remaining);
+    let (mut pos, mut copied) = (olds.pos, olds.pos);
+    let (mut at, mut prev) = (news.pos, None);
+    let mut page = start_page(TAG_LEAF, 0, base.len() + delta.len())?;
+    for _ in 0..news.remaining {
+        let Entry { key, value, end } = entry_at(delta, at, true).ok_or_else(truncated)?;
+        if prev.is_some_and(|p| p >= key) {
+            return Err(corrupt("delta keys out of order"));
+        }
+        prev = Some(key);
+        // Pass the base entries below `key`; one equal to it is replaced or removed.
+        while olds_left > 0 {
+            let old = entry_at(base, pos, false).ok_or_else(truncated)?;
+            if old.key > key {
+                break;
+            }
+            if old.key == key {
+                page.extend_from_slice(&base[copied..pos]);
+                copied = old.end;
+                count -= 1;
+            }
+            (pos, olds_left) = (old.end, olds_left - 1);
+        }
+        page.extend_from_slice(&base[copied..pos]);
+        copied = pos;
+        if value.is_some() {
+            page.extend_from_slice(&delta[at..end]);
+            count += 1;
+        }
+        at = end;
+    }
+    for _ in 0..olds_left {
+        pos = entry_at(base, pos, false).ok_or_else(truncated)?.end;
+    }
+    page.extend_from_slice(&base[copied..pos]);
+    let count = u16::try_from(count).map_err(|_| corrupt("entry count exceeds u16"))?;
+    page[1..LEAF_HEADER_BYTES].copy_from_slice(&count.to_le_bytes());
+    finish_page(page, page_size)
+}
+
+/// The length of the leaf, internal node or delta encoded at the start of `data`: what
+/// it costs stored bare, without the zero tail an older build padded it with.
+#[cfg(test)]
+pub(crate) fn encoded_len(data: &[u8]) -> Result<usize> {
+    match data.first() {
+        Some(&TAG_INTERNAL) => Ok(internal_locate(data, 0)?.2),
+        Some(&tag @ (TAG_LEAF | TAG_DELTA)) => {
+            let mut it = Entries::of(data, tag)?;
+            for entry in &mut it {
+                entry?;
+            }
+            Ok(it.pos)
+        }
+        _ => Err(corrupt("not a btree node or delta page")),
+    }
 }
 
 /// Bytes of the fixed internal header (tag + key count + child 0).
@@ -607,6 +807,7 @@ impl MetaPage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn leaf_roundtrip() {
@@ -1236,6 +1437,167 @@ mod tests {
         // A lone entry larger than the page cannot be split into two pages.
         let empty = Node::empty_leaf().encode(64).unwrap();
         assert!(leaf_upsert(&empty, &[b'k'; 80], b"", 32, 64).is_err());
+    }
+
+    /// A delta as a reference encoder writes it from a model of its entries.
+    fn reference_delta(base: u64, entries: &BTreeMap<Vec<u8>, Option<Vec<u8>>>) -> Vec<u8> {
+        let mut page = vec![TAG_DELTA];
+        page.extend_from_slice(&base.to_le_bytes());
+        page.extend_from_slice(&(entries.len() as u16).to_le_bytes());
+        for (k, v) in entries {
+            page.extend_from_slice(&(k.len() as u16).to_le_bytes());
+            let vlen = v.as_ref().map_or(u16::MAX, |v| v.len() as u16);
+            page.extend_from_slice(&vlen.to_le_bytes());
+            page.extend_from_slice(k);
+            page.extend_from_slice(v.as_deref().unwrap_or_default());
+        }
+        page
+    }
+
+    /// Delta edits against a `BTreeMap` model: every [`delta_upsert`] writes exactly the
+    /// reference encoding of the model's changes, and [`delta_apply`] over the base
+    /// yields exactly decode → apply → [`Node::encode`] — through sets, overwrites,
+    /// removals of keys the base holds and of keys it never held, and re-sets of removed
+    /// keys.
+    #[test]
+    fn delta_edits_and_their_merge_match_a_model_byte_for_byte() {
+        for page_size in [256usize, 4096] {
+            let max_entry = page_size / 4;
+            let mut rng = Rng(page_size as u64 ^ 0xDE17A);
+            let (mut removals, mut merges, mut emptied) = (0, 0, 0);
+            for round in 0..200u64 {
+                // A base leaf of random fill, a third of the rounds empty.
+                let mut base: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+                let mut size = LEAF_HEADER_BYTES;
+                let fill = if round % 3 == 0 { 0 } else { page_size / 2 };
+                loop {
+                    let key = {
+                        let len = 1 + rng.below(3);
+                        rng.bytes(len)
+                    };
+                    let len = rng.below(max_entry - key.len());
+                    let value = rng.bytes(len);
+                    if size + 4 + key.len() + value.len() > fill {
+                        break;
+                    }
+                    size += 4 + key.len() + value.len();
+                    base.insert(key, value);
+                }
+                let base_page = Node::Leaf {
+                    entries: base.clone().into_iter().collect(),
+                }
+                .encode(page_size)
+                .unwrap();
+                let mut changes: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+                let mut delta = delta_empty(round);
+                assert_eq!(raw_delta_base(&delta).unwrap(), Some(round));
+                // Every fourth round only removes, so some merges empty the leaf.
+                let sets = round % 4 != 0;
+                for _ in 0..rng.below(40) {
+                    // Keys of up to three letters over a two-letter alphabet: edits hit
+                    // the base's keys and each other's.
+                    let key = {
+                        let len = 1 + rng.below(3);
+                        rng.bytes(len)
+                    };
+                    let len = rng.below(16);
+                    let value = (sets && rng.below(3) != 0).then(|| rng.bytes(len));
+                    removals += usize::from(value.is_none());
+                    delta = delta_upsert(&delta, &key, value.as_deref()).unwrap();
+                    changes.insert(key, value);
+                    assert_eq!(delta, reference_delta(round, &changes));
+                    assert_eq!(encoded_len(&delta).unwrap(), delta.len());
+                }
+                let mut merged = base.clone();
+                for (k, v) in &changes {
+                    match v {
+                        Some(v) => merged.insert(k.clone(), v.clone()),
+                        None => merged.remove(k),
+                    };
+                }
+                let want = Node::Leaf {
+                    entries: merged.clone().into_iter().collect(),
+                }
+                .encode(page_size);
+                match delta_apply(&base_page, &delta, page_size) {
+                    Ok(leaf) => {
+                        assert_eq!(leaf, want.unwrap());
+                        merges += 1;
+                        emptied += usize::from(merged.is_empty() && !base.is_empty());
+                    }
+                    // Only a merge that outgrows the page may fail, and then typed.
+                    Err(Error::CorruptSegment { .. }) => assert!(want.is_err()),
+                    Err(e) => panic!("{e}"),
+                }
+            }
+            assert!(removals > 500, "{removals} removals");
+            assert!(
+                merges > 150 && emptied > 0,
+                "{merges} merges, {emptied} emptied"
+            );
+        }
+    }
+
+    /// A malformed delta is a typed error from every reader, never a panic: truncated
+    /// anywhere, tagged as something else, with keys out of order or repeated, or
+    /// holding a value the marker would shadow. A delta is not a node.
+    #[test]
+    fn a_malformed_delta_is_a_typed_error() {
+        let base = Node::Leaf {
+            entries: vec![(b"b".to_vec(), b"1".to_vec())],
+        }
+        .encode(128)
+        .unwrap();
+        let mut delta = delta_empty(7);
+        for (k, v) in [
+            (&b"a"[..], Some(&b"x"[..])),
+            (b"b", None),
+            (b"c", Some(b"")),
+        ] {
+            delta = delta_upsert(&delta, k, v).unwrap();
+        }
+        let typed = |r: Result<Vec<u8>>| matches!(r, Err(Error::CorruptSegment { .. }));
+        assert!(delta_apply(&base, &delta, 128).is_ok());
+        for cut in 0..delta.len() {
+            let short = &delta[..cut];
+            assert!(typed(delta_apply(&base, short, 128)), "cut at {cut}");
+            assert!(delta_upsert(short, b"z", None).is_err(), "cut at {cut}");
+            assert!(encoded_len(short).is_err(), "cut at {cut}");
+        }
+        assert!(raw_delta_base(&delta[..5]).is_err());
+        for tag in [TAG_LEAF, TAG_INTERNAL, TAG_META, 0] {
+            let mut bad = delta.clone();
+            bad[0] = tag;
+            assert!(typed(delta_apply(&base, &bad, 128)), "tag {tag}");
+        }
+        // The delta as the base, and a base that is a delta.
+        assert!(typed(delta_apply(&delta, &delta, 128)));
+        // Keys "a", "b", "c" rewritten to "a", "c", "b" (same lengths), then repeated.
+        for swapped in [[b'a', b'c', b'b'], [b'a', b'a', b'c']] {
+            let mut bad = delta.clone();
+            let mut pos = DELTA_HEADER_BYTES;
+            for key in swapped {
+                let vlen = u16_at(&bad, pos + 2).unwrap();
+                bad[pos + 4] = key;
+                pos += 4
+                    + 1
+                    + if vlen == usize::from(TOMBSTONE) {
+                        0
+                    } else {
+                        vlen
+                    };
+            }
+            assert!(typed(delta_apply(&base, &bad, 128)));
+        }
+        // A delta cannot hold a value as long as the removed-key marker.
+        let long = vec![0u8; usize::from(u16::MAX)];
+        assert!(delta_upsert(&delta, b"k", Some(&long)).is_err());
+        // A delta is not a node.
+        assert!(Node::decode(&delta).is_err());
+        assert!(raw_is_leaf(&delta).is_err());
+        assert!(raw_leaf_entries(&delta).is_err());
+        assert!(leaf_upsert(&delta, b"k", b"v", 64, 128).is_err());
+        assert_eq!(raw_delta_base(&base).unwrap(), None);
     }
 
     #[test]

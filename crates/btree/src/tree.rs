@@ -80,12 +80,37 @@
 //! previously committed root still describes a fully intact tree. Stand-alone trees
 //! ([`BTree::open`]) skip all of this and update pages in place, which keeps the TPC-C
 //! page-write traces of the Figure 6 experiment faithful.
+//!
+//! ## Leaf deltas
+//!
+//! A shadow-mode leaf the epoch touches is stored as a *delta* — its committed base's
+//! id and every entry changed since that base (see [`crate::node`]) — rather than as
+//! its whole image, which a mutation changes by one entry. The pool keeps the
+//! consolidated leaf in the frame, so only the write path knows: relocating a whole
+//! committed leaf X makes X the new page's base (X stays off the freed list); relocating
+//! a delta Z with base B copies Z's delta, frees Z and keeps B; a fresh delta leaf is
+//! extended in place. A delta is cumulative, never chained, and its base is always a
+//! whole leaf of an already committed epoch — durable before any superblock can name
+//! the delta. After each edit, a delta longer than half its consolidated leaf is
+//! dropped and the leaf is stored whole (*consolidation*), as is a leaf that splits;
+//! either queues the base on the epoch's freed list, released after the commit like
+//! every freed id — so each base is freed exactly once, and never while a reachable
+//! delta names it. [`BTree::walk`] reports each delta leaf's base as reachable.
+//!
+//! A delta is paid for by readers too: a pool miss on a delta leaf reads two pages, the
+//! delta and its base. So a leaf whose delta a miss had to read back is consolidated at
+//! its next write whatever the delta's length — a leaf that keeps leaving the pool
+//! pays the second read once per delta, not on every miss until the delta outgrows
+//! half the leaf. (With a pool far smaller than the index, as `kv-mixed`'s, nearly
+//! every leaf leaves the pool between two writes: half-leaf consolidation alone left
+//! ~95 % of leaves as deltas and added a read to nearly every leaf miss.)
 
-use crate::buffer_pool::BufferPool;
+use crate::buffer_pool::{BufferPool, LeafDelta};
 use crate::latch::VersionTable;
 use crate::node::{
-    internal_insert, internal_repoint, internal_root, leaf_remove, leaf_upsert,
-    raw_internal_search, raw_is_leaf, raw_leaf_entries, raw_leaf_search, MetaPage, Node, PageEdit,
+    delta_empty, delta_upsert, internal_insert, internal_repoint, internal_root, leaf_remove,
+    leaf_upsert, raw_internal_search, raw_is_leaf, raw_leaf_entries, raw_leaf_search, MetaPage,
+    Node, PageEdit,
 };
 use crate::page_store::PageStore;
 use bytes::Bytes;
@@ -188,6 +213,8 @@ struct PathEntry {
     page: u64,
     ver: u64,
     bytes: Bytes,
+    /// The delta that stores the page (a leaf stored as one).
+    delta: Option<LeafDelta>,
     /// The child slot the descent took (internal nodes; 0 for the leaf).
     idx: usize,
 }
@@ -239,6 +266,19 @@ struct LevelPlan {
     target: u64,
     /// The page id of the right half (meaningful only if `split`).
     sibling: u64,
+}
+
+/// How a mutation stores its edited leaf (shadow mode; see "Leaf deltas" in the module
+/// docs). The default — whole, no base involved — is every stand-alone write.
+#[derive(Debug, Default)]
+struct LeafStore {
+    /// Store this delta rather than the whole leaf.
+    delta: Option<LeafDelta>,
+    /// The leaf's base, when the leaf stops naming it: queued on the freed list.
+    drops_base: Option<u64>,
+    /// The relocated leaf's old page stays off the freed list: it is the new delta's
+    /// base.
+    keeps_old: bool,
 }
 
 /// Outcome of one optimistic attempt.
@@ -294,6 +334,7 @@ impl<S: PageStore> BTree<S> {
     /// Shadow trees never touch page 0 and never overwrite a committed page; see the
     /// module docs for the epoch protocol.
     pub fn open_shadow(pool: BufferPool<S>, frontier: Option<(u64, u64, u64)>) -> Result<Self> {
+        let pool = pool.with_leaf_deltas();
         let page_size = Self::check_page_size(&pool)?;
         let (meta, fresh) = match frontier {
             Some((root, next_page_id, len)) => {
@@ -418,6 +459,12 @@ impl<S: PageStore> BTree<S> {
         self.alloc.lock().free.clone()
     }
 
+    /// The ids this epoch superseded so far, waiting for the next cut's commit.
+    #[cfg(test)]
+    pub(crate) fn freed_ids(&self) -> Vec<u64> {
+        self.alloc.lock().freed.clone()
+    }
+
     /// The page-id watermark: every page the tree has allocated is below it.
     pub(crate) fn next_page_id(&self) -> u64 {
         self.alloc.lock().next_page_id
@@ -475,15 +522,9 @@ impl<S: PageStore> BTree<S> {
             return Ok(Attempt::Conflict);
         }
         loop {
-            let Some(bytes) = self.pool.read(page)? else {
-                if self.versions.changed(page, ver) {
-                    return Ok(Attempt::Conflict);
-                }
-                return Err(missing_page(page));
-            };
-            if self.versions.changed(page, ver) {
+            let Some(bytes) = self.snapshot(page, ver, self.pool.read(page))? else {
                 return Ok(Attempt::Conflict);
-            }
+            };
             // The snapshot is consistent (version stable across the read), so the
             // raw searches below parse committed bytes — no decode, no allocation.
             if raw_is_leaf(&bytes)? {
@@ -592,15 +633,9 @@ impl<S: PageStore> BTree<S> {
         }
         let mut upper: Option<Vec<u8>> = None;
         let (bytes, leaf, leaf_ver) = loop {
-            let Some(bytes) = self.pool.read(page)? else {
-                if self.versions.changed(page, ver) {
-                    return Ok(Attempt::Conflict);
-                }
-                return Err(missing_page(page));
-            };
-            if self.versions.changed(page, ver) {
+            let Some(bytes) = self.snapshot(page, ver, self.pool.read(page))? else {
                 return Ok(Attempt::Conflict);
-            }
+            };
             if raw_is_leaf(&bytes)? {
                 break (bytes, page, ver);
             }
@@ -648,14 +683,55 @@ impl<S: PageStore> BTree<S> {
         }
     }
 
-    /// Visit every reachable page (pre-order) as its encoded image, e.g. for
-    /// reachability sweeps after a restart; an error from `f` ends the walk. Quiesces
-    /// all writers for a stable traversal. The walk reads through the pool: resident
-    /// pages come from their frames, the rest straight from the store, and nothing is
-    /// installed — a walk touches every page once and would only evict the working set.
-    pub fn walk(&self, mut f: impl FnMut(u64, &[u8]) -> Result<()>) -> Result<()> {
+    /// Visit every reachable page (pre-order) as `f(id, base, image)`, e.g. for
+    /// reachability sweeps after a restart; an error from `f` ends the walk. `image` is
+    /// the node's encoded image — a delta leaf's consolidated with its base — and
+    /// `base` the base page a delta leaf is stored against, which is reachable too
+    /// although no node points at it. Quiesces all writers for a stable traversal. The
+    /// walk reads through the pool: resident pages come from their frames, the rest
+    /// straight from the store, and nothing is installed — a walk touches every page
+    /// once and would only evict the working set.
+    pub fn walk(&self, mut f: impl FnMut(u64, Option<u64>, &[u8]) -> Result<()>) -> Result<()> {
         let _quiesced = self.epoch_latch.write();
         self.walk_rec(self.root.load(Ordering::Acquire), &mut f)
+    }
+
+    /// [`BTree::walk`] on up to `threads` threads, for a walk that reads most pages
+    /// from the store (a reopen's): the root is visited first, then its subtrees are
+    /// dealt out in contiguous runs, one thread a run. Each thread visits with state of
+    /// its own, made by `init`; the states come back in run order, the root's in the
+    /// first. Pages are visited once each, in no order across runs.
+    pub(crate) fn walk_split<A: Send>(
+        &self,
+        threads: usize,
+        init: impl Fn() -> A + Sync,
+        visit: impl Fn(&mut A, u64, Option<u64>, &[u8]) -> Result<()> + Sync,
+    ) -> Result<Vec<A>> {
+        let _quiesced = self.epoch_latch.write();
+        let walk_run = |mut state: A, run: &[u64]| -> Result<A> {
+            let mut f = |id, base, image: &[u8]| visit(&mut state, id, base, image);
+            for &page in run {
+                self.walk_rec(page, &mut f)?;
+            }
+            Ok(state)
+        };
+        let mut first = init();
+        let root = self.root.load(Ordering::Acquire);
+        let children = self.walk_page(root, &mut |id, base, image: &[u8]| {
+            visit(&mut first, id, base, image)
+        })?;
+        let mut runs = children.chunks(children.len().div_ceil(threads.max(1)).max(1));
+        let own = runs.next().unwrap_or_default();
+        std::thread::scope(|scope| {
+            let others: Vec<_> = runs
+                .map(|run| scope.spawn(|| walk_run(init(), run)))
+                .collect();
+            let mut states = vec![walk_run(first, own)?];
+            for other in others {
+                states.push(other.join().expect("a walk thread panicked")?);
+            }
+            Ok(states)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -758,6 +834,8 @@ impl<S: PageStore> BTree<S> {
         // lock, so the snapshot taken here stays valid as long as the CAS below
         // succeeds.
         let (anchor, mut plans) = self.plan(&path, &leaf)?;
+        let leaf_store =
+            self.store_leaf(&path[leaf_i], plans[leaf_i].relocate, &leaf, key, value)?;
 
         // Phase 4: crab — try-lock exactly the version slots of path[anchor..] at the
         // versions the descent observed. Success proves every node we are about to
@@ -791,23 +869,37 @@ impl<S: PageStore> BTree<S> {
             .writer_locks
             .fetch_add(locks.len as u64, Ordering::Relaxed);
 
-        // Phase 5: allocate ids per plan in one short allocator hold (skipped when
-        // the whole rewrite is in place — the common steady-state case).
+        // Phase 5: allocate ids per plan, and queue what the rewrite supersedes, in one
+        // short allocator hold (skipped when the whole rewrite is in place and no base
+        // goes — the common steady-state case).
         let rewritten = anchor..path.len;
         let mut new_root_id = None;
-        if plans[rewritten.clone()]
-            .iter()
-            .any(|p| p.relocate || p.split)
+        let mut queued = [0u64; MAX_DEPTH + 1];
+        let mut nqueued = 0;
+        if leaf_store.drops_base.is_some()
+            || plans[rewritten.clone()]
+                .iter()
+                .any(|p| p.relocate || p.split)
         {
             let mut a = self.alloc.lock();
+            let mut queue = |a: &mut AllocState, id: u64| {
+                a.freed.push(id);
+                queued[nqueued] = id;
+                nqueued += 1;
+            };
             for i in rewritten.clone() {
                 if plans[i].relocate {
                     plans[i].target = self.alloc_page_locked(&mut a);
-                    a.freed.push(path[i].page);
+                    if !(i == leaf_i && leaf_store.keeps_old) {
+                        queue(&mut a, path[i].page);
+                    }
                 }
                 if plans[i].split {
                     plans[i].sibling = self.alloc_page_locked(&mut a);
                 }
+            }
+            if let Some(base) = leaf_store.drops_base {
+                queue(&mut a, base);
             }
             if anchor == 0 && plans[0].split {
                 new_root_id = Some(self.alloc_page_locked(&mut a));
@@ -820,15 +912,17 @@ impl<S: PageStore> BTree<S> {
         // queued on `freed` — leaving them there would let the next checkpoint's
         // commit delete storage the committed tree needs — and the fresh ids never
         // became reachable, so they go straight back to the free list.
-        if let Err(e) = self.apply_plan(&path, anchor, &plans, leaf, new_root_id) {
+        if let Err(e) = self.apply_plan(&path, anchor, &plans, leaf, leaf_store.delta, new_root_id)
+        {
             let mut a = self.alloc.lock();
+            let queued = &queued[..nqueued];
+            a.freed.retain(|id| !queued.contains(id));
             let give_back = |a: &mut AllocState, id: u64| {
                 a.fresh.remove(&id);
                 a.free.push(id);
             };
             for i in rewritten {
                 if plans[i].relocate {
-                    a.freed.retain(|&id| id != path[i].page);
                     give_back(&mut a, plans[i].target);
                 }
                 if plans[i].split {
@@ -850,6 +944,12 @@ impl<S: PageStore> BTree<S> {
             _ => {}
         }
         drop(locks);
+        // The relocated pages are off the live tree: only a reader on a stale path may
+        // still look for one, and it restarts. Their frames would take budget until
+        // the clock came round.
+        for i in rewritten.filter(|&i| plans[i].relocate) {
+            self.pool.discard(path[i].page);
+        }
         Ok(Attempt::Done(old))
     }
 
@@ -865,6 +965,7 @@ impl<S: PageStore> BTree<S> {
         anchor: usize,
         plans: &[LevelPlan; MAX_DEPTH],
         leaf: PageEdit,
+        mut leaf_delta: Option<LeafDelta>,
         new_root_id: Option<u64>,
     ) -> Result<()> {
         let leaf_i = path.len - 1;
@@ -891,19 +992,21 @@ impl<S: PageStore> BTree<S> {
             let page = match edit {
                 PageEdit::Fits(page) => page,
                 PageEdit::Split { left, sep, right } => {
-                    self.write_page(plan.sibling, right)?;
+                    self.write_page(plan.sibling, right, None)?;
                     carry = Some((sep, plan.sibling));
                     left
                 }
             };
-            self.write_page(plan.target, page)?;
+            // Only the leaf (the first level written) may be stored as a delta.
+            self.write_page(plan.target, page, leaf_delta.take())?;
             child_id = plan.target;
         }
         if anchor == 0 {
             if let Some((sep, right_id)) = carry.take() {
                 // The root split: a new internal root above both halves.
                 let id = new_root_id.expect("planned root split allocates a root id");
-                self.write_page(id, internal_root(child_id, &sep, right_id, self.page_size)?)?;
+                let root = internal_root(child_id, &sep, right_id, self.page_size)?;
+                self.write_page(id, root, None)?;
                 child_id = id;
             }
             if child_id != path[0].page {
@@ -918,6 +1021,16 @@ impl<S: PageStore> BTree<S> {
         Ok(())
     }
 
+    /// Validate `read`, a read of `page` by a descent that saw the page at `ver`: `None`
+    /// if the version has moved since — the read raced a rewrite or a release, so even
+    /// its error only means a stale path — else the page, which must exist.
+    fn snapshot<T>(&self, page: u64, ver: u64, read: Result<Option<T>>) -> Result<Option<T>> {
+        if self.versions.changed(page, ver) {
+            return Ok(None);
+        }
+        read?.ok_or_else(|| missing_page(page)).map(Some)
+    }
+
     /// Optimistic descent for a mutation, recording the full path. `None` = conflict.
     fn descend_recording(&self, key: &[u8]) -> Result<Option<Path>> {
         let mut page = self.root.load(Ordering::Acquire);
@@ -927,20 +1040,15 @@ impl<S: PageStore> BTree<S> {
         }
         let mut path = Path::new();
         loop {
-            let Some(bytes) = self.pool.read(page)? else {
-                if self.versions.changed(page, ver) {
-                    return Ok(None);
-                }
-                return Err(missing_page(page));
-            };
-            if self.versions.changed(page, ver) {
+            let Some((bytes, delta)) = self.snapshot(page, ver, self.pool.read_leaf(page))? else {
                 return Ok(None);
-            }
+            };
             if raw_is_leaf(&bytes)? {
                 path.push(PathEntry {
                     page,
                     ver,
                     bytes,
+                    delta,
                     idx: 0,
                 })?;
                 return Ok(Some(path));
@@ -954,11 +1062,66 @@ impl<S: PageStore> BTree<S> {
                 page,
                 ver,
                 bytes,
+                delta: None,
                 idx,
             })?;
             page = child;
             ver = child_ver;
         }
+    }
+
+    /// How the edited leaf is stored (see "Leaf deltas" in the module docs): `entry` is
+    /// the leaf's descent snapshot, `relocate` its plan, `edit` the edited leaf and
+    /// `key` / `value` the mutation (`None` deletes). Stand-alone trees, and fresh whole
+    /// leaves, are rewritten whole with no base involved. Otherwise the leaf's base —
+    /// its delta's, or the relocating whole leaf itself — stays if the edited leaf is
+    /// stored as a delta of at most half its consolidated bytes, and goes if the leaf
+    /// splits, its delta grew past that, or a miss read the delta back.
+    fn store_leaf(
+        &self,
+        entry: &PathEntry,
+        relocate: bool,
+        edit: &PageEdit,
+        key: &[u8],
+        value: Option<&[u8]>,
+    ) -> Result<LeafStore> {
+        if !self.shadow {
+            return Ok(LeafStore::default());
+        }
+        // The leaf's base, and the delta the edit extends: an empty one when a relocating
+        // whole leaf becomes the base, none when a miss read the delta back — that cost
+        // its reader a second read, the base's, so the leaf is stored whole and a leaf
+        // that keeps leaving the pool does not keep paying for it.
+        let empty;
+        let (base, prior) = match (&entry.delta, relocate) {
+            (Some(d), _) => (d.base, d.image.as_deref()),
+            (None, true) => {
+                empty = delta_empty(entry.page);
+                (entry.page, Some(&empty[..]))
+            }
+            (None, false) => return Ok(LeafStore::default()),
+        };
+        // A value as long as the removed-key marker cannot go in a delta.
+        let fits = value.is_none_or(|v| v.len() < usize::from(u16::MAX));
+        if let (Some(prior), PageEdit::Fits(leaf), true) = (prior, edit, fits) {
+            let delta = delta_upsert(prior, key, value)?;
+            if delta.len() <= leaf.len() / 2 {
+                return Ok(LeafStore {
+                    delta: Some(LeafDelta {
+                        base,
+                        image: Some(Bytes::from(delta)),
+                    }),
+                    drops_base: None,
+                    keeps_old: base == entry.page,
+                });
+            }
+        }
+        // Stored whole. A relocating whole leaf is freed as relocated, not as a base.
+        Ok(LeafStore {
+            delta: None,
+            drops_base: (base != entry.page).then_some(base),
+            keeps_old: false,
+        })
     }
 
     /// Compute the mutation's exact rewrite plan from the descent snapshots and the
@@ -1065,8 +1228,8 @@ impl<S: PageStore> BTree<S> {
     /// optimistic observers of that page id — in-place rewrites (content changed),
     /// relocation targets and recycled ids (a reader parked on the id from a stale
     /// path must not validate against the new incarnation).
-    fn write_page(&self, page: u64, image: Vec<u8>) -> Result<()> {
-        self.pool.write(page, image)?;
+    fn write_page(&self, page: u64, image: Vec<u8>, delta: Option<LeafDelta>) -> Result<()> {
+        self.pool.write_leaf(page, image, delta)?;
         self.versions.bump(page);
         Ok(())
     }
@@ -1093,21 +1256,35 @@ impl<S: PageStore> BTree<S> {
         }
     }
 
-    fn walk_rec(&self, page: u64, f: &mut impl FnMut(u64, &[u8]) -> Result<()>) -> Result<()> {
-        let bytes = self
+    fn walk_rec(
+        &self,
+        page: u64,
+        f: &mut impl FnMut(u64, Option<u64>, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        for child in self.walk_page(page, f)? {
+            self.walk_rec(child, f)?;
+        }
+        Ok(())
+    }
+
+    /// Visit one page of a walk; returns its children (none for a leaf).
+    fn walk_page(
+        &self,
+        page: u64,
+        f: &mut impl FnMut(u64, Option<u64>, &[u8]) -> Result<()>,
+    ) -> Result<Vec<u64>> {
+        let (bytes, base) = self
             .pool
             .read_through(page)?
             .ok_or_else(|| missing_page(page))?;
-        f(page, &bytes)?;
+        f(page, base, &bytes)?;
         if raw_is_leaf(&bytes)? {
-            return Ok(());
+            return Ok(Vec::new());
         }
-        if let Node::Internal { children, .. } = Node::decode(&bytes)? {
-            for c in children {
-                self.walk_rec(c, f)?;
-            }
+        match Node::decode(&bytes)? {
+            Node::Internal { children, .. } => Ok(children),
+            Node::Leaf { .. } => Ok(Vec::new()),
         }
-        Ok(())
     }
 }
 
@@ -1387,7 +1564,7 @@ mod tests {
     /// Depth of the tree (levels on the leftmost spine) and its number of empty leaves.
     fn shape<S: PageStore>(t: &BTree<S>) -> (usize, usize) {
         let mut nodes = std::collections::HashMap::new();
-        t.walk(|id, page| {
+        t.walk(|id, _, page| {
             nodes.insert(id, Node::decode(page)?);
             Ok(())
         })
@@ -1404,7 +1581,13 @@ mod tests {
         (depth, empty)
     }
 
-    fn assert_matches_model(t: &BTree<MemPageStore>, model: &BTreeMap<Vec<u8>, Vec<u8>>) {
+    /// True if the leaf that holds `key` is stored as a delta.
+    fn leaf_is_delta<S: PageStore>(t: &BTree<S>, key: &[u8]) -> bool {
+        let path = t.descend_recording(key).unwrap().expect("no writer runs");
+        path[path.len - 1].delta.is_some()
+    }
+
+    fn assert_matches_model<S: PageStore>(t: &BTree<S>, model: &BTreeMap<Vec<u8>, Vec<u8>>) {
         assert_eq!(t.len() as usize, model.len());
         let scanned = t.range(b"", b"~~~~~~~~~~~~~~~~").unwrap();
         let expected: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
@@ -1454,21 +1637,31 @@ mod tests {
                 if tree.shadow && step % 500 == 499 {
                     tree.seed_free_list(tree.cut_epoch().commit());
                     // Nothing is fresh now: the first touch path-copies root to leaf
-                    // (every level relocated, every parent repointed) …
+                    // (every level relocated, every parent repointed), freeing each
+                    // internal level; the leaf frees its old page unless that becomes
+                    // the new delta's base, and an old delta's base once the leaf is
+                    // stored whole …
                     let (depth, _) = shape(&tree);
                     let k = key((next() % KEYS) as u32);
+                    let was_delta = leaf_is_delta(&tree, &k);
                     mutate(&mut model, k.clone(), Some(b"first touch".to_vec()));
-                    assert_eq!(tree.alloc.lock().freed.len(), depth);
-                    // … and the second finds the path fresh and rewrites in place.
-                    mutate(&mut model, k, Some(b"second touch".to_vec()));
-                    assert_eq!(tree.alloc.lock().freed.len(), depth);
+                    let is_delta = leaf_is_delta(&tree, &k);
+                    let leaf_frees = usize::from(was_delta) + usize::from(!is_delta);
+                    let freed = depth - 1 + leaf_frees;
+                    assert_eq!(tree.alloc.lock().freed.len(), freed);
+                    // … and the second finds the path fresh and rewrites in place,
+                    // freeing the base only if it consolidates a delta.
+                    mutate(&mut model, k.clone(), Some(b"second touch".to_vec()));
+                    let consolidated = is_delta && !leaf_is_delta(&tree, &k);
+                    let freed = freed + usize::from(consolidated);
+                    assert_eq!(tree.alloc.lock().freed.len(), freed);
                 }
             }
             let (depth, _) = shape(&tree);
             assert!(depth >= 3, "depth {depth}: no internal node ever split");
             assert_matches_model(&tree, &model);
             // Every leaf this tree wrote split once it passed half the page.
-            tree.walk(|id, page| {
+            tree.walk(|id, _, page| {
                 if raw_is_leaf(page)? {
                     assert!(page.len() <= PAGE / 2, "leaf {id}: {} bytes", page.len());
                 }
@@ -1754,7 +1947,7 @@ mod tests {
         }
         fn write_page(&self, id: u64, data: &[u8]) -> Result<()> {
             if !self.pad {
-                assert_eq!(data.len(), Node::decode(data)?.encoded_size(), "page {id}");
+                assert_eq!(data.len(), crate::node::encoded_len(data)?, "page {id}");
                 return self.inner.write_page(id, data);
             }
             let mut page = data.to_vec();
@@ -1869,11 +2062,212 @@ mod tests {
                 tree.range(b"", b"~").unwrap(),
                 model.into_iter().collect::<Vec<_>>()
             );
-            tree.walk(|_, page| {
+            tree.walk(|_, _, page| {
                 assert!(page.len() <= PAGE_4K);
                 Ok(())
             })
             .unwrap();
+        }
+    }
+
+    /// A `MemPageStore` shared across tree incarnations that counts the delta pages it
+    /// stores and serves.
+    struct DeltaCountingStore {
+        inner: std::sync::Arc<MemPageStore>,
+        delta_writes: AtomicU64,
+        delta_reads: AtomicU64,
+    }
+    impl PageStore for DeltaCountingStore {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn read_page(&self, id: u64) -> Result<Option<Bytes>> {
+            let page = self.inner.read_page(id)?;
+            if page.as_deref().is_some_and(crate::node::is_delta) {
+                self.delta_reads.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(page)
+        }
+        fn write_page(&self, id: u64, data: &[u8]) -> Result<()> {
+            if crate::node::is_delta(data) {
+                self.delta_writes.fetch_add(1, Ordering::Relaxed);
+            }
+            self.inner.write_page(id, data)
+        }
+    }
+
+    /// Leaf deltas against a model over 60 committed epochs, through a pool of eight
+    /// pages' worth, so deltas are dirty-evicted mid-epoch and read back by misses that
+    /// consolidate them with their bases; with overwrites, inserts that split leaves,
+    /// deletes that empty whole runs of them, and deltas that outgrow half their leaf
+    /// and consolidate. After every commit: the tree matches the model; every stored
+    /// delta names the base the walk reports and consolidates to the walked leaf; no id
+    /// the commit freed is reachable or a reachable delta's base; and no id is freed
+    /// twice without being reused in between. The freed pages are then scribbled over
+    /// in the store, so a base freed too early breaks the next epoch's reads.
+    #[test]
+    fn leaf_deltas_match_a_model_over_many_epochs_and_free_each_base_once() {
+        const EPOCHS: u32 = 60;
+        const KEYS: u32 = 1_200;
+        let inner = std::sync::Arc::new(MemPageStore::new(PAGE));
+        let store = DeltaCountingStore {
+            inner: inner.clone(),
+            delta_writes: AtomicU64::new(0),
+            delta_reads: AtomicU64::new(0),
+        };
+        let tree = BTree::open_shadow(BufferPool::new(store, 8), None).unwrap();
+        let mut rng = 0x1EAF_DE17u64;
+        let mut next = |n: u32| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((rng >> 33) % u64::from(n)) as u32
+        };
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for i in (0..KEYS).step_by(2) {
+            tree.insert(&key(i), b"preload").unwrap();
+            model.insert(key(i), b"preload".to_vec());
+        }
+        // Ids released by a commit and not reachable since; the last commit's bases.
+        let mut released: HashSet<u64> = HashSet::new();
+        let mut last_bases: HashSet<u64> = HashSet::new();
+        let (mut bases_freed, mut evicted_deltas, mut emptied, mut after_cut) = (0, 0, 0, 0);
+        for epoch in 0..EPOCHS {
+            for _ in 0..150 {
+                let k = key(next(KEYS));
+                match next(10) {
+                    0..=5 => {
+                        let v = vec![b'v'; next(9) as usize];
+                        tree.insert(&k, &v).unwrap();
+                        model.insert(k, v);
+                    }
+                    6..=7 => {
+                        assert_eq!(tree.delete(&k).unwrap(), model.remove(&k).is_some());
+                    }
+                    _ => assert_eq!(tree.get(&k).unwrap().as_ref(), model.get(&k)),
+                }
+            }
+            if epoch % 10 == 9 {
+                // Hollow out a run of whole leaves.
+                let from = next(KEYS - 80);
+                for i in from..from + 80 {
+                    assert_eq!(
+                        tree.delete(&key(i)).unwrap(),
+                        model.remove(&key(i)).is_some()
+                    );
+                }
+                emptied += shape(&tree).1;
+            }
+            // Deltas written between two cuts were written by dirty evictions.
+            evicted_deltas += tree.store().delta_writes.load(Ordering::Relaxed) - after_cut;
+            let freed = tree.cut_epoch().commit();
+            after_cut = tree.store().delta_writes.load(Ordering::Relaxed);
+
+            // The committed tree is the whole tree: nothing ran since the cut.
+            let (mut reachable, mut bases) = (HashSet::new(), HashSet::new());
+            tree.walk(|id, base, image| {
+                reachable.insert(id);
+                let stored = inner.read_page(id)?.expect("reachable pages are stored");
+                match base {
+                    Some(base) => {
+                        bases.insert(base);
+                        assert_eq!(crate::node::raw_delta_base(&stored)?, Some(base));
+                        let base_image = inner.read_page(base)?.expect("bases are stored");
+                        let leaf = crate::node::delta_apply(&base_image, &stored, PAGE)?;
+                        assert_eq!(leaf, image, "delta leaf {id}");
+                    }
+                    None => assert_eq!(&stored[..], image, "page {id}"),
+                }
+                Ok(())
+            })
+            .unwrap();
+            assert!(bases.is_disjoint(&reachable), "a base is also a node");
+            let mut once = HashSet::new();
+            for &id in &freed {
+                assert!(
+                    once.insert(id),
+                    "epoch {epoch}: {id} freed twice in one commit"
+                );
+                assert!(
+                    !reachable.contains(&id),
+                    "epoch {epoch}: freed {id} is reachable"
+                );
+                assert!(
+                    !bases.contains(&id),
+                    "epoch {epoch}: freed base {id} is named"
+                );
+                assert!(released.insert(id), "epoch {epoch}: {id} freed again");
+                bases_freed += usize::from(last_bases.contains(&id));
+                inner.write_page(id, &[0xEE; 16]).unwrap();
+            }
+            for id in reachable.iter().chain(&bases) {
+                released.remove(id);
+            }
+            last_bases = bases;
+            tree.seed_free_list(freed);
+            assert_matches_model(&tree, &model);
+        }
+        let (depth, _) = shape(&tree);
+        let store = tree.store();
+        let (writes, reads) = (
+            store.delta_writes.load(Ordering::Relaxed),
+            store.delta_reads.load(Ordering::Relaxed),
+        );
+        let at = format!(
+            "{writes} delta writes, {evicted_deltas} evicted, {reads} read back, \
+             {bases_freed} bases freed, {emptied} empty leaves, depth {depth}"
+        );
+        assert!(writes > 1_000 && evicted_deltas > 100, "{at}");
+        assert!(reads > 100, "{at}");
+        assert!(bases_freed > 200, "{at}");
+        assert!(emptied > 0 && depth >= 3, "{at}");
+        assert_eq!(tree.stats().write_fallbacks, 0);
+    }
+
+    /// A delta stays a delta while its leaf stays in the pool, however often it is
+    /// written; once a miss has read it back together with its base, the leaf's next
+    /// write stores it whole and queues the base for release.
+    #[test]
+    fn a_delta_a_miss_read_back_is_stored_whole_at_the_next_write() {
+        let tree = new_shadow_tree();
+        for i in 0..200u32 {
+            tree.insert(&key(i), b"v").unwrap();
+        }
+        tree.seed_free_list(tree.cut_epoch().commit());
+        let leaf_of = |k: &[u8]| {
+            let path = tree.descend_recording(k).unwrap().unwrap();
+            let leaf = &path[path.len - 1];
+            (leaf.page, leaf.delta.clone())
+        };
+        // Two epochs of writes to a resident leaf: a delta against the epoch-1 leaf,
+        // then the same delta carried to the next page.
+        tree.insert(&key(100), b"w").unwrap();
+        let (_, first) = leaf_of(&key(100));
+        let base = first.expect("a relocated leaf is stored as a delta").base;
+        tree.seed_free_list(tree.cut_epoch().commit());
+        tree.insert(&key(100), b"x").unwrap();
+        let (page, second) = leaf_of(&key(100));
+        let second = second.expect("a resident delta is extended");
+        assert_eq!(second.base, base);
+        assert!(second.image.is_some());
+        tree.seed_free_list(tree.cut_epoch().commit());
+
+        // Out of the pool and back: the miss consolidates, keeping only the base id.
+        tree.pool.discard(page);
+        assert_eq!(tree.get(&key(100)).unwrap().as_deref(), Some(&b"x"[..]));
+        let (_, read_back) = leaf_of(&key(100));
+        let read_back = read_back.expect("the frame remembers its base");
+        assert_eq!((read_back.base, read_back.image), (base, None));
+
+        // The next write stores the leaf whole and lets the base go with the old page.
+        tree.insert(&key(100), b"y").unwrap();
+        let (_, after) = leaf_of(&key(100));
+        assert!(after.is_none(), "stored whole");
+        let freed = tree.alloc.lock().freed.clone();
+        assert!(freed.contains(&base) && freed.contains(&page), "{freed:?}");
+        for i in 0..200u32 {
+            let want: &[u8] = if i == 100 { b"y" } else { b"v" };
+            assert_eq!(tree.get(&key(i)).unwrap().as_deref(), Some(want));
         }
     }
 
@@ -1885,7 +2279,7 @@ mod tests {
         }
         let mut ids = Vec::new();
         let mut leaves = 0u64;
-        t.walk(|id, page| {
+        t.walk(|id, _, page| {
             ids.push(id);
             if raw_is_leaf(page)? {
                 leaves += 1;
@@ -1896,6 +2290,47 @@ mod tests {
         let unique: std::collections::HashSet<_> = ids.iter().collect();
         assert_eq!(unique.len(), ids.len(), "a node was visited twice");
         assert!(leaves > 1, "1000 keys cannot fit one leaf");
+
+        // Split across threads: the same pages, once each, the root first in the first
+        // part; an error from any part ends the walk.
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        for threads in [1, 2, 3, 64] {
+            let parts = t
+                .walk_split(threads, Vec::new, |seen, id, _, _| {
+                    seen.push(id);
+                    Ok(())
+                })
+                .unwrap();
+            assert!(parts.len() <= threads.max(1), "{threads} threads");
+            assert_eq!(parts[0][0], ids[0], "the root comes first");
+            let mut split: Vec<u64> = parts.concat();
+            split.sort_unstable();
+            assert_eq!(split, sorted, "{threads} threads");
+            let last = *ids.last().unwrap();
+            let failed = t.walk_split(
+                threads,
+                || (),
+                |_, id, _, _| match id == last {
+                    true => Err(Error::CorruptCheckpoint(format!("page {id}"))),
+                    false => Ok(()),
+                },
+            );
+            assert!(failed.is_err(), "{threads} threads");
+        }
+        let single = new_tree();
+        single.insert(b"k", b"v").unwrap();
+        let parts = single
+            .walk_split(
+                2,
+                || 0,
+                |pages, _, _, _| {
+                    *pages += 1;
+                    Ok(())
+                },
+            )
+            .unwrap();
+        assert_eq!(parts, vec![1], "a root leaf is the whole walk");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! means half of it is spent on cleaning.
 
 use crate::freq::MAX_TEMPERATURE_CLASSES;
+use crate::util::CachePadded;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -249,12 +250,16 @@ fn trim_trailing_zeros(mut v: Vec<u64>) -> Vec<u64> {
 /// [`AtomicStats::snapshot`] materialises a plain [`StoreStats`] for reporting. The one
 /// non-integer counter (`emptiness_sum_at_clean`) is stored as `f64` bits and updated
 /// with a CAS loop — it is only touched once per cleaned victim, so contention is nil.
+///
+/// The counters client threads bump on every `put` and `get` each sit on a cache line
+/// of their own ([`CachePadded`]), apart from the ones the write-behind worker bumps as
+/// it drains and seals.
 #[derive(Debug, Default)]
 pub struct AtomicStats {
     /// See [`StoreStats::user_pages_written`].
-    pub user_pages_written: AtomicU64,
+    pub user_pages_written: CachePadded<AtomicU64>,
     /// See [`StoreStats::user_bytes_written`].
-    pub user_bytes_written: AtomicU64,
+    pub user_bytes_written: CachePadded<AtomicU64>,
     /// See [`StoreStats::gc_pages_written`].
     pub gc_pages_written: AtomicU64,
     /// See [`StoreStats::gc_bytes_written`].
@@ -272,9 +277,9 @@ pub struct AtomicStats {
     /// See [`StoreStats::emptiness_sum_at_clean`] (stored as `f64::to_bits`).
     emptiness_sum_bits: AtomicU64,
     /// See [`StoreStats::pages_read`].
-    pub pages_read: AtomicU64,
+    pub pages_read: CachePadded<AtomicU64>,
     /// See [`StoreStats::device_page_reads`].
-    pub device_page_reads: AtomicU64,
+    pub device_page_reads: CachePadded<AtomicU64>,
     /// See [`StoreStats::absorbed_in_buffer`].
     pub absorbed_in_buffer: AtomicU64,
     /// See [`StoreStats::straggler_reclaims`].

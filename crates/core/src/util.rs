@@ -77,6 +77,21 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
+/// A value on cache lines of its own: aligned to 64 bytes and padded out to a multiple
+/// of them, so an atomic one thread bumps shares no line with one another thread
+/// bumps (false sharing makes every bump of either a cross-core line transfer).
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub struct CachePadded<T>(pub T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// CRC-32C (Castagnoli, RFC 3720) over a byte slice: wire frames, segment extent
 /// headers and entry tables, KV superblocks (see the module docs).
 ///

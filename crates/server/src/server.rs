@@ -642,6 +642,8 @@ struct KvSection {
     commit_latch_us: u64,
     commit_us: u64,
     index_write_amplification: f64,
+    index_delta_pages_written: u64,
+    index_delta_bytes_written: u64,
     pool_hit_ratio: f64,
     pool_dirty_evictions: u64,
     pool_flush_writes: u64,
@@ -707,6 +709,8 @@ fn stats_json(shared: &Shared) -> String {
             commit_latch_us: kv_stats.commit_latch_us,
             commit_us: kv_stats.commit_us,
             index_write_amplification: kv_stats.index_write_amplification(),
+            index_delta_pages_written: kv_stats.index_delta_pages_written,
+            index_delta_bytes_written: kv_stats.index_delta_bytes_written,
             pool_hit_ratio: kv_stats.pool.hit_ratio(),
             pool_dirty_evictions: kv_stats.pool.dirty_evictions,
             pool_flush_writes: kv_stats.pool.flush_writes,

@@ -465,6 +465,19 @@ fn concurrent_durable_puts_share_flips() {
         "{ops} durable PUTs at {CONNS} x depth {DEPTH} took {flips} flips"
     );
     assert_eq!(kv.len() as u64, ops);
+    // One more pipelined batch overwrites a key of every round, one in each stretch of
+    // leaves earlier flips committed whole: its flips store those leaves as deltas.
+    let mut client = Client::connect(&addr).unwrap();
+    for conn in 0..CONNS {
+        for round in 0..ROUNDS {
+            client
+                .send(&durable_put(&format!("c{conn}:{round}:3")))
+                .unwrap();
+        }
+    }
+    for (corr, reply) in client.drain().unwrap() {
+        assert_eq!(reply, Response::Put, "corr {corr}");
+    }
     // STATS splits the index's page writes into commit write-backs and evictions.
     let stats = Client::connect(&addr).unwrap().stats().unwrap();
     let pool = kv.stats().pool;
@@ -477,6 +490,21 @@ fn concurrent_durable_puts_share_flips() {
     assert_eq!(
         stat(&stats, "pool_dirty_evictions"),
         pool.dirty_evictions,
+        "{stats}"
+    );
+    // Every flip after the first relocates leaves a committed epoch wrote whole, and
+    // stores them as deltas against those leaves.
+    let kv_stats = kv.stats();
+    assert!(kv_stats.index_delta_pages_written > 0, "{kv_stats:?}");
+    assert!(kv_stats.index_delta_bytes_written < kv_stats.index_bytes_written);
+    assert_eq!(
+        stat(&stats, "index_delta_pages_written"),
+        kv_stats.index_delta_pages_written,
+        "{stats}"
+    );
+    assert_eq!(
+        stat(&stats, "index_delta_bytes_written"),
+        kv_stats.index_delta_bytes_written,
         "{stats}"
     );
     server.shutdown();
